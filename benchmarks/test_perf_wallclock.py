@@ -33,10 +33,10 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-import zlib
 
 from repro.experiments.common import REGIONS, build_spider, fresh_env
 from repro.irmc import IrmcConfig, make_channel
+from repro.metrics import sim_fingerprint
 from repro.net import Payload, Site
 from repro.sim import Process
 from repro.sim.routing import RoutedNode
@@ -54,11 +54,6 @@ IRMC_SIZES = [1024, 16384]
 IRMC_DURATION_MS = 3_000.0
 IRMC_WINDOW_MOVE_BATCH = 64
 IRMC_CAPACITY = 2048
-
-
-def _fingerprint(obj) -> int:
-    """Stable checksum of simulated results, for cross-commit parity."""
-    return zlib.crc32(repr(obj).encode("utf-8", errors="replace"))
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +80,7 @@ def run_fig7_write_saturated(seed: int = SEED) -> dict:
         "events": sim.events_processed,
         "sim_ms": sim.now,
         "writes_completed": writes,
-        "sim_fingerprint": _fingerprint(
+        "sim_fingerprint": sim_fingerprint(
             [(client.name, client.completed) for client in clients]
         ),
     }
@@ -134,7 +129,7 @@ def run_irmc_saturated(kind: str, size: int, seed: int = SEED) -> dict:
         "events": sim.events_processed,
         "sim_ms": sim.now,
         "delivered": len(deliveries),
-        "sim_fingerprint": _fingerprint(deliveries),
+        "sim_fingerprint": sim_fingerprint(deliveries),
     }
 
 

@@ -2,6 +2,7 @@
 throughput, CPU and transfer accounting."""
 
 from repro.metrics.latency import LatencySummary, percentile, summarize, time_series
+from repro.metrics.oracle import sim_equivalent, sim_fingerprint
 from repro.metrics.trace import MessageTrace, TraceEvent
 
 __all__ = [
@@ -9,6 +10,8 @@ __all__ = [
     "summarize",
     "LatencySummary",
     "time_series",
+    "sim_equivalent",
+    "sim_fingerprint",
     "MessageTrace",
     "TraceEvent",
 ]

@@ -141,13 +141,16 @@ class Node:
         )
 
     def _dispatch(self) -> None:
-        global _current
         self._dispatch_scheduled = False
         if self.crashed or not self._tasks:
             return
         fn, args = self._tasks.popleft()
-        sim = self.sim
-        start = sim.now
+        self._run_on_cpu(fn, args)
+
+    def _run_on_cpu(self, fn: Callable[..., Any], args: tuple) -> None:
+        """Run one work item on the (free) CPU, starting now."""
+        global _current
+        start = self.sim.now
         previous = _current
         _current = self
         self._executing = True
@@ -210,12 +213,35 @@ class Node:
             network.send(self, dst, message)
 
     def deliver(self, src: "Node", message: Any) -> None:
-        """Entry point used by the network; dispatches to ``on_message``."""
+        """Entry point used by the network; dispatches to ``on_message``.
+
+        An arrival at a free CPU (nothing queued, nothing executing, no
+        charged work outstanding) runs its handler inside the delivery
+        event itself, unless another event is due at this very instant:
+        the ``_dispatch`` entry the queued path pushes would then sort
+        behind that event, so only the queued path keeps the order (and
+        with it the order of RNG draws and of work this handler spawns).
+        Without such a tie the dispatch would have been the next entry
+        popped anyway — the inline path saves the heap round trip and
+        nothing else changes.
+        """
         if self.crashed:
             return
-        self._tasks.append((self.on_message, (src, message)))
-        if not (self._dispatch_scheduled or self._executing):
-            self._post_dispatch()
+        sim = self.sim
+        now = sim.now
+        queue = sim._queue
+        if (
+            self._tasks
+            or self._dispatch_scheduled
+            or self._executing
+            or self.busy_until > now
+            or (queue and queue[0][0] <= now)
+        ):
+            self._tasks.append((self.on_message, (src, message)))
+            if not (self._dispatch_scheduled or self._executing):
+                self._post_dispatch()
+        else:
+            self._run_on_cpu(self.on_message, (src, message))
 
     def on_message(self, src: "Node", message: Any) -> None:
         """Override in subclasses: handle one received message."""

@@ -11,6 +11,13 @@ pin that contract:
   fast and slow paths mid-simulation) stay bit-identical too;
 * the event queue's O(1) bookkeeping and lazy compaction never change
   firing order.
+
+Event-*eliding* changes cannot be bit-identical (the event count is the
+point), so they are held to the weaker oracle of
+:func:`repro.metrics.sim_equivalent` instead: identical reply traces,
+latency samples and replica journals.  ``TestFusedDeliveryOracle`` runs
+the fused ``Node.deliver`` against a test-local copy of the two-event
+delivery it replaced.
 """
 
 from __future__ import annotations
@@ -18,8 +25,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.primitives import set_digest_cache_enabled
-from repro.net import Network, Site, Topology
-from repro.sim import Simulator
+from repro.irmc import IrmcConfig, make_channel
+from repro.metrics import sim_equivalent
+from repro.net import Network, Payload, Site, Topology
+from repro.sim import Node, Process, Simulator
+from repro.sim.routing import RoutedNode
 from tests.test_batching_properties import build_system, run_workload
 
 
@@ -67,6 +77,117 @@ def _faulty_trace(seed: int) -> tuple:
         repr(sim.now),
         repr(sim.events_processed),
     )
+
+
+def _two_event_deliver(self, src, message):
+    """The ``Node.deliver`` that fused dispatch replaced: every arrival
+    queues a task and pushes a second ``_dispatch`` heap entry, however
+    idle the CPU is."""
+    if self.crashed:
+        return
+    self._tasks.append((self.on_message, (src, message)))
+    if not (self._dispatch_scheduled or self._executing):
+        self._post_dispatch()
+
+
+def _spider_observation(seed: int, faults: bool = False) -> dict:
+    sim, system = build_system(seed=seed)
+    if faults:
+        network = system.network
+        sim.schedule(500.0, network.partition, ["tokyo"])
+        sim.schedule(2_500.0, network.heal)
+        sim.schedule(3_000.0, network.set_drop_rate, 0.05)
+        sim.schedule(5_000.0, network.set_drop_rate, 0.0)
+    clients, replies = run_workload(
+        sim, system, n_clients=3, n_requests=4, use_reads=not faults
+    )
+    return {
+        "replies": {
+            client.name: (replies[client.name], client.completed) for client in clients
+        },
+        "latencies": [
+            latency for client in clients for _kind, _start, latency in client.completed
+        ],
+        "journals": {
+            replica.name: replica.app.journal
+            for group in system.groups.values()
+            for replica in group.replicas
+        },
+        "events": sim.events_processed,
+    }
+
+
+def _irmc_observation(kind: str) -> dict:
+    """A jitter-free channel pumped at saturation: the scenario richest in
+    same-timestamp ties (three senders in lockstep, identical links)."""
+    sim = Simulator(seed=5)
+    network = Network(sim, Topology(), jitter=0.0)
+    senders = [
+        network.register(RoutedNode(sim, f"s{i}", Site("virginia", i + 1)))
+        for i in range(3)
+    ]
+    receivers = [
+        network.register(RoutedNode(sim, f"r{i}", Site("tokyo", i + 1)))
+        for i in range(4)
+    ]
+    tx, rx = make_channel(kind, "ch", senders, receivers, IrmcConfig(capacity=64))
+    deliveries = {node.name: [] for node in receivers}
+
+    def sender_loop(endpoint):
+        for position in range(1, 201):
+            yield endpoint.send(0, position, Payload(512, label="parity"))
+
+    def receiver_loop(endpoint, sink):
+        for position in range(1, 201):
+            yield endpoint.receive(0, position)
+            sink.append((position, sim.now))
+            if position % 16 == 0:
+                endpoint.move_window(0, position + 1)
+
+    for node in senders:
+        Process(sim, sender_loop(tx[node.name]), node=node)
+    for node in receivers:
+        Process(sim, receiver_loop(rx[node.name], deliveries[node.name]), node=node)
+    sim.run(until=3_000.0)
+    return {
+        "replies": deliveries,
+        "latencies": [at for _position, at in deliveries["r0"]],
+        "events": sim.events_processed,
+    }
+
+
+class TestFusedDeliveryOracle:
+    """Fused dispatch vs the two-event reference: same observations under
+    ``sim_equivalent``, strictly fewer events."""
+
+    @staticmethod
+    def _both(monkeypatch, observe, *args):
+        fused = observe(*args)
+        monkeypatch.setattr(Node, "deliver", _two_event_deliver)
+        reference = observe(*args)
+        assert reference["replies"], "the scenario completed nothing"
+        assert sim_equivalent(reference, fused) == []
+        assert fused["events"] < reference["events"]
+
+    @pytest.mark.parametrize("seed", [7, 1234])
+    def test_spider_end_to_end(self, monkeypatch, seed):
+        self._both(monkeypatch, _spider_observation, seed)
+
+    def test_spider_under_fault_injection(self, monkeypatch):
+        self._both(monkeypatch, _spider_observation, 42, True)
+
+    @pytest.mark.parametrize("kind", ["rc", "sc"])
+    def test_saturated_irmc_channel_without_jitter(self, monkeypatch, kind):
+        self._both(monkeypatch, _irmc_observation, kind)
+
+    def test_oracle_names_the_first_moved_entry(self):
+        base = {"replies": {"c0": [("write", 0.0, 5.0)]}, "latencies": [5.0], "events": 9}
+        assert sim_equivalent(base, dict(base, events=3)) == []
+        moved = dict(base, replies={"c0": [("write", 0.0, 5.5)]}, latencies=[5.5])
+        assert sim_equivalent(base, moved) == [
+            "replies['c0']: entry 0: ('write', 0.0, 5.0) != ('write', 0.0, 5.5)",
+            "latencies: entry 0: 5.0 != 5.5",
+        ]
 
 
 class TestDigestCacheParity:

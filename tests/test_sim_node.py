@@ -166,3 +166,67 @@ class TestNetworkDelivery:
         sim.run()
         assert 20 < len(b.received) < 80
         assert network.dropped == 100 - len(b.received)
+
+
+class Echo(Recorder):
+    """Answers every message once its handler's CPU time has elapsed."""
+
+    def on_message(self, src, message):
+        super().on_message(src, message)
+        self.send(src, Ping("echo"))
+
+
+class TestFusedDelivery:
+    """``Node.deliver`` runs the handler inside the delivery event when the
+    CPU is free, and queues it exactly as before when it is not."""
+
+    def test_arrival_at_idle_cpu_runs_inside_the_delivery_event(self):
+        sim, network, a, b = make_pair(cost_ms=2.0)
+        a.send(b, Ping(1))
+        assert sim.step()  # the delivery event itself
+        assert [(at, message.tag) for at, _src, message in b.received] == [(sim.now, 1)]
+        assert sim.pending_events == 0  # no second heap entry for the CPU
+        assert sim.events_processed == 1
+
+    def test_arrivals_at_a_busy_cpu_queue_in_order(self):
+        sim, network, a, b = make_pair(cost_ms=5.0)
+        for tag in (1, 2, 3):
+            a.send(b, Ping(tag))  # arrive microseconds apart, 5 ms of work each
+        sim.run()
+        times = [at for at, _src, _message in b.received]
+        assert [message.tag for _at, _src, message in b.received] == [1, 2, 3]
+        assert times[1] == times[0] + 5.0 and times[2] == times[1] + 5.0
+        assert b.busy_ms == 15.0
+
+    def test_arrival_behind_a_queued_task_waits_its_turn(self):
+        sim, network, a, b = make_pair()
+        order = []
+        b.run_task(order.append, "task")  # queued, dispatch pending
+        b.deliver(a, Ping("message"))  # CPU idle, but not first in line
+        assert order == [] and b.received == []
+        sim.run()
+        assert order == ["task"] and len(b.received) == 1
+        assert sim.events_processed == 2  # one dispatch per queued item
+
+    def test_crash_between_arrival_and_handler_drops_the_message(self):
+        sim, network, a, b = make_pair(cost_ms=5.0)
+        a.send(b, Ping(1))
+        a.send(b, Ping(2))
+        sim.run(until=1.0)  # 1 handled on arrival; 2 waits for the CPU
+        assert [message.tag for _at, _src, message in b.received] == [1]
+        b.crash()
+        b.recover()
+        sim.run()
+        assert [message.tag for _at, _src, message in b.received] == [1]
+
+    def test_charged_cost_sets_busy_horizon_and_delays_the_outbox(self):
+        sim = Simulator(seed=1)
+        network = Network(sim, Topology(), jitter=0.0)
+        a = network.register(Recorder(sim, "a", Site("virginia", 1)))
+        b = network.register(Echo(sim, "b", Site("virginia", 2), cost_ms=10.0))
+        a.send(b, Ping(1))
+        sim.run()
+        arrival = b.received[0][0]
+        assert b.busy_until == arrival + 10.0 and b.busy_ms == 10.0
+        # The echo left b only once the 10 ms of charged CPU had elapsed.
+        assert arrival + 10.6 <= a.received[0][0] < arrival + 10.8
