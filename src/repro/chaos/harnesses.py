@@ -692,8 +692,10 @@ class IrmcHarness(StackHarness):
             from repro.sim.process import sleep
 
             for position in range(start, self.positions + 1):
-                endpoint.move_window("s", max(1, position - self.capacity + 1))
-                endpoint.send("s", position, ("m", position))
+                endpoint.send(
+                    "s", position, ("m", position),
+                    window=max(1, position - self.capacity + 1),
+                )
                 endpoint.send("bulk", position, ("b", position))
                 sent_upto[name] = position
                 yield sleep(self.send_interval_ms)

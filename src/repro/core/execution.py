@@ -206,11 +206,11 @@ class ExecutionReplica(RoutedNode):
         if not verify(message.signature, body, signer=body.client):
             return
         self.t[body.client] = body.counter
-        self.request_tx.move_window(body.client, body.counter)
         wrapper = RequestWrapper(
             body=body, signature=message.signature, group=self.group_id
         )
-        self.request_tx.send(body.client, body.counter, wrapper)
+        # The window move to ``counter`` rides on the Send itself.
+        self.request_tx.send(body.client, body.counter, wrapper, window=body.counter)
 
     def _on_close_session(self, src, message: CloseSession) -> None:
         """Retire a closing client's request subchannel.

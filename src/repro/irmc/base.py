@@ -11,7 +11,9 @@ receiver replicas in another region (paper Section 3.2).  Key semantics:
 * **Flow control** — a sender endpoint's window advances to the
   ``f_r + 1``-highest position requested by receiver endpoints; a receiver
   endpoint's window advances on local ``move_window`` calls or once
-  ``f_s + 1`` sender endpoints request it.
+  ``f_s + 1`` sender endpoints request it.  A sender's request rides on
+  its Sends (signed ``window`` field) and one :class:`MovesMsg` heartbeat
+  per receiver; an explicit :class:`MoveMsg` is for when no Send can.
 * **TooOld** — operations on positions below the window resolve with a
   :class:`TooOld` marker carrying the new lower bound, which is how trailing
   replicas learn they must fetch a checkpoint.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import attach_auth, make_mac_vector, verify_mac_vector
-from repro.irmc.messages import MoveMsg, RetireEcho, RetireMsg
+from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg
 from repro.sim.futures import SimFuture
 from repro.sim.routing import Component, RoutedNode
 
@@ -69,7 +71,7 @@ class IrmcConfig:
     #: Stored positions are bounded to ``capacity * overflow_factor`` ahead
     #: of the window start to cap memory under Byzantine floods.
     overflow_factor: int = 8
-    #: Senders periodically re-announce their latest window Move so that
+    #: Senders periodically re-announce their window Moves so that
     #: receivers cut off by partitions eventually learn they fell behind
     #: (the paper assumes reliable links; this heartbeat provides the
     #: equivalent over a lossy simulated network).  0 disables.
@@ -91,10 +93,13 @@ class _WindowBook:
         self.quorum_rank = quorum_rank
         self._requests: Dict[Any, Dict[str, int]] = {}
 
-    def record(self, subchannel: Any, endpoint: str, position: int) -> None:
+    def record(self, subchannel: Any, endpoint: str, position: int) -> bool:
+        """Note ``endpoint``'s request; True iff it raised its entry."""
         per_channel = self._requests.setdefault(subchannel, {})
         if position > per_channel.get(endpoint, 1):
             per_channel[endpoint] = position
+            return True
+        return False
 
     def agreed_start(self, subchannel: Any, member_names: Sequence[str]) -> int:
         per_channel = self._requests.get(subchannel, {})
@@ -200,18 +205,23 @@ class IrmcEndpoint(Component):
     # Move messages
     # ------------------------------------------------------------------
     def _make_move(self, subchannel: Any, position: int, collector: Optional[str] = None) -> MoveMsg:
-        body = MoveMsg(
-            tag=self.tag,
-            subchannel=subchannel,
-            position=position,
-            sender=self.node.name,
-            collector=collector,
+        return self._authenticated(
+            MoveMsg(
+                tag=self.tag,
+                subchannel=subchannel,
+                position=position,
+                sender=self.node.name,
+                collector=collector,
+            )
         )
+
+    def _authenticated(self, body: Any) -> Any:
+        """``body`` under this endpoint's MAC vector for the remote group."""
         return attach_auth(
             body, auth=make_mac_vector(self.node.name, self.remote_names, body)
         )
 
-    def _valid_move(self, message: MoveMsg, expected_group: Sequence[str]) -> bool:
+    def _valid_move(self, message: Any, expected_group: Sequence[str]) -> bool:
         if message.sender not in expected_group:
             return False
         return verify_mac_vector(message.auth, message, message.sender, self.node.name)
@@ -238,7 +248,7 @@ class SenderEndpointBase(IrmcEndpoint):
         #: subchannel -> list of (position, payload, future)
         self._parked: Dict[Any, List[Tuple[int, Any, SimFuture]]] = {}
         self.sent_count = 0
-        #: in-window transmissions kept for retransmission (the paper
+        #: in-window signed wire messages kept for retransmission (the paper
         #: assumes reliable links; Fig. 18 L. 24 garbage-collects buffered
         #: messages only once the window moves past them).
         self._buffer: Dict[Any, Dict[int, Any]] = {}
@@ -265,10 +275,12 @@ class SenderEndpointBase(IrmcEndpoint):
     def _heartbeat(self) -> None:
         if self.closed:
             return
-        for subchannel, position in self._own_moves.items():
-            move = self._make_move(subchannel, position)
+        if self._own_moves:
+            moves = self._authenticated(
+                MovesMsg(self.tag, tuple(self._own_moves.items()), self.node.name)
+            )
             for receiver in self.remote_group:
-                self.send_msg(receiver, move)
+                self.send_msg(receiver, moves)
         # Idle-channel recovery: if nothing moved since the last heartbeat
         # yet undelivered messages sit in the window, retransmit them (the
         # reliable-transport equivalent over a lossy simulated network).
@@ -315,8 +327,13 @@ class SenderEndpointBase(IrmcEndpoint):
         self._idle_rounds = 0
 
     # -- public API (paper Fig. 14) -----------------------------------
-    def send(self, subchannel: Any, position: int, payload: Any) -> SimFuture:
-        """Submit ``payload`` at ``position``; resolves "ok" or TooOld."""
+    def send(self, subchannel: Any, position: int, payload: Any, window: int = 0) -> SimFuture:
+        """Submit ``payload`` at ``position``; resolves "ok" or TooOld.
+
+        ``window`` also requests a :meth:`move_window` to that position,
+        riding on the Send itself; it costs a message of its own only when
+        the Send cannot go out now.
+        """
         future = SimFuture(name="irmc.send")
         if self.closed or self.is_retired(subchannel):
             # A retired subchannel never accepts traffic again: a
@@ -326,16 +343,25 @@ class SenderEndpointBase(IrmcEndpoint):
             return future
         start = self.start_of(subchannel)
         self._activity = True
+        if start <= position <= self.max_of(subchannel):
+            if window > self._own_moves.get(subchannel, 0):
+                self._own_moves[subchannel] = window
+            self._offer(subchannel, position, payload, future)
+            return future
+        if window:
+            self.move_window(subchannel, window)  # no Send can carry it
         if position < start:
             future.resolve(TooOld(start))
-        elif position <= self.max_of(subchannel):
-            self._transmit(subchannel, position, payload)
-            self._buffer.setdefault(subchannel, {})[position] = payload
-            self.sent_count += 1
-            future.resolve("ok")
         else:
             self._parked.setdefault(subchannel, []).append((position, payload, future))
         return future
+
+    def _offer(self, subchannel: Any, position: int, payload: Any, future: SimFuture) -> None:
+        """Transmit an in-window send and keep its wire message buffered."""
+        message = self._transmit(subchannel, position, payload)
+        self._buffer.setdefault(subchannel, {})[position] = message
+        self.sent_count += 1
+        future.resolve("ok")
 
     def move_window(self, subchannel: Any, position: int) -> None:
         """Ask the receiver side to advance the window (Fig. 18 L. 10-14)."""
@@ -364,9 +390,8 @@ class SenderEndpointBase(IrmcEndpoint):
         """
         if self.closed or self.is_retired(subchannel):
             return
-        body = RetireMsg(tag=self.tag, subchannel=subchannel, sender=self.node.name)
-        message = attach_auth(
-            body, auth=make_mac_vector(self.node.name, self.remote_names, body)
+        message = self._authenticated(
+            RetireMsg(tag=self.tag, subchannel=subchannel, sender=self.node.name)
         )
         for receiver in self.remote_group:
             self.send_msg(receiver, message)
@@ -387,12 +412,15 @@ class SenderEndpointBase(IrmcEndpoint):
         """Drop subclass-owned books for a retired subchannel (hook)."""
 
     # -- implementation hooks ------------------------------------------
-    def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
+    def _transmit(self, subchannel: Any, position: int, payload: Any) -> Any:
+        """Sign and send ``payload`` (stamped with this endpoint's own
+        Move as ``window``); returns the wire message to buffer."""
         raise NotImplementedError
 
-    def _retransmit(self, subchannel: Any, position: int, payload: Any) -> None:
-        """Re-offer a buffered message (default: transmit again)."""
-        self._transmit(subchannel, position, payload)
+    def _retransmit(self, subchannel: Any, position: int, message: Any) -> None:
+        """Re-offer a buffered wire message as it is."""
+        for receiver in self.remote_group:
+            self.send_msg(receiver, message)
 
     def send_msg(self, dst, message) -> None:
         self.node.send(dst, message)
@@ -426,10 +454,7 @@ class SenderEndpointBase(IrmcEndpoint):
             if position < start:
                 future.resolve(TooOld(start))
             elif position <= window_max:
-                self._transmit(subchannel, position, payload)
-                self._buffer.setdefault(subchannel, {})[position] = payload
-                self.sent_count += 1
-                future.resolve("ok")
+                self._offer(subchannel, position, payload, future)
             else:
                 still_parked.append((position, payload, future))
         if still_parked:
@@ -572,21 +597,32 @@ class ReceiverEndpointBase(IrmcEndpoint):
     def _purge_below(self, subchannel: Any, position: int) -> None:
         """Drop partially collected evidence below the window (hook)."""
 
-    def _on_sender_move(self, message: MoveMsg) -> None:
+    def _on_sender_move(self, message: Any) -> None:
+        """An explicit :class:`MoveMsg` or a :class:`MovesMsg` heartbeat."""
         if not self._valid_move(message, self.remote_names):
             return
-        if self.is_retired(message.subchannel):
+        if isinstance(message, MovesMsg):
+            for subchannel, position in message.positions:
+                self._note_sender_move(subchannel, message.sender, position)
+        else:
+            self._note_sender_move(message.subchannel, message.sender, message.position)
+
+    def _note_sender_move(self, subchannel: Any, sender: str, position: int) -> None:
+        """Record ``sender``'s authenticated Move request, however it
+        arrived (explicit, heartbeat entry, ``window`` of a Send)."""
+        if self.is_retired(subchannel):
             # A Move for a subchannel we already retired can only come
             # from a straggling sender that slept through the client's
             # close — tell it so instead of re-growing the Move book.
-            self._echo_retirement(message)
+            self._echo_retirement(subchannel, sender)
             return
-        self._sender_moves.record(message.subchannel, message.sender, message.position)
-        agreed = self._sender_moves.agreed_start(message.subchannel, self.remote_names)
-        if agreed > self.start_of(message.subchannel):
+        if not self._sender_moves.record(subchannel, sender, position):
+            return  # nothing new: the agreed start cannot have changed
+        agreed = self._sender_moves.agreed_start(subchannel, self.remote_names)
+        if agreed > self.start_of(subchannel):
             # fs+1 senders vouch for the move: adopt it and confirm to the
             # sender side so their windows advance too (Fig. 18 L. 50-57).
-            self.move_window(message.subchannel, agreed)
+            self.move_window(subchannel, agreed)
 
     # -- subchannel retirement (client sessions closing) ----------------
     def _on_retire(self, message: RetireMsg) -> None:
@@ -660,16 +696,13 @@ class ReceiverEndpointBase(IrmcEndpoint):
         self._retire_local(subchannel)
         self._note_retired(subchannel)
 
-    def _echo_retirement(self, move: MoveMsg) -> None:
+    def _echo_retirement(self, subchannel: Any, sender: str) -> None:
         """Answer a stale Move for a retired subchannel with a RetireEcho."""
-        body = RetireEcho(
-            tag=self.tag, subchannel=move.subchannel, sender=self.node.name
-        )
-        message = attach_auth(
-            body, auth=make_mac_vector(self.node.name, self.remote_names, body)
+        message = self._authenticated(
+            RetireEcho(tag=self.tag, subchannel=subchannel, sender=self.node.name)
         )
         for sender_node in self.remote_group:
-            if sender_node.name == move.sender:
+            if sender_node.name == sender:
                 self.node.send(sender_node, message)
                 return
 

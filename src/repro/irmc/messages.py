@@ -17,17 +17,24 @@ def _payload_size(payload: Any) -> int:
 
 @dataclass(frozen=True)
 class SendMsg(Message, Digestible):
-    """IRMC-RC: ``<Send, m, sc, p>`` signed by the sending endpoint."""
+    """IRMC-RC: ``<Send, m, sc, p>`` signed by the sending endpoint.
+
+    ``window`` is the sender's latest Move request for the subchannel
+    (0: none), under the same signature — flow control rides on the data
+    message.  It joins the signed content only when set, so channels whose
+    senders never move keep their historical encoding byte for byte.
+    """
 
     tag: str
     subchannel: Any
     position: int
     payload: Any
     sender: str
+    window: int = 0
     signature: Optional[Signature] = None
 
     def signed_content(self) -> Tuple:
-        return (
+        content = (
             "irmc-send",
             self.tag,
             self.subchannel,
@@ -35,9 +42,10 @@ class SendMsg(Message, Digestible):
             cached_repr(self.payload),
             self.sender,
         )
+        return content + (self.window,) if self.window else content
 
     def payload_size(self) -> int:
-        return 24 + _payload_size(self.payload) + 128
+        return 24 + _payload_size(self.payload) + 128 + (8 if self.window else 0)
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,24 @@ class MoveMsg(Message, Digestible):
 
     def payload_size(self) -> int:
         return 24 + (self.auth.size_bytes() if self.auth else 0)
+
+
+@dataclass(frozen=True)
+class MovesMsg(Message, Digestible):
+    """``<Moves, (sc, p)*>`` — a sender endpoint's Move heartbeat: every
+    window Move it has requested, under one MAC vector, so a period costs
+    one message per receiver however many subchannels the channel has."""
+
+    tag: str
+    positions: Tuple[Tuple[Any, int], ...]
+    sender: str
+    auth: Optional[MacVector] = None
+
+    def signed_content(self) -> Tuple:
+        return ("irmc-moves", self.tag, self.positions, self.sender)
+
+    def payload_size(self) -> int:
+        return 8 + 16 * len(self.positions) + (self.auth.size_bytes() if self.auth else 0)
 
 
 @dataclass(frozen=True)
@@ -116,17 +142,19 @@ class RetireEcho(Message, Digestible):
 
 @dataclass(frozen=True)
 class SigShare(Message, Digestible):
-    """IRMC-SC: a sender's signature share over a Send content hash."""
+    """IRMC-SC: a sender's signature share over a Send content hash;
+    ``window`` piggybacks its Move request as on :class:`SendMsg`."""
 
     tag: str
     subchannel: Any
     position: int
     payload_digest: int
     sender: str
+    window: int = 0
     signature: Optional[Signature] = None
 
     def signed_content(self) -> Tuple:
-        return (
+        content = (
             "irmc-share",
             self.tag,
             self.subchannel,
@@ -134,9 +162,10 @@ class SigShare(Message, Digestible):
             self.payload_digest,
             self.sender,
         )
+        return content + (self.window,) if self.window else content
 
     def payload_size(self) -> int:
-        return 32 + 128
+        return 32 + 128 + (8 if self.window else 0)
 
 
 @dataclass(frozen=True)

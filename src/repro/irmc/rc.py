@@ -13,23 +13,25 @@ from typing import Any, Dict
 
 from repro.crypto.primitives import attach_auth, digest, sign, verify
 from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase
-from repro.irmc.messages import MoveMsg, RetireEcho, RetireMsg, SendMsg
+from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg, SendMsg
 
 
 class RcSenderEndpoint(SenderEndpointBase):
     """Sender endpoint of an IRMC-RC."""
 
-    def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
+    def _transmit(self, subchannel: Any, position: int, payload: Any) -> SendMsg:
         body = SendMsg(
             tag=self.tag,
             subchannel=subchannel,
             position=position,
             payload=payload,
             sender=self.node.name,
+            window=self._own_moves.get(subchannel, 0),
         )
         message = attach_auth(body, signature=sign(self.node.name, body))
         for receiver in self.remote_group:
             self.send_msg(receiver, message)
+        return message
 
     def handle(self, src, message: Any) -> None:
         if self.closed:
@@ -60,7 +62,7 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
             return
         if isinstance(message, SendMsg):
             self._on_send(message)
-        elif isinstance(message, MoveMsg):
+        elif isinstance(message, (MoveMsg, MovesMsg)):
             self._on_sender_move(message)
         elif isinstance(message, RetireMsg):
             self._on_retire(message)
@@ -69,15 +71,21 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
         sender = message.sender
         if sender not in self.remote_names:
             return
+        subchannel, position = message.subchannel, message.position
+        # A copy that can no longer matter — its position is delivered
+        # already, or below the window — needs no authentication: the
+        # surplus copies past the fs+1 quorum cost no CPU.
+        start = self.start_of(subchannel)
+        delivered = self._delivered.get(subchannel)
+        if position < start or (delivered is not None and position in delivered):
+            return
         # ``signer`` is pinned and already known to be a group member, so the
         # redundant ``group=`` membership re-check is omitted.
         if not verify(message.signature, message, signer=sender):
             return
-        subchannel, position = message.subchannel, message.position
+        if message.window > start:
+            self._note_sender_move(subchannel, sender, message.window)
         if not self.storable(subchannel, position):
-            return
-        delivered = self._delivered.get(subchannel)
-        if delivered is not None and position in delivered:
             return
         payload_digest = digest(message.payload)
         votes = self._votes.setdefault(subchannel, {}).setdefault(position, {})

@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.crypto.primitives import (
     attach_auth,
     digest,
-    make_mac_vector,
     sign,
     verify,
     verify_mac_vector,
@@ -23,6 +22,7 @@ from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import (
     CertificateMsg,
     MoveMsg,
+    MovesMsg,
     ProgressMsg,
     RetireEcho,
     RetireMsg,
@@ -73,7 +73,7 @@ class ScSenderEndpoint(SenderEndpointBase):
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
+    def _transmit(self, subchannel: Any, position: int, payload: Any) -> SigShare:
         key = (subchannel, position)
         payload_digest = digest(payload)
         self._pending[key] = (payload, payload_digest)
@@ -83,10 +83,12 @@ class ScSenderEndpoint(SenderEndpointBase):
             position=position,
             payload_digest=payload_digest,
             sender=self.node.name,
+            window=self._own_moves.get(subchannel, 0),
         )
         share = attach_auth(body, signature=sign(self.node.name, body))
         # The share is also processed locally (Fig. 19 L. 12-13).
         self.broadcast(self.local_group, share, include_self=True)
+        return share
 
     def _on_share(self, message: SigShare) -> None:
         if message.sender not in self.local_names:
@@ -130,7 +132,7 @@ class ScSenderEndpoint(SenderEndpointBase):
             if self.collector_for(subchannel, receiver.name) == self.node.name:
                 self.send_msg(receiver, bundle)
 
-    def _retransmit(self, subchannel: Any, position: int, payload: Any) -> None:
+    def _retransmit(self, subchannel: Any, position: int, share: SigShare) -> None:
         bundle = self._bundles.get(subchannel, {}).get(position)
         if bundle is not None:
             # Certificate already assembled: just re-offer it to the
@@ -139,7 +141,8 @@ class ScSenderEndpoint(SenderEndpointBase):
                 if self.collector_for(subchannel, receiver.name) == self.node.name:
                     self.send_msg(receiver, bundle)
         else:
-            self._transmit(subchannel, position, payload)
+            # Still short of fs+1 shares: re-offer ours to the peers.
+            self.broadcast(self.local_group, share)
 
     # ------------------------------------------------------------------
     # Progress heartbeat (Fig. 19 L. 26-30)
@@ -167,9 +170,8 @@ class ScSenderEndpoint(SenderEndpointBase):
         # Progress to detect collectors withholding *existing* certificates.
         if frozen and frozen != self._last_progress:
             self._last_progress = frozen
-            body = ProgressMsg(tag=self.tag, positions=frozen, sender=self.node.name)
-            message = attach_auth(
-                body, auth=make_mac_vector(self.node.name, self.remote_names, body)
+            message = self._authenticated(
+                ProgressMsg(tag=self.tag, positions=frozen, sender=self.node.name)
             )
             for receiver in self.remote_group:
                 self.send_msg(receiver, message)
@@ -269,7 +271,7 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
             self._on_certificate(message)
         elif isinstance(message, ProgressMsg):
             self._on_progress(message)
-        elif isinstance(message, MoveMsg):
+        elif isinstance(message, (MoveMsg, MovesMsg)):
             self._on_sender_move(message)
         elif isinstance(message, RetireMsg):
             self._on_retire(message)
@@ -277,12 +279,13 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
     def _on_certificate(self, message: CertificateMsg) -> None:
         if message.sender not in self.remote_names:
             return
-        if not verify(message.signature, message, signer=message.sender):
-            return
         subchannel, position = message.subchannel, message.position
-        if not self.storable(subchannel, position):
+        # As in RC: a certificate that can no longer matter is dropped
+        # before any signature is checked.
+        start = self.start_of(subchannel)
+        if position < start or position in self._delivered.get(subchannel, {}):
             return
-        if position in self._delivered.get(subchannel, {}):
+        if not verify(message.signature, message, signer=message.sender):
             return
         payload_digest = digest(message.payload)
         signers = set()
@@ -296,7 +299,11 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
             signers.add(share.sender)
         if len(signers) < self.config.fs + 1:
             return
-        self._deliver(subchannel, position, message.payload)
+        for share in message.shares:
+            if share.window > start:
+                self._note_sender_move(subchannel, share.sender, share.window)
+        if self.storable(subchannel, position):
+            self._deliver(subchannel, position, message.payload)
 
     # ------------------------------------------------------------------
     # Collector failover (Fig. 20 L. 20-35)
@@ -336,14 +343,13 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         self._collector_index[subchannel] = self._collector_index.get(subchannel, 0) + 1
         self.collector_switches += 1
         collector = self._collector_for(subchannel)
-        body = SelectMsg(
-            tag=self.tag,
-            subchannel=subchannel,
-            collector=collector,
-            sender=self.node.name,
-        )
-        select = attach_auth(
-            body, auth=make_mac_vector(self.node.name, self.remote_names, body)
+        select = self._authenticated(
+            SelectMsg(
+                tag=self.tag,
+                subchannel=subchannel,
+                collector=collector,
+                sender=self.node.name,
+            )
         )
         for sender in self.remote_group:
             self.node.send(sender, select)

@@ -1,18 +1,11 @@
 """The equivalence oracle for changes that elide simulator events.
 
-Bit-parity (same event count, same heap order) forbids removing any
-event, so it cannot gate a change whose whole point is to do fewer of
-them.  The contract such a change owes instead is that nothing a user of
-the *simulated* system can observe moves: every client gets the same
-replies at the same simulated instants, every latency sample is
-identical, and every replica applied the same operations in the same
-order.  Event counts, message counts and host time are free to move.
-
-An *observation* is a plain mapping; :func:`sim_equivalent` compares the
-three keys in :data:`ORACLE_KEYS` and ignores every other key, so callers
-can keep ``events`` / ``wall_s`` next to the pinned data.
-:func:`sim_fingerprint` is the one-number form the committed
-``BENCH_*.json`` files carry.
+Bit-parity (same event count, same heap order) cannot gate a change whose
+point is to do fewer events.  What such a change owes instead is that
+nothing a user of the *simulated* system can observe moves: the same
+replies at the same simulated instants, identical latency samples, the
+same operations applied in the same order by every replica.  Event
+counts, message counts and host time are free to move.
 """
 
 from __future__ import annotations
@@ -20,8 +13,9 @@ from __future__ import annotations
 import zlib
 from typing import Any, List, Mapping
 
-#: ``replies``: per-client completion traces; ``latencies``: simulated
-#: latency samples; ``journals``: per-replica applied-operation logs.
+#: observation keys the oracle pins — per-client completion traces,
+#: simulated latency samples, per-replica applied-operation logs; any
+#: other key of an observation (``events``, ``wall_s``) is ignored.
 ORACLE_KEYS = ("replies", "latencies", "journals")
 
 
@@ -40,23 +34,17 @@ def _first_difference(left: Any, right: Any) -> str:
 
 
 def sim_equivalent(a: Mapping[str, Any], b: Mapping[str, Any]) -> List[str]:
-    """Where two runs' observations differ under the oracle.
-
-    Returns one line per differing trace (empty list: equivalent), naming
-    the first entry that moved so a same-timestamp tie can be traced to
-    its cause.
-    """
+    """Where two runs' observations differ under the oracle: one line per
+    moved trace, naming its first moved entry (empty list: equivalent)."""
     differences: List[str] = []
     for key in ORACLE_KEYS:
         left, right = a.get(key), b.get(key)
-        if left == right:
-            continue
         if isinstance(left, Mapping) and isinstance(right, Mapping):
-            for name in sorted({*left, *right}, key=repr):
-                if left.get(name) != right.get(name):
-                    differences.append(
-                        f"{key}[{name!r}]: {_first_difference(left.get(name), right.get(name))}"
-                    )
-        else:
+            differences += [
+                f"{key}[{name!r}]: {_first_difference(left.get(name), right.get(name))}"
+                for name in sorted({*left, *right}, key=repr)
+                if left.get(name) != right.get(name)
+            ]
+        elif left != right:
             differences.append(f"{key}: {_first_difference(left, right)}")
     return differences

@@ -120,11 +120,6 @@ class Node:
         if not (self._dispatch_scheduled or self._executing):
             self._post_dispatch()
 
-    def _schedule_dispatch(self) -> None:
-        if self._dispatch_scheduled or self._executing or not self._tasks:
-            return
-        self._post_dispatch()
-
     def _post_dispatch(self) -> None:
         # Inlined fire-and-forget schedule of ``_dispatch`` at the CPU-free
         # time: this path runs once per queued task, so it bypasses the
@@ -215,15 +210,13 @@ class Node:
     def deliver(self, src: "Node", message: Any) -> None:
         """Entry point used by the network; dispatches to ``on_message``.
 
-        An arrival at a free CPU (nothing queued, nothing executing, no
-        charged work outstanding) runs its handler inside the delivery
-        event itself, unless another event is due at this very instant:
-        the ``_dispatch`` entry the queued path pushes would then sort
-        behind that event, so only the queued path keeps the order (and
-        with it the order of RNG draws and of work this handler spawns).
-        Without such a tie the dispatch would have been the next entry
-        popped anyway — the inline path saves the heap round trip and
-        nothing else changes.
+        An arrival at a free CPU (nothing queued or executing, no charged
+        work outstanding) runs its handler inside the delivery event —
+        unless another event is due at this very instant: the ``_dispatch``
+        entry the queued path pushes would sort behind that event, so only
+        queueing keeps the order.  Without such a tie the dispatch would
+        have been popped next anyway; inlining it saves the heap round
+        trip and changes nothing else.
         """
         if self.crashed:
             return
@@ -231,15 +224,12 @@ class Node:
         now = sim.now
         queue = sim._queue
         if (
-            self._tasks
-            or self._dispatch_scheduled
+            self._dispatch_scheduled  # queued work (or a stale post-crash entry)
             or self._executing
             or self.busy_until > now
             or (queue and queue[0][0] <= now)
         ):
-            self._tasks.append((self.on_message, (src, message)))
-            if not (self._dispatch_scheduled or self._executing):
-                self._post_dispatch()
+            self.run_task(self.on_message, src, message)
         else:
             self._run_on_cpu(self.on_message, (src, message))
 

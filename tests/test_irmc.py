@@ -30,17 +30,36 @@ class ChannelFixture:
             kind, "ch", self.sender_nodes, self.receiver_nodes, config
         )
 
-    def send_from(self, names, subchannel, position, payload):
+    def send_from(self, names, subchannel, position, payload, window=0):
         """Issue endpoint sends from each named sender; returns futures."""
         futures = []
         for name in names:
             endpoint = self.senders[name]
             future = []
             endpoint.node.run_task(
-                lambda e=endpoint, f=future: f.append(e.send(subchannel, position, payload))
+                lambda e=endpoint, f=future: f.append(
+                    e.send(subchannel, position, payload, window=window)
+                )
             )
             futures.append(future)
         return futures
+
+    def starts(self, subchannel):
+        """Every receiver's window start for ``subchannel``."""
+        return [endpoint.start_of(subchannel) for endpoint in self.receivers.values()]
+
+    def record_sends(self):
+        """Log ``(src name, message)`` for everything put on the network."""
+        log = []
+        network = self.cluster.network
+        original = network.send
+
+        def recording_send(src, dst, message):
+            log.append((src.name, message))
+            original(src, dst, message)
+
+        network.send = recording_send
+        return log
 
     def receive_at(self, name, subchannel, position):
         """Issue a receive call on one receiver; returns a result holder."""
@@ -206,6 +225,140 @@ class TestFlowControl:
             channel.send_from(["s0", "s1", "s2"], "c", position, ("m", position))
         channel.run(until=20000.0)
         assert received == [("m", p) for p in range(1, 11)]
+
+
+class TestPiggybackedFlowControl:
+    """A sender's window Move rides on its Sends (the signed ``window``
+    field) and on one aggregated heartbeat; receivers apply the unchanged
+    f_s+1 rule to it."""
+
+    def test_send_carries_the_move_and_no_explicit_move_is_sent(self, channel):
+        log = channel.record_sends()
+        channel.send_from(["s0", "s1"], "c1", 2, ("m", 2), window=2)
+        channel.run(until=300.0)  # well inside one heartbeat period
+        assert channel.starts("c1") == [2, 2, 2, 2]
+        from_senders = {type(m).__name__ for name, m in log if name.startswith("s")}
+        assert "MoveMsg" not in from_senders and "MovesMsg" not in from_senders
+
+    def test_parked_send_announces_its_move_explicitly(self, channel):
+        # Position 9 is beyond the window (capacity 4): no Send can carry
+        # the request, so it costs a MoveMsg of its own — and that Move is
+        # what lets the window reach the parked position.
+        futures = channel.send_from(["s0", "s1"], "c1", 9, ("m", 9), window=9)
+        channel.run(until=1_000.0)
+        assert channel.starts("c1") == [9, 9, 9, 9]
+        assert all(future[0].value == "ok" for future in futures)
+
+    def test_single_byzantine_window_field_cannot_advance_a_receiver(self, channel):
+        holder = channel.receive_at("r0", "c1", 1)
+        channel.send_from(["s0"], "c1", 1, ("m", 1), window=4)
+        channel.run(until=3_000.0)  # several heartbeats re-announce it, too
+        assert channel.starts("c1") == [1, 1, 1, 1]
+        assert "value" not in holder
+        # A second, distinct sender makes it fs + 1: the move is adopted.
+        channel.send_from(["s1"], "c1", 1, ("m", 1), window=4)
+        channel.run(until=6_000.0)
+        assert channel.starts("c1") == [4, 4, 4, 4]
+        assert holder["value"] == TooOld(4)
+
+    def test_dropped_piggybacked_move_heals_at_next_heartbeat(self, channel):
+        network = channel.cluster.network
+        links = [
+            (src, dst) for src in channel.sender_nodes for dst in channel.receiver_nodes
+        ]
+        for src, dst in links:
+            network.block_link(src, dst)
+        channel.send_from(["s0", "s1"], "c1", 1, ("m", 1), window=3)
+        channel.run(until=200.0)
+        for src, dst in links:
+            network.unblock_link(src, dst)
+        channel.run(until=450.0)  # the Sends (and their moves) are gone
+        assert channel.starts("c1") == [1, 1, 1, 1]
+        channel.run(until=700.0)  # heartbeat at 500 ms re-announces both
+        assert channel.starts("c1") == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("relearn_from", ["send", "heartbeat"])
+    def test_wiped_receiver_relearns_its_window(self, channel, relearn_from):
+        for name in ("s0", "s1", "s2"):
+            endpoint = channel.senders[name]
+            endpoint.node.run_task(endpoint.move_window, "c1", 40)
+        channel.run(until=300.0)
+        assert channel.starts("c1") == [40, 40, 40, 40]
+        victim = channel.receivers["r0"]
+        victim.node.crash(wipe=True)
+        victim.node.recover()
+        assert victim.start_of("c1") == 1
+        if relearn_from == "send":
+            # Position 40 is far outside the amnesiac's look-ahead; the
+            # window riding on the copies moves it there first.
+            holder = channel.receive_at("r0", "c1", 40)
+            channel.send_from(["s0", "s1", "s2"], "c1", 40, ("m", 40))
+            channel.run(until=450.0)  # before any heartbeat fires
+            assert victim.start_of("c1") == 40
+            channel.run(until=3_000.0)  # idle-round retransmission fills in
+            assert holder["value"] == ("m", 40)
+        else:
+            channel.run(until=450.0)
+            assert victim.start_of("c1") == 1
+            channel.run(until=700.0)
+            assert victim.start_of("c1") == 40
+
+    def test_heartbeat_is_one_message_per_receiver(self, channel):
+        for name in ("s0", "s1"):
+            for client in ("alice", "bob", "carol"):
+                channel.senders[name].move_window(client, 2)
+        channel.run(until=450.0)
+        log = channel.record_sends()
+        channel.run(until=600.0)  # exactly one heartbeat round
+        beats = [m for name, m in log if name == "s0" and type(m).__name__ == "MovesMsg"]
+        assert len(beats) == len(channel.receiver_nodes)
+        assert all(beat is beats[0] for beat in beats)  # one MAC vector
+        assert beats[0].positions == (("alice", 2), ("bob", 2), ("carol", 2))
+        assert not [m for name, m in log if name == "s0" and type(m).__name__ == "MoveMsg"]
+
+
+class TestSendPathCosts:
+    def test_surplus_copy_costs_no_cpu(self):
+        """RC: once fs+1 copies delivered a position, the 3rd copy is
+        dropped before its signature is even looked at."""
+        from repro.crypto.primitives import attach_auth, sign
+        from repro.irmc.messages import SendMsg
+
+        fixture = ChannelFixture("rc")
+        fixture.send_from(["s0", "s1"], "c1", 1, ("m", 1))
+        fixture.run(until=300.0)
+        receiver = fixture.receivers["r0"]
+        assert receiver._delivered["c1"][1] == ("m", 1)
+        busy_before = receiver.node.busy_ms
+        body = SendMsg(tag="ch", subchannel="c1", position=1, payload=("m", 1), sender="s2")
+        genuine = attach_auth(body, signature=sign("s2", body))
+        forged = attach_auth(body, signature=sign("evil", body))
+        for copy in (genuine, forged):
+            receiver.node.run_task(receiver._on_send, copy)
+        fixture.run(until=400.0)
+        assert receiver.node.busy_ms == busy_before
+        # Below the window: the same shortcut.
+        receiver.node.run_task(receiver.move_window, "c1", 3)
+        stale = SendMsg(tag="ch", subchannel="c1", position=2, payload=("m", 2), sender="s2")
+        fixture.run(until=420.0)
+        busy_before = receiver.node.busy_ms
+        receiver.node.run_task(receiver._on_send, attach_auth(stale, signature=sign("s2", stale)))
+        fixture.run(until=450.0)
+        assert receiver.node.busy_ms == busy_before and "c1" not in receiver._votes
+
+    def test_retransmission_reoffers_the_signed_message(self, channel):
+        """An idle-round retransmission re-sends the buffered wire message
+        itself: no new signature, no CPU charged."""
+        endpoint = channel.senders["s0"]
+        channel.send_from(["s0"], "c1", 1, ("m", 1))  # one voucher: stays undelivered
+        channel.run(until=950.0)
+        buffered = endpoint._buffer["c1"][1]
+        log = channel.record_sends()
+        busy_before = endpoint.node.busy_ms
+        channel.run(until=1_100.0)  # heartbeat at 1000 ms is idle round 1
+        resent = [m for name, m in log if name == "s0"]
+        assert resent and all(message is buffered for message in resent)
+        assert endpoint.node.busy_ms == busy_before
 
 
 def _batched_execute(seq, n_items, client="cl"):

@@ -158,3 +158,60 @@ class TestProgressSuppression:
         # Only Move heartbeats may flow while idle - a bounded trickle, not
         # a per-interval Progress flood from every sender.
         assert after - before < 60
+
+
+class TestPiggybackedWindow:
+    """The sender's window Move rides on the SigShares of a certificate."""
+
+    def test_certificate_shares_carry_each_signers_window(self):
+        cluster, senders, receivers, tx, rx = build(capacity=4)
+        for name in ("s0", "s1", "s2"):
+            endpoint = tx[name]
+            endpoint.node.run_task(endpoint.send, "c", 3, ("m",), 3)
+        cluster.run(until=300.0)  # no heartbeat has fired yet
+        bundle = tx["s0"]._bundles["c"][3]
+        assert [share.window for share in bundle.shares] == [3, 3]
+        # fs + 1 signed windows arrived inside the one certificate.
+        assert [endpoint.start_of("c") for endpoint in rx.values()] == [3, 3, 3, 3]
+        assert rx["r0"]._delivered["c"][3] == ("m",)
+
+    def test_forged_share_window_is_not_recorded(self):
+        """A collector cannot raise a peer's window: the field is under
+        the share signer's signature."""
+        from dataclasses import replace
+
+        from repro.crypto.primitives import attach_auth, sign
+
+        cluster, senders, receivers, tx, rx = build(capacity=4)
+        send_all(cluster, tx, ["s0", "s1"], "c", 1, ("m",))
+        cluster.run(until=300.0)
+        bundle = tx["s0"]._bundles["c"][1]
+        lifted = tuple(replace(share, window=4) for share in bundle.shares)
+        body = replace(bundle, position=2, shares=lifted, signature=None)
+        forged = attach_auth(body, signature=sign("s0", body))
+        target = rx["r0"]
+        target.node.run_task(target._on_certificate, forged)
+        cluster.run(until=400.0)
+        assert target.start_of("c") == 1 and "c" not in target._sender_moves
+
+    def test_spider_sc_requests_need_no_heartbeat(self):
+        """Spider over IRMC-SC: a client's 3rd and 4th request lie beyond
+        the initial request window (capacity 2) and proceed only once the
+        agreement side moved it — which the piggybacked windows achieve
+        within the request's own round trip, not a heartbeat period."""
+        from tests.test_batching_properties import build_system
+
+        sim, system = build_system(seed=3, regions=("virginia",), irmc_kind="sc")
+        client = system.make_client("c0", "virginia", group_id="g0")
+        done = []
+
+        def issue(index=0):
+            if index < 4:
+                client.write(("put", f"k{index}", index)).add_callback(
+                    lambda _result: (done.append(sim.now), issue(index + 1))
+                )
+
+        issue()
+        sim.run(until=400.0)  # the first Move heartbeat would fire at 500 ms
+        assert len(done) == 4
+        assert all(latency < 100.0 for _kind, _start, latency in client.completed)
