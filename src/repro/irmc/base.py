@@ -13,7 +13,7 @@ receiver replicas in another region (paper Section 3.2).  Key semantics:
   endpoint's window advances on local ``move_window`` calls or once
   ``f_s + 1`` sender endpoints request it.  A sender's request rides on
   its Sends (signed ``window`` field) and one :class:`MovesMsg` heartbeat
-  per receiver; an explicit :class:`MoveMsg` is for when no Send can.
+  per receiver; a one-entry :class:`MovesMsg` is for when no Send can.
 * **TooOld** — operations on positions below the window resolve with a
   :class:`TooOld` marker carrying the new lower bound, which is how trailing
   replicas learn they must fetch a checkpoint.
@@ -204,17 +204,6 @@ class IrmcEndpoint(Component):
     # ------------------------------------------------------------------
     # Move messages
     # ------------------------------------------------------------------
-    def _make_move(self, subchannel: Any, position: int, collector: Optional[str] = None) -> MoveMsg:
-        return self._authenticated(
-            MoveMsg(
-                tag=self.tag,
-                subchannel=subchannel,
-                position=position,
-                sender=self.node.name,
-                collector=collector,
-            )
-        )
-
     def _authenticated(self, body: Any) -> Any:
         """``body`` under this endpoint's MAC vector for the remote group."""
         return attach_auth(
@@ -276,11 +265,7 @@ class SenderEndpointBase(IrmcEndpoint):
         if self.closed:
             return
         if self._own_moves:
-            moves = self._authenticated(
-                MovesMsg(self.tag, tuple(self._own_moves.items()), self.node.name)
-            )
-            for receiver in self.remote_group:
-                self.send_msg(receiver, moves)
+            self._announce_moves(tuple(self._own_moves.items()))
         # Idle-channel recovery: if nothing moved since the last heartbeat
         # yet undelivered messages sit in the window, retransmit them (the
         # reliable-transport equivalent over a lossy simulated network).
@@ -344,8 +329,7 @@ class SenderEndpointBase(IrmcEndpoint):
         start = self.start_of(subchannel)
         self._activity = True
         if start <= position <= self.max_of(subchannel):
-            if window > self._own_moves.get(subchannel, 0):
-                self._own_moves[subchannel] = window
+            self._raise_own_move(subchannel, window)
             self._offer(subchannel, position, payload, future)
             return future
         if window:
@@ -367,12 +351,21 @@ class SenderEndpointBase(IrmcEndpoint):
         """Ask the receiver side to advance the window (Fig. 18 L. 10-14)."""
         if self.closed or self.is_retired(subchannel):
             return
+        if self._raise_own_move(subchannel, position):
+            self._announce_moves(((subchannel, position),))
+
+    def _raise_own_move(self, subchannel: Any, position: int) -> bool:
+        """Note our own Move request; True iff it is news."""
         if position <= self._own_moves.get(subchannel, 0):
-            return
+            return False
         self._own_moves[subchannel] = position
-        move = self._make_move(subchannel, position)
+        return True
+
+    def _announce_moves(self, positions: Tuple[Tuple[Any, int], ...]) -> None:
+        """One :class:`MovesMsg` under one MAC vector to every receiver."""
+        moves = self._authenticated(MovesMsg(self.tag, positions, self.node.name))
         for receiver in self.remote_group:
-            self.send_msg(receiver, move)
+            self.send_msg(receiver, moves)
 
     def retire_subchannel(self, subchannel: Any) -> None:
         """Permanently drop one subchannel (the client's session closed).
@@ -566,7 +559,10 @@ class ReceiverEndpointBase(IrmcEndpoint):
         """Advance the local window and tell the senders (Fig. 18 L. 38-43)."""
         if self.closed or position <= self.start_of(subchannel):
             return
-        move = self._make_move(subchannel, position, collector=self._collector_for(subchannel))
+        collector = self._collector_for(subchannel)
+        move = self._authenticated(
+            MoveMsg(self.tag, subchannel, position, self.node.name, collector)
+        )
         for sender in self.remote_group:
             self.node.send(sender, move)
         self._advance_window(subchannel, position)
@@ -597,15 +593,12 @@ class ReceiverEndpointBase(IrmcEndpoint):
     def _purge_below(self, subchannel: Any, position: int) -> None:
         """Drop partially collected evidence below the window (hook)."""
 
-    def _on_sender_move(self, message: Any) -> None:
-        """An explicit :class:`MoveMsg` or a :class:`MovesMsg` heartbeat."""
+    def _on_sender_move(self, message: MovesMsg) -> None:
+        """A sender's explicit Moves: a bare ``move_window`` or its heartbeat."""
         if not self._valid_move(message, self.remote_names):
             return
-        if isinstance(message, MovesMsg):
-            for subchannel, position in message.positions:
-                self._note_sender_move(subchannel, message.sender, position)
-        else:
-            self._note_sender_move(message.subchannel, message.sender, message.position)
+        for subchannel, position in message.positions:
+            self._note_sender_move(subchannel, message.sender, position)
 
     def _note_sender_move(self, subchannel: Any, sender: str, position: int) -> None:
         """Record ``sender``'s authenticated Move request, however it

@@ -21,8 +21,9 @@ class SendMsg(Message, Digestible):
 
     ``window`` is the sender's latest Move request for the subchannel
     (0: none), under the same signature — flow control rides on the data
-    message.  It joins the signed content only when set, so channels whose
-    senders never move keep their historical encoding byte for byte.
+    message.  It joins the signed content only when set: hashing is
+    charged by that content's length, so channels whose senders never
+    move keep their simulated timing exactly.
     """
 
     tag: str
@@ -50,7 +51,8 @@ class SendMsg(Message, Digestible):
 
 @dataclass(frozen=True)
 class MoveMsg(Message, Digestible):
-    """``<Move, sc, p>`` — request to shift a subchannel window to ``p``."""
+    """``<Move, sc, p>`` — a receiver endpoint moved its window to ``p``
+    and asks the senders to follow (senders ask with :class:`MovesMsg`)."""
 
     tag: str
     subchannel: Any
@@ -76,9 +78,9 @@ class MoveMsg(Message, Digestible):
 
 @dataclass(frozen=True)
 class MovesMsg(Message, Digestible):
-    """``<Moves, (sc, p)*>`` — a sender endpoint's Move heartbeat: every
-    window Move it has requested, under one MAC vector, so a period costs
-    one message per receiver however many subchannels the channel has."""
+    """``<Moves, (sc, p)*>`` — a sender endpoint's window Move requests
+    under one MAC vector: all of them on the heartbeat (one message per
+    receiver however many subchannels), one when no Send can carry it."""
 
     tag: str
     positions: Tuple[Tuple[Any, int], ...]

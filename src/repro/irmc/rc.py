@@ -62,7 +62,7 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
             return
         if isinstance(message, SendMsg):
             self._on_send(message)
-        elif isinstance(message, (MoveMsg, MovesMsg)):
+        elif isinstance(message, MovesMsg):
             self._on_sender_move(message)
         elif isinstance(message, RetireMsg):
             self._on_retire(message)

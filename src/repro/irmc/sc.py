@@ -271,7 +271,7 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
             self._on_certificate(message)
         elif isinstance(message, ProgressMsg):
             self._on_progress(message)
-        elif isinstance(message, (MoveMsg, MovesMsg)):
+        elif isinstance(message, MovesMsg):
             self._on_sender_move(message)
         elif isinstance(message, RetireMsg):
             self._on_retire(message)
@@ -290,6 +290,11 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         payload_digest = digest(message.payload)
         signers = set()
         for share in message.shares:
+            # A share vouches for one (channel, subchannel, position) only:
+            # replayed under another certificate it must neither deliver
+            # the payload there nor move that subchannel's window.
+            if (share.tag, share.subchannel, share.position) != (self.tag, subchannel, position):
+                return
             if share.payload_digest != payload_digest:
                 return
             if share.sender not in self.remote_names or share.sender in signers:

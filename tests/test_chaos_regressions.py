@@ -10,11 +10,18 @@ from __future__ import annotations
 
 from repro.crypto.primitives import attach_auth, sign
 from repro.irmc import IrmcConfig
-from repro.irmc.messages import SendMsg
+from repro.irmc.messages import MovesMsg, SendMsg
 from repro.irmc.rc import make_rc_channel
 
 from tests.conftest import Cluster
 from tests.test_pbft import PbftHarness
+
+
+def _moves(sender, subchannel, position) -> MovesMsg:
+    """``sender``'s authenticated Move request, as its endpoint ships it."""
+    return sender._authenticated(
+        MovesMsg(sender.tag, ((subchannel, position),), sender.node.name)
+    )
 
 
 def _live_cancellable_events(sim) -> int:
@@ -185,7 +192,7 @@ class TestIrmcRcFloodBookkeeping:
         # fs+1 = 2 senders move the window forward: everything below the new
         # start is pruned, and emptied books are dropped entirely.
         for name in ("s0", "s1"):
-            rx._on_sender_move(senders[name]._make_move("c1", 500))
+            rx._on_sender_move(_moves(senders[name], "c1", 500))
         assert rx.start_of("c1") == 500
         assert "c1" not in rx._votes and "c1" not in rx._payloads
 
@@ -502,7 +509,7 @@ class TestIrmcRetireSupersedesStragglerMoves:
         # never heard of the subchannel — say they were wiped and healed
         # across the client's close).
         target = rx["r0"]
-        target._on_sender_move(tx["s0"]._make_move("alice", 2))
+        target._on_sender_move(_moves(tx["s0"], "alice", 2))
         assert "alice" in target._sender_moves
         # s0 vouches retirement: its own Move trace is superseded; with
         # the book empty the subchannel is forgotten and no retire-vote

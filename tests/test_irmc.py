@@ -242,9 +242,16 @@ class TestPiggybackedFlowControl:
 
     def test_parked_send_announces_its_move_explicitly(self, channel):
         # Position 9 is beyond the window (capacity 4): no Send can carry
-        # the request, so it costs a MoveMsg of its own — and that Move is
-        # what lets the window reach the parked position.
+        # the request, so it costs a message of its own (a one-entry
+        # MovesMsg: senders have a single wire form for Moves) — and that
+        # Move is what lets the window reach the parked position.
+        log = channel.record_sends()
         futures = channel.send_from(["s0", "s1"], "c1", 9, ("m", 9), window=9)
+        channel.run(until=300.0)
+        explicit = [m for name, m in log if name == "s0" and type(m).__name__ == "MovesMsg"]
+        assert len(explicit) == len(channel.receiver_nodes)
+        assert explicit[0].positions == (("c1", 9),)
+        assert not [m for name, m in log if name[0] == "s" and type(m).__name__ == "MoveMsg"]
         channel.run(until=1_000.0)
         assert channel.starts("c1") == [9, 9, 9, 9]
         assert all(future[0].value == "ok" for future in futures)

@@ -194,6 +194,34 @@ class TestPiggybackedWindow:
         cluster.run(until=400.0)
         assert target.start_of("c") == 1 and "c" not in target._sender_moves
 
+    def test_replayed_shares_move_no_other_subchannel(self):
+        """One Byzantine sender wraps fs+1 honest shares from subchannel
+        "a" (window 9) in its own certificate for subchannel "b": the
+        shares vouch for "a" only, so "b" neither moves nor delivers."""
+        from dataclasses import replace
+
+        from repro.crypto.primitives import attach_auth, sign
+
+        cluster, senders, receivers, tx, rx = build(capacity=16)
+        for name in ("s0", "s1"):
+            endpoint = tx[name]
+            endpoint.node.run_task(endpoint.send, "a", 9, ("m",), 9)
+        cluster.run(until=300.0)
+        bundle = tx["s0"]._bundles["a"][9]
+        assert [share.window for share in bundle.shares] == [9, 9]
+        assert "s2" not in {share.sender for share in bundle.shares}
+        for position in (9, 1):  # same position, and one inside b's window
+            body = replace(bundle, subchannel="b", position=position, sender="s2", signature=None)
+            replayed = attach_auth(body, signature=sign("s2", body))
+            for endpoint in rx.values():
+                endpoint.node.run_task(endpoint._on_certificate, replayed)
+        cluster.run(until=400.0)
+        for endpoint in rx.values():
+            assert endpoint.start_of("b") == 1
+            assert "b" not in endpoint._sender_moves
+            assert "b" not in endpoint._delivered
+            assert endpoint.start_of("a") == 9  # the honest move stands
+
     def test_spider_sc_requests_need_no_heartbeat(self):
         """Spider over IRMC-SC: a client's 3rd and 4th request lie beyond
         the initial request window (capacity 2) and proceed only once the
