@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.statemachine import StateMachine, is_read_only
 from repro.checkpoints import CheckpointComponent
+from repro.consensus.interface import batch_items
 from repro.consensus.pbft import PbftConfig, PbftReplica, is_noop
 from repro.core.client import SpiderClient
 from repro.core.messages import (
@@ -102,8 +103,9 @@ class BftReplica(RoutedNode):
             if seq <= self.sn:
                 continue
             self.sn = seq
-            if isinstance(payload, RequestWrapper) and not is_noop(payload):
-                self._execute(payload)
+            for item in batch_items(payload):
+                if isinstance(item, RequestWrapper) and not is_noop(item):
+                    self._execute(item)
             if seq % self.checkpoint_interval == 0:
                 self.cp.gen_cp(seq, self._snapshot())
 

@@ -11,7 +11,9 @@ Protocol (normal case):
 1. Clients submit requests to their local site; the site's representative
    forwards them to the leader site's representative.
 2. The leader-site representative assigns a global sequence number and has
-   its site threshold-sign a ``Proposal`` (one local share round).
+   its site threshold-sign a ``Proposal`` (one local share round).  Like
+   the PBFT leaders it is compared with, it batches self-clocked: requests
+   arriving while its last proposal is unexecuted travel as one ``Batch``.
 3. The ``Proposal`` goes to all sites; each site threshold-signs an
    ``Accept`` (another local share round) and exchanges it with all sites.
 4. A replica executes sequence number ``s`` once it holds the Proposal and
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.statemachine import StateMachine, is_read_only
+from repro.consensus.interface import BatchAccumulator, batch_items
+from repro.consensus.pbft.config import PbftConfig
 from repro.core.client import SpiderClient
 from repro.core.messages import (
     ClientRequest,
@@ -74,7 +78,7 @@ class ShareRequest(Message, Digestible):
     kind: str  # PROPOSAL or ACCEPT
     seq: int
     payload_digest: int
-    request: Optional[RequestWrapper]
+    request: Any  # RequestWrapper or Batch of them; None for accepts
     sender: str
 
     def payload_size(self) -> int:
@@ -102,7 +106,7 @@ class Proposal(Message, Digestible):
     """Leader site's threshold-signed global ordering decision."""
 
     seq: int
-    request: RequestWrapper
+    request: Any  # RequestWrapper or Batch of them
     tsig: ThresholdSignature
     site: str
     sender: str
@@ -150,8 +154,12 @@ class HftReplica(RoutedNode):
         self.next_seq = 1  # leader-site rep: next sequence to assign
         self.t: Dict[str, int] = {}
         self.u: Dict[str, Tuple[int, Any]] = {}
-        self.assigned: Dict[Tuple[str, int], int] = {}  # (client, tc) -> seq
-        self.proposal_payloads: Dict[int, RequestWrapper] = {}  # rep only
+        self.assigned: set = set()  # (client, tc) handed to the ordering path
+        self.proposal_payloads: Dict[int, Any] = {}  # rep only: wrapper or Batch
+        #: leader-site rep: requests queue here while a proposal is unexecuted
+        self._accumulator = BatchAccumulator(
+            PbftConfig.batch_size, lambda: self.next_seq - 1 > self.sn, self._propose
+        )
         self.signed: Dict[Tuple[str, int], int] = {}  # (kind, seq) -> digest
         self.shares: Dict[Tuple[str, int], Dict[str, Any]] = {}
         self.proposals: Dict[int, Proposal] = {}
@@ -294,17 +302,20 @@ class HftReplica(RoutedNode):
         key = (body.client, body.counter)
         if key in self.assigned or body.counter <= self._executed_counter(body.client):
             return
+        self.assigned.add(key)
+        self._accumulator.intake(wrapper)
+
+    def _propose(self, payload: Any, items: list) -> None:
         seq = self.next_seq
         self.next_seq += 1
-        self.assigned[key] = seq
-        self.proposal_payloads[seq] = wrapper
-        self._request_shares(PROPOSAL, seq, wrapper)
+        self.proposal_payloads[seq] = payload
+        self._request_shares(PROPOSAL, seq, payload)
 
     def _executed_counter(self, client: str) -> int:
         cached = self.u.get(client)
         return cached[0] if cached is not None else 0
 
-    def _request_shares(self, kind: str, seq: int, wrapper: Optional[RequestWrapper]) -> None:
+    def _request_shares(self, kind: str, seq: int, wrapper: Any) -> None:
         from repro.crypto.primitives import digest as digest_fn
 
         if wrapper is None:
@@ -435,9 +446,11 @@ class HftReplica(RoutedNode):
             seq = self.sn + 1
             proposal = self.proposals.get(seq)
             if proposal is None or len(self.accepts.get(seq, ())) < majority:
-                return
+                break
             self.sn = seq
-            self._execute(proposal.request)
+            for item in batch_items(proposal.request):
+                self._execute(item)
+        self._accumulator.release()
 
     def _execute(self, wrapper: RequestWrapper) -> None:
         body = wrapper.body

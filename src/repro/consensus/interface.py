@@ -33,11 +33,11 @@ from repro.sim.futures import SimFuture
 class Batch(Message, Digestible):
     """Several to-be-ordered messages agreed as one consensus value.
 
-    Leaders of batching-capable implementations (PBFT, Raft) cut a batch
-    when either the configured ``batch_size`` cap is reached or the
-    ``batch_timeout_ms`` timer fires, amortising one agreement round over
-    all contained items.  Hosts must treat a delivered ``Batch`` as its
-    items applied in order.
+    Leaders of batching-capable implementations (PBFT, Raft) cut whatever
+    queued up while their last instance was in flight into one ``Batch``
+    (:class:`BatchAccumulator`), amortising one agreement round over all
+    contained items.  Hosts must treat a delivered ``Batch`` as its items
+    applied in order.
     """
 
     items: Tuple[Any, ...]
@@ -79,50 +79,50 @@ def is_batchable(payload: Any) -> bool:
 
 
 class BatchAccumulator:
-    """The shared adaptive batch-cut machinery of batching leaders.
+    """The shared self-clocked batch-cut machinery of batching leaders.
 
-    Owns the cut policy: payloads buffer until either the size cap is
-    reached or ``timeout_ms`` elapsed since the first buffered payload —
-    whichever fires first — then ``on_cut(payload, items)`` receives the
-    proposal-ready value (a bare payload for a single item, a
-    :class:`Batch` otherwise) plus the individual items.  What proposing
-    means (broadcast a pre-prepare, append to a log, hand items back on
-    leadership loss) stays with the caller.
+    No clock is involved.  A payload arriving while none of the leader's
+    own proposals is in flight (``in_flight()`` is false) is cut at once,
+    inside the CPU task that received it, so a lone client never waits.
+    While a proposal is in flight payloads buffer, and the caller cuts
+    them as one value by calling :meth:`release` the moment that
+    instance settles (delivers locally or is skipped by ``gc``); ``size``
+    caps one value, splitting a longer backlog.  ``size = 1`` is the
+    unbatched protocol through the same path.  ``on_cut(payload, items)``
+    receives the proposal-ready value (a bare payload for a single item,
+    a :class:`Batch` otherwise) plus the individual items.  What
+    proposing means (broadcast a pre-prepare, append to a log, hand items
+    back on leadership loss) stays with the caller, and so does the rule
+    that nothing strands: whoever stops being able to propose must
+    :meth:`flush` (or :meth:`cut`) the buffer back into its retry path.
     """
 
-    def __init__(self, node, size: int, timeout_ms: float, on_cut):
-        self.node = node
+    def __init__(self, size: int, in_flight, on_cut):
         self.size = size
-        self.timeout_ms = timeout_ms
+        self.in_flight = in_flight
         self.on_cut = on_cut
         self.buffer: list = []
-        self._timer = None
 
     def __len__(self) -> int:
         return len(self.buffer)
 
-    def intake(self, payload: Any) -> bool:
-        """Admit a payload under the batching policy.
+    def intake(self, payload: Any) -> None:
+        """Admit a payload; cut unless a proposal in flight lets it wait.
 
-        Returns False when the caller must propose it alone: batching is
-        disabled (size <= 1), or the payload is unbatchable — any open
-        batch is cut first so FIFO intake order is preserved.
+        An unbatchable payload cuts the open buffer first and goes alone,
+        so FIFO intake order is preserved.
         """
-        if self.size <= 1:
-            return False
-        if not is_batchable(payload):
+        alone = not is_batchable(payload)
+        if alone:
             self.cut()
-            return False
         self.buffer.append(payload)
-        if len(self.buffer) >= self.size:
+        if alone or len(self.buffer) >= self.size or not self.in_flight():
             self.cut()
-        elif self._timer is None:
-            self._timer = self.node.set_timeout(self.timeout_ms, self._on_timeout)
-        return True
 
-    def _on_timeout(self) -> None:
-        self._timer = None
-        self.cut()
+    def release(self) -> None:
+        """An instance settled: propose what queued up behind it."""
+        if self.buffer and not self.in_flight():
+            self.cut()
 
     def cut(self) -> None:
         """Flush the buffer through ``on_cut`` (no-op when empty)."""
@@ -132,10 +132,7 @@ class BatchAccumulator:
             self.on_cut(payload, buffered)
 
     def flush(self) -> list:
-        """Cancel the timer and hand back the buffer without cutting."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Hand back the buffer without cutting."""
         buffered, self.buffer = self.buffer, []
         return buffered
 

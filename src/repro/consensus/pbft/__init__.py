@@ -1,10 +1,11 @@
 """PBFT (Castro & Liskov, OSDI '99) as a reusable component.
 
-Sequence numbers are assigned contiguously from 1.  With the default
-``batch_size=1`` each consensus instance orders one client message; larger
-values let the leader cut :class:`~repro.consensus.interface.Batch` values
-adaptively (size cap or ``batch_timeout_ms`` timer, whichever fires first),
-amortising one three-phase round over many messages.  Supports weighted
+Sequence numbers are assigned contiguously from 1.  The leader proposes
+a client message at once when none of its proposals is in flight and
+otherwise cuts whatever queued up into one
+:class:`~repro.consensus.interface.Batch` when that instance delivers
+(at most ``batch_size`` messages; ``batch_size=1`` orders one message per
+instance), amortising one three-phase round over many messages.  Supports weighted
 voting (WHEAT-style) through per-replica vote weights, which is how the
 BFT-WV baseline of the paper's Fig. 10 is realised.
 """

@@ -45,13 +45,12 @@ class PbftConfig:
         replica re-requests ``StateTransfer`` from its peers until a whole
         retry period passes without view or delivery progress.
     batch_size:
-        Maximum number of ordered messages the leader amortises over one
-        consensus instance.  ``1`` (the default) proposes every message
-        immediately in its own instance — the pre-batching behaviour.
-    batch_timeout_ms:
-        Adaptive batch cut: an incomplete batch is proposed at most this
-        long after its first message arrived, so low offered load keeps
-        low latency while high load fills batches to ``batch_size``.
+        Cap on the number of ordered messages the leader packs into one
+        consensus instance.  Batching is self-clocked — the leader
+        proposes at once when none of its proposals is in flight and
+        otherwise cuts whatever queued up when that instance delivers —
+        so the cap only bounds message size; ``1`` is the unbatched
+        one-instance-per-message protocol.
     """
 
     f: int = 1
@@ -60,8 +59,7 @@ class PbftConfig:
     weights: Optional[Dict[str, float]] = None
     fetch_delay_ms: float = 500.0
     recovery_retry_ms: float = 500.0
-    batch_size: int = 1
-    batch_timeout_ms: float = 10.0
+    batch_size: int = 64
     extra: dict = field(default_factory=dict)
 
     def validate(self, replica_names: Sequence[str]) -> None:
@@ -72,8 +70,6 @@ class PbftConfig:
             )
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.batch_timeout_ms < 0:
-            raise ConfigurationError("batch_timeout_ms must be >= 0")
         if self.weights is not None:
             unknown = set(self.weights) - set(replica_names)
             if unknown:

@@ -29,14 +29,15 @@ stacks cover the garbage-collected prefix via checkpoint install first.
 
 Fidelity notes
 --------------
-* With the default ``batch_size=1``, one consensus instance per ordered
-  message (matching the paper's prototype, which orders per-request).
-  Larger ``batch_size`` enables adaptive request batching on top: the
-  leader accumulates to-be-ordered messages and cuts a
-  :class:`~repro.consensus.interface.Batch` when either the size cap is
-  reached or ``batch_timeout_ms`` elapsed since the batch's first message
-  — one pre-prepare/prepare/commit round then amortises over up to
-  ``batch_size`` messages while low load keeps per-message latency.
+* Request batching is self-clocked: a leader with none of its own
+  proposals in flight (``next_propose_seq - 1 == delivered_seq``)
+  proposes a message inside the CPU task that received it; while one is
+  in flight it accumulates and cuts one
+  :class:`~repro.consensus.interface.Batch` the moment that instance
+  delivers locally (or ``gc`` skips it), so one pre-prepare/prepare/commit
+  round amortises over whatever queued up meanwhile, capped at
+  ``batch_size``.  ``batch_size=1`` is the paper prototype's
+  one-instance-per-message ordering through the same path.
 * Normal-case messages carry MAC vectors, view-change messages signatures,
   matching the prototype's HMAC-SHA-256 / RSA-1024 split.
 * The new-view message re-proposes prepared instances and fills gaps with
@@ -162,14 +163,15 @@ class PbftReplica(Component, Agreement):
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
-        #: leader-side batch under construction (batch_size > 1 only);
-        #: _batch_keys mirrors the accumulator buffer for O(1) dedup and
-        #: is cleared whenever the buffer empties (cut or flush).
+        #: leader-side batch under construction; _batch_keys mirrors the
+        #: accumulator buffer for O(1) dedup and is cleared whenever the
+        #: buffer empties (cut or flush).
         self._accumulator = BatchAccumulator(
-            node, self.config.batch_size, self.config.batch_timeout_ms, self._cut_batch
+            self.config.batch_size, self._proposal_in_flight, self._cut_batch
         )
         self._batch_keys: set = set()
         self.batches_cut = 0
+        self.largest_batch = 0
 
         self.delivered_count = 0
         self.view_changes_completed = 0
@@ -242,13 +244,8 @@ class PbftReplica(Component, Agreement):
     # Proposing (leader) and batch accumulation
     # ------------------------------------------------------------------
     def _enqueue(self, payload: Any) -> None:
-        """Leader intake: propose immediately, or accumulate into a batch.
-
-        The adaptive cut rule (Fig.-7-style amortisation): the batch is
-        proposed as soon as it holds ``batch_size`` messages, or once
-        ``batch_timeout_ms`` elapsed since its first message — whichever
-        fires first.
-        """
+        """Leader intake: propose now, or accumulate behind the proposal
+        in flight (:class:`BatchAccumulator` owns the cut rule)."""
         key = _key(payload)
         if key in self.live_keys or key in self._batch_keys:
             return
@@ -257,11 +254,12 @@ class PbftReplica(Component, Agreement):
             # (e.g. via the new-view re-introduction loop) would assign the
             # payload a second sequence number once the window reopens.
             return
-        if self._accumulator.intake(payload):
-            if self._accumulator.buffer:  # not cut synchronously
-                self._batch_keys.add(key)
-        else:
-            self._propose(payload)
+        self._batch_keys.add(key)
+        self._accumulator.intake(payload)
+
+    def _proposal_in_flight(self) -> bool:
+        """One of our own proposals is parked or still undelivered here."""
+        return bool(self.backlog) or self.next_propose_seq - 1 > self.delivered_seq
 
     def _cut_batch(self, payload: Any, items: List[Any]) -> None:
         self._batch_keys = set()
@@ -270,6 +268,7 @@ class PbftReplica(Component, Agreement):
             # stay in ``pending`` and are re-introduced after the new view.
             return
         self.batches_cut += 1
+        self.largest_batch = max(self.largest_batch, len(items))
         self._propose(payload)
 
     def _flush_batch_buffer(self) -> None:
@@ -516,6 +515,9 @@ class PbftReplica(Component, Agreement):
         if progressed:
             self._timeout_factor = 1.0
             self._reset_view_timer()
+        # Our proposal in flight delivered (or gc skipped it): propose
+        # what queued up behind it.
+        self._accumulator.release()
         self._maybe_schedule_fetch()
 
     # ------------------------------------------------------------------

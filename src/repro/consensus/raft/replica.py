@@ -40,16 +40,14 @@ class RaftConfig:
     #: maximum entries shipped per AppendEntries
     batch_limit: int = 64
     #: request batching, mirroring PbftConfig so ablations stay comparable:
-    #: the leader packs up to ``batch_size`` ordered payloads into one
-    #: Batch log entry, cutting early after ``batch_timeout_ms``.
-    batch_size: int = 1
-    batch_timeout_ms: float = 10.0
+    #: while an entry of its own is uncommitted the leader accumulates, and
+    #: packs what queued up (at most ``batch_size`` payloads) into one
+    #: Batch log entry the moment that entry commits.
+    batch_size: int = 64
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.batch_timeout_ms < 0:
-            raise ConfigurationError("batch_timeout_ms must be >= 0")
 
 
 class RaftReplica(Component, Agreement):
@@ -100,9 +98,10 @@ class RaftReplica(Component, Agreement):
         #: re-offer dedup on the forward hot path stays O(1) per item.
         self._log_key_counts: Dict[str, int] = {}
         self._accumulator = BatchAccumulator(  # leader-side batch accumulation
-            node, self.config.batch_size, self.config.batch_timeout_ms, self._cut_batch
+            self.config.batch_size, self._proposal_in_flight, self._cut_batch
         )
         self.batches_cut = 0
+        self.largest_batch = 0
         self._election_timer = None
         self._heartbeat_timer = None
         self.elections_won = 0
@@ -285,6 +284,7 @@ class RaftReplica(Component, Agreement):
                     self.pending.pop(repr(item), None)
             self.log = self.log[drop:]
             self.offset += drop
+        self._accumulator.release()  # the skip may have settled our entry
 
     # ------------------------------------------------------------------
     # Elections
@@ -402,10 +402,16 @@ class RaftReplica(Component, Agreement):
     # Replication
     # ------------------------------------------------------------------
     def _enqueue(self, payload: Any) -> None:
-        """Leader intake: append immediately, or accumulate into a batch
-        (same size-cap-or-timeout cut rule as the PBFT implementation)."""
-        if not self._accumulator.intake(payload):
-            self._append_local(payload)
+        """Leader intake: append now, or accumulate behind the entry in
+        flight (same self-clocked cut rule as the PBFT implementation)."""
+        self._accumulator.intake(payload)
+
+    def _proposal_in_flight(self) -> bool:
+        """The log ends in an uncommitted entry of our own term.  An older
+        term's tail is not ours to wait for: only an entry of the current
+        term can commit it (``_advance_commit``), so we append at once."""
+        last = self.last_index
+        return last > self.commit_index and self._term_at(last) == self.term
 
     def _cut_batch(self, payload: Any, items: List[Any]) -> None:
         if self.role != LEADER:
@@ -416,6 +422,7 @@ class RaftReplica(Component, Agreement):
                 self.order(item)
             return
         self.batches_cut += 1
+        self.largest_batch = max(self.largest_batch, len(items))
         self._append_local(payload)
 
     def _append_local(self, payload: Any) -> None:
@@ -552,6 +559,7 @@ class RaftReplica(Component, Agreement):
             if replicated >= self.majority:
                 self.commit_index = index
                 self._deliver_committed()
+                self._accumulator.release()
                 break
 
     def _deliver_committed(self) -> None:

@@ -8,19 +8,19 @@ stream into every execution group's commit channel — waiting for only
 It also hosts the execution-replica registry and applies reconfiguration
 commands (Section 3.6).
 
-Request batching (``SpiderConfig.batch_size`` / ``batch_timeout_ms``): the
+Request batching (``SpiderConfig.batch_size``, the per-instance cap): the
 per-client loops still submit each validated request to the black-box
-individually, but with ``batch_size > 1`` the consensus leader drains its
-intake queue into :class:`~repro.consensus.interface.Batch` values using
-the adaptive cut rule — propose when the size cap is reached or when
-``batch_timeout_ms`` elapsed since the batch's first request, whichever
-comes first.  A delivered batch occupies one sequence number; the replica
-classifies its items in order (duplicate filtering, strong-read
-placeholders, reconfiguration commands) and ships a single batched
-``Execute`` through each commit channel, so one IRMC message and one
-agreement checkpoint interval amortise over up to ``batch_size`` requests.
-With the default ``batch_size=1`` the behaviour is bit-for-bit identical
-to the unbatched protocol.
+individually; the consensus leader proposes a request at once while
+nothing of its own is in flight and otherwise drains what queued up into
+one :class:`~repro.consensus.interface.Batch` the moment that instance
+delivers — no request waits on a clock.  A delivered batch occupies one
+sequence number; the replica classifies its items in order (duplicate
+filtering, strong-read placeholders, reconfiguration commands) and ships
+a single batched ``Execute`` through each commit channel, so one IRMC
+message and one agreement checkpoint interval amortise over the batch.
+How many requests share an instance therefore depends on concurrency: a
+lone client gets one instance per request, exactly as with
+``batch_size=1``.
 
 For the paper's Spider-0E variant (Fig. 9a) the replica can additionally
 host the application itself (``execute_locally=True``): clients then talk

@@ -37,13 +37,12 @@ class SpiderConfig:
     z:
         Global flow control: how many trailing execution groups the
         agreement group may leave behind per sequence number (Section 3.5).
-    batch_size / batch_timeout_ms:
-        End-to-end request batching: the consensus leader amortises one
-        agreement round (and one commit-channel ``Execute`` per execution
-        group) over up to ``batch_size`` requests, cutting an incomplete
-        batch after ``batch_timeout_ms`` so low load keeps low latency.
-        The default ``batch_size=1`` reproduces the unbatched behaviour
-        bit-for-bit.
+    batch_size:
+        Cap on end-to-end request batching: the consensus leader packs
+        whatever requests queued up while its last instance was in flight
+        into one agreement round (and one commit-channel ``Execute`` per
+        execution group), at most ``batch_size`` of them.  No request
+        waits on a clock; ``batch_size=1`` is the unbatched protocol.
     admins:
         Principals allowed to reconfigure the system (Section 3.6).
     """
@@ -57,8 +56,7 @@ class SpiderConfig:
     ke: int = 16
     ag_window: int = 64
     z: int = 0
-    batch_size: int = 1
-    batch_timeout_ms: float = 10.0
+    batch_size: int = 64
     client_retry_ms: float = 4000.0
     fetch_retry_ms: float = 50.0
     pbft: PbftConfig = field(default_factory=lambda: PbftConfig(view_timeout_ms=1000.0))
@@ -81,23 +79,12 @@ class SpiderConfig:
             raise ConfigurationError("request_capacity must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.batch_timeout_ms < 0:
-            raise ConfigurationError("batch_timeout_ms must be >= 0")
-        defaults = PbftConfig()
-        nested_mismatch = (
-            self.pbft.batch_size != defaults.batch_size
-            and self.pbft.batch_size != self.batch_size
-        ) or (
-            self.pbft.batch_timeout_ms != defaults.batch_timeout_ms
-            and self.pbft.batch_timeout_ms != self.batch_timeout_ms
-        )
-        if nested_mismatch:
+        if self.pbft.batch_size not in (PbftConfig().batch_size, self.batch_size):
             # pbft_config() derives the agreement group's batching from
-            # SpiderConfig; differing values on the nested PbftConfig would
-            # be silently ignored, so reject them loudly instead.
+            # SpiderConfig; a differing value on the nested PbftConfig would
+            # be silently ignored, so reject it loudly instead.
             raise ConfigurationError(
-                "set batch_size/batch_timeout_ms on SpiderConfig, "
-                "not on the nested PbftConfig"
+                "set batch_size on SpiderConfig, not on the nested PbftConfig"
             )
 
     @property
@@ -121,6 +108,5 @@ class SpiderConfig:
             fetch_delay_ms=self.pbft.fetch_delay_ms,
             recovery_retry_ms=self.pbft.recovery_retry_ms,
             batch_size=self.batch_size,
-            batch_timeout_ms=self.batch_timeout_ms,
         )
         return config

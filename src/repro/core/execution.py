@@ -5,13 +5,14 @@ agreement group through the request channel, processes the totally ordered
 ``Execute`` stream from the commit channel, answers weakly consistent reads
 locally, and checkpoints its state every ``k_e`` agreed requests.
 
-With request batching enabled (``SpiderConfig.batch_size > 1``) one
-``Execute`` per sequence number carries a whole batch; the replica applies
-its items strictly in order — emitting one per-client ``Reply`` per
-contained request — and advances the checkpoint counter by the batch
-length, so checkpoint frequency tracks executed requests rather than
-sequence numbers.  With the default ``batch_size=1`` this degenerates to
-the paper's every-``k_e``-sequence-numbers rule bit-for-bit.
+When the consensus leader batched concurrent requests (any
+``SpiderConfig.batch_size > 1``, the default) one ``Execute`` per sequence
+number carries a whole batch; the replica applies its items strictly in
+order — emitting one per-client ``Reply`` per contained request — and
+advances the checkpoint counter by the batch length, so checkpoint
+frequency tracks executed requests rather than sequence numbers.  With
+``batch_size=1`` this degenerates to the paper's
+every-``k_e``-sequence-numbers rule.
 """
 
 from __future__ import annotations

@@ -75,8 +75,9 @@ class Execute(Message, Digestible):
     at execution groups other than the client's (Section 3.3), and for
     consensus no-ops introduced by view changes.
 
-    When request batching is enabled (``SpiderConfig.batch_size > 1``) the
-    sequence number covers a whole batch: ``batch`` then carries the items
+    When the leader batched several requests into the instance
+    (``SpiderConfig.batch_size > 1``) the sequence number covers a whole
+    batch: ``batch`` then carries the items
     in agreed order, each either a :class:`RequestWrapper` or a placeholder
     tuple, and ``request``/``placeholder`` are unused.  One batched Execute
     flows through the commit channel per sequence number, amortising the

@@ -6,17 +6,24 @@ batching pipeline's safety contract:
 (a) every client request is executed exactly once at every replica,
 (b) per-client FIFO order is preserved through batch cuts and classify,
 (c) all execution replicas of a group apply the identical batch sequence,
-(d) ``batch_size=1`` (the default) produces byte-identical reply streams
-    and timings to the pre-batching behaviour.
+(d) ``batch_size=1`` still is the unbatched protocol (pinned fingerprints),
+    and the default cap never makes a lone client wait: a one-client run
+    is ``sim_equivalent`` to the same run at ``batch_size=1``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.kvstore import KVStore
+from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.core import Shard, SpiderConfig
+from repro.metrics import sim_equivalent, sim_fingerprint
 from repro.net import Network, Topology
 from repro.sim import Simulator
+
+#: the caps the safety matrix runs at: unbatched, small, the default
+CAPS = (1, 4, SpiderConfig().batch_size)
 
 
 class RecordingKVStore(KVStore):
@@ -31,12 +38,22 @@ class RecordingKVStore(KVStore):
         return super().apply(operation)
 
 
-def build_system(seed, regions=("virginia", "tokyo"), **config_kwargs):
+def build_system(
+    seed, regions=("virginia", "tokyo"), raft=False, jitter=0.0, **config_kwargs
+):
     sim = Simulator(seed=seed)
-    network = Network(sim, Topology(), jitter=0.0)
+    network = Network(sim, Topology(), jitter=jitter)
     config = SpiderConfig(**config_kwargs)
+    factory = None
+    if raft:
+        raft_config = RaftConfig(batch_size=config.batch_size)
+        factory = lambda node, peers: RaftReplica(node, "raft-ag", peers, raft_config)
     system = Shard(
-        sim, config=config, network=network, app_factory=RecordingKVStore
+        sim,
+        config=config,
+        network=network,
+        app_factory=RecordingKVStore,
+        agreement_factory=factory,
     )
     for index, region in enumerate(regions):
         system.add_execution_group(f"g{index}", region)
@@ -80,17 +97,15 @@ def write_log(replica, client_name=None):
 
 
 class TestBatchingInvariants:
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=9, deadline=None)
     @given(
         st.integers(0, 10_000),
-        st.integers(1, 6),  # batch_size
+        st.sampled_from(CAPS),
         st.booleans(),  # mix strong reads into the stream
     )
     def test_exactly_once_fifo_and_group_agreement(self, seed, batch_size, use_reads):
-        sim, system = build_system(
-            seed=seed, batch_size=batch_size, batch_timeout_ms=5.0
-        )
-        n_clients, n_requests = 3, 4
+        sim, system = build_system(seed=seed, batch_size=batch_size)
+        n_clients, n_requests = 6, 4
         clients, replies = run_workload(sim, system, n_clients, n_requests, use_reads)
 
         # Every request completed at the client, in issue order.
@@ -125,31 +140,53 @@ class TestBatchingInvariants:
         }
         assert len(states) == 1
 
-    @settings(max_examples=5, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_batch_size_one_is_byte_identical_to_default(self, seed):
-        """(d) ``batch_size=1`` must not perturb the system at all: reply
-        values, reply timings, and replica journals are byte-identical to a
-        run with the default config, regardless of ``batch_timeout_ms``."""
-        traces = []
-        for kwargs in ({}, {"batch_size": 1, "batch_timeout_ms": 777.0}):
-            sim, system = build_system(seed=seed, **kwargs)
-            clients, replies = run_workload(
-                sim, system, n_clients=3, n_requests=3, use_reads=True
-            )
-            trace = (
-                repr([(c.name, c.completed) for c in clients]),
-                repr(replies),
-                repr(
-                    [
-                        (r.name, r.app.journal)
-                        for g in system.groups.values()
-                        for r in g.replicas
-                    ]
-                ),
-            )
-            traces.append(trace)
-        assert traces[0] == traces[1]
+
+def observe(seed, n_clients, n_requests=4, **build_kwargs):
+    """One run's observation under the oracle (``repro.metrics``)."""
+    sim, system = build_system(seed=seed, jitter=0.05, **build_kwargs)
+    clients, replies = run_workload(sim, system, n_clients, n_requests, use_reads=True)
+    assert all(len(replies[client.name]) == n_requests for client in clients)
+    return {
+        "replies": {
+            client.name: (replies[client.name], client.completed) for client in clients
+        },
+        "latencies": [
+            latency for client in clients for _kind, _start, latency in client.completed
+        ],
+        "journals": {
+            replica.name: replica.app.journal
+            for group in system.groups.values()
+            for replica in group.replicas
+        },
+    }
+
+
+class TestUnbatchedReference:
+    #: fingerprints of ``observe(seed, n_clients=3)`` at commit 8f16893,
+    #: whose only protocol was one instance per request
+    PARENT_FINGERPRINTS = {7: 3136505881, 1234: 2674070715}
+
+    @pytest.mark.parametrize("seed", sorted(PARENT_FINGERPRINTS))
+    def test_batch_size_one_reproduces_the_parent_commit(self, seed):
+        """``batch_size=1`` runs through the same accumulator as every
+        other cap (a cap of one), and still is the unbatched protocol:
+        replies, reply instants and journals of a concurrent run are those
+        the pre-default-batching commit produced."""
+        observation = observe(seed, n_clients=3, batch_size=1)
+        assert sim_fingerprint(sorted(observation.items())) == (
+            self.PARENT_FINGERPRINTS[seed]
+        )
+
+    @pytest.mark.parametrize("raft", [False, True], ids=["pbft", "raft"])
+    @pytest.mark.parametrize("seed", [3, 77])
+    def test_lone_client_never_waits_at_the_default_cap(self, seed, raft):
+        """A closed-loop client always finds the leader's pipeline empty,
+        so the default cap must propose each of its requests inside the
+        task that received it: the run is oracle-equivalent to
+        ``batch_size=1``.  Any wait on a clock would move a reply."""
+        default = observe(seed, n_clients=1, n_requests=6, raft=raft)
+        unbatched = observe(seed, n_clients=1, n_requests=6, raft=raft, batch_size=1)
+        assert sim_equivalent(unbatched, default) == []
 
 
 class TestCheckpointReplayVariants:
@@ -220,7 +257,8 @@ class TestCheckpointReplayVariants:
 
 
 class TestCheckpointCadence:
-    def test_group_checkpoints_stay_on_a_common_grid(self):
+    @pytest.mark.parametrize("batch_size", CAPS)
+    def test_group_checkpoints_stay_on_a_common_grid(self, batch_size):
         """Batches straddling the ke boundary leave a residual request
         count; that residual is part of the checkpointed state, so every
         replica — including ones that catch up by adopting a checkpoint —
@@ -231,7 +269,7 @@ class TestCheckpointCadence:
 
         sim = Simulator(seed=1)
         network = Network(sim, Topology(), jitter=3.0)
-        config = SpiderConfig(batch_size=3, batch_timeout_ms=5.0, ke=4, ka=4, ag_window=8)
+        config = SpiderConfig(batch_size=batch_size, ke=4, ka=4, ag_window=8)
         system = Shard(
             sim, config=config, network=network, app_factory=RecordingKVStore
         )
@@ -323,18 +361,35 @@ class TestByzantineBatchedReconfiguration:
 
 
 class TestBatchConfigValidation:
-    def test_nested_pbft_batch_knobs_rejected(self):
-        import pytest
-
+    def test_nested_pbft_batch_cap_rejected(self):
         from repro.consensus.pbft.config import PbftConfig
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
             SpiderConfig(pbft=PbftConfig(batch_size=16)).validate()
         with pytest.raises(ConfigurationError):
-            SpiderConfig(pbft=PbftConfig(batch_timeout_ms=3.0)).validate()
-        # The supported spelling passes validation.
-        SpiderConfig(batch_size=16, batch_timeout_ms=3.0).validate()
+            SpiderConfig(batch_size=0).validate()
+        # The supported spelling passes validation and reaches PBFT.
+        config = SpiderConfig(batch_size=16)
+        config.validate()
+        assert config.pbft_config().batch_size == 16
+
+    def test_batch_timeout_ms_is_an_unknown_field_everywhere(self):
+        """The timer cut is gone, and so is its knob: a config or spec
+        still naming it dies before a node exists."""
+        from repro.consensus.pbft.config import PbftConfig
+        from repro.deploy import ClusterSpec
+        from repro.errors import ConfigurationError
+
+        for config_class in (SpiderConfig, PbftConfig, RaftConfig):
+            with pytest.raises(TypeError, match="batch_timeout_ms"):
+                config_class(batch_timeout_ms=5.0)
+        with pytest.raises(ConfigurationError, match="batch_timeout_ms"):
+            ClusterSpec.from_dict(
+                {"regions": ["virginia"], "config": {"batch_timeout_ms": 5.0}}
+            )
+        spec = ClusterSpec.from_dict({"regions": ["virginia"], "config": {"batch_size": 8}})
+        assert spec.config.batch_size == 8
 
 
 class TestReconfigurationUnderBatching:
@@ -344,9 +399,7 @@ class TestReconfigurationUnderBatching:
         AddGroup still reach the new group through hist replay (a command
         inside a batch would leave earlier same-batch writes invisible to
         the group it adds)."""
-        sim, system = build_system(
-            seed=4, regions=("virginia",), batch_size=4, batch_timeout_ms=10.0
-        )
+        sim, system = build_system(seed=4, regions=("virginia",), batch_size=4)
         clients = [
             system.make_client(f"c{i}", "virginia", group_id="g0") for i in range(3)
         ]
@@ -390,14 +443,16 @@ class TestReconfigurationUnderBatching:
 
 class TestBatchAmortisation:
     def test_concurrent_requests_share_sequence_numbers(self):
-        """Under concurrent load with batch_size > 1, consensus orders
-        fewer instances than requests (the amortisation that drives the
+        """Under concurrent load the default configuration orders fewer
+        instances than requests (the amortisation that drives the
         throughput win), without affecting any safety property above."""
-        sim, system = build_system(seed=3, batch_size=4, batch_timeout_ms=20.0)
+        sim, system = build_system(seed=3)
         clients, replies = run_workload(
-            sim, system, n_clients=3, n_requests=4, use_reads=False
+            sim, system, n_clients=6, n_requests=4, use_reads=False
         )
         ag = system.agreement_replicas[0]
-        assert ag.requests_delivered == 12
+        assert ag.requests_delivered == 24
         assert ag.delivered_count < ag.requests_delivered
-        assert sum(r.ag.batches_cut for r in system.agreement_replicas) > 0
+        leader = system.agreement_replicas[0].ag
+        assert leader.batches_cut == ag.delivered_count
+        assert 1 < leader.largest_batch <= 6

@@ -78,7 +78,9 @@ class TestNormalCase:
         for node in harness.nodes:
             assert harness.delivered[node.name] == [(1, ("put", "k", "v"))]
 
-    def test_messages_delivered_in_identical_order(self, harness):
+    def test_messages_delivered_in_identical_order(self):
+        # batch_size=1: ten pipelined instances, one message each.
+        harness = PbftHarness(Cluster(), batch_size=1)
         for index in range(10):
             harness.order_everywhere(("op", index))
         harness.cluster.run(until=1000.0)
@@ -122,7 +124,7 @@ class TestNormalCase:
 
     def test_window_backpressure_queues_proposals(self):
         cluster = Cluster()
-        harness = PbftHarness(cluster, window=4)
+        harness = PbftHarness(cluster, window=4, batch_size=1)
         for index in range(10):
             harness.order_everywhere(("op", index))
         cluster.run(until=2000.0)
@@ -196,43 +198,115 @@ class TestViewChange:
 
 
 class TestBatching:
-    def test_batch_cut_at_size_cap(self):
-        cluster = Cluster()
-        harness = PbftHarness(cluster, batch_size=3, batch_timeout_ms=10_000.0)
-        for index in range(3):
-            harness.order_everywhere(("op", index))
-        cluster.run(until=400.0)
-        # The huge timeout proves the size cap cut the batch, and the three
-        # messages share a single consensus instance.
-        for node in harness.nodes:
-            delivered = harness.delivered[node.name]
-            assert len(delivered) == 1
-            seq, payload = delivered[0]
-            assert seq == 1 and is_batch(payload)
-            assert list(payload.items) == [("op", 0), ("op", 1), ("op", 2)]
+    """The self-clocked cut rule: propose at once while nothing of the
+    leader's own is in flight, otherwise accumulate and cut when that
+    instance settles or the cap fills.  No timer anywhere."""
 
-    def test_partial_batch_cut_by_timer(self):
+    def test_idle_leader_proposes_inside_the_receiving_task(self):
         cluster = Cluster()
-        harness = PbftHarness(cluster, batch_size=8, batch_timeout_ms=50.0)
-        harness.order_everywhere(("op", "a"))
-        harness.order_everywhere(("op", "b"))
+        harness = PbftHarness(cluster)
+        leader = harness.replicas[0]
+        leader.order(("lonely",))
+        # Proposed before order() returned: no clock ran, nothing buffered.
+        assert cluster.sim.now == 0.0
+        assert leader.log.get(1).pre_prepare.payload == ("lonely",)
+        assert len(leader._accumulator) == 0
+        cluster.run(until=300.0)
+        assert harness.delivered["r0"] == [(1, ("lonely",))]
+        # The forwarded path too: the leader proposes in the handler that
+        # received the Forward, so nothing is left buffered once it ran.
+        harness.replicas[2].order(("forwarded",))
+        cluster.run(until=600.0)
+        assert harness.delivered["r0"][-1] == (2, ("forwarded",))
+        assert leader.batches_cut == 2 and leader.largest_batch == 1
+
+    def test_arrivals_during_an_instance_become_one_more_instance(self):
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        for index in range(6):
+            harness.order_everywhere(("op", index))
+        leader = harness.replicas[0]
+        assert leader.next_propose_seq == 2 and len(leader._accumulator) == 5
+        cluster.run(until=400.0)
+        # Instance 1 went alone; the five that queued up behind it were cut
+        # as exactly one batch, in intake order, the moment it delivered.
+        for node in harness.nodes:
+            assert harness.delivered[node.name] == [
+                (1, ("op", 0)),
+                (2, Batch(items=tuple(("op", i) for i in range(1, 6)))),
+            ]
+        assert leader.batches_cut == 2 and leader.largest_batch == 5
+
+    def test_cap_splits_a_longer_backlog(self):
+        cluster = Cluster()
+        harness = PbftHarness(cluster, batch_size=3)
+        for index in range(8):
+            harness.order_everywhere(("op", index))
+        # The cap cuts a full buffer even though instance 1 is in flight.
+        assert harness.replicas[0].next_propose_seq == 4
         cluster.run(until=1000.0)
-        # Fewer messages than batch_size: the adaptive timer cut after
-        # 50 ms instead of stalling until the cap fills.
-        delivered = harness.delivered["r0"]
-        assert len(delivered) == 1
-        assert sorted(batch_items(delivered[0][1])) == [("op", "a"), ("op", "b")]
+        sizes = [len(batch_items(payload)) for _, payload in harness.delivered["r0"]]
+        assert sizes == [1, 3, 3, 1]
+        assert harness.flat_payloads("r0") == [("op", i) for i in range(8)]
+        assert harness.replicas[0].largest_batch == 3
+
+    def test_gc_skipping_the_outstanding_instance_releases_the_buffer(self):
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=600_000.0)
+        leader = harness.replicas[0]
+        for node in harness.nodes[1:]:  # instance 1 can never complete
+            cluster.network.block_link(harness.nodes[0], node)
+        for payload in (("a",), ("b",), ("c",)):
+            leader.order(payload)
+        cluster.run(until=1000.0)
+        assert leader.delivered_seq == 0 and len(leader._accumulator) == 2
+        leader.gc(2)  # a checkpoint covers seq 1
+        assert len(leader._accumulator) == 0
+        assert leader.log.get(2).pre_prepare.payload == Batch(items=(("b",), ("c",)))
+
+    def test_leader_crash_with_buffered_requests_loses_nothing(self):
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=200.0)
+        payloads = [("op", index) for index in range(5)]
+        for payload in payloads:
+            harness.order_everywhere(payload)
+        leader = harness.replicas[0]
+        assert len(leader._accumulator) == 4  # buffered behind instance 1
+        harness.nodes[0].crash()
+        cluster.run(until=10_000.0)
+        # The buffered requests sat in every follower's ``pending``, so the
+        # view timers fired and the new leader re-introduced them.
+        assert harness.replicas[1].view >= 1
+        for node in harness.nodes[1:]:
+            assert sorted(harness.flat_payloads(node.name)) == payloads
+            assert harness.delivered[node.name] == harness.delivered["r1"]
+
+    def test_new_leader_reintroduces_pending_in_two_instances(self):
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=200.0)
+        harness.nodes[0].crash()
+        payloads = [("op", index) for index in range(6)]
+        for replica in harness.replicas[1:]:
+            for payload in payloads:
+                replica.order(payload)
+        cluster.run(until=10_000.0)
+        new_leader = harness.replicas[1]
+        assert new_leader.view == 1
+        # First pending request goes at once, the other five ride behind it.
+        assert new_leader.batches_cut == 2 and new_leader.largest_batch == 5
+        for node in harness.nodes[1:]:
+            assert harness.flat_payloads(node.name) == payloads
 
     def test_single_message_is_not_wrapped(self):
         cluster = Cluster()
-        harness = PbftHarness(cluster, batch_size=8, batch_timeout_ms=20.0)
+        harness = PbftHarness(cluster, batch_size=8)
         harness.order_everywhere(("lonely",))
         cluster.run(until=500.0)
         assert harness.delivered["r0"] == [(1, ("lonely",))]
 
     def test_batches_delivered_identically_everywhere(self):
         cluster = Cluster()
-        harness = PbftHarness(cluster, batch_size=4, batch_timeout_ms=20.0)
+        harness = PbftHarness(cluster, batch_size=4)
         for index in range(10):
             harness.order_everywhere(("op", index))
         cluster.run(until=2000.0)
@@ -248,7 +322,9 @@ class TestBatching:
         cluster = Cluster()
         # Huge view timeout: the window stall must not trigger view churn,
         # the scenario under test is the re-introduction dedup itself.
-        harness = PbftHarness(cluster, window=2, view_timeout_ms=600_000.0)
+        harness = PbftHarness(
+            cluster, window=2, view_timeout_ms=600_000.0, batch_size=1
+        )
         leader = harness.replicas[0]
         for index in range(4):
             leader.order(("op", index))
@@ -269,7 +345,7 @@ class TestBatching:
         re-introduce from pending), so leadership churn over a full window
         never hands a payload two sequence numbers."""
         cluster = Cluster()
-        harness = PbftHarness(cluster, window=2, view_timeout_ms=200.0)
+        harness = PbftHarness(cluster, window=2, view_timeout_ms=200.0, batch_size=1)
         leader = harness.replicas[0]
         for index in range(4):
             harness.order_everywhere(("op", index))
@@ -290,8 +366,7 @@ class TestBatching:
         which never prepared (so no view-change proof carries it) must be
         re-introduced by the next new view, not skipped as live forever."""
         cluster = Cluster()
-        harness = PbftHarness(cluster, view_timeout_ms=200.0, batch_size=2,
-                              batch_timeout_ms=5.0)
+        harness = PbftHarness(cluster, view_timeout_ms=200.0, batch_size=2)
         payload = ("stuck",)
         for replica in harness.replicas:
             # The poisoned state the scenario leaves behind: pending and
@@ -312,28 +387,36 @@ class TestBatching:
             BATCHABLE = False
 
         cluster = Cluster()
-        harness = PbftHarness(cluster, batch_size=8, batch_timeout_ms=10_000.0)
-        harness.order_everywhere(("op", "a"))
-        harness.order_everywhere(("op", "b"))
-        harness.order_everywhere(Reconfigure(("add-group", "g9")))
-        harness.order_everywhere(("op", "c"))
+        harness = PbftHarness(cluster)
+        for payload in (
+            ("op", "a"),
+            ("op", "b"),
+            ("op", "c"),
+            Reconfigure(("add-group", "g9")),
+            ("op", "d"),
+        ):
+            harness.order_everywhere(payload)
+        # The command cut the open buffer (b, c) and went alone at once,
+        # without waiting for instance 1; d queues behind all three.
+        assert harness.replicas[0].next_propose_seq == 4
         cluster.run(until=1000.0)
-        delivered = harness.delivered["r0"]
-        # Instance 1: the cut batch (a, b); instance 2: the command alone.
-        assert sorted(batch_items(delivered[0][1])) == [("op", "a"), ("op", "b")]
-        assert delivered[1][1] == ("add-group", "g9")
-        assert not is_batch(delivered[1][1])
+        assert harness.delivered_payloads("r0") == [
+            ("op", "a"),
+            Batch(items=(("op", "b"), ("op", "c"))),
+            ("add-group", "g9"),
+            ("op", "d"),
+        ]
 
     def test_inflight_batch_survives_view_change(self):
         """A batch that is mid-three-phase when the leader dies must be
         re-proposed by the new view without losing or duplicating any of
         its messages (prepared batches travel in view-change proofs)."""
         cluster = Cluster()
-        harness = PbftHarness(
-            cluster, view_timeout_ms=200.0, batch_size=3, batch_timeout_ms=5.0
-        )
-        for index in range(3):
+        harness = PbftHarness(cluster, view_timeout_ms=200.0, batch_size=3)
+        harness.order_everywhere(("zeroth",))
+        for index in range(3):  # fills the cap: cut behind the first instance
             harness.order_everywhere(("first", index))
+        assert is_batch(harness.replicas[0].log.get(2).pre_prepare.payload)
         # Run just far enough for the pre-prepare/prepare exchange to start
         # but (typically) not complete, then kill the leader.
         cluster.run(until=5.0)
@@ -341,7 +424,7 @@ class TestBatching:
         for replica in harness.replicas[1:]:
             replica.order(("second",))
         cluster.run(until=10_000.0)
-        expected = {("first", 0), ("first", 1), ("first", 2), ("second",)}
+        expected = {("zeroth",), ("first", 0), ("first", 1), ("first", 2), ("second",)}
         reference = harness.flat_payloads("r1")
         # No loss, no duplication.
         assert set(reference) == expected
@@ -352,21 +435,21 @@ class TestBatching:
 
     def test_committed_batch_survives_view_change(self):
         cluster = Cluster()
-        harness = PbftHarness(
-            cluster, view_timeout_ms=200.0, batch_size=2, batch_timeout_ms=5.0
-        )
+        harness = PbftHarness(cluster, view_timeout_ms=200.0, batch_size=2)
+        harness.order_everywhere(("z",))
         harness.order_everywhere(("a",))
         harness.order_everywhere(("b",))
-        cluster.run(until=300.0)  # batch of (a, b) fully committed
+        cluster.run(until=300.0)  # z, then the batch of (a, b), fully committed
+        assert harness.delivered["r1"] == [(1, ("z",)), (2, Batch(items=(("a",), ("b",))))]
         harness.nodes[0].crash()
         for replica in harness.replicas[1:]:
             replica.order(("c",))
             replica.order(("d",))
         cluster.run(until=10_000.0)
         reference = harness.flat_payloads("r1")
-        assert reference[:2] == [("a",), ("b",)]
-        assert set(reference) == {("a",), ("b",), ("c",), ("d",)}
-        assert len(reference) == 4
+        assert reference[:3] == [("z",), ("a",), ("b",)]
+        assert set(reference) == {("z",), ("a",), ("b",), ("c",), ("d",)}
+        assert len(reference) == 5
         for node in harness.nodes[2:]:
             assert harness.flat_payloads(node.name) == reference
 
@@ -377,7 +460,6 @@ class TestBatching:
             view_timeout_ms=300.0,
             fetch_delay_ms=100.0,
             batch_size=4,
-            batch_timeout_ms=10.0,
         )
         cluster.network.set_drop_rate(0.05)
         for index in range(8):
@@ -442,8 +524,8 @@ class TestSafetyUnderEquivocation:
         cluster.run(until=20000.0)
         cluster.network.set_drop_rate(0.0)
         cluster.run(until=40000.0)
-        reference = [p for p in harness.delivered_payloads("r0") if not is_noop(p)]
+        reference = harness.flat_payloads("r0")
         assert len(reference) == 5
         for node in harness.nodes[1:]:
-            mine = [p for p in harness.delivered_payloads(node.name) if not is_noop(p)]
+            mine = harness.flat_payloads(node.name)
             assert mine[: len(reference)] == reference[: len(mine)] or mine == reference

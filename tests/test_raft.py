@@ -1,5 +1,6 @@
 """Tests for the Raft agreement black-box and Spider-over-Raft."""
 
+from repro.consensus import Batch, batch_items
 from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.sim import Process
 
@@ -61,7 +62,7 @@ class TestElections:
 class TestReplication:
     def test_ordered_delivery_on_all_replicas(self):
         cluster = Cluster()
-        harness = RaftHarness(cluster)
+        harness = RaftHarness(cluster, batch_size=1)  # five pipelined entries
         cluster.run(until=3000.0)
         for index in range(5):
             harness.leader().order(("op", index))
@@ -118,7 +119,7 @@ class TestReplication:
 
     def test_gc_compacts_log(self):
         cluster = Cluster()
-        harness = RaftHarness(cluster)
+        harness = RaftHarness(cluster, batch_size=1)  # one entry per payload
         cluster.run(until=3000.0)
         for index in range(6):
             harness.leader().order(("op", index))
@@ -133,29 +134,124 @@ class TestReplication:
 
 
 class TestBatching:
-    def test_batch_cut_at_size_cap(self):
-        cluster = Cluster()
-        harness = RaftHarness(cluster, batch_size=3, batch_timeout_ms=10_000.0)
-        cluster.run(until=3000.0)
-        for index in range(3):
-            harness.leader().order(("op", index))
-        cluster.run(until=8000.0)
-        from repro.consensus import batch_items, is_batch
+    """The same self-clocked cut rule as PBFT: append at once while no
+    entry of the leader's own term is uncommitted, otherwise accumulate
+    and cut when it commits, gc skips it, or the cap fills."""
 
+    def _elected(self, **cfg):
+        cluster = Cluster()
+        harness = RaftHarness(cluster, **cfg)
+        cluster.run(until=3000.0)
+        return cluster, harness, harness.leader()
+
+    def test_idle_leader_appends_inside_the_receiving_task(self):
+        cluster, harness, leader = self._elected()
+        leader.order(("only", 1))
+        # Appended before order() returned: no clock ran, nothing buffered.
+        assert leader.last_index == 1 and len(leader._accumulator) == 0
+        cluster.run(until=8000.0)
+        # A single message is not wrapped.
+        assert harness.delivered["n0"] == [(1, ("only", 1))]
+        assert leader.batches_cut == 1 and leader.largest_batch == 1
+
+    def test_arrivals_during_an_entry_become_one_more_entry(self):
+        cluster, harness, leader = self._elected()
+        for index in range(6):
+            leader.order(("op", index))
+        assert leader.last_index == 1 and len(leader._accumulator) == 5
+        cluster.run(until=8000.0)
         for delivered in harness.delivered.values():
-            assert len(delivered) == 1
-            seq, payload = delivered[0]
-            assert seq == 1 and is_batch(payload)
-            assert list(batch_items(payload)) == [("op", i) for i in range(3)]
+            assert delivered == [
+                (1, ("op", 0)),
+                (2, Batch(items=tuple(("op", i) for i in range(1, 6)))),
+            ]
+        assert leader.batches_cut == 2 and leader.largest_batch == 5
 
-    def test_partial_batch_cut_by_timer(self):
-        cluster = Cluster()
-        harness = RaftHarness(cluster, batch_size=16, batch_timeout_ms=50.0)
-        cluster.run(until=3000.0)
-        harness.leader().order(("only", 1))
+    def test_cap_splits_a_longer_backlog(self):
+        cluster, harness, leader = self._elected(batch_size=3)
+        for index in range(8):
+            leader.order(("op", index))
+        assert leader.last_index == 3  # the cap cut twice behind entry 1
         cluster.run(until=8000.0)
-        # A single message is not wrapped; the timer cut it after 50 ms.
-        assert harness.delivered["n0"][0][1] == ("only", 1)
+        delivered = harness.delivered[leader.node.name]
+        assert [len(batch_items(payload)) for _, payload in delivered] == [1, 3, 3, 1]
+        assert [item for _, payload in delivered for item in batch_items(payload)] == [
+            ("op", i) for i in range(8)
+        ]
+
+    def test_unbatchable_payload_goes_alone(self):
+        class Reconfigure(tuple):
+            BATCHABLE = False
+
+        cluster, harness, leader = self._elected()
+        for payload in (("a",), ("b",), ("c",), Reconfigure(("add-group",)), ("d",)):
+            leader.order(payload)
+        assert leader.last_index == 3  # a | (b, c) | the command, at once
+        cluster.run(until=8000.0)
+        assert [payload for _, payload in harness.delivered[leader.node.name]] == [
+            ("a",),
+            Batch(items=(("b",), ("c",))),
+            ("add-group",),
+            ("d",),
+        ]
+
+    def test_gc_skipping_the_outstanding_entry_releases_the_buffer(self):
+        cluster, harness, leader = self._elected()
+        for node in harness.nodes:  # entry 1 can never commit
+            if node is not leader.node:
+                cluster.network.block_link(leader.node, node)
+        for payload in (("a",), ("b",), ("c",)):
+            leader.order(payload)
+        assert leader.commit_index == 0 and len(leader._accumulator) == 2
+        leader.gc(2)  # a checkpoint covers index 1
+        assert len(leader._accumulator) == 0
+        assert leader.log[-1].payload == Batch(items=(("b",), ("c",)))
+
+    def test_old_term_tail_does_not_hold_back_a_new_leader(self):
+        """An uncommitted entry of an older term is not the new leader's
+        own proposal, and only an entry of its term can commit it: waiting
+        for it would strand the buffer forever."""
+        cluster, harness, leader = self._elected()
+        followers = [r for r in harness.replicas if r is not leader]
+        for follower in followers:  # replicate entry 1, but never commit it
+            cluster.network.block_link(follower.node, leader.node)
+        leader.order(("old-term",))
+        cluster.run(until=3200.0)
+        leader.node.crash()
+        for follower in followers:
+            follower.order(("new-term",))
+        cluster.run(until=12_000.0)
+        for follower in followers:
+            flat = [
+                item
+                for _, payload in harness.delivered[follower.node.name]
+                for item in batch_items(payload)
+            ]
+            assert flat == [("old-term",), ("new-term",)]
+
+    def test_leader_crash_with_buffered_requests_loses_nothing(self):
+        cluster, harness, leader = self._elected()
+        payloads = [("op", index) for index in range(5)]
+        for payload in payloads:
+            for replica in harness.replicas:
+                replica.order(payload)
+        assert len(leader._accumulator) == 4  # buffered behind entry 1
+        leader.node.crash()
+        cluster.run(until=12_000.0)
+        new_leader = harness.leader()
+        assert new_leader is not None and new_leader is not leader
+        # Every follower still held the requests in ``pending`` and
+        # re-introduced them: one goes at once, the rest ride behind it.
+        assert new_leader.batches_cut <= 2
+        for replica in harness.replicas:
+            if replica is leader:
+                continue
+            flat = [
+                item
+                for _, payload in harness.delivered[replica.node.name]
+                for item in batch_items(payload)
+            ]
+            assert sorted(flat) == payloads
 
     def test_spider_over_raft_with_batching(self):
         """The Raft baseline exposes the same batching interface, so
@@ -167,7 +263,7 @@ class TestBatching:
 
         sim = Simulator(seed=9)
         network = Network(sim, Topology(), jitter=0.0)
-        config = SpiderConfig(batch_size=4, batch_timeout_ms=20.0)
+        config = SpiderConfig(batch_size=4)
         system = Shard(
             sim,
             config=config,
@@ -176,8 +272,7 @@ class TestBatching:
                 node,
                 "raft-ag",
                 peers,
-                RaftConfig(batch_size=config.batch_size,
-                           batch_timeout_ms=config.batch_timeout_ms),
+                RaftConfig(batch_size=config.batch_size),
             ),
         )
         system.add_execution_group("us", "virginia")

@@ -295,18 +295,19 @@ class TestSpiderCheckpointFetchOnBoot:
         the snapshot, so a rejoiner adopting such a checkpoint continues
         the cadence at the same point as the replicas that generated it
         (stability needs matching gen_cp sequence numbers)."""
-        sim, system = build_system(
-            ke=3, ka=8, commit_capacity=3, batch_size=4, batch_timeout_ms=40.0
-        )
+        sim, system = build_system(ke=3, ka=8, commit_capacity=3, batch_size=4)
         clients = [
-            system.make_client(f"c{i}", "virginia", group_id="g0") for i in range(3)
+            system.make_client(f"c{i}", "virginia", group_id="g0") for i in range(5)
         ]
         victim = system.groups["g0"].replicas[0]
 
         def burst(round_index, at):
+            # Five near-simultaneous writes: the leader proposes the first
+            # at once and the other four as one batch behind it, so the
+            # request count crosses ke=3 mid-batch in every round.
             for client_index, client in enumerate(clients):
                 sim.schedule_at(
-                    at + client_index * 2.0,
+                    at + client_index * 0.1,
                     lambda c=client, r=round_index, i=client_index: c.write(
                         ("put", f"k-{r}-{i}", r)
                     ),
@@ -320,13 +321,14 @@ class TestSpiderCheckpointFetchOnBoot:
         burst(5, 11_000.0)
         sim.run(until=30_000.0)
         assert victim.checkpoints_applied >= 1
+        assert system.agreement_replicas[0].ag.largest_batch == 4
         peer = system.groups["g0"].replicas[1]
         # The cadence survived the adoption: the rejoiner's own later
         # checkpoints land on the same sequence numbers as its peers'
         # (otherwise fe+1 matching votes would never form again).
         assert victim._ops_since_cp == peer._ops_since_cp
         for round_index in range(6):
-            for client_index in range(3):
+            for client_index in range(5):
                 key = f"k-{round_index}-{client_index}"
                 assert victim.app.apply(("get", key)) == ("value", round_index), key
 
