@@ -5,9 +5,9 @@ a client message at once when none of its proposals is in flight and
 otherwise cuts whatever queued up into one
 :class:`~repro.consensus.interface.Batch` when that instance delivers
 (at most ``batch_size`` messages; ``batch_size=1`` orders one message per
-instance), amortising one three-phase round over many messages.  Supports weighted
-voting (WHEAT-style) through per-replica vote weights, which is how the
-BFT-WV baseline of the paper's Fig. 10 is realised.
+instance), amortising one three-phase round over many messages.
+Supports weighted voting (WHEAT-style) through per-replica vote weights,
+which is how the BFT-WV baseline of the paper's Fig. 10 is realised.
 """
 
 from repro.consensus.pbft.config import PbftConfig, quorum_weight

@@ -260,15 +260,18 @@ class AgreementReplica(RoutedNode):
 
     def _client_loop(self, channels: _GroupChannels, client: str):
         while channels.group_id in self.groups:
-            result = yield channels.request_rx.receive(
-                client, self.t_plus.get(client, 1)
-            )
+            position = self.t_plus.get(client, 1)
+            result = yield channels.request_rx.receive(client, position)
             if isinstance(result, TooOld):
                 # The client already moved on to a newer request.
                 self.t_plus[client] = max(self.t_plus.get(client, 1), result.new_start)
             elif isinstance(result, RequestWrapper):
                 self.ag.order(result)
-                self.t_plus[client] = self.t_plus.get(client, 1) + 1
+                # Not ``t_plus + 1``: the agreed stream may have delivered
+                # this very request (and bumped ``t_plus``) while our copy
+                # was still in the channel; incrementing again would skip
+                # the client's next request here for good.
+                self.t_plus[client] = max(self.t_plus.get(client, 1), position + 1)
 
     # ------------------------------------------------------------------
     # Delivery loop (Fig. 17 L. 25-40)

@@ -141,11 +141,8 @@ class TestBatchingInvariants:
         assert len(states) == 1
 
 
-def observe(seed, n_clients, n_requests=4, **build_kwargs):
-    """One run's observation under the oracle (``repro.metrics``)."""
-    sim, system = build_system(seed=seed, jitter=0.05, **build_kwargs)
-    clients, replies = run_workload(sim, system, n_clients, n_requests, use_reads=True)
-    assert all(len(replies[client.name]) == n_requests for client in clients)
+def observation(system, clients, replies):
+    """What the oracle (``repro.metrics.sim_equivalent``) compares of a run."""
     return {
         "replies": {
             client.name: (replies[client.name], client.completed) for client in clients
@@ -161,10 +158,19 @@ def observe(seed, n_clients, n_requests=4, **build_kwargs):
     }
 
 
+def observe(seed, n_clients, n_requests=4, **build_kwargs):
+    sim, system = build_system(seed=seed, jitter=0.05, **build_kwargs)
+    clients, replies = run_workload(sim, system, n_clients, n_requests, use_reads=True)
+    assert all(len(replies[client.name]) == n_requests for client in clients)
+    return observation(system, clients, replies)
+
+
 class TestUnbatchedReference:
     #: fingerprints of ``observe(seed, n_clients=3)`` at commit 8f16893,
-    #: whose only protocol was one instance per request
-    PARENT_FINGERPRINTS = {7: 3136505881, 1234: 2674070715}
+    #: whose only protocol was one instance per request — with the
+    #: ``_client_loop`` cursor fix of this PR applied to it (seed 7 hits
+    #: the race that fix closes: 3136505881 without it; 1234 does not)
+    PARENT_FINGERPRINTS = {7: 3020643471, 1234: 2674070715}
 
     @pytest.mark.parametrize("seed", sorted(PARENT_FINGERPRINTS))
     def test_batch_size_one_reproduces_the_parent_commit(self, seed):

@@ -30,7 +30,7 @@ from repro.metrics import sim_equivalent
 from repro.net import Network, Payload, Site, Topology
 from repro.sim import Node, Process, Simulator
 from repro.sim.routing import RoutedNode
-from tests.test_batching_properties import build_system, run_workload
+from tests.test_batching_properties import build_system, observation, run_workload
 
 
 @pytest.fixture(autouse=True)
@@ -101,20 +101,7 @@ def _spider_observation(seed: int, faults: bool = False) -> dict:
     clients, replies = run_workload(
         sim, system, n_clients=3, n_requests=4, use_reads=not faults
     )
-    return {
-        "replies": {
-            client.name: (replies[client.name], client.completed) for client in clients
-        },
-        "latencies": [
-            latency for client in clients for _kind, _start, latency in client.completed
-        ],
-        "journals": {
-            replica.name: replica.app.journal
-            for group in system.groups.values()
-            for replica in group.replicas
-        },
-        "events": sim.events_processed,
-    }
+    return dict(observation(system, clients, replies), events=sim.events_processed)
 
 
 def _irmc_observation(kind: str) -> dict:

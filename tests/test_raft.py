@@ -24,6 +24,14 @@ class RaftHarness:
             seq, payload = yield replica.next_delivery()
             self.delivered[replica.node.name].append((seq, payload))
 
+    def flat_payloads(self, name):
+        """Delivered messages of one replica with batches expanded."""
+        return [
+            item
+            for _, payload in self.delivered[name]
+            for item in batch_items(payload)
+        ]
+
     def leader(self):
         for replica in self.replicas:
             if replica.role == "leader" and not replica.node.crashed:
@@ -175,9 +183,7 @@ class TestBatching:
         cluster.run(until=8000.0)
         delivered = harness.delivered[leader.node.name]
         assert [len(batch_items(payload)) for _, payload in delivered] == [1, 3, 3, 1]
-        assert [item for _, payload in delivered for item in batch_items(payload)] == [
-            ("op", i) for i in range(8)
-        ]
+        assert harness.flat_payloads(leader.node.name) == [("op", i) for i in range(8)]
 
     def test_unbatchable_payload_goes_alone(self):
         class Reconfigure(tuple):
@@ -222,12 +228,10 @@ class TestBatching:
             follower.order(("new-term",))
         cluster.run(until=12_000.0)
         for follower in followers:
-            flat = [
-                item
-                for _, payload in harness.delivered[follower.node.name]
-                for item in batch_items(payload)
+            assert harness.flat_payloads(follower.node.name) == [
+                ("old-term",),
+                ("new-term",),
             ]
-            assert flat == [("old-term",), ("new-term",)]
 
     def test_leader_crash_with_buffered_requests_loses_nothing(self):
         cluster, harness, leader = self._elected()
@@ -244,14 +248,8 @@ class TestBatching:
         # re-introduced them: one goes at once, the rest ride behind it.
         assert new_leader.batches_cut <= 2
         for replica in harness.replicas:
-            if replica is leader:
-                continue
-            flat = [
-                item
-                for _, payload in harness.delivered[replica.node.name]
-                for item in batch_items(payload)
-            ]
-            assert sorted(flat) == payloads
+            if replica is not leader:
+                assert sorted(harness.flat_payloads(replica.node.name)) == payloads
 
     def test_spider_over_raft_with_batching(self):
         """The Raft baseline exposes the same batching interface, so

@@ -22,6 +22,30 @@ class TestAgreementFaults:
         survivors = system.agreement_replicas[1:]
         assert any(r.ag.view_changes_completed >= 1 for r in survivors)
 
+    def test_request_overtaken_by_its_own_agreement_does_not_skip_the_next(self):
+        """A follower whose request-channel copy of request k arrives after
+        the agreed stream already delivered k (the leader's copy was
+        faster) must still expect k+1 next.  It used to expect k+2, so
+        with the leader gone nobody ordered k+1 and the client stalled
+        until its 4 s retry — which only the recovered leader heard."""
+        sim, system = build_system()
+        leader, followers = system.agreement_replicas[0], system.agreement_replicas[1:]
+        client = system.make_client("c1", "virginia", group_id="g0")
+        client.write(("put", "a", 1))  # starts the per-client loops
+        sim.run(until=1000.0)
+        for replica in system.groups["g0"].replicas:
+            for follower in followers:  # their copies lag the PBFT round
+                system.network.set_link_mod(replica, follower, delay_ms=20.0)
+        second = client.write(("put", "b", 2))
+        sim.run(until=2000.0)
+        assert second.done
+        for follower in followers:
+            assert follower.t_plus[client.name] == 3  # not 4
+        leader.crash()
+        third = client.write(("put", "c", 3))
+        sim.run(until=2000.0 + system.config.client_retry_ms - 500.0)
+        assert third.done  # via the view change, before any client retry
+
     def test_weak_reads_survive_agreement_outage(self):
         """With the whole agreement region unreachable, writes stall but
         weakly consistent reads keep working (Section 3.1)."""
