@@ -15,9 +15,10 @@ invariant green — crash/
 recovered replicas owe completion-after-heal and wiped replicas owe the
 exact recovered frontier — plus the byte-parity guarantees that (a) a
 no-fault campaign run is indistinguishable from the same workload
-without the chaos layer loaded and (b) every suite cell is
-byte-identical to the historical hand-wired ``get_harness(config)``
-sweep it replaced.
+without the chaos layer loaded and (b) every cell of this suite and of
+``suites/reshard.yaml`` equals its record in ``tests/chaos_golden.json``
+field for field (a moved cell leaves its expected/actual pair in
+``benchmarks/CHAOS_golden_mismatch.json``, uploaded by CI as well).
 
 Any failure is shrunk to a minimal schedule and written to
 ``benchmarks/CHAOS_failures.json`` (CI uploads it as an artifact); the
@@ -40,6 +41,8 @@ from repro.chaos import get_harness, repro_snippet, shrink_schedule
 from repro.chaos.actions import FaultAction
 from repro.scenarios import BuildCache, load_suite, run_matrix
 
+from tests.chaos_golden import MISMATCH_PATH, mismatches, run_cells
+
 FAILURES_PATH = pathlib.Path(__file__).parent / "CHAOS_failures.json"
 SUITE_PATH = pathlib.Path(__file__).parent.parent / "suites" / "chaos.yaml"
 
@@ -60,8 +63,9 @@ CONFIGS = sorted(spec.name for spec in SUITE.scenarios)
 def _fresh_failure_artifact():
     """Drop any stale artifact so a green run leaves no file behind and a
     failing run's report contains only this run's schedules."""
-    if FAILURES_PATH.exists():
-        FAILURES_PATH.unlink()
+    for path in (FAILURES_PATH, MISMATCH_PATH):
+        if path.exists():
+            path.unlink()
     yield
 
 
@@ -92,12 +96,12 @@ def _sweep_config(config: str):
                     "snippet": repro_snippet(harness, cell.seed, minimal),
                 }
             )
-    return actions_total, failures
+    return actions_total, failures, mismatches("chaos", cells)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_campaign_sweep(config):
-    actions_total, failures = _sweep_config(config)
+    actions_total, failures, moved = _sweep_config(config)
     if failures:
         existing = []
         if FAILURES_PATH.exists():
@@ -114,18 +118,14 @@ def test_campaign_sweep(config):
         f"{config}: only {actions_total} fault actions over "
         f"{SEEDS_PER_CONFIG} seeds — campaign is not exercising faults"
     )
+    assert moved == [], f"cells moved off the golden record, see {MISMATCH_PATH}"
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_suite_cell_matches_handwired_harness(config):
-    """Migration guarantee: the declarative cell == the historical path."""
-    spec = SUITE.scenario(config)
-    [cell] = run_matrix([spec], [SEED_BASE], CACHE)
-    reference = get_harness(config).run(SEED_BASE)
-    assert cell.error is None, cell.error
-    assert cell.stats["campaign_fingerprint"] == reference.fingerprint()
-    assert cell.stats["violations"] == list(reference.violations)
-    assert cell.stats["n_actions"] == len(reference.actions)
+@pytest.mark.parametrize("scenario", ["spider-reshard", "spider-reshard-double"])
+def test_reshard_suite_matches_golden(scenario):
+    """All 12 seeds of each ``suites/reshard.yaml`` scenario, field for field."""
+    moved = mismatches("reshard", run_cells("reshard", scenario, cache=CACHE))
+    assert moved == [], f"cells moved off the golden record, see {MISMATCH_PATH}"
 
 
 def test_suite_cache_reuses_builds():
@@ -135,9 +135,6 @@ def test_suite_cache_reuses_builds():
     run_matrix([spec], SUITE.seeds[:2], cache)
     # Second seed reuses the harness and the compiled invariant set.
     assert cache.stats()["hits"] >= 2
-    # And the module-level sweep cache saw heavy reuse too (when the
-    # sweep ran first; harmless when this test runs in isolation).
-    assert CACHE.stats()["hits"] >= 0
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -153,8 +150,8 @@ def test_no_fault_campaign_is_byte_identical(config):
 
 def main() -> None:  # pragma: no cover - manual entry point
     for config in CONFIGS:
-        actions_total, failures = _sweep_config(config)
-        status = "ok" if not failures else f"{len(failures)} FAILURES"
+        actions_total, failures, moved = _sweep_config(config)
+        status = "ok" if not failures + moved else f"{len(failures + moved)} FAILURES"
         print(
             f"{config:8s} seeds={SEEDS_PER_CONFIG} actions={actions_total} {status}"
         )

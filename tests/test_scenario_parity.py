@@ -4,28 +4,25 @@ Every experiment surface that moved onto the declarative scenario path
 must stay byte-identical to the code it replaced.  Each test here runs a
 (reduced-scale) cell through the scenario runner AND through an inline
 copy of the pre-migration wiring, then compares results exactly — no
-tolerances.  The full-scale equivalents are pinned by the benchmark
-suite (``benchmarks/test_chaos.py`` compares every config against
-``get_harness``; ``BENCH_overload.json`` and the perf
-``sim_fingerprint``s are committed artifacts).
+tolerances.  The full-scale equivalents are pinned by committed
+artifacts: ``tests/chaos_golden.json`` (every chaos and reshard suite
+cell, compared by ``tests/test_chaos_golden.py`` and the
+``benchmarks/test_chaos.py`` sweep), ``BENCH_overload.json`` and the
+perf ``sim_fingerprint``s.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-import pytest
-
-from repro.chaos import get_harness
 from repro.scenarios import BuildCache, ScenarioSpec, load_suite
 from repro.scenarios import run as run_scenario
-from repro.scenarios import run_matrix
 
 SUITE_PATH = pathlib.Path(__file__).parent.parent / "suites" / "chaos.yaml"
 
 
 # ----------------------------------------------------------------------
-# chaos: suites/chaos.yaml == get_harness sweep
+# chaos: suites/chaos.yaml declares the sweep (its cells: the golden file)
 # ----------------------------------------------------------------------
 def test_chaos_suite_declares_the_full_sweep():
     suite = load_suite(SUITE_PATH)
@@ -38,17 +35,6 @@ def test_chaos_suite_declares_the_full_sweep():
         ]
     )
     assert suite.seeds == tuple(range(1, 13))
-
-
-@pytest.mark.parametrize("config", ["pbft", "raft"])
-def test_chaos_suite_cell_is_byte_identical(config):
-    suite = load_suite(SUITE_PATH)
-    [cell] = run_matrix([suite.scenario(config)], [1], BuildCache())
-    reference = get_harness(config).run(1)
-    assert cell.error is None, cell.error
-    assert cell.stats["campaign_fingerprint"] == reference.fingerprint()
-    assert cell.stats["violations"] == list(reference.violations)
-    assert cell.stats["schedule"] == [dict(vars(a)) for a in reference.actions]
 
 
 # ----------------------------------------------------------------------
