@@ -25,7 +25,7 @@ Any failure is shrunk to a minimal schedule and written to
 printed snippet is ready to be checked in as a regression test in
 ``tests/test_chaos_regressions.py``.
 
-Run directly for the sweep table::
+Run it (``python -m repro.experiments chaos`` prints the sweep table)::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_chaos.py
 """
@@ -37,8 +37,7 @@ import pathlib
 
 import pytest
 
-from repro.chaos import get_harness, repro_snippet, shrink_schedule
-from repro.chaos.actions import FaultAction
+from repro.chaos import chaos_case, failure_record
 from repro.scenarios import BuildCache, load_suite, run_matrix
 
 from tests.chaos_golden import MISMATCH_PATH, mismatches, run_cells
@@ -50,8 +49,8 @@ SUITE_PATH = pathlib.Path(__file__).parent.parent / "suites" / "chaos.yaml"
 #: mistakes in the suite file fail collection, before any node exists.
 SUITE = load_suite(SUITE_PATH)
 
-#: one shared build cache across the whole sweep: each config's harness
-#: is built once and reused for all of its seeds.
+#: one shared build cache across the whole sweep: each config's case
+#: is resolved once and reused for all of its seeds.
 CACHE = BuildCache()
 
 SEEDS_PER_CONFIG = len(SUITE.seeds)
@@ -69,39 +68,17 @@ def _fresh_failure_artifact():
     yield
 
 
-def _sweep_config(config: str):
-    spec = SUITE.scenario(config)
-    cells = run_matrix([spec], SUITE.seeds, CACHE)
-    failures = []
-    actions_total = 0
-    for cell in cells:
-        if cell.error is not None:
-            failures.append(
-                {"config": config, "seed": cell.seed, "error": cell.error}
-            )
-            continue
-        actions_total += cell.stats["n_actions"]
-        if not cell.ok:
-            harness = get_harness(config)
-            actions = [FaultAction(**a) for a in cell.stats["schedule"]]
-            minimal = shrink_schedule(harness, cell.seed, actions=actions)
-            failures.append(
-                {
-                    "config": config,
-                    "seed": cell.seed,
-                    "fingerprint": cell.fingerprint,
-                    "violations": cell.stats["violations"],
-                    "schedule": cell.stats["schedule"],
-                    "minimized": [dict(vars(a)) for a in minimal],
-                    "snippet": repro_snippet(harness, cell.seed, minimal),
-                }
-            )
-    return actions_total, failures, mismatches("chaos", cells)
-
-
 @pytest.mark.parametrize("config", CONFIGS)
 def test_campaign_sweep(config):
-    actions_total, failures, moved = _sweep_config(config)
+    cells = run_matrix([SUITE.scenario(config)], SUITE.seeds, CACHE)
+    moved = mismatches("chaos", cells)  # first: leaves its artifact either way
+    failures = [
+        {"config": config, "seed": cell.seed, "error": cell.error}
+        if cell.error is not None
+        else failure_record(config, cell)
+        for cell in cells
+        if not cell.ok
+    ]
     if failures:
         existing = []
         if FAILURES_PATH.exists():
@@ -114,6 +91,7 @@ def test_campaign_sweep(config):
         )
     # The sweep must actually inject faults — an accidentally empty
     # palette would make the invariants vacuously green.
+    actions_total = sum(cell.stats["n_actions"] for cell in cells)
     assert actions_total >= SEEDS_PER_CONFIG, (
         f"{config}: only {actions_total} fault actions over "
         f"{SEEDS_PER_CONFIG} seeds — campaign is not exercising faults"
@@ -133,32 +111,16 @@ def test_suite_cache_reuses_builds():
     cache = BuildCache()
     spec = SUITE.scenario("pbft")
     run_matrix([spec], SUITE.seeds[:2], cache)
-    # Second seed reuses the harness and the compiled invariant set.
+    # Second seed reuses the resolved case and the compiled invariant set.
     assert cache.stats()["hits"] >= 2
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_no_fault_campaign_is_byte_identical(config):
     """Chaos layer armed with zero faults == chaos layer absent."""
-    harness = get_harness(config)
-    wrapped = harness.run(SEED_BASE, actions=[])
-    bare = harness.run(SEED_BASE, actions=[], chaos=False)
+    case = chaos_case(config)
+    wrapped = case.run(SEED_BASE, actions=[])
+    bare = case.run(SEED_BASE, actions=[], chaos=False)
     assert wrapped.ok and bare.ok
     assert wrapped.stats == bare.stats
     assert wrapped.fingerprint() == bare.fingerprint()
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    for config in CONFIGS:
-        actions_total, failures, moved = _sweep_config(config)
-        status = "ok" if not failures + moved else f"{len(failures + moved)} FAILURES"
-        print(
-            f"{config:8s} seeds={SEEDS_PER_CONFIG} actions={actions_total} {status}"
-        )
-        for failure in failures:
-            print(failure.get("snippet", failure.get("error", "")))
-    print("cache:", CACHE.stats())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

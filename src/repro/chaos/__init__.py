@@ -3,11 +3,12 @@
 The campaign turns "as many fault scenarios as you can imagine" into a
 seeded pipeline::
 
-    from repro.chaos import get_harness, shrink_schedule
+    from repro.chaos import chaos_case, shrink_schedule
 
-    result = get_harness("spider").run(seed=7)       # one seeded case
+    case = chaos_case("spider")                      # one row of CASES
+    result = case.run(seed=7)                        # one seeded run
     if not result.ok:
-        minimal = shrink_schedule(get_harness("spider"), 7)
+        minimal = shrink_schedule(case, 7)
         # -> a FaultAction literal to check in as a regression test
 
 ``python -m repro.experiments chaos`` sweeps seeds over every stack
@@ -33,21 +34,20 @@ Public API in one breath
   PBFT state transfer, timer re-arm) — see ``docs/architecture.md``.
 * :class:`ChaosProfile` / :func:`generate_schedule` — what a stack
   tolerates, and the seeded draw of a schedule inside that budget.
-* :data:`HARNESSES` / :func:`get_harness` — the runnable stack
-  configurations; each ``run(seed)`` is a pure function of its inputs.
+* :data:`CASES` / :func:`chaos_case` — the fourteen configurations as
+  one table of frozen :class:`ChaosCase` records (a stack rig from
+  :mod:`repro.chaos.rigs`, its knobs, its fault plan) and the one lookup
+  that names a cell; ``chaos_case(name, **overrides).run(seed)`` is a
+  pure function of its inputs, and an override the case does not declare
+  is a :class:`~repro.errors.ConfigurationError`.
 * :func:`check_*` — evidence-level invariant checkers (see
   :mod:`repro.chaos.invariants`); :func:`shrink_schedule` /
-  :func:`repro_snippet` — ddmin minimisation and regression snippets.
+  :func:`failure_record` / :func:`repro_snippet` — ddmin minimisation,
+  the failure artifact entry and regression snippets.
 """
 
 from repro.chaos.actions import ChaosEngine, FaultAction, NET_KINDS, NODE_KINDS
-from repro.chaos.harnesses import (
-    CampaignResult,
-    HARNESSES,
-    HARNESS_KINDS,
-    get_harness,
-    make_harness,
-)
+from repro.chaos.cases import CASES, CampaignResult, ChaosCase, chaos_case
 from repro.chaos.invariants import (
     INVARIANTS,
     check_client_fifo,
@@ -65,7 +65,7 @@ from repro.chaos.schedule import (
     generate_schedule,
     overlapping_windows,
 )
-from repro.chaos.shrink import repro_snippet, shrink_schedule
+from repro.chaos.shrink import failure_record, repro_snippet, shrink_schedule
 
 __all__ = [
     "FaultAction",
@@ -77,11 +77,11 @@ __all__ = [
     "format_schedule",
     "overlapping_windows",
     "CampaignResult",
-    "HARNESSES",
-    "HARNESS_KINDS",
-    "get_harness",
-    "make_harness",
+    "ChaosCase",
+    "CASES",
+    "chaos_case",
     "shrink_schedule",
+    "failure_record",
     "repro_snippet",
     "INVARIANTS",
     "resolve_invariants",

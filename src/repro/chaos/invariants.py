@@ -328,9 +328,9 @@ def check_reshard_handover(
 # Name registry (scenario specs refer to checkers by these names)
 # ----------------------------------------------------------------------
 #: Declarative names for the checkers above.  ``ScenarioSpec.invariants``
-#: entries resolve here; the chaos harnesses declare their obligations
-#: (``StackHarness.invariant_names``) in the same vocabulary, so a suite
-#: file and the code that enforces it cannot drift apart silently.
+#: entries resolve here; every row of the chaos table declares its
+#: obligations (``ChaosCase.invariants``) in the same vocabulary, so a
+#: suite file and the code that enforces it cannot drift apart silently.
 INVARIANTS: Dict[str, Callable[..., List[str]]] = {
     "sequence-agreement": check_sequence_agreement,
     "exactly-once": check_exactly_once,

@@ -9,17 +9,17 @@ check the snippet in as a test, fix the bug, keep the test forever*.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.chaos.actions import FaultAction
-from repro.chaos.harnesses import CampaignResult, StackHarness
+from repro.chaos.cases import CampaignResult, ChaosCase, chaos_case
 from repro.chaos.schedule import format_schedule
 
-__all__ = ["shrink_schedule", "repro_snippet"]
+__all__ = ["shrink_schedule", "failure_record", "repro_snippet"]
 
 
 def shrink_schedule(
-    harness: StackHarness,
+    harness: ChaosCase,
     seed: int,
     actions: Optional[Sequence[FaultAction]] = None,
     max_trials: int = 64,
@@ -50,18 +50,36 @@ def shrink_schedule(
     return current
 
 
-def repro_snippet(harness: StackHarness, seed: int, actions: Sequence[FaultAction]) -> str:
+def failure_record(config: str, cell: Any) -> Dict[str, Any]:
+    """The failure-artifact entry of one violating suite cell of ``config``
+    (a :class:`~repro.scenarios.CellResult`): what ran, what broke, the
+    shrunk schedule and its paste-able regression."""
+    case = chaos_case(config)
+    actions = [FaultAction(**action) for action in cell.stats["schedule"]]
+    minimal = shrink_schedule(case, cell.seed, actions=actions)
+    return {
+        "config": config,
+        "seed": cell.seed,
+        "fingerprint": cell.fingerprint,
+        "violations": cell.stats["violations"],
+        "schedule": cell.stats["schedule"],
+        "minimized": [dict(vars(action)) for action in minimal],
+        "snippet": repro_snippet(case, cell.seed, minimal),
+    }
+
+
+def repro_snippet(harness: ChaosCase, seed: int, actions: Sequence[FaultAction]) -> str:
     """A regression-test body replaying the minimized schedule."""
     result: CampaignResult = harness.run(seed, actions=list(actions))
     status = "FAILS" if result.violations else "passes"
     lines = [
         f"# chaos repro: config={harness.name!r} seed={seed} ({status} at generation time)",
-        "from repro.chaos import FaultAction, get_harness",
+        "from repro.chaos import FaultAction, chaos_case",
         "",
         f"ACTIONS = {format_schedule(actions)}",
         "",
         "def test_minimized_chaos_repro():",
-        f"    result = get_harness({harness.name!r}).run({seed}, actions=ACTIONS)",
+        f"    result = chaos_case({harness.name!r}).run({seed}, actions=ACTIONS)",
         "    assert result.violations == []",
     ]
     return "\n".join(lines)

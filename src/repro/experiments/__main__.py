@@ -11,7 +11,7 @@ Usage::
 
 Experiments: fig7, fig8, fig9_modularity, fig9_irmc, fig10, fig11, chaos.
 ``--configs`` narrows the chaos campaign to a comma-separated subset of
-its stack configurations (see ``repro.chaos.HARNESSES``).
+its stack configurations (see ``repro.chaos.CASES``).
 
 ``suite`` runs a declarative scenario suite (``.yaml``/``.json``; see
 ``docs/experiments.md``): the file is validated before any node exists,

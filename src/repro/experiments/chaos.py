@@ -27,7 +27,7 @@ import json
 import pathlib
 from typing import List, Optional, Sequence
 
-from repro.chaos import FaultAction, get_harness, repro_snippet, shrink_schedule
+from repro.chaos import FaultAction, failure_record
 from repro.chaos.schedule import format_schedule
 from repro.experiments.common import ExperimentResult
 from repro.scenarios import BuildCache, load_suite, run_matrix
@@ -78,20 +78,7 @@ def run(
             if cell.ok:
                 continue
             failing.append(cell.seed)
-            harness = get_harness(config)
-            actions = [FaultAction(**a) for a in cell.stats["schedule"]]
-            minimal = shrink_schedule(harness, cell.seed, actions=actions)
-            all_failures.append(
-                {
-                    "config": config,
-                    "seed": cell.seed,
-                    "fingerprint": cell.fingerprint,
-                    "violations": cell.stats["violations"],
-                    "schedule": cell.stats["schedule"],
-                    "minimized": [dict(vars(a)) for a in minimal],
-                    "snippet": repro_snippet(harness, cell.seed, minimal),
-                }
-            )
+            all_failures.append(failure_record(config, cell))
         result.add_row(
             config=config,
             seeds=per_config,

@@ -24,7 +24,7 @@ class BuildCache:
     """Keyed memoisation with hit/miss accounting.
 
     Keys are ``(kind, key)`` pairs where ``kind`` names the ingredient
-    family (``"harness"``, ``"plan"``, ``"invariants"``...) and ``key``
+    family (``"case"``, ``"plan"``, ``"invariants"``...) and ``key``
     is a structural fingerprint (plus a seed, for seeded ingredients).
     """
 

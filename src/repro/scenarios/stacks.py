@@ -10,9 +10,9 @@ back without a cycle).
 
 Built-in here:
 
-* ``chaos``    — one chaos-campaign cell: builds the named harness
-  configuration declaratively (:func:`repro.chaos.make_harness`), derives
-  or replays the fault schedule, runs it, reports violations.
+* ``chaos``    — one chaos-campaign cell: looks the named configuration
+  up (:func:`repro.chaos.chaos_case`, with the scenario's overrides),
+  derives or replays the fault schedule, runs it, reports violations.
 * ``overload`` — the flash-crowd A/B body: replay a precomputed
   open-loop plan against the spec's cluster topology (with or without a
   middleware chain) and summarise latency/backlog/SLO counters.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Dict, TYPE_CHECKING
 
-from repro.chaos.harnesses import make_harness
+from repro.chaos.cases import chaos_case
 from repro.chaos.invariants import resolve_invariants
 from repro.errors import ConfigurationError
 
@@ -84,39 +84,35 @@ def resolve_stack(name: str):
 # chaos
 # ======================================================================
 class ChaosStack:
-    """One chaos-campaign cell, built declaratively.
+    """One chaos-campaign cell: a row of :data:`repro.chaos.CASES`.
 
-    ``params.config`` names a harness kind (:data:`repro.chaos.
-    HARNESS_KINDS`); ``scale`` entries override run-scale knobs (ops,
-    settle_ms...); the ``faults`` fragment overrides the palette, budget
-    and windows.  The spec's ``invariants`` must match the harness's
-    declared obligations exactly — the suite file documents what the run
-    enforces, and cannot claim more or less than the code does.
+    ``params.config`` names the row; ``scale`` entries override its
+    run-scale knobs (ops, settle_ms...); the ``faults`` fragment
+    overrides the palette, budget and windows.  Only knobs the row
+    declares are accepted.  The spec's ``invariants`` must match the
+    row's declared obligations exactly — the suite file documents what
+    the run enforces, and cannot claim more or less than the code does.
     """
 
     name = "chaos"
 
-    def _harness(self, spec: "ScenarioSpec"):
-        config = spec.params_dict().get("config")
+    def _case(self, spec: "ScenarioSpec"):
         overrides = dict(spec.scale)
         faults = spec.faults
         if faults is not None:
             if faults.palette:
-                overrides["fault_kinds"] = list(faults.palette)
-            if faults.max_actions is not None:
-                overrides["max_actions"] = faults.max_actions
-            if faults.min_start_ms is not None:
-                overrides["min_start_ms"] = faults.min_start_ms
-            if faults.horizon_ms is not None:
-                overrides["horizon_ms"] = faults.horizon_ms
-        return make_harness(config, **overrides)
+                overrides["fault_kinds"] = faults.palette
+            for knob in ("max_actions", "min_start_ms", "horizon_ms"):
+                if getattr(faults, knob) is not None:
+                    overrides[knob] = getattr(faults, knob)
+        return chaos_case(spec.params_dict().get("config"), **overrides)
 
     def validate(self, spec: "ScenarioSpec") -> None:
         params = spec.params_dict()
         if "config" not in params:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: the chaos stack needs "
-                "params.config (a harness kind name)"
+                "params.config (a chaos config name)"
             )
         unknown = set(params) - {"config"}
         if unknown:
@@ -133,22 +129,19 @@ class ChaosStack:
                 f"scenario {spec.name!r}: chaos configurations carry their "
                 "workload in 'scale' knobs; omit 'workload'"
             )
-        harness = self._harness(spec)  # raises on unknown config/knobs
-        harness.validate_knobs()  # raises on malformed knob values
+        case = self._case(spec)  # raises on unknown config, knobs, bad values
         declared = tuple(sorted(spec.invariants))
-        expected = tuple(sorted(harness.invariant_names))
+        expected = tuple(sorted(case.invariants))
         if declared != expected:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: invariants {list(declared)} do not "
-                f"match config {harness.name!r} obligations {list(expected)}"
+                f"match config {case.name!r} obligations {list(expected)}"
             )
 
     def run(self, spec: "ScenarioSpec", seed: int, cache: "BuildCache") -> Dict[str, Any]:
         fingerprint = spec.fingerprint()
-        harness = cache.get_or_build(
-            "harness", fingerprint, lambda: self._harness(spec)
-        )
-        # The compiled checker tuple is what the harness's run() enforces;
+        case = cache.get_or_build("case", fingerprint, lambda: self._case(spec))
+        # The compiled checker tuple is what the case's run() enforces;
         # compiling it through the cache pins the name->checker resolution
         # once per distinct invariant set across the whole matrix.
         cache.get_or_build(
@@ -163,11 +156,11 @@ class ChaosStack:
             schedule = cache.get_or_build(
                 "schedule",
                 (fingerprint, seed),
-                lambda: harness.derive_schedule(seed),
+                lambda: case.derive_schedule(seed),
             )
-        result = harness.run(seed, actions=list(schedule))
+        result = case.run(seed, actions=list(schedule))
         return {
-            "config": harness.name,
+            "config": case.name,
             "ok": result.ok,
             "violations": list(result.violations),
             "schedule": [dict(vars(action)) for action in result.actions],
@@ -184,24 +177,22 @@ class ReshardStack(ChaosStack):
     """The elastic-keyspace campaign cell.
 
     Execution is the chaos stack's, byte for byte; the point of the
-    dedicated name is validation.  On top of the chaos checks (and the
-    harness's own ``validate_knobs`` replay, which rejects overlapping
-    ranges, unknown source/destination shards and epoch regressions via
-    :func:`repro.elastic.validate_moves`), the configuration must
-    actually carry a non-empty ``moves`` handover plan — a reshard cell
-    that silently degraded into a static-topology chaos run would claim
-    coverage it does not have.
+    dedicated name is validation.  On top of the chaos checks (the
+    lookup replays the plan through :func:`repro.elastic.validate_moves`,
+    which rejects overlapping ranges, unknown source/destination shards
+    and epoch regressions), the configuration must actually carry a
+    ``moves`` handover plan — a reshard cell that silently degraded into
+    a static-topology chaos run would claim coverage it does not have.
     """
 
     name = "reshard"
 
     def validate(self, spec: "ScenarioSpec") -> None:
         super().validate(spec)
-        harness = self._harness(spec)
-        if not getattr(harness, "moves", None):
+        if self._case(spec).moves is None:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: the reshard stack needs a chaos "
-                "config carrying a non-empty 'moves' handover plan"
+                "config carrying a 'moves' handover plan"
             )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ChaosEngine, FaultAction, generate_schedule, get_harness
+from repro.chaos import ChaosEngine, FaultAction, chaos_case, generate_schedule
 from repro.chaos.schedule import ChaosProfile
 from repro.faults import (
     DelayBehaviour,
@@ -242,7 +242,7 @@ class TestNoFaultParity:
 
     @pytest.mark.parametrize("config", ["pbft", "raft", "irmc-rc", "irmc-sc", "spider"])
     def test_empty_campaign_matches_bare_run(self, config):
-        harness = get_harness(config)
+        harness = chaos_case(config)
         wrapped = harness.run(3, actions=[])
         bare = harness.run(3, actions=[], chaos=False)
         assert wrapped.ok and bare.ok
@@ -254,7 +254,7 @@ class TestShrinker:
     def test_shrinks_to_the_single_guilty_action(self):
         from repro.chaos import shrink_schedule
 
-        harness = get_harness("spider")
+        harness = chaos_case("spider")
         guilty = FaultAction(kind="partition", target="tokyo", start_ms=3000.0, duration_ms=1e9)
         innocent = [
             FaultAction(kind="delay", target="ag1", start_ms=2000.0, duration_ms=1000.0, param=50.0),
@@ -262,3 +262,46 @@ class TestShrinker:
         ]
         minimal = shrink_schedule(harness, 5, actions=[innocent[0], guilty, innocent[1]])
         assert minimal == [guilty]
+
+    def test_emitted_snippet_runs_as_pasted(self):
+        """The regression body ``repro_snippet`` prints must execute
+        verbatim — imports, lookup name and all."""
+        from repro.chaos import repro_snippet
+
+        actions = [
+            FaultAction(kind="delay", target="r1", start_ms=500.0, duration_ms=300.0, param=40.0),
+        ]
+        snippet = repro_snippet(chaos_case("pbft"), 4, actions)
+        assert "passes at generation time" in snippet
+        namespace: dict = {}
+        exec(snippet, namespace)
+        namespace["test_minimized_chaos_repro"]()
+
+    def test_failure_record_of_a_violating_cell(self):
+        """One helper builds the failure-artifact entry for the sweep and
+        the CLI alike: the cell as run, the shrunk schedule, the snippet."""
+        from repro.chaos import failure_record
+        from repro.scenarios import ScenarioSpec, run_matrix
+
+        wedge = [
+            {"kind": "block_link", "target": f"r{i}->r3", "start_ms": 500.0, "duration_ms": 1e9}
+            for i in range(3)
+        ]
+        innocent = {"kind": "delay", "target": "r1", "start_ms": 600.0, "duration_ms": 200.0, "param": 30.0}
+        spec = ScenarioSpec.of(
+            name="pbft",
+            stack="chaos",
+            params={"config": "pbft"},
+            faults={"actions": wedge + [innocent]},
+            invariants=["sequence-agreement", "exactly-once", "completion", "recovered-frontier"],
+        )
+        [cell] = run_matrix([spec], [2])
+        assert cell.error is None and not cell.ok
+        record = failure_record("pbft", cell)
+        assert sorted(record) == [
+            "config", "fingerprint", "minimized", "schedule", "seed",
+            "snippet", "violations",
+        ]
+        assert record["schedule"] == cell.stats["schedule"]
+        assert innocent not in record["minimized"] and record["minimized"]
+        assert "FAILS at generation time" in record["snippet"]

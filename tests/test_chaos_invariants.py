@@ -16,7 +16,7 @@ from repro.chaos import (
     check_exactly_once,
     check_journal_agreement,
     check_sequence_agreement,
-    get_harness,
+    chaos_case,
 )
 from repro.consensus.pbft.messages import PrePrepare
 from repro.crypto.primitives import attach_auth, make_mac_vector
@@ -68,7 +68,7 @@ class TestLivenessMutations:
     """End-to-end: schedules that genuinely break liveness must be caught."""
 
     def test_permanent_partition_is_reported(self):
-        harness = get_harness("spider")
+        harness = chaos_case("spider")
         never_heals = FaultAction(
             kind="partition", target="tokyo", start_ms=3_000.0, duration_ms=1e9
         )
@@ -76,7 +76,7 @@ class TestLivenessMutations:
         assert any("liveness" in violation for violation in result.violations)
 
     def test_beyond_budget_crashes_are_reported(self):
-        harness = get_harness("spider")
+        harness = chaos_case("spider")
         result = harness.run(
             3,
             actions=[
@@ -87,7 +87,7 @@ class TestLivenessMutations:
         assert any("liveness" in violation for violation in result.violations)
 
     def test_wedged_pbft_minority_is_reported(self):
-        harness = get_harness("pbft")
+        harness = chaos_case("pbft")
         result = harness.run(
             2,
             actions=[

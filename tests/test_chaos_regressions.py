@@ -281,7 +281,7 @@ class TestChaosMinimizedReplays:
         r3's view race ahead during lone timeouts; it then discarded all
         current-view traffic forever.  Fixed by commit-certificate
         adoption (2f+1 matching commits deliver in any view)."""
-        from repro.chaos import FaultAction, get_harness
+        from repro.chaos import FaultAction, chaos_case
 
         actions = [
             FaultAction(
@@ -292,14 +292,14 @@ class TestChaosMinimizedReplays:
                 param=0.281,
             ),
         ]
-        result = get_harness("pbft").run(15, actions=actions)
+        result = chaos_case("pbft").run(15, actions=actions)
         assert result.violations == []
 
     def test_pbft_seed_38_blocked_leader_link(self):
         """chaos repro: config='pbft' seed=38 — one blocked leader->replica
         link for 786 ms wedged the replica permanently (fetch suppressed
         while its never-completing lone view change was in progress)."""
-        from repro.chaos import FaultAction, get_harness
+        from repro.chaos import FaultAction, chaos_case
 
         actions = [
             FaultAction(
@@ -309,7 +309,7 @@ class TestChaosMinimizedReplays:
                 duration_ms=785.819,
             ),
         ]
-        result = get_harness("pbft").run(38, actions=actions)
+        result = chaos_case("pbft").run(38, actions=actions)
         assert result.violations == []
 
 

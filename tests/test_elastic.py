@@ -203,14 +203,13 @@ def test_validate_moves_rejects_malformed_plans(moves, message):
 def _reshard_spec(**scale) -> ScenarioSpec:
     fields = dict(
         move_at_ms=4000.0, movers=1, requests_per_session=2,
-        sessions_per_shard=1, shard_ids=["sa", "sb"],
+        sessions_per_shard=1,
     )
     fields.update(scale)
     return ScenarioSpec.of(
         name="probe",
         stack="reshard",
         params={"config": "spider-reshard"},
-        faults={"palette": ["crash"], "max_actions": 1},
         invariants=[
             "journal-agreement", "exactly-once", "journal-subsequence",
             "completion", "state-completion", "client-fifo",

@@ -10,19 +10,26 @@ from __future__ import annotations
 
 import pytest
 
+import repro.chaos.cases
+import repro.chaos.rigs
 import repro.deploy
+from repro.chaos import CASES
 from repro.errors import ConfigurationError
 from repro.scenarios import ScenarioSpec, load_suite, suite_from_dict
 
 
 @pytest.fixture(autouse=True)
 def _no_nodes_may_exist(monkeypatch):
-    """Validation must never build anything: poison the deploy entrypoint."""
+    """Validation must never build anything: poison the deploy entrypoint
+    (also under the name the chaos rigs bound it to) and the simulator
+    every chaos run starts from."""
 
     def _forbidden(*args, **kwargs):  # pragma: no cover - only on regression
         raise AssertionError("validation must not build a cluster")
 
     monkeypatch.setattr(repro.deploy, "build", _forbidden)
+    monkeypatch.setattr(repro.chaos.rigs, "build", _forbidden)
+    monkeypatch.setattr(repro.chaos.cases, "Simulator", _forbidden)
     yield
 
 
@@ -113,6 +120,88 @@ _FLASH = {
     "write_fraction": 0.5, "base_rate": 100.0, "flash_rate": 500.0,
     "flash_start_ms": 200.0, "flash_end_ms": 400.0, "duration_ms": 600.0,
 }
+
+
+# ----------------------------------------------------------------------
+# chaos overrides: only what the case's rig or schedule reads, in range
+# ----------------------------------------------------------------------
+def _case_spec(config: str, **changes) -> ScenarioSpec:
+    return ScenarioSpec.of(
+        name="probe",
+        stack="chaos",
+        params={"config": config},
+        invariants=CASES[config].invariants,
+        **changes,
+    )
+
+
+_TARGETED = [name for name, case in CASES.items() if case.schedule is not None]
+
+
+@pytest.mark.parametrize(
+    "config, changes",
+    [
+        # topology constants are not knobs (used to die mid-run: KeyError)
+        ("spider-shard", {"scale": {"shard_ids": ["sa"]}}),
+        ("spider-shard", {"scale": {"shard_ids": ["sa", "sb", "sc"]}}),
+        ("spider-shard", {"scale": {"exec_groups": {"sa": "x0", "sb": "y0"}}}),
+        ("spider-reshard", {"scale": {"shard_regions": {"sa": "tokyo", "sb": "tokyo"}}}),
+        ("pbft", {"scale": {"n": 7}}),
+        # accepted and silently ignored before: the case never reads them
+        ("pbft", {"scale": {"partition_regions": ["mars"]}}),
+        ("raft", {"scale": {"partition_regions": ["mars"]}}),
+        ("pbft-wipe", {"scale": {"fault_links": 2}}),
+        ("raft-skew", {"scale": {"fault_links": 2}}),
+        ("spider-reshard", {"scale": {"latency_budget_ms": 10.0}}),
+    ]
+    + [(name, {"faults": {"palette": ["crash"]}}) for name in _TARGETED]
+    + [(name, {"faults": {"max_actions": 1}}) for name in _TARGETED],
+)
+def test_override_the_case_never_reads(config, changes):
+    [knob] = [*changes.get("scale", {}), *changes.get("faults", {})]
+    knob = {"palette": "fault_kinds"}.get(knob, knob)
+    with pytest.raises(ConfigurationError, match=f"no tunable knob '{knob}'") as err:
+        _case_spec(config, **changes).validate()
+    assert "settle_ms" in str(err.value)  # what *is* tunable is listed
+
+
+def test_six_cases_are_targeted():
+    assert sorted(_TARGETED) == [
+        "irmc-equivocate", "irmc-sc-wipe", "pbft-vc-crash", "spider-cp-crash",
+        "spider-disk", "spider-reshard",
+    ]
+
+
+@pytest.mark.parametrize(
+    "config, scale, message",
+    [
+        # used to pass validation and die with IndexError after the build
+        ("spider", {"clients": 4}, "clients must be an integer in 1..3"),
+        ("spider-disk", {"clients": 0}, "clients must be an integer in 1..3"),
+        ("pbft", {"fault_links": 13}, "fault_links must be an integer in 0..12"),
+        ("raft", {"fault_links": 7}, "fault_links must be an integer in 0..6"),
+        ("spider-reshard", {"moves": []}, "non-empty 'moves'"),
+    ],
+)
+def test_override_out_of_range(config, scale, message):
+    with pytest.raises(ConfigurationError, match=message):
+        _case_spec(config, scale=scale).validate()
+
+
+def test_every_declared_knob_accepts_its_own_default():
+    """The table is self-consistent: each case validates with every knob
+    it declares overridden to the value it already has."""
+    for name, case in CASES.items():
+        scale = {knob: getattr(case, knob) for knob in case.knobs()}
+        faults = {
+            key: scale.pop(knob)
+            for key, knob in (
+                ("palette", "fault_kinds"), ("max_actions", "max_actions"),
+                ("min_start_ms", "min_start_ms"), ("horizon_ms", "horizon_ms"),
+            )
+            if knob in scale
+        }
+        _case_spec(name, scale=scale, faults=faults).validate()
 
 
 # ----------------------------------------------------------------------
