@@ -521,8 +521,9 @@ def spider(case, sim, network) -> Rig:
     One shard (groups g0/g1) keeps the node graph byte-identical to the
     historical hand-wired deployment, so recorded sweep outcomes carry
     over."""
+    regions = {"g0": "virginia", "g1": "tokyo"}
     shard = ShardSpec(
-        "s0", groups=(GroupSpec("g0", "virginia"), GroupSpec("g1", "tokyo"))
+        "s0", groups=tuple(GroupSpec(group, region) for group, region in regions.items())
     )
     spec = ClusterSpec(
         shards=(shard,),
@@ -531,7 +532,6 @@ def spider(case, sim, network) -> Rig:
     )
     system = build(sim, spec, network=network).system
     _register_wipe_journals(system.groups.values())
-    regions = {"g0": "virginia", "g1": "tokyo"}
     clients = [
         system.make_client(f"c{i}", regions[home], group_id=home)
         for i, home in enumerate(SPIDER_CLIENT_HOMES[: case.clients])

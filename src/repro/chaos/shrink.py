@@ -19,20 +19,20 @@ __all__ = ["shrink_schedule", "failure_record", "repro_snippet"]
 
 
 def shrink_schedule(
-    harness: ChaosCase,
+    case: ChaosCase,
     seed: int,
     actions: Optional[Sequence[FaultAction]] = None,
     max_trials: int = 64,
 ) -> List[FaultAction]:
-    """Minimize a failing schedule for ``(harness, seed)``.
+    """Minimize a failing schedule for ``(case, seed)``.
 
     Returns the shrunk action list; if the full schedule does not fail
     (flaky report), it is returned unchanged.
     """
     if actions is None:
-        actions = harness.run(seed).actions
+        actions = case.run(seed).actions
     current = list(actions)
-    if not harness.run(seed, actions=current).violations:
+    if not case.run(seed, actions=current).violations:
         return current
     trials = 0
     improved = True
@@ -41,7 +41,7 @@ def shrink_schedule(
         for index in range(len(current)):
             trial = current[:index] + current[index + 1 :]
             trials += 1
-            if harness.run(seed, actions=trial).violations:
+            if case.run(seed, actions=trial).violations:
                 current = trial
                 improved = True
                 break
@@ -68,18 +68,18 @@ def failure_record(config: str, cell: Any) -> Dict[str, Any]:
     }
 
 
-def repro_snippet(harness: ChaosCase, seed: int, actions: Sequence[FaultAction]) -> str:
+def repro_snippet(case: ChaosCase, seed: int, actions: Sequence[FaultAction]) -> str:
     """A regression-test body replaying the minimized schedule."""
-    result: CampaignResult = harness.run(seed, actions=list(actions))
+    result: CampaignResult = case.run(seed, actions=list(actions))
     status = "FAILS" if result.violations else "passes"
     lines = [
-        f"# chaos repro: config={harness.name!r} seed={seed} ({status} at generation time)",
+        f"# chaos repro: config={case.name!r} seed={seed} ({status} at generation time)",
         "from repro.chaos import FaultAction, chaos_case",
         "",
         f"ACTIONS = {format_schedule(actions)}",
         "",
         "def test_minimized_chaos_repro():",
-        f"    result = chaos_case({harness.name!r}).run({seed}, actions=ACTIONS)",
+        f"    result = chaos_case({case.name!r}).run({seed}, actions=ACTIONS)",
         "    assert result.violations == []",
     ]
     return "\n".join(lines)

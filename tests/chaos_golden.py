@@ -15,12 +15,13 @@ Re-record (only for a change that moves simulated results by design)::
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from typing import Any, Dict, Iterable, List
 
 from repro.crypto.costs import CostModel, use_cost_model
-from repro.scenarios import BuildCache, load_suite, run_matrix
+from repro.scenarios import load_suite, run_matrix
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_PATH = _ROOT / "tests" / "chaos_golden.json"
@@ -45,7 +46,7 @@ def mismatches(suite: str, cells: Iterable) -> List[str]:
     Returns one line per moved cell and leaves the expected/actual pairs
     in :data:`MISMATCH_PATH` (merged with what earlier calls found).
     """
-    golden = json.loads(GOLDEN_PATH.read_text())[suite]
+    golden = _golden()[suite]
     moved = {}
     for cell in cells:
         expected = golden[cell.scenario][str(cell.seed)]
@@ -56,27 +57,37 @@ def mismatches(suite: str, cells: Iterable) -> List[str]:
                 "actual": actual,
             }
     if moved:
-        if MISMATCH_PATH.exists():
-            moved = {**json.loads(MISMATCH_PATH.read_text()), **moved}
-        MISMATCH_PATH.write_text(json.dumps(moved, indent=1, sort_keys=True))
+        earlier = json.loads(MISMATCH_PATH.read_text()) if MISMATCH_PATH.exists() else {}
+        MISMATCH_PATH.write_text(
+            json.dumps({**earlier, **moved}, indent=1, sort_keys=True)
+        )
     return sorted(moved)
+
+
+@functools.lru_cache(maxsize=None)
+def _golden() -> Dict[str, Any]:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def suite_spec(suite: str):
+    """The loaded (and validated) suite file behind ``suite``."""
+    return load_suite(SUITE_PATHS[suite])
 
 
 def run_cells(suite: str, scenario: str, seeds=None, cache=None) -> List:
     """Execute ``scenario`` of ``suite`` under the default cost model."""
-    spec_suite = load_suite(SUITE_PATHS[suite])
+    spec = suite_spec(suite)
     with use_cost_model(CostModel()):
         return run_matrix(
-            [spec_suite.scenario(scenario)],
-            spec_suite.seeds if seeds is None else seeds,
-            cache if cache is not None else BuildCache(),
+            [spec.scenario(scenario)], spec.seeds if seeds is None else seeds, cache
         )
 
 
 def _record_all() -> None:  # pragma: no cover - manual entry point
     golden: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for suite, path in SUITE_PATHS.items():
-        for spec in load_suite(path).scenarios:
+    for suite in SUITE_PATHS:
+        for spec in suite_spec(suite).scenarios:
             golden.setdefault(suite, {})[spec.name] = {
                 str(cell.seed): record(cell)
                 for cell in run_cells(suite, spec.name)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios import load_suite
-
-from tests.chaos_golden import SUITE_PATHS, mismatches, run_cells
+from tests.chaos_golden import SUITE_PATHS, mismatches, run_cells, suite_spec
 
 SCENARIOS = [
     (suite, spec.name)
-    for suite, path in sorted(SUITE_PATHS.items())
-    for spec in load_suite(path).scenarios
+    for suite in sorted(SUITE_PATHS)
+    for spec in suite_spec(suite).scenarios
 ]
 
 
