@@ -12,9 +12,11 @@ single client to check the "never waits" side.
 
 Recorded results (seed 7, costs x10, 6 s runs):
 
-    8 clients/region   batch_size  1:   ~90 writes/s   p50 ~335 ms
-                       default  (64):  ~254 writes/s   p50 ~121 ms
-                       largest batch 16 of 64
+    8 clients/region   batch_size  1:   ~89 writes/s   p50 ~333 ms
+                       default  (64):  ~295 writes/s   p50  ~52 ms
+                       largest batch 20 of 64
+                       (~254 writes/s, ~121 ms, 16 before IRMC Sends were
+                       corked: the execution replicas sign per bundle now)
     1 client (Tokyo)   both: identical latency samples
 """
 

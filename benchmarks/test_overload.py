@@ -28,11 +28,14 @@ Results go to ``benchmarks/BENCH_overload.json`` (uploaded by the
 perf-smoke CI job).  Recorded results (seed 11, flash window 2.0-3.5 s
 at 4000 ops/s offered, ~6900 ops total):
 
-    baseline: flash-window write p99 ~8200 ms, peak backlog ~2500 ops
-    armed:    flash-window write p99  ~410 ms, peak backlog    64 ops
-              (= 2 shards x admission depth 32), ~2300 ops shed as
-              ``Rejected(overload)``, ~1460 hot reads served from the
+    baseline: flash-window write p99 ~2270 ms, peak backlog ~1580 ops
+    armed:    flash-window write p99  ~170 ms, peak backlog    64 ops
+              (= 2 shards x admission depth 32), ~1420 ops shed as
+              ``Rejected(overload)``, ~1350 hot reads served from the
               cache, and offered == completed + served + shed exactly
+
+(with one RSA signature per forwarded request, before IRMC Sends were
+corked: ~7000 / ~2400 and ~325 / 64, ~2220 shed)
 
 Run directly for the table::
 

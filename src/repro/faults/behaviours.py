@@ -234,7 +234,8 @@ class EquivocateBehaviour(Behaviour):
     each variant carrying a **valid** authenticator for its receiver —
     a MAC-vector entry computed with the sender's own keys (PBFT
     ``PrePrepare``) or a fresh signature over the forged body (IRMC
-    ``SendMsg``).  Every receiver's crypto check passes, yet no two
+    ``SendMsg``, or a ``SendsMsg`` bundle with every chosen entry
+    forged).  Every receiver's crypto check passes, yet no two
     halves of the group saw the same bytes; only the quorum logic
     (PBFT's 2f+1 matching prepares / commit-certificate intersection,
     IRMC's fs+1 matching first-copies) can catch the lie.
@@ -263,6 +264,7 @@ class EquivocateBehaviour(Behaviour):
         self._decisions: Dict[Any, bool] = {}
         self._pre_prepare_cls: Optional[type] = None
         self._send_msg_cls: Optional[type] = None
+        self._sends_msg_cls: Optional[type] = None
 
     def _on_install(self) -> None:
         if self.rng is None:
@@ -270,10 +272,11 @@ class EquivocateBehaviour(Behaviour):
         # Lazy protocol imports keep this low-level module free of
         # load-time dependencies on the consensus/channel layers.
         from repro.consensus.pbft.messages import PrePrepare
-        from repro.irmc.messages import SendMsg
+        from repro.irmc.messages import SendMsg, SendsMsg
 
         self._pre_prepare_cls = PrePrepare
         self._send_msg_cls = SendMsg
+        self._sends_msg_cls = SendsMsg
 
     def _decide(self, key: Any) -> bool:
         decision = self._decisions.get(key)
@@ -315,6 +318,18 @@ class EquivocateBehaviour(Behaviour):
                 return None
             forged = ("__equivocation__", node.name, message.position)
             body = dataclass_replace(message, payload=forged, signature=None)
+            return attach_auth(body, signature=sign(node.name, body))
+        if isinstance(message, self._sends_msg_cls):
+            # The same per-position decision a lone SendMsg would get.
+            entries = tuple(
+                (subchannel, position, ("__equivocation__", node.name, position), window)
+                if self._decide(("send", message.tag, subchannel, position))
+                else (subchannel, position, payload, window)
+                for subchannel, position, payload, window in message.entries
+            )
+            if entries == message.entries or not self._lied_to(dst):
+                return None
+            body = dataclass_replace(message, entries=entries, signature=None)
             return attach_auth(body, signature=sign(node.name, body))
         return None
 

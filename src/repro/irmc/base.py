@@ -14,6 +14,15 @@ receiver replicas in another region (paper Section 3.2).  Key semantics:
   ``f_s + 1`` sender endpoints request it.  A sender's request rides on
   its Sends (signed ``window`` field) and one :class:`MovesMsg` heartbeat
   per receiver; a one-entry :class:`MovesMsg` is for when no Send can.
+* **Cork** — an endpoint that wants to emit (an RC Send, a receiver's
+  window Move) while older work is queued on its node's CPU appends the
+  emission to a list and queues one flush task behind that work; the
+  flush authenticates once for everything corked by then and sends one
+  wire message per remote endpoint.  With nothing queued the emission
+  leaves at once, as a plain :class:`SendMsg` / :class:`MoveMsg`.  No
+  timer is involved: the CPU queue is FIFO, so the flush runs after
+  finitely many older tasks, and a crash that empties the queue has the
+  recovery hook queue it again.
 * **TooOld** — operations on positions below the window resolve with a
   :class:`TooOld` marker carrying the new lower bound, which is how trailing
   replicas learn they must fetch a checkpoint.
@@ -143,6 +152,8 @@ class IrmcEndpoint(Component):
         self.window_start: Dict[Any, int] = {}
         #: bounded FIFO of retired subchannels (insertion-ordered dict)
         self._retired: Dict[Any, None] = {}
+        #: emissions waiting for the flush task queued behind older CPU work
+        self._corked: List[Any] = []
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
@@ -158,12 +169,15 @@ class IrmcEndpoint(Component):
             self._retired.pop(next(iter(self._retired)))
 
     def _on_node_recover(self) -> None:
-        """Re-arm endpoint timer chains after a node crash/recover.
+        """Re-arm what the crash took from the CPU and timer queues.
 
         Timer callbacks dropped while the node was crashed break the
-        heartbeat/timeout chains permanently; subclasses override this to
-        restart theirs.  Base endpoints own no timers.
+        heartbeat/timeout chains permanently; subclasses extend this to
+        restart theirs.  The base owns the cork's flush task: the crash
+        emptied the CPU queue, the corked emissions survived it.
         """
+        if self._corked:
+            self.node.run_task(self._uncork)
 
     def _on_node_wipe(self) -> None:
         """Durable-state loss: every channel book reboots empty.
@@ -178,6 +192,30 @@ class IrmcEndpoint(Component):
         """
         self.window_start.clear()
         self._retired.clear()
+        self._corked.clear()
+
+    # ------------------------------------------------------------------
+    # Cork
+    # ------------------------------------------------------------------
+    def _cork(self, entry: Any) -> None:
+        """Emit ``entry``: now if this node's CPU queue is empty, else in
+        the one flush queued behind the work that is ahead of us."""
+        if not self._corked and not self.node.has_queued_work:
+            self._emit([entry])
+            return
+        self._corked.append(entry)
+        if len(self._corked) == 1:
+            self.node.run_task(self._uncork)
+
+    def _uncork(self) -> None:
+        entries, self._corked = self._corked, []
+        if entries:
+            self._emit(entries)
+
+    def _emit(self, entries: List[Any]) -> None:
+        """Authenticate ``entries`` once and send them (subclass hook);
+        must drop what a window move or retirement overtook meanwhile."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Window helpers
@@ -217,6 +255,7 @@ class IrmcEndpoint(Component):
 
     def close(self) -> None:
         self.closed = True
+        self._corked.clear()
         self.node.remove_recovery_hook(self._on_node_recover)
         self.node.remove_wipe_hook(self._on_node_wipe)
         super().close()
@@ -236,10 +275,16 @@ class SenderEndpointBase(IrmcEndpoint):
         #: sends parked until the window reaches their position:
         #: subchannel -> list of (position, payload, future)
         self._parked: Dict[Any, List[Tuple[int, Any, SimFuture]]] = {}
+        #: positions accepted into the window; ``bundles_sent`` of the wire
+        #: messages that carried them held more than one (the largest,
+        #: ``largest_bundle`` of them)
         self.sent_count = 0
-        #: in-window signed wire messages kept for retransmission (the paper
-        #: assumes reliable links; Fig. 18 L. 24 garbage-collects buffered
-        #: messages only once the window moves past them).
+        self.bundles_sent = 0
+        self.largest_bundle = 0
+        #: the signed wire message that carried each in-window position,
+        #: kept for retransmission (the paper assumes reliable links;
+        #: Fig. 18 L. 24 garbage-collects buffered messages only once the
+        #: window moves past them).
         self._buffer: Dict[Any, Dict[int, Any]] = {}
         self._activity = False
         self._idle_rounds = 0
@@ -292,6 +337,7 @@ class SenderEndpointBase(IrmcEndpoint):
     def _on_node_recover(self) -> None:
         if self.closed:
             return
+        super()._on_node_recover()
         if self.config.move_heartbeat_ms > 0:
             # Cancelling a fired handle is a no-op, so this is safe whether
             # the old chain died (callback dropped while crashed) or still
@@ -341,9 +387,8 @@ class SenderEndpointBase(IrmcEndpoint):
         return future
 
     def _offer(self, subchannel: Any, position: int, payload: Any, future: SimFuture) -> None:
-        """Transmit an in-window send and keep its wire message buffered."""
-        message = self._transmit(subchannel, position, payload)
-        self._buffer.setdefault(subchannel, {})[position] = message
+        """Accept an in-window send; "ok" means accepted, not yet signed."""
+        self._transmit(subchannel, position, payload)
         self.sent_count += 1
         future.resolve("ok")
 
@@ -405,9 +450,9 @@ class SenderEndpointBase(IrmcEndpoint):
         """Drop subclass-owned books for a retired subchannel (hook)."""
 
     # -- implementation hooks ------------------------------------------
-    def _transmit(self, subchannel: Any, position: int, payload: Any) -> Any:
+    def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
         """Sign and send ``payload`` (stamped with this endpoint's own
-        Move as ``window``); returns the wire message to buffer."""
+        Move as ``window``), leaving the wire message in ``_buffer``."""
         raise NotImplementedError
 
     def _retransmit(self, subchannel: Any, position: int, message: Any) -> None:
@@ -419,22 +464,35 @@ class SenderEndpointBase(IrmcEndpoint):
         self.node.send(dst, message)
 
     # -- receiver Move processing --------------------------------------
-    def _on_receiver_move(self, message: MoveMsg) -> None:
+    def _on_receiver_move(self, message: Any) -> None:
+        """A receiver's window Moves: one :class:`MoveMsg`, or the
+        :class:`MovesMsg` of a corked round, under one MAC vector."""
         if not self._valid_move(message, self.remote_names):
             return
-        if self.is_retired(message.subchannel):
-            return
-        self._receiver_moves.record(message.subchannel, message.sender, message.position)
-        new_start = self._receiver_moves.agreed_start(message.subchannel, self.remote_names)
-        if new_start > self.start_of(message.subchannel):
+        if isinstance(message, MoveMsg):
+            moves = ((message.subchannel, message.position, message.collector),)
+        else:
+            moves = message.positions
+        for subchannel, position, collector in moves:
+            if not self.is_retired(subchannel):
+                self._note_collector(subchannel, message.sender, collector)
+                self._follow_receiver(subchannel, message.sender, position)
+
+    def _note_collector(self, subchannel: Any, receiver: str, collector: Optional[str]) -> None:
+        """A receiver's collector choice rode on its Move (IRMC-SC hook)."""
+
+    def _follow_receiver(self, subchannel: Any, receiver: str, position: int) -> None:
+        self._receiver_moves.record(subchannel, receiver, position)
+        new_start = self._receiver_moves.agreed_start(subchannel, self.remote_names)
+        if new_start > self.start_of(subchannel):
             self._activity = True
-            self.window_start[message.subchannel] = new_start
-            buffered = self._buffer.get(message.subchannel)
+            self.window_start[subchannel] = new_start
+            buffered = self._buffer.get(subchannel)
             if buffered:
                 for old in [p for p in buffered if p < new_start]:
                     del buffered[old]
-            self._garbage_collect(message.subchannel, new_start)
-            self._release_parked(message.subchannel)
+            self._garbage_collect(subchannel, new_start)
+            self._release_parked(subchannel)
 
     def _release_parked(self, subchannel: Any) -> None:
         parked = self._parked.get(subchannel)
@@ -556,16 +614,26 @@ class ReceiverEndpointBase(IrmcEndpoint):
         return future
 
     def move_window(self, subchannel: Any, position: int) -> None:
-        """Advance the local window and tell the senders (Fig. 18 L. 38-43)."""
+        """Advance the local window at once and tell the senders
+        (Fig. 18 L. 38-43) — in the cork's flush if older work is queued."""
         if self.closed or position <= self.start_of(subchannel):
             return
-        collector = self._collector_for(subchannel)
-        move = self._authenticated(
-            MoveMsg(self.tag, subchannel, position, self.node.name, collector)
-        )
+        self._cork((subchannel, position, self._collector_for(subchannel)))
+        self._advance_window(subchannel, position)
+
+    def _emit(self, entries: List[Tuple[Any, int, Optional[str]]]) -> None:
+        # A subchannel that moved twice while corked announces its last.
+        moves = {e[0]: e for e in entries if not self.is_retired(e[0])}
+        if not moves:
+            return
+        if len(moves) == 1:
+            ((subchannel, position, collector),) = moves.values()
+            body: Any = MoveMsg(self.tag, subchannel, position, self.node.name, collector)
+        else:
+            body = MovesMsg(self.tag, tuple(moves.values()), self.node.name)
+        move = self._authenticated(body)
         for sender in self.remote_group:
             self.node.send(sender, move)
-        self._advance_window(subchannel, position)
 
     # -- shared internals ----------------------------------------------
     def _collector_for(self, subchannel: Any) -> Optional[str]:

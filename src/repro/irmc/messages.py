@@ -50,9 +50,39 @@ class SendMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
+class SendsMsg(Message, Digestible):
+    """IRMC-RC: the Sends an endpoint corked behind queued CPU work, as
+    ``(subchannel, position, payload, window)`` entries under one
+    signature; each entry means what a :class:`SendMsg` of it would."""
+
+    tag: str
+    entries: Tuple[Tuple[Any, int, Any, int], ...]
+    sender: str
+    signature: Optional[Signature] = None
+
+    def signed_content(self) -> Tuple:
+        return (
+            "irmc-sends",
+            self.tag,
+            tuple(
+                (subchannel, position, cached_repr(payload), window)
+                for subchannel, position, payload, window in self.entries
+            ),
+            self.sender,
+        )
+
+    def payload_size(self) -> int:
+        return 8 + 128 + sum(
+            16 + _payload_size(payload) + (8 if window else 0)
+            for _subchannel, _position, payload, window in self.entries
+        )
+
+
+@dataclass(frozen=True)
 class MoveMsg(Message, Digestible):
     """``<Move, sc, p>`` — a receiver endpoint moved its window to ``p``
-    and asks the senders to follow (senders ask with :class:`MovesMsg`)."""
+    and asks the senders to follow (senders ask with :class:`MovesMsg`;
+    so does a receiver whose corked round moved several subchannels)."""
 
     tag: str
     subchannel: Any
@@ -78,12 +108,14 @@ class MoveMsg(Message, Digestible):
 
 @dataclass(frozen=True)
 class MovesMsg(Message, Digestible):
-    """``<Moves, (sc, p)*>`` — a sender endpoint's window Move requests
-    under one MAC vector: all of them on the heartbeat (one message per
-    receiver however many subchannels), one when no Send can carry it."""
+    """``<Moves, (sc, p)*>`` — window Moves under one MAC vector.  From a
+    sender endpoint: all its requests on the heartbeat (one message per
+    receiver however many subchannels), one when no Send can carry it.
+    From a receiver endpoint: every subchannel that moved while its
+    announcement was corked, as ``(sc, p, collector)`` entries."""
 
     tag: str
-    positions: Tuple[Tuple[Any, int], ...]
+    positions: Tuple[Tuple, ...]
     sender: str
     auth: Optional[MacVector] = None
 

@@ -73,7 +73,9 @@ class ScSenderEndpoint(SenderEndpointBase):
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def _transmit(self, subchannel: Any, position: int, payload: Any) -> SigShare:
+    def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
+        # Never corked: shares must match across senders, and each sender
+        # would draw its bundle boundaries elsewhere.
         key = (subchannel, position)
         payload_digest = digest(payload)
         self._pending[key] = (payload, payload_digest)
@@ -88,7 +90,7 @@ class ScSenderEndpoint(SenderEndpointBase):
         share = attach_auth(body, signature=sign(self.node.name, body))
         # The share is also processed locally (Fig. 19 L. 12-13).
         self.broadcast(self.local_group, share, include_self=True)
-        return share
+        self._buffer.setdefault(subchannel, {})[position] = share
 
     def _on_share(self, message: SigShare) -> None:
         if message.sender not in self.local_names:
@@ -185,15 +187,16 @@ class ScSenderEndpoint(SenderEndpointBase):
             return
         if isinstance(message, SigShare):
             self._on_share(message)
-        elif isinstance(message, MoveMsg):
-            if message.collector is not None and message.sender in self.remote_names:
-                if self._valid_move(message, self.remote_names):
-                    self._set_collector(message.subchannel, message.sender, message.collector)
+        elif isinstance(message, (MoveMsg, MovesMsg)):
             self._on_receiver_move(message)
         elif isinstance(message, SelectMsg):
             self._on_select(message)
         elif isinstance(message, RetireEcho):
             self._on_retire_echo(message)
+
+    def _note_collector(self, subchannel: Any, receiver: str, collector: Optional[str]) -> None:
+        if collector is not None:
+            self._set_collector(subchannel, receiver, collector)
 
     def _on_select(self, message: SelectMsg) -> None:
         if message.sender not in self.remote_names:
@@ -404,6 +407,7 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         """
         if self.closed:
             return
+        super()._on_node_recover()
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()

@@ -120,6 +120,11 @@ class Node:
         if not (self._dispatch_scheduled or self._executing):
             self._post_dispatch()
 
+    @property
+    def has_queued_work(self) -> bool:
+        """Whether work is waiting for this CPU behind whatever runs now."""
+        return bool(self._tasks)
+
     def _post_dispatch(self) -> None:
         # Inlined fire-and-forget schedule of ``_dispatch`` at the CPU-free
         # time: this path runs once per queued task, so it bypasses the

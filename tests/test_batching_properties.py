@@ -97,15 +97,19 @@ def write_log(replica, client_name=None):
 
 
 class TestBatchingInvariants:
+    # 18 clients are 12 + 6 per group moving in lockstep (no jitter): their
+    # requests queue behind each other on the execution replicas, so the
+    # request channel carries them as bundles.
+    @pytest.mark.parametrize("n_clients", [6, 18])
     @settings(max_examples=9, deadline=None)
     @given(
         st.integers(0, 10_000),
         st.sampled_from(CAPS),
         st.booleans(),  # mix strong reads into the stream
     )
-    def test_exactly_once_fifo_and_group_agreement(self, seed, batch_size, use_reads):
+    def test_exactly_once_fifo_and_group_agreement(self, n_clients, seed, batch_size, use_reads):
         sim, system = build_system(seed=seed, batch_size=batch_size)
-        n_clients, n_requests = 6, 4
+        n_requests = 4
         clients, replies = run_workload(sim, system, n_clients, n_requests, use_reads)
 
         # Every request completed at the client, in issue order.
@@ -113,6 +117,8 @@ class TestBatchingInvariants:
             assert len(replies[client.name]) == n_requests
 
         replicas = [r for g in system.groups.values() for r in g.replicas]
+        if n_clients == 18:
+            assert all(replica.request_tx.largest_bundle >= 2 for replica in replicas)
         for replica in replicas:
             log = write_log(replica)
             # (a) exactly once: no write applied twice at any replica.

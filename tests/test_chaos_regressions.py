@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.crypto.primitives import attach_auth, sign
 from repro.irmc import IrmcConfig
-from repro.irmc.messages import MovesMsg, SendMsg
+from repro.irmc.messages import MovesMsg, SendMsg, SendsMsg
 from repro.irmc.rc import make_rc_channel
 
 from tests.conftest import Cluster
@@ -180,6 +180,55 @@ class TestIrmcRcFloodBookkeeping:
             )
             receiver._on_send(attach_auth(body, signature=sign(sender_name, body)))
 
+    @staticmethod
+    def _bundle(sender_name, entries) -> SendsMsg:
+        body = SendsMsg(tag="ch", entries=tuple(entries), sender=sender_name)
+        return attach_auth(body, signature=sign(sender_name, body))
+
+    def test_bundle_flood_grows_no_book_and_costs_one_verify(self):
+        """The bundle form of the flood: N entries under one signature that
+        are unstorable, below the window or on a retired subchannel."""
+        from repro.crypto.costs import FREE, use_cost_model
+
+        cluster, config, senders, receivers = self._fixture()
+        rx = receivers["r0"]
+        cap = config.capacity * config.overflow_factor
+        for name in ("s0", "s1"):
+            rx._on_sender_move(_moves(senders[name], "c1", 500))
+            self._flood(rx, name, "gone", 1, 2, payload=("req", "a"))
+        rx._retire_subchannel("gone")
+        books = (rx._votes, rx._payloads, rx._delivered, rx._sender_moves._requests)
+        before = [dict(book) for book in books]
+        below = [("c1", p, ("p", p), 0) for p in range(1, 500)]
+        beyond = [("c1", p, ("p", p), 0) for p in range(500 + cap, 1500)]
+        retired = [("gone", p, ("p", p), 9) for p in range(1, 300)]
+        with use_cost_model(FREE.with_overrides(rsa_verify=1.0)):
+            # Nothing in it can matter any more: not even the one verify.
+            rx.node.run_task(rx._on_send, self._bundle("s0", below))
+            cluster.run(until=10.0)
+            assert rx.node.busy_ms == 0.0
+            rx.node.run_task(rx._on_send, self._bundle("s0", below + beyond + retired))
+            cluster.run(until=20.0)
+            assert rx.node.busy_ms == 1.0
+        assert [dict(book) for book in books] == before
+        assert rx.is_retired("gone") and "gone" not in rx.window_start
+
+    def test_vote_alone_and_vote_in_a_bundle_count_once(self):
+        cluster, config, senders, receivers = self._fixture()
+        rx = receivers["r0"]
+        self._flood(rx, "s0", "c1", 1, 2, payload=("req", "a"))
+        rx._on_send(
+            self._bundle("s0", [("c1", 1, ("req", "a"), 0), ("c1", 1, ("req", "a"), 0)])
+        )
+        assert rx.delivered_count == 0 and list(rx._votes["c1"][1]) == ["s0"]
+        # The second distinct sender's bundle completes fs + 1 = 2; a
+        # repeat of the position inside it regrows nothing.
+        rx._on_send(
+            self._bundle("s1", [("c1", 1, ("req", "a"), 0), ("c1", 1, ("req", "a"), 0)])
+        )
+        assert rx.delivered_count == 1 and rx._delivered["c1"][1] == ("req", "a")
+        assert "c1" not in rx._votes and "c1" not in rx._payloads
+
     def test_flood_is_bounded_and_moves_prune_stale_state(self):
         cluster, config, senders, receivers = self._fixture()
         rx = receivers["r0"]
@@ -226,6 +275,58 @@ class TestIrmcRcFloodBookkeeping:
         for name in ("s0", "s1"):
             self._flood(rx, name, "real", 1, 2, payload=("req", "a"))
         assert spawned == ["real"]
+
+
+class TestEquivocatorForgesBundles:
+    """``irmc-equivocate`` must keep lying on the busy path: Sends corked
+    into one :class:`SendsMsg` are forged entry by entry under a fresh
+    signature, with the decision a lone SendMsg of the position gets."""
+
+    def test_bundle_entries_are_forged_like_lone_sends(self):
+        from repro.crypto.primitives import verify
+        from repro.faults import make_equivocator
+
+        cluster = Cluster()
+        s_nodes = cluster.add_group("s", 3, region="virginia")
+        # The lied-to half is the CRC-odd names: "r*" are, "q*" are not.
+        r_nodes = cluster.add_group("r", 2, region="oregon") + cluster.add_group(
+            "q", 2, region="oregon"
+        )
+        config = IrmcConfig(fs=1, fr=1, capacity=4, move_heartbeat_ms=0)
+        senders, receivers = make_rc_channel("ch", s_nodes, r_nodes, config)
+        liar = make_equivocator(s_nodes[0], fraction=1.0)
+        seen = {}
+        original = cluster.network.send
+
+        def recording_send(src, dst, message):
+            if src is s_nodes[0]:
+                seen.setdefault(dst.name, []).append(message)
+            original(src, dst, message)
+
+        cluster.network.send = recording_send
+        s_nodes[0].run_task(lambda: None)  # older work: the three sends cork
+        for position in (1, 2, 3):
+            s_nodes[0].run_task(senders["s0"].send, "c1", position, ("m", position))
+        s_nodes[1].run_task(senders["s1"].send, "c1", 1, ("m", 1))
+        cluster.run(until=300.0)
+        assert all(len(messages) == 1 for messages in seen.values()) and len(seen) == 4
+        lied_to = [name for name in sorted(seen) if liar._lied_to(cluster.network.nodes[name])]
+        assert lied_to == ["r0", "r1"]
+        for name, (bundle,) in seen.items():
+            assert isinstance(bundle, SendsMsg)
+            assert verify(bundle.signature, bundle, signer="s0")  # the lie authenticates
+            payloads = [entry[2] for entry in bundle.entries]
+            if name in lied_to:
+                assert payloads == [("__equivocation__", "s0", p) for p in (1, 2, 3)]
+                assert 1 not in receivers[name]._delivered.get("c1", {})
+            else:
+                assert payloads == [("m", p) for p in (1, 2, 3)]
+                assert receivers[name]._delivered["c1"][1] == ("m", 1)
+        assert liar.equivocated == len(lied_to)
+        # One memo for both wire forms: a lone re-send of a position lies as its bundle did.
+        assert [key for key in liar._decisions if key[0] == "send"] == [
+            ("send", "ch", "c1", p) for p in (1, 2, 3)
+        ]
 
 
 class TestRaftLostPayloadReintroduction:

@@ -48,18 +48,32 @@ class ChannelFixture:
         """Every receiver's window start for ``subchannel``."""
         return [endpoint.start_of(subchannel) for endpoint in self.receivers.values()]
 
-    def record_sends(self):
-        """Log ``(src name, message)`` for everything put on the network."""
+    def record_sends(self, timed=False):
+        """Log ``(src name, message)`` for everything put on the network
+        (``timed``: ``(src name, instant, message)``)."""
         log = []
         network = self.cluster.network
         original = network.send
 
         def recording_send(src, dst, message):
-            log.append((src.name, message))
+            if timed:
+                log.append((src.name, self.cluster.sim.now, message))
+            else:
+                log.append((src.name, message))
             original(src, dst, message)
 
         network.send = recording_send
         return log
+
+    def behind_queued_work(self, name, *calls):
+        """Queue a CPU-charging task on node ``name``, then ``calls``
+        (``(fn, *args)`` tuples) behind it: each finds older work queued."""
+        from repro.sim.node import charge
+
+        node = next(n for n in self.sender_nodes + self.receiver_nodes if n.name == name)
+        node.run_task(charge, 0.5)
+        for fn, *args in calls:
+            node.run_task(fn, *args)
 
     def receive_at(self, name, subchannel, position):
         """Issue a receive call on one receiver; returns a result holder."""
@@ -365,6 +379,235 @@ class TestSendPathCosts:
         channel.run(until=1_100.0)  # heartbeat at 1000 ms is idle round 1
         resent = [m for name, m in log if name == "s0"]
         assert resent and all(message is buffered for message in resent)
+        assert endpoint.node.busy_ms == busy_before
+
+
+class TestCork:
+    """Emissions behind queued CPU work leave in one flush under one
+    authenticator; with an empty CPU queue they leave as they always did.
+    There is no switch: the reference is an endpoint nothing is queued on."""
+
+    def test_send_with_nothing_queued_is_the_plain_signed_message(self):
+        """Byte- and instant-identical to signing and sending a SendMsg by
+        hand, which is what ``_transmit`` did before there was a cork."""
+        from repro.crypto.primitives import attach_auth, sign
+        from repro.irmc.messages import SendMsg
+
+        fixture = ChannelFixture("rc")
+        log = fixture.record_sends(timed=True)
+        by_hand = fixture.sender_nodes[1]
+
+        def sign_and_send():
+            body = SendMsg("ch", "c1", 2, ("m", 2), by_hand.name, 2)
+            message = attach_auth(body, signature=sign(by_hand.name, body))
+            for receiver in fixture.receiver_nodes:
+                by_hand.send(receiver, message)
+
+        by_hand.run_task(sign_and_send)
+        fixture.send_from(["s0"], "c1", 2, ("m", 2), window=2)
+        fixture.run(until=50.0)
+        body = SendMsg("ch", "c1", 2, ("m", 2), "s0", 2)
+        expected = attach_auth(body, signature=sign("s0", body))
+        sent = [(at, m) for name, at, m in log if name == "s0"]
+        reference = [at for name, at, _m in log if name == "s1"]
+        assert [at for at, _m in sent] == reference and len(sent) == 4
+        assert all(type(m) is SendMsg and m == expected for _at, m in sent)
+        endpoint = fixture.senders["s0"]
+        assert endpoint._buffer["c1"][2] is sent[0][1]
+        assert (endpoint.sent_count, endpoint.bundles_sent, endpoint.largest_bundle) == (1, 0, 0)
+
+    def test_move_with_nothing_queued_is_the_plain_authenticated_message(self, channel):
+        from repro.crypto.primitives import attach_auth, make_mac_vector
+        from repro.irmc.messages import MoveMsg
+
+        log = channel.record_sends(timed=True)
+        by_hand = channel.receiver_nodes[1]
+        sender_names = [node.name for node in channel.sender_nodes]
+        collector = channel.receivers["r0"]._collector_for("c1")
+
+        def authenticate_and_send():
+            body = MoveMsg("ch", "c1", 3, by_hand.name, collector)
+            move = attach_auth(body, auth=make_mac_vector(by_hand.name, sender_names, body))
+            for sender in channel.sender_nodes:
+                by_hand.send(sender, move)
+
+        by_hand.run_task(authenticate_and_send)
+        endpoint = channel.receivers["r0"]
+        endpoint.node.run_task(endpoint.move_window, "c1", 3)
+        channel.run(until=50.0)
+        body = MoveMsg("ch", "c1", 3, "r0", collector)
+        expected = attach_auth(body, auth=make_mac_vector("r0", sender_names, body))
+        sent = [(at, m) for name, at, m in log if name == "r0"]
+        reference = [at for name, at, _m in log if name == "r1"]
+        assert [at for at, _m in sent] == reference and len(sent) == 3
+        assert all(type(m) is MoveMsg and m == expected for _at, m in sent)
+
+    def test_sends_behind_queued_work_are_one_bundle_under_one_signature(self):
+        from repro.crypto.costs import FREE, use_cost_model
+        from repro.irmc.messages import SendsMsg
+
+        with use_cost_model(FREE.with_overrides(rsa_sign=1.0, rsa_verify=0.125)):
+            fixture = ChannelFixture("rc", capacity=8)
+            log = fixture.record_sends()
+            futures = []
+            for name in ("s0", "s1"):
+                endpoint = fixture.senders[name]
+                fixture.behind_queued_work(
+                    name,
+                    *[
+                        (lambda e=endpoint, p=position: futures.append(e.send("c1", p, ("m", p))),)
+                        for position in range(1, 6)
+                    ],
+                )
+            fixture.run(until=300.0)
+        assert all(future.value == "ok" for future in futures) and len(futures) == 10
+        for name in ("s0", "s1"):
+            endpoint = fixture.senders[name]
+            wire = [m for src, m in log if src == name]
+            assert len(wire) == 4 and all(m is wire[0] for m in wire)
+            assert type(wire[0]) is SendsMsg
+            assert [entry[:3] for entry in wire[0].entries] == [
+                ("c1", p, ("m", p)) for p in range(1, 6)
+            ]
+            assert endpoint.node.busy_ms == 0.5 + 1.0  # the queued work + one rsa_sign
+            assert (endpoint.sent_count, endpoint.bundles_sent, endpoint.largest_bundle) == (5, 1, 5)
+            assert all(endpoint._buffer["c1"][p] is wire[0] for p in range(1, 6))
+        for receiver in fixture.receivers.values():
+            # Delivered in order (dicts keep insertion order), after one
+            # rsa_verify per sender's bundle.
+            assert list(receiver._delivered["c1"].items()) == [(p, ("m", p)) for p in range(1, 6)]
+            assert receiver.node.busy_ms == 2 * 0.125
+            assert "c1" not in receiver._votes and "c1" not in receiver._payloads
+
+    def test_crash_between_cork_and_flush_then_recover(self):
+        fixture = ChannelFixture("rc")
+        holders = [fixture.receive_at("r0", "c1", p) for p in (1, 2, 3)]
+        for name in ("s0", "s1"):
+            endpoint = fixture.senders[name]
+            endpoint.node.run_task(lambda: None)  # older work: the sends below cork
+            assert endpoint.send("c1", 1, ("m", 1)).value == "ok"
+            assert endpoint.send("c1", 2, ("m", 2)).value == "ok"
+            endpoint.node.crash()  # takes the queued flush along
+            assert len(endpoint._corked) == 2 and not endpoint.node.has_queued_work
+        fixture.run(until=100.0)
+        assert "value" not in holders[0]
+        for name in ("s0", "s1"):
+            fixture.senders[name].node.recover()
+        fixture.run(until=300.0)
+        assert [holder["value"] for holder in holders[:2]] == [("m", 1), ("m", 2)]
+        assert not fixture.senders["s0"]._corked
+        # The channel stays live: the next send goes straight out.
+        fixture.send_from(["s0", "s1"], "c1", 3, ("m", 3))
+        fixture.run(until=600.0)
+        assert holders[2]["value"] == ("m", 3)
+
+    def test_wipe_or_close_while_corked_sends_nothing(self):
+        for ending in ("wipe", "close"):
+            fixture = ChannelFixture("rc")
+            log = fixture.record_sends()
+            endpoint = fixture.senders["s0"]
+            endpoint.node.run_task(lambda: None)
+            future = endpoint.send("c1", 1, ("m", 1))
+            assert future.value == "ok" and endpoint._corked
+            if ending == "wipe":
+                endpoint.node.crash(wipe=True)
+                endpoint.node.recover()
+            else:
+                endpoint.close()
+            fixture.run(until=300.0)
+            assert not endpoint._corked and not endpoint._buffer
+            assert not [m for name, m in log if name == "s0"]
+
+    def test_retire_or_window_move_while_corked_drops_what_it_overtook(self):
+        from repro.irmc.messages import SendMsg
+
+        fixture = ChannelFixture("rc")
+        log = fixture.record_sends()
+        endpoint = fixture.senders["s0"]
+        endpoint.node.run_task(lambda: None)
+        futures = [
+            endpoint.send("gone", 1, ("g", 1)),
+            endpoint.send("c1", 1, ("m", 1)),
+            endpoint.send("c1", 2, ("m", 2)),
+        ]
+        assert all(future.value == "ok" for future in futures)  # none stranded
+        endpoint.retire_subchannel("gone")
+        for receiver in ("r0", "r1"):  # fr + 1 receivers moved past position 1
+            endpoint._follow_receiver("c1", receiver, 2)
+        fixture.run(until=300.0)
+        sends = [m for name, m in log if name == "s0" and not type(m).__name__.startswith("Retire")]
+        assert len(sends) == 4 and all(m is sends[0] for m in sends)
+        assert type(sends[0]) is SendMsg and (sends[0].subchannel, sends[0].position) == ("c1", 2)
+        assert endpoint._buffer == {"c1": {2: sends[0]}}
+        assert "gone" not in endpoint.window_start and "gone" not in endpoint._own_moves
+
+    def test_receiver_moves_behind_queued_work_are_one_message(self, channel):
+        from repro.irmc.messages import MovesMsg
+
+        log = channel.record_sends()
+        for name in ("r0", "r1"):
+            endpoint = channel.receivers[name]
+            channel.behind_queued_work(
+                name,
+                (endpoint.move_window, "alice", 2),
+                (endpoint.move_window, "bob", 3),
+                (endpoint.move_window, "alice", 4),  # moved twice: the last is announced
+                (endpoint.move_window, "carol", 2),
+            )
+            assert endpoint.start_of("alice") == 1
+        channel.run(until=300.0)
+        collector = channel.receivers["r0"]._collector_for("alice")
+        for name in ("r0", "r1"):
+            moves = [m for src, m in log if src == name]
+            assert len(moves) == 3 and all(m is moves[0] for m in moves)  # one MAC vector
+            assert type(moves[0]) is MovesMsg
+            assert moves[0].positions == (
+                ("alice", 4, collector),
+                ("bob", 3, collector),
+                ("carol", 2, collector),
+            )
+            # The local window moved at once, not at the flush.
+            assert channel.receivers[name].start_of("alice") == 4
+        for sender in channel.senders.values():
+            assert [sender.start_of(sc) for sc in ("alice", "bob", "carol")] == [4, 3, 2]
+
+    def test_corked_moves_survive_a_crash_of_the_flush(self, channel):
+        for name in ("r0", "r1"):
+            endpoint = channel.receivers[name]
+            endpoint.node.run_task(lambda: None)
+            endpoint.move_window("c1", 3)
+            endpoint.node.crash()
+        channel.run(until=100.0)
+        assert [sender.start_of("c1") for sender in channel.senders.values()] == [1, 1, 1]
+        for name in ("r0", "r1"):
+            channel.receivers[name].node.recover()
+        channel.run(until=300.0)
+        assert [sender.start_of("c1") for sender in channel.senders.values()] == [3, 3, 3]
+
+    def test_retired_subchannel_announces_no_corked_move(self, channel):
+        log = channel.record_sends()
+        endpoint = channel.receivers["r0"]
+        endpoint.node.run_task(lambda: None)
+        endpoint.move_window("c1", 3)
+        endpoint._retire_subchannel("c1")
+        channel.run(until=300.0)
+        assert not [m for name, m in log if name == "r0"]
+        assert "c1" not in endpoint.window_start
+
+    def test_idle_round_reoffers_a_bundle_once(self):
+        fixture = ChannelFixture("rc", capacity=8)
+        endpoint = fixture.senders["s0"]  # the only voucher: nothing delivers
+        fixture.behind_queued_work(
+            "s0", *[(endpoint.send, "c1", p, ("m", p)) for p in (1, 2, 3)]
+        )
+        fixture.run(until=950.0)
+        bundle = endpoint._buffer["c1"][1]
+        assert len(bundle.entries) == 3
+        log = fixture.record_sends()
+        busy_before = endpoint.node.busy_ms
+        fixture.run(until=1_100.0)  # heartbeat at 1000 ms is idle round 1
+        resent = [m for name, m in log if name == "s0"]
+        assert len(resent) == 4 and all(m is bundle for m in resent)
         assert endpoint.node.busy_ms == busy_before
 
 
