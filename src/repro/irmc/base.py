@@ -275,9 +275,8 @@ class SenderEndpointBase(IrmcEndpoint):
         #: sends parked until the window reaches their position:
         #: subchannel -> list of (position, payload, future)
         self._parked: Dict[Any, List[Tuple[int, Any, SimFuture]]] = {}
-        #: positions accepted into the window; ``bundles_sent`` of the wire
-        #: messages that carried them held more than one (the largest,
-        #: ``largest_bundle`` of them)
+        #: positions accepted into the window, the wire messages that
+        #: carried more than one of them, and the most one carried
         self.sent_count = 0
         self.bundles_sent = 0
         self.largest_bundle = 0
