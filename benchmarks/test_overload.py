@@ -28,14 +28,15 @@ Results go to ``benchmarks/BENCH_overload.json`` (uploaded by the
 perf-smoke CI job).  Recorded results (seed 11, flash window 2.0-3.5 s
 at 4000 ops/s offered, ~6900 ops total):
 
-    baseline: flash-window write p99 ~2270 ms, peak backlog ~1580 ops
-    armed:    flash-window write p99  ~170 ms, peak backlog    64 ops
-              (= 2 shards x admission depth 32), ~1420 ops shed as
-              ``Rejected(overload)``, ~1350 hot reads served from the
+    baseline: flash-window write p99 ~1950 ms, peak backlog ~1450 ops
+    armed:    flash-window write p99  ~156 ms, peak backlog    63 ops
+              (<= 2 shards x admission depth 32), ~1330 ops shed as
+              ``Rejected(overload)``, ~1330 hot reads served from the
               cache, and offered == completed + served + shed exactly
 
-(with one RSA signature per forwarded request, before IRMC Sends were
-corked: ~7000 / ~2400 and ~325 / 64, ~2220 shed)
+(~2270 / ~1580 and ~170 / 64, ~1420 shed before a node signed once per
+CPU task; ~7000 / ~2400 and ~325 / 64, ~2220 shed with one RSA signature
+per forwarded request, before IRMC Sends were bundled)
 
 Run directly for the table::
 

@@ -25,14 +25,14 @@ Recorded results (seed 9, 16 sessions, 48 keys, costs x10, 12 s run,
 split at 5 s; the split plan walks five slot ranges over in five
 epoch bumps):
 
-    before:  ~753 writes/s
-    during:  ~833 writes/s   (handover window, traffic still flowing)
+    before:  ~754 writes/s
+    during:  ~827 writes/s   (handover window, traffic still flowing)
     after:   ~789 writes/s
-    handover: ~237 ms, epoch 0 -> 5, zero lost/duplicated/reordered
+    handover: ~231 ms, epoch 0 -> 5, zero lost/duplicated/reordered
 
 The ramp was sized against a ~500 writes/s 2-shard plateau (one RSA
 signature per forwarded request: ~565 / ~664 / ~722, handover ~485 ms).
-Since IRMC Sends are corked two shards absorb it, so the three rates
+Since IRMC Sends are bundled two shards absorb it, so the three rates
 follow the offered curve; the audit and the handover time are what this
 benchmark still pins.
 

@@ -7,7 +7,7 @@ execution group, all in Virginia).  Keys pin each session to one shard
 via the cluster's deterministic partitioner, and the population grows
 with the shard count — 32 closed-loop sessions per shard — so that every
 shard is saturated at every count (a fixed population of 32 stopped
-saturating more than one shard once corked IRMC Sends tripled a shard's
+saturating more than one shard once bundled IRMC Sends tripled a shard's
 capacity: at 4 shards it was bound by 32 sessions / 21.5 ms, not by the
 shards).  The crypto cost model is scaled x10 so a shard saturates at a
 population the simulator handles quickly — exactly the batching
@@ -20,14 +20,17 @@ CI job uploads it) to start the sharding perf trajectory.
 
 Recorded results (seed 9, 32 sessions per shard, costs x10, 6 s runs):
 
-    1 shard:    ~897 writes/s   p50 ~36 ms   (execution CPU bound)
-    2 shards:  ~1792 writes/s   p50 ~36 ms   (~2.0x)
-    4 shards:  ~3592 writes/s   p50 ~36 ms   (~4.0x)
+    1 shard:    ~991 writes/s   p50 ~33 ms   (execution CPU bound)
+    2 shards:  ~1982 writes/s   p50 ~33 ms   (~2.0x)
+    4 shards:  ~3973 writes/s   p50 ~33 ms   (~4.0x)
 
 i.e. aggregate write throughput scales linearly with the shard count at
 an unchanged per-op latency — shards share nothing, so independent
-agreement domains are a clean scale-out axis.  (With one signature per
-Send, before the cork, a saturated shard ordered ~285 writes/s.)
+agreement domains are a clean scale-out axis.  (~897 / ~1792 / ~3592 at
+p50 ~36 ms before a node signed once per CPU task — an execution
+replica's checkpoint vote now shares the RSA operation of the request
+bundle it forwards — and ~285 writes/s per saturated shard with one
+signature per Send, before Sends were bundled.)
 
 Run directly for the table::
 

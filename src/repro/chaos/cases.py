@@ -265,7 +265,7 @@ def _equivocating_sender(case: ChaosCase, seed: int) -> List[FaultAction]:
     """Authenticated equivocation by a sender, plus a wiped receiver.
 
     A targeted two-window schedule.  One seeded sender turns Byzantine
-    and equivocates: each ``SendMsg`` (each entry of a corked
+    and equivocates: each ``SendMsg`` (each entry of a
     ``SendsMsg`` bundle) carries a per-receiver payload
     variant behind a *valid* signature, so authentication alone cannot
     unmask it — and because a receiver counts only the first copy per

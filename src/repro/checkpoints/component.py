@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoints.messages import CheckpointMsg, CpState, FetchCp
-from repro.crypto.primitives import attach_auth, digest, sign, structural_digest, verify
+from repro.crypto.primitives import digest, structural_digest, verify
 from repro.sim.routing import Component, RoutedNode
 
 
@@ -101,11 +101,17 @@ class CheckpointComponent(Component):
                 break
             if old != seq:
                 del self._local[old]
-        message = CheckpointMsg(
+        vote = CheckpointMsg(
             tag=self.tag, seq=seq, state_digest=state_digest, sender=self.node.name
         )
-        message = attach_auth(message, signature=sign(self.node.name, message))
-        self._record_vote(message)
+        self.node.seal_later(self._emit, vote)  # signed with what else the node emits
+
+    def _emit(self, votes: List[CheckpointMsg]) -> List[Tuple[CheckpointMsg, Any]]:
+        return [(vote, self._publish) for vote in votes]
+
+    def _publish(self, message: CheckpointMsg) -> None:
+        if message.seq > self.delivered_seq:  # peers may have certified it meanwhile
+            self._record_vote(message)
         self.broadcast(self.peers, message)
 
     def fetch_cp(self, min_seq: int) -> None:

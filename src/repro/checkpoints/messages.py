@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import Digestible, Signature
+from repro.crypto.primitives import Digestible, Signature, signature_bytes
 from repro.net.message import Message
 
 
@@ -27,7 +27,7 @@ class CheckpointMsg(Message, Digestible):
         return ("cp", self.tag, self.seq, self.state_digest, self.sender)
 
     def payload_size(self) -> int:
-        return 24 + 128
+        return 24 + signature_bytes(self.signature)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from repro.crypto.primitives import (
     make_mac_vector,
     set_digest_cache_enabled,
     sign,
+    sign_many,
     verify,
     verify_mac,
     verify_mac_vector,
@@ -44,6 +45,7 @@ __all__ = [
     "content_digest",
     "set_digest_cache_enabled",
     "sign",
+    "sign_many",
     "verify",
     "make_mac",
     "verify_mac",

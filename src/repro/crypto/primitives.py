@@ -32,7 +32,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace as dataclass_replace
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto import costs as _costs
 from repro.sim import node as _node
@@ -305,6 +305,31 @@ class Signature:
         return SIGNATURE_BYTES
 
 
+@dataclass(frozen=True)
+class BatchSignature(Signature):
+    """One of the k signatures a single RSA operation made (:func:`sign_many`).
+
+    It verifies on its own: ``siblings`` are the digests of the other k-1
+    bodies and ``batch_digest`` is what the RSA operation covered — all k
+    digests, sorted, so no position has to travel.
+    """
+
+    siblings: Tuple[int, ...]
+    batch_digest: int
+
+    def size_bytes(self) -> int:
+        return SIGNATURE_BYTES + 8 * len(self.siblings)
+
+    def intact(self) -> bool:
+        batch = tuple(sorted(self.siblings + (self.object_digest,)))
+        return self.batch_digest == structural_digest(batch)
+
+
+def signature_bytes(signature: Optional[Signature]) -> int:
+    """Wire size of a message's signature field (sized even while unsigned)."""
+    return SIGNATURE_BYTES if signature is None else signature.size_bytes()
+
+
 def sign(signer: str, obj: Any) -> Signature:
     """Sign ``obj`` as principal ``signer`` (charges RSA signing cost).
 
@@ -315,6 +340,25 @@ def sign(signer: str, obj: Any) -> Signature:
     if isinstance(obj, Digestible):
         return Signature(signer=signer, object_digest=content_digest(obj))
     return Signature(signer=signer, object_digest=digest(obj))
+
+
+def sign_many(signer: str, bodies: Sequence[Any]) -> List[Signature]:
+    """One signature per body for the price of one RSA operation.
+
+    Every body is hashed as :func:`sign` would hash it; the one
+    ``rsa_sign`` then covers the sorted digests.  Each
+    :class:`BatchSignature` names its siblings, so a receiver verifies it
+    without the other bodies and at the cost of a plain :func:`verify`.
+    Fewer than two bodies are signed by :func:`sign` itself.
+    """
+    if len(bodies) < 2:
+        return [sign(signer, body) for body in bodies]
+    digests = [_digest_of(body) for body in bodies]
+    covered = sign(signer, tuple(sorted(digests))).object_digest
+    return [
+        BatchSignature(signer, own, tuple(digests[:index] + digests[index + 1 :]), covered)
+        for index, own in enumerate(digests)
+    ]
 
 
 def verify(
@@ -335,9 +379,10 @@ def verify(
         return False
     if group is not None and signature.signer not in group:
         return False
-    if isinstance(obj, Digestible):
-        return signature.object_digest == content_digest(obj)
-    return signature.object_digest == digest(obj)
+    expected = content_digest(obj) if isinstance(obj, Digestible) else digest(obj)
+    if signature.object_digest != expected:
+        return False
+    return not isinstance(signature, BatchSignature) or signature.intact()
 
 
 @dataclass(frozen=True)

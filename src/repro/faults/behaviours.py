@@ -26,7 +26,7 @@ from dataclasses import replace as dataclass_replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.app.statemachine import Operation, StateMachine
-from repro.crypto.primitives import attach_auth, make_equivocating_mac_vector, sign
+from repro.crypto.primitives import attach_auth, make_equivocating_mac_vector, sign_many
 from repro.sim.node import Node
 
 
@@ -235,7 +235,7 @@ class EquivocateBehaviour(Behaviour):
     a MAC-vector entry computed with the sender's own keys (PBFT
     ``PrePrepare``) or a fresh signature over the forged body (IRMC
     ``SendMsg``, or a ``SendsMsg`` bundle with every chosen entry
-    forged).  Every receiver's crypto check passes, yet no two
+    forged), batch-signed if the genuine one was.  Every receiver's crypto check passes, yet no two
     halves of the group saw the same bytes; only the quorum logic
     (PBFT's 2f+1 matching prepares / commit-certificate intersection,
     IRMC's fs+1 matching first-copies) can catch the lie.
@@ -317,8 +317,7 @@ class EquivocateBehaviour(Behaviour):
             if not self._decide(key) or not self._lied_to(dst):
                 return None
             forged = ("__equivocation__", node.name, message.position)
-            body = dataclass_replace(message, payload=forged, signature=None)
-            return attach_auth(body, signature=sign(node.name, body))
+            return self._resigned(message, payload=forged)
         if isinstance(message, self._sends_msg_cls):
             # The same per-position decision a lone SendMsg would get.
             entries = tuple(
@@ -329,9 +328,16 @@ class EquivocateBehaviour(Behaviour):
             )
             if entries == message.entries or not self._lied_to(dst):
                 return None
-            body = dataclass_replace(message, entries=entries, signature=None)
-            return attach_auth(body, signature=sign(node.name, body))
+            return self._resigned(message, entries=entries)
         return None
+
+    def _resigned(self, message, **forged) -> Any:
+        """The forged copy under a fresh signature of the genuine one's
+        form: alone, or one of a batch of as many (the liar holds the key,
+        so it can sign any batch it likes; wire sizes cannot tell)."""
+        body = dataclass_replace(message, signature=None, **forged)
+        siblings = getattr(message.signature, "siblings", ())
+        return attach_auth(body, signature=sign_many(self.node.name, [body, *siblings])[0])
 
 
 def make_equivocator(

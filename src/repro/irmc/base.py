@@ -14,15 +14,13 @@ receiver replicas in another region (paper Section 3.2).  Key semantics:
   ``f_s + 1`` sender endpoints request it.  A sender's request rides on
   its Sends (signed ``window`` field) and one :class:`MovesMsg` heartbeat
   per receiver; a one-entry :class:`MovesMsg` is for when no Send can.
-* **Cork** — an endpoint that wants to emit (an RC Send, a receiver's
-  window Move) while older work is queued on its node's CPU appends the
-  emission to a list and queues one flush task behind that work; the
-  flush authenticates once for everything corked by then and sends one
-  wire message per remote endpoint.  With nothing queued the emission
-  leaves at once, as a plain :class:`SendMsg` / :class:`MoveMsg`.  No
-  timer is involved: the CPU queue is FIFO, so the flush runs after
-  finitely many older tasks, and a crash that empties the queue has the
-  recovery hook queue it again.
+* **Seal** — an endpoint never authenticates inline: an RC Send, an SC
+  share, a receiver's window Move registers with its node
+  (:meth:`~repro.sim.node.Node.seal_later`), and the node seals once per
+  CPU task — at the task's end, or in one flush behind the work already
+  queued.  The seal sends one wire message per remote endpoint (a plain
+  :class:`SendMsg` / :class:`MoveMsg` for one entry) and signs everything
+  the node emits, across endpoints, with one RSA operation.
 * **TooOld** — operations on positions below the window resolve with a
   :class:`TooOld` marker carrying the new lower bound, which is how trailing
   replicas learn they must fetch a checkpoint.
@@ -39,7 +37,7 @@ or with :class:`TooOld`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import attach_auth, make_mac_vector, verify_mac_vector
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg
@@ -152,8 +150,6 @@ class IrmcEndpoint(Component):
         self.window_start: Dict[Any, int] = {}
         #: bounded FIFO of retired subchannels (insertion-ordered dict)
         self._retired: Dict[Any, None] = {}
-        #: emissions waiting for the flush task queued behind older CPU work
-        self._corked: List[Any] = []
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
@@ -173,11 +169,8 @@ class IrmcEndpoint(Component):
 
         Timer callbacks dropped while the node was crashed break the
         heartbeat/timeout chains permanently; subclasses extend this to
-        restart theirs.  The base owns the cork's flush task: the crash
-        emptied the CPU queue, the corked emissions survived it.
+        restart theirs.
         """
-        if self._corked:
-            self.node.run_task(self._uncork)
 
     def _on_node_wipe(self) -> None:
         """Durable-state loss: every channel book reboots empty.
@@ -192,29 +185,10 @@ class IrmcEndpoint(Component):
         """
         self.window_start.clear()
         self._retired.clear()
-        self._corked.clear()
 
-    # ------------------------------------------------------------------
-    # Cork
-    # ------------------------------------------------------------------
-    def _cork(self, entry: Any) -> None:
-        """Emit ``entry``: now if this node's CPU queue is empty, else in
-        the one flush queued behind the work that is ahead of us."""
-        if not self._corked and not self.node.has_queued_work:
-            self._emit([entry])
-            return
-        self._corked.append(entry)
-        if len(self._corked) == 1:
-            self.node.run_task(self._uncork)
-
-    def _uncork(self) -> None:
-        entries, self._corked = self._corked, []
-        if entries:
-            self._emit(entries)
-
-    def _emit(self, entries: List[Any]) -> None:
-        """Authenticate ``entries`` once and send them (subclass hook);
-        must drop what a window move or retirement overtook meanwhile."""
+    def _emit(self, entries: List[Any]) -> Iterable[Tuple[Any, Any]]:
+        """Seal hook (see ``Node.seal_later``): must drop what a window
+        move, a retirement or ``close()`` overtook meanwhile."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -255,7 +229,6 @@ class IrmcEndpoint(Component):
 
     def close(self) -> None:
         self.closed = True
-        self._corked.clear()
         self.node.remove_recovery_hook(self._on_node_recover)
         self.node.remove_wipe_hook(self._on_node_wipe)
         super().close()
@@ -465,13 +438,22 @@ class SenderEndpointBase(IrmcEndpoint):
     # -- receiver Move processing --------------------------------------
     def _on_receiver_move(self, message: Any) -> None:
         """A receiver's window Moves: one :class:`MoveMsg`, or the
-        :class:`MovesMsg` of a corked round, under one MAC vector."""
-        if not self._valid_move(message, self.remote_names):
-            return
+        :class:`MovesMsg` of one seal, under one MAC vector."""
         if isinstance(message, MoveMsg):
             moves = ((message.subchannel, message.position, message.collector),)
         else:
             moves = message.positions
+        # As with surplus Sends: a Move that can advance nothing — no
+        # collector choice, every entry retired or not above our window
+        # start — is dropped before its MAC is looked at.
+        if all(
+            collector is None
+            and (position <= self.start_of(subchannel) or self.is_retired(subchannel))
+            for subchannel, position, collector in moves
+        ):
+            return
+        if not self._valid_move(message, self.remote_names):
+            return
         for subchannel, position, collector in moves:
             if not self.is_retired(subchannel):
                 self._note_collector(subchannel, message.sender, collector)
@@ -614,17 +596,17 @@ class ReceiverEndpointBase(IrmcEndpoint):
 
     def move_window(self, subchannel: Any, position: int) -> None:
         """Advance the local window at once and tell the senders
-        (Fig. 18 L. 38-43) — in the cork's flush if older work is queued."""
+        (Fig. 18 L. 38-43) in the node's next seal."""
         if self.closed or position <= self.start_of(subchannel):
             return
-        self._cork((subchannel, position, self._collector_for(subchannel)))
+        self.node.seal_later(self._emit, (subchannel, position, self._collector_for(subchannel)))
         self._advance_window(subchannel, position)
 
-    def _emit(self, entries: List[Tuple[Any, int, Optional[str]]]) -> None:
-        # A subchannel that moved twice while corked announces its last.
+    def _emit(self, entries: List[Tuple[Any, int, Optional[str]]]) -> Tuple:
+        # A subchannel that moved twice before the seal announces its last.
         moves = {e[0]: e for e in entries if not self.is_retired(e[0])}
-        if not moves:
-            return
+        if self.closed or not moves:
+            return ()
         if len(moves) == 1:
             ((subchannel, position, collector),) = moves.values()
             body: Any = MoveMsg(self.tag, subchannel, position, self.node.name, collector)
@@ -633,6 +615,7 @@ class ReceiverEndpointBase(IrmcEndpoint):
         move = self._authenticated(body)
         for sender in self.remote_group:
             self.node.send(sender, move)
+        return ()  # MAC-authenticated: nothing for the seal to sign
 
     # -- shared internals ----------------------------------------------
     def _collector_for(self, subchannel: Any) -> Optional[str]:

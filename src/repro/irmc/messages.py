@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import Digestible, MacVector, Signature, cached_repr
+from repro.crypto.primitives import (
+    Digestible,
+    MacVector,
+    Signature,
+    cached_repr,
+    signature_bytes,
+)
 from repro.net.message import Message
 
 
@@ -46,14 +52,19 @@ class SendMsg(Message, Digestible):
         return content + (self.window,) if self.window else content
 
     def payload_size(self) -> int:
-        return 24 + _payload_size(self.payload) + 128 + (8 if self.window else 0)
+        return (
+            24
+            + _payload_size(self.payload)
+            + signature_bytes(self.signature)
+            + (8 if self.window else 0)
+        )
 
 
 @dataclass(frozen=True)
 class SendsMsg(Message, Digestible):
-    """IRMC-RC: the Sends an endpoint corked behind queued CPU work, as
-    ``(subchannel, position, payload, window)`` entries under one
-    signature; each entry means what a :class:`SendMsg` of it would."""
+    """IRMC-RC: the Sends of one endpoint that one seal of its node found
+    registered, as ``(subchannel, position, payload, window)`` entries
+    under one signature; each entry means what a :class:`SendMsg` would."""
 
     tag: str
     entries: Tuple[Tuple[Any, int, Any, int], ...]
@@ -72,7 +83,7 @@ class SendsMsg(Message, Digestible):
         )
 
     def payload_size(self) -> int:
-        return 8 + 128 + sum(
+        return 8 + signature_bytes(self.signature) + sum(
             16 + _payload_size(payload) + (8 if window else 0)
             for _subchannel, _position, payload, window in self.entries
         )
@@ -82,7 +93,7 @@ class SendsMsg(Message, Digestible):
 class MoveMsg(Message, Digestible):
     """``<Move, sc, p>`` — a receiver endpoint moved its window to ``p``
     and asks the senders to follow (senders ask with :class:`MovesMsg`;
-    so does a receiver whose corked round moved several subchannels)."""
+    so does a receiver when one seal finds several subchannels moved)."""
 
     tag: str
     subchannel: Any
@@ -111,8 +122,8 @@ class MovesMsg(Message, Digestible):
     """``<Moves, (sc, p)*>`` — window Moves under one MAC vector.  From a
     sender endpoint: all its requests on the heartbeat (one message per
     receiver however many subchannels), one when no Send can carry it.
-    From a receiver endpoint: every subchannel that moved while its
-    announcement was corked, as ``(sc, p, collector)`` entries."""
+    From a receiver endpoint: every subchannel that moved since its
+    node's last seal, as ``(sc, p, collector)`` entries."""
 
     tag: str
     positions: Tuple[Tuple, ...]
@@ -199,7 +210,7 @@ class SigShare(Message, Digestible):
         return content + (self.window,) if self.window else content
 
     def payload_size(self) -> int:
-        return 32 + 128 + (8 if self.window else 0)
+        return 32 + signature_bytes(self.signature) + (8 if self.window else 0)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Every sender endpoint signs and transmits its own copy of each message to
 every receiver endpoint; a receiver delivers once it collected ``f_s + 1``
 matching copies from distinct senders.  Simple and CPU-cheap on the sender
-side (one signature per message — per *wire* message: Sends corked behind
-queued CPU work leave as one signed :class:`SendsMsg`), but transfers
+side (at most one signature per CPU task: the Sends a node's seal finds
+registered leave as one signed :class:`SendsMsg`), but transfers
 ``senders x receivers`` copies over the WAN.
 """
 
@@ -12,25 +12,32 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.crypto.primitives import attach_auth, digest, sign, verify
+from repro.crypto.primitives import digest, verify
 from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg, SendMsg, SendsMsg
+
+
+def _entries_of(message: Any) -> Tuple[Tuple[Any, int, Any, int], ...]:
+    """The ``(subchannel, position, payload, window)`` entries of a Send."""
+    if isinstance(message, SendMsg):
+        return ((message.subchannel, message.position, message.payload, message.window),)
+    return message.entries
 
 
 class RcSenderEndpoint(SenderEndpointBase):
     """Sender endpoint of an IRMC-RC."""
 
     def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
-        self._cork((subchannel, position, payload))
+        self.node.seal_later(self._emit, (subchannel, position, payload))
 
-    def _emit(self, entries: List[Tuple[Any, int, Any]]) -> None:
+    def _emit(self, entries: List[Tuple[Any, int, Any]]) -> Tuple:
         live = [
             (subchannel, position, payload, self._own_moves.get(subchannel, 0))
             for subchannel, position, payload in entries
             if position >= self.start_of(subchannel) and not self.is_retired(subchannel)
         ]
-        if not live:
-            return
+        if self.closed or not live:
+            return ()
         if len(live) == 1:
             ((subchannel, position, payload, window),) = live
             body: Any = SendMsg(self.tag, subchannel, position, payload, self.node.name, window)
@@ -38,10 +45,12 @@ class RcSenderEndpoint(SenderEndpointBase):
             body = SendsMsg(self.tag, tuple(live), self.node.name)
             self.bundles_sent += 1
             self.largest_bundle = max(self.largest_bundle, len(live))
-        message = attach_auth(body, signature=sign(self.node.name, body))
+        return ((body, self._publish),)
+
+    def _publish(self, message: Any) -> None:
         for receiver in self.remote_group:
             self.send_msg(receiver, message)
-        for subchannel, position, _payload, _window in live:
+        for subchannel, position, _payload, _window in _entries_of(message):
             self._buffer.setdefault(subchannel, {})[position] = message
 
     def _retransmit(self, subchannel: Any, position: int, message: Any) -> None:
@@ -91,18 +100,12 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
 
     def _on_send(self, message: Any) -> None:
         """A sender's Sends under one signature: a :class:`SendMsg`, or
-        the :class:`SendsMsg` bundle of a corked round — one vote path."""
+        the :class:`SendsMsg` bundle of one seal — one vote path."""
         sender = message.sender
         if sender not in self.remote_names:
             return
-        if isinstance(message, SendMsg):
-            entries: Tuple = (
-                (message.subchannel, message.position, message.payload, message.window),
-            )
-        else:
-            entries = message.entries
         verified = False
-        for subchannel, position, payload, window in entries:
+        for subchannel, position, payload, window in _entries_of(message):
             # A copy that can no longer matter — its position is delivered
             # already, or below the window — needs no authentication: the
             # surplus copies past the fs+1 quorum (a whole bundle of them,

@@ -74,23 +74,36 @@ class ScSenderEndpoint(SenderEndpointBase):
     # Sending
     # ------------------------------------------------------------------
     def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
-        # Never corked: shares must match across senders, and each sender
-        # would draw its bundle boundaries elsewhere.
-        key = (subchannel, position)
         payload_digest = digest(payload)
-        self._pending[key] = (payload, payload_digest)
-        body = SigShare(
-            tag=self.tag,
-            subchannel=subchannel,
-            position=position,
-            payload_digest=payload_digest,
-            sender=self.node.name,
-            window=self._own_moves.get(subchannel, 0),
-        )
-        share = attach_auth(body, signature=sign(self.node.name, body))
+        self._pending[(subchannel, position)] = (payload, payload_digest)
+        self.node.seal_later(self._emit, (subchannel, position, payload_digest))
+
+    def _emit(self, entries: List[Tuple[Any, int, int]]) -> List[Tuple[SigShare, Any]]:
+        # One share per position (shares must match across senders), all
+        # of them — and whatever else this node emits — under one RSA
+        # operation.
+        if self.closed:
+            return []
+        return [
+            (
+                SigShare(
+                    tag=self.tag,
+                    subchannel=subchannel,
+                    position=position,
+                    payload_digest=payload_digest,
+                    sender=self.node.name,
+                    window=self._own_moves.get(subchannel, 0),
+                ),
+                self._publish,
+            )
+            for subchannel, position, payload_digest in entries
+            if position >= self.start_of(subchannel) and not self.is_retired(subchannel)
+        ]
+
+    def _publish(self, share: SigShare) -> None:
         # The share is also processed locally (Fig. 19 L. 12-13).
         self.broadcast(self.local_group, share, include_self=True)
-        self._buffer.setdefault(subchannel, {})[position] = share
+        self._buffer.setdefault(share.subchannel, {})[share.position] = share
 
     def _on_share(self, message: SigShare) -> None:
         if message.sender not in self.local_names:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # runtime import would be circular: net imports sim
     from repro.sim.events import EventHandle
 
 _current: Optional["Node"] = None
+
+#: a seal hook: the entries it registered -> ``(unsigned body, then)`` pairs
+SealHook = Callable[[List[Any]], Iterable[Tuple[Any, Callable[[Any], None]]]]
 
 
 def current_node() -> Optional["Node"]:
@@ -88,6 +91,10 @@ class Node:
         self._dispatch_scheduled = False
         self._executing = False
         self._outbox: list = []
+        #: what :meth:`seal_later` registered since the last seal: emit hook
+        #: -> its entries, hooks in the order they first registered.
+        self._unsealed: Dict[SealHook, List[Any]] = {}
+        self._seal_queued = False
         #: callbacks run (as CPU tasks) after :meth:`recover`; components
         #: hosting timer chains or driver processes register here so a
         #: crash/recover cycle restores their liveness obligations.
@@ -120,10 +127,39 @@ class Node:
         if not (self._dispatch_scheduled or self._executing):
             self._post_dispatch()
 
-    @property
-    def has_queued_work(self) -> bool:
-        """Whether work is waiting for this CPU behind whatever runs now."""
-        return bool(self._tasks)
+    def seal_later(self, emit: SealHook, entry: Any) -> None:
+        """Register ``entry`` for this node's next seal.
+
+        The node signs at most once per CPU task: at the end of the
+        running task, or — when older work is already queued — in one
+        flush task behind that work (the queue is FIFO, so no timer is
+        involved).  The seal calls ``emit(entries)`` once per hook with
+        everything the hook registered; the hook sends what needs no
+        signature itself and returns ``(body, then)`` pairs.  All bodies
+        of all hooks share one ``rsa_sign``; ``then`` gets the signed
+        message.
+        """
+        self._unsealed.setdefault(emit, []).append(entry)
+        if not self._seal_queued:
+            self._settle()
+
+    def _settle(self) -> None:
+        if self._tasks:
+            self._seal_queued = True
+            self.run_task(self._seal)
+        elif not self._executing:  # else the running task seals as it ends
+            self._seal()
+
+    def _seal(self) -> None:
+        from repro.crypto.primitives import attach_auth, sign_many  # crypto imports sim
+
+        self._seal_queued = False
+        while self._unsealed:  # a ``then`` may register again
+            registered, self._unsealed = self._unsealed, {}
+            jobs = [job for emit, entries in registered.items() for job in emit(entries)]
+            signatures = sign_many(self.name, [body for body, _then in jobs])
+            for (body, then), signature in zip(jobs, signatures):
+                then(attach_auth(body, signature=signature))
 
     def _post_dispatch(self) -> None:
         # Inlined fire-and-forget schedule of ``_dispatch`` at the CPU-free
@@ -157,6 +193,8 @@ class Node:
         self._pending_cost = 0.0
         try:
             fn(*args)
+            if self._unsealed and not self._seal_queued:
+                self._seal()
         finally:
             _current = previous
             self._executing = False
@@ -280,6 +318,7 @@ class Node:
             self.wiped = True
         self._tasks.clear()
         self._outbox.clear()
+        self._seal_queued = False  # the flush went with the queue; what it was to sign did not
 
     def recover(self) -> None:
         """Clear the crash flag and run the registered recovery hooks.
@@ -303,10 +342,13 @@ class Node:
         if self.wiped:
             self.wiped = False
             self.wipe_count += 1
+            self._unsealed.clear()
             for hook in list(self._wipe_hooks):
                 hook()
         for hook in list(self._recovery_hooks):
             self.run_task(hook)
+        if self._unsealed:
+            self._settle()
 
     def add_recovery_hook(self, hook: Callable[[], None]) -> None:
         """Register ``hook`` to run on this node's CPU after each recovery."""

@@ -174,9 +174,14 @@ def observe(seed, n_clients, n_requests=4, **build_kwargs):
 class TestUnbatchedReference:
     #: fingerprints of ``observe(seed, n_clients=3)`` at commit 8f16893,
     #: whose only protocol was one instance per request — with the
-    #: ``_client_loop`` cursor fix of this PR applied to it (seed 7 hits
-    #: the race that fix closes: 3136505881 without it; 1234 does not)
-    PARENT_FINGERPRINTS = {7: 3020643471, 1234: 2674070715}
+    #: ``_client_loop`` cursor fix of PR 13 applied to it (seed 7 hits
+    #: the race that fix closes: 3136505881 without it; 1234 does not) —
+    #: rebased once, by design, when a node began to sign once per CPU
+    #: task (PR 16): an agreement replica's two commit-channel Sends now
+    #: leave after one ``rsa_sign``, so every reply instant moved.  Until
+    #: then they were 3020643471 / 2674070715, and a tree with the seal
+    #: forced to sign per emission still produces exactly those.
+    PARENT_FINGERPRINTS = {7: 1784505314, 1234: 2641619305}
 
     @pytest.mark.parametrize("seed", sorted(PARENT_FINGERPRINTS))
     def test_batch_size_one_reproduces_the_parent_commit(self, seed):

@@ -8,6 +8,10 @@ invariant before its fix landed.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.chaos import chaos_case
+from repro.crypto.costs import CostModel, use_cost_model
 from repro.crypto.primitives import attach_auth, sign
 from repro.irmc import IrmcConfig
 from repro.irmc.messages import MovesMsg, SendMsg, SendsMsg
@@ -329,6 +333,45 @@ class TestEquivocatorForgesBundles:
         ]
 
 
+    def test_batch_signed_sends_are_forged_in_batch_form(self):
+        """Two channels emitting in one task share one RSA operation; the
+        liar's variants keep that form — as many siblings, the same wire
+        size — and verify on their own at the receivers it lies to."""
+        from repro.crypto.primitives import verify
+        from repro.faults import make_equivocator
+        from repro.irmc.messages import SendMsg
+
+        cluster = Cluster()
+        s_nodes = cluster.add_group("s", 3, region="virginia")
+        r_nodes = cluster.add_group("r", 2, region="oregon") + cluster.add_group(
+            "q", 2, region="oregon"
+        )
+        config = IrmcConfig(fs=1, fr=1, capacity=4, move_heartbeat_ms=0)
+        channels = [make_rc_channel(tag, s_nodes, r_nodes, config) for tag in ("ch-a", "ch-b")]
+        liar = make_equivocator(s_nodes[0], fraction=1.0)
+        seen = []
+        original = cluster.network.send
+
+        def recording_send(src, dst, message):
+            if src is s_nodes[0]:
+                seen.append((dst.name, message))
+            original(src, dst, message)
+
+        cluster.network.send = recording_send
+        s_nodes[0].run_task(
+            lambda: [senders["s0"].send("c1", 1, ("m", 1)) for senders, _receivers in channels]
+        )
+        cluster.run(until=300.0)
+        assert len(seen) == 8 and liar.equivocated == 4
+        sizes = set()
+        for name, message in seen:
+            assert type(message) is SendMsg and len(message.signature.siblings) == 1
+            assert verify(message.signature, message, signer="s0")
+            assert (message.payload == ("m", 1)) == name.startswith("q")
+            sizes.add(message.size_bytes() - len(repr(message.payload)))
+        assert len(sizes) == 1
+
+
 class TestRaftLostPayloadReintroduction:
     """A Raft leader that accepts a payload and crashes before replicating
     it used to lose the payload forever: every replica's ``_seen`` tombstone
@@ -643,3 +686,29 @@ class TestOverlappingLinkWindows:
         assert mods[("n0", "n1")].dup_rate == 0.2
         cluster.run(until=250.0)
         assert ("n0", "n1") not in mods
+
+
+class TestKnownRedCells:
+    """Open bugs, visible to CI until someone fixes them (ROADMAP item 1a).
+
+    Seeds 100-129 of the nine IRMC / Spider chaos cases (the golden record
+    pins 1-12 only) hold four cells that violate a liveness invariant under
+    the default cost model, unchanged since at least PR 15's parent.  Each
+    is a one-line repro; ``strict`` turns a fix — or a change that happens
+    to move the cell — into a failure that asks for this list to shrink.
+    """
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [
+            ("irmc-sc", 111),  # receivers wedged on the sliding-window subchannel
+            ("spider", 118),  # agreement replica behind the group frontier
+            ("spider", 123),  # same
+            ("spider-shard", 111),  # same, in the faulted shard
+        ],
+    )
+    @pytest.mark.xfail(strict=True, reason="known red chaos cell, not yet diagnosed")
+    def test_cell_holds_its_invariants(self, name, seed):
+        with use_cost_model(CostModel()):
+            result = chaos_case(name).run(seed)
+        assert result.violations == []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.messages import Execute, RequestBody, RequestWrapper
-from repro.crypto.costs import CostModel, use_cost_model
+from repro.crypto.costs import FREE, CostModel, use_cost_model
 from repro.crypto.primitives import (
     attach_auth,
     cached_repr,
@@ -23,6 +23,7 @@ from repro.crypto.primitives import (
     make_mac_vector,
     set_digest_cache_enabled,
     sign,
+    sign_many,
     verify,
     verify_mac,
     verify_mac_vector,
@@ -41,6 +42,19 @@ def _cache_on():
 
 def _body(counter=1, operation=("put", "k", "v")):
     return RequestBody(operation=operation, client="c1", counter=counter)
+
+
+def _charge_of(fn):
+    """Simulated CPU ``fn`` charges to a node that runs it."""
+    import repro.sim.node as node_mod
+
+    node = Node(Simulator(seed=1), "probe")
+    previous, node_mod._current = node_mod._current, node
+    try:
+        fn()
+    finally:
+        node_mod._current = previous
+    return node._pending_cost
 
 
 class TestBitIdentity:
@@ -74,21 +88,9 @@ class TestChargeParity:
     def test_cache_hits_charge_identical_hashing_cost(self):
         model = CostModel()  # full-cost model so hash charges are visible
         with use_cost_model(model):
-            sim = Simulator(seed=1)
             body = _body()
 
-            def charge_of(fn):
-                node = Node(sim, "probe")
-                node._pending_cost = 0.0
-                import repro.sim.node as node_mod
-
-                previous = node_mod._current
-                node_mod._current = node
-                try:
-                    fn()
-                finally:
-                    node_mod._current = previous
-                return node._pending_cost
+            charge_of = _charge_of
 
             first = charge_of(lambda: content_digest(body))  # miss
             hit = charge_of(lambda: content_digest(body))  # hit
@@ -96,6 +98,79 @@ class TestChargeParity:
             uncached = charge_of(lambda: digest(body.signed_content()))
             assert first == hit == uncached
             assert first > 0
+
+
+class TestSignMany:
+    """One RSA operation, k signatures that each verify on their own."""
+
+    def test_batch_of_one_is_sign_byte_for_byte(self):
+        body = _body()
+        with use_cost_model(CostModel()):
+            alone = _charge_of(lambda: sign("c1", body))
+            batched = _charge_of(lambda: sign_many("c1", [body]))
+        (signature,) = sign_many("c1", [body])
+        reference = sign("c1", body)
+        assert type(signature) is type(reference) and signature == reference
+        assert repr(signature) == repr(reference)
+        assert signature.size_bytes() == reference.size_bytes() == 128
+        assert alone == batched > 0
+        assert sign_many("c1", []) == [] and _charge_of(lambda: sign_many("c1", [])) == 0.0
+
+    def test_k_bodies_cost_one_rsa_sign_and_each_verifies_alone(self):
+        bodies = [_body(counter) for counter in (1, 2, 3, 4)]
+        with use_cost_model(FREE.with_overrides(rsa_sign=1.0, rsa_verify=0.125)):
+            signatures = []
+            assert _charge_of(lambda: signatures.extend(sign_many("c1", bodies))) == 1.0
+            for body, signature in zip(bodies, signatures):
+                verdict = []
+                cost = _charge_of(lambda: verdict.append(verify(signature, body, signer="c1")))
+                assert verdict == [True] and cost == 0.125  # a plain verify's price
+        assert [s.size_bytes() for s in signatures] == [128 + 3 * 8] * 4
+        assert len({s.batch_digest for s in signatures}) == 1
+        assert not verify(signatures[0], bodies[0], signer="c2")
+
+    def test_wire_messages_grow_by_their_sibling_digests(self):
+        from repro.checkpoints.messages import CheckpointMsg
+        from repro.irmc.messages import SendMsg
+
+        vote = CheckpointMsg(tag="cp", seq=4, state_digest=7, sender="r0")
+        send = SendMsg("com-g0", 0, 4, ("execute", 4), "r0")
+        alone = [attach_auth(body, signature=sign("r0", body)) for body in (vote, send)]
+        signed = [
+            attach_auth(body, signature=signature)
+            for body, signature in zip((vote, send), sign_many("r0", [vote, send]))
+        ]
+        for message, reference in zip(signed, alone):
+            assert verify(message.signature, message, signer="r0")
+            assert message.size_bytes() == reference.size_bytes() + 8
+
+    def test_signature_lifted_onto_another_body_fails(self):
+        bodies = [_body(counter) for counter in (1, 2, 3)]
+        signatures = sign_many("c1", bodies)
+        assert not verify(signatures[0], bodies[1], signer="c1")  # a sibling
+        assert not verify(signatures[0], _body(99), signer="c1")  # a stranger
+        # Claiming the sibling's digest does not help: the sibling list
+        # then names the wrong others.
+        from dataclasses import replace
+
+        lifted = replace(signatures[0], object_digest=signatures[1].object_digest)
+        assert not verify(lifted, bodies[1], signer="c1")
+
+    def test_tampered_sibling_list_fails(self):
+        from dataclasses import replace
+
+        bodies = [_body(counter) for counter in (1, 2, 3)]
+        signature = sign_many("c1", bodies)[0]
+        assert verify(signature, bodies[0], signer="c1")
+        foreign = content_digest(_body(99))
+        for siblings in (
+            signature.siblings[:1],
+            signature.siblings + (foreign,),
+            (foreign,) + signature.siblings[1:],
+        ):
+            assert not verify(replace(signature, siblings=siblings), bodies[0], signer="c1")
+        # Order is not part of what was signed (the digests are sorted).
+        assert verify(replace(signature, siblings=signature.siblings[::-1]), bodies[0], signer="c1")
 
 
 class TestByzantineMutation:

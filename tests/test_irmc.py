@@ -12,6 +12,24 @@ from repro.irmc import IrmcConfig, TooOld, make_channel
 from tests.conftest import Cluster
 
 
+def record_sends(cluster, timed=False):
+    """Log ``(src name, message)`` for everything put on the network
+    (``timed``: ``(src name, instant, message)``)."""
+    log = []
+    network = cluster.network
+    original = network.send
+
+    def recording_send(src, dst, message):
+        if timed:
+            log.append((src.name, cluster.sim.now, message))
+        else:
+            log.append((src.name, message))
+        original(src, dst, message)
+
+    network.send = recording_send
+    return log
+
+
 class ChannelFixture:
     """An IRMC between a 3-node Virginia group and a 4-node Oregon group."""
 
@@ -49,21 +67,7 @@ class ChannelFixture:
         return [endpoint.start_of(subchannel) for endpoint in self.receivers.values()]
 
     def record_sends(self, timed=False):
-        """Log ``(src name, message)`` for everything put on the network
-        (``timed``: ``(src name, instant, message)``)."""
-        log = []
-        network = self.cluster.network
-        original = network.send
-
-        def recording_send(src, dst, message):
-            if timed:
-                log.append((src.name, self.cluster.sim.now, message))
-            else:
-                log.append((src.name, message))
-            original(src, dst, message)
-
-        network.send = recording_send
-        return log
+        return record_sends(self.cluster, timed)
 
     def behind_queued_work(self, name, *calls):
         """Queue a CPU-charging task on node ``name``, then ``calls``
@@ -367,6 +371,41 @@ class TestSendPathCosts:
         fixture.run(until=450.0)
         assert receiver.node.busy_ms == busy_before and "c1" not in receiver._votes
 
+    def test_move_that_can_advance_nothing_costs_no_cpu(self):
+        """RC: the 3rd and 4th receiver's Move for a position the window
+        already reached — or a Byzantine receiver's low one — is dropped
+        before its MAC is looked at, and the window ends up where
+        authenticating every Move would have put it."""
+        from repro.crypto.costs import FREE, use_cost_model
+        from repro.irmc.base import _WindowBook
+        from repro.irmc.messages import MoveMsg, MovesMsg
+
+        with use_cost_model(FREE.with_overrides(hmac=1.0)):
+            fixture = ChannelFixture("rc")
+            sender = fixture.senders["s0"]
+            reference, expected_start, verified = _WindowBook(quorum_rank=2), 1, 0
+            moves = [  # r3 is Byzantine-low throughout, the others honest-high
+                ("r3", 1), ("r0", 5), ("r3", 2), ("r1", 5), ("r2", 5), ("r3", 5),
+                ("r3", 3), ("r2", 7), ("r3", 6), ("r0", 7), ("r1", 7), ("r3", 7),
+            ]
+            for receiver, position in moves:
+                verified += position > sender.start_of("c1")
+                body = MoveMsg("ch", "c1", position, receiver)
+                sender.node.run_task(sender._on_receiver_move, fixture.receivers[receiver]._authenticated(body))
+                fixture.run(until=fixture.cluster.sim.now + 1.0)
+                reference.record("c1", receiver, position)
+                expected_start = max(expected_start, reference.agreed_start("c1", sender.remote_names))
+                assert sender.start_of("c1") == expected_start
+            assert sender.start_of("c1") == 7 and sender.node.busy_ms == verified == 6
+            # Nothing to advance, nothing charged — not even for a forged MAC,
+            # a bundle of stale entries, or an unknown subchannel at 1.
+            forged = fixture.receivers["r1"]._authenticated(MoveMsg("ch", "c1", 7, "r0"))
+            stale = MovesMsg("ch", (("c1", 6, None), ("c1", 7, None), ("new", 1, None)), "r2")
+            for message in (forged, fixture.receivers["r2"]._authenticated(stale)):
+                sender.node.run_task(sender._on_receiver_move, message)
+            fixture.run(until=fixture.cluster.sim.now + 1.0)
+            assert sender.node.busy_ms == 6 and "new" not in sender._receiver_moves
+
     def test_retransmission_reoffers_the_signed_message(self, channel):
         """An idle-round retransmission re-sends the buffered wire message
         itself: no new signature, no CPU charged."""
@@ -382,10 +421,45 @@ class TestSendPathCosts:
         assert endpoint.node.busy_ms == busy_before
 
 
+class AgreementNodeFixture:
+    """One agreement group with an RC commit channel to each of four
+    execution groups and a checkpoint component, as a Spider agreement
+    replica hosts them; ``a0`` is the node under test."""
+
+    REGIONS = ("virginia", "oregon", "ireland", "tokyo")
+
+    def __init__(self):
+        from repro.checkpoints import CheckpointComponent
+
+        self.cluster = Cluster()
+        agreement = self.cluster.add_group("a", 4, region="virginia")
+        self.node = agreement[0]
+        self.commit_tx = []
+        for index, region in enumerate(self.REGIONS):
+            members = self.cluster.add_group(f"e{index}-", 3, region=region)
+            senders, _receivers = make_channel(
+                "rc", f"com-g{index}", agreement, members, IrmcConfig(capacity=8)
+            )
+            self.commit_tx.append(senders["a0"])
+        self.stable = {}
+        self.cp = {
+            node.name: CheckpointComponent(
+                node, "cp", agreement, 1, lambda seq, state, name=node.name: self.stable.update({name: seq})
+            )
+            for node in agreement
+        }
+
+    def deliver_instance(self, seq):
+        """What ``_delivery_loop`` does with an agreed instance."""
+        for commit_tx in self.commit_tx:
+            assert commit_tx.send(0, seq, ("execute", seq)).value == "ok"
+
+
 class TestCork:
-    """Emissions behind queued CPU work leave in one flush under one
-    authenticator; with an empty CPU queue they leave as they always did.
-    There is no switch: the reference is an endpoint nothing is queued on."""
+    """A node signs at most once per CPU task — at its end, or in one flush
+    behind the work already queued — and sends one wire message per remote
+    endpoint.  There is no switch: the reference is a task that emits once
+    on a node nothing is queued on, which leaves what it always left."""
 
     def test_send_with_nothing_queued_is_the_plain_signed_message(self):
         """Byte- and instant-identical to signing and sending a SendMsg by
@@ -488,14 +562,14 @@ class TestCork:
             assert endpoint.send("c1", 1, ("m", 1)).value == "ok"
             assert endpoint.send("c1", 2, ("m", 2)).value == "ok"
             endpoint.node.crash()  # takes the queued flush along
-            assert len(endpoint._corked) == 2 and not endpoint.node.has_queued_work
+            assert len(endpoint.node._unsealed[endpoint._emit]) == 2 and not endpoint.node._tasks
         fixture.run(until=100.0)
         assert "value" not in holders[0]
         for name in ("s0", "s1"):
             fixture.senders[name].node.recover()
         fixture.run(until=300.0)
         assert [holder["value"] for holder in holders[:2]] == [("m", 1), ("m", 2)]
-        assert not fixture.senders["s0"]._corked
+        assert not fixture.senders["s0"].node._unsealed
         # The channel stays live: the next send goes straight out.
         fixture.send_from(["s0", "s1"], "c1", 3, ("m", 3))
         fixture.run(until=600.0)
@@ -508,14 +582,14 @@ class TestCork:
             endpoint = fixture.senders["s0"]
             endpoint.node.run_task(lambda: None)
             future = endpoint.send("c1", 1, ("m", 1))
-            assert future.value == "ok" and endpoint._corked
+            assert future.value == "ok" and endpoint.node._unsealed
             if ending == "wipe":
                 endpoint.node.crash(wipe=True)
                 endpoint.node.recover()
             else:
                 endpoint.close()
             fixture.run(until=300.0)
-            assert not endpoint._corked and not endpoint._buffer
+            assert not endpoint.node._unsealed and not endpoint._buffer
             assert not [m for name, m in log if name == "s0"]
 
     def test_retire_or_window_move_while_corked_drops_what_it_overtook(self):
@@ -609,6 +683,91 @@ class TestCork:
         resent = [m for name, m in log if name == "s0"]
         assert len(resent) == 4 and all(m is bundle for m in resent)
         assert endpoint.node.busy_ms == busy_before
+
+
+    def test_four_channels_in_one_task_share_one_signature(self):
+        """An agreed instance goes to four commit channels in one task:
+        one ``rsa_sign``, four wire messages, all leaving 0.25 ms in."""
+        from repro.crypto.costs import FREE, use_cost_model
+        from repro.crypto.primitives import BatchSignature, verify
+        from repro.irmc.messages import SendMsg
+
+        with use_cost_model(FREE.with_overrides(rsa_sign=0.25)):
+            fixture = AgreementNodeFixture()
+            log = record_sends(fixture.cluster, timed=True)
+            fixture.cluster.run(until=10.0)
+            fixture.node.run_task(fixture.deliver_instance, 1)
+            fixture.cluster.run(until=50.0)
+        assert fixture.node.busy_ms == 0.25
+        sent = [(at, m) for name, at, m in log if name == "a0"]
+        assert len(sent) == 4 * 3 and {at for at, _m in sent} == {10.25}
+        wire = {m.tag: m for _at, m in sent}
+        assert sorted(wire) == ["com-g0", "com-g1", "com-g2", "com-g3"]
+        for message in wire.values():
+            assert type(message) is SendMsg and type(message.signature) is BatchSignature
+            assert len(message.signature.siblings) == 3
+            assert verify(message.signature, message, signer="a0")
+        assert all(tx._buffer[0][1] is wire[tx.tag] for tx in fixture.commit_tx)
+
+    def test_checkpoint_vote_rides_the_pending_flush(self):
+        from repro.crypto.costs import FREE, use_cost_model
+        from repro.sim.node import charge
+
+        with use_cost_model(FREE.with_overrides(rsa_sign=1.0)):
+            fixture = AgreementNodeFixture()
+            log = record_sends(fixture.cluster)
+            for name in ("a0", "a1"):
+                node = fixture.cp[name].node
+                node.run_task(charge, 0.5)  # older work: what follows seals behind it
+                if name == "a0":
+                    node.run_task(fixture.deliver_instance, 4)
+                node.run_task(fixture.cp[name].gen_cp, 4, ("state", 4))
+            fixture.cluster.run(until=50.0)
+        assert fixture.node.busy_ms == 0.5 + 1.0  # four Sends and the vote: one rsa_sign
+        votes = [m for name, m in log if name == "a0" and type(m).__name__ == "CheckpointMsg"]
+        assert len(votes) == 3 and len(votes[0].signature.siblings) == 4
+        # Peers verify the batch-signed vote on its own: f + 1 votes certify,
+        # and the replicas without a snapshot fetch it from a signer.
+        assert fixture.stable == dict.fromkeys(("a0", "a1", "a2", "a3"), 4)
+
+    def test_checkpoint_vote_survives_a_crash_of_the_flush_but_not_a_wipe(self):
+        for wipe in (False, True):
+            fixture = AgreementNodeFixture()
+            log = record_sends(fixture.cluster)
+            fixture.node.run_task(lambda: None)
+            fixture.cp["a0"].gen_cp(4, ("state", 4))
+            fixture.deliver_instance(1)
+            fixture.node.crash(wipe=wipe)  # takes the queued flush along
+            fixture.cluster.run(until=50.0)
+            assert not log and not fixture.node._seal_queued
+            fixture.node.recover()
+            fixture.cp["a1"].node.run_task(fixture.cp["a1"].gen_cp, 4, ("state", 4))
+            fixture.cluster.run(until=100.0)
+            sent = sorted({type(m).__name__ for name, m in log if name == "a0"})
+            if wipe:
+                assert not sent and not fixture.node._unsealed and "a0" not in fixture.stable
+            else:
+                assert sent[:2] == ["CheckpointMsg", "CpState"] and sent[-1] == "SendMsg"
+                assert fixture.stable["a0"] == 4
+
+    def test_sealed_run_is_byte_identical_with_the_sanitizer_armed(self):
+        from repro.net import set_send_sanitizer
+
+        def history(armed):
+            previous = set_send_sanitizer(armed)
+            try:
+                fixture = AgreementNodeFixture()
+                log = record_sends(fixture.cluster, timed=True)
+                for seq in (1, 2, 3):
+                    fixture.node.run_task(fixture.deliver_instance, seq)
+                fixture.node.run_task(fixture.cp["a0"].gen_cp, 3, ("state", 3))
+                fixture.cluster.run(until=400.0)
+                sim = fixture.cluster.sim
+                return sim.now, sim.events_processed, [(n, at, repr(m)) for n, at, m in log]
+            finally:
+                set_send_sanitizer(previous)
+
+        assert history(False) == history(True)
 
 
 def _batched_execute(seq, n_items, client="cl"):
