@@ -20,7 +20,9 @@ receiver replicas in another region (paper Section 3.2).  Key semantics:
   CPU task — at the task's end, or in one flush behind the work already
   queued.  The seal sends one wire message per remote endpoint (a plain
   :class:`SendMsg` / :class:`MoveMsg` for one entry) and signs everything
-  the node emits, across endpoints, with one RSA operation.
+  the node emits, across endpoints, with one RSA operation.  An
+  endpoint's ``_emit`` hook drops what a window move, a retirement or
+  ``close()`` overtook since the entry registered.
 * **TooOld** — operations on positions below the window resolve with a
   :class:`TooOld` marker carrying the new lower bound, which is how trailing
   replicas learn they must fetch a checkpoint.
@@ -37,7 +39,7 @@ or with :class:`TooOld`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import attach_auth, make_mac_vector, verify_mac_vector
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg
@@ -185,11 +187,6 @@ class IrmcEndpoint(Component):
         """
         self.window_start.clear()
         self._retired.clear()
-
-    def _emit(self, entries: List[Any]) -> Iterable[Tuple[Any, Any]]:
-        """Seal hook (see ``Node.seal_later``): must drop what a window
-        move, a retirement or ``close()`` overtook meanwhile."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Window helpers
