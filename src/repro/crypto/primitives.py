@@ -382,7 +382,7 @@ def verify(
     expected = content_digest(obj) if isinstance(obj, Digestible) else digest(obj)
     if signature.object_digest != expected:
         return False
-    return not isinstance(signature, BatchSignature) or signature.intact()
+    return signature.__class__ is not BatchSignature or signature.intact()
 
 
 @dataclass(frozen=True)

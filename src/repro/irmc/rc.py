@@ -17,13 +17,6 @@ from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg, SendMsg, SendsMsg
 
 
-def _entries_of(message: Any) -> Tuple[Tuple[Any, int, Any, int], ...]:
-    """The ``(subchannel, position, payload, window)`` entries of a Send."""
-    if isinstance(message, SendMsg):
-        return ((message.subchannel, message.position, message.payload, message.window),)
-    return message.entries
-
-
 class RcSenderEndpoint(SenderEndpointBase):
     """Sender endpoint of an IRMC-RC."""
 
@@ -45,13 +38,14 @@ class RcSenderEndpoint(SenderEndpointBase):
             body = SendsMsg(self.tag, tuple(live), self.node.name)
             self.bundles_sent += 1
             self.largest_bundle = max(self.largest_bundle, len(live))
-        return ((body, self._publish),)
 
-    def _publish(self, message: Any) -> None:
-        for receiver in self.remote_group:
-            self.send_msg(receiver, message)
-        for subchannel, position, _payload, _window in _entries_of(message):
-            self._buffer.setdefault(subchannel, {})[position] = message
+        def publish(message: Any) -> None:
+            for receiver in self.remote_group:
+                self.send_msg(receiver, message)
+            for subchannel, position, _payload, _window in live:
+                self._buffer.setdefault(subchannel, {})[position] = message
+
+        return ((body, publish),)
 
     def _retransmit(self, subchannel: Any, position: int, message: Any) -> None:
         # A bundle is buffered under every position it carried: re-offer
@@ -104,8 +98,14 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
         sender = message.sender
         if sender not in self.remote_names:
             return
+        if isinstance(message, SendMsg):
+            entries: Tuple = (
+                (message.subchannel, message.position, message.payload, message.window),
+            )
+        else:
+            entries = message.entries
         verified = False
-        for subchannel, position, payload, window in _entries_of(message):
+        for subchannel, position, payload, window in entries:
             # A copy that can no longer matter — its position is delivered
             # already, or below the window — needs no authentication: the
             # surplus copies past the fs+1 quorum (a whole bundle of them,

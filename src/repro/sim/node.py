@@ -95,6 +95,12 @@ class Node:
         #: -> its entries, hooks in the order they first registered.
         self._unsealed: Dict[SealHook, List[Any]] = {}
         self._seal_queued = False
+        # Bound per node: crypto imports this module, so the module cannot
+        # import crypto, and an import statement inside ``_seal`` would cost
+        # microseconds on every seal.
+        from repro.crypto.primitives import attach_auth, sign_many
+
+        self._attach_auth, self._sign_many = attach_auth, sign_many
         #: callbacks run (as CPU tasks) after :meth:`recover`; components
         #: hosting timer chains or driver processes register here so a
         #: crash/recover cycle restores their liveness obligations.
@@ -140,26 +146,28 @@ class Node:
         message.
         """
         self._unsealed.setdefault(emit, []).append(entry)
-        if not self._seal_queued:
+        # Otherwise the flush is queued already, or the running task
+        # seals as it ends.
+        if not self._seal_queued and (self._tasks or not self._executing):
             self._settle()
 
     def _settle(self) -> None:
         if self._tasks:
             self._seal_queued = True
             self.run_task(self._seal)
-        elif not self._executing:  # else the running task seals as it ends
+        else:
             self._seal()
 
     def _seal(self) -> None:
-        from repro.crypto.primitives import attach_auth, sign_many  # crypto imports sim
-
+        attach_auth, sign_many = self._attach_auth, self._sign_many
         self._seal_queued = False
         while self._unsealed:  # a ``then`` may register again
             registered, self._unsealed = self._unsealed, {}
             jobs = [job for emit, entries in registered.items() for job in emit(entries)]
-            signatures = sign_many(self.name, [body for body, _then in jobs])
-            for (body, then), signature in zip(jobs, signatures):
-                then(attach_auth(body, signature=signature))
+            if jobs:
+                bodies, thens = zip(*jobs)
+                for body, then, signature in zip(bodies, thens, sign_many(self.name, bodies)):
+                    then(attach_auth(body, signature=signature))
 
     def _post_dispatch(self) -> None:
         # Inlined fire-and-forget schedule of ``_dispatch`` at the CPU-free
