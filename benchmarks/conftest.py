@@ -1,16 +1,25 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one of the paper's tables/figures at reduced
-scale (``quick=True``), prints the table, and asserts the *shape* the paper
-reports (who wins, roughly by how much, where crossovers fall).  Run with::
+Each figure benchmark regenerates one of the paper's tables/figures at
+reduced scale (``quick=True``), prints the table, compares it row by row
+with the committed record (``BENCH_figures.json``, see
+``figures_record.py``) and then asserts the *shape* the paper reports
+(who wins, roughly by how much, where crossovers fall).  Run with::
 
     pytest benchmarks/ --benchmark-only
 """
 
+import pathlib
+
 import pytest
 
-
-import pathlib
+from figures_record import (
+    MISMATCH_PATH,
+    RERECORD,
+    assert_p50s_positive,
+    mismatches,
+    run_figure,
+)
 
 BENCH_DIR = pathlib.Path(__file__).parent.resolve()
 
@@ -25,17 +34,29 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.bench)
 
 
-def run_experiment(benchmark, run_fn, **kwargs):
-    """Execute an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(lambda: run_fn(quick=True, **kwargs), rounds=1, iterations=1)
+@pytest.fixture(scope="session", autouse=True)
+def _fresh_mismatch_artifact():
+    """A present mismatch file always refers to the latest run."""
+    if MISMATCH_PATH.exists():
+        MISMATCH_PATH.unlink()
+    yield
 
 
 @pytest.fixture
 def experiment(benchmark):
-    def _run(run_fn, **kwargs):
-        result = run_experiment(benchmark, run_fn, **kwargs)
+    """Run figure ``name`` once under pytest-benchmark timing and hold it
+    to the record; the caller asserts the paper's shape on the rows."""
+
+    def _run(name):
+        result = benchmark.pedantic(lambda: run_figure(name), rounds=1, iterations=1)
         print()
         print(result.format())
+        moved = mismatches(name, result.rows)  # leaves its artifact
+        assert moved == [], (
+            f"rows moved off the record, see {MISMATCH_PATH}; if the move is "
+            f"by design, re-record with `{RERECORD}`"
+        )
+        assert_p50s_positive(result.rows)
         return result
 
     return _run
