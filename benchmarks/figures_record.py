@@ -18,19 +18,17 @@ Re-record (only for a change that moves simulated results by design)::
 from __future__ import annotations
 
 import functools
-import importlib
 import json
 import pathlib
 from typing import Any, Dict, List
 
 from repro.crypto.costs import CostModel, use_cost_model
-from repro.experiments import EXPERIMENTS
+from repro.experiments.figures import FIGURES, run
 
 _HERE = pathlib.Path(__file__).resolve().parent
 RECORD_PATH = _HERE / "BENCH_figures.json"
 #: expected/actual pairs of the rows that moved (CI uploads it)
 MISMATCH_PATH = _HERE / "BENCH_figures_mismatch.json"
-FIGURES = ("fig7", "fig8", "fig9_modularity", "fig9_irmc", "fig10", "fig11")
 SEED = 1
 #: absolute, in the cell's unit (ms for every latency cell)
 TOLERANCE = 1e-6
@@ -40,16 +38,16 @@ RERECORD = "PYTHONPATH=src python benchmarks/figures_record.py"
 def run_figure(name: str):
     """The quick table of ``name`` as recorded: seed 1, default costs."""
     with use_cost_model(CostModel()):
-        return importlib.import_module(EXPERIMENTS[name]).run(quick=True, seed=SEED)
+        return run(name, quick=True, seed=SEED)
 
 
 @functools.lru_cache(maxsize=None)
-def _record() -> Dict[str, Any]:
+def _load() -> Dict[str, Any]:
     return json.loads(RECORD_PATH.read_text())
 
 
 def recorded_rows(name: str) -> List[Dict[str, Any]]:
-    return _record()["figures"][name]
+    return _load()["figures"][name]
 
 
 def _same(expected: Dict[str, Any], actual: Dict[str, Any]) -> bool:

@@ -2,19 +2,19 @@
 figures): global flow control ``z``, the IRMC implementation used for the
 full system, and the execution checkpoint interval ``k_e``.
 
-These quantify the knobs DESIGN.md calls out rather than reproducing a
+These quantify Spider's own design knobs rather than reproducing a
 specific paper figure.
 """
 
 from repro.core import SpiderConfig
-from repro.experiments.common import (
-    RunScale,
-    build_spider,
-    fresh_env,
-    measure_latency,
-)
+from repro.deploy import build
+from repro.experiments.common import RunScale, fresh_env, spider_spec
+from repro.experiments.figures import measure_latency
 
-REGIONS = ["virginia", "oregon", "ireland", "tokyo"]
+
+def _spider(sim, network, config: SpiderConfig):
+    """The paper's deployment under ``config``, as its one shard."""
+    return build(sim, spider_spec(config=config), network=network).system
 
 
 def _spider_latency(benchmark, config: SpiderConfig, partition_region=None, seed=1):
@@ -22,7 +22,7 @@ def _spider_latency(benchmark, config: SpiderConfig, partition_region=None, seed
 
     def once():
         sim, network = fresh_env(seed=seed)
-        system = build_spider(sim, network, config=config)
+        system = _spider(sim, network, config)
         if partition_region is not None:
             sim.schedule(0.0, network.partition, {partition_region})
         summaries = measure_latency(
@@ -51,7 +51,7 @@ class TestGlobalFlowControlZ:
         def once():
             sim, network = fresh_env(seed=2)
             config = SpiderConfig(z=0, commit_capacity=16, ke=8, ka=8, ag_window=16)
-            system = build_spider(sim, network, config=config)
+            system = _spider(sim, network, config)
             sim.schedule(0.0, network.partition, {"tokyo"})
             client = system.make_client("c", "virginia", group_id="virginia")
             completed = []
@@ -82,9 +82,7 @@ class TestSystemLevelIrmcChoice:
         def once():
             for kind in ("rc", "sc"):
                 sim, network = fresh_env(seed=3)
-                system = build_spider(
-                    sim, network, config=SpiderConfig(irmc_kind=kind)
-                )
+                system = _spider(sim, network, SpiderConfig(irmc_kind=kind))
                 summaries = measure_latency(
                     sim,
                     system.make_client,
@@ -114,7 +112,7 @@ class TestCheckpointIntervalKe:
             for ke in (4, 32):
                 sim, network = fresh_env(seed=4)
                 config = SpiderConfig(ke=ke, ka=max(4, ke), ag_window=64)
-                system = build_spider(sim, network, config=config)
+                system = _spider(sim, network, config)
                 summaries = measure_latency(
                     sim,
                     system.make_client,

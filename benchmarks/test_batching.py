@@ -29,7 +29,8 @@ bundled per flush).
 
 from repro.core import SpiderConfig
 from repro.crypto.costs import CostModel, use_cost_model
-from repro.experiments.common import REGIONS, build_spider, fresh_env
+from repro.deploy import build
+from repro.experiments.common import REGIONS, fresh_env, spider_spec
 from repro.metrics import summarize
 from repro.workload import drive_clients
 
@@ -44,7 +45,8 @@ BATCH_SIZES = (1, DEFAULT_CAP)
 def _run(batch_size, placement, seed=7):
     with use_cost_model(CostModel().scaled(COST_SCALE)):
         sim, network = fresh_env(seed=seed)
-        system = build_spider(sim, network, config=SpiderConfig(batch_size=batch_size))
+        spec = spider_spec(config=SpiderConfig(batch_size=batch_size))
+        system = build(sim, spec, network=network).system
         clients = [
             system.make_client(f"c-{region}-{index}", region)
             for region, count in placement

@@ -34,7 +34,8 @@ import json
 import pathlib
 import time
 
-from repro.experiments.common import REGIONS, build_spider, fresh_env
+from repro.deploy import build
+from repro.experiments.common import REGIONS, fresh_env, spider_spec
 from repro.irmc import IrmcConfig, make_channel
 from repro.metrics import sim_fingerprint
 from repro.net import Payload, Site
@@ -61,7 +62,7 @@ IRMC_CAPACITY = 2048
 # ----------------------------------------------------------------------
 def run_fig7_write_saturated(seed: int = SEED) -> dict:
     sim, network = fresh_env(seed=seed)
-    system = build_spider(sim, network)
+    system = build(sim, spider_spec(), network=network)
     clients = []
     for region in REGIONS:
         for index in range(FIG7_CLIENTS_PER_REGION):

@@ -6,7 +6,8 @@ throughput scales with execution groups while the flat WAN protocol's
 per-request cost dominates BFT.
 """
 
-from repro.experiments.common import REGIONS, build_bft, build_spider, fresh_env
+from repro.deploy import BftSpec, build
+from repro.experiments.common import REGIONS, fresh_env, spider_spec
 from repro.metrics import summarize
 from repro.workload import drive_clients
 
@@ -14,9 +15,9 @@ DURATION_MS = 8_000.0
 WARMUP_MS = 1_000.0
 
 
-def _run(system_builder, clients_per_region, seed=5):
+def _run(spec, clients_per_region, seed=5):
     sim, network = fresh_env(seed=seed)
-    system = system_builder(sim, network)
+    system = build(sim, spec, network=network)
     clients = []
     for region in REGIONS:
         for index in range(clients_per_region):
@@ -37,10 +38,11 @@ class TestSystemThroughput:
     def test_spider_vs_bft_scaling(self, benchmark):
         def once():
             results = {}
-            for label, builder in (("SPIDER", build_spider), ("BFT", build_bft)):
-                results[label] = {
-                    n: _run(builder, n) for n in (1, 3)
-                }
+            for label, spec in (
+                ("SPIDER", spider_spec()),
+                ("BFT", BftSpec(regions=tuple(REGIONS), leader="virginia")),
+            ):
+                results[label] = {n: _run(spec, n) for n in (1, 3)}
             return results
 
         results = benchmark.pedantic(once, rounds=1, iterations=1)

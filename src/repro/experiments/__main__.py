@@ -24,13 +24,12 @@ Exits non-zero if any cell fails.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import pathlib
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, run
 
 
 def _split_csv(text):
@@ -98,7 +97,6 @@ def main(argv=None) -> int:
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        module = importlib.import_module(EXPERIMENTS[name])
         # lint: allow[D102] -- reports real elapsed wall time of the
         # experiment CLI; nothing simulated depends on it
         started = time.time()
@@ -107,7 +105,7 @@ def main(argv=None) -> int:
             if name != "chaos":
                 parser.error("--configs only applies to the chaos experiment")
             kwargs["configs"] = _split_csv(args.configs)
-        result = module.run(**kwargs)
+        result = run(name, **kwargs)
         # lint: allow[D102] -- same wall-time progress report as above
         elapsed = time.time() - started
         print(result.format())

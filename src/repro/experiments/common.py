@@ -1,18 +1,20 @@
-"""Shared experiment scaffolding: system builders, drivers, result tables."""
+"""Shared experiment scaffolding: the result table, the run scale, the
+paper's regions and its standard deployment as a spec.
+
+Kept light on purpose: the benchmark harness imports this module, so it
+pulls in neither the figure tables nor the baselines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.app import KVStore
-from repro.core import Shard, SpiderConfig
+from repro.core import SpiderConfig
 from repro.core.config import DEFAULT_AGREEMENT_ZONES
-from repro.deploy import BftSpec, ClusterSpec, HftSpec, build
-from repro.metrics import LatencySummary, summarize
+from repro.deploy import ClusterSpec
 from repro.net import Network, Topology
 from repro.sim import Simulator
-from repro.workload import ClosedLoopDriver, OperationMix
 
 REGIONS = ["virginia", "oregon", "ireland", "tokyo"]
 REGION_LABEL = {
@@ -107,45 +109,6 @@ def spider_spec(
     )
 
 
-def build_spider(
-    sim,
-    network,
-    regions: Sequence[str] = tuple(REGIONS),
-    leader_zone_order: Optional[List[int]] = None,
-    config: Optional[SpiderConfig] = None,
-) -> Shard:
-    """Build the paper's Spider deployment from :func:`spider_spec`.
-
-    Returns the cluster's single shard — the hand-wiring surface — so
-    figure runners keep their direct group/client access."""
-    cluster = build(
-        sim,
-        spider_spec(regions=regions, leader_zone_order=leader_zone_order, config=config),
-        network=network,
-    )
-    return cluster.system
-
-
-def build_bft(sim, network, leader: str = "virginia", regions=None, weights=None, f=1):
-    """BFT: one replica per region; ``leader`` hosts the initial leader."""
-    spec = BftSpec(
-        regions=tuple(regions or REGIONS),
-        leader=leader,
-        f=f,
-        weights=tuple(sorted(weights.items())) if weights else None,
-    )
-    return build(sim, spec, network=network)
-
-
-def build_hft(sim, network, leader: str = "virginia", regions=None, f=1):
-    """HFT: one 3f+1 cluster per region; ``leader`` is the leader site."""
-    spec = HftSpec(regions=tuple(regions or REGIONS), leader=leader, f=f)
-    return build(sim, spec, network=network)
-
-
-# ----------------------------------------------------------------------
-# Workload execution
-# ----------------------------------------------------------------------
 @dataclass
 class RunScale:
     """Knobs shrinking an experiment for quick runs.
@@ -165,40 +128,3 @@ class RunScale:
     @classmethod
     def quick(cls) -> "RunScale":
         return cls(clients_per_region=2, duration_ms=6_000.0, warmup_ms=1_000.0, think_ms=250.0)
-
-
-def measure_latency(
-    sim,
-    make_client: Callable[[str, str], object],
-    regions: Sequence[str],
-    scale: RunScale,
-    mix: Optional[OperationMix] = None,
-    kinds: Optional[Sequence[str]] = None,
-    strong_read_quorum: Optional[int] = None,
-) -> Dict[str, LatencySummary]:
-    """Run closed-loop clients in each region; return per-region summaries."""
-    mix = mix or OperationMix(write=1.0)
-    clients = []
-    for region in regions:
-        for index in range(scale.clients_per_region):
-            client = make_client(f"cl-{region}-{index}", region)
-            clients.append((region, client))
-            ClosedLoopDriver(
-                sim,
-                client,
-                think_ms=scale.think_ms,
-                mix=mix,
-                duration_ms=scale.duration_ms,
-                strong_read_quorum=strong_read_quorum,
-            )
-    sim.run(until=scale.duration_ms + scale.drain_ms)
-    summaries: Dict[str, LatencySummary] = {}
-    for region in regions:
-        samples = [
-            sample
-            for r, client in clients
-            if r == region
-            for sample in client.completed
-        ]
-        summaries[region] = summarize(samples, kinds=kinds, after_ms=scale.warmup_ms)
-    return summaries

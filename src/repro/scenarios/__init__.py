@@ -1,12 +1,13 @@
 """Declarative scenario suites: pure-data specs, one runner, cached builds.
 
-The scenario layer turns every experiment family in this repo — chaos
-campaigns, the overload A/B, the fig7 latency grid, the fig9 IRMC
-micro-bench — into *data*: a :class:`ScenarioSpec` names a registered
-stack and carries topology / workload / faults / invariants / scale
-fragments.  A :class:`SuiteSpec` (usually loaded from YAML or JSON)
-layers suite defaults under per-scenario overrides and validates the
-whole matrix before any node exists.
+The scenario layer turns the fault-campaign and traffic experiment
+families — chaos, reshard, the overload A/B — into *data* (the paper's
+figures are tables of deploy specs, :mod:`repro.experiments.figures`):
+a :class:`ScenarioSpec` names a registered stack and carries topology /
+workload / faults / invariants / scale fragments.  A :class:`SuiteSpec`
+(usually loaded from YAML or JSON) layers suite defaults under
+per-scenario overrides and validates the whole matrix before any node
+exists.
 
 Everything expensive to build is cached by the canonical structural
 fingerprint of the fragment that defines it (:func:`structural_

@@ -2,9 +2,9 @@
 
 A :class:`ScenarioSpec` is pure data describing one experiment cell
 family: which *stack* executes it (a registered runner — ``"chaos"``,
-``"overload"``, ``"fig7-latency"``, ``"irmc-bench"``...), the *topology*
-(an embedded :class:`~repro.deploy.ClusterSpec`, when the stack builds a
-cluster), the *workload* (rate curves, key distributions, session
+``"overload"``, ``"reshard"``), the *topology* (an embedded
+:class:`~repro.deploy.ClusterSpec`, when the stack builds a cluster),
+the *workload* (rate curves, key distributions, session
 counts), the *faults* (palette kinds with budgets/windows, or an
 explicit action list), the *invariants* (names resolving to
 :mod:`repro.chaos.invariants` checkers), the *run scale* and the
@@ -50,9 +50,8 @@ __all__ = [
 
 #: workload kinds scenario specs may declare.  ``flash-plan`` builds a
 #: precomputed open-loop arrival schedule (:func:`repro.workload.traffic.
-#: flash_plan`); ``closed-loop`` declares closed-loop driver parameters
-#: the executing stack interprets (no precomputed artifact).
-WORKLOAD_KINDS = ("flash-plan", "closed-loop", "irmc-stream")
+#: flash_plan`).
+WORKLOAD_KINDS = ("flash-plan",)
 
 _ALL_FAULT_KINDS = tuple(NODE_KINDS) + tuple(NET_KINDS)
 
@@ -122,20 +121,14 @@ class WorkloadSpec:
         _check_non_negative(self.options, f"workload {self.kind!r}")
 
     def build(self, seed: int) -> Any:
-        """Materialise the workload's precomputed artifact for ``seed``.
+        """Materialise the workload's precomputed artifact for ``seed``:
+        the ``flash-plan`` open-loop arrival schedule."""
+        from repro.workload.traffic import flash_plan
 
-        Only ``flash-plan`` has one (the open-loop arrival schedule);
-        declarative-only kinds return their options for the stack to
-        interpret.
-        """
-        if self.kind == "flash-plan":
-            from repro.workload.traffic import flash_plan
-
-            try:
-                return flash_plan(seed, **self.options_dict())
-            except TypeError as error:
-                raise ConfigurationError(f"workload flash-plan: {error}") from None
-        return self.options_dict()
+        try:
+            return flash_plan(seed, **self.options_dict())
+        except TypeError as error:
+            raise ConfigurationError(f"workload flash-plan: {error}") from None
 
 
 # ======================================================================
@@ -347,9 +340,6 @@ class ScenarioSpec:
                 self.metrics,
             )
         )
-
-    def topology_fingerprint(self) -> str:
-        return structural_fingerprint(("topology", self.topology))
 
     def workload_fingerprint(self) -> str:
         if self.workload is None:

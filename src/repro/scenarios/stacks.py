@@ -2,11 +2,7 @@
 
 A *stack* turns ``(ScenarioSpec, seed, BuildCache)`` into a stats dict.
 Stacks register by name (:func:`register_stack`); scenario specs select
-one via their ``stack`` field and :func:`resolve_stack` finds it —
-lazily importing the experiment modules that host the figure stacks, so
-``repro.scenarios`` never drags the whole experiment surface in at
-import time (and the experiment modules can import ``repro.scenarios``
-back without a cycle).
+one via their ``stack`` field and :func:`resolve_stack` finds it.
 
 Built-in here:
 
@@ -21,20 +17,12 @@ Built-in here:
   malformed plans (overlaps, unknown shards, epoch regressions) die at
   validation time.
 
-Registered on import elsewhere:
-
-* ``fig7-latency`` (:mod:`repro.experiments.fig7_writes`) — one
-  latency-vs-leader-placement cell (BFT / HFT / Spider).
-* ``irmc-bench`` (:mod:`repro.experiments.fig9_irmc`) — one IRMC
-  channel micro-benchmark cell (throughput / CPU / network).
-
 Every stack's ``validate(spec)`` runs during ``ScenarioSpec.validate()``
 — misconfiguration fails before any node exists.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Any, Dict, TYPE_CHECKING
 
 from repro.chaos.cases import chaos_case
@@ -49,12 +37,6 @@ __all__ = ["register_stack", "resolve_stack", "stack_names"]
 
 _STACKS: Dict[str, Any] = {}
 
-#: stacks hosted by experiment modules, imported on first resolution.
-_LAZY_STACKS = {
-    "fig7-latency": "repro.experiments.fig7_writes",
-    "irmc-bench": "repro.experiments.fig9_irmc",
-}
-
 
 def register_stack(stack) -> None:
     """Register an executor object (``name``, ``validate``, ``run``)."""
@@ -64,20 +46,13 @@ def register_stack(stack) -> None:
 
 
 def stack_names() -> list:
-    return sorted(set(_STACKS) | set(_LAZY_STACKS))
+    return sorted(_STACKS)
 
 
 def resolve_stack(name: str):
-    if name in _STACKS:
-        return _STACKS[name]
-    module = _LAZY_STACKS.get(name)
-    if module is not None:
-        importlib.import_module(module)
-        if name in _STACKS:
-            return _STACKS[name]
-    raise ConfigurationError(
-        f"unknown stack {name!r}; known: {stack_names()}"
-    )
+    if name not in _STACKS:
+        raise ConfigurationError(f"unknown stack {name!r}; known: {stack_names()}")
+    return _STACKS[name]
 
 
 # ======================================================================

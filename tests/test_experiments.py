@@ -1,8 +1,13 @@
 """Smoke tests for the experiment harness (full runs live in benchmarks/)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, run
 from repro.experiments.common import ExperimentResult, RunScale
 
 
@@ -24,20 +29,38 @@ class TestExperimentResult:
 
 class TestRegistryOfExperiments:
     def test_all_experiments_importable(self):
-        import importlib
+        from repro.experiments import chaos, figures
 
-        for name, module_path in EXPERIMENTS.items():
-            module = importlib.import_module(module_path)
-            assert callable(module.run), name
+        assert set(EXPERIMENTS) == {"chaos", *figures.FIGURES}
+        assert callable(chaos.run)
+        assert all(callable(figure) for figure in figures.FIGURES.values())
+
+
+    def test_shared_scaffolding_imports_neither_figures_nor_baselines(self):
+        """The benchmark harness imports ``repro.experiments.common`` and
+        ``repro.scenarios`` and times its own start-up; the figure tables
+        and the baselines they build must not ride along."""
+        script = (
+            "import sys, repro.experiments.common, repro.scenarios\n"
+            "print([m for m in sys.modules if m.startswith("
+            "('repro.baselines', 'repro.experiments.figures'))])"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        output = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert output.stdout.strip() == "[]"
 
 
 class TestQuickRuns:
     """Tiny end-to-end runs; full shape checks are in benchmarks/."""
 
     def test_fig8_quick(self):
-        from repro.experiments.fig8_reads import run
-
-        result = run(quick=True)
+        result = run("fig8", quick=True)
         systems = {row["system"] for row in result.rows}
         assert systems == {"BFT", "HFT", "SPIDER"}
         spider_weak = next(
@@ -47,9 +70,7 @@ class TestQuickRuns:
         assert 0 < spider_weak["T p50"] < 5.0
 
     def test_fig9_modularity_quick(self):
-        from repro.experiments.fig9_modularity import run
-
-        result = run(quick=True)
+        result = run("fig9_modularity", quick=True)
         variants = [row["variant"] for row in result.rows]
         assert variants == ["SPIDER-0E", "SPIDER-1E", "SPIDER"]
         for row in result.rows:

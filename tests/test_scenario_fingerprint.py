@@ -111,7 +111,7 @@ MUTATIONS = {
         topology={"regions": ["virginia", "oregon", "ireland", "tokyo"]}
     ),
     "params": dict(params={"config": "raft"}),
-    "workload": dict(workload={"kind": "closed-loop", "think_ms": 100.0}),
+    "workload": dict(workload={"kind": "flash-plan", "sessions": 4}),
     "faults-palette-order": dict(faults={"palette": ["delay", "crash"], "max_actions": 2}),
     "faults-budget": dict(faults={"palette": ["crash", "delay"], "max_actions": 3}),
     "invariants": dict(invariants=["sequence-agreement"]),

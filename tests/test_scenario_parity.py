@@ -1,9 +1,10 @@
 """Golden-parity regressions: migrated surfaces == their hand-wired originals.
 
-Every experiment surface that moved onto the declarative scenario path
-must stay byte-identical to the code it replaced.  Each test here runs a
-(reduced-scale) cell through the scenario runner AND through an inline
-copy of the pre-migration wiring, then compares results exactly — no
+Every experiment surface that moved onto a declarative path (scenario
+suites; the figure tables of ``repro.experiments.figures``) must stay
+byte-identical to the code it replaced.  Each test here runs a
+(reduced-scale) cell through the runner AND through an inline copy of
+the pre-migration wiring, then compares results exactly — no
 tolerances.  The full-scale equivalents are pinned by committed
 artifacts: ``tests/chaos_golden.json`` (every chaos and reshard suite
 cell, compared by ``tests/test_chaos_golden.py`` and the
@@ -38,64 +39,129 @@ def test_chaos_suite_declares_the_full_sweep():
 
 
 # ----------------------------------------------------------------------
-# fig7: scenario cell == hand-wired build + measure
+# fig7: one table cell == the wiring the table replaced, spelled out
 # ----------------------------------------------------------------------
 def test_fig7_cell_matches_handwired_path():
-    from repro.experiments.common import (
-        REGION_LABEL, REGIONS, RunScale, build_bft, fresh_env, measure_latency,
-    )
+    from repro.app import KVStore
+    from repro.baselines import BftSystem
+    from repro.experiments.common import RunScale
+    from repro.experiments.figures import FIG7, run_cell
+    from repro.metrics import summarize
+    from repro.net import Network, Topology
+    from repro.sim import Simulator
+    from repro.workload import ClosedLoopDriver, OperationMix
 
-    scale_kwargs = dict(
+    scale = RunScale(
         clients_per_region=1, duration_ms=1500.0, warmup_ms=300.0,
         think_ms=200.0, drain_ms=3000.0,
     )
-    spec = ScenarioSpec.of(
-        name="fig7-parity",
-        stack="fig7-latency",
-        params={"system": "bft", "leader": "tokyo"},
-        workload={"kind": "closed-loop", **scale_kwargs},
-    )
-    row = run_scenario(spec, 3)
+    cell = next(c for c in FIG7.cells if c.labels == ("BFT", "T"))
+    row = run_cell(cell, scale, seed=3)
 
-    sim, network = fresh_env(seed=3)
-    system = build_bft(sim, network, leader="tokyo")
-    summaries = measure_latency(
-        sim, system.make_client, REGIONS, RunScale(**scale_kwargs), kinds=["write"]
+    # Hand-wired reference: flat BFT led from Tokyo, one writer per region.
+    sim = Simulator(seed=3)
+    network = Network(sim, Topology(), jitter=0.05)
+    system = BftSystem(
+        sim, ["tokyo", "virginia", "oregon", "ireland"], KVStore, network=network
     )
-    expected = {"system": "BFT", "leader": REGION_LABEL["tokyo"]}
-    for region in REGIONS:
-        expected[f"{REGION_LABEL[region]} p50"] = summaries[region].p50
-        expected[f"{REGION_LABEL[region]} p90"] = summaries[region].p90
-    assert row == expected
+    clients = {}
+    for region in ("virginia", "oregon", "ireland", "tokyo"):
+        clients[region] = system.make_client(f"cl-{region}-0", region)
+        ClosedLoopDriver(
+            sim, clients[region], think_ms=200.0, mix=OperationMix(write=1.0),
+            duration_ms=1500.0,
+        )
+    sim.run(until=1500.0 + 3000.0)
+    summaries = [
+        summarize(client.completed, kinds=["write"], after_ms=300.0)
+        for client in clients.values()
+    ]
+    assert all(summary.count > 0 for summary in summaries)
+    assert row == [
+        "BFT", "T", *(s.p50 for s in summaries), *(s.p90 for s in summaries)
+    ]
 
 
 # ----------------------------------------------------------------------
-# fig9: scenario cell == direct bench_channel probes
+# fig9: one IRMC row == two hand-wired pumps (saturating, then paced)
 # ----------------------------------------------------------------------
 def test_fig9_cell_matches_handwired_path():
-    from repro.experiments.fig9_irmc import bench_channel
+    from repro.experiments.figures import irmc_row
+    from repro.irmc import IrmcConfig, make_channel
+    from repro.net import Network, Payload, Site, Topology
+    from repro.sim import Process, Simulator
+    from repro.sim.routing import RoutedNode
 
-    spec = ScenarioSpec.of(
-        name="fig9-parity",
-        stack="irmc-bench",
-        params={"channel": "rc"},
-        workload={
-            "kind": "irmc-stream", "size": 256, "duration_ms": 500.0,
-            "cpu_probe_rate_per_s": 800.0,
-        },
-    )
-    row = run_scenario(spec, 1)
+    size, duration_ms, warmup_ms = 256, 500.0, 100.0
 
-    saturated = bench_channel("rc", 256, 500.0, seed=1)
-    paced = bench_channel("rc", 256, 500.0, seed=1, rate_per_s=800.0)
-    assert row == {
+    def pump(rate_per_s):
+        sim = Simulator(seed=1)
+        network = Network(sim, Topology(), jitter=0.0)
+        senders = [
+            network.register(RoutedNode(sim, f"s{i}", Site("virginia", i + 1)))
+            for i in range(3)
+        ]
+        receivers = [
+            network.register(RoutedNode(sim, f"r{i}", Site("tokyo", i + 1)))
+            for i in range(4)
+        ]
+        config = IrmcConfig(fs=1, fr=1, capacity=2048, progress_interval_ms=200.0)
+        tx, rx = make_channel("rc", "bench", senders, receivers, config)
+
+        interval_ms = 1000.0 / rate_per_s if rate_per_s else 0.0
+
+        def sender_loop(endpoint):
+            position, payload, started = 1, Payload(size, label="bench"), sim.now
+            while True:
+                yield endpoint.send(0, position, payload)
+                due = started + position * interval_ms
+                if interval_ms and due > sim.now:
+                    yield due - sim.now
+                position += 1
+
+        def receiver_loop(endpoint, deliveries):
+            position = 1
+            while True:
+                yield endpoint.receive(0, position)
+                deliveries.append(sim.now)
+                if position % 64 == 0:
+                    endpoint.move_window(0, position + 1)
+                position += 1
+
+        deliveries = []
+        for node in senders:
+            Process(sim, sender_loop(tx[node.name]), node=node)
+        for index, node in enumerate(receivers):
+            sink = deliveries if index == 0 else []
+            Process(sim, receiver_loop(rx[node.name], sink), node=node)
+        sim.run(until=warmup_ms)
+        before = network.snapshot()
+        busy = [node.busy_ms for node in senders + receivers]
+        sim.run(until=duration_ms)
+        after = network.snapshot()
+        window_ms = duration_ms - warmup_ms
+        shares = [
+            (node.busy_ms - was) / window_ms
+            for node, was in zip(senders + receivers, busy)
+        ]
+        return {
+            "throughput": sum(1 for t in deliveries if t >= warmup_ms)
+            / (window_ms / 1000.0),
+            "sender_cpu": min(1.0, sum(shares[:3]) / 3),
+            "receiver_cpu": min(1.0, sum(shares[3:]) / 4),
+            "wan": network.interval_mbps(before, after, wan=True),
+            "lan": network.interval_mbps(before, after, wan=False),
+        }
+
+    saturated, paced = pump(0.0), pump(1200.0)
+    assert irmc_row("rc", size, duration_ms, seed=1) == {
         "irmc": "RC",
-        "size [B]": 256,
-        "throughput [msg/s]": saturated.throughput_per_s,
-        "sender CPU [%]": paced.sender_cpu * 100,
-        "receiver CPU [%]": paced.receiver_cpu * 100,
-        "WAN [MB/s]": saturated.wan_mbps,
-        "LAN [MB/s]": saturated.lan_mbps,
+        "size [B]": size,
+        "throughput [msg/s]": saturated["throughput"],
+        "sender CPU [%]": paced["sender_cpu"] * 100,
+        "receiver CPU [%]": paced["receiver_cpu"] * 100,
+        "WAN [MB/s]": saturated["wan"],
+        "LAN [MB/s]": saturated["lan"],
     }
 
 
