@@ -88,3 +88,34 @@ class TestQuickRuns:
 
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+
+class TestUnservedCells:
+    """A population nobody answered must not become a table row: an empty
+    region summarises to 0.0, which every "below the baseline" check passes."""
+
+    def test_no_sample_after_the_warmup_raises(self):
+        from repro.experiments.figures import FIG9_MODULARITY, CellError, run_cell
+
+        scale = RunScale(
+            clients_per_region=1, duration_ms=400.0, warmup_ms=1000.0,
+            think_ms=100.0, drain_ms=3000.0,
+        )
+        with pytest.raises(CellError, match="region virginia: no sample"):
+            run_cell(FIG9_MODULARITY.cells[-1], scale, seed=1)
+
+    def test_partitioned_agreement_group_raises(self):
+        """Virginia cut off: every other region's write stays unanswered."""
+        from repro.deploy import build
+        from repro.experiments.common import REGIONS, fresh_env, spider_spec
+        from repro.experiments.figures import CellError, measure_latency
+
+        sim, network = fresh_env(seed=1)
+        system = build(sim, spider_spec(), network=network)
+        network.partition({"virginia"})
+        scale = RunScale(
+            clients_per_region=1, duration_ms=1000.0, warmup_ms=0.0,
+            think_ms=100.0, drain_ms=3000.0,
+        )
+        with pytest.raises(CellError, match="cl-oregon-0 in oregon.*unanswered"):
+            measure_latency(sim, system.make_client, REGIONS, scale, kinds=["write"])
