@@ -353,8 +353,11 @@ FIG10_SYSTEMS = (
     ("HFT", HFT, {"site_region": "virginia"}),
     ("SPIDER", SPIDER, {"group_id": "saopaulo"}),
 )
-#: every site runs a writer and a reader per client index
-FIG10_ROLES = (("w", OperationMix(write=1.0)), ("r", OperationMix(weak_read=1.0)))
+#: every site runs a writer and a (weak) reader per client index
+FIG10_ROLES = (
+    ("w", OperationMix(write=1.0)),
+    ("r", OperationMix(write=0.0, weak_read=1.0)),
+)
 
 
 def fig10(quick: bool = False, seed: int = 1) -> ExperimentResult:

@@ -76,6 +76,26 @@ class TestQuickRuns:
         for row in result.rows:
             assert row["V p50"] > 0
 
+    def test_fig10_readers_only_read(self):
+        """``OperationMix(weak_read=1.0)`` alone leaves ``write`` at its
+        default 1.0 — a "reader" that writes half the time."""
+        from repro.deploy import build
+        from repro.experiments.common import fresh_env
+        from repro.experiments.figures import FIG10_ROLES, SPIDER, populate, settle
+
+        sim, network = fresh_env(seed=1)
+        system = build(sim, SPIDER, network=network)
+        drivers = populate(
+            sim, system.make_client, ["virginia"], 1, FIG10_ROLES,
+            think_ms=50.0, duration_ms=2_000.0,
+        )
+        settle(sim, drivers, 5_000.0)
+        kinds = {
+            driver.client.name: {kind for kind, _start, _latency in driver.client.completed}
+            for driver in drivers
+        }
+        assert kinds == {"w-virginia-0": {"write"}, "r-virginia-0": {"weak-read"}}
+
     def test_cli_runs_one_experiment(self, capsys):
         from repro.experiments.__main__ import main
 
