@@ -393,6 +393,9 @@ class BftSpec:
             raise ConfigurationError(
                 f"BFT with f={self.f} needs >= {3 * self.f + 1} regions"
             )
+        unknown = {region for region, _ in self.weights or ()} - set(self.regions)
+        if unknown:
+            raise ConfigurationError(f"weights for unknown regions: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -417,3 +420,11 @@ class HftSpec:
             raise ConfigurationError("HftSpec regions must be unique")
         if self.leader is not None and self.leader not in self.regions:
             raise ConfigurationError(f"leader {self.leader!r} not in regions")
+        for region, sites in self.site_layout or ():
+            if region not in self.regions:
+                raise ConfigurationError(f"site layout for unknown region {region!r}")
+            if len(sites) < 3 * self.f + 1:
+                raise ConfigurationError(
+                    f"site layout for {region} too small: HFT with f={self.f} "
+                    f"needs {3 * self.f + 1} sites, got {len(sites)}"
+                )

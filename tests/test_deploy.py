@@ -167,6 +167,32 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="at least two"):
             HftSpec(regions=("virginia",)).validate()
 
+    def test_bad_baseline_specs_die_before_a_node_exists(self):
+        """All three used to surface (or not at all) inside the system
+        constructors, after earlier replicas had registered."""
+        regions = ("virginia", "oregon", "ireland", "tokyo")
+        three_sites = tuple(Site("oregon", zone) for zone in (1, 2, 3))
+        cases = [
+            (
+                HftSpec(regions=regions, site_layout=(("oregon", three_sites),)),
+                "site layout for oregon too small",
+            ),
+            (
+                HftSpec(regions=regions, site_layout=(("mars", three_sites * 2),)),
+                "site layout for unknown region 'mars'",
+            ),
+            (
+                BftSpec(regions=regions, weights=(("mars", 2.0),)),
+                r"weights for unknown regions: \['mars'\]",
+            ),
+        ]
+        for spec, message in cases:
+            sim = Simulator(seed=1)
+            network = Network(sim, Topology())
+            with pytest.raises(ConfigurationError, match=message):
+                build(sim, spec, network=network)
+            assert not network.nodes
+
     def test_partitioner_is_deterministic_and_total(self):
         partitioner = KeyPartitioner(("sa", "sb", "sc"))
         owners = {key: partitioner.owner(key) for key in (f"k{i}" for i in range(64))}
