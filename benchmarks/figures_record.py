@@ -18,12 +18,13 @@ Re-record (only for a change that moves simulated results by design)::
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import pathlib
 from typing import Any, Dict, List
 
 from repro.crypto.costs import CostModel, use_cost_model
-from repro.experiments.figures import FIGURES, run
+from repro.experiments.figures import FIGURES
 
 _HERE = pathlib.Path(__file__).resolve().parent
 RECORD_PATH = _HERE / "BENCH_figures.json"
@@ -38,7 +39,7 @@ RERECORD = "PYTHONPATH=src python benchmarks/figures_record.py"
 def run_figure(name: str):
     """The quick table of ``name`` as recorded: seed 1, default costs."""
     with use_cost_model(CostModel()):
-        return run(name, quick=True, seed=SEED)
+        return FIGURES[name](quick=True, seed=SEED)
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,16 +69,11 @@ def mismatches(name: str, rows: List[Dict[str, Any]]) -> List[str]:
     expected/actual pairs in :data:`MISMATCH_PATH` (merged with what
     earlier calls found).
     """
-    expected = recorded_rows(name)
+    pairs = itertools.zip_longest(recorded_rows(name), rows)  # None: a row too few
     moved = {
-        f"{name}/{index}": {
-            "expected": expected[index] if index < len(expected) else None,
-            "actual": rows[index] if index < len(rows) else None,
-        }
-        for index in range(max(len(expected), len(rows)))
-        if index >= len(expected)
-        or index >= len(rows)
-        or not _same(expected[index], rows[index])
+        f"{name}/{index}": {"expected": expected, "actual": actual}
+        for index, (expected, actual) in enumerate(pairs)
+        if expected is None or actual is None or not _same(expected, actual)
     }
     if moved:
         earlier = json.loads(MISMATCH_PATH.read_text()) if MISMATCH_PATH.exists() else {}

@@ -6,8 +6,9 @@ throughput scales with execution groups while the flat WAN protocol's
 per-request cost dominates BFT.
 """
 
-from repro.deploy import BftSpec, build
-from repro.experiments.common import REGIONS, fresh_env, spider_spec
+from repro.deploy import build
+from repro.experiments.common import REGIONS, fresh_env
+from repro.experiments.figures import BFT, SPIDER
 from repro.metrics import summarize
 from repro.workload import drive_clients
 
@@ -38,10 +39,7 @@ class TestSystemThroughput:
     def test_spider_vs_bft_scaling(self, benchmark):
         def once():
             results = {}
-            for label, spec in (
-                ("SPIDER", spider_spec()),
-                ("BFT", BftSpec(regions=tuple(REGIONS), leader="virginia")),
-            ):
+            for label, spec in (("SPIDER", SPIDER), ("BFT", BFT)):
                 results[label] = {n: _run(spec, n) for n in (1, 3)}
             return results
 

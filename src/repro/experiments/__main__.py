@@ -29,7 +29,11 @@ import pathlib
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS, run
+from repro.experiments import chaos
+from repro.experiments.figures import FIGURES
+
+#: experiment name -> ``run(quick=, seed=)``
+EXPERIMENTS = {"chaos": chaos.run, **FIGURES}
 
 
 def _split_csv(text):
@@ -105,7 +109,7 @@ def main(argv=None) -> int:
             if name != "chaos":
                 parser.error("--configs only applies to the chaos experiment")
             kwargs["configs"] = _split_csv(args.configs)
-        result = run(name, **kwargs)
+        result = EXPERIMENTS[name](**kwargs)
         # lint: allow[D102] -- same wall-time progress report as above
         elapsed = time.time() - started
         print(result.format())

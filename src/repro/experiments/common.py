@@ -22,11 +22,6 @@ REGION_LABEL = {
     "oregon": "O",
     "ireland": "I",
     "tokyo": "T",
-    "saopaulo": "S",
-    "ohio": "OH",
-    "california": "CA",
-    "london": "LO",
-    "seoul": "SE",
 }
 #: Nearby extra fault domains used when tolerating f=2 (paper Fig. 11).
 NEARBY = {

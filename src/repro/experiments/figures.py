@@ -9,9 +9,10 @@ and :func:`measure_latency` all go through it.  The two figures that are
 not latency tables keep what is theirs alone: Fig. 10 its joining client
 site and time buckets, Figs. 9b-9d the IRMC pump.
 
-``run(name, quick=False, seed=1)`` is the entry point.  ``quick`` shrinks
-client counts and durations and drops the cells marked ``full_only``; the
-quick tables at seed 1 are pinned by ``benchmarks/BENCH_figures.json``.
+``FIGURES[name](quick=False, seed=1)`` is the entry point.  ``quick``
+shrinks client counts and durations and drops the cells marked
+``full_only``; the quick tables at seed 1 are pinned by
+``benchmarks/BENCH_figures.json``.
 """
 
 from __future__ import annotations
@@ -137,12 +138,8 @@ class Cell:
     mix: Optional[OperationMix] = None  #: None: writes only
     kinds: Tuple[str, ...] = ("write",)  #: sample kinds to summarise
     strong_read_quorum: Optional[int] = None  #: BFT's read-only fast path
-    seed_offset: int = 0
+    seed_offset: int = 0  #: added to the run's seed
     full_only: bool = False  #: dropped by ``--quick``
-
-
-P50_COLUMNS = [f"{REGION_LABEL[region]} p50" for region in REGIONS]
-P90_COLUMNS = [f"{REGION_LABEL[region]} p90" for region in REGIONS]
 
 
 def run_cell(cell: Cell, scale: RunScale, seed: int) -> List[object]:
@@ -152,14 +149,9 @@ def run_cell(cell: Cell, scale: RunScale, seed: int) -> List[object]:
     system = build(sim, cell.spec, network=network)
     # Spider-0E has no execution group: its clients talk to the agreement group.
     direct = isinstance(cell.spec, ClusterSpec) and cell.spec.execute_locally
+    make_client = system.system.make_direct_client if direct else system.make_client
     summaries = measure_latency(
-        sim,
-        system.system.make_direct_client if direct else system.make_client,
-        REGIONS,
-        scale,
-        mix=cell.mix,
-        kinds=cell.kinds,
-        strong_read_quorum=cell.strong_read_quorum,
+        sim, make_client, REGIONS, scale, cell.mix, cell.kinds, cell.strong_read_quorum
     )
     return [
         *cell.labels,
@@ -181,7 +173,10 @@ class Table:
         scale = RunScale.quick() if quick else RunScale()
         result = ExperimentResult(
             title=self.title,
-            columns=[*self.label_columns, *P50_COLUMNS, *P90_COLUMNS],
+            columns=[
+                *self.label_columns,
+                *(f"{REGION_LABEL[r]} {p}" for p in ("p50", "p90") for r in REGIONS),
+            ],
             notes=[self.note],
         )
         for cell in self.cells:
@@ -549,10 +544,7 @@ def fig9_irmc(quick: bool = False, seed: int = 1) -> ExperimentResult:
     )
 
 
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
-#: figure name -> ``(quick=False, seed=1) -> ExperimentResult``
+#: the entry point: figure name -> ``(quick=False, seed=1) -> ExperimentResult``
 FIGURES = {
     "fig7": FIG7,
     "fig8": FIG8,
@@ -561,7 +553,3 @@ FIGURES = {
     "fig10": fig10,
     "fig11": FIG11,
 }
-
-
-def run(name: str, quick: bool = False, seed: int = 1) -> ExperimentResult:
-    return FIGURES[name](quick=quick, seed=seed)

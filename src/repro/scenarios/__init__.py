@@ -27,7 +27,7 @@ from repro.scenarios.spec import (
     load_suite,
     suite_from_dict,
 )
-from repro.scenarios.stacks import register_stack, resolve_stack, stack_names
+from repro.scenarios.stacks import register_stack, resolve_stack
 
 __all__ = [
     "BuildCache",
@@ -45,7 +45,6 @@ __all__ = [
     "run",
     "run_matrix",
     "run_suite",
-    "stack_names",
     "structural_fingerprint",
     "suite_from_dict",
 ]

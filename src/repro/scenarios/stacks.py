@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.cache import BuildCache
     from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["register_stack", "resolve_stack", "stack_names"]
+__all__ = ["register_stack", "resolve_stack"]
 
 _STACKS: Dict[str, Any] = {}
 
@@ -45,13 +45,9 @@ def register_stack(stack) -> None:
     _STACKS[stack.name] = stack
 
 
-def stack_names() -> list:
-    return sorted(_STACKS)
-
-
 def resolve_stack(name: str):
     if name not in _STACKS:
-        raise ConfigurationError(f"unknown stack {name!r}; known: {stack_names()}")
+        raise ConfigurationError(f"unknown stack {name!r}; known: {sorted(_STACKS)}")
     return _STACKS[name]
 
 

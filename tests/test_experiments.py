@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run
 from repro.experiments.common import ExperimentResult, RunScale
+from repro.experiments.figures import FIGURES
 
 
 class TestExperimentResult:
@@ -29,12 +29,10 @@ class TestExperimentResult:
 
 class TestRegistryOfExperiments:
     def test_all_experiments_importable(self):
-        from repro.experiments import chaos, figures
+        from repro.experiments.__main__ import EXPERIMENTS
 
-        assert set(EXPERIMENTS) == {"chaos", *figures.FIGURES}
-        assert callable(chaos.run)
-        assert all(callable(figure) for figure in figures.FIGURES.values())
-
+        assert set(EXPERIMENTS) == {"chaos", *FIGURES}
+        assert all(callable(run) for run in EXPERIMENTS.values())
 
     def test_shared_scaffolding_imports_neither_figures_nor_baselines(self):
         """The benchmark harness imports ``repro.experiments.common`` and
@@ -60,7 +58,7 @@ class TestQuickRuns:
     """Tiny end-to-end runs; full shape checks are in benchmarks/."""
 
     def test_fig8_quick(self):
-        result = run("fig8", quick=True)
+        result = FIGURES["fig8"](quick=True)
         systems = {row["system"] for row in result.rows}
         assert systems == {"BFT", "HFT", "SPIDER"}
         spider_weak = next(
@@ -70,7 +68,7 @@ class TestQuickRuns:
         assert 0 < spider_weak["T p50"] < 5.0
 
     def test_fig9_modularity_quick(self):
-        result = run("fig9_modularity", quick=True)
+        result = FIGURES["fig9_modularity"](quick=True)
         variants = [row["variant"] for row in result.rows]
         assert variants == ["SPIDER-0E", "SPIDER-1E", "SPIDER"]
         for row in result.rows:
