@@ -15,27 +15,23 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.app.statemachine import StateMachine, is_read_only
+from repro.app.statemachine import StateMachine
 from repro.checkpoints import CheckpointComponent
 from repro.consensus.interface import batch_items
-from repro.consensus.pbft import PbftConfig, PbftReplica, is_noop
+from repro.consensus.pbft import PbftConfig, PbftReplica
+from repro.core.answering import ClientFacing
 from repro.core.client import SpiderClient
-from repro.core.messages import (
-    ClientRequest,
-    Reply,
-    RequestWrapper,
-    WeakRead,
-    WeakReadReply,
-)
-from repro.crypto.primitives import attach_auth, make_mac, verify, verify_mac_vector
+from repro.core.messages import ClientRequest, RequestWrapper, WeakRead
 from repro.errors import ConfigurationError
 from repro.net import Network, Site, Topology
 from repro.sim import Process, Simulator
 from repro.sim.routing import RoutedNode
 
 
-class BftReplica(RoutedNode):
+class BftReplica(ClientFacing, RoutedNode):
     """A geo-distributed PBFT replica hosting the application directly."""
+
+    reply_group = "bft"
 
     def __init__(self, sim, name, site, app: StateMachine, f: int = 1, checkpoint_interval: int = 16):
         super().__init__(sim, name, site)
@@ -47,7 +43,6 @@ class BftReplica(RoutedNode):
         self.u: Dict[str, Tuple[int, Any]] = {}
         self.ag: Optional[PbftReplica] = None
         self.cp: Optional[CheckpointComponent] = None
-        self.executed_count = 0
         self.set_default_handler(self._on_client_message)
 
     def setup(self, peers, pbft_config: PbftConfig) -> None:
@@ -67,32 +62,10 @@ class BftReplica(RoutedNode):
             self._on_weak_read(src, message)
 
     def _on_request(self, src, message: ClientRequest) -> None:
-        body = message.body
-        if body.client != src.name:
-            return
-        if not verify_mac_vector(message.auth, body, body.client, self.name):
-            return
-        cached = self.u.get(body.client)
-        if body.counter <= self.t.get(body.client, 0):
-            if cached is not None and cached[0] == body.counter:
-                self._send_reply(body.client, cached[0], cached[1])
-            return
-        if not verify(message.signature, body, signer=body.client):
-            return
-        self.t[body.client] = body.counter
-        self.ag.order(RequestWrapper(body=body, signature=message.signature, group="bft"))
-
-    def _on_weak_read(self, src, message: WeakRead) -> None:
-        if message.client != src.name:
-            return
-        if not verify_mac_vector(message.auth, message, message.client, self.name):
-            return
-        if not is_read_only(message.operation):
-            return
-        result = self.app.execute(message.operation)
-        reply = WeakReadReply(result=result, nonce=message.nonce, sender=self.name)
-        reply = attach_auth(reply, mac=make_mac(self.name, message.client, reply))
-        self.send(src, reply)
+        wrapper = self._admit(src, message)
+        if wrapper is not None:
+            self.t[wrapper.body.client] = wrapper.body.counter
+            self.ag.order(wrapper)
 
     # ------------------------------------------------------------------
     # Ordered execution
@@ -104,29 +77,10 @@ class BftReplica(RoutedNode):
                 continue
             self.sn = seq
             for item in batch_items(payload):
-                if isinstance(item, RequestWrapper) and not is_noop(item):
-                    self._execute(item)
+                if isinstance(item, RequestWrapper):
+                    self._execute_once(item)
             if seq % self.checkpoint_interval == 0:
                 self.cp.gen_cp(seq, self._snapshot())
-
-    def _execute(self, wrapper: RequestWrapper) -> None:
-        body = wrapper.body
-        cached = self.u.get(body.client)
-        if cached is not None and cached[0] >= body.counter:
-            return
-        result = self.app.execute(body.operation)
-        self.executed_count += 1
-        self.u[body.client] = (body.counter, result)
-        self.t[body.client] = max(self.t.get(body.client, 0), body.counter)
-        self._send_reply(body.client, body.counter, result)
-
-    def _send_reply(self, client: str, counter: int, result: Any) -> None:
-        target = self.network.nodes.get(client) if self.network else None
-        if target is None:
-            return
-        reply = Reply(result=result, counter=counter, sender=self.name, group="bft")
-        reply = attach_auth(reply, mac=make_mac(self.name, client, reply))
-        self.send(target, reply)
 
     # ------------------------------------------------------------------
     # Checkpointing / log truncation

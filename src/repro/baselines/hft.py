@@ -31,18 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.app.statemachine import StateMachine, is_read_only
+from repro.app.statemachine import StateMachine
 from repro.consensus.interface import BatchAccumulator, batch_items
 from repro.consensus.pbft.config import PbftConfig
+from repro.core.answering import ClientFacing
 from repro.core.client import SpiderClient
-from repro.core.messages import (
-    ClientRequest,
-    Reply,
-    RequestWrapper,
-    WeakRead,
-    WeakReadReply,
-)
-from repro.crypto.primitives import Digestible, attach_auth, make_mac, verify, verify_mac_vector
+from repro.core.messages import ClientRequest, RequestWrapper, WeakRead
+from repro.crypto.primitives import Digestible
 from repro.crypto.threshold import (
     ThresholdSignature,
     combine_shares,
@@ -137,12 +132,12 @@ def _accept_content(seq: int, payload_digest: int, site: str) -> Tuple:
     return ("hft-accept", seq, payload_digest, site)
 
 
-class HftReplica(RoutedNode):
+class HftReplica(ClientFacing, RoutedNode):
     """One replica of one HFT site."""
 
     def __init__(self, sim, name, site: Site, site_id: str, index: int, app: StateMachine, f: int = 1):
         super().__init__(sim, name, site)
-        self.site_id = site_id
+        self.site_id = self.reply_group = site_id
         self.index = index
         self.app = app
         self.f = f
@@ -166,7 +161,6 @@ class HftReplica(RoutedNode):
         self.accepts: Dict[int, set] = {}
         self.pending: Dict[str, dict] = {}  # client -> retry state
         self.leader_target = 0  # which leader-site replica we contact
-        self.executed_count = 0
         self.timeout_ms = 3000.0
         self.set_default_handler(self._on_message)
 
@@ -217,20 +211,11 @@ class HftReplica(RoutedNode):
     # Client requests
     # ------------------------------------------------------------------
     def _on_client_request(self, src, message: ClientRequest) -> None:
-        body = message.body
-        if body.client != src.name:
+        wrapper = self._admit(src, message)
+        if wrapper is None:
             return
-        if not verify_mac_vector(message.auth, body, body.client, self.name):
-            return
-        cached = self.u.get(body.client)
-        if body.counter <= self.t.get(body.client, 0):
-            if cached is not None and cached[0] == body.counter:
-                self._send_reply(body.client, cached[0], cached[1])
-            return
-        if not verify(message.signature, body, signer=body.client):
-            return
+        body = wrapper.body
         self.t[body.client] = body.counter
-        wrapper = RequestWrapper(body=body, signature=message.signature, group=self.site_id)
         state = {"wrapper": wrapper, "counter": body.counter, "timer": None}
         self.pending[body.client] = state
         self._dispatch_request(wrapper)
@@ -259,18 +244,6 @@ class HftReplica(RoutedNode):
         self.leader_target += 1
         self._dispatch_request(state["wrapper"])
         state["timer"] = self.set_timeout(self.timeout_ms, self._on_request_timeout, client)
-
-    def _on_weak_read(self, src, message: WeakRead) -> None:
-        if message.client != src.name:
-            return
-        if not verify_mac_vector(message.auth, message, message.client, self.name):
-            return
-        if not is_read_only(message.operation):
-            return
-        result = self.app.execute(message.operation)
-        reply = WeakReadReply(result=result, nonce=message.nonce, sender=self.name)
-        reply = attach_auth(reply, mac=make_mac(self.name, message.client, reply))
-        self.send(src, reply)
 
     # ------------------------------------------------------------------
     # Leader-site ordering
@@ -453,27 +426,10 @@ class HftReplica(RoutedNode):
         self._accumulator.release()
 
     def _execute(self, wrapper: RequestWrapper) -> None:
-        body = wrapper.body
-        cached = self.u.get(body.client)
-        if cached is not None and cached[0] >= body.counter:
-            return
-        result = self.app.execute(body.operation)
-        self.executed_count += 1
-        self.u[body.client] = (body.counter, result)
-        self.t[body.client] = max(self.t.get(body.client, 0), body.counter)
-        state = self.pending.pop(body.client, None)
-        if state is not None and state["timer"] is not None:
-            state["timer"].cancel()
-        if wrapper.group == self.site_id:
-            self._send_reply(body.client, body.counter, result)
-
-    def _send_reply(self, client: str, counter: int, result: Any) -> None:
-        target = self.network.nodes.get(client) if self.network else None
-        if target is None:
-            return
-        reply = Reply(result=result, counter=counter, sender=self.name, group=self.site_id)
-        reply = attach_auth(reply, mac=make_mac(self.name, client, reply))
-        self.send(target, reply)
+        if self._execute_once(wrapper, reply=wrapper.group == self.site_id):
+            state = self.pending.pop(wrapper.body.client, None)
+            if state is not None and state["timer"] is not None:
+                state["timer"].cancel()
 
 
 class HftSystem:

@@ -201,6 +201,19 @@ class PbftReplica(Component, Agreement):
         """Attach a MAC vector over ``body``'s signed content (auth excluded)."""
         return attach_auth(body, auth=make_mac_vector(self.name, self.peer_names, body))
 
+    def _vote(self, kind, slot: Slot):
+        """This replica's authenticated ``kind`` (Prepare / Commit) vote
+        for what ``slot`` holds."""
+        return self._mac_attach(
+            kind(
+                tag=self.tag,
+                view=slot.view,
+                seq=slot.seq,
+                payload_digest=slot.payload_digest,
+                sender=self.name,
+            )
+        )
+
     # ------------------------------------------------------------------
     # Agreement interface
     # ------------------------------------------------------------------
@@ -363,18 +376,7 @@ class PbftReplica(Component, Agreement):
         if not slot.sent_prepare and message.sender != self.name:
             slot.sent_prepare = True
             slot.add_prepare(self.name, payload_digest)
-            self.broadcast(
-                self.peers,
-                self._mac_attach(
-                    Prepare(
-                        tag=self.tag,
-                        view=message.view,
-                        seq=message.seq,
-                        payload_digest=payload_digest,
-                        sender=self.name,
-                    )
-                ),
-            )
+            self.broadcast(self.peers, self._vote(Prepare, slot))
         self._check_prepared(slot)
 
     def _adopt_stale_view_proposal(self, message: PrePrepare) -> None:
@@ -445,18 +447,7 @@ class PbftReplica(Component, Agreement):
             if not slot.sent_commit:
                 slot.sent_commit = True
                 slot.add_commit(self.name, slot.payload_digest)
-                self.broadcast(
-                    self.peers,
-                    self._mac_attach(
-                        Commit(
-                            tag=self.tag,
-                            view=slot.view,
-                            seq=slot.seq,
-                            payload_digest=slot.payload_digest,
-                            sender=self.name,
-                        )
-                    ),
-                )
+                self.broadcast(self.peers, self._vote(Commit, slot))
             self._check_committed(slot)
 
     def _on_commit(self, message: Commit) -> None:
@@ -636,31 +627,9 @@ class PbftReplica(Component, Agreement):
         if slot.pre_prepare is not None:
             self.send(src, slot.pre_prepare)
         if slot.sent_prepare and slot.payload_digest is not None:
-            self.send(
-                src,
-                self._mac_attach(
-                    Prepare(
-                        tag=self.tag,
-                        view=slot.view,
-                        seq=slot.seq,
-                        payload_digest=slot.payload_digest,
-                        sender=self.name,
-                    )
-                ),
-            )
+            self.send(src, self._vote(Prepare, slot))
         if slot.sent_commit and slot.payload_digest is not None:
-            self.send(
-                src,
-                self._mac_attach(
-                    Commit(
-                        tag=self.tag,
-                        view=slot.view,
-                        seq=slot.seq,
-                        payload_digest=slot.payload_digest,
-                        sender=self.name,
-                    )
-                ),
-            )
+            self.send(src, self._vote(Commit, slot))
 
     # ------------------------------------------------------------------
     # Crash recovery: state transfer
@@ -783,27 +752,11 @@ class PbftReplica(Component, Agreement):
         if slot.payload_digest is None:
             return
         if slot.sent_prepare:
-            message = self._mac_attach(
-                Prepare(
-                    tag=self.tag,
-                    view=slot.view,
-                    seq=slot.seq,
-                    payload_digest=slot.payload_digest,
-                    sender=self.name,
-                )
-            )
+            message = self._vote(Prepare, slot)
             self.transfer_summary_bytes += cached_size_bytes(message)
             self.send(src, message)
         if slot.sent_commit or slot.committed:
-            message = self._mac_attach(
-                Commit(
-                    tag=self.tag,
-                    view=slot.view,
-                    seq=slot.seq,
-                    payload_digest=slot.payload_digest,
-                    sender=self.name,
-                )
-            )
+            message = self._vote(Commit, slot)
             self.transfer_summary_bytes += cached_size_bytes(message)
             self.send(src, message)
 

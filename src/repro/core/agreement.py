@@ -34,10 +34,11 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.app.statemachine import StateMachine
 from repro.checkpoints import CheckpointComponent
-from repro.consensus.interface import Agreement, Batch
-from repro.consensus.pbft.messages import is_noop
+from repro.consensus.interface import Agreement, Batch, batch_items
+from repro.core.answering import ClientFacing
 from repro.core.config import SpiderConfig
 from repro.core.messages import (
+    NOOP_SLOT,
     STRONG_READ,
     AddGroup,
     ClientRequest,
@@ -46,15 +47,13 @@ from repro.core.messages import (
     RegistryInfo,
     RegistryQuery,
     RemoveGroup,
-    Reply,
     RequestWrapper,
     RetireClient,
+    WeakRead,
 )
-from repro.crypto.primitives import attach_auth, make_mac, sign, verify, verify_mac_vector
+from repro.crypto.primitives import attach_auth, sign, verify, verify_mac_vector
 from repro.elastic.messages import MoveRange
-from repro.irmc import IrmcConfig, TooOld
-from repro.irmc.rc import RcReceiverEndpoint, RcSenderEndpoint
-from repro.irmc.sc import ScReceiverEndpoint, ScSenderEndpoint
+from repro.irmc import ENDPOINTS, IrmcConfig, TooOld
 from repro.sim.futures import SimFuture, gather
 from repro.sim.process import Process
 from repro.sim.routing import RoutedNode
@@ -78,8 +77,10 @@ class _GroupChannels:
         self.commit_tx.close()
 
 
-class AgreementReplica(RoutedNode):
+class AgreementReplica(ClientFacing, RoutedNode):
     """One member of the agreement group."""
+
+    reply_group = "ag"  # Spider-0E: what its wrappers and replies name
 
     def __init__(
         self,
@@ -205,10 +206,7 @@ class AgreementReplica(RoutedNode):
         config = self.config
         request_cfg = IrmcConfig(fs=config.fe, fr=config.fa, capacity=config.request_capacity)
         commit_cfg = IrmcConfig(fs=config.fa, fr=config.fe, capacity=config.commit_channel_capacity)
-        if config.irmc_kind == "rc":
-            sender_cls, receiver_cls = RcSenderEndpoint, RcReceiverEndpoint
-        else:
-            sender_cls, receiver_cls = ScSenderEndpoint, ScReceiverEndpoint
+        sender_cls, receiver_cls = ENDPOINTS[config.irmc_kind]
         request_rx = receiver_cls(
             self, f"req-{group_id}", self.agreement_nodes, member_nodes, request_cfg
         )
@@ -288,9 +286,7 @@ class AgreementReplica(RoutedNode):
             self.sn = seq
             executes = self._classify(seq, payload)
             self.delivered_count += 1
-            self.requests_delivered += (
-                len(payload.items) if isinstance(payload, Batch) else 1
-            )
+            self.requests_delivered += len(batch_items(payload))
             futures = []
             for group_id, channels in list(self.groups.items()):
                 futures.append(channels.commit_tx.send(0, seq, executes[group_id]))
@@ -301,194 +297,103 @@ class AgreementReplica(RoutedNode):
                 needed = max(0, len(futures) - self.config.z)
                 yield gather(futures, needed)
             if self.execute_locally:
-                self._execute_payload(payload)
+                for item in batch_items(payload):
+                    if isinstance(item, RequestWrapper):
+                        self._execute_once(item)
             if seq % self.config.ka == 0:
                 self.cp.gen_cp(seq, self._snapshot())
 
     def _classify(self, seq: int, payload: Any) -> Dict[str, Execute]:
-        """Build the per-group Execute messages for one agreed payload."""
-        if isinstance(payload, Batch):
-            return self._classify_batch(seq, payload)
-        noop = Execute(seq=seq, request=None, placeholder=("noop",))
-        if is_noop(payload) or not isinstance(payload, RequestWrapper):
-            if isinstance(payload, (AddGroup, RemoveGroup)):
-                self._apply_reconfiguration(payload)
-            elif isinstance(payload, RetireClient):
-                if self._apply_client_retirement(payload):
-                    # Every group's execution replicas must drop the
-                    # client's reply-cache entry at this same sequence
-                    # number, so ship the marker to all of them (and keep
-                    # it in hist so replay matches live classification).
-                    marker = Execute(
-                        seq=seq, request=None, placeholder=("retire", payload.client)
-                    )
-                    self.hist.append(marker)
-                    return {group_id: marker for group_id in self.groups}
-            elif isinstance(payload, MoveRange):
-                if self._accept_move_range(payload):
-                    # A handover phase is deliberately *not* filtered for
-                    # duplicates: a retried command (fresh nonce) must
-                    # reach the execution replicas again so they resend
-                    # the phase ack — re-application there is idempotent
-                    # via the elastic book.  The marker strips the nonce,
-                    # so hist replay reproduces identical bytes.
-                    marker = Execute(seq=seq, request=None, placeholder=payload.marker())
-                    self.hist.append(marker)
-                    return {group_id: marker for group_id in self.groups}
-            self.hist.append(noop)
-            return {group_id: noop for group_id in self.groups}
-        body = payload.body
-        if body.counter <= self.t.get(body.client, 0):
-            # Old or duplicate request: replace with a no-op (Fig. 17 L. 30).
-            self.hist.append(noop)
-            return {group_id: noop for group_id in self.groups}
-        self.t[body.client] = body.counter
-        self.t_plus[body.client] = max(body.counter + 1, self.t_plus.get(body.client, 1))
-        full = Execute(seq=seq, request=payload)
-        self.hist.append(full)
-        if body.kind == STRONG_READ:
-            # Only the client's group processes the read; all others receive
-            # a placeholder with the counter value (Section 3.3).
-            placeholder = Execute(
-                seq=seq, request=None, placeholder=("read", body.client, body.counter)
-            )
-            return {
-                group_id: full if group_id == payload.group else placeholder
-                for group_id in self.groups
-            }
-        return {group_id: full for group_id in self.groups}
+        """Build the per-group Execute messages for one agreed payload.
 
-    def _classify_batch(self, seq: int, batch: Batch) -> Dict[str, Execute]:
-        """Classify a batch item-by-item into per-group batched Executes.
-
-        Applies the same rules as the single-request path — duplicate
-        filtering against ``t``, strong-read placeholders for non-home
-        groups, reconfiguration commands — but packs the per-item outcomes
-        into one ``Execute`` per group so the commit channel still carries
-        exactly one message per sequence number.
+        Every agreed item becomes one slot (:meth:`_slot`); a ``Batch``
+        ships its slots as one batched ``Execute`` — the commit channel
+        carries exactly one message per sequence number — and a lone value
+        in the single-item form.  ``hist`` keeps the full Execute; what a
+        group sees of it is :meth:`_variant_for_group`, live and on replay
+        alike.
         """
-        group_items: Dict[str, list] = {group_id: [] for group_id in self.groups}
-        full_items: list = []
+        batched = isinstance(payload, Batch)
+        full = Execute.of(
+            seq, [self._slot(item, batched) for item in batch_items(payload)], batched
+        )
+        self.hist.append(full)
+        executes: Dict[str, Execute] = {}
+        for group_id in self.groups:
+            variant = self._variant_for_group(full, group_id)
+            # Groups that see equal slots share one object, hence one
+            # memoised repr / digest / size.
+            executes[group_id] = next(
+                (seen for seen in executes.values() if seen == variant), variant
+            )
+        return executes
 
-        def sync_groups() -> None:
-            # Correct leaders never batch reconfiguration commands (they
-            # are BATCHABLE = False), but a faulty leader may craft such a
-            # batch; handle it deterministically: later items must reach
-            # new groups (earlier slots are backfilled with no-ops),
-            # removed groups drop out.
-            for group_id in list(group_items):
-                if group_id not in self.groups:
-                    del group_items[group_id]
-            for group_id in self.groups:
-                group_items.setdefault(group_id, [("noop",)] * len(full_items))
+    def _slot(self, item: Any, batched: bool) -> Any:
+        """Apply one agreed item to the books; the slot ``hist`` keeps for it.
 
-        for item in batch.items:
-            if is_noop(item) or not isinstance(item, RequestWrapper):
-                if isinstance(item, RetireClient):
-                    # RetireClient is BATCHABLE = False, but a faulty
-                    # leader may batch one anyway; classify it like the
-                    # single-payload path.  The slot stores the plain
-                    # ("retire", client) tuple — identical in hist and
-                    # every group — so replay needs no special variant.
-                    if self._apply_client_retirement(item):
-                        slot = ("retire", item.client)
-                    else:
-                        slot = ("noop",)
-                    full_items.append(slot)
-                    for items in group_items.values():
-                        items.append(slot)
-                    continue
-                if isinstance(item, MoveRange):
-                    # Also BATCHABLE = False; a faulty leader may batch one
-                    # anyway.  Like RetireClient, the slot stores the plain
-                    # marker tuple — identical in hist and every group.
-                    slot = item.marker() if self._accept_move_range(item) else ("noop",)
-                    full_items.append(slot)
-                    for items in group_items.values():
-                        items.append(slot)
-                    continue
-                if isinstance(item, (AddGroup, RemoveGroup)) and self._apply_reconfiguration(item):
-                    sync_groups()
-                    # hist keeps the *effective* command itself (groups
-                    # only ever see a no-op slot) so replay can re-derive
-                    # the per-group backfill in _variant_for_group; an
-                    # ineffective duplicate stays a plain no-op slot so
-                    # replay doesn't backfill where live delivery didn't.
-                    full_items.append(item)
-                else:
-                    full_items.append(("noop",))
-                for items in group_items.values():
-                    items.append(("noop",))
-                continue
+        Reconfiguration commands, ``RetireClient`` and ``MoveRange`` are
+        ``BATCHABLE = False``, but a faulty leader may batch one anyway,
+        so every kind classifies the same way in either form.
+        """
+        if isinstance(item, RequestWrapper):
             body = item.body
             if body.counter <= self.t.get(body.client, 0):
-                # Old or duplicate request: a no-op slot (Fig. 17 L. 30).
-                full_items.append(("noop",))
-                for items in group_items.values():
-                    items.append(("noop",))
-                continue
+                return NOOP_SLOT  # old or duplicate request (Fig. 17 L. 30)
             self.t[body.client] = body.counter
-            self.t_plus[body.client] = max(
-                body.counter + 1, self.t_plus.get(body.client, 1)
-            )
-            full_items.append(item)
-            if body.kind == STRONG_READ:
-                placeholder = ("read", body.client, body.counter)
-                for group_id, items in group_items.items():
-                    items.append(item if group_id == item.group else placeholder)
-            else:
-                for items in group_items.values():
-                    items.append(item)
-        self.hist.append(Execute(seq=seq, request=None, batch=tuple(full_items)))
-        return {
-            group_id: Execute(seq=seq, request=None, batch=tuple(items))
-            for group_id, items in group_items.items()
-        }
+            self.t_plus[body.client] = max(body.counter + 1, self.t_plus.get(body.client, 1))
+            return item
+        if isinstance(item, RetireClient):
+            # Every group's execution replicas must drop the client's
+            # reply-cache entry at this same sequence number, so the
+            # marker goes to all of them.
+            return ("retire", item.client) if self._apply_client_retirement(item) else NOOP_SLOT
+        if isinstance(item, MoveRange):
+            # A handover phase is deliberately *not* filtered for
+            # duplicates: a retried command (fresh nonce) must reach the
+            # execution replicas again so they resend the phase ack —
+            # re-application there is idempotent via the elastic book.
+            # The marker strips the nonce, so hist replay reproduces
+            # identical bytes.
+            return item.marker() if self._accept_move_range(item) else NOOP_SLOT
+        if isinstance(item, (AddGroup, RemoveGroup)) and self._apply_reconfiguration(item):
+            # A batch keeps the *effective* command itself, so replay can
+            # re-derive which slots a group it added saw; an ineffective
+            # duplicate stays a plain no-op so replay backfills nothing
+            # live delivery did not.  Alone on its sequence number there
+            # is nothing to backfill.
+            return item if batched else NOOP_SLOT
+        return NOOP_SLOT
 
     def _variant_for_group(self, execute: Execute, group_id: str) -> Execute:
-        """Rebuild the per-group form of a hist entry for replay.
+        """The form of a ``hist`` entry that ``group_id`` sees.
 
-        ``hist`` stores the full Execute, but strong reads are shipped in
-        full only to the client's home group (Section 3.3); replaying the
-        full form elsewhere would make recovered senders vouch different
-        bytes than normal-path senders for the same channel position.
+        Strong reads are shipped in full only to the client's home group
+        (Section 3.3), everyone else gets a placeholder with the counter;
+        a reconfiguration command is a no-op slot to every group; and a
+        group added by the batch itself — correct leaders never batch
+        those, a faulty one may — sees no-ops up to and including its
+        ``AddGroup``.  Replaying any other bytes would make recovered
+        senders vouch differently from normal-path senders for the same
+        channel position.
         """
-
-        def item_variant(item):
-            if (
-                isinstance(item, RequestWrapper)
-                and item.body.kind == STRONG_READ
-                and item.group != group_id
+        full = execute.slots()
+        slots = []
+        for slot in full:
+            if isinstance(slot, AddGroup) and slot.group == group_id:
+                slots = [NOOP_SLOT] * len(slots)
+            if isinstance(slot, (AddGroup, RemoveGroup)):
+                slot = NOOP_SLOT
+            elif (
+                isinstance(slot, RequestWrapper)
+                and slot.body.kind == STRONG_READ
+                and slot.group != group_id
             ):
-                return ("read", item.body.client, item.body.counter)
-            if isinstance(item, (AddGroup, RemoveGroup)):
-                return ("noop",)  # groups only ever saw a no-op slot
-            return item
-
-        if execute.batch is not None:
-            items = [item_variant(item) for item in execute.batch]
-            # A group added by this very batch saw no-op slots up to and
-            # including its AddGroup (the sync_groups backfill); reproduce
-            # it so replayed bytes match the live per-group classification.
-            for index, item in enumerate(execute.batch):
-                if isinstance(item, AddGroup) and item.group == group_id:
-                    items[: index + 1] = [("noop",)] * (index + 1)
-            items = tuple(items)
-            if items == execute.batch:
-                return execute
-            return Execute(seq=execute.seq, request=None, batch=items)
-        wrapper = execute.request
-        if (
-            wrapper is not None
-            and wrapper.body.kind == STRONG_READ
-            and wrapper.group != group_id
-        ):
-            return Execute(
-                seq=execute.seq,
-                request=None,
-                placeholder=("read", wrapper.body.client, wrapper.body.counter),
-            )
-        return execute
+                slot = ("read", slot.body.client, slot.body.counter)
+            slots.append(slot)
+        slots = tuple(slots)
+        if slots == full:
+            return execute
+        return Execute.of(execute.seq, slots, execute.batch is not None)
 
     # ------------------------------------------------------------------
     # Client retirement (agreed-book release)
@@ -600,7 +505,12 @@ class AgreementReplica(RoutedNode):
         elif isinstance(message, RegistryQuery):
             self._answer_registry(src, message)
         elif isinstance(message, ClientRequest) and self.execute_locally:
-            self._on_local_request(src, message)
+            # Spider-0E: ``t`` is not touched here, the agreed stream owns it.
+            wrapper = self._admit(src, message)
+            if wrapper is not None:
+                self.ag.order(wrapper)
+        elif isinstance(message, WeakRead) and self.execute_locally:
+            self._on_weak_read(src, message)
         elif isinstance(message, CloseSession) and self.execute_locally:
             # Spider-0E: no execution replicas exist to escalate, so the
             # client's close lands here directly; wrap it into the same
@@ -627,47 +537,6 @@ class AgreementReplica(RoutedNode):
         )
         info = attach_auth(info, signature=sign(self.name, info))
         self.send(src, info)
-
-    # ------------------------------------------------------------------
-    # Spider-0E: local execution without IRMCs (Fig. 9a)
-    # ------------------------------------------------------------------
-    def _on_local_request(self, src, message: ClientRequest) -> None:
-        body = message.body
-        if body.client != src.name:
-            return
-        if not verify_mac_vector(message.auth, body, body.client, self.name):
-            return
-        cached = self.u.get(body.client)
-        if body.counter <= self.t.get(body.client, 0):
-            if cached is not None and cached[0] == body.counter:
-                self._send_local_reply(body.client, cached[0], cached[1])
-            return
-        if not verify(message.signature, body, signer=body.client):
-            return
-        self.ag.order(RequestWrapper(body=body, signature=message.signature, group="ag"))
-
-    def _execute_payload(self, payload: Any) -> None:
-        if isinstance(payload, Batch):
-            for item in payload.items:
-                self._execute_payload(item)
-            return
-        if not isinstance(payload, RequestWrapper) or self.app is None:
-            return
-        body = payload.body
-        cached = self.u.get(body.client)
-        if cached is not None and cached[0] >= body.counter:
-            return
-        result = self.app.execute(body.operation)
-        self.u[body.client] = (body.counter, result)
-        self._send_local_reply(body.client, body.counter, result)
-
-    def _send_local_reply(self, client: str, counter: int, result: Any) -> None:
-        target = self.network.nodes.get(client) if self.network else None
-        if target is None:
-            return
-        reply = Reply(result=result, counter=counter, sender=self.name, group="ag")
-        reply = attach_auth(reply, mac=make_mac(self.name, client, reply))
-        self.send(target, reply)
 
     # ------------------------------------------------------------------
     # Checkpoints (Fig. 17 L. 39-57)

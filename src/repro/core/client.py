@@ -18,10 +18,20 @@ from repro.core.messages import (
     WeakRead,
     WeakReadReply,
 )
-from repro.crypto.primitives import attach_auth, make_mac_vector, sign, verify_mac
+from repro.crypto.primitives import attach_auth, make_mac_vector, sign, verify, verify_mac
 from repro.elastic.messages import ElasticAck, MoveRange
 from repro.sim.futures import SimFuture
 from repro.sim.node import Node
+
+
+def _tally(replies: Dict[str, Any], sender: str, vote: Any) -> int:
+    """Record ``sender``'s authenticated vote; how many senders so far
+    voted the same.  Only a sender's first vote counts (a later one
+    scores 0), so f faulty replicas never contribute more than f."""
+    if sender in replies:
+        return 0
+    replies[sender] = vote
+    return sum(1 for other in replies.values() if other == vote)
 
 
 class SpiderClient(Node):
@@ -301,15 +311,7 @@ class SpiderClient(Node):
             return
         if not verify_mac(message.mac, message, src.name, self.name):
             return
-        if src.name in pending["replies"]:
-            return  # each replica may only contribute one reply
-        pending["replies"][src.name] = repr(message.result)
-        matching = [
-            name
-            for name, result in pending["replies"].items()
-            if result == repr(message.result)
-        ]
-        if len(matching) >= self.fe + 1:
+        if _tally(pending["replies"], src.name, repr(message.result)) >= self.fe + 1:
             self._complete(pending, message.result)
 
     def _complete(self, pending, result) -> None:
@@ -326,15 +328,8 @@ class SpiderClient(Node):
             return
         if not verify_mac(message.mac, message, src.name, self.name):
             return
-        if src.name in state["replies"]:
-            return
-        state["replies"][src.name] = (repr(message.result), message.result)
-        matching = [
-            1
-            for key, _ in state["replies"].values()
-            if key == repr(message.result)
-        ]
-        if len(matching) >= state.get("threshold", self.fe + 1):
+        matching = _tally(state["replies"], src.name, repr(message.result))
+        if matching >= state.get("threshold", self.fe + 1):
             if state.get("retry") is not None:
                 state["retry"].cancel()
             latency = self.sim.now - state["start"]
@@ -450,15 +445,7 @@ class AdminClient(Node):
             return
         if not verify_mac(message.mac, message, src.name, self.name):
             return
-        if src.name in state["replies"]:
-            return  # one vote per replica
-        state["replies"][src.name] = repr(message.payload)
-        matching = [
-            1
-            for payload in state["replies"].values()
-            if payload == repr(message.payload)
-        ]
-        if len(matching) >= state["threshold"]:
+        if _tally(state["replies"], src.name, repr(message.payload)) >= state["threshold"]:
             del self._elastic_waiters[key]
             state["future"].resolve(message.payload)
 
@@ -483,14 +470,8 @@ class AdminClient(Node):
         state = self._registry_waiters.get(message.nonce)
         if state is None or state["future"].done:
             return
-        from repro.crypto.primitives import verify
-
         if not verify(message.signature, message, signer=src.name):
             return
-        state["replies"][src.name] = message.groups
-        matching = [
-            1 for groups in state["replies"].values() if groups == message.groups
-        ]
-        if len(matching) >= self.fa + 1:
+        if _tally(state["replies"], src.name, message.groups) >= self.fa + 1:
             del self._registry_waiters[message.nonce]
             state["future"].resolve(dict(message.groups))

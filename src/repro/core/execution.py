@@ -19,40 +19,43 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.app.statemachine import StateMachine, is_read_only
+from repro.app.statemachine import StateMachine
 from repro.checkpoints import CheckpointComponent
+from repro.core.answering import ClientFacing
 from repro.core.config import SpiderConfig
 from repro.core.messages import (
     ClientRequest,
     CloseSession,
     Execute,
-    Reply,
     RequestWrapper,
     RetireClient,
     WeakRead,
-    WeakReadReply,
 )
 from repro.crypto.primitives import attach_auth, make_mac, verify, verify_mac_vector
 from repro.elastic.book import ElasticBook
 from repro.elastic.messages import ElasticAck
 from repro.elastic.rangemap import slot_of
-from repro.irmc import IrmcConfig, TooOld
-from repro.irmc.rc import RcReceiverEndpoint, RcSenderEndpoint
-from repro.irmc.sc import ScReceiverEndpoint, ScSenderEndpoint
+from repro.irmc import ENDPOINTS, IrmcConfig, TooOld
 from repro.sim.process import Process, sleep
 from repro.sim.routing import RoutedNode
 
 
-class ExecutionReplica(RoutedNode):
+class ExecutionReplica(ClientFacing, RoutedNode):
     """One member of an execution group.
 
     Lifecycle: construct, then :meth:`setup` once the group membership and
     the agreement group are known; the main loop starts immediately.
+
+    Of the shared client-facing surface it uses the weak-read and reply
+    pair.  Request intake (:meth:`_on_request`) and ordered execution
+    (:meth:`_apply_request`) stay its own: a retired subchannel, the
+    placeholder entries other groups' strong reads leave in ``u``, the
+    re-offer of a lost forward and elastic shedding exist nowhere else.
     """
 
     def __init__(self, sim, name, site, group_id: str, app: StateMachine, config: SpiderConfig):
         super().__init__(sim, name, site)
-        self.group_id = group_id
+        self.group_id = self.reply_group = group_id
         self.app = app
         self.config = config
 
@@ -70,8 +73,6 @@ class ExecutionReplica(RoutedNode):
         self.commit_rx = None  # commit-channel receiver endpoint
         self.cp: Optional[CheckpointComponent] = None
         self._main: Optional[Process] = None
-        self.executed_count = 0
-        self.weak_read_count = 0
         self.checkpoints_applied = 0
         #: agreed requests processed since the last own checkpoint; batched
         #: Executes advance this by their batch length (docstring above).
@@ -95,10 +96,7 @@ class ExecutionReplica(RoutedNode):
         config = self.config
         request_cfg = IrmcConfig(fs=config.fe, fr=config.fa, capacity=config.request_capacity)
         commit_cfg = IrmcConfig(fs=config.fa, fr=config.fe, capacity=config.commit_channel_capacity)
-        if config.irmc_kind == "rc":
-            sender_cls, receiver_cls = RcSenderEndpoint, RcReceiverEndpoint
-        else:
-            sender_cls, receiver_cls = ScSenderEndpoint, ScReceiverEndpoint
+        sender_cls, receiver_cls = ENDPOINTS[config.irmc_kind]
         self.request_tx = sender_cls(
             self, f"req-{self.group_id}", group_nodes, agreement_nodes, request_cfg
         )
@@ -247,19 +245,6 @@ class ExecutionReplica(RoutedNode):
         for agreement_node in self.agreement_nodes:
             self.send(agreement_node, command)
 
-    def _on_weak_read(self, src, message: WeakRead) -> None:
-        if message.client != src.name:
-            return
-        if not verify_mac_vector(message.auth, message, message.client, self.name):
-            return
-        if not is_read_only(message.operation):
-            return
-        result = self.app.execute(message.operation)
-        self.weak_read_count += 1
-        reply = WeakReadReply(result=result, nonce=message.nonce, sender=self.name)
-        reply = attach_auth(reply, mac=make_mac(self.name, message.client, reply))
-        self.send(src, reply)
-
     # ------------------------------------------------------------------
     # Main loop (Fig. 16 L. 24-40)
     # ------------------------------------------------------------------
@@ -276,16 +261,11 @@ class ExecutionReplica(RoutedNode):
 
     def _process_execute(self, execute: Execute) -> None:
         self.sn += 1
-        if execute.batch is not None:
-            for item in execute.batch:
-                if isinstance(item, RequestWrapper):
-                    self._apply_request(item)
-                else:
-                    self._apply_placeholder(item)
-        elif execute.request is not None:
-            self._apply_request(execute.request)
-        elif execute.placeholder is not None:
-            self._apply_placeholder(execute.placeholder)
+        for slot in execute.slots():
+            if isinstance(slot, RequestWrapper):
+                self._apply_request(slot)
+            else:
+                self._apply_placeholder(slot)
         self._ops_since_cp += execute.num_requests()
         if self._ops_since_cp >= self.config.ke:
             # Carry the overflow so a batch straddling the boundary doesn't
@@ -403,14 +383,6 @@ class ExecutionReplica(RoutedNode):
             self.t[client] = max(self.t.get(client, 0), counter)
         if wrapper.group == self.group_id and result is not None and result is not self.PLACEHOLDER:
             self._send_reply(client, counter, result)
-
-    def _send_reply(self, client: str, counter: int, result: Any) -> None:
-        target = self.network.nodes.get(client) if self.network else None
-        if target is None:
-            return
-        reply = Reply(result=result, counter=counter, sender=self.name, group=self.group_id)
-        reply = attach_auth(reply, mac=make_mac(self.name, client, reply))
-        self.send(target, reply)
 
     # ------------------------------------------------------------------
     # Checkpoints (Fig. 16 L. 39-48)

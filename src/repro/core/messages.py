@@ -67,33 +67,53 @@ class RequestWrapper(Message, Digestible):
         return self.body.payload_size() + 128 + 8
 
 
+#: The slot an agreed item that must not execute leaves behind: an old or
+#: duplicate request (Fig. 17 L. 30), a consensus no-op, a rejected command.
+NOOP_SLOT: Tuple = ("noop",)
+
+
 @dataclass(frozen=True)
 class Execute(Message, Digestible):
     """``<Execute, r, s>`` — the agreed value at sequence number ``seq``.
 
-    ``placeholder`` replaces the full request for strongly consistent reads
-    at execution groups other than the client's (Section 3.3), and for
-    consensus no-ops introduced by view changes.
-
-    When the leader batched several requests into the instance
-    (``SpiderConfig.batch_size > 1``) the sequence number covers a whole
-    batch: ``batch`` then carries the items
-    in agreed order, each either a :class:`RequestWrapper` or a placeholder
-    tuple, and ``request``/``placeholder`` are unused.  One batched Execute
-    flows through the commit channel per sequence number, amortising the
-    channel's per-message cost over the batch.
+    An Execute carries one *slot* per agreed item, in agreed order: the
+    :class:`RequestWrapper` itself, or a placeholder tuple — ``("noop",)``,
+    ``("read", client, counter)`` for a strongly consistent read at
+    execution groups other than the client's (Section 3.3),
+    ``("retire", client)``, a ``MoveRange`` marker.  On the wire the slots
+    take one of three shapes, which only :meth:`of` writes and only
+    :meth:`slots` reads: a lone value travels as ``request`` or
+    ``placeholder``; a :class:`~repro.consensus.interface.Batch` travels as
+    ``batch`` (one Execute per sequence number amortises the commit
+    channel's per-message cost over the batch) — also a batch of one,
+    because simulated hashing is charged by content length and the two
+    forms differ in length.
     """
 
     seq: int
     request: Optional[RequestWrapper]
-    placeholder: Optional[Tuple] = None  # e.g. ("read", client, counter) / ("noop",)
-    batch: Optional[Tuple] = None  # batched items: RequestWrapper | placeholder
+    placeholder: Optional[Tuple] = None
+    batch: Optional[Tuple] = None
+
+    @classmethod
+    def of(cls, seq: int, slots, batched: bool) -> "Execute":
+        """The Execute carrying ``slots``; unbatched, there is exactly one."""
+        if batched:
+            return cls(seq=seq, request=None, batch=tuple(slots))
+        (slot,) = slots
+        if isinstance(slot, RequestWrapper):
+            return cls(seq=seq, request=slot)
+        return cls(seq=seq, request=None, placeholder=slot)
+
+    def slots(self) -> Tuple:
+        """The agreed items in order, whatever the wire shape."""
+        if self.batch is not None:
+            return self.batch
+        return (self.request if self.request is not None else self.placeholder,)
 
     def num_requests(self) -> int:
         """How many agreed items this Execute covers (>= 1)."""
-        if self.batch is not None:
-            return max(1, len(self.batch))
-        return 1
+        return max(1, len(self.slots()))
 
     def __repr__(self) -> str:
         # Reprs feed digests and simulated hashing costs; omit the batch
@@ -109,14 +129,10 @@ class Execute(Message, Digestible):
         return base + f", batch={self.batch!r})"
 
     def payload_size(self) -> int:
-        if self.batch is not None:
-            return 8 + sum(
-                item.payload_size() if isinstance(item, Message) else 24
-                for item in self.batch
-            )
-        if self.request is not None:
-            return 8 + self.request.payload_size()
-        return 8 + 24
+        return 8 + sum(
+            slot.payload_size() if isinstance(slot, Message) else 24
+            for slot in self.slots()
+        )
 
 
 @dataclass(frozen=True)

@@ -233,36 +233,26 @@ class Shard:
         zone: int = 1,
     ) -> SpiderClient:
         """Create a client bound to ``group_id`` (default: a group in its
-        region, else the first group)."""
-        if group_id is None:
-            group_id = self._nearest_group(region)
-        group = self.groups[group_id]
+        region, else the first group).
+
+        A Spider-0E shard (``execute_locally``) executes in the agreement
+        group: its clients talk to that group directly and need
+        ``f_a + 1`` matching replies.
+        """
+        if self.execute_locally:
+            group_id, replicas = AgreementReplica.reply_group, self.agreement_replicas
+            faults = self.config.fa
+        else:
+            if group_id is None:
+                group_id = self._nearest_group(region)
+            replicas, faults = self.groups[group_id].replicas, self.config.fe
         client = SpiderClient(
             self.sim,
             name,
             Site(region, zone),
             group_id,
-            group.replicas,
-            fe=self.config.fe,
-            retry_ms=self.config.client_retry_ms,
-        )
-        self.network.register(client)
-        self.clients[name] = client
-        return client
-
-    def make_direct_client(self, name: str, region: str, zone: int = 1) -> SpiderClient:
-        """Client for the Spider-0E variant: talks to the agreement group
-        directly (``execute_locally=True``) and needs ``f_a + 1`` matching
-        replies."""
-        if not self.execute_locally:
-            raise ConfigurationError("direct clients require execute_locally=True")
-        client = SpiderClient(
-            self.sim,
-            name,
-            Site(region, zone),
-            "ag",
-            self.agreement_replicas,
-            fe=self.config.fa,
+            replicas,
+            fe=faults,
             retry_ms=self.config.client_retry_ms,
         )
         self.network.register(client)

@@ -147,11 +147,8 @@ def run_cell(cell: Cell, scale: RunScale, seed: int) -> List[object]:
     return its row: labels, then p50 per region, then p90 per region."""
     sim, network = fresh_env(seed=seed + cell.seed_offset)
     system = build(sim, cell.spec, network=network)
-    # Spider-0E has no execution group: its clients talk to the agreement group.
-    direct = isinstance(cell.spec, ClusterSpec) and cell.spec.execute_locally
-    make_client = system.system.make_direct_client if direct else system.make_client
     summaries = measure_latency(
-        sim, make_client, REGIONS, scale, cell.mix, cell.kinds, cell.strong_read_quorum
+        sim, system.make_client, REGIONS, scale, cell.mix, cell.kinds, cell.strong_read_quorum
     )
     return [
         *cell.labels,

@@ -13,10 +13,16 @@ Use :func:`make_channel` to build either kind.
 """
 
 from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase, TooOld
-from repro.irmc.rc import RcReceiverEndpoint, RcSenderEndpoint, make_rc_channel
-from repro.irmc.sc import ScReceiverEndpoint, ScSenderEndpoint, make_sc_channel
+from repro.irmc.rc import RcReceiverEndpoint, RcSenderEndpoint
+from repro.irmc.sc import ScReceiverEndpoint, ScSenderEndpoint
 
-KINDS = ("rc", "sc")
+#: kind -> (sender endpoint class, receiver endpoint class): the one place
+#: that says which classes an IRMC kind means.
+ENDPOINTS = {
+    "rc": (RcSenderEndpoint, RcReceiverEndpoint),
+    "sc": (ScSenderEndpoint, ScReceiverEndpoint),
+}
+KINDS = tuple(ENDPOINTS)
 
 
 def make_channel(kind, tag, sender_nodes, receiver_nodes, config=None):
@@ -25,12 +31,19 @@ def make_channel(kind, tag, sender_nodes, receiver_nodes, config=None):
     Returns ``(senders, receivers)``: dicts mapping node name to the
     endpoint hosted on that node.
     """
+    if kind not in ENDPOINTS:
+        raise ValueError(f"unknown IRMC kind {kind!r}; expected one of {KINDS}")
     config = config or IrmcConfig()
-    if kind == "rc":
-        return make_rc_channel(tag, sender_nodes, receiver_nodes, config)
-    if kind == "sc":
-        return make_sc_channel(tag, sender_nodes, receiver_nodes, config)
-    raise ValueError(f"unknown IRMC kind {kind!r}; expected one of {KINDS}")
+    sender_cls, receiver_cls = ENDPOINTS[kind]
+    senders = {
+        node.name: sender_cls(node, tag, sender_nodes, receiver_nodes, config)
+        for node in sender_nodes
+    }
+    receivers = {
+        node.name: receiver_cls(node, tag, receiver_nodes, sender_nodes, config)
+        for node in receiver_nodes
+    }
+    return senders, receivers
 
 
 __all__ = [
@@ -42,8 +55,7 @@ __all__ = [
     "RcReceiverEndpoint",
     "ScSenderEndpoint",
     "ScReceiverEndpoint",
-    "make_rc_channel",
-    "make_sc_channel",
     "make_channel",
+    "ENDPOINTS",
     "KINDS",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.crypto.primitives import digest, verify
-from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase
+from repro.irmc.base import ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg, SendMsg, SendsMsg
 
 
@@ -167,18 +167,3 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
     def _has_retire_state(self, subchannel: Any) -> bool:
         return subchannel in self._votes or subchannel in self._payloads
 
-
-def make_rc_channel(tag, sender_nodes, receiver_nodes, config: IrmcConfig):
-    """Instantiate RC endpoints on every sender and receiver node.
-
-    Returns ``(senders, receivers)`` — dicts keyed by node name.
-    """
-    senders = {
-        node.name: RcSenderEndpoint(node, tag, sender_nodes, receiver_nodes, config)
-        for node in sender_nodes
-    }
-    receivers = {
-        node.name: RcReceiverEndpoint(node, tag, receiver_nodes, sender_nodes, config)
-        for node in receiver_nodes
-    }
-    return senders, receivers

@@ -18,7 +18,7 @@ from repro.crypto.primitives import (
     verify,
     verify_mac_vector,
 )
-from repro.irmc.base import IrmcConfig, ReceiverEndpointBase, SenderEndpointBase
+from repro.irmc.base import ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import (
     CertificateMsg,
     MoveMsg,
@@ -432,15 +432,3 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
                     subchannel,
                 )
 
-
-def make_sc_channel(tag, sender_nodes, receiver_nodes, config: IrmcConfig):
-    """Instantiate SC endpoints on every sender and receiver node."""
-    senders = {
-        node.name: ScSenderEndpoint(node, tag, sender_nodes, receiver_nodes, config)
-        for node in sender_nodes
-    }
-    receivers = {
-        node.name: ScReceiverEndpoint(node, tag, receiver_nodes, sender_nodes, config)
-        for node in receiver_nodes
-    }
-    return senders, receivers

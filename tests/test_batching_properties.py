@@ -345,7 +345,7 @@ class TestByzantineBatchedReconfiguration:
 
         w1, w2 = wrapper(1), wrapper(2)
         dup = AddGroup(group="g1", members=("a", "b", "c"), admin="admin", nonce=9)
-        executes = replica._classify_batch(1, Batch(items=(w1, dup, w2)))
+        executes = replica._classify(1, Batch(items=(w1, dup, w2)))
         live = (w1, ("noop",), w2)
         assert executes["g0"].batch == live
         assert executes["g1"].batch == live  # no backfill: g1 pre-existed
@@ -361,7 +361,7 @@ class TestByzantineBatchedReconfiguration:
             nonce=10,
         )
         w3, w4 = wrapper(3), wrapper(4)
-        executes = replica._classify_batch(2, Batch(items=(w3, grown, w4)))
+        executes = replica._classify(2, Batch(items=(w3, grown, w4)))
         assert executes["g9"].batch == (("noop",), ("noop",), w4)
         assert executes["g0"].batch == (w3, ("noop",), w4)
         assert replica.hist[-1].batch == (w3, grown, w4)

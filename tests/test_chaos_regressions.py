@@ -13,9 +13,8 @@ import pytest
 from repro.chaos import chaos_case
 from repro.crypto.costs import CostModel, use_cost_model
 from repro.crypto.primitives import attach_auth, sign
-from repro.irmc import IrmcConfig
+from repro.irmc import IrmcConfig, make_channel
 from repro.irmc.messages import MovesMsg, SendMsg, SendsMsg
-from repro.irmc.rc import make_rc_channel
 
 from tests.conftest import Cluster
 from tests.test_pbft import PbftHarness
@@ -169,7 +168,7 @@ class TestIrmcRcFloodBookkeeping:
         s_nodes = cluster.add_group("s", 3, region="virginia")
         r_nodes = cluster.add_group("r", 4, region="oregon")
         config = IrmcConfig(fs=1, fr=1, capacity=2, overflow_factor=8, move_heartbeat_ms=0)
-        senders, receivers = make_rc_channel("ch", s_nodes, r_nodes, config)
+        senders, receivers = make_channel("rc", "ch", s_nodes, r_nodes, config)
         return cluster, config, senders, receivers
 
     @staticmethod
@@ -297,7 +296,7 @@ class TestEquivocatorForgesBundles:
             "q", 2, region="oregon"
         )
         config = IrmcConfig(fs=1, fr=1, capacity=4, move_heartbeat_ms=0)
-        senders, receivers = make_rc_channel("ch", s_nodes, r_nodes, config)
+        senders, receivers = make_channel("rc", "ch", s_nodes, r_nodes, config)
         liar = make_equivocator(s_nodes[0], fraction=1.0)
         seen = {}
         original = cluster.network.send
@@ -347,7 +346,7 @@ class TestEquivocatorForgesBundles:
             "q", 2, region="oregon"
         )
         config = IrmcConfig(fs=1, fr=1, capacity=4, move_heartbeat_ms=0)
-        channels = [make_rc_channel(tag, s_nodes, r_nodes, config) for tag in ("ch-a", "ch-b")]
+        channels = [make_channel("rc", tag, s_nodes, r_nodes, config) for tag in ("ch-a", "ch-b")]
         liar = make_equivocator(s_nodes[0], fraction=1.0)
         seen = []
         original = cluster.network.send

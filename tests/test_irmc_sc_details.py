@@ -1,7 +1,6 @@
 """Focused tests for IRMC-SC internals: collectors, Progress, Select."""
 
-from repro.irmc import IrmcConfig
-from repro.irmc.sc import make_sc_channel
+from repro.irmc import IrmcConfig, make_channel
 
 from tests.conftest import Cluster
 
@@ -17,7 +16,7 @@ def build(capacity=16, progress_ms=50.0, collector_timeout_ms=150.0):
         progress_interval_ms=progress_ms,
         collector_timeout_ms=collector_timeout_ms,
     )
-    tx, rx = make_sc_channel("sc", senders, receivers, config)
+    tx, rx = make_channel("sc", "sc", senders, receivers, config)
     return cluster, senders, receivers, tx, rx
 
 
