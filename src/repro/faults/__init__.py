@@ -3,15 +3,15 @@
 The simulator's structural crypto prevents forgery, so Byzantine behaviour
 is expressed as *protocol-level* misbehaviour of otherwise-authenticated
 nodes: staying silent, delaying, equivocating, corrupting state machines,
-or flooding.  :class:`FaultInjector` wraps live nodes with these
-behaviours; tests use it to check the paper's f-tolerance claims.
+or flooding.  ``XBehaviour(...).install(node)`` wraps a live node — the
+one way to install a fault, used by the chaos engine and the tests of the
+paper's f-tolerance claims alike.
 
 Behaviour handles — the sharp edges
 -----------------------------------
 Every behaviour is a reversible :class:`Behaviour`:
 ``install(node)`` returns a *handle* whose ``uninstall()`` restores the
-node, and the ``make_*`` helpers return that handle too.  The contract
-worth knowing before composing them:
+node.  The contract worth knowing before composing them:
 
 * **Stacking** works by chaining the node's ``send``; handles may be
   uninstalled in *any* order (a mid-chain uninstall deactivates its
@@ -30,10 +30,10 @@ worth knowing before composing them:
   ``node.crash_count``, so even a crash *and* recovery within the delay
   kills the message — a rebooted machine does not replay an old NIC
   queue).
-* **Crashes are not behaviours**: ``FaultInjector.crash()`` fail-stops
-  the node directly and :meth:`FaultInjector.undo_all` will *not* revive
-  it; recovery is ``node.recover()``, which also runs the node's
-  registered recovery hooks (driver respawn, state transfer — see
+* **Crashes are not behaviours**: ``node.crash()`` fail-stops the node
+  directly and no ``uninstall()`` revives it; recovery is
+  ``node.recover()``, which also runs the node's registered recovery
+  hooks (driver respawn, state transfer — see
   :mod:`repro.sim.node`).  The chaos layer's ``crash`` windows undo via
   exactly that path.
 
@@ -48,14 +48,7 @@ from repro.faults.behaviours import (
     DropBehaviour,
     DuplicateBehaviour,
     EquivocateBehaviour,
-    FaultInjector,
     SilenceBehaviour,
-    make_delayer,
-    make_dropper,
-    make_duplicator,
-    make_equivocating_kvstore,
-    make_equivocator,
-    make_silent,
 )
 
 __all__ = [
@@ -66,11 +59,4 @@ __all__ = [
     "DuplicateBehaviour",
     "EquivocateBehaviour",
     "CorruptAppBehaviour",
-    "FaultInjector",
-    "make_silent",
-    "make_delayer",
-    "make_dropper",
-    "make_duplicator",
-    "make_equivocating_kvstore",
-    "make_equivocator",
 ]

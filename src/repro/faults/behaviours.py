@@ -5,9 +5,9 @@ All behaviours work by interposing on a node's messaging surface
 forging other principals' authenticators — mirroring what a compromised
 but key-isolated machine could actually do.
 
-Behaviours are **reversible**: every ``make_*`` helper returns a
-:class:`Behaviour` handle whose :meth:`~Behaviour.uninstall` restores the
-node, even when several behaviours are stacked on one node in any
+Behaviours are **reversible**: ``XBehaviour(...).install(node)`` returns
+the :class:`Behaviour` handle, whose :meth:`~Behaviour.uninstall` restores
+the node, even when several behaviours are stacked on one node in any
 install/uninstall order.  The chaos campaign (:mod:`repro.chaos`) relies
 on this to compose fault windows with clean undo.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import replace as dataclass_replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.app.statemachine import Operation, StateMachine
 from repro.crypto.primitives import attach_auth, make_equivocating_mac_vector, sign_many
@@ -340,35 +340,6 @@ class EquivocateBehaviour(Behaviour):
         return attach_auth(body, signature=sign_many(self.node.name, [body, *siblings])[0])
 
 
-def make_equivocator(
-    node: Node, fraction: float = 1.0, rng: Optional[random.Random] = None
-) -> EquivocateBehaviour:
-    return EquivocateBehaviour(fraction=fraction, rng=rng).install(node)  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# Legacy helpers (return the behaviour handle for reversibility)
-# ----------------------------------------------------------------------
-def make_silent(node: Node, to: Optional[Callable[[Node], bool]] = None) -> SilenceBehaviour:
-    return SilenceBehaviour(to=to).install(node)  # type: ignore[return-value]
-
-
-def make_delayer(node: Node, delay_ms: float) -> DelayBehaviour:
-    return DelayBehaviour(delay_ms).install(node)  # type: ignore[return-value]
-
-
-def make_dropper(
-    node: Node, drop_fraction: float, rng: Optional[random.Random] = None
-) -> DropBehaviour:
-    return DropBehaviour(drop_fraction, rng=rng).install(node)  # type: ignore[return-value]
-
-
-def make_duplicator(
-    node: Node, dup_fraction: float, rng: Optional[random.Random] = None
-) -> DuplicateBehaviour:
-    return DuplicateBehaviour(dup_fraction, rng=rng).install(node)  # type: ignore[return-value]
-
-
 class _EquivocatingKVStore(StateMachine):
     """A corrupted application returning wrong results to some requests.
 
@@ -429,81 +400,3 @@ class CorruptAppBehaviour(Behaviour):
     def _on_uninstall(self) -> None:
         # The honest state kept evolving inside the wrapper; hand it back.
         self.node.app = self._previous_app
-
-
-def make_equivocating_kvstore(
-    replica, lie_every: int = 1, colluding: bool = False
-) -> CorruptAppBehaviour:
-    return CorruptAppBehaviour(lie_every=lie_every, colluding=colluding).install(
-        replica
-    )  # type: ignore[return-value]
-
-
-class FaultInjector:
-    """Applies and tracks fault behaviours over a set of nodes.
-
-    Keeps the experiment/test code declarative::
-
-        injector = FaultInjector()
-        injector.silence(system.agreement_replicas[0])
-        injector.corrupt_application(system.groups["g0"].replicas[1])
-        ...
-        assert injector.summary()["silent"] == 1
-        injector.undo_all()   # restore every node
-    """
-
-    def __init__(self):
-        self.applied: Dict[str, List[str]] = {}
-        self.behaviours: List[Behaviour] = []
-
-    def _record(self, behaviour: str, node: Node, handle: Optional[Behaviour] = None) -> None:
-        self.applied.setdefault(behaviour, []).append(node.name)
-        if handle is not None:
-            self.behaviours.append(handle)
-
-    def crash(self, node: Node) -> None:
-        node.crash()
-        self._record("crash", node)
-
-    def silence(self, node: Node, to=None) -> SilenceBehaviour:
-        handle = make_silent(node, to=to)
-        self._record("silent", node, handle)
-        return handle
-
-    def delay(self, node: Node, delay_ms: float) -> DelayBehaviour:
-        handle = make_delayer(node, delay_ms)
-        self._record("delay", node, handle)
-        return handle
-
-    def drop(self, node: Node, fraction: float) -> DropBehaviour:
-        handle = make_dropper(node, fraction)
-        self._record("drop", node, handle)
-        return handle
-
-    def duplicate(self, node: Node, fraction: float) -> DuplicateBehaviour:
-        handle = make_duplicator(node, fraction)
-        self._record("duplicate", node, handle)
-        return handle
-
-    def equivocate(self, node: Node, fraction: float = 1.0) -> EquivocateBehaviour:
-        handle = make_equivocator(node, fraction=fraction)
-        self._record("equivocate", node, handle)
-        return handle
-
-    def corrupt_application(
-        self, replica, lie_every: int = 1, colluding: bool = False
-    ) -> CorruptAppBehaviour:
-        handle = make_equivocating_kvstore(
-            replica, lie_every=lie_every, colluding=colluding
-        )
-        self._record("corrupt-app", replica, handle)
-        return handle
-
-    def undo_all(self) -> None:
-        """Uninstall every installed behaviour (crashes are not undone)."""
-        for handle in reversed(self.behaviours):
-            handle.uninstall()
-        self.behaviours.clear()
-
-    def summary(self) -> Dict[str, int]:
-        return {behaviour: len(names) for behaviour, names in self.applied.items()}

@@ -287,7 +287,7 @@ class TestEquivocatorForgesBundles:
 
     def test_bundle_entries_are_forged_like_lone_sends(self):
         from repro.crypto.primitives import verify
-        from repro.faults import make_equivocator
+        from repro.faults import EquivocateBehaviour
 
         cluster = Cluster()
         s_nodes = cluster.add_group("s", 3, region="virginia")
@@ -297,7 +297,7 @@ class TestEquivocatorForgesBundles:
         )
         config = IrmcConfig(fs=1, fr=1, capacity=4, move_heartbeat_ms=0)
         senders, receivers = make_channel("rc", "ch", s_nodes, r_nodes, config)
-        liar = make_equivocator(s_nodes[0], fraction=1.0)
+        liar = EquivocateBehaviour(fraction=1.0).install(s_nodes[0])
         seen = {}
         original = cluster.network.send
 
@@ -337,7 +337,7 @@ class TestEquivocatorForgesBundles:
         liar's variants keep that form — as many siblings, the same wire
         size — and verify on their own at the receivers it lies to."""
         from repro.crypto.primitives import verify
-        from repro.faults import make_equivocator
+        from repro.faults import EquivocateBehaviour
         from repro.irmc.messages import SendMsg
 
         cluster = Cluster()
@@ -347,7 +347,7 @@ class TestEquivocatorForgesBundles:
         )
         config = IrmcConfig(fs=1, fr=1, capacity=4, move_heartbeat_ms=0)
         channels = [make_channel("rc", tag, s_nodes, r_nodes, config) for tag in ("ch-a", "ch-b")]
-        liar = make_equivocator(s_nodes[0], fraction=1.0)
+        liar = EquivocateBehaviour(fraction=1.0).install(s_nodes[0])
         seen = []
         original = cluster.network.send
 

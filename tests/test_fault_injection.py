@@ -1,6 +1,6 @@
 """Tests driving Spider and PBFT through the fault-injection library."""
 
-from repro.faults import FaultInjector
+from repro.faults import CorruptAppBehaviour, DelayBehaviour, DropBehaviour, SilenceBehaviour
 
 from tests.test_spider_basic import build_system
 
@@ -10,8 +10,7 @@ class TestCorruptApplications:
         """One execution replica returns forged results: clients still
         accept only the correct value (fe+1 matching replies)."""
         sim, system = build_system()
-        injector = FaultInjector()
-        injector.corrupt_application(system.groups["g0"].replicas[0])
+        CorruptAppBehaviour().install(system.groups["g0"].replicas[0])
         client = system.make_client("c1", "virginia", group_id="g0")
         future = client.write(("put", "k", "v"))
         sim.run(until=6000.0)
@@ -25,9 +24,8 @@ class TestCorruptApplications:
         """With fe=1, two *independently* corrupted replicas prevent result
         acceptance: their forgeries differ, so no fe+1 quorum ever forms."""
         sim, system = build_system()
-        injector = FaultInjector()
-        injector.corrupt_application(system.groups["g0"].replicas[0])
-        injector.corrupt_application(system.groups["g0"].replicas[1])
+        CorruptAppBehaviour().install(system.groups["g0"].replicas[0])
+        CorruptAppBehaviour().install(system.groups["g0"].replicas[1])
         client = system.make_client("c1", "virginia", group_id="g0")
         read = client.weak_read(("get", "missing-key"))
         sim.run(until=6000.0)
@@ -38,9 +36,8 @@ class TestCorruptApplications:
         make the client accept a fabricated result - the fault assumption
         is real, not decorative."""
         sim, system = build_system()
-        injector = FaultInjector()
-        injector.corrupt_application(system.groups["g0"].replicas[0], colluding=True)
-        injector.corrupt_application(system.groups["g0"].replicas[1], colluding=True)
+        CorruptAppBehaviour(colluding=True).install(system.groups["g0"].replicas[0])
+        CorruptAppBehaviour(colluding=True).install(system.groups["g0"].replicas[1])
         client = system.make_client("c1", "virginia", group_id="g0")
         read = client.weak_read(("get", "missing-key"))
         sim.run(until=6000.0)
@@ -51,13 +48,12 @@ class TestCorruptApplications:
         """The Section 3.3 fallback: a weak read that cannot assemble a
         quorum upgrades to a strongly consistent read and completes."""
         sim, system = build_system()
-        injector = FaultInjector()
         # One liar makes every weak-read round inconclusive only when the
         # two honest replicas disagree; force disagreement by making the
         # liar lie always and crashing one honest replica's link... simpler:
         # corrupt two replicas so the weak quorum can never form.
-        injector.corrupt_application(system.groups["g0"].replicas[0])
-        injector.corrupt_application(system.groups["g0"].replicas[1])
+        CorruptAppBehaviour().install(system.groups["g0"].replicas[0])
+        CorruptAppBehaviour().install(system.groups["g0"].replicas[1])
         client = system.make_client("c1", "virginia", group_id="g0")
         client.retry_ms = 300.0
         future = client.weak_read(("get", "k"), fallback_after=2)
@@ -70,19 +66,11 @@ class TestCorruptApplications:
         # upgrade itself happens.
         assert future.done or client.counter >= 1  # strong read was issued
 
-    def test_injector_summary(self):
-        sim, system = build_system()
-        injector = FaultInjector()
-        injector.crash(system.groups["g0"].replicas[0])
-        injector.silence(system.groups["g1"].replicas[0])
-        injector.delay(system.groups["g1"].replicas[1], 50.0)
-        assert injector.summary() == {"crash": 1, "silent": 1, "delay": 1}
-
 
 class TestSilenceAndDelay:
     def test_silent_agreement_follower_is_masked(self):
         sim, system = build_system()
-        FaultInjector().silence(system.agreement_replicas[3])
+        SilenceBehaviour().install(system.agreement_replicas[3])
         client = system.make_client("c1", "virginia", group_id="g0")
         future = client.write(("put", "k", "v"))
         sim.run(until=5000.0)
@@ -90,7 +78,7 @@ class TestSilenceAndDelay:
 
     def test_delaying_agreement_leader_slows_but_does_not_block(self):
         sim, system = build_system()
-        FaultInjector().delay(system.agreement_replicas[0], 100.0)
+        DelayBehaviour(100.0).install(system.agreement_replicas[0])
         client = system.make_client("c1", "virginia", group_id="g0")
         future = client.write(("put", "k", "v"))
         sim.run(until=30000.0)
@@ -101,7 +89,7 @@ class TestSilenceAndDelay:
 
     def test_dropping_replica_recovers_through_retransmission(self):
         sim, system = build_system()
-        FaultInjector().drop(system.groups["g0"].replicas[0], 0.3)
+        DropBehaviour(0.3).install(system.groups["g0"].replicas[0])
         client = system.make_client("c1", "virginia", group_id="g0")
         futures = []
 
@@ -122,9 +110,8 @@ class TestDelayedExecutionGroup:
         """Global flow control (z=1): Tokyo's whole group lagging behind
         must not impact Virginia clients (paper Section 3.5)."""
         sim, system = build_system(z=1)
-        injector = FaultInjector()
         for replica in system.groups["g1"].replicas:
-            injector.delay(replica, 400.0)
+            DelayBehaviour(400.0).install(replica)
         client = system.make_client("c1", "virginia", group_id="g0")
         latencies = []
 

@@ -15,7 +15,7 @@ Covers the recovery subsystem end to end:
 from repro.consensus.interface import DeliveryQueue
 from repro.consensus.pbft import PbftConfig, PbftReplica
 from repro.consensus.raft import RaftConfig, RaftReplica
-from repro.faults import make_silent
+from repro.faults import SilenceBehaviour
 from repro.sim import Process
 
 from tests.conftest import Cluster
@@ -113,7 +113,7 @@ class TestPbftStateTransfer:
         victim.crash()
         # Silence the view-0 leader: the survivors view-change to view 1
         # and keep ordering there while the victim is down.
-        silencer = make_silent(harness.nodes[0])
+        silencer = SilenceBehaviour().install(harness.nodes[0])
         harness.order_everywhere(("op", 1))
         cluster.run(until=2_500.0)
         harness.order_everywhere(("op", 2))
@@ -184,7 +184,7 @@ class TestPbftStateTransfer:
         cluster.run(until=1_500.0)  # long enough for timers to fire and drop
         victim.recover()
         cluster.run(until=2_000.0)
-        make_silent(harness.nodes[0])  # leader goes silent *after* recovery
+        SilenceBehaviour().install(harness.nodes[0])  # leader goes silent *after* recovery
         harness.order_everywhere(("stuck",))
         cluster.run(until=6_000.0)
         # The recovered replica took part in the view change and delivered.
