@@ -53,6 +53,7 @@ from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.core import SpiderConfig
 from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.irmc import IrmcConfig, TooOld, make_channel
+from repro.irmc.base import OVERFLOW_FACTOR
 from repro.net import Site
 from repro.sim import Process
 from repro.sim.process import sleep
@@ -409,7 +410,7 @@ def irmc(case, sim, network) -> Rig:
                 )
         # Bounded bookkeeping under the overflow cap (the Byzantine-flood
         # memory promise in irmc/base.py).
-        cap = config.capacity * config.overflow_factor
+        cap = config.capacity * OVERFLOW_FACTOR
         for name, endpoint in receivers.items():
             for book_name in ("_votes", "_payloads"):
                 book = getattr(endpoint, book_name, None)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -40,10 +40,6 @@ class PbftConfig:
     fetch_delay_ms:
         How long a delivery gap may persist before the replica asks a peer
         to retransmit the missing instance.
-    recovery_retry_ms:
-        Cadence of the post-crash state-transfer retry: after recovery the
-        replica re-requests ``StateTransfer`` from its peers until a whole
-        retry period passes without view or delivery progress.
     batch_size:
         Cap on the number of ordered messages the leader packs into one
         consensus instance.  Batching is self-clocked — the leader
@@ -58,9 +54,7 @@ class PbftConfig:
     window: int = 1024
     weights: Optional[Dict[str, float]] = None
     fetch_delay_ms: float = 500.0
-    recovery_retry_ms: float = 500.0
     batch_size: int = 64
-    extra: dict = field(default_factory=dict)
 
     def validate(self, replica_names: Sequence[str]) -> None:
         n = len(replica_names)

@@ -79,6 +79,12 @@ from repro.sim.futures import SimFuture
 from repro.sim.routing import Component, RoutedNode
 
 
+#: Cadence of the post-crash state-transfer retry (ms): after recovery the
+#: replica re-requests ``StateTransfer`` from its peers until a whole
+#: period passes without view or delivery progress.
+RECOVERY_RETRY_MS = 500.0
+
+
 def _key(payload: Any) -> str:
     return cached_repr(payload)
 
@@ -684,7 +690,7 @@ class PbftReplica(Component, Agreement):
     def request_state_transfer(self) -> None:
         """Ask all peers for the current view and the log suffix we miss.
 
-        Retries every ``config.recovery_retry_ms`` until one whole period
+        Retries every ``RECOVERY_RETRY_MS`` until one whole period
         passes without view or delivery progress — at that point we are
         either caught up or partitioned, and the always-armed gap fetch
         plus commit-certificate adoption remain as the backstop.
@@ -708,7 +714,7 @@ class PbftReplica(Component, Agreement):
 
     def _arm_recovery_timer(self) -> None:
         self._recovery_timer = self.node.set_timeout(
-            self.config.recovery_retry_ms, self._on_recovery_retry, self._recovery_epoch
+            RECOVERY_RETRY_MS, self._on_recovery_retry, self._recovery_epoch
         )
 
     def _on_recovery_retry(self, epoch: int) -> None:

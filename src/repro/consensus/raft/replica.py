@@ -30,15 +30,19 @@ CANDIDATE = "candidate"
 LEADER = "leader"
 
 
+#: Election timeouts are drawn uniformly from this range (ms), heartbeats
+#: leave every ``HEARTBEAT_MS``: the usual 4-8x spacing between the two.
+ELECTION_TIMEOUT_MIN_MS = 400.0
+ELECTION_TIMEOUT_MAX_MS = 800.0
+HEARTBEAT_MS = 100.0
+#: Maximum entries shipped per AppendEntries.
+APPEND_LIMIT = 64
+
+
 @dataclass
 class RaftConfig:
-    """Raft timing parameters (milliseconds)."""
+    """Raft's one tunable."""
 
-    election_timeout_min_ms: float = 400.0
-    election_timeout_max_ms: float = 800.0
-    heartbeat_ms: float = 100.0
-    #: maximum entries shipped per AppendEntries
-    batch_limit: int = 64
     #: request batching, mirroring PbftConfig so ablations stay comparable:
     #: while an entry of its own is uncommitted the leader accumulates, and
     #: packs what queued up (at most ``batch_size`` payloads) into one
@@ -131,7 +135,7 @@ class RaftReplica(Component, Agreement):
 
     def _entries_from(self, index: int) -> List[LogEntry]:
         start = max(0, index - self.offset - 1)
-        return self.log[start : start + self.config.batch_limit]
+        return self.log[start : start + APPEND_LIMIT]
 
     # ------------------------------------------------------------------
     # Agreement interface
@@ -292,10 +296,8 @@ class RaftReplica(Component, Agreement):
     def _reset_election_timer(self) -> None:
         if self._election_timer is not None:
             self._election_timer.cancel()
-        spread = (
-            self.config.election_timeout_max_ms - self.config.election_timeout_min_ms
-        )
-        timeout = self.config.election_timeout_min_ms + self.sim.rng.random() * spread
+        spread = ELECTION_TIMEOUT_MAX_MS - ELECTION_TIMEOUT_MIN_MS
+        timeout = ELECTION_TIMEOUT_MIN_MS + self.sim.rng.random() * spread
         self._election_timer = self.node.set_timeout(timeout, self._on_election_timeout)
 
     def _on_election_timeout(self) -> None:
@@ -435,9 +437,7 @@ class RaftReplica(Component, Agreement):
         if self.role != LEADER:
             return
         self._replicate()
-        self._heartbeat_timer = self.node.set_timeout(
-            self.config.heartbeat_ms, self._send_heartbeats
-        )
+        self._heartbeat_timer = self.node.set_timeout(HEARTBEAT_MS, self._send_heartbeats)
 
     def _replicate(self) -> None:
         for peer in self.peers:

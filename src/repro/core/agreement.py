@@ -36,7 +36,7 @@ from repro.app.statemachine import StateMachine
 from repro.checkpoints import CheckpointComponent
 from repro.consensus.interface import Agreement, Batch, batch_items
 from repro.core.answering import ClientFacing
-from repro.core.config import SpiderConfig
+from repro.core.config import REQUEST_CAPACITY, SpiderConfig
 from repro.core.messages import (
     NOOP_SLOT,
     STRONG_READ,
@@ -204,7 +204,7 @@ class AgreementReplica(ClientFacing, RoutedNode):
         if group_id in self.groups:
             return
         config = self.config
-        request_cfg = IrmcConfig(fs=config.fe, fr=config.fa, capacity=config.request_capacity)
+        request_cfg = IrmcConfig(fs=config.fe, fr=config.fa, capacity=REQUEST_CAPACITY)
         commit_cfg = IrmcConfig(fs=config.fa, fr=config.fe, capacity=config.commit_channel_capacity)
         sender_cls, receiver_cls = ENDPOINTS[config.irmc_kind]
         request_rx = receiver_cls(

@@ -5,12 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from repro.consensus.pbft.config import PbftConfig
 from repro.errors import ConfigurationError
+from repro.irmc import KINDS
 
 #: Default availability-zone order for agreement groups (paper: the V-1 /
 #: V-2 / V-4 / V-6 leader placement, continued for larger groups).  The
 #: single source of truth — spec validation and shard wiring must agree
 #: on it or a validated spec could build a different placement.
 DEFAULT_AGREEMENT_ZONES = (1, 2, 4, 6, 3, 5, 7, 8, 9, 10)
+
+#: Per-client request-subchannel window.  The paper uses 2: the last
+#: forwarded request plus the next.  Both ends of a request channel read
+#: it from here.
+REQUEST_CAPACITY = 2
 
 
 @dataclass
@@ -24,9 +30,6 @@ class SpiderConfig:
         each execution group (size ``2 fe + 1``).
     irmc_kind:
         ``"rc"`` or ``"sc"`` — which IRMC implementation connects groups.
-    request_capacity:
-        Per-client request-subchannel window (paper uses 2: the last
-        forwarded request plus the next).
     ka / ke:
         Agreement / execution checkpoint intervals.  The commit channel's
         capacity must be at least ``ke`` for liveness (Section 3.4); it is
@@ -50,15 +53,12 @@ class SpiderConfig:
     fa: int = 1
     fe: int = 1
     irmc_kind: str = "rc"
-    request_capacity: int = 2
     commit_capacity: int = 64
     ka: int = 16
     ke: int = 16
     ag_window: int = 64
     z: int = 0
     batch_size: int = 64
-    client_retry_ms: float = 4000.0
-    fetch_retry_ms: float = 50.0
     pbft: PbftConfig = field(default_factory=lambda: PbftConfig(view_timeout_ms=1000.0))
     admins: tuple = ("admin",)
 
@@ -67,7 +67,7 @@ class SpiderConfig:
             # fa = 0 degenerates the agreement group to a single sequencer
             # (useful with non-BFT agreement black-boxes in tests/demos).
             raise ConfigurationError("fa must be >= 0 and fe >= 1")
-        if self.irmc_kind not in ("rc", "sc"):
+        if self.irmc_kind not in KINDS:
             raise ConfigurationError(f"unknown IRMC kind {self.irmc_kind!r}")
         if self.ag_window < self.ka:
             raise ConfigurationError("ag_window must be >= ka (Fig. 17 L. 4)")
@@ -75,8 +75,6 @@ class SpiderConfig:
             raise ConfigurationError("commit capacity must be >= ke (Section 3.4)")
         if self.z < 0:
             raise ConfigurationError("z must be >= 0")
-        if self.request_capacity < 1:
-            raise ConfigurationError("request_capacity must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.pbft.batch_size not in (PbftConfig().batch_size, self.batch_size):
@@ -106,7 +104,6 @@ class SpiderConfig:
             window=max(self.pbft.window, self.ag_window * 4),
             weights=self.pbft.weights,
             fetch_delay_ms=self.pbft.fetch_delay_ms,
-            recovery_retry_ms=self.pbft.recovery_retry_ms,
             batch_size=self.batch_size,
         )
         return config

@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.app.statemachine import StateMachine
 from repro.checkpoints import CheckpointComponent
 from repro.core.answering import ClientFacing
-from repro.core.config import SpiderConfig
+from repro.core.config import REQUEST_CAPACITY, SpiderConfig
 from repro.core.messages import (
     ClientRequest,
     CloseSession,
@@ -38,6 +38,11 @@ from repro.elastic.rangemap import slot_of
 from repro.irmc import ENDPOINTS, IrmcConfig, TooOld
 from repro.sim.process import Process, sleep
 from repro.sim.routing import RoutedNode
+
+
+#: How long the main loop waits for a fetched checkpoint before it asks
+#: the commit channel again (ms).
+FETCH_RETRY_MS = 50.0
 
 
 class ExecutionReplica(ClientFacing, RoutedNode):
@@ -94,7 +99,7 @@ class ExecutionReplica(ClientFacing, RoutedNode):
         self.group_nodes = list(group_nodes)
         self.agreement_nodes = list(agreement_nodes)
         config = self.config
-        request_cfg = IrmcConfig(fs=config.fe, fr=config.fa, capacity=config.request_capacity)
+        request_cfg = IrmcConfig(fs=config.fe, fr=config.fa, capacity=REQUEST_CAPACITY)
         commit_cfg = IrmcConfig(fs=config.fa, fr=config.fe, capacity=config.commit_channel_capacity)
         sender_cls, receiver_cls = ENDPOINTS[config.irmc_kind]
         self.request_tx = sender_cls(
@@ -255,7 +260,7 @@ class ExecutionReplica(ClientFacing, RoutedNode):
                 # We missed Executes: find a stable checkpoint, possibly in
                 # another group (Section 3.5), then retry.
                 self.cp.fetch_cp(self.sn + 1)
-                yield sleep(self.config.fetch_retry_ms)
+                yield sleep(FETCH_RETRY_MS)
                 continue
             self._process_execute(result)
 

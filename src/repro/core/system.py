@@ -253,7 +253,6 @@ class Shard:
             group_id,
             replicas,
             fe=faults,
-            retry_ms=self.config.client_retry_ms,
         )
         self.network.register(client)
         self.clients[name] = client

@@ -58,6 +58,18 @@ class TooOld:
     new_start: int
 
 
+#: Stored positions are bounded to ``capacity * OVERFLOW_FACTOR`` ahead of
+#: the window start to cap memory under Byzantine floods.
+OVERFLOW_FACTOR = 8
+
+#: How many retired subchannels each endpoint remembers (FIFO).  The
+#: tombstones answer straggler traffic for dead subchannels — a receiver
+#: echoes retirement at stale Moves, a sender short-circuits stale sends
+#: with TooOld — without re-growing the books retirement just dropped; the
+#: bound keeps the memory independent of total client churn.
+RETIRED_TOMBSTONES = 256
+
+
 @dataclass
 class IrmcConfig:
     """Channel-wide parameters.
@@ -77,21 +89,11 @@ class IrmcConfig:
     #: IRMC-SC: how long a receiver waits for a certificate its peers claim
     #: exists before switching collectors (ms).
     collector_timeout_ms: float = 500.0
-    #: Stored positions are bounded to ``capacity * overflow_factor`` ahead
-    #: of the window start to cap memory under Byzantine floods.
-    overflow_factor: int = 8
     #: Senders periodically re-announce their window Moves so that
     #: receivers cut off by partitions eventually learn they fell behind
     #: (the paper assumes reliable links; this heartbeat provides the
     #: equivalent over a lossy simulated network).  0 disables.
     move_heartbeat_ms: float = 500.0
-    #: How many retired subchannels each endpoint remembers (FIFO).  The
-    #: tombstones answer straggler traffic for dead subchannels — a
-    #: receiver echoes retirement at stale Moves, a sender short-circuits
-    #: stale sends with TooOld — without re-growing the books retirement
-    #: just dropped; the bound keeps the memory independent of total
-    #: client churn.
-    retired_tombstones: int = 256
 
 
 class _WindowBook:
@@ -163,7 +165,7 @@ class IrmcEndpoint(Component):
 
     def _note_retired(self, subchannel: Any) -> None:
         self._retired[subchannel] = None
-        while len(self._retired) > self.config.retired_tombstones:
+        while len(self._retired) > RETIRED_TOMBSTONES:
             self._retired.pop(next(iter(self._retired)))
 
     def _on_node_recover(self) -> None:
@@ -207,7 +209,7 @@ class IrmcEndpoint(Component):
             # duplicates of a churned client must stay bookless.
             return False
         start = self.start_of(subchannel)
-        limit = start + self.config.capacity * self.config.overflow_factor
+        limit = start + self.config.capacity * OVERFLOW_FACTOR
         return start <= position < limit
 
     # ------------------------------------------------------------------

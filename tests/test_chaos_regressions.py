@@ -14,6 +14,7 @@ from repro.chaos import chaos_case
 from repro.crypto.costs import CostModel, use_cost_model
 from repro.crypto.primitives import attach_auth, sign
 from repro.irmc import IrmcConfig, make_channel
+from repro.irmc.base import OVERFLOW_FACTOR
 from repro.irmc.messages import MovesMsg, SendMsg, SendsMsg
 
 from tests.conftest import Cluster
@@ -167,7 +168,7 @@ class TestIrmcRcFloodBookkeeping:
         cluster = Cluster()
         s_nodes = cluster.add_group("s", 3, region="virginia")
         r_nodes = cluster.add_group("r", 4, region="oregon")
-        config = IrmcConfig(fs=1, fr=1, capacity=2, overflow_factor=8, move_heartbeat_ms=0)
+        config = IrmcConfig(fs=1, fr=1, capacity=2, move_heartbeat_ms=0)
         senders, receivers = make_channel("rc", "ch", s_nodes, r_nodes, config)
         return cluster, config, senders, receivers
 
@@ -195,7 +196,7 @@ class TestIrmcRcFloodBookkeeping:
 
         cluster, config, senders, receivers = self._fixture()
         rx = receivers["r0"]
-        cap = config.capacity * config.overflow_factor
+        cap = config.capacity * OVERFLOW_FACTOR
         for name in ("s0", "s1"):
             rx._on_sender_move(_moves(senders[name], "c1", 500))
             self._flood(rx, name, "gone", 1, 2, payload=("req", "a"))
@@ -235,7 +236,7 @@ class TestIrmcRcFloodBookkeeping:
     def test_flood_is_bounded_and_moves_prune_stale_state(self):
         cluster, config, senders, receivers = self._fixture()
         rx = receivers["r0"]
-        cap = config.capacity * config.overflow_factor
+        cap = config.capacity * OVERFLOW_FACTOR
 
         self._flood(rx, "s0", "c1", 1, 1001)
         assert len(rx._votes.get("c1", {})) <= cap

@@ -98,7 +98,7 @@ def test_thousand_session_churn_soak():
     assert all(session.closed for session in sessions)
 
     # Every per-client book drained to zero; tombstone rings stay at or
-    # below their fixed cap (IrmcConfig.retired_tombstones).
+    # below their fixed cap (repro.irmc.base.RETIRED_TOMBSTONES).
     sizes = max_book_sizes(cluster)
     for key, value in sizes.items():
         if key.endswith("_tombstones"):

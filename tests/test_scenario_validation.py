@@ -115,6 +115,19 @@ def test_unknown_middleware_name():
     assert "admission" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["request_capacity", "client_retry_ms", "fetch_retry_ms"])
+def test_config_field_that_became_a_constant_is_rejected_by_name(field):
+    """Values nothing ever set are module constants now; a suite file that
+    still names one fails while it is parsed."""
+    with pytest.raises(ConfigurationError, match=f"topology config: .*{field}"):
+        ScenarioSpec.of(
+            name="probe",
+            stack="overload",
+            topology={"regions": ["virginia"], "config": {field: 2}},
+            workload=_FLASH,
+        )
+
+
 _FLASH = {
     "kind": "flash-plan", "sessions": 4, "n_keys": 8, "skew": 0.99,
     "write_fraction": 0.5, "base_rate": 100.0, "flash_rate": 500.0,

@@ -43,7 +43,7 @@ class TestAgreementFaults:
             assert follower.t_plus[client.name] == 3  # not 4
         leader.crash()
         third = client.write(("put", "c", 3))
-        sim.run(until=2000.0 + system.config.client_retry_ms - 500.0)
+        sim.run(until=2000.0 + client.retry_ms - 500.0)
         assert third.done  # via the view change, before any client retry
 
     def test_weak_reads_survive_agreement_outage(self):
