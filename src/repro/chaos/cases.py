@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.actions import ChaosEngine, FaultAction
+from repro.chaos.invariants import resolve_invariants
 from repro.chaos.rigs import (
     IRMC_RECEIVERS,
     IRMC_SENDERS,
@@ -95,8 +96,8 @@ class ChaosCase:
     #: which rig of :data:`repro.chaos.rigs.RIGS` wires the run
     stack: str
     #: the obligations the rig's evaluation enforces, in the
-    #: :data:`~repro.chaos.invariants.INVARIANTS` vocabulary; a scenario's
-    #: invariant set must match it exactly
+    #: :data:`~repro.chaos.invariants.INVARIANTS` vocabulary (a name
+    #: outside it fails when the row is built)
     invariants: Tuple[str, ...]
     #: simulated time the run is given (faults heal long before)
     settle_ms: float
@@ -154,6 +155,9 @@ class ChaosCase:
     partition_regions: Optional[Tuple[str, ...]] = None
     #: targeted cases: ``(case, seed) -> [FaultAction]`` instead of a draw
     schedule: Optional[Callable[["ChaosCase", int], List[FaultAction]]] = None
+
+    def __post_init__(self) -> None:
+        resolve_invariants(self.invariants)
 
     def knobs(self) -> List[str]:
         """The override names this case accepts."""

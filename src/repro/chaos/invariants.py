@@ -327,10 +327,9 @@ def check_reshard_handover(
 # ----------------------------------------------------------------------
 # Name registry (scenario specs refer to checkers by these names)
 # ----------------------------------------------------------------------
-#: Declarative names for the checkers above.  ``ScenarioSpec.invariants``
-#: entries resolve here; every row of the chaos table declares its
-#: obligations (``ChaosCase.invariants``) in the same vocabulary, so a
-#: suite file and the code that enforces it cannot drift apart silently.
+#: Declarative names for the checkers above: every row of the chaos table
+#: declares its obligations (``ChaosCase.invariants``) in this vocabulary,
+#: and a cell's result reports them under the same names.
 INVARIANTS: Dict[str, Callable[..., List[str]]] = {
     "sequence-agreement": check_sequence_agreement,
     "exactly-once": check_exactly_once,

@@ -4,7 +4,7 @@ The scenario layer turns the fault-campaign and traffic experiment
 families — chaos, reshard, the overload A/B — into *data* (the paper's
 figures are tables of deploy specs, :mod:`repro.experiments.figures`):
 a :class:`ScenarioSpec` names a registered stack and carries topology /
-workload / faults / invariants / scale fragments.  A :class:`SuiteSpec`
+workload / faults / scale fragments.  A :class:`SuiteSpec`
 (usually loaded from YAML or JSON) layers suite defaults under
 per-scenario overrides and validates the whole matrix before any node
 exists.

@@ -1,8 +1,8 @@
 """Fingerprint-keyed cache for expensive scenario constructions.
 
 A suite run is a matrix of ``scenarios x seeds``; most cells share most
-of their ingredients (the harness object, the compiled invariant set, a
-precomputed workload plan, a fault schedule).  The runner builds each
+of their ingredients (the harness object, a precomputed workload plan, a
+fault schedule).  The runner builds each
 ingredient once per distinct *fragment fingerprint* and reuses it for
 every cell whose owning fragment fingerprints identically — the same
 instance-sharing contract the middleware lifecycle gives identical
@@ -24,7 +24,7 @@ class BuildCache:
     """Keyed memoisation with hit/miss accounting.
 
     Keys are ``(kind, key)`` pairs where ``kind`` names the ingredient
-    family (``"case"``, ``"plan"``, ``"invariants"``...) and ``key``
+    family (``"case"``, ``"plan"``, ``"schedule"``) and ``key``
     is a structural fingerprint (plus a seed, for seeded ingredients).
     """
 

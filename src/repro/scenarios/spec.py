@@ -6,9 +6,8 @@ family: which *stack* executes it (a registered runner — ``"chaos"``,
 :class:`~repro.deploy.ClusterSpec`, when the stack builds a cluster),
 the *workload* (rate curves, key distributions, session
 counts), the *faults* (palette kinds with budgets/windows, or an
-explicit action list), the *invariants* (names resolving to
-:mod:`repro.chaos.invariants` checkers), the *run scale* and the
-*metrics* to emit into result artifacts.
+explicit action list), the *run scale* and the *metrics* to emit into
+result artifacts.
 
 A :class:`SuiteSpec` layers scenarios elspeth-style: suite-level
 ``defaults`` are deep-merged **under** each scenario's own data, and
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chaos.actions import FaultAction, NET_KINDS, NODE_KINDS
-from repro.chaos.invariants import resolve_invariants
 from repro.chaos.schedule import overlapping_windows
 from repro.deploy import ClusterSpec
 from repro.errors import ConfigurationError
@@ -258,7 +256,6 @@ class ScenarioSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
     workload: Optional[WorkloadSpec] = None
     faults: Optional[FaultSpec] = None
-    invariants: Tuple[str, ...] = ()
     scale: Tuple[Tuple[str, Any], ...] = ()
     metrics: Tuple[str, ...] = ()
 
@@ -270,7 +267,6 @@ class ScenarioSpec:
         params: Optional[Mapping] = None,
         workload: Any = None,
         faults: Any = None,
-        invariants: Sequence[str] = (),
         scale: Optional[Mapping] = None,
         metrics: Sequence[str] = (),
     ) -> "ScenarioSpec":
@@ -288,7 +284,6 @@ class ScenarioSpec:
             params=_options_tuple(params),
             workload=workload,
             faults=faults,
-            invariants=tuple(invariants),
             scale=_options_tuple(scale),
             metrics=tuple(metrics),
         )
@@ -297,7 +292,7 @@ class ScenarioSpec:
     def from_dict(data: Mapping) -> "ScenarioSpec":
         known = {
             "name", "stack", "topology", "params", "workload", "faults",
-            "invariants", "scale", "metrics",
+            "scale", "metrics",
         }
         unknown = set(data) - known
         if unknown:
@@ -312,7 +307,6 @@ class ScenarioSpec:
             params=data.get("params"),
             workload=data.get("workload"),
             faults=data.get("faults"),
-            invariants=data.get("invariants", ()),
             scale=data.get("scale"),
             metrics=data.get("metrics", ()),
         )
@@ -335,7 +329,6 @@ class ScenarioSpec:
                 self.params,
                 self.workload,
                 self.faults,
-                self.invariants,
                 self.scale,
                 self.metrics,
             )
@@ -350,9 +343,6 @@ class ScenarioSpec:
         if self.faults is None:
             return structural_fingerprint(("faults", None))
         return self.faults.fingerprint()
-
-    def invariants_fingerprint(self) -> str:
-        return structural_fingerprint(("invariants", tuple(sorted(self.invariants))))
 
     def scale_fingerprint(self) -> str:
         return structural_fingerprint(("scale", self.scale))
@@ -372,7 +362,6 @@ class ScenarioSpec:
             self.workload.validate()
         if self.faults is not None:
             self.faults.validate()
-        resolve_invariants(self.invariants)
         _check_non_negative(self.scale, f"scenario {self.name!r} scale")
         from repro.scenarios.stacks import resolve_stack
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Dict, TYPE_CHECKING
 
 from repro.chaos.cases import chaos_case
-from repro.chaos.invariants import resolve_invariants
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,9 +59,8 @@ class ChaosStack:
     ``params.config`` names the row; ``scale`` entries override its
     run-scale knobs (ops, settle_ms...); the ``faults`` fragment
     overrides the palette, budget and windows.  Only knobs the row
-    declares are accepted.  The spec's ``invariants`` must match the
-    row's declared obligations exactly — the suite file documents what
-    the run enforces, and cannot claim more or less than the code does.
+    declares are accepted.  What the run enforces is the row's
+    ``invariants``; the cell result reports them.
     """
 
     name = "chaos"
@@ -100,26 +98,11 @@ class ChaosStack:
                 f"scenario {spec.name!r}: chaos configurations carry their "
                 "workload in 'scale' knobs; omit 'workload'"
             )
-        case = self._case(spec)  # raises on unknown config, knobs, bad values
-        declared = tuple(sorted(spec.invariants))
-        expected = tuple(sorted(case.invariants))
-        if declared != expected:
-            raise ConfigurationError(
-                f"scenario {spec.name!r}: invariants {list(declared)} do not "
-                f"match config {case.name!r} obligations {list(expected)}"
-            )
+        self._case(spec)  # raises on unknown config, knobs, bad values
 
     def run(self, spec: "ScenarioSpec", seed: int, cache: "BuildCache") -> Dict[str, Any]:
         fingerprint = spec.fingerprint()
         case = cache.get_or_build("case", fingerprint, lambda: self._case(spec))
-        # The compiled checker tuple is what the case's run() enforces;
-        # compiling it through the cache pins the name->checker resolution
-        # once per distinct invariant set across the whole matrix.
-        cache.get_or_build(
-            "invariants",
-            spec.invariants_fingerprint(),
-            lambda: resolve_invariants(spec.invariants),
-        )
         explicit = spec.faults.actions if spec.faults is not None else ()
         if explicit:
             schedule = list(explicit)
@@ -132,6 +115,7 @@ class ChaosStack:
         result = case.run(seed, actions=list(schedule))
         return {
             "config": case.name,
+            "invariants": list(case.invariants),
             "ok": result.ok,
             "violations": list(result.violations),
             "schedule": [dict(vars(action)) for action in result.actions],
@@ -230,11 +214,6 @@ class OverloadStack:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: the overload stack injects no "
                 "faults; omit 'faults'"
-            )
-        if spec.invariants:
-            raise ConfigurationError(
-                f"scenario {spec.name!r}: the overload stack asserts SLO "
-                "accounting, not chaos invariants; omit 'invariants'"
             )
 
     def run(self, spec: "ScenarioSpec", seed: int, cache: "BuildCache") -> Dict[str, Any]:

@@ -293,7 +293,6 @@ class TestShrinker:
             stack="chaos",
             params={"config": "pbft"},
             faults={"actions": wedge + [innocent]},
-            invariants=["sequence-agreement", "exactly-once", "completion", "recovered-frontier"],
         )
         [cell] = run_matrix([spec], [2])
         assert cell.error is None and not cell.ok
@@ -303,5 +302,7 @@ class TestShrinker:
             "snippet", "violations",
         ]
         assert record["schedule"] == cell.stats["schedule"]
+        # The artifact says what was enforced: the table row's obligations.
+        assert cell.stats["invariants"] == list(chaos_case("pbft").invariants)
         assert innocent not in record["minimized"] and record["minimized"]
         assert "FAILS at generation time" in record["snippet"]

@@ -84,7 +84,6 @@ def _base_spec(**changes) -> ScenarioSpec:
         params={"config": "pbft"},
         workload=None,
         faults={"palette": ["crash", "delay"], "max_actions": 2},
-        invariants=["sequence-agreement", "exactly-once"],
         scale={"ops": 8, "settle_ms": 22000.0},
         metrics=["campaign_fingerprint"],
     )
@@ -114,7 +113,6 @@ MUTATIONS = {
     "workload": dict(workload={"kind": "flash-plan", "sessions": 4}),
     "faults-palette-order": dict(faults={"palette": ["delay", "crash"], "max_actions": 2}),
     "faults-budget": dict(faults={"palette": ["crash", "delay"], "max_actions": 3}),
-    "invariants": dict(invariants=["sequence-agreement"]),
     "scale": dict(scale={"ops": 9, "settle_ms": 22000.0}),
     "metrics": dict(metrics=["campaign_fingerprint", "events"]),
 }
@@ -138,19 +136,12 @@ def test_single_field_change_moves_fingerprint_and_misses_cache(field):
 def test_fragment_fingerprints_isolate_their_fragment():
     base = _base_spec()
     rescaled = _base_spec(scale={"ops": 9, "settle_ms": 22000.0})
-    # The workload/faults/invariants fragments are untouched...
+    # The workload/faults fragments are untouched...
     assert base.workload_fingerprint() == rescaled.workload_fingerprint()
     assert base.faults_fingerprint() == rescaled.faults_fingerprint()
-    assert base.invariants_fingerprint() == rescaled.invariants_fingerprint()
     # ...while the scale fragment (and the whole spec) moved.
     assert base.scale_fingerprint() != rescaled.scale_fingerprint()
     assert base.fingerprint() != rescaled.fingerprint()
-
-
-def test_invariants_fingerprint_is_order_insensitive():
-    a = _base_spec(invariants=["exactly-once", "sequence-agreement"])
-    b = _base_spec(invariants=["sequence-agreement", "exactly-once"])
-    assert a.invariants_fingerprint() == b.invariants_fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +154,6 @@ spec = ScenarioSpec.of(
     stack="chaos",
     params={"config": "pbft"},
     faults={"palette": ["crash", "delay"], "max_actions": 2},
-    invariants=["sequence-agreement", "exactly-once"],
     scale={"ops": 8, "settle_ms": 22000.0},
 )
 print(spec.fingerprint())
@@ -196,7 +186,6 @@ def test_fingerprints_survive_process_restarts():
         stack="chaos",
         params={"config": "pbft"},
         faults={"palette": ["crash", "delay"], "max_actions": 2},
-        invariants=["sequence-agreement", "exactly-once"],
         scale={"ops": 8, "settle_ms": 22000.0},
     )
     assert first[0] == spec.fingerprint()

@@ -8,6 +8,8 @@ Each test asserts both the rejection and the useful part of the message.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.chaos.cases
@@ -39,10 +41,6 @@ def _chaos_spec(**changes) -> ScenarioSpec:
         stack="chaos",
         params={"config": "pbft"},
         faults={"palette": ["crash", "delay"], "max_actions": 2},
-        invariants=[
-            "sequence-agreement", "exactly-once", "completion",
-            "recovered-frontier",
-        ],
         scale={"ops": 8},
     )
     fields.update(changes)
@@ -53,9 +51,10 @@ def _chaos_spec(**changes) -> ScenarioSpec:
 # unknown names
 # ----------------------------------------------------------------------
 def test_unknown_invariant_name():
-    spec = _chaos_spec(invariants=["sequnce-agreement"])  # typo
+    """The obligations are the table row's; a row naming a checker that
+    does not exist fails when it is built."""
     with pytest.raises(ConfigurationError, match="unknown invariant 'sequnce-agreement'") as err:
-        spec.validate()
+        dataclasses.replace(CASES["pbft"], invariants=("sequnce-agreement",))  # typo
     assert "sequence-agreement" in str(err.value)  # the fix is in the message
 
 
@@ -143,7 +142,6 @@ def _case_spec(config: str, **changes) -> ScenarioSpec:
         name="probe",
         stack="chaos",
         params={"config": config},
-        invariants=CASES[config].invariants,
         **changes,
     )
 
@@ -307,11 +305,16 @@ def test_palette_and_actions_are_mutually_exclusive():
 # ----------------------------------------------------------------------
 # stack contracts
 # ----------------------------------------------------------------------
-def test_chaos_invariants_must_match_harness_obligations():
-    spec = _chaos_spec(invariants=["sequence-agreement", "exactly-once"])
-    with pytest.raises(ConfigurationError, match="do not match config 'pbft' obligations") as err:
-        spec.validate()
-    assert "completion" in str(err.value)
+def test_restated_invariants_are_rejected_by_name():
+    """The obligations live in the chaos table only; a suite entry that
+    still restates them fails while it is parsed."""
+    with pytest.raises(ConfigurationError, match="unknown keys \\['invariants'\\]"):
+        ScenarioSpec.from_dict(
+            {
+                "name": "probe", "stack": "chaos", "params": {"config": "pbft"},
+                "invariants": ["sequence-agreement", "exactly-once"],
+            }
+        )
 
 
 def test_unknown_workload_kind():
@@ -362,10 +365,6 @@ def _suite_data(**changes):
                 "name": "pbft-cell",
                 "params": {"config": "pbft"},
                 "faults": {"palette": ["crash"]},
-                "invariants": [
-                    "sequence-agreement", "exactly-once", "completion",
-                    "recovered-frontier",
-                ],
             },
         ],
     }
