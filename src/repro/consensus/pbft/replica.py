@@ -126,30 +126,13 @@ class PbftReplica(Component, Agreement):
         self.quorum = self.config.quorum(self.peer_names)
         self.f = self.config.f
 
-        self.view = 0
-        self.low_water = 1  # smallest live sequence number
-        self.next_propose_seq = 1
-        self.delivered_seq = 0
-        self.log = PbftLog()
-        self.queue = DeliveryQueue()
-        self.backlog: Deque[Any] = deque()
-        self._backlog_keys: set = set()  # mirrors backlog for O(1) dedup
-        self.pending: Dict[str, Any] = {}  # awaiting delivery (liveness watch)
-        self.live_keys: set = set()  # payload keys occupying live slots
-
-        self.in_view_change = False
-        self.vc_store: Dict[int, Dict[str, ViewChange]] = {}
-        #: the latest accepted NewView, kept as transferable (signed)
-        #: evidence for replicas rejoining after a crash: replaying it
-        #: moves them into the current view through the normal handler.
-        self.last_new_view: Optional[NewView] = None
+        self._boot()
         self._view_timer = None
         #: generation counter guarding timer callbacks: a timer event that
         #: already fired at the simulator level may still be queued behind
         #: other work on this node's CPU when the timer is reset — the
         #: stale callback must not clobber the freshly armed timer.
         self._view_epoch = 0
-        self._timeout_factor = 1.0
         self._fetch_timer = None
         self._fetch_epoch = 0
         #: state-transfer retry machinery (post-crash rejoin); the epoch
@@ -169,18 +152,41 @@ class PbftReplica(Component, Agreement):
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
-        #: leader-side batch under construction; _batch_keys mirrors the
-        #: accumulator buffer for O(1) dedup and is cleared whenever the
-        #: buffer empties (cut or flush).
+        #: leader-side batch under construction; ``_batch_keys`` mirrors
+        #: its buffer.
         self._accumulator = BatchAccumulator(
             self.config.batch_size, self._proposal_in_flight, self._cut_batch
         )
-        self._batch_keys: set = set()
         self.batches_cut = 0
         self.largest_batch = 0
 
         self.delivered_count = 0
         self.view_changes_completed = 0
+
+    def _boot(self) -> None:
+        """The durable state of a replica that remembers nothing: view 0,
+        empty log, nothing delivered.  Run by ``__init__`` and the wipe
+        hook, so the two cannot drift apart."""
+        self.view = 0
+        self.low_water = 1  # smallest live sequence number
+        self.next_propose_seq = 1
+        self.delivered_seq = 0
+        self.log = PbftLog()
+        self.queue = DeliveryQueue()
+        self.backlog: Deque[Any] = deque()
+        self._backlog_keys: set = set()  # mirrors backlog for O(1) dedup
+        self.pending: Dict[str, Any] = {}  # awaiting delivery (liveness watch)
+        self.live_keys: set = set()  # payload keys occupying live slots
+        #: mirrors the accumulator buffer for O(1) dedup; cleared whenever
+        #: the buffer empties (cut or flush)
+        self._batch_keys: set = set()
+        self.in_view_change = False
+        self.vc_store: Dict[int, Dict[str, ViewChange]] = {}
+        #: the latest accepted NewView, kept as transferable (signed)
+        #: evidence for replicas rejoining after a crash: replaying it
+        #: moves them into the current view through the normal handler.
+        self.last_new_view: Optional[NewView] = None
+        self._timeout_factor = 1.0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -652,21 +658,7 @@ class PbftReplica(Component, Agreement):
         cp-ag) cover the garbage-collected prefix via checkpoint install,
         which advances ``low_water`` past it through :meth:`gc`.
         """
-        self.view = 0
-        self.low_water = 1
-        self.next_propose_seq = 1
-        self.delivered_seq = 0
-        self.log = PbftLog()
-        self.queue = DeliveryQueue()
-        self.backlog.clear()
-        self._backlog_keys = set()
-        self.pending = {}
-        self.live_keys = set()
-        self.in_view_change = False
-        self.vc_store = {}
-        self.last_new_view = None
-        self._timeout_factor = 1.0
-        self._batch_keys = set()
+        self._boot()
 
     def _on_node_recover(self) -> None:
         """Re-enter the protocol after the hosting node recovered.

@@ -75,6 +75,30 @@ class RaftReplica(Component, Agreement):
         self.config = config or RaftConfig()
         self.majority = len(self.peers) // 2 + 1
 
+        self._boot()
+        self._accumulator = BatchAccumulator(  # leader-side batch accumulation
+            self.config.batch_size, self._proposal_in_flight, self._cut_batch
+        )
+        self.batches_cut = 0
+        self.largest_batch = 0
+        self._election_timer = None
+        self._heartbeat_timer = None
+        self.elections_won = 0
+        #: True between a durable-state wipe and the first valid
+        #: AppendEntries adoption: the replica must neither vote nor stand
+        #: for election until it has relearned a term from a live leader,
+        #: or its forgotten ``voted_for`` could grant a second vote in a
+        #: term it already voted in (two leaders, safety violation).
+        self._wiped_rejoin = False
+        self.wipes = 0
+        self._reset_election_timer()
+        node.add_recovery_hook(self._on_node_recover)
+        node.add_wipe_hook(self._on_node_wipe)
+
+    def _boot(self) -> None:
+        """Everything durable at its boot value: no log, no term, no vote.
+        Run by ``__init__`` and the wipe hook, so the two cannot drift
+        apart."""
         self.role = FOLLOWER
         self.term = 0
         self.voted_for: Optional[str] = None
@@ -101,24 +125,6 @@ class RaftReplica(Component, Agreement):
         #: maintained incrementally on append/truncate/compaction so that
         #: re-offer dedup on the forward hot path stays O(1) per item.
         self._log_key_counts: Dict[str, int] = {}
-        self._accumulator = BatchAccumulator(  # leader-side batch accumulation
-            self.config.batch_size, self._proposal_in_flight, self._cut_batch
-        )
-        self.batches_cut = 0
-        self.largest_batch = 0
-        self._election_timer = None
-        self._heartbeat_timer = None
-        self.elections_won = 0
-        #: True between a durable-state wipe and the first valid
-        #: AppendEntries adoption: the replica must neither vote nor stand
-        #: for election until it has relearned a term from a live leader,
-        #: or its forgotten ``voted_for`` could grant a second vote in a
-        #: term it already voted in (two leaders, safety violation).
-        self._wiped_rejoin = False
-        self.wipes = 0
-        self._reset_election_timer()
-        node.add_recovery_hook(self._on_node_recover)
-        node.add_wipe_hook(self._on_node_wipe)
 
     # ------------------------------------------------------------------
     # Log helpers
@@ -249,23 +255,7 @@ class RaftReplica(Component, Agreement):
         re-installs the compacted prefix boundary and replays the suffix.
         """
         self.wipes += 1
-        self.role = FOLLOWER
-        self.term = 0
-        self.voted_for = None
-        self.leader = None
-        self.log = []
-        self.offset = 0
-        self.commit_index = 0
-        self.delivered_index = 0
-        self.low_water = 1
-        self.queue = DeliveryQueue()
-        self.next_index = {}
-        self.match_index = {}
-        self._votes = set()
-        self._pending = []
-        self._seen = set()
-        self.pending = {}
-        self._log_key_counts = {}
+        self._boot()
         self._accumulator.flush()  # buffered payloads died with the disk
         self._wiped_rejoin = True
 

@@ -96,16 +96,11 @@ class AgreementReplica(ClientFacing, RoutedNode):
         self.execute_locally = execute_locally
         self.app = app
 
-        self.sn = 0
-        self.win_upper = config.ag_window
-        self.t: Dict[str, int] = {}  # latest agreed counter per client
-        self.t_plus: Dict[str, int] = {}  # next expected request per client
-        self.hist = deque(maxlen=config.commit_channel_capacity)
+        self._boot()
         self.groups: Dict[str, _GroupChannels] = {}
         self.agreement_nodes = []
         self.ag: Optional[Agreement] = None
         self.cp: Optional[CheckpointComponent] = None
-        self._win_future = SimFuture(name=f"{name}.win")
         self._delivery: Optional[Process] = None
         self.delivered_count = 0
         self.requests_delivered = 0  # individual requests across batches
@@ -116,10 +111,20 @@ class AgreementReplica(ClientFacing, RoutedNode):
         #: fired when an agreed RetireClient released a client's books;
         #: the deploy layer uses it to recycle the session name.
         self.on_client_retired: Optional[Callable] = None
-        # Spider-0E state
-        self.u: Dict[str, Tuple[int, Any]] = {}
 
         self.set_default_handler(self._on_direct_message)
+
+    def _boot(self) -> None:
+        """The replicated books, empty.  Run by ``__init__`` and the wipe
+        hook, so the two cannot drift apart."""
+        self.sn = 0
+        self.win_upper = self.config.ag_window
+        self.t: Dict[str, int] = {}  # latest agreed counter per client
+        self.t_plus: Dict[str, int] = {}  # next expected request per client
+        self.hist = deque(maxlen=self.config.commit_channel_capacity)
+        self.u: Dict[str, Tuple[int, Any]] = {}  # Spider-0E reply cache
+        # (on a wipe: the old future's waiters died with the delivery loop)
+        self._win_future = SimFuture(name=f"{self.name}.win")
 
     # ------------------------------------------------------------------
     # Wiring
@@ -158,14 +163,7 @@ class AgreementReplica(ClientFacing, RoutedNode):
         commit-channel replay), after which the black-box's state transfer
         replays the post-checkpoint suffix.
         """
-        self.sn = 0
-        self.win_upper = self.config.ag_window
-        self.t = {}
-        self.t_plus = {}
-        self.hist = deque(maxlen=self.config.commit_channel_capacity)
-        self.u = {}
-        # The old future's waiters died with the crashed delivery loop.
-        self._win_future = SimFuture(name=f"{self.name}.win")
+        self._boot()
 
     def _boot_after_recovery(self) -> None:
         """Respawn the driver processes after a crash/recover of this node.

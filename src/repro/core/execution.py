@@ -64,14 +64,7 @@ class ExecutionReplica(ClientFacing, RoutedNode):
         self.app = app
         self.config = config
 
-        self.sn = 0  # sequence number of last processed Execute
-        self.t: Dict[str, int] = {}  # latest forwarded counter per client
-        #: reply cache: client -> (counter, result | PLACEHOLDER); bounded
-        #: under churn by agreed :class:`RetireClient` commands — the
-        #: ordered stream pops a retired client's entry at the same
-        #: sequence number on every replica, keeping it checkpoint-safe.
-        self.u: Dict[str, Tuple[int, Any]] = {}
-
+        self._boot()
         self.group_nodes = []
         self.agreement_nodes = []
         self.request_tx = None  # request-channel sender endpoint
@@ -79,6 +72,21 @@ class ExecutionReplica(ClientFacing, RoutedNode):
         self.cp: Optional[CheckpointComponent] = None
         self._main: Optional[Process] = None
         self.checkpoints_applied = 0
+
+        self.set_default_handler(self._on_client_message)
+
+    PLACEHOLDER = "__placeholder__"
+
+    def _boot(self) -> None:
+        """The execution bookkeeping before the first Execute.  Run by
+        ``__init__`` and the wipe hook, so the two cannot drift apart."""
+        self.sn = 0  # sequence number of last processed Execute
+        self.t: Dict[str, int] = {}  # latest forwarded counter per client
+        #: reply cache: client -> (counter, result | PLACEHOLDER); bounded
+        #: under churn by agreed :class:`RetireClient` commands — the
+        #: ordered stream pops a retired client's entry at the same
+        #: sequence number on every replica, keeping it checkpoint-safe.
+        self.u: Dict[str, Tuple[int, Any]] = {}
         #: agreed requests processed since the last own checkpoint; batched
         #: Executes advance this by their batch length (docstring above).
         self._ops_since_cp = 0
@@ -86,10 +94,6 @@ class ExecutionReplica(ClientFacing, RoutedNode):
         #: allocated lazily by the first MoveRange marker so single-epoch
         #: deployments keep their historical checkpoint format bit-for-bit.
         self.elastic: Optional[ElasticBook] = None
-
-        self.set_default_handler(self._on_client_message)
-
-    PLACEHOLDER = "__placeholder__"
 
     # ------------------------------------------------------------------
     # Wiring
@@ -141,11 +145,7 @@ class ExecutionReplica(ClientFacing, RoutedNode):
         (``seq >= sn == 0``) and the main loop replays the remaining
         commit-channel suffix on top.
         """
-        self.sn = 0
-        self.t = {}
-        self.u = {}
-        self._ops_since_cp = 0
-        self.elastic = None
+        self._boot()
         self.app.restore(self._pristine_app)
 
     def _boot_after_recovery(self) -> None:

@@ -12,14 +12,21 @@ Covers the recovery subsystem end to end:
   and a double crash/recover of the same replica within one window.
 """
 
+import inspect
+import re
+
+import pytest
+
 from repro.consensus.interface import DeliveryQueue
 from repro.consensus.pbft import PbftConfig, PbftReplica
 from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.faults import SilenceBehaviour
 from repro.sim import Process
+from repro.sim.futures import SimFuture
 
 from tests.conftest import Cluster
 from tests.test_pbft import PbftHarness
+from tests.test_raft import RaftHarness
 from tests.test_spider_basic import build_system
 
 
@@ -408,3 +415,64 @@ class TestIrmcRecovery:
         for name in ("s0", "s1"):
             timer = tx[name]._heartbeat_timer
             assert timer is not None and not timer.fired
+
+
+# ----------------------------------------------------------------------
+# Durable state is declared once: _boot()
+# ----------------------------------------------------------------------
+def _consensus_replica(harness_cls, used: bool):
+    cluster = Cluster()
+    harness = harness_cls(cluster)
+    if used:
+        cluster.run(until=3000.0)  # Raft elects first
+        for index in range(5):
+            harness.replicas[0].order(("op", index))
+        cluster.run(until=6000.0)
+    return harness.replicas[1]
+
+
+def _spider_replica(pick, used: bool):
+    sim, system = build_system()
+    if used:
+        client = system.make_client("c1", "virginia", group_id="g0")
+        client.write(("put", "k", "v"))
+        sim.run(until=2000.0)
+    return pick(system)
+
+
+BOOTED = {
+    "pbft": lambda used: _consensus_replica(PbftHarness, used),
+    "raft": lambda used: _consensus_replica(RaftHarness, used),
+    "agreement": lambda used: _spider_replica(lambda s: s.agreement_replicas[1], used),
+    "execution": lambda used: _spider_replica(lambda s: s.groups["g0"].replicas[1], used),
+}
+
+
+def _as_fresh(value, fresh) -> bool:
+    """Equal — or, for logs, queues and books, as empty."""
+    if isinstance(fresh, SimFuture):
+        return isinstance(value, SimFuture) and not value.done
+    if value == fresh:
+        return True
+    return type(value) is type(fresh) and hasattr(fresh, "__len__") and len(value) == len(fresh) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(BOOTED))
+def test_wipe_reboots_every_boot_attribute(kind):
+    """``_boot()`` is the durable half of ``__init__``: after
+    ``crash(wipe=True)`` + ``recover()``, before any message is handled,
+    everything it assigns reads like a freshly constructed replica's."""
+    used, fresh = BOOTED[kind](True), BOOTED[kind](False)
+    names = sorted(
+        set(re.findall(r"self\.(\w+)(?:: [^=\n]+)? = ", inspect.getsource(type(used)._boot)))
+    )
+    assert len(names) >= 5
+
+    def stale():
+        return [n for n in names if not _as_fresh(getattr(used, n), getattr(fresh, n))]
+
+    assert stale(), "the run left no durable state behind: nothing to wipe"
+    node = getattr(used, "node", used)
+    node.crash(wipe=True)
+    node.recover()
+    assert stale() == []
