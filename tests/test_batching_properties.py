@@ -377,6 +377,102 @@ class TestByzantineBatchedReconfiguration:
         )
 
 
+# ----------------------------------------------------------------------
+# One classifier: a batch classifies as its items would one by one
+# ----------------------------------------------------------------------
+CLIENTS = ("c1", "c2")
+COUNTERS = st.integers(min_value=1, max_value=4)
+#: item descriptors; counters are drawn small so fresh and duplicate
+#: requests, valid and stale retirements all occur
+ITEM = st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(CLIENTS), COUNTERS),
+    st.tuples(st.just("read"), st.sampled_from(CLIENTS), COUNTERS, st.sampled_from(("g0", "g1"))),
+    # signed by the client (valid, or stale below its agreed counter) or not (forged)
+    st.tuples(st.just("retire"), st.sampled_from(CLIENTS), COUNTERS, st.sampled_from(CLIENTS)),
+    st.tuples(st.just("move"), st.sampled_from(("admin", "mallory")), st.integers(1, 2)),
+    # g9 is new (effective once), g0 exists (ineffective)
+    st.tuples(st.just("add"), st.sampled_from(("g9", "g0"))),
+    # g1 exists (effective once), gx never did (ineffective)
+    st.tuples(st.just("remove"), st.sampled_from(("g1", "gx"))),
+    st.just(("noop",)),
+)
+
+
+def _materialise(system, descriptor):
+    from repro.consensus.pbft import NOOP
+    from repro.core.messages import (
+        AddGroup, CloseSession, RemoveGroup, RequestBody, RequestWrapper, RetireClient,
+    )
+    from repro.crypto.primitives import attach_auth, sign
+    from repro.elastic.messages import MoveRange
+
+    kind = descriptor[0]
+    if kind in ("write", "read"):
+        _, client, counter, *home = descriptor
+        body = RequestBody(
+            operation=("put", "k", counter) if kind == "write" else ("get", "k"),
+            client=client,
+            counter=counter,
+            kind="write" if kind == "write" else "strong-read",
+        )
+        return RequestWrapper(body=body, signature=None, group=home[0] if home else "g0")
+    if kind == "retire":
+        _, client, counter, signer = descriptor
+        close = CloseSession(client=client, counter=counter)
+        return RetireClient(client=client, counter=counter, close_signature=sign(signer, close))
+    if kind == "move":
+        _, admin, epoch = descriptor
+        body = MoveRange(
+            range_start=0, range_end=4, src_shard="sa", dst_shard="sb", new_epoch=epoch,
+            slots=16, phase="seal", admin="admin", nonce=epoch,
+        )
+        return attach_auth(body, signature=sign(admin, body))
+    if kind == "add":
+        members = tuple(replica.name for replica in system.groups["g1"].replicas)
+        return AddGroup(group=descriptor[1], members=members, admin="admin", nonce=1)
+    if kind == "remove":
+        return RemoveGroup(group=descriptor[1], admin="admin", nonce=2)
+    return NOOP
+
+
+class TestOneClassifier:
+    @settings(max_examples=60, deadline=None)
+    @given(descriptors=st.lists(ITEM, min_size=1, max_size=8))
+    def test_a_batch_classifies_as_its_items_one_by_one(self, descriptors):
+        """Fig. 17 L. 25-40 is written once: ``_classify(seq, Batch(items))``
+        yields, per group and in ``hist``, the concatenation of what
+        ``_classify`` yields item by item on a twin replica — a group that
+        did not exist yet at an item saw a no-op there — and what replay
+        derives from ``hist`` is what live delivery shipped."""
+        from repro.consensus import Batch
+        from repro.core.messages import NOOP_SLOT, AddGroup, RemoveGroup
+
+        (_, batch_system), (_, twin_system) = build_system(seed=3), build_system(seed=3)
+        batched, twin = batch_system.agreement_replicas[0], twin_system.agreement_replicas[0]
+        items = [_materialise(batch_system, descriptor) for descriptor in descriptors]
+
+        live = batched._classify(1, Batch(items=tuple(items)))
+        singles = [twin._classify(seq, item) for seq, item in enumerate(items, start=1)]
+
+        assert set(live) == set(twin.groups) == set(batched.groups)
+        for group_id, execute in live.items():
+            assert execute.slots() == tuple(
+                single[group_id].slots()[0] if group_id in single else NOOP_SLOT
+                for single in singles
+            )
+            assert batched._variant_for_group(batched.hist[-1], group_id) == execute
+        # A batch's hist entry keeps an effective reconfiguration command
+        # (replay needs it for the backfill); alone it is a no-op.
+        assert tuple(
+            NOOP_SLOT if isinstance(slot, (AddGroup, RemoveGroup)) else slot
+            for slot in batched.hist[-1].slots()
+        ) == tuple(entry.slots()[0] for entry in twin.hist)
+        for entry, single in zip(twin.hist, singles):
+            for group_id, execute in single.items():
+                assert twin._variant_for_group(entry, group_id) == execute
+        assert (batched.t, batched.t_plus) == (twin.t, twin.t_plus)
+
+
 class TestBatchConfigValidation:
     def test_nested_pbft_batch_cap_rejected(self):
         from repro.consensus.pbft.config import PbftConfig

@@ -85,6 +85,32 @@ class TestMessageInvariants:
         placeholder = Execute(seq=1, request=None, placeholder=("read", "c", 1))
         assert placeholder.size_bytes() < full.size_bytes()
 
+    def test_execute_of_writes_the_three_literal_wire_shapes(self):
+        """``Execute.of`` / ``slots()`` are the only code that knows the
+        wire shapes: what ``of`` builds is repr-, size- and digest-identical
+        to the literal construction (simulated hashing is charged by repr
+        length), and ``slots()`` reads every shape back."""
+        from repro.crypto.primitives import digest
+
+        wrapper = RequestWrapper(body=self.body(), signature=None, group="g0")
+        read = ("read", "c", 1)
+        shapes = [
+            (Execute(seq=3, request=wrapper), (wrapper,), False),
+            (Execute(seq=3, request=None, placeholder=read), (read,), False),
+            (Execute(seq=3, request=None, batch=(wrapper, read)), (wrapper, read), True),
+            (Execute(seq=3, request=None, batch=(wrapper,)), (wrapper,), True),  # not collapsed
+        ]
+        for literal, slots, batched in shapes:
+            built = Execute.of(3, slots, batched)
+            assert built == literal
+            assert repr(built) == repr(literal)
+            assert built.payload_size() == literal.payload_size()
+            assert digest(built) == digest(literal)
+            assert built.slots() == slots
+            assert built.num_requests() == len(slots)
+            assert Execute.of(literal.seq, literal.slots(), literal.batch is not None) == literal
+        assert len({repr(literal) for literal, _, _ in shapes}) == len(shapes)
+
     def test_reply_mac_binds_all_fields(self):
         reply = Reply(result=("ok", 1), counter=3, sender="e0", group="g0")
         content = reply.signed_content()
