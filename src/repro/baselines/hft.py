@@ -22,8 +22,7 @@ Protocol (normal case):
 
 Fault handling implements representative rotation inside a site on
 timeout.  Steward's leader-site replacement and its recovery subprotocols
-are out of scope (see DESIGN.md); the paper's evaluation exercises the
-normal case only.
+are out of scope: the paper's evaluation exercises the normal case only.
 """
 
 from __future__ import annotations

@@ -41,7 +41,10 @@ Fidelity notes
 * Normal-case messages carry MAC vectors, view-change messages signatures,
   matching the prototype's HMAC-SHA-256 / RSA-1024 split.
 * The new-view message re-proposes prepared instances and fills gaps with
-  no-ops; proof compaction is simplified (see DESIGN.md).
+  no-ops; proof compaction is simplified: a ``PreparedProof`` names the
+  prepared ``(view, seq, payload)`` and is sized as if it carried the
+  2f+1 prepare authenticators, and a ``NewView`` carries the re-proposed
+  pre-prepares without the view-change messages that justify them.
 """
 
 from __future__ import annotations
