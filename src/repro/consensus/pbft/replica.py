@@ -155,8 +155,7 @@ class PbftReplica(Component, Agreement):
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
-        #: leader-side batch under construction; ``_batch_keys`` mirrors
-        #: its buffer.
+        #: leader-side batch under construction
         self._accumulator = BatchAccumulator(
             self.config.batch_size, self._proposal_in_flight, self._cut_batch
         )

@@ -377,16 +377,13 @@ class AgreementReplica(ClientFacing, RoutedNode):
         full = execute.slots()
         slots = []
         for slot in full:
-            if isinstance(slot, AddGroup) and slot.group == group_id:
-                slots = [NOOP_SLOT] * len(slots)
-            if isinstance(slot, (AddGroup, RemoveGroup)):
+            if isinstance(slot, RequestWrapper):
+                if slot.body.kind == STRONG_READ and slot.group != group_id:
+                    slot = ("read", slot.body.client, slot.body.counter)
+            elif isinstance(slot, (AddGroup, RemoveGroup)):
+                if isinstance(slot, AddGroup) and slot.group == group_id:
+                    slots = [NOOP_SLOT] * len(slots)
                 slot = NOOP_SLOT
-            elif (
-                isinstance(slot, RequestWrapper)
-                and slot.body.kind == STRONG_READ
-                and slot.group != group_id
-            ):
-                slot = ("read", slot.body.client, slot.body.counter)
             slots.append(slot)
         slots = tuple(slots)
         if slots == full:

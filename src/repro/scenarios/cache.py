@@ -2,11 +2,11 @@
 
 A suite run is a matrix of ``scenarios x seeds``; most cells share most
 of their ingredients (the harness object, a precomputed workload plan, a
-fault schedule).  The runner builds each
-ingredient once per distinct *fragment fingerprint* and reuses it for
-every cell whose owning fragment fingerprints identically — the same
-instance-sharing contract the middleware lifecycle gives identical
-``name:options`` entries, lifted to whole spec fragments.
+fault schedule).  The runner builds each ingredient once per distinct
+*fragment fingerprint* and reuses it for every cell whose owning
+fragment fingerprints identically — the same instance-sharing contract
+the middleware lifecycle gives identical ``name:options`` entries,
+lifted to whole spec fragments.
 
 Entries are stored only on successful construction: a builder that
 raises leaves no entry behind, so one failing cell cannot poison the
