@@ -111,8 +111,8 @@ def test_suite_cache_reuses_builds():
     cache = BuildCache()
     spec = SUITE.scenario("pbft")
     run_matrix([spec], SUITE.seeds[:2], cache)
-    # Second seed reuses the resolved case and the compiled invariant set.
-    assert cache.stats()["hits"] >= 2
+    # The second seed reuses the resolved case; its schedule is its own.
+    assert cache.stats() == {"hits": 1, "misses": 3, "entries": 3}
 
 
 @pytest.mark.parametrize("config", CONFIGS)
