@@ -321,9 +321,11 @@ class AgreementReplica(ClientFacing, RoutedNode):
             variant = self._variant_for_group(full, group_id)
             # Groups that see equal slots share one object, hence one
             # memoised repr / digest / size.
-            executes[group_id] = next(
-                (seen for seen in executes.values() if seen == variant), variant
-            )
+            for seen in executes.values():
+                if seen is variant or seen == variant:
+                    variant = seen
+                    break
+            executes[group_id] = variant
         return executes
 
     def _slot(self, item: Any, batched: bool) -> Any:

@@ -31,7 +31,7 @@ def _tally(replies: Dict[str, Any], sender: str, vote: Any) -> int:
     if sender in replies:
         return 0
     replies[sender] = vote
-    return sum(1 for other in replies.values() if other == vote)
+    return list(replies.values()).count(vote)
 
 
 class SpiderClient(Node):

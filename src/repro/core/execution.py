@@ -266,12 +266,13 @@ class ExecutionReplica(ClientFacing, RoutedNode):
 
     def _process_execute(self, execute: Execute) -> None:
         self.sn += 1
-        for slot in execute.slots():
+        slots = execute.slots()
+        for slot in slots:
             if isinstance(slot, RequestWrapper):
                 self._apply_request(slot)
             else:
                 self._apply_placeholder(slot)
-        self._ops_since_cp += execute.num_requests()
+        self._ops_since_cp += max(1, len(slots))  # an empty batch still counts
         if self._ops_since_cp >= self.config.ke:
             # Carry the overflow so a batch straddling the boundary doesn't
             # stretch the cadence; a batch longer than 2*ke collapses its

@@ -111,10 +111,6 @@ class Execute(Message, Digestible):
             return self.batch
         return (self.request if self.request is not None else self.placeholder,)
 
-    def num_requests(self) -> int:
-        """How many agreed items this Execute covers (>= 1)."""
-        return max(1, len(self.slots()))
-
     def __repr__(self) -> str:
         # Reprs feed digests and simulated hashing costs; omit the batch
         # field when unused so batch_size=1 stays byte-identical to the
