@@ -53,7 +53,7 @@ from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.core import SpiderConfig
 from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.irmc import IrmcConfig, TooOld, make_channel
-from repro.irmc.base import OVERFLOW_FACTOR
+from repro.irmc.base import BY_POSITION, OVERFLOW_FACTOR
 from repro.net import Site
 from repro.sim import Process
 from repro.sim.process import sleep
@@ -353,7 +353,7 @@ def irmc(case, sim, network) -> Rig:
         spawn("tx", sender_loop, endpoint, name, sent_upto[name] + 1)
 
     def restart_receiver(endpoint, name):
-        # Re-reads land on the endpoint's retained ``_delivered`` book
+        # Re-reads land on the endpoint's retained delivery book
         # (bulk never moves its window), so resolutions lost with the
         # crash are recovered instantly; the sliding-window loop's
         # TooOld handling absorbs any window movement it slept through.
@@ -412,14 +412,13 @@ def irmc(case, sim, network) -> Rig:
         # memory promise in irmc/base.py).
         cap = config.capacity * OVERFLOW_FACTOR
         for name, endpoint in receivers.items():
-            for book_name in ("_votes", "_payloads"):
-                book = getattr(endpoint, book_name, None)
-                if not book:
+            for book in endpoint.BOOKS:
+                if book.shape is not BY_POSITION:
                     continue
-                for subchannel, positions in book.items():
+                for subchannel, positions in getattr(endpoint, book.name).items():
                     if len(positions) > cap:
                         violations.append(
-                            f"memory/bounded: {name}.{book_name}[{subchannel!r}] "
+                            f"memory/bounded: {name}.{book.name}[{subchannel!r}] "
                             f"holds {len(positions)} > cap {cap}"
                         )
         return violations, {"received": received, "progressed": progressed}

@@ -39,7 +39,8 @@ or with :class:`TooOld`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import attach_auth, make_mac_vector, verify_mac_vector
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg
@@ -96,24 +97,25 @@ class IrmcConfig:
     move_heartbeat_ms: float = 500.0
 
 
-class _WindowBook:
-    """Tracks per-subchannel window positions requested by remote endpoints."""
+class _WindowBook(dict):
+    """``{subchannel: {endpoint: position}}``: the window positions remote
+    endpoints requested."""
 
     def __init__(self, quorum_rank: int):
+        super().__init__()
         # quorum_rank = f + 1: the window start is the (f+1)-highest request.
         self.quorum_rank = quorum_rank
-        self._requests: Dict[Any, Dict[str, int]] = {}
 
     def record(self, subchannel: Any, endpoint: str, position: int) -> bool:
         """Note ``endpoint``'s request; True iff it raised its entry."""
-        per_channel = self._requests.setdefault(subchannel, {})
+        per_channel = self.setdefault(subchannel, {})
         if position > per_channel.get(endpoint, 1):
             per_channel[endpoint] = position
             return True
         return False
 
     def agreed_start(self, subchannel: Any, member_names: Sequence[str]) -> int:
-        per_channel = self._requests.get(subchannel, {})
+        per_channel = self.get(subchannel, {})
         positions = sorted(
             [per_channel.get(name, 1) for name in member_names], reverse=True
         )
@@ -121,19 +123,45 @@ class _WindowBook:
             return 1
         return positions[self.quorum_rank - 1]
 
-    def forget(self, subchannel: Any) -> None:
-        """Drop a retired subchannel's requests (it will never move again)."""
-        self._requests.pop(subchannel, None)
 
-    def __contains__(self, subchannel: Any) -> bool:
-        return subchannel in self._requests
+#: The shapes a :class:`Book` comes in — where the subchannel sits.
+BY_SUBCHANNEL = "{subchannel: v}, or a set of subchannels"
+BY_POSITION = "{subchannel: {position: v}}"
+BY_KEY = "{(subchannel, position): v}"
 
-    def __len__(self) -> int:
-        return len(self._requests)
+
+@dataclass(frozen=True)
+class Book:
+    """One per-subchannel store of an endpoint class, declared once.
+
+    Each class lists what it keys by subchannel in ``BOOKS`` (base class
+    first); each stays its own dict / set under attribute ``name``, so
+    its insertion order is its own.  :class:`IrmcEndpoint` wipes,
+    retires, purges and samples whatever is declared.
+    """
+
+    name: str
+    shape: str
+    #: ``subchannel in store`` means "this endpoint knows the subchannel"
+    #: to the retire-vote and retire-echo guards (:meth:`IrmcEndpoint.holds`)
+    evidence: bool = False
+
+
+@dataclass
+class _Chain:
+    """One periodic timer: its period, its body, its pending handle."""
+
+    period_ms: float
+    tick: Callable[[], None]
+    handle: Any = None
 
 
 class IrmcEndpoint(Component):
-    """Common state of sender and receiver endpoints."""
+    """Common state of sender and receiver endpoints, and the only
+    lifecycle code: ``BOOKS`` decides a book's fate, :meth:`_every` a
+    periodic timer's."""
+
+    BOOKS: Tuple[Book, ...] = (Book("window_start", BY_SUBCHANNEL, evidence=True),)
 
     def __init__(
         self,
@@ -152,8 +180,11 @@ class IrmcEndpoint(Component):
         self.closed = False
         #: per-subchannel active window start (all windows begin at 1)
         self.window_start: Dict[Any, int] = {}
-        #: bounded FIFO of retired subchannels (insertion-ordered dict)
+        #: bounded FIFO of retired subchannels (insertion-ordered dict);
+        #: not a book: a retirement fills it and only a wipe empties it
         self._retired: Dict[Any, None] = {}
+        #: the periodic timers, in creation order
+        self._chains: List[_Chain] = []
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
@@ -168,27 +199,108 @@ class IrmcEndpoint(Component):
         while len(self._retired) > RETIRED_TOMBSTONES:
             self._retired.pop(next(iter(self._retired)))
 
-    def _on_node_recover(self) -> None:
-        """Re-arm what the crash took from the CPU and timer queues.
-
-        Timer callbacks dropped while the node was crashed break the
-        heartbeat/timeout chains permanently; subclasses extend this to
-        restart theirs.
-        """
-
+    # ------------------------------------------------------------------
+    # Book lifecycle: one walk over ``BOOKS`` per event
+    # ------------------------------------------------------------------
     def _on_node_wipe(self) -> None:
         """Durable-state loss: every channel book reboots empty.
 
         Runs synchronously inside ``node.recover()`` before the recovery
-        hooks, so the re-armed timer chains already see empty books.  The
-        retirement tombstones go too — a freshly imaged machine has never
-        heard of any client — which is exactly what the RetireEcho /
-        re-vouch healing paths exist to repair: correct peers still hold
-        their tombstones and refuse to feed the retired subchannel, so
-        the wiped endpoint's books for it stay empty.
+        hooks, so the re-armed timer chains already see empty books.  No
+        future is resolved: the waiters of parked sends and pending
+        receives died with the crashed driver processes.  The tombstones
+        go too — a freshly imaged machine has never heard of any client —
+        which is exactly what the RetireEcho / re-vouch healing paths
+        exist to repair: correct peers still hold their tombstones and
+        refuse to feed the retired subchannel, so the wiped endpoint's
+        books for it stay empty.
         """
-        self.window_start.clear()
+        for book in self.BOOKS:
+            getattr(self, book.name).clear()
         self._retired.clear()
+
+    def _drop_subchannel(self, subchannel: Any) -> Dict[str, Any]:
+        """Retirement: no book keeps an entry for ``subchannel``.  Returns
+        what each held under it, by book name, for the caller to settle."""
+        dropped: Dict[str, Any] = {}
+        for book in self.BOOKS:
+            store = getattr(self, book.name)
+            if book.shape is BY_KEY:
+                for key in [k for k in store if k[0] == subchannel]:
+                    del store[key]
+            elif isinstance(store, set):
+                store.discard(subchannel)
+            elif subchannel in store:
+                dropped[book.name] = store.pop(subchannel)
+        return dropped
+
+    @cached_property
+    def _positional(self) -> List[Tuple[Book, Any]]:
+        # A window move is on the per-request path: the stores it walks
+        # are bound once (they are cleared, never re-assigned).
+        return [(b, getattr(self, b.name)) for b in self.BOOKS if b.shape is not BY_SUBCHANNEL]
+
+    def _drop_below(self, subchannel: Any, position: int) -> Dict[str, List[Any]]:
+        """The window start moved to ``position``: drop what it passed
+        (Fig. 18 L. 24).  Returns the dropped values by book name."""
+        dropped: Dict[str, List[Any]] = {}
+        for book, store in self._positional:
+            if book.shape is BY_KEY:
+                old = [k for k in store if k[0] == subchannel and k[1] < position]
+                if old:
+                    dropped[book.name] = [store.pop(key) for key in old]
+                continue
+            per_channel = store.get(subchannel)
+            if per_channel is None:
+                continue
+            old = [p for p in per_channel if p < position]
+            if old:
+                dropped[book.name] = [per_channel.pop(p) for p in old]
+            # An emptied per-subchannel dict goes too: subchannels are
+            # client identities and would accumulate without bound.  Not
+            # the sender's ``_buffer``: its insertion order is the
+            # idle-retransmission order (retirement drops the entry).
+            if not per_channel and book.name != "_buffer":
+                del store[subchannel]
+        return dropped
+
+    def holds(self, subchannel: Any) -> bool:
+        """Whether an ``evidence`` book knows ``subchannel``: retirement
+        votes and echoes count only then, so fabricated names grow no book."""
+        return any(b.evidence and subchannel in getattr(self, b.name) for b in self.BOOKS)
+
+    def book_sizes(self) -> Dict[str, int]:
+        """Entries per declared book: what a bounded-state soak samples."""
+        return {book.name: len(getattr(self, book.name)) for book in self.BOOKS}
+
+    # ------------------------------------------------------------------
+    # Periodic timers
+    # ------------------------------------------------------------------
+    def _every(self, period_ms: float, tick: Callable[[], None]) -> None:
+        """Run ``tick`` every ``period_ms`` until ``close()``."""
+        chain = _Chain(period_ms, tick)
+        self._chains.append(chain)
+        self._arm(chain)
+
+    def _arm(self, chain: _Chain) -> None:
+        chain.handle = self.node.set_timeout(chain.period_ms, self._tick, chain)
+
+    def _tick(self, chain: _Chain) -> None:
+        if self.closed:
+            return
+        chain.tick()
+        self._arm(chain)
+
+    def _on_node_recover(self) -> None:
+        """Re-arm the chains: a callback dropped while the node was crashed
+        breaks its chain for good.  Cancelling a fired handle is a no-op,
+        so whether the old chain died or still has a pending link,
+        exactly one survives."""
+        if self.closed:
+            return
+        for chain in self._chains:
+            chain.handle.cancel()
+            self._arm(chain)
 
     # ------------------------------------------------------------------
     # Window helpers
@@ -198,9 +310,6 @@ class IrmcEndpoint(Component):
 
     def max_of(self, subchannel: Any) -> int:
         return self.start_of(subchannel) + self.config.capacity - 1
-
-    def in_window(self, subchannel: Any, position: int) -> bool:
-        return self.start_of(subchannel) <= position <= self.max_of(subchannel)
 
     def storable(self, subchannel: Any, position: int) -> bool:
         """Positions we are willing to buffer (bounded look-ahead)."""
@@ -213,7 +322,7 @@ class IrmcEndpoint(Component):
         return start <= position < limit
 
     # ------------------------------------------------------------------
-    # Move messages
+    # MAC-authenticated messages (Moves, retirement, Select, Progress)
     # ------------------------------------------------------------------
     def _authenticated(self, body: Any) -> Any:
         """``body`` under this endpoint's MAC vector for the remote group."""
@@ -221,13 +330,15 @@ class IrmcEndpoint(Component):
             body, auth=make_mac_vector(self.node.name, self.remote_names, body)
         )
 
-    def _valid_move(self, message: Any, expected_group: Sequence[str]) -> bool:
-        if message.sender not in expected_group:
+    def _from_remote_group(self, message: Any) -> bool:
+        if message.sender not in self.remote_names:
             return False
         return verify_mac_vector(message.auth, message, message.sender, self.node.name)
 
     def close(self) -> None:
         self.closed = True
+        for chain in self._chains:
+            chain.handle.cancel()
         self.node.remove_recovery_hook(self._on_node_recover)
         self.node.remove_wipe_hook(self._on_node_wipe)
         super().close()
@@ -239,6 +350,14 @@ class SenderEndpointBase(IrmcEndpoint):
     The active window is governed by receiver Moves: its start is the
     ``f_r + 1``-highest position any receiver requested (Fig. 18 L. 22).
     """
+
+    BOOKS = IrmcEndpoint.BOOKS + (
+        Book("_receiver_moves", BY_SUBCHANNEL, evidence=True),
+        Book("_own_moves", BY_SUBCHANNEL, evidence=True),
+        Book("_parked", BY_SUBCHANNEL, evidence=True),
+        Book("_buffer", BY_POSITION, evidence=True),
+        Book("_retire_echoes", BY_SUBCHANNEL),
+    )
 
     def __init__(self, node, tag, local_group, remote_group, config):
         super().__init__(node, tag, local_group, remote_group, config)
@@ -259,7 +378,6 @@ class SenderEndpointBase(IrmcEndpoint):
         self._buffer: Dict[Any, Dict[int, Any]] = {}
         self._activity = False
         self._idle_rounds = 0
-        self._heartbeat_timer = None
         #: optional callback fired when a subchannel retires locally;
         #: Spider's execution replicas use it to drop the client's
         #: forwarded-counter entry alongside the channel books.
@@ -268,18 +386,9 @@ class SenderEndpointBase(IrmcEndpoint):
         #: side (see RetireEcho); at ``f_r + 1`` we retire it here too.
         self._retire_echoes: Dict[Any, set] = {}
         if config.move_heartbeat_ms > 0:
-            self._schedule_heartbeat()
-
-    def _schedule_heartbeat(self) -> None:
-        if self.closed:
-            return
-        self._heartbeat_timer = self.node.set_timeout(
-            self.config.move_heartbeat_ms, self._heartbeat
-        )
+            self._every(config.move_heartbeat_ms, self._heartbeat)
 
     def _heartbeat(self) -> None:
-        if self.closed:
-            return
         if self._own_moves:
             self._announce_moves(tuple(self._own_moves.items()))
         # Idle-channel recovery: if nothing moved since the last heartbeat
@@ -298,33 +407,9 @@ class SenderEndpointBase(IrmcEndpoint):
                         if position >= start:
                             self._retransmit(subchannel, position, entries[position])
         self._activity = False
-        self._schedule_heartbeat()
-
-    def close(self) -> None:
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-        super().close()
-
-    def _on_node_recover(self) -> None:
-        if self.closed:
-            return
-        super()._on_node_recover()
-        if self.config.move_heartbeat_ms > 0:
-            # Cancelling a fired handle is a no-op, so this is safe whether
-            # the old chain died (callback dropped while crashed) or still
-            # has a pending link — either way exactly one chain survives.
-            if self._heartbeat_timer is not None:
-                self._heartbeat_timer.cancel()
-            self._schedule_heartbeat()
 
     def _on_node_wipe(self) -> None:
         super()._on_node_wipe()
-        self._receiver_moves._requests.clear()
-        self._own_moves.clear()
-        # Parked futures' waiters died with the crashed driver processes.
-        self._parked.clear()
-        self._buffer.clear()
-        self._retire_echoes.clear()
         self._activity = False
         self._idle_rounds = 0
 
@@ -405,20 +490,11 @@ class SenderEndpointBase(IrmcEndpoint):
         for receiver in self.remote_group:
             self.send_msg(receiver, message)
         start = self.start_of(subchannel)
-        self.window_start.pop(subchannel, None)
-        self._own_moves.pop(subchannel, None)
-        self._buffer.pop(subchannel, None)
-        for _position, _payload, future in self._parked.pop(subchannel, ()):
+        for _position, _payload, future in self._drop_subchannel(subchannel).get("_parked", ()):
             future.try_resolve(TooOld(start))
-        self._receiver_moves.forget(subchannel)
-        self._retire_echoes.pop(subchannel, None)
-        self._retire_local(subchannel)
         self._note_retired(subchannel)
         if self.on_subchannel_retired is not None:
             self.on_subchannel_retired(subchannel)
-
-    def _retire_local(self, subchannel: Any) -> None:
-        """Drop subclass-owned books for a retired subchannel (hook)."""
 
     # -- implementation hooks ------------------------------------------
     def _transmit(self, subchannel: Any, position: int, payload: Any) -> None:
@@ -451,7 +527,7 @@ class SenderEndpointBase(IrmcEndpoint):
             for subchannel, position, collector in moves
         ):
             return
-        if not self._valid_move(message, self.remote_names):
+        if not self._from_remote_group(message):
             return
         for subchannel, position, collector in moves:
             if not self.is_retired(subchannel):
@@ -467,11 +543,7 @@ class SenderEndpointBase(IrmcEndpoint):
         if new_start > self.start_of(subchannel):
             self._activity = True
             self.window_start[subchannel] = new_start
-            buffered = self._buffer.get(subchannel)
-            if buffered:
-                for old in [p for p in buffered if p < new_start]:
-                    del buffered[old]
-            self._garbage_collect(subchannel, new_start)
+            self._drop_below(subchannel, new_start)
             self._release_parked(subchannel)
 
     def _release_parked(self, subchannel: Any) -> None:
@@ -493,9 +565,6 @@ class SenderEndpointBase(IrmcEndpoint):
         else:
             self._parked.pop(subchannel, None)
 
-    def _garbage_collect(self, subchannel: Any, new_start: int) -> None:
-        """Drop sender-side buffers below the window (subclass hook)."""
-
     # -- retirement echoes (straggler healing) --------------------------
     def _on_retire_echo(self, message: RetireEcho) -> None:
         """Retire once ``f_r + 1`` receivers say the subchannel is gone.
@@ -513,18 +582,12 @@ class SenderEndpointBase(IrmcEndpoint):
         endpoint actually holds state for, so fabricated echoes cannot
         grow ``_retire_echoes``.
         """
-        if not self._valid_move(message, self.remote_names):
+        if not self._from_remote_group(message):
             return
         subchannel = message.subchannel
         if self.is_retired(subchannel):
             return
-        if (
-            subchannel not in self.window_start
-            and subchannel not in self._own_moves
-            and subchannel not in self._buffer
-            and subchannel not in self._parked
-            and subchannel not in self._receiver_moves
-        ):
+        if not self.holds(subchannel):
             return
         echoes = self._retire_echoes.setdefault(subchannel, set())
         echoes.add(message.sender)
@@ -534,6 +597,14 @@ class SenderEndpointBase(IrmcEndpoint):
 
 class ReceiverEndpointBase(IrmcEndpoint):
     """Receiver-side window handling shared by IRMC-RC and IRMC-SC."""
+
+    BOOKS = IrmcEndpoint.BOOKS + (
+        Book("_sender_moves", BY_SUBCHANNEL, evidence=True),
+        Book("_delivered", BY_POSITION),
+        Book("_waiters", BY_POSITION),
+        Book("_known_subchannels", BY_SUBCHANNEL, evidence=True),
+        Book("_retire_votes", BY_SUBCHANNEL),
+    )
 
     def __init__(self, node, tag, local_group, remote_group, config):
         super().__init__(node, tag, local_group, remote_group, config)
@@ -552,15 +623,6 @@ class ReceiverEndpointBase(IrmcEndpoint):
         self.on_subchannel_retired = None
         #: distinct senders vouching for a subchannel's retirement
         self._retire_votes: Dict[Any, set] = {}
-
-    def _on_node_wipe(self) -> None:
-        super()._on_node_wipe()
-        self._sender_moves._requests.clear()
-        self._delivered.clear()
-        # Waiter futures belonged to driver loops that died with the crash.
-        self._waiters.clear()
-        self._known_subchannels.clear()
-        self._retire_votes.clear()
 
     def _note_subchannel(self, subchannel: Any) -> None:
         """Fire ``on_new_subchannel`` exactly once per subchannel.
@@ -624,27 +686,13 @@ class ReceiverEndpointBase(IrmcEndpoint):
         if position <= self.start_of(subchannel):
             return
         self.window_start[subchannel] = position
-        delivered = self._delivered.get(subchannel)
-        if delivered is not None:
-            for old in [p for p in delivered if p < position]:
-                del delivered[old]
-            if not delivered:
-                del self._delivered[subchannel]
-        waiters = self._waiters.get(subchannel)
-        if waiters is not None:
-            for old in [p for p in waiters if p < position]:
-                for future in waiters.pop(old):
-                    future.try_resolve(TooOld(position))
-            if not waiters:
-                del self._waiters[subchannel]
-        self._purge_below(subchannel, position)
-
-    def _purge_below(self, subchannel: Any, position: int) -> None:
-        """Drop partially collected evidence below the window (hook)."""
+        for futures in self._drop_below(subchannel, position).get("_waiters", ()):
+            for future in futures:
+                future.try_resolve(TooOld(position))
 
     def _on_sender_move(self, message: MovesMsg) -> None:
         """A sender's explicit Moves: a bare ``move_window`` or its heartbeat."""
-        if not self._valid_move(message, self.remote_names):
+        if not self._from_remote_group(message):
             return
         for subchannel, position in message.positions:
             self._note_sender_move(subchannel, message.sender, position)
@@ -685,7 +733,7 @@ class ReceiverEndpointBase(IrmcEndpoint):
         ``SenderEndpointBase._on_retire_echo``), so its books and Move
         heartbeat retire at ``f_r + 1`` echoes without any client help.
         """
-        if not self._valid_move(message, self.remote_names):
+        if not self._from_remote_group(message):
             return
         subchannel = message.subchannel
         if self.is_retired(subchannel):
@@ -697,17 +745,12 @@ class ReceiverEndpointBase(IrmcEndpoint):
         # trace is Moves from senders that have since vouched retirement
         # does not hold the Move book open forever (the straggler-Move
         # leak a wiped-then-healed restart would otherwise exhibit).
-        per_channel = self._sender_moves._requests.get(subchannel)
+        per_channel = self._sender_moves.get(subchannel)
         if per_channel is not None:
             per_channel.pop(message.sender, None)
             if not per_channel:
-                self._sender_moves.forget(subchannel)
-        if (
-            subchannel not in self._known_subchannels
-            and subchannel not in self.window_start
-            and subchannel not in self._sender_moves
-            and not self._has_retire_state(subchannel)
-        ):
+                del self._sender_moves[subchannel]
+        if not self.holds(subchannel):
             self._retire_votes.pop(subchannel, None)
             return
         votes = self._retire_votes.setdefault(subchannel, set())
@@ -724,18 +767,12 @@ class ReceiverEndpointBase(IrmcEndpoint):
         is then inert for the stopped loop, and no future for the
         subchannel can dangle unresolved.
         """
-        self._retire_votes.pop(subchannel, None)
-        self._known_subchannels.discard(subchannel)
         if self.on_subchannel_retired is not None:
             self.on_subchannel_retired(subchannel)
         start = self.start_of(subchannel)
-        self.window_start.pop(subchannel, None)
-        self._sender_moves.forget(subchannel)
-        self._delivered.pop(subchannel, None)
-        for futures in self._waiters.pop(subchannel, {}).values():
+        for futures in self._drop_subchannel(subchannel).get("_waiters", {}).values():
             for future in futures:
                 future.try_resolve(TooOld(start))
-        self._retire_local(subchannel)
         self._note_retired(subchannel)
 
     def _echo_retirement(self, subchannel: Any, sender: str) -> None:
@@ -747,18 +784,6 @@ class ReceiverEndpointBase(IrmcEndpoint):
             if sender_node.name == sender:
                 self.node.send(sender_node, message)
                 return
-
-    def _retire_local(self, subchannel: Any) -> None:
-        """Drop subclass-owned books for a retired subchannel (hook)."""
-
-    def _has_retire_state(self, subchannel: Any) -> bool:
-        """Whether subclass books hold state for ``subchannel`` (hook).
-
-        Consulted by the retire-vote eligibility guard: a receiver whose
-        *only* trace of a subchannel is partially collected evidence
-        (e.g. RC votes below fs+1 after a loss window) must still accept
-        retirement vouchers, or that evidence leaks forever."""
-        return False
 
     def _deliver(self, subchannel: Any, position: int, payload: Any) -> None:
         if position < self.start_of(subchannel):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.crypto.primitives import digest, verify
-from repro.irmc.base import ReceiverEndpointBase, SenderEndpointBase
+from repro.irmc.base import BY_POSITION, Book, ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg, SendMsg, SendsMsg
 
 
@@ -70,17 +70,20 @@ class RcSenderEndpoint(SenderEndpointBase):
 class RcReceiverEndpoint(ReceiverEndpointBase):
     """Receiver endpoint of an IRMC-RC."""
 
+    # Evidence: a receiver whose *only* trace of a subchannel is partially
+    # collected votes (below fs+1 after a loss window) must still accept
+    # retirement vouchers, or they leak forever.
+    BOOKS = ReceiverEndpointBase.BOOKS + (
+        Book("_votes", BY_POSITION, evidence=True),
+        Book("_payloads", BY_POSITION, evidence=True),
+    )
+
     def __init__(self, node, tag, local_group, remote_group, config):
         super().__init__(node, tag, local_group, remote_group, config)
         #: subchannel -> position -> sender -> payload digest (votes)
         self._votes: Dict[Any, Dict[int, Dict[str, int]]] = {}
         #: first full payload seen per digest, for delivery
         self._payloads: Dict[Any, Dict[int, Dict[int, Any]]] = {}
-
-    def _on_node_wipe(self) -> None:
-        super()._on_node_wipe()
-        self._votes.clear()
-        self._payloads.clear()
 
     def handle(self, src, message: Any) -> None:
         if self.closed:
@@ -141,29 +144,11 @@ class RcReceiverEndpoint(ReceiverEndpointBase):
                 self._deliver(subchannel, position, delivery)
 
     def _cleanup_position(self, subchannel: Any, position: int) -> None:
-        # Empty per-subchannel books are dropped outright: subchannels are
-        # client identities, so over a long run retired ones would
-        # otherwise accumulate empty dicts without bound.
+        # The position is decided; an emptied per-subchannel dict goes
+        # with it, as when the window passes it (``_drop_below``).
         for book in (self._votes, self._payloads):
             per_channel = book.get(subchannel)
             if per_channel is not None:
                 per_channel.pop(position, None)
                 if not per_channel:
                     del book[subchannel]
-
-    def _purge_below(self, subchannel: Any, position: int) -> None:
-        for book in (self._votes, self._payloads):
-            per_channel = book.get(subchannel)
-            if per_channel is not None:
-                for old in [p for p in per_channel if p < position]:
-                    del per_channel[old]
-                if not per_channel:
-                    del book[subchannel]
-
-    def _retire_local(self, subchannel: Any) -> None:
-        self._votes.pop(subchannel, None)
-        self._payloads.pop(subchannel, None)
-
-    def _has_retire_state(self, subchannel: Any) -> bool:
-        return subchannel in self._votes or subchannel in self._payloads
-

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.crypto.primitives import (
-    attach_auth,
-    digest,
-    sign,
-    verify,
-    verify_mac_vector,
+from repro.crypto.primitives import attach_auth, digest, sign, verify
+from repro.irmc.base import (
+    BY_KEY,
+    BY_POSITION,
+    BY_SUBCHANNEL,
+    Book,
+    ReceiverEndpointBase,
+    SenderEndpointBase,
 )
-from repro.irmc.base import ReceiverEndpointBase, SenderEndpointBase
 from repro.irmc.messages import (
     CertificateMsg,
     MoveMsg,
@@ -34,6 +35,13 @@ from repro.irmc.messages import (
 class ScSenderEndpoint(SenderEndpointBase):
     """Sender endpoint of an IRMC-SC (collector pattern)."""
 
+    BOOKS = SenderEndpointBase.BOOKS + (
+        Book("_pending", BY_KEY),
+        Book("_shares", BY_KEY),
+        Book("_bundles", BY_POSITION),
+        Book("_collector", BY_SUBCHANNEL),
+    )
+
     def __init__(self, node, tag, local_group, remote_group, config):
         super().__init__(node, tag, local_group, remote_group, config)
         #: (subchannel, position) -> (payload, payload digest) awaiting shares
@@ -44,9 +52,8 @@ class ScSenderEndpoint(SenderEndpointBase):
         self._bundles: Dict[Any, Dict[int, CertificateMsg]] = {}
         #: subchannel -> receiver name -> chosen collector name
         self._collector: Dict[Any, Dict[str, str]] = {}
-        self._progress_timer = None
         self._last_progress: Tuple = ()
-        self._schedule_progress()
+        self._every(config.progress_interval_ms, self._send_progress)
 
     # ------------------------------------------------------------------
     # Collector bookkeeping
@@ -162,16 +169,7 @@ class ScSenderEndpoint(SenderEndpointBase):
     # ------------------------------------------------------------------
     # Progress heartbeat (Fig. 19 L. 26-30)
     # ------------------------------------------------------------------
-    def _schedule_progress(self) -> None:
-        if self.closed:
-            return
-        self._progress_timer = self.node.set_timeout(
-            self.config.progress_interval_ms, self._send_progress
-        )
-
     def _send_progress(self) -> None:
-        if self.closed:
-            return
         positions: List[Tuple[Any, int]] = []
         for subchannel, bundles in self._bundles.items():
             start = self.start_of(subchannel)
@@ -190,10 +188,9 @@ class ScSenderEndpoint(SenderEndpointBase):
             )
             for receiver in self.remote_group:
                 self.send_msg(receiver, message)
-        self._schedule_progress()
 
     # ------------------------------------------------------------------
-    # Dispatch and GC
+    # Dispatch
     # ------------------------------------------------------------------
     def handle(self, src, message: Any) -> None:
         if self.closed:
@@ -212,61 +209,29 @@ class ScSenderEndpoint(SenderEndpointBase):
             self._set_collector(subchannel, receiver, collector)
 
     def _on_select(self, message: SelectMsg) -> None:
-        if message.sender not in self.remote_names:
-            return
-        if not verify_mac_vector(message.auth, message, message.sender, self.node.name):
+        if not self._from_remote_group(message):
             return
         self._set_collector(message.subchannel, message.sender, message.collector)
 
-    def _garbage_collect(self, subchannel: Any, new_start: int) -> None:
-        bundles = self._bundles.get(subchannel)
-        if bundles is not None:
-            for old in [p for p in bundles if p < new_start]:
-                del bundles[old]
-            if not bundles:
-                del self._bundles[subchannel]
-        for key in [k for k in self._pending if k[0] == subchannel and k[1] < new_start]:
-            del self._pending[key]
-        for key in [k for k in self._shares if k[0] == subchannel and k[1] < new_start]:
-            del self._shares[key]
-
-    def _retire_local(self, subchannel: Any) -> None:
-        self._bundles.pop(subchannel, None)
-        self._collector.pop(subchannel, None)
-        for key in [k for k in self._pending if k[0] == subchannel]:
-            del self._pending[key]
-        for key in [k for k in self._shares if k[0] == subchannel]:
-            del self._shares[key]
-
-    def close(self) -> None:
-        if self._progress_timer is not None:
-            self._progress_timer.cancel()
-        super().close()
-
-    def _on_node_recover(self) -> None:
-        super()._on_node_recover()
-        if self.closed:
-            return
-        if self._progress_timer is not None:
-            self._progress_timer.cancel()
-        self._schedule_progress()
-
     def _on_node_wipe(self) -> None:
         super()._on_node_wipe()
-        self._pending.clear()
-        self._shares.clear()
-        self._bundles.clear()
-        self._collector.clear()
         self._last_progress = ()
 
 
 class ScReceiverEndpoint(ReceiverEndpointBase):
     """Receiver endpoint of an IRMC-SC."""
 
+    BOOKS = ReceiverEndpointBase.BOOKS + (
+        Book("_peer_progress", BY_SUBCHANNEL, evidence=True),
+        Book("_merged_progress", BY_SUBCHANNEL, evidence=True),
+        Book("_collector_index", BY_SUBCHANNEL, evidence=True),
+        Book("_timers", BY_SUBCHANNEL, evidence=True),
+    )
+
     def __init__(self, node, tag, local_group, remote_group, config):
         super().__init__(node, tag, local_group, remote_group, config)
-        #: sender -> subchannel -> claimed certified position
-        self._peer_progress: Dict[str, Dict[Any, int]] = {}
+        #: subchannel -> sender -> claimed certified position
+        self._peer_progress: Dict[Any, Dict[str, int]] = {}
         #: subchannel -> merged (fs+1-highest) progress
         self._merged_progress: Dict[Any, int] = {}
         #: subchannel -> index of current collector in the sender group
@@ -330,32 +295,27 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
     # Collector failover (Fig. 20 L. 20-35)
     # ------------------------------------------------------------------
     def _on_progress(self, message: ProgressMsg) -> None:
-        if message.sender not in self.remote_names:
+        if not self._from_remote_group(message):
             return
-        if not verify_mac_vector(message.auth, message, message.sender, self.node.name):
-            return
-        per_sender = self._peer_progress.setdefault(message.sender, {})
         for subchannel, position in message.positions:
-            per_sender[subchannel] = max(per_sender.get(subchannel, 0), position)
-            claims = sorted(
-                (
-                    self._peer_progress.get(name, {}).get(subchannel, 0)
-                    for name in self.remote_names
-                ),
-                reverse=True,
-            )
+            claimed = self._peer_progress.setdefault(subchannel, {})
+            claimed[message.sender] = max(claimed.get(message.sender, 0), position)
+            claims = sorted((claimed.get(name, 0) for name in self.remote_names), reverse=True)
             merged = claims[self.config.fs] if len(claims) > self.config.fs else 0
             self._merged_progress[subchannel] = merged
             if self._has_missing(subchannel) and subchannel not in self._timers:
-                self._timers[subchannel] = self.node.set_timeout(
-                    self.config.collector_timeout_ms, self._on_collector_timeout, subchannel
-                )
+                self._watch(subchannel)
 
     def _has_missing(self, subchannel: Any) -> bool:
         merged = self._merged_progress.get(subchannel, 0)
         start = self.start_of(subchannel)
         delivered = self._delivered.get(subchannel, {})
         return any(p not in delivered for p in range(start, merged + 1))
+
+    def _watch(self, subchannel: Any) -> None:
+        self._timers[subchannel] = self.node.set_timeout(
+            self.config.collector_timeout_ms, self._on_collector_timeout, subchannel
+        )
 
     def _on_collector_timeout(self, subchannel: Any) -> None:
         self._timers.pop(subchannel, None)
@@ -374,42 +334,27 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         )
         for sender in self.remote_group:
             self.node.send(sender, select)
-        # Keep watching until the gap closes.
-        self._timers[subchannel] = self.node.set_timeout(
-            self.config.collector_timeout_ms, self._on_collector_timeout, subchannel
-        )
+        self._watch(subchannel)  # keep watching until the gap closes
 
-    def _retire_local(self, subchannel: Any) -> None:
-        self._merged_progress.pop(subchannel, None)
-        self._collector_index.pop(subchannel, None)
-        for per_sender in self._peer_progress.values():
-            per_sender.pop(subchannel, None)
-        timer = self._timers.pop(subchannel, None)
-        if timer is not None:
-            timer.cancel()
+    def _drop_subchannel(self, subchannel: Any) -> Dict[str, Any]:
+        dropped = super()._drop_subchannel(subchannel)
+        if "_timers" in dropped:
+            dropped["_timers"].cancel()
+        return dropped
 
-    def _has_retire_state(self, subchannel: Any) -> bool:
-        return (
-            subchannel in self._merged_progress
-            or subchannel in self._collector_index
-            or subchannel in self._timers
-            or any(subchannel in per_sender for per_sender in self._peer_progress.values())
-        )
-
-    def close(self) -> None:
+    def _stop_watching(self) -> None:
+        # Cancelled before any walk that forgets the handles.
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
+
+    def close(self) -> None:
+        self._stop_watching()
         super().close()
 
     def _on_node_wipe(self) -> None:
+        self._stop_watching()
         super()._on_node_wipe()
-        self._peer_progress.clear()
-        self._merged_progress.clear()
-        self._collector_index.clear()
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
 
     def _on_node_recover(self) -> None:
         """Rebuild the collector-watchdog timers lost with the crash.
@@ -421,14 +366,8 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         if self.closed:
             return
         super()._on_node_recover()
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
+        self._stop_watching()
         for subchannel in list(self._merged_progress):
             if self._has_missing(subchannel):
-                self._timers[subchannel] = self.node.set_timeout(
-                    self.config.collector_timeout_ms,
-                    self._on_collector_timeout,
-                    subchannel,
-                )
+                self._watch(subchannel)
 

@@ -201,7 +201,7 @@ class TestIrmcRcFloodBookkeeping:
             rx._on_sender_move(_moves(senders[name], "c1", 500))
             self._flood(rx, name, "gone", 1, 2, payload=("req", "a"))
         rx._retire_subchannel("gone")
-        books = (rx._votes, rx._payloads, rx._delivered, rx._sender_moves._requests)
+        books = (rx._votes, rx._payloads, rx._delivered, rx._sender_moves)
         before = [dict(book) for book in books]
         below = [("c1", p, ("p", p), 0) for p in range(1, 500)]
         beyond = [("c1", p, ("p", p), 0) for p in range(500 + cap, 1500)]

@@ -413,8 +413,8 @@ class TestIrmcRecovery:
         assert rx["r3"]._delivered.get("sub", {}).get(1) == ("m", 1)
         # The chains are armed (a pending handle, not a dead fired one).
         for name in ("s0", "s1"):
-            timer = tx[name]._heartbeat_timer
-            assert timer is not None and not timer.fired
+            (chain,) = tx[name]._chains
+            assert not chain.handle.fired
 
 
 # ----------------------------------------------------------------------
