@@ -117,6 +117,8 @@ class ScSenderEndpoint(SenderEndpointBase):
             return
         if not verify(message.signature, message, signer=message.sender):
             return
+        if not self.storable(message.subchannel, message.position):
+            return  # RC's ``_on_send`` rule: retired, passed, or past the flood cap
         key = (message.subchannel, message.position)
         shares = self._shares.setdefault(key, {})
         if message.sender in shares:
@@ -211,7 +213,10 @@ class ScSenderEndpoint(SenderEndpointBase):
     def _on_select(self, message: SelectMsg) -> None:
         if not self._from_remote_group(message):
             return
-        self._set_collector(message.subchannel, message.sender, message.collector)
+        # Only for a subchannel we know (a receiver's choice also rides on
+        # its every Move: a sender with no state yet learns it there).
+        if message.collector in self.local_names and self.holds(message.subchannel):
+            self._set_collector(message.subchannel, message.sender, message.collector)
 
     def _on_node_wipe(self) -> None:
         super()._on_node_wipe()
@@ -298,6 +303,8 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         if not self._from_remote_group(message):
             return
         for subchannel, position in message.positions:
+            if self.is_retired(subchannel):
+                continue  # a straggler's claim must regrow no book
             claimed = self._peer_progress.setdefault(subchannel, {})
             claimed[message.sender] = max(claimed.get(message.sender, 0), position)
             claims = sorted((claimed.get(name, 0) for name in self.remote_names), reverse=True)

@@ -242,3 +242,66 @@ class TestPiggybackedWindow:
         sim.run(until=400.0)  # the first Move heartbeat would fire at 500 ms
         assert len(done) == 4
         assert all(latency < 100.0 for _kind, _start, latency in client.completed)
+
+
+class TestRetiredSubchannelsRegrowNothing:
+    """"Never regrow books for a retired subchannel" at the three SC
+    sites that used to store first: a late share, a Select, a Progress."""
+
+    @staticmethod
+    def _retired_alice(stragglers=("s2",)):
+        """``alice`` delivered position 1 and retired everywhere except on
+        the straggling senders, which never heard of her."""
+        cluster, senders, receivers, tx, rx = build()
+        prompt = [name for name in tx if name not in stragglers]
+        send_all(cluster, tx, prompt, "alice", 1, ("m",))
+        cluster.run(until=500.0)
+        for name in prompt:
+            tx[name].node.run_task(tx[name].retire_subchannel, "alice")
+        cluster.run(until=1_000.0)
+        assert all(endpoint.is_retired("alice") for endpoint in rx.values())
+        return cluster, senders, receivers, tx, rx
+
+    def test_stragglers_late_share_is_not_stored(self):
+        cluster, senders, receivers, tx, rx = self._retired_alice()
+        send_all(cluster, tx, ["s2"], "alice", 1, ("m",))
+        cluster.run(until=60_000.0)
+        for name in ("s0", "s1"):
+            assert tx[name].book_sizes()["_shares"] == 0
+
+    def test_select_for_an_unknown_subchannel_or_collector_is_ignored(self):
+        from repro.irmc.messages import SelectMsg
+
+        cluster, senders, receivers, tx, rx = build()
+        send_all(cluster, tx, ["s0", "s1", "s2"], 0, 1, ("m",))
+        cluster.run(until=500.0)
+        chooser = rx["r0"]
+
+        def select(subchannel, collector):
+            message = chooser._authenticated(
+                SelectMsg(tag="sc", subchannel=subchannel, collector=collector, sender="r0")
+            )
+            for sender_node in senders:
+                chooser.node.send(sender_node, message)
+
+        for index in range(50):
+            chooser.node.run_task(select, f"ghost-{index}", "s1")
+        chooser.node.run_task(select, 0, "r1")  # an outsider as collector
+        cluster.run(until=1_000.0)
+        for endpoint in tx.values():
+            assert endpoint.book_sizes()["_collector"] == 0
+            assert endpoint.collector_for(0, "r0") == "s0"
+
+    def test_stragglers_progress_claim_is_not_recorded(self):
+        from repro.irmc.messages import ProgressMsg
+
+        cluster, senders, receivers, tx, rx = self._retired_alice()
+        claim = tx["s2"]._authenticated(
+            ProgressMsg(tag="sc", positions=(("alice", 1),), sender="s2")
+        )
+        for receiver_node in receivers:
+            tx["s2"].node.run_task(tx["s2"].node.send, receiver_node, claim)
+        cluster.run(until=2_000.0)
+        for endpoint in rx.values():
+            assert "alice" not in endpoint._peer_progress
+            assert "alice" not in endpoint._merged_progress
