@@ -102,7 +102,6 @@ class _FaultState:
     partitions: Set[frozenset] = field(default_factory=set)
     drop_rate: float = 0.0
     crashed_links: Set[Tuple[str, str]] = field(default_factory=set)
-    extra_delay: Optional[Callable[[Node, Node, Any], float]] = None
     filter: Optional[Callable[[Node, Node, Any], bool]] = None
     #: (src name, dst name) -> LinkMod; empty (the overwhelmingly common
     #: case) costs one falsy dict check on the send fast path.
@@ -251,13 +250,6 @@ class Network:
         if self.jitter:
             one_way = one_way * (1.0 + self.jitter * sim.rng.random())
         link = one_way + (size * 8.0) / ser_divisor
-        if fault.extra_delay is not None:
-            link += fault.extra_delay(site_a, site_b, message)
-            if nic + link < 0:
-                # Matches the guard the generic scheduling path applies.
-                raise SimulationError(
-                    f"cannot schedule into the past (delay={nic + link})"
-                )
         if _send_sanitizer:
             snapshot = structural_digest(message)
             deliver: Callable[..., Any] = _deliver_checked
