@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import chaos_case
+from repro.chaos import FaultAction, chaos_case
 from repro.crypto.costs import CostModel, use_cost_model
 from repro.crypto.primitives import attach_auth, sign
 from repro.irmc import IrmcConfig, make_channel
@@ -688,27 +688,77 @@ class TestOverlappingLinkWindows:
         assert ("n0", "n1") not in mods
 
 
+_INTO_THE_WINDOW = "recovers into a window that eats its one state-transfer retry"
+
+#: (case, seed found at) -> the minimal two-action schedule and why it is red.
+RED_CELLS = {
+    "spider-118": (
+        "spider",
+        118,
+        [
+            FaultAction("crash", "ag2", 1921.384, 4943.725),
+            FaultAction("mute_half", "ag2", 3400.665, 6910.918),
+        ],
+        _INTO_THE_WINDOW,
+    ),
+    "spider-123": (
+        "spider",
+        123,
+        [
+            FaultAction("silence", "ag2", 3620.149, 8175.365),
+            FaultAction("crash", "ag2", 4645.104, 4410.929),
+        ],
+        _INTO_THE_WINDOW,
+    ),
+    "spider-shard-111": (
+        "spider-shard",
+        111,
+        [
+            FaultAction("crash", "sa-ag3", 3122.14, 7005.194),
+            FaultAction("drop", "sa-ag3", 4146.28, 6904.148, param=0.3557),
+        ],
+        _INTO_THE_WINDOW,
+    ),
+    "irmc-sc-111": (
+        "irmc-sc",
+        111,
+        [
+            FaultAction("crash", "s0", 1176.651, 2096.38),
+            FaultAction("partition", "virginia", 1654.369, 3200.908),
+        ],
+        "a Progress lost to the partition is suppressed as no-news forever",
+    ),
+}
+
+
 class TestKnownRedCells:
     """Open bugs, visible to CI until someone fixes them (ROADMAP item 1a).
 
     Seeds 100-129 of the nine IRMC / Spider chaos cases (the golden record
     pins 1-12 only) hold four cells that violate a liveness invariant under
     the default cost model, unchanged since at least PR 15's parent.  Each
-    is a one-line repro; ``strict`` turns a fix — or a change that happens
-    to move the cell — into a failure that asks for this list to shrink.
+    is pinned by its shrunk schedule, not by the seed that found it, so a
+    change to the schedule generator cannot hide it; ``strict`` turns a
+    fix into a failure that asks for this table to shrink.
     """
 
     @pytest.mark.parametrize(
-        "name, seed",
+        "cell",
         [
-            ("irmc-sc", 111),  # receivers wedged on the sliding-window subchannel
-            ("spider", 118),  # agreement replica behind the group frontier
-            ("spider", 123),  # same
-            ("spider-shard", 111),  # same, in the faulted shard
+            pytest.param(cell, marks=pytest.mark.xfail(strict=True, reason=reason))
+            for cell, (_name, _seed, _pair, reason) in RED_CELLS.items()
         ],
     )
-    @pytest.mark.xfail(strict=True, reason="known red chaos cell, not yet diagnosed")
-    def test_cell_holds_its_invariants(self, name, seed):
+    def test_pair_holds_its_invariants(self, cell):
+        name, seed, pair, _reason = RED_CELLS[cell]
         with use_cost_model(CostModel()):
-            result = chaos_case(name).run(seed)
+            result = chaos_case(name).run(seed, actions=pair)
         assert result.violations == []
+
+    @pytest.mark.parametrize("cell", RED_CELLS)
+    def test_each_action_alone_is_green(self, cell):
+        """The bug needs both windows: either one alone heals."""
+        name, seed, pair, _reason = RED_CELLS[cell]
+        with use_cost_model(CostModel()):
+            for action in pair:
+                assert chaos_case(name).run(seed, actions=[action]).violations == []
