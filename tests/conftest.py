@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 import pytest
 
 from repro.crypto.costs import CostModel, set_cost_model
@@ -46,3 +48,28 @@ class Cluster:
 @pytest.fixture
 def cluster():
     return Cluster()
+
+
+def irmc_book_sizes(shards) -> Dict[str, int]:
+    """Largest ``book_sizes()`` entry (and tombstone ring) per
+    ``"<endpoint>.<book>"`` over the four endpoints of every channel.
+
+    Derived from the endpoint classes' ``BOOKS`` declarations, so a book
+    added later is sampled without being listed anywhere in the tests.
+    """
+    sizes: Dict[str, int] = {}
+
+    def sample(role, endpoint):
+        for book, size in dict(endpoint.book_sizes(), _retired=len(endpoint._retired)).items():
+            sizes[f"{role}.{book}"] = max(sizes.get(f"{role}.{book}", 0), size)
+
+    for shard in shards:
+        for replica in shard.agreement_replicas:
+            for channels in replica.groups.values():
+                sample("request_rx", channels.request_rx)
+                sample("commit_tx", channels.commit_tx)
+        for group in shard.groups.values():
+            for replica in group.replicas:
+                sample("request_tx", replica.request_tx)
+                sample("commit_rx", replica.commit_rx)
+    return sizes

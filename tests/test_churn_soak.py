@@ -11,10 +11,12 @@ and the traffic-shaping counters reconcile exactly.
 from repro.core import SpiderConfig
 from repro.deploy import ClusterSpec, MiddlewareSpec, Rejected, ShardSpec, build
 from repro.deploy.spec import GroupSpec
+from repro.irmc.base import RETIRED_TOMBSTONES
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
-N_SESSIONS = 1000
+from tests.conftest import irmc_book_sizes
+
 SPACING_MS = 120.0
 
 FULL_CHAIN = (
@@ -25,7 +27,7 @@ FULL_CHAIN = (
 )
 
 
-def build_two_shard_cluster(seed=7):
+def build_two_shard_cluster(seed=7, irmc_kind="rc"):
     sim = Simulator(seed=seed)
     network = Network(sim, Topology(), jitter=0.0)
     spec = ClusterSpec(
@@ -33,15 +35,16 @@ def build_two_shard_cluster(seed=7):
             ShardSpec("s0", groups=(GroupSpec("va0", "virginia"),)),
             ShardSpec("s1", groups=(GroupSpec("va1", "virginia"),)),
         ),
-        config=SpiderConfig(),
+        config=SpiderConfig(irmc_kind=irmc_kind),
         middleware=FULL_CHAIN,
     )
     return sim, build(sim, spec, network=network)
 
 
 def max_book_sizes(cluster):
-    """Max per-client book sizes across every endpoint in the cluster."""
-    sizes = {}
+    """Max per-client book sizes across every replica and every IRMC
+    endpoint in the cluster (the IRMC half is derived, not listed)."""
+    sizes = irmc_book_sizes(cluster.shards.values())
 
     def note(key, value):
         sizes[key] = max(sizes.get(key, 0), value)
@@ -52,30 +55,26 @@ def max_book_sizes(cluster):
             note("ag_t_plus", len(replica.t_plus))
             note("ag_u", len(replica.u))
             for channels in replica.groups.values():
-                rx = channels.request_rx
-                note("rx_known", len(rx._known_subchannels))
-                note("rx_window", len(rx.window_start))
-                note("rx_moves", len(rx._sender_moves))
-                note("rx_retire_votes", len(rx._retire_votes))
-                note("rx_tombstones", len(rx._retired))
                 note("client_loops", len(channels.client_loops))
         for group in shard.groups.values():
             for replica in group.replicas:
-                tx = replica.request_tx
                 note("ex_t", len(replica.t))
                 note("ex_u", len(replica.u))
-                note("tx_window", len(tx.window_start))
-                note("tx_own_moves", len(tx._own_moves))
-                note("tx_moves", len(tx._receiver_moves))
-                note("tx_buffer", len(tx._buffer))
-                note("tx_retire_echoes", len(tx._retire_echoes))
-                note("tx_tombstones", len(tx._retired))
     return sizes
 
 
 def test_thousand_session_churn_soak():
-    sim, cluster = build_two_shard_cluster()
+    churn_soak("rc", n_sessions=1000)
+
+
+def test_two_hundred_session_churn_soak_over_irmc_sc():
+    churn_soak("sc", n_sessions=200)
+
+
+def churn_soak(irmc_kind, n_sessions):
+    sim, cluster = build_two_shard_cluster(irmc_kind=irmc_kind)
     sessions = []
+    mid_run = {}
 
     def one(index):
         session = cluster.session(f"user-{index}", "virginia")
@@ -90,22 +89,29 @@ def test_thousand_session_churn_soak():
         if write.done and isinstance(write.value, Rejected) and not session.closed:
             session.close()  # everything shed synchronously: close now
 
-    for index in range(N_SESSIONS):
+    for index in range(n_sessions):
         sim.schedule_at(200.0 + index * SPACING_MS, one, index)
-    sim.run(until=200.0 + N_SESSIONS * SPACING_MS + 60_000.0)
+    sim.schedule_at(
+        200.0 + n_sessions // 2 * SPACING_MS, lambda: mid_run.update(max_book_sizes(cluster))
+    )
+    sim.run(until=200.0 + n_sessions * SPACING_MS + 60_000.0)
 
-    assert len(sessions) == N_SESSIONS
+    assert len(sessions) == n_sessions
     assert all(session.closed for session in sessions)
 
     # Every per-client book drained to zero; tombstone rings stay at or
-    # below their fixed cap (repro.irmc.base.RETIRED_TOMBSTONES).
+    # below their fixed cap.  The commit channels carry one subchannel
+    # for the whole run: their books must not have grown since mid-run.
     sizes = max_book_sizes(cluster)
     for key, value in sizes.items():
-        if key.endswith("_tombstones"):
-            assert value <= 256, (key, value)
+        if key.endswith("._retired"):
+            assert value <= RETIRED_TOMBSTONES, (key, value)
+        elif key.startswith("commit_"):
+            assert value <= mid_run[key], (key, value, mid_run[key])
         else:
             assert value == 0, (key, sizes)
-    assert sizes["rx_tombstones"] > 0  # retirement actually happened
+    assert sizes["request_rx._retired"] > 0  # retirement actually happened
+    assert any(mid_run[key] for key in mid_run if key.startswith("commit_"))
 
     # Session/name bookkeeping: live sets empty, retired ring bounded.
     assert not cluster.sessions
@@ -123,7 +129,7 @@ def test_thousand_session_churn_soak():
     completed = sum(snap["completed"].values())
     served = sum(snap["served"].values())
     shed = sum(snap["shed"].values())
-    assert offered == N_SESSIONS * 4
+    assert offered == n_sessions * 4
     assert offered == completed + served + shed
     assert completed > 0
 

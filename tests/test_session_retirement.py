@@ -18,6 +18,8 @@ from repro.irmc.base import ReceiverEndpointBase, SenderEndpointBase
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
+from tests.conftest import irmc_book_sizes
+
 
 def build_cluster(seed=3, irmc_kind="rc"):
     sim = Simulator(seed=seed)
@@ -50,37 +52,20 @@ def churn(sim, cluster, n_sessions, writes_each=2, close=True, spacing_ms=400.0)
 
 
 def request_channel_book_sizes(shard):
-    """Max book sizes across all request-channel endpoints of a shard."""
+    """Max size of every declared book across the request-channel
+    endpoints of a shard, plus the agreement side's per-client loops and
+    cursors (the tombstone rings are bounded, not drained)."""
     sizes = {
-        "rx_known": 0,
-        "rx_window": 0,
-        "rx_moves": 0,
-        "rx_votes": 0,
-        "client_loops": 0,
-        "t_plus": 0,
-        "tx_window": 0,
-        "tx_own_moves": 0,
-        "tx_moves": 0,
-        "tx_buffer": 0,
+        key: size
+        for key, size in irmc_book_sizes([shard]).items()
+        if key.startswith("request_") and not key.endswith("._retired")
     }
-    for replica in shard.agreement_replicas:
-        sizes["t_plus"] = max(sizes["t_plus"], len(replica.t_plus))
-        for channels in replica.groups.values():
-            rx = channels.request_rx
-            sizes["rx_known"] = max(sizes["rx_known"], len(rx._known_subchannels))
-            sizes["rx_window"] = max(sizes["rx_window"], len(rx.window_start))
-            sizes["rx_moves"] = max(sizes["rx_moves"], len(rx._sender_moves))
-            sizes["rx_votes"] = max(sizes["rx_votes"], len(getattr(rx, "_votes", ())))
-            sizes["client_loops"] = max(
-                sizes["client_loops"], len(channels.client_loops)
-            )
-    for group in shard.groups.values():
-        for replica in group.replicas:
-            tx = replica.request_tx
-            sizes["tx_window"] = max(sizes["tx_window"], len(tx.window_start))
-            sizes["tx_own_moves"] = max(sizes["tx_own_moves"], len(tx._own_moves))
-            sizes["tx_moves"] = max(sizes["tx_moves"], len(tx._receiver_moves))
-            sizes["tx_buffer"] = max(sizes["tx_buffer"], len(tx._buffer))
+    sizes["t_plus"] = max(len(replica.t_plus) for replica in shard.agreement_replicas)
+    sizes["client_loops"] = max(
+        len(channels.client_loops)
+        for replica in shard.agreement_replicas
+        for channels in replica.groups.values()
+    )
     return sizes
 
 
@@ -107,10 +92,10 @@ class TestChurningClients:
         sessions = churn(sim, cluster, n_sessions=10, close=False)
         assert all(len(s.completed) == 2 for s in sessions)
         sizes = request_channel_book_sizes(cluster.system)
-        assert sizes["rx_known"] == 10
+        assert sizes["request_rx._known_subchannels"] == 10
         assert sizes["client_loops"] == 10
-        assert sizes["rx_window"] == 10
-        assert sizes["tx_window"] == 10
+        assert sizes["request_rx.window_start"] == 10
+        assert sizes["request_tx.window_start"] == 10
 
     def test_live_sessions_unaffected_by_neighbour_retirement(self):
         """A long-lived session keeps working while neighbours churn, and
@@ -133,9 +118,9 @@ class TestChurningClients:
         shard = cluster.system
         sizes = request_channel_book_sizes(shard)
         # Only the survivor's subchannel (one per shard client) remains.
-        assert sizes["rx_known"] <= 1
+        assert sizes["request_rx._known_subchannels"] <= 1
         assert sizes["client_loops"] <= 1
-        assert sizes["rx_window"] <= 1
+        assert sizes["request_rx.window_start"] <= 1
 
     def test_close_session_with_request_in_flight_raises(self):
         sim, cluster = build_cluster()
@@ -221,7 +206,7 @@ class TestChurningClients:
         sim.run(until=30_000.0)
         assert futures[0].value == ("ok", 1)
         sizes = request_channel_book_sizes(cluster.system)
-        assert sizes["rx_known"] == 0
+        assert sizes["request_rx._known_subchannels"] == 0
         assert sizes["client_loops"] == 0
 
 
