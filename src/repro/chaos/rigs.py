@@ -353,10 +353,10 @@ def irmc(case, sim, network) -> Rig:
         spawn("tx", sender_loop, endpoint, name, sent_upto[name] + 1)
 
     def restart_receiver(endpoint, name):
-        # Re-reads land on the endpoint's retained delivery book
-        # (bulk never moves its window), so resolutions lost with the
-        # crash are recovered instantly; the sliding-window loop's
-        # TooOld handling absorbs any window movement it slept through.
+        # Re-reads land on the endpoint's retained delivery book (bulk
+        # never moves its window), so resolutions lost with the crash
+        # are recovered instantly; the sliding-window loop's TooOld
+        # handling absorbs any window movement it slept through.
         procs[("rxb", name)].stop()
         next_bulk = received[name][-1][0] + 1 if received[name] else 1
         spawn("rxb", bulk_loop, endpoint, name, next_bulk)

@@ -61,7 +61,8 @@ def irmc_book_sizes(shards) -> Dict[str, int]:
 
     def sample(role, endpoint):
         for book, size in dict(endpoint.book_sizes(), _retired=len(endpoint._retired)).items():
-            sizes[f"{role}.{book}"] = max(sizes.get(f"{role}.{book}", 0), size)
+            key = f"{role}.{book}"
+            sizes[key] = max(sizes.get(key, 0), size)
 
     for shard in shards:
         for replica in shard.agreement_replicas:
