@@ -39,7 +39,6 @@ or with :class:`TooOld`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import attach_auth, make_mac_vector, verify_mac_vector
@@ -234,35 +233,27 @@ class IrmcEndpoint(Component):
                 dropped[book.name] = store.pop(subchannel)
         return dropped
 
-    @cached_property
-    def _positional(self) -> List[Tuple[Book, Any]]:
-        # A window move is on the per-request path: the stores it walks
-        # are bound once (they are cleared, never re-assigned).
-        return [(b, getattr(self, b.name)) for b in self.BOOKS if b.shape is not BY_SUBCHANNEL]
-
-    def _drop_below(self, subchannel: Any, position: int) -> Dict[str, List[Any]]:
+    def _drop_below(self, subchannel: Any, position: int) -> None:
         """The window start moved to ``position``: drop what it passed
-        (Fig. 18 L. 24).  Returns the dropped values by book name."""
-        dropped: Dict[str, List[Any]] = {}
-        for book, store in self._positional:
+        (Fig. 18 L. 24); the receiver fails its pending receives first."""
+        # Per request, yet walked by name: binding the stores with
+        # ``cached_property`` reads ``__dict__``, which takes every later
+        # attribute load on the endpoint off CPython's fast path.
+        for book in self.BOOKS:
+            store = getattr(self, book.name)
             if book.shape is BY_KEY:
-                old = [k for k in store if k[0] == subchannel and k[1] < position]
-                if old:
-                    dropped[book.name] = [store.pop(key) for key in old]
-                continue
-            per_channel = store.get(subchannel)
-            if per_channel is None:
-                continue
-            old = [p for p in per_channel if p < position]
-            if old:
-                dropped[book.name] = [per_channel.pop(p) for p in old]
-            # An emptied per-subchannel dict goes too: subchannels are
-            # client identities and would accumulate without bound.  Not
-            # the sender's ``_buffer``: its insertion order is the
-            # idle-retransmission order (retirement drops the entry).
-            if not per_channel and book.name != "_buffer":
-                del store[subchannel]
-        return dropped
+                for key in [k for k in store if k[0] == subchannel and k[1] < position]:
+                    del store[key]
+            elif book.shape is BY_POSITION and subchannel in store:
+                per_channel = store[subchannel]
+                for old in [p for p in per_channel if p < position]:
+                    del per_channel[old]
+                # An emptied per-subchannel dict goes too: subchannels are
+                # client identities and would accumulate without bound.
+                # Not the sender's ``_buffer``: its insertion order is the
+                # idle-retransmission order (retirement drops the entry).
+                if not per_channel and book.name != "_buffer":
+                    del store[subchannel]
 
     def holds(self, subchannel: Any) -> bool:
         """Whether an ``evidence`` book knows ``subchannel``: retirement
@@ -686,9 +677,11 @@ class ReceiverEndpointBase(IrmcEndpoint):
         if position <= self.start_of(subchannel):
             return
         self.window_start[subchannel] = position
-        for futures in self._drop_below(subchannel, position).get("_waiters", ()):
-            for future in futures:
+        waiters = self._waiters.get(subchannel, {})
+        for old in [p for p in waiters if p < position]:
+            for future in waiters.pop(old):
                 future.try_resolve(TooOld(position))
+        self._drop_below(subchannel, position)
 
     def _on_sender_move(self, message: MovesMsg) -> None:
         """A sender's explicit Moves: a bare ``move_window`` or its heartbeat."""
