@@ -91,10 +91,9 @@ def run(
         path.write_text(json.dumps(all_failures, indent=2, default=repr))
         result.notes.append(f"failing schedules written to {path}")
         for failure in all_failures:
-            result.notes.append(
-                f"{failure['config']} seed {failure['seed']}: "
-                f"{failure['violations'][0]}"
-            )
+            # A cell that raised left an error and no violations.
+            first = failure["violations"][0] if "violations" in failure else failure.get("error")
+            result.notes.append(f"{failure['config']} seed {failure['seed']}: {first}")
             minimized = failure.get("minimized")
             if minimized:
                 result.notes.append(

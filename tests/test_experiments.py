@@ -107,6 +107,28 @@ class TestQuickRuns:
         with pytest.raises(SystemExit):
             main(["nonsense"])
 
+    def test_chaos_reports_a_cell_that_raised(self, monkeypatch, tmp_path):
+        """An error-only failure record has no violations; the sweep must
+        still tabulate it and name the error after writing the artifact."""
+        import json
+
+        from repro.experiments import chaos
+        from repro.scenarios import runner
+
+        def explode(spec, seed, cache=None):
+            raise RuntimeError("builder blew up")
+
+        monkeypatch.setattr(runner, "run", explode)
+        path = tmp_path / "CHAOS_failures.json"
+        result = chaos.run(quick=True, configs=["raft"], failures_path=path)
+        assert [row["failing seeds"] for row in result.rows] == ["1,2,3,4"]
+        assert set(json.loads(path.read_text())[0]) == {"config", "seed", "error"}
+        assert any(
+            note.startswith("raft seed 1: ") and note.endswith("RuntimeError: builder blew up")
+            for note in result.notes
+        )
+        assert "builder blew up" in result.format()
+
 
 class TestUnservedCells:
     """A population nobody answered must not become a table row: an empty
