@@ -438,8 +438,7 @@ def _materialise_shard(
     config = spec.config
     if prefix:
         # Each shard gets its own admin principal; everything else is
-        # shared.  (The nested PbftConfig is immutable in practice —
-        # pbft_config() derives a fresh one per shard.)
+        # shared.
         config = replace(spec.config, admins=(f"{prefix}admin",))
     shard = Shard(
         sim,

@@ -478,8 +478,9 @@ class TestBatchConfigValidation:
         from repro.consensus.pbft.config import PbftConfig
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            SpiderConfig(pbft=PbftConfig(batch_size=16)).validate()
+        # There is no nested PbftConfig to carry a second cap.
+        with pytest.raises(TypeError, match="pbft"):
+            SpiderConfig(pbft=PbftConfig(batch_size=16))
         with pytest.raises(ConfigurationError):
             SpiderConfig(batch_size=0).validate()
         # The supported spelling passes validation and reaches PBFT.
