@@ -21,13 +21,14 @@ REQUEST_CAPACITY = 2
 #: How long an agreement replica waits without a delivery before it
 #: suspects its leader.  The group sits in one region's availability
 #: zones, so it is sized to those links, not to the WAN (the BFT
-#: baselines, which run PBFT across regions, keep 4000 ms).  Measured at
-#: seed 11: the longest a view timer had been running when a delivery
-#: reset it is 2.7 ms on ``geo_write_closed``, 7.7 ms on the CPU-saturated
-#: ``flash_crowd_armed`` and 47.6 ms on ``leader_crash_open`` (a recovered
-#: replica catching up), so 200 ms is 26x the fault-free and 4x the
-#: catch-up maximum.  Going lower buys nothing measurable: the rest of the
-#: failover tail is sessions queueing behind their one op in flight.
+#: baselines, which run PBFT across regions, keep 4000 ms).  Measured as
+#: how long a view timer had run when a delivery reset it: at most 2.7 ms
+#: on ``geo_write_closed`` and 7.9 ms on the CPU-saturated
+#: ``flash_crowd_armed`` (seed 11, variants 0-2); on ``leader_crash_open``
+#: a recovered replica catching up waits up to 168 ms (seeds 1-12).  So
+#: 200 ms is 25x the fault-free maximum and still clears catch-up, which
+#: 100 ms would not.  Going lower buys nothing measurable anyway: the rest
+#: of the failover tail is sessions queueing behind their one op in flight.
 AGREEMENT_VIEW_TIMEOUT_MS = 200.0
 
 
