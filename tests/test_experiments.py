@@ -116,7 +116,7 @@ class TestQuickRuns:
         from repro.scenarios import runner
 
         def explode(spec, seed, cache=None):
-            raise RuntimeError("builder blew up")
+            raise RuntimeError("stack blew up")
 
         monkeypatch.setattr(runner, "run", explode)
         path = tmp_path / "CHAOS_failures.json"
@@ -124,10 +124,10 @@ class TestQuickRuns:
         assert [row["failing seeds"] for row in result.rows] == ["1,2,3,4"]
         assert set(json.loads(path.read_text())[0]) == {"config", "seed", "error"}
         assert any(
-            note.startswith("raft seed 1: ") and note.endswith("RuntimeError: builder blew up")
+            note.startswith("raft seed 1: ") and note.endswith("RuntimeError: stack blew up")
             for note in result.notes
         )
-        assert "builder blew up" in result.format()
+        assert "stack blew up" in result.format()
 
 
 class TestUnservedCells:
