@@ -218,7 +218,7 @@ class HftReplica(ClientFacing, RoutedNode):
         state = {"wrapper": wrapper, "counter": body.counter, "timer": None}
         self.pending[body.client] = state
         self._dispatch_request(wrapper)
-        state["timer"] = self.set_timeout(self.timeout_ms, self._on_request_timeout, body.client)
+        state["timer"] = self.after(self.timeout_ms, self._on_request_timeout, body.client)
 
     def _dispatch_request(self, wrapper: RequestWrapper) -> None:
         if self.is_leader_site:
@@ -242,7 +242,7 @@ class HftReplica(ClientFacing, RoutedNode):
         self.local_view += 1
         self.leader_target += 1
         self._dispatch_request(state["wrapper"])
-        state["timer"] = self.set_timeout(self.timeout_ms, self._on_request_timeout, client)
+        state["timer"] = self.after(self.timeout_ms, self._on_request_timeout, client)
 
     # ------------------------------------------------------------------
     # Leader-site ordering
@@ -264,7 +264,7 @@ class HftReplica(ClientFacing, RoutedNode):
                 state["timer"].cancel()
             state = {"wrapper": message.request, "counter": body.counter, "timer": None}
             self.pending[body.client] = state
-            state["timer"] = self.set_timeout(
+            state["timer"] = self.after(
                 self.timeout_ms, self._on_request_timeout, body.client
             )
         self.send(self._local_rep(), message)

@@ -79,6 +79,7 @@ from repro.crypto.primitives import (
     verify_mac_vector,
 )
 from repro.sim.futures import SimFuture
+from repro.sim.node import Timer
 from repro.sim.routing import Component, RoutedNode
 
 
@@ -130,18 +131,10 @@ class PbftReplica(Component, Agreement):
         self.f = self.config.f
 
         self._boot()
-        self._view_timer = None
-        #: generation counter guarding timer callbacks: a timer event that
-        #: already fired at the simulator level may still be queued behind
-        #: other work on this node's CPU when the timer is reset — the
-        #: stale callback must not clobber the freshly armed timer.
-        self._view_epoch = 0
-        self._fetch_timer = None
-        self._fetch_epoch = 0
-        #: state-transfer retry machinery (post-crash rejoin); the epoch
-        #: guards stale retry callbacks like the other timers.
-        self._recovery_timer = None
-        self._recovery_epoch = 0
+        self._view_timer = Timer(node, self._on_view_timeout)
+        self._fetch_timer = Timer(node, self._fetch_missing)
+        #: post-crash state-transfer retry, until a period brings no progress
+        self._recovery_timer = Timer(node, self._on_recovery_retry, RECOVERY_RETRY_MS)
         self._recovery_progress: Optional[tuple] = None
         self.state_transfers_requested = 0
         #: digest-first transfer accounting: bytes of digest-only slot
@@ -529,7 +522,7 @@ class PbftReplica(Component, Agreement):
     # Gap retransmission
     # ------------------------------------------------------------------
     def _maybe_schedule_fetch(self) -> None:
-        if self._fetch_timer is not None:
+        if self._fetch_timer.armed:
             return
         frontier = self.delivered_seq
         gap_exists = any(
@@ -542,10 +535,7 @@ class PbftReplica(Component, Agreement):
             for slot in self.log.slots.values()
         )
         if gap_exists:
-            self._fetch_epoch += 1
-            self._fetch_timer = self.node.set_timeout(
-                self.config.fetch_delay_ms, self._fetch_missing, self._fetch_epoch
-            )
+            self._fetch_timer.start(self.config.fetch_delay_ms)
 
     def _has_commit_support(self, slot: Slot) -> bool:
         """f+1 matching commit votes: at least one honest replica committed
@@ -568,16 +558,7 @@ class PbftReplica(Component, Agreement):
             and self._has_commit_support(slot)
         )
 
-    def _cancel_fetch_timer(self) -> None:
-        if self._fetch_timer is not None:
-            self._fetch_timer.cancel()
-            self._fetch_timer = None
-        self._fetch_epoch += 1
-
-    def _fetch_missing(self, epoch: int) -> None:
-        if epoch != self._fetch_epoch:
-            return  # superseded while queued on this node's CPU
-        self._fetch_timer = None
+    def _fetch_missing(self) -> None:
         gaps = self._payload_gap_seqs()
         if gaps:
             self._request_payloads(gaps)
@@ -666,16 +647,13 @@ class PbftReplica(Component, Agreement):
         """Re-enter the protocol after the hosting node recovered.
 
         Timer callbacks that fired while the node was crashed were dropped
-        with the CPU queue, leaving stale handles that would block
-        re-arming forever; reset every timer chain, abandon any half-built
+        with the CPU queue, leaving timers armed that would block
+        re-arming forever; reset every timer, abandon any half-built
         batch (its messages stay in ``pending``), then actively pull the
         protocol state we slept through from our peers.
         """
-        if self._view_timer is not None:
-            self._view_timer.cancel()
-            self._view_timer = None
-        self._view_epoch += 1
-        self._cancel_fetch_timer()
+        self._view_timer.cancel()
+        self._fetch_timer.cancel()
         self._flush_batch_buffer()
         self._arm_view_timer()
         self._maybe_schedule_fetch()
@@ -689,10 +667,9 @@ class PbftReplica(Component, Agreement):
         either caught up or partitioned, and the always-armed gap fetch
         plus commit-certificate adoption remain as the backstop.
         """
-        self._recovery_epoch += 1
         self._recovery_progress = None
         self._send_state_transfer()
-        self._arm_recovery_timer()
+        self._recovery_timer.start()
 
     def _send_state_transfer(self) -> None:
         self.state_transfers_requested += 1
@@ -706,21 +683,14 @@ class PbftReplica(Component, Agreement):
             if peer is not self.node:
                 self.send(peer, request)
 
-    def _arm_recovery_timer(self) -> None:
-        self._recovery_timer = self.node.set_timeout(
-            RECOVERY_RETRY_MS, self._on_recovery_retry, self._recovery_epoch
-        )
-
-    def _on_recovery_retry(self, epoch: int) -> None:
-        if epoch != self._recovery_epoch:
-            return  # superseded (e.g. by a second crash/recover cycle)
-        self._recovery_timer = None
+    def _on_recovery_retry(self) -> None:
         progress = (self.view, self.delivered_seq)
         if self._recovery_progress == progress:
-            return  # no progress for a whole period: converged or blocked
+            # No progress for a whole period: converged or blocked.
+            self._recovery_timer.cancel()
+            return
         self._recovery_progress = progress
         self._send_state_transfer()
-        self._arm_recovery_timer()
 
     def _on_state_transfer(self, src, message: StateTransfer) -> None:
         if message.sender not in self.peer_names or src is self.node:
@@ -764,44 +734,28 @@ class PbftReplica(Component, Agreement):
     # View changes
     # ------------------------------------------------------------------
     def _arm_view_timer(self) -> None:
-        if self._view_timer is None and self.pending:
-            self._view_epoch += 1
-            self._view_timer = self.node.set_timeout(
-                self.config.view_timeout_ms * self._timeout_factor,
-                self._on_view_timeout,
-                self._view_epoch,
-            )
+        if not self._view_timer.armed and self.pending:
+            self._view_timer.start(self.config.view_timeout_ms * self._timeout_factor)
 
     def _reset_view_timer(self) -> None:
-        if self._view_timer is not None:
-            self._view_timer.cancel()
-            self._view_timer = None
-        # Invalidate callbacks of timers that fired but have not yet run on
-        # this node's CPU: without the epoch bump a stale callback would
-        # null out the timer armed below (leaking its event) and start a
-        # spurious view change right after progress was made.
-        self._view_epoch += 1
+        self._view_timer.cancel()
         self._arm_view_timer()
 
-    def _on_view_timeout(self, epoch: int) -> None:
-        if epoch != self._view_epoch:
-            return  # timer was reset while this callback sat in the queue
-        self._view_timer = None
-        if not self.pending:
-            return
-        self._start_view_change(self.view + 1)
+    def _on_view_timeout(self) -> None:
+        if self.pending:
+            self._start_view_change(self.view + 1)
 
     def _start_view_change(self, new_view: int) -> None:
         if new_view <= self.view and self.in_view_change:
             return
         self.in_view_change = True
         self._flush_batch_buffer()
-        # Replace the fetch timer with a fresh one: the old event (possibly
-        # already fired and queued behind this view change on the CPU) is
-        # invalidated, but gap retransmission itself must keep running — a
-        # replica whose lone view change never completes (e.g. its view
-        # raced ahead while partitioned) recovers *only* through fetches.
-        self._cancel_fetch_timer()
+        # Restart the fetch timer: the old event (possibly already fired
+        # and queued behind this view change on the CPU) is void, but gap
+        # retransmission itself must keep running — a replica whose lone
+        # view change never completes (e.g. its view raced ahead while
+        # partitioned) recovers *only* through fetches.
+        self._fetch_timer.cancel()
         self._maybe_schedule_fetch()
         # Drop window-parked proposals too: they live on in ``pending`` and
         # are re-introduced after the new view, whereas a stale backlog

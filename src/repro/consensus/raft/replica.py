@@ -23,6 +23,7 @@ from repro.consensus.raft.messages import (
 from repro.crypto.primitives import attach_auth, make_mac, verify_mac
 from repro.errors import ConfigurationError
 from repro.sim.futures import SimFuture
+from repro.sim.node import Timer
 from repro.sim.routing import Component, RoutedNode
 
 FOLLOWER = "follower"
@@ -81,8 +82,8 @@ class RaftReplica(Component, Agreement):
         )
         self.batches_cut = 0
         self.largest_batch = 0
-        self._election_timer = None
-        self._heartbeat_timer = None
+        self._election_timer = Timer(node, self._on_election_timeout)
+        self._heartbeat_timer = Timer(node, self._send_heartbeats)
         self.elections_won = 0
         #: True between a durable-state wipe and the first valid
         #: AppendEntries adoption: the replica must neither vote nor stand
@@ -235,9 +236,7 @@ class RaftReplica(Component, Agreement):
         term state survived the crash (fail-stop, not disk loss), so the
         ordinary AppendEntries flow resynchronises the history.
         """
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
+        self._heartbeat_timer.cancel()
         if self.role == LEADER:
             # Peers may have elected someone newer meanwhile; their higher
             # term steps us down on the first reply.
@@ -284,11 +283,8 @@ class RaftReplica(Component, Agreement):
     # Elections
     # ------------------------------------------------------------------
     def _reset_election_timer(self) -> None:
-        if self._election_timer is not None:
-            self._election_timer.cancel()
         spread = ELECTION_TIMEOUT_MAX_MS - ELECTION_TIMEOUT_MIN_MS
-        timeout = ELECTION_TIMEOUT_MIN_MS + self.sim.rng.random() * spread
-        self._election_timer = self.node.set_timeout(timeout, self._on_election_timeout)
+        self._election_timer.start(ELECTION_TIMEOUT_MIN_MS + self.sim.rng.random() * spread)
 
     def _on_election_timeout(self) -> None:
         if self.role == LEADER:
@@ -385,9 +381,7 @@ class RaftReplica(Component, Agreement):
         if self.leader == self.node.name:
             self.leader = None  # don't self-forward re-ordered batch items
         self._accumulator.cut()  # returns buffered payloads to the order() path
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
+        self._heartbeat_timer.cancel()
         self._reset_election_timer()
 
     # ------------------------------------------------------------------
@@ -427,7 +421,7 @@ class RaftReplica(Component, Agreement):
         if self.role != LEADER:
             return
         self._replicate()
-        self._heartbeat_timer = self.node.set_timeout(HEARTBEAT_MS, self._send_heartbeats)
+        self._heartbeat_timer.start(HEARTBEAT_MS)
 
     def _replicate(self) -> None:
         for peer in self.peers:

@@ -171,7 +171,7 @@ class SpiderClient(Node):
         for replica in nodes:
             self.send(replica, message)
         if remaining > 1:
-            self.set_timeout(
+            self.after(
                 self.retry_ms, self._announce_close, message, nodes, remaining - 1
             )
         else:
@@ -257,7 +257,7 @@ class SpiderClient(Node):
         )
         for replica in self.group_nodes:
             self.send(replica, request)
-        pending["retry"] = self.set_timeout(self.retry_ms, self._send_request)
+        pending["retry"] = self.after(self.retry_ms, self._send_request)
 
     def _send_weak(self, state) -> None:
         if state["future"].done:
@@ -279,7 +279,7 @@ class SpiderClient(Node):
         )
         for replica in self.group_nodes:
             self.send(replica, message)
-        state["retry"] = self.set_timeout(self.retry_ms, self._send_weak, state)
+        state["retry"] = self.after(self.retry_ms, self._send_weak, state)
 
     def _upgrade_to_strong_read(self, state) -> None:
         """The weak read kept stalling: order it instead (Section 3.3)."""
@@ -289,7 +289,7 @@ class SpiderClient(Node):
             # retrying — its retired subchannel cannot order anything, but
             # replicas still answer weak reads, so keep retrying weakly
             # (the state stays registered so weak replies can resolve it).
-            state["retry"] = self.set_timeout(self.retry_ms, self._send_weak, state)
+            state["retry"] = self.after(self.retry_ms, self._send_weak, state)
             state["attempts"] = 0
             return
         self._weak_pending.pop(state["nonce"], None)
@@ -431,7 +431,7 @@ class AdminClient(Node):
             )
             message = attach_auth(body, signature=sign(self.name, body))
             self._broadcast(message)
-            self.set_timeout(retry_ms, attempt)
+            self.after(retry_ms, attempt)
 
         self.run_task(attempt)
         return future

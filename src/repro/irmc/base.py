@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.crypto.primitives import attach_auth, make_mac_vector, verify_mac_vector
 from repro.irmc.messages import MoveMsg, MovesMsg, RetireEcho, RetireMsg
 from repro.sim.futures import SimFuture
+from repro.sim.node import Timer
 from repro.sim.routing import Component, RoutedNode
 
 
@@ -146,15 +147,6 @@ class Book:
     evidence: bool = False
 
 
-@dataclass
-class _Chain:
-    """One periodic timer: its period, its body, its pending handle."""
-
-    period_ms: float
-    tick: Callable[[], None]
-    handle: Any = None
-
-
 class IrmcEndpoint(Component):
     """Common state of sender and receiver endpoints, and the only
     lifecycle code: ``BOOKS`` decides a book's fate, :meth:`_every` a
@@ -183,7 +175,7 @@ class IrmcEndpoint(Component):
         #: not a book: a retirement fills it and only a wipe empties it
         self._retired: Dict[Any, None] = {}
         #: the periodic timers, in creation order
-        self._chains: List[_Chain] = []
+        self._chains: List[Timer] = []
         node.add_recovery_hook(self._on_node_recover)
         node.add_wipe_hook(self._on_node_wipe)
 
@@ -269,29 +261,18 @@ class IrmcEndpoint(Component):
     # ------------------------------------------------------------------
     def _every(self, period_ms: float, tick: Callable[[], None]) -> None:
         """Run ``tick`` every ``period_ms`` until ``close()``."""
-        chain = _Chain(period_ms, tick)
+        chain = Timer(self.node, tick, period_ms)
         self._chains.append(chain)
-        self._arm(chain)
-
-    def _arm(self, chain: _Chain) -> None:
-        chain.handle = self.node.set_timeout(chain.period_ms, self._tick, chain)
-
-    def _tick(self, chain: _Chain) -> None:
-        if self.closed:
-            return
-        chain.tick()
-        self._arm(chain)
+        chain.start()
 
     def _on_node_recover(self) -> None:
-        """Re-arm the chains: a callback dropped while the node was crashed
-        breaks its chain for good.  Cancelling a fired handle is a no-op,
-        so whether the old chain died or still has a pending link,
-        exactly one survives."""
+        """Restart the chains: a callback dropped while the node was
+        crashed ends its chain for good.  A restart voids whatever the
+        old chain left, so exactly one link survives either way."""
         if self.closed:
             return
         for chain in self._chains:
-            chain.handle.cancel()
-            self._arm(chain)
+            chain.start()
 
     # ------------------------------------------------------------------
     # Window helpers
@@ -329,7 +310,7 @@ class IrmcEndpoint(Component):
     def close(self) -> None:
         self.closed = True
         for chain in self._chains:
-            chain.handle.cancel()
+            chain.cancel()
         self.node.remove_recovery_hook(self._on_node_recover)
         self.node.remove_wipe_hook(self._on_node_wipe)
         super().close()

@@ -30,6 +30,7 @@ from repro.irmc.messages import (
     SelectMsg,
     SigShare,
 )
+from repro.sim.node import Timer
 
 
 class ScSenderEndpoint(SenderEndpointBase):
@@ -241,8 +242,8 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         self._merged_progress: Dict[Any, int] = {}
         #: subchannel -> index of current collector in the sender group
         self._collector_index: Dict[Any, int] = {}
-        #: subchannel -> pending timeout handle
-        self._timers: Dict[Any, Any] = {}
+        #: subchannel -> its collector watchdog
+        self._timers: Dict[Any, Timer] = {}
         self.collector_switches = 0
 
     # ------------------------------------------------------------------
@@ -320,7 +321,7 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         return any(p not in delivered for p in range(start, merged + 1))
 
     def _watch(self, subchannel: Any) -> None:
-        self._timers[subchannel] = self.node.set_timeout(
+        self._timers[subchannel] = self.node.after(
             self.config.collector_timeout_ms, self._on_collector_timeout, subchannel
         )
 
@@ -364,11 +365,11 @@ class ScReceiverEndpoint(ReceiverEndpointBase):
         super()._on_node_wipe()
 
     def _on_node_recover(self) -> None:
-        """Rebuild the collector-watchdog timers lost with the crash.
+        """Rebuild the collector watchdogs lost with the crash.
 
-        A stale entry in ``_timers`` (its callback was dropped with the
-        CPU queue) would otherwise suppress re-arming for that subchannel
-        forever, leaving collector failover dead.
+        A watchdog whose callback was dropped with the CPU queue stays in
+        ``_timers`` and would otherwise suppress re-arming for that
+        subchannel forever, leaving collector failover dead.
         """
         if self.closed:
             return

@@ -11,12 +11,14 @@ executes:
 * :class:`~repro.sim.node.Node` — a simulated machine with a serial CPU;
   crypto and execution charge CPU time that delays subsequent work, which is
   what makes throughput and CPU-usage experiments meaningful.
+* :class:`~repro.sim.node.Timer` — the one way protocols arm timers on a
+  node: a reset or cancel also voids a callback already queued on the CPU.
 """
 
 from repro.sim.core import Simulator
 from repro.sim.events import EventHandle
 from repro.sim.futures import SimFuture, gather
-from repro.sim.node import Node, charge, current_node
+from repro.sim.node import Node, Timer, charge, current_node
 from repro.sim.process import Process, Sleep, sleep, spawn
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "SimFuture",
     "gather",
     "Node",
+    "Timer",
     "charge",
     "current_node",
     "Process",

@@ -53,6 +53,67 @@ def charge(cost_ms: float) -> None:
         node._pending_cost += cost_ms
 
 
+class Timer:
+    """A timer on ``node``'s CPU whose stale callbacks never run.
+
+    ``start(delay, *args)`` runs ``fn(*args)`` as a CPU task ``delay`` ms
+    later (default ``period_ms``); with ``period_ms`` set the timer re-arms
+    after each run of the body.  A timer event that fired may still sit in
+    the CPU queue behind other work: ``cancel()`` and a re-``start()`` void
+    that callback too, so a reset can never be undone by the run it
+    replaced.  ``armed`` is true from ``start()`` until the body runs or
+    ``cancel()``.  A crash cancels nothing: a callback dropped with a
+    crashed node's queue leaves the timer armed, and the owning
+    component's recovery hook restarts it.
+    """
+
+    __slots__ = ("node", "fn", "period_ms", "_args", "_epoch", "_handle")
+
+    def __init__(self, node: "Node", fn: Callable[..., Any], period_ms: Optional[float] = None):
+        self.node = node
+        self.fn = fn
+        self.period_ms = period_ms
+        self._args: tuple = ()
+        self._epoch = 0
+        #: the event of the current start; ``None`` once the body ran or
+        #: the timer was cancelled
+        self._handle: Optional["EventHandle"] = None
+
+    @property
+    def armed(self) -> bool:
+        return self._handle is not None
+
+    @property
+    def deadline(self) -> Optional[float]:
+        """When the armed callback is due (``None`` when not armed)."""
+        return None if self._handle is None else self._handle.time
+
+    def start(self, delay: Optional[float] = None, *args: Any) -> None:
+        """(Re-)arm; whatever an earlier start left pending or queued is void."""
+        if delay is None:
+            delay = self.period_ms
+        assert delay is not None, "a one-shot Timer starts with a delay"
+        self.cancel()
+        self._args = args
+        self._handle = self.node._set_timeout(delay, self._fire, self._epoch)
+
+    def cancel(self) -> None:
+        """Disarm, voiding a callback that already fired but has not run.
+        Idempotent."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        self._epoch += 1
+
+    def _fire(self, epoch: int) -> None:
+        if epoch != self._epoch:
+            return  # cancelled or restarted while queued on the CPU
+        self._handle = None
+        self.fn(*self._args)
+        if self.period_ms is not None and epoch == self._epoch:
+            self.start(None, *self._args)  # the body neither cancelled nor restarted
+
+
 class Node:
     """A machine in a specific availability zone with a serial CPU.
 
@@ -291,10 +352,18 @@ class Node:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def set_timeout(
+    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
+        """Run ``fn(*args)`` on this CPU after ``delay`` ms: a started
+        one-shot :class:`Timer`."""
+        timer = Timer(self, fn)
+        timer.start(delay, *args)
+        return timer
+
+    def _set_timeout(
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> "EventHandle":
-        """Run ``fn(*args)`` on this CPU after ``delay`` ms; returns a handle.
+        """Run ``fn(*args)`` on this CPU after ``delay`` ms; only
+        :class:`Timer` calls this.
 
         The delay is measured on the node's *local* clock: under clock skew
         (``clock_rate != 1.0``) a requested ``delay`` elapses in ``delay /

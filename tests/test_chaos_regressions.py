@@ -8,6 +8,8 @@ invariant before its fix landed.
 
 from __future__ import annotations
 
+from typing import Any, Dict, List, NamedTuple
+
 import pytest
 
 from repro.chaos import FaultAction, chaos_case
@@ -56,12 +58,12 @@ class TestPbftViewTimerRace:
         cluster.sim.schedule(0.0, leader.order, ("op", 1))
         cluster.sim.schedule(0.0, leader.order, ("op", 2))
         cluster.run(until=50.0)
-        assert leader.pending and leader._view_timer is not None
+        assert leader.pending and leader._view_timer.armed
 
         # Keep the CPU busy across the timer's fire time so the timeout
         # callback queues behind our "progress" task instead of running
         # immediately...
-        fire_at = leader._view_timer.time
+        fire_at = leader._view_timer.deadline
 
         def hog():
             from repro.sim.node import charge
@@ -80,7 +82,7 @@ class TestPbftViewTimerRace:
         assert not leader.in_view_change
         # ... and exactly one view timer may be live: the one armed by the
         # reset (pre-fix the stale callback orphaned it and armed another).
-        assert leader._view_timer is not None
+        assert leader._view_timer.armed
         assert _live_cancellable_events(cluster.sim) == 1
 
     def test_view_timer_still_fires_when_progress_stalls(self):
@@ -112,16 +114,18 @@ class TestPbftFetchTimerHygiene:
         slot.prepared = True
         slot.committed = True
         replica._maybe_schedule_fetch()
-        assert replica._fetch_timer is not None
-        fetch_handle = replica._fetch_timer
+        assert replica._fetch_timer.armed
+        first_deadline = replica._fetch_timer.deadline
+        live = _live_cancellable_events(cluster.sim)
 
+        cluster.run(until=10.0)
         replica._start_view_change(1)
         # The old timer event is dead (not leaked), and a *fresh* one is
         # armed because the committed gap still exists — gap fetch is the
         # only recovery path when the view change never completes.
-        assert fetch_handle.cancelled
-        assert replica._fetch_timer is not None
-        assert replica._fetch_timer is not fetch_handle
+        assert replica._fetch_timer.armed
+        assert replica._fetch_timer.deadline > first_deadline
+        assert _live_cancellable_events(cluster.sim) == live
 
     def test_stale_fetch_callback_is_ignored_after_reset(self):
         cluster = Cluster()
@@ -138,7 +142,7 @@ class TestPbftFetchTimerHygiene:
         slot.prepared = True
         slot.committed = True
         replica._maybe_schedule_fetch()
-        fire_at = replica._fetch_timer.time
+        fire_at = replica._fetch_timer.deadline
 
         def hog():
             from repro.sim.node import charge
@@ -148,14 +152,14 @@ class TestPbftFetchTimerHygiene:
         # The fetch timer fires while the CPU is busy; a cancel lands before
         # the stale callback runs on the CPU.
         cluster.sim.schedule_at(fire_at - 5.0, node.run_task, hog)
-        cluster.sim.schedule_at(fire_at - 1.0, node.run_task, replica._cancel_fetch_timer)
+        cluster.sim.schedule_at(fire_at - 1.0, node.run_task, replica._fetch_timer.cancel)
         sent_before = cluster.network.lan.messages + cluster.network.wan.messages
         cluster.run(until=fire_at + 30.0)
         sent_after = cluster.network.lan.messages + cluster.network.wan.messages
 
         # The stale callback must not have sent FetchSlot requests.
         assert sent_after == sent_before
-        assert replica._fetch_timer is None
+        assert not replica._fetch_timer.armed
 
 
 class TestIrmcRcFloodBookkeeping:
@@ -690,9 +694,25 @@ class TestOverlappingLinkWindows:
 
 _INTO_THE_WINDOW = "recovers into a window that eats its one state-transfer retry"
 
-#: (case, seed found at) -> the minimal two-action schedule and why it is red.
+
+class RedCell(NamedTuple):
+    """A minimal two-action schedule of ``case`` at ``seed`` and why it is
+    red; ``overrides`` are knobs of the case (:func:`chaos_case`)."""
+
+    case: str
+    seed: int
+    pair: List[FaultAction]
+    reason: str
+    overrides: Dict[str, Any] = {}
+
+    def run(self, actions):
+        with use_cost_model(CostModel()):
+            return chaos_case(self.case, **self.overrides).run(self.seed, actions=actions)
+
+
+#: case-seed (where found) -> the red cell
 RED_CELLS = {
-    "spider-118": (
+    "spider-118": RedCell(
         "spider",
         118,
         [
@@ -701,7 +721,7 @@ RED_CELLS = {
         ],
         _INTO_THE_WINDOW,
     ),
-    "spider-123": (
+    "spider-123": RedCell(
         "spider",
         123,
         [
@@ -710,7 +730,7 @@ RED_CELLS = {
         ],
         _INTO_THE_WINDOW,
     ),
-    "spider-shard-64": (
+    "spider-shard-64": RedCell(
         "spider-shard",
         64,
         [
@@ -719,7 +739,7 @@ RED_CELLS = {
         ],
         _INTO_THE_WINDOW,
     ),
-    "irmc-sc-111": (
+    "irmc-sc-111": RedCell(
         "irmc-sc",
         111,
         [
@@ -728,15 +748,29 @@ RED_CELLS = {
         ],
         "a Progress lost to the partition is suppressed as no-news forever",
     ),
+    # ROADMAP item 7(a): ag1 recovers into a lone view change it never
+    # leaves, so ag2's later crash takes the group's last fault margin.
+    "spider-4": RedCell(
+        "spider",
+        4,
+        [
+            FaultAction("crash", "ag1", 4391.303, 6202.635),
+            FaultAction("crash", "ag2", 15000.0, 60000.0),
+        ],
+        "a recovered follower stays in a lone view change; a second crash then stalls the group",
+        {"requests_per_client": 64, "settle_ms": 150_000.0},
+    ),
 }
 
 
 class TestKnownRedCells:
-    """Open bugs, visible to CI until someone fixes them (ROADMAP item 1a).
+    """Open bugs, visible to CI until someone fixes them (ROADMAP items 1a
+    and 7a).
 
     Seeds 100-129 of the nine IRMC / Spider chaos cases (the golden record
     pins 1-12 only) hold four cells that violate a liveness invariant under
-    the default cost model, unchanged since at least PR 15's parent.  Each
+    the default cost model; the fifth is ``spider``/4's crash followed by
+    a second, longer one.  Each
     is pinned by its shrunk schedule, not by the seed that found it, so a
     change to the schedule generator cannot hide it; ``strict`` turns a
     fix into a failure that asks for this table to shrink.
@@ -745,23 +779,20 @@ class TestKnownRedCells:
     @pytest.mark.parametrize(
         "cell",
         [
-            pytest.param(cell, marks=pytest.mark.xfail(strict=True, reason=reason))
-            for cell, (_name, _seed, _pair, reason) in RED_CELLS.items()
+            pytest.param(cell, marks=pytest.mark.xfail(strict=True, reason=red.reason))
+            for cell, red in RED_CELLS.items()
         ],
     )
     def test_pair_holds_its_invariants(self, cell):
-        name, seed, pair, _reason = RED_CELLS[cell]
-        with use_cost_model(CostModel()):
-            result = chaos_case(name).run(seed, actions=pair)
-        assert result.violations == []
+        red = RED_CELLS[cell]
+        assert red.run(red.pair).violations == []
 
     @pytest.mark.parametrize("cell", RED_CELLS)
     def test_each_action_alone_is_green(self, cell):
         """The bug needs both windows: either one alone heals."""
-        name, seed, pair, _reason = RED_CELLS[cell]
-        with use_cost_model(CostModel()):
-            for action in pair:
-                assert chaos_case(name).run(seed, actions=[action]).violations == []
+        red = RED_CELLS[cell]
+        for action in red.pair:
+            assert red.run([action]).violations == []
 
     def test_spider_shard_111_holds_its_invariants(self):
         # Green by timing: its lone view changes count as progress, so a retry outlives the drop.

@@ -1,11 +1,12 @@
 """The IRMC endpoint lifecycle is declared, not chained.
 
 Each endpoint class lists its per-subchannel books in ``BOOKS`` and
-registers its periodic timers with ``_every``; ``IrmcEndpoint`` wipes,
-retires, purges and re-arms whatever is declared.  These tests hold the
+registers its periodic timers with ``_every``, which builds each on the
+node's periodic :class:`~repro.sim.node.Timer`; ``IrmcEndpoint`` wipes,
+retires, purges and restarts whatever is declared.  These tests hold the
 declaration to that: a wiped endpoint equals a fresh one book by book, a
 retired subchannel is in no book and nothing can bring it back, a dict
-that is not declared fails, and every chain has exactly one pending link.
+that is not declared fails, and every chain has exactly one pending event.
 """
 
 import pytest
@@ -86,16 +87,22 @@ def books_naming(endpoint, subchannel):
     ]
 
 
-def pending_links(sim, chain):
-    """Live timer events in the simulator's heap that belong to ``chain``."""
-    return [
-        entry[2]
+def pending_links(sim, endpoint):
+    """Deadlines of the live timer events on ``endpoint``'s node."""
+    return sorted(
+        entry[2].time
         for entry in sim._queue
         if len(entry) == 3
         and not entry[2].cancelled
         and not entry[2].fired
-        and chain in entry[2].args
-    ]
+        and entry[2].fn == endpoint.node.run_task
+    )
+
+
+def chain_deadlines(endpoint):
+    """Where the endpoint's chains say their next link is due."""
+    assert all(chain.armed for chain in endpoint._chains)
+    return sorted(chain.deadline for chain in endpoint._chains)
 
 
 @pytest.mark.parametrize("kind, name", ENDPOINTS)
@@ -176,11 +183,9 @@ class TestChains:
         fx.cluster.run(until=1_000.0 + outage_ms)
         endpoint.node.recover()
         fx.cluster.run(until=1_001.0 + outage_ms)
-        for chain in endpoint._chains:
-            assert pending_links(sim, chain) == [chain.handle]
+        assert pending_links(sim, endpoint) == chain_deadlines(endpoint)
         fx.cluster.run(until=5_000.0)  # still one after the chains ran on
-        for chain in endpoint._chains:
-            assert pending_links(sim, chain) == [chain.handle]
+        assert pending_links(sim, endpoint) == chain_deadlines(endpoint)
         endpoint.close()
-        for chain in endpoint._chains:
-            assert pending_links(sim, chain) == []
+        assert pending_links(sim, endpoint) == []
+        assert not any(chain.armed for chain in endpoint._chains)

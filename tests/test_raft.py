@@ -2,7 +2,7 @@
 
 from repro.consensus import Batch, batch_items
 from repro.consensus.raft import RaftConfig, RaftReplica
-from repro.sim import Process
+from repro.sim import Process, charge
 
 from tests.conftest import Cluster
 
@@ -65,6 +65,26 @@ class TestElections:
         harness = RaftHarness(cluster, n=5)
         cluster.run(until=3000.0)
         assert harness.leader() is not None
+
+    def test_stale_fired_election_timeout_is_void_after_reset(self):
+        """An election timeout that fired at the simulator but still queues
+        behind other work on the CPU must not run once the timer was reset
+        (a heartbeat got through first): the follower stays a follower."""
+        cluster = Cluster()
+        harness = RaftHarness(cluster)
+        cluster.run(until=3000.0)
+        leader = harness.leader()
+        follower = next(r for r in harness.replicas if r is not leader)
+        for replica in harness.replicas:
+            if replica is not follower:
+                replica.node.crash()  # no heartbeat and no vote from here on
+        term = follower.term
+        deadline = follower._election_timer.deadline
+        node = follower.node
+        cluster.sim.schedule_at(deadline - 5.0, node.run_task, charge, 20.0)
+        cluster.sim.schedule_at(deadline - 1.0, node.run_task, follower._reset_election_timer)
+        cluster.run(until=deadline + 30.0)
+        assert follower.role == "follower" and follower.term == term == 1
 
 
 class TestReplication:

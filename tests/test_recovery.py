@@ -411,10 +411,10 @@ class TestIrmcRecovery:
         senders[1].recover()
         cluster.run(until=6_000.0)
         assert rx["r3"]._delivered.get("sub", {}).get(1) == ("m", 1)
-        # The chains are armed (a pending handle, not a dead fired one).
+        # The chains are armed (a pending deadline, not a dead fired one).
         for name in ("s0", "s1"):
             (chain,) = tx[name]._chains
-            assert not chain.handle.fired
+            assert chain.armed and chain.deadline > cluster.sim.now
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the serial-CPU node model and its interaction with the network."""
 
 from repro.net import Network, Site, Topology
-from repro.sim import Node, Simulator, charge
+from repro.sim import Node, Simulator, Timer, charge
 
 
 class Recorder(Node):
@@ -65,18 +65,125 @@ class TestNodeCpu:
         sim = Simulator()
         node = Node(sim, "n", Site("virginia"))
         fired = []
-        node.set_timeout(4.0, lambda: fired.append(sim.now))
+        timer = node.after(4.0, lambda: fired.append(sim.now))
+        assert timer.armed and timer.deadline == 4.0
         sim.run()
         assert fired == [4.0]
+        assert not timer.armed and timer.deadline is None
 
     def test_cancelled_timeout_does_not_fire(self):
         sim = Simulator()
         node = Node(sim, "n", Site("virginia"))
         fired = []
-        handle = node.set_timeout(4.0, lambda: fired.append(sim.now))
-        handle.cancel()
+        timer = node.after(4.0, lambda: fired.append(sim.now))
+        timer.cancel()
         sim.run()
         assert fired == []
+        assert sim.events_processed == 0  # the event went, not just its body
+
+
+def _fired_behind_a_hog(sim, node):
+    """Arm a 10 ms one-shot on ``node`` and keep the CPU busy until 15 ms:
+    returns the timer and the list its body appends to, with the simulator
+    stopped where the callback has fired but still queues."""
+    fired = []
+    timer = node.after(10.0, fired.append, "body")
+    node.run_task(charge, 15.0)
+    sim.run(until=11.0)
+    assert fired == [] and timer.armed  # fired at the simulator, queued on the CPU
+    return timer, fired
+
+
+class TestTimer:
+    """The stale-callback guard is the timer's, not each caller's."""
+
+    def test_cancel_voids_a_callback_that_fired_but_still_queues(self):
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        timer, fired = _fired_behind_a_hog(sim, node)
+        timer.cancel()
+        sim.run()
+        assert fired == [] and not timer.armed
+
+    def test_start_voids_it_too(self):
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        timer, fired = _fired_behind_a_hog(sim, node)
+        timer.start(30.0, "restarted")
+        sim.run(until=40.0)
+        assert fired == [] and timer.deadline == 41.0
+        sim.run()
+        assert fired == ["restarted"]
+
+    def test_periodic_timer_rearms_after_its_body(self):
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        ticks = []
+
+        def tick():
+            charge(1.0)
+            ticks.append(sim.now)
+
+        timer = Timer(node, tick, period_ms=10.0)
+        timer.start()
+        sim.run(until=35.0)
+        # Re-armed when the body ran, so the body's own CPU time does not
+        # drift the period.
+        assert ticks == [10.0, 20.0, 30.0]
+        assert timer.armed and timer.deadline == 40.0
+        timer.cancel()
+        sim.run()
+        assert ticks == [10.0, 20.0, 30.0] and sim.pending_events == 0
+
+    def test_periodic_body_that_cancels_stops_the_chain(self):
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) == 2:
+                timer.cancel()
+
+        timer = Timer(node, tick, period_ms=10.0)
+        timer.start()
+        sim.run()
+        assert ticks == [10.0, 20.0] and not timer.armed
+
+    def test_cancel_is_idempotent(self):
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        timer = node.after(5.0, lambda: None)
+        timer.cancel()
+        timer.cancel()
+        Timer(node, lambda: None).cancel()  # never started
+        assert not timer.armed and sim.pending_events == 0
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_clock_skew_applies_at_arm_time(self):
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        node.clock_rate = 2.0  # a fast clock: 10 local ms are 5 real ones
+        timer = node.after(10.0, lambda: None)
+        node.clock_rate = 0.5  # drifting later keeps the armed deadline
+        assert timer.deadline == 5.0
+        timer.start(10.0)
+        assert timer.deadline == 20.0
+
+    def test_crash_cancels_nothing(self):
+        """A callback dropped with a crashed CPU leaves the timer armed:
+        restarting it is the owning component's recovery hook's job."""
+        sim = Simulator()
+        node = Node(sim, "n", Site("virginia"))
+        fired = []
+        timer = node.after(10.0, fired.append, "body")
+        node.crash()
+        sim.run(until=20.0)
+        node.recover()
+        sim.run()
+        assert fired == [] and timer.armed
+        assert sim.events_processed == 1  # the timer event still counts
 
 
 class TestNetworkDelivery:
