@@ -23,9 +23,10 @@ families, run as ``python -m repro.lint src tests benchmarks``.
 **P-rules (protocol safety)** catch the structural bug classes the chaos
 campaign (PR 3) flushed out dynamically:
 
-* ``P201`` — ``set_timeout`` callbacks in classes that maintain
-  crash/view epochs but don't capture-and-check the epoch (the stale
-  fired-but-queued timer wedge).
+* ``P201`` — node timers in ``src/`` not built on
+  :class:`repro.sim.Timer` (a ``set_timeout`` call, or a ``schedule`` /
+  ``post`` of a ``run_task`` callback): only ``Timer`` voids a callback
+  that fired but still queues on the CPU (the stale-timer wedge).
 * ``P202`` — ``object.__setattr__`` outside ``crypto/primitives.py``
   (in-place tampering with frozen ``Digestible`` messages).
 * ``P203`` — handler methods reaching into the sending node's attributes

@@ -3,7 +3,7 @@
 Every rule is registered in :data:`RULES` with its id, a one-line
 description of what it catches, and the fix hint attached to findings.
 The checker (:class:`RuleChecker`) is a single ``ast.NodeVisitor`` that
-carries enough context — class stack, function stack, per-class epoch
+carries enough context — class stack, function stack, per-class set
 prescan, per-function set-typed locals — for each rule to fire with few
 false positives; anything it cannot prove is left to the runtime
 sanitizer.
@@ -65,10 +65,10 @@ RULES: Dict[str, Rule] = {
         ),
         Rule(
             "P201",
-            "set_timeout callback in a class with crash/view epochs that does not "
-            "capture-and-check the epoch",
-            "pass self._<x>_epoch as a callback argument and return early when it "
-            "no longer matches (see PbftReplica._on_view_timeout)",
+            "node timer not built on repro.sim.Timer (a set_timeout call, or a "
+            "schedule / post whose callback is run_task) in src/ outside repro/sim",
+            "use a Timer (node.after(delay, fn, *args) for a one-shot): its cancel() "
+            "and start() also void a callback already queued on the CPU",
         ),
         Rule(
             "P202",
@@ -144,6 +144,8 @@ _ORDER_SINKS = frozenset(
         "send",
         "send_all",
         "set_timeout",
+        "after",
+        "start",
         "schedule",
         "schedule_at",
         "post",
@@ -237,8 +239,6 @@ class _ClassInfo:
     """Prescan results for one class body."""
 
     def __init__(self, node: ast.ClassDef):
-        self.name = node.name
-        self.has_epochs = False
         self.set_attrs: Set[str] = set()
         for child in ast.walk(node):
             target = None
@@ -256,8 +256,6 @@ class _ClassInfo:
                 and target.value.id == "self"
             ):
                 continue
-            if "epoch" in target.attr:
-                self.has_epochs = True
             if value is not None and _is_syntactic_set(value, frozenset()):
                 self.set_attrs.add(target.attr)
             if isinstance(child, ast.AnnAssign) and _is_set_annotation(
@@ -338,10 +336,12 @@ class RuleChecker(ast.NodeVisitor):
 
     def __init__(self, path: str = "<string>"):
         self.path = path
-        #: posix-style path suffix check for the P202 exemption.
-        self._in_primitives = path.replace("\\", "/").endswith(
-            "crypto/primitives.py"
-        )
+        posix = "/" + path.replace("\\", "/")
+        #: the P202 exemption
+        self._in_primitives = posix.endswith("crypto/primitives.py")
+        #: P201's scope: ``src/`` minus the simulator that builds Timer;
+        #: tests drive the CPU on purpose
+        self._in_protocol_code = "/src/" in posix and "/src/repro/sim/" not in posix
         self.findings: List[RawFinding] = []
         self._class_stack: List[_ClassInfo] = []
         #: per-function-scope set-typed local names (for D104).
@@ -442,34 +442,15 @@ class RuleChecker(ast.NodeVisitor):
         if isinstance(func, ast.Name) and func.id == "id" and node.args:
             self._emit("D105", node, "id() is an object address, unstable across runs")
 
-        # P201: epoch-free timers in epoch-bearing classes.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "set_timeout"
-            and self._class_stack
-            and self._class_stack[-1].has_epochs
-            and len(node.args) >= 2
-        ):
-            callback = node.args[1]
-            if (
-                isinstance(callback, ast.Attribute)
-                and isinstance(callback.value, ast.Name)
-                and callback.value.id == "self"
+        # P201: node timers not built on Timer.
+        if self._in_protocol_code and isinstance(func, ast.Attribute):
+            callback = node.args[1] if len(node.args) >= 2 else None
+            if func.attr in ("set_timeout", "_set_timeout") or (
+                func.attr in ("schedule", "schedule_at", "post", "post_at")
+                and isinstance(callback, ast.Attribute)
+                and callback.attr == "run_task"
             ):
-                passes_epoch = any(
-                    isinstance(arg, ast.Attribute)
-                    and isinstance(arg.value, ast.Name)
-                    and arg.value.id == "self"
-                    and "epoch" in arg.attr
-                    for arg in node.args[2:]
-                )
-                if not passes_epoch:
-                    self._emit(
-                        "P201",
-                        node,
-                        f"set_timeout({callback.attr}) in epoch-bearing class "
-                        f"{self._class_stack[-1].name} does not capture an epoch",
-                    )
+                self._emit("P201", node, f"{func.attr}() arms a node timer outside Timer")
 
         # P202: object.__setattr__ outside the crypto boundary.
         if (

@@ -3,7 +3,7 @@
 Each rule gets a *paired* fixture: one snippet that must fire and one
 near-miss that must not.  The near-misses encode the repo idioms the rules
 were calibrated against (namespaced RNG seeds, sorted set iteration,
-epoch-captured timers), so a refactor that over-tightens a rule breaks
+timers built on ``Timer``), so a refactor that over-tightens a rule breaks
 here before it breaks the tree.
 """
 
@@ -145,6 +145,18 @@ class TestD104SetIteration:
             """
         )
 
+    def test_fires_on_set_iteration_arming_timers(self):
+        fired = rules_fired(
+            """
+            def arm(self, watched, timers):
+                for subchannel in set(watched):
+                    self.node.after(50.0, self._check, subchannel)
+                for subchannel in set(watched):
+                    timers[subchannel].start()
+            """
+        )
+        assert fired.count("D104") == 2
+
     def test_fires_on_self_attr_set(self):
         assert "D104" in rules_fired(
             """
@@ -222,53 +234,41 @@ class TestD106FloatTimeEquality:
 # ----------------------------------------------------------------------
 # P-rules
 # ----------------------------------------------------------------------
+_RAW_TIMERS = """
+    class Replica:
+        def arm(self, epoch):
+            # Even with a hand-rolled epoch: the guard belongs to Timer.
+            self._timer = self.node._set_timeout(100.0, self._on_timeout, epoch)
+            self.sim.schedule(5.0, self.node.run_task, self._on_timeout)
+            self.sim.post_at(9.0, self.node.run_task, self._on_timeout)
+    """
+
+
 class TestP201EpochTimers:
-    def test_fires_on_epoch_free_timer_in_epoch_class(self):
-        assert "P201" in rules_fired(
-            """
-            class Replica:
-                def __init__(self, node):
-                    self.node = node
-                    self._view_epoch = 0
-                def arm(self):
-                    self._timer = self.node.set_timeout(100.0, self._on_timeout)
-                def _on_timeout(self):
-                    pass
-            """
-        )
+    def test_fires_on_a_node_timer_outside_timer(self):
+        fired = rules_fired(_RAW_TIMERS, path="src/repro/consensus/pbft/replica.py")
+        assert fired.count("P201") == 3
 
-    def test_near_miss_epoch_captured(self):
-        # The PbftReplica idiom: pass the epoch, check it in the callback.
+    def test_near_miss_timer(self):
+        # The one idiom: a Timer the component owns, or node.after for a
+        # one-shot; plain scheduling of anything but a CPU task is fine.
         assert "P201" not in rules_fired(
             """
             class Replica:
                 def __init__(self, node):
-                    self.node = node
-                    self._view_epoch = 0
+                    self._view_timer = Timer(node, self._on_timeout)
                 def arm(self):
-                    self._timer = self.node.set_timeout(
-                        100.0, self._on_timeout, self._view_epoch
-                    )
-                def _on_timeout(self, epoch):
-                    if epoch != self._view_epoch:
-                        return
-            """
+                    self._view_timer.start(100.0)
+                    self.retry = self.node.after(50.0, self._on_timeout)
+                    self.sim.schedule(5.0, self.engine.undo, "window")
+            """,
+            path="src/repro/consensus/pbft/replica.py",
         )
 
-    def test_near_miss_class_without_epochs(self):
-        # Classes with no crash/view epochs (e.g. BatchAccumulator) are
-        # outside the rule's contract.
-        assert "P201" not in rules_fired(
-            """
-            class Accumulator:
-                def __init__(self, node):
-                    self.node = node
-                def arm(self):
-                    self._timer = self.node.set_timeout(100.0, self._on_timeout)
-                def _on_timeout(self):
-                    pass
-            """
-        )
+    def test_near_miss_simulator_and_tests(self):
+        # The simulator builds Timer; tests drive the CPU on purpose.
+        for path in ("src/repro/sim/node.py", "tests/test_pbft.py"):
+            assert "P201" not in rules_fired(_RAW_TIMERS, path=path)
 
 
 class TestP202SetattrBoundary:
