@@ -40,14 +40,33 @@ Public API in one breath
   that names a cell; ``chaos_case(name, **overrides).run(seed)`` is a
   pure function of its inputs, and an override the case does not declare
   is a :class:`~repro.errors.ConfigurationError`.
+* :data:`SUITES` / :func:`run_cells` — the chaos and reshard suites as
+  one more table (scenario -> case name and overrides) and the one loop
+  that runs their ``(scenario, seed)`` cells, a raising cell recorded
+  rather than fatal; ``tests/chaos_golden.json`` pins every cell.
 * :func:`check_*` — evidence-level invariant checkers (see
   :mod:`repro.chaos.invariants`); :func:`shrink_schedule` /
   :func:`failure_record` / :func:`repro_snippet` — ddmin minimisation,
   the failure artifact entry and regression snippets.
 """
 
-from repro.chaos.actions import ChaosEngine, FaultAction, NET_KINDS, NODE_KINDS
-from repro.chaos.cases import CASES, CampaignResult, ChaosCase, chaos_case
+from repro.chaos.actions import (
+    ChaosEngine,
+    FaultAction,
+    NET_KINDS,
+    NODE_KINDS,
+    overlapping_windows,
+)
+from repro.chaos.cases import (
+    CASES,
+    SEEDS,
+    SUITES,
+    CampaignResult,
+    ChaosCase,
+    chaos_case,
+    run_cells,
+    suite_scenarios,
+)
 from repro.chaos.invariants import (
     INVARIANTS,
     check_client_fifo,
@@ -59,12 +78,7 @@ from repro.chaos.invariants import (
     check_sequence_agreement,
     resolve_invariants,
 )
-from repro.chaos.schedule import (
-    ChaosProfile,
-    format_schedule,
-    generate_schedule,
-    overlapping_windows,
-)
+from repro.chaos.schedule import ChaosProfile, format_schedule, generate_schedule
 from repro.chaos.shrink import failure_record, repro_snippet, shrink_schedule
 
 __all__ = [
@@ -80,6 +94,10 @@ __all__ = [
     "ChaosCase",
     "CASES",
     "chaos_case",
+    "SEEDS",
+    "SUITES",
+    "run_cells",
+    "suite_scenarios",
     "shrink_schedule",
     "failure_record",
     "repro_snippet",

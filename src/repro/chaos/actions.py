@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.checkpoints.component import CheckpointComponent
+from repro.errors import ConfigurationError
 from repro.faults.behaviours import (
     DelayBehaviour,
     DropBehaviour,
@@ -33,7 +34,14 @@ from repro.faults.behaviours import (
     SilenceBehaviour,
 )
 
-__all__ = ["FaultAction", "ChaosEngine", "NODE_KINDS", "NET_KINDS"]
+__all__ = [
+    "FaultAction",
+    "ChaosEngine",
+    "NODE_KINDS",
+    "NET_KINDS",
+    "overlapping_windows",
+    "slot_kind",
+]
 
 #: Kinds that target a single node (FaultAction.target is a node name).
 NODE_KINDS = (
@@ -71,6 +79,49 @@ class FaultAction:
     @property
     def end_ms(self) -> float:
         return self.start_ms + self.duration_ms
+
+
+def slot_kind(kind: str) -> str:
+    """The occupancy slot a fault kind holds on its target.
+
+    One fault window per occupancy slot at a time: overlapping identical
+    windows would make undo ambiguous (e.g. recover() while another crash
+    window still runs).  Link-level kinds share one slot per link — the
+    network holds a single mod/block per link, so a second overlapping
+    window would clobber the first and its undo would cut the survivor
+    short.  ``wipe`` shares the crash slot (both fail-stop the node and
+    undo via recover()), and ``skew`` has its own slot (a node has one
+    clock).
+    """
+    if kind in ("block_link", "link_delay", "link_flaky"):
+        return "link"
+    if kind == "wipe":
+        return "crash"
+    return kind
+
+
+def overlapping_windows(actions: Sequence[FaultAction]) -> List[str]:
+    """Describe every per-(slot, target) window overlap in ``actions``.
+
+    The check :meth:`ChaosEngine.install` applies to every schedule, and
+    the rule :func:`~repro.chaos.schedule.generate_schedule` draws by.
+    Returns human-readable descriptions (empty = no overlaps).
+    """
+    problems: List[str] = []
+    occupied: Dict[Tuple[str, str], List[Tuple[float, float, FaultAction]]] = {}
+    for action in actions:
+        start, end = action.start_ms, action.end_ms
+        slots = occupied.setdefault((slot_kind(action.kind), action.target), [])
+        for other_start, other_end, other in slots:
+            if not (end <= other_start or start >= other_end):
+                problems.append(
+                    f"overlapping {slot_kind(action.kind)!r} windows on "
+                    f"{action.target!r}: {other.kind} "
+                    f"[{other_start}, {other_end}) ms and {action.kind} "
+                    f"[{start}, {end}) ms"
+                )
+        slots.append((start, end, action))
+    return problems
 
 
 def _noop_undo() -> None:
@@ -119,8 +170,27 @@ class ChaosEngine:
     def install(self, actions: Sequence[FaultAction]) -> None:
         """Schedule every action's apply and undo events.
 
-        No actions -> no events: the simulation trace is untouched.
+        No actions -> no events: the simulation trace is untouched.  An
+        unknown kind, a negative window or two windows in one (slot,
+        target) raise :class:`~repro.errors.ConfigurationError` before
+        anything is scheduled.
         """
+        for action in actions:
+            if action.kind not in NODE_KINDS + NET_KINDS:
+                raise ConfigurationError(
+                    f"unknown fault kind {action.kind!r} on {action.target!r}; "
+                    f"known: {sorted(NODE_KINDS + NET_KINDS)}"
+                )
+            if action.start_ms < 0 or action.duration_ms < 0:
+                raise ConfigurationError(
+                    f"negative window on {action.target!r} ({action.kind} at "
+                    f"{action.start_ms} for {action.duration_ms} ms)"
+                )
+        for problem in overlapping_windows(actions):
+            raise ConfigurationError(
+                f"{problem} — one window per (kind, target) slot at a time, "
+                "or undo becomes ambiguous"
+            )
         for index, action in enumerate(actions):
             self.sim.schedule_at(action.start_ms, self._apply, index, action)
             self.sim.schedule_at(action.end_ms, self._undo, index, action)

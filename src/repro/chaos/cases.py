@@ -8,7 +8,10 @@ windows with seeded jitter.  :data:`CASES` is the whole table, fourteen
 entries; :func:`chaos_case` is the only lookup, with overrides checked
 against what the case declares; :meth:`ChaosCase.run` owns the
 simulator and network, the schedule, the engine install/undo, the run
-and the :class:`CampaignResult`.
+and the :class:`CampaignResult`.  :data:`SUITES` names the pinned
+sweeps over that table (each scenario a case name plus overrides), and
+:func:`run_cells` is the one loop that runs their ``(scenario, seed)``
+cells.
 
 Everything is a pure function of ``(case name, seed)``: victims,
 schedules and workloads all derive from string-seeded private RNGs
@@ -31,7 +34,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.actions import ChaosEngine, FaultAction
+from repro.chaos.actions import NODE_KINDS, ChaosEngine, FaultAction
 from repro.chaos.invariants import resolve_invariants
 from repro.chaos.rigs import (
     IRMC_RECEIVERS,
@@ -47,7 +50,17 @@ from repro.errors import ConfigurationError
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
-__all__ = ["CampaignResult", "ChaosCase", "CASES", "KNOBS", "chaos_case"]
+__all__ = [
+    "CampaignResult",
+    "ChaosCase",
+    "CASES",
+    "KNOBS",
+    "SEEDS",
+    "SUITES",
+    "chaos_case",
+    "run_cells",
+    "suite_scenarios",
+]
 
 
 @dataclass
@@ -577,7 +590,7 @@ CASES: Dict[str, ChaosCase] = {
 
 
 def _frozen(value: Any) -> Any:
-    """Suite files carry lists (nested, for ``moves``); records hold tuples."""
+    """Callers may pass lists (nested, for ``moves``); records hold tuples."""
     if isinstance(value, (list, tuple)):
         return tuple(_frozen(item) for item in value)
     return value
@@ -587,9 +600,9 @@ def chaos_case(name: str, **overrides: Any) -> ChaosCase:
     """Look a chaos configuration up, optionally with knob overrides.
 
     The one way to name a case: ``chaos_case("pbft").run(seed)`` is the
-    cell ``suites/chaos.yaml`` runs.  An override must name a knob the
-    case declares (:meth:`ChaosCase.knobs`) and carry a value its rig can
-    run; anything else raises :class:`~repro.errors.ConfigurationError`
+    cell ``SUITES["chaos"]["pbft"]`` runs.  An override must name a knob
+    the case declares (:meth:`ChaosCase.knobs`) and carry a value its rig
+    can run; anything else raises :class:`~repro.errors.ConfigurationError`
     here, before any node exists.
     """
     try:
@@ -604,7 +617,23 @@ def chaos_case(name: str, **overrides: Any) -> ChaosCase:
                 f"chaos config {name!r} has no tunable knob {key!r}; "
                 f"tunable: {case.knobs()}"
             )
+        value = overrides[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and value < 0:
+            raise ConfigurationError(
+                f"chaos config {name!r}: {key} must be >= 0, got {value!r}"
+            )
     case = replace(case, **{key: _frozen(value) for key, value in overrides.items()})
+    for kind in case.fault_kinds or ():
+        if kind not in NODE_KINDS:
+            raise ConfigurationError(
+                f"chaos config {name!r}: unknown fault kind {kind!r}; "
+                f"known: {sorted(NODE_KINDS)}"
+            )
+    if case.horizon_ms is not None and case.horizon_ms < case.min_start_ms:
+        raise ConfigurationError(
+            f"chaos config {name!r}: horizon_ms {case.horizon_ms} before "
+            f"min_start_ms {case.min_start_ms}"
+        )
     if case.clients is not None:
         _check_count(case, "clients", 1, len(SPIDER_CLIENT_HOMES), "one home group each")
     if case.fault_links is not None:
@@ -628,3 +657,91 @@ def _check_count(case: ChaosCase, knob: str, low: int, high: int, why: str) -> N
             f"chaos config {case.name!r}: {knob} must be an integer in "
             f"{low}..{high} ({why}), got {value!r}"
         )
+
+
+# ======================================================================
+# The suites: pinned sweeps over the table
+# ======================================================================
+#: The seeds every suite cell runs at unless a caller narrows them.
+SEEDS = tuple(range(1, 13))
+
+#: suite -> scenario -> (case name, overrides).  Every ``(suite,
+#: scenario, seed)`` cell is pinned, field for field, by
+#: ``tests/chaos_golden.json``.
+SUITES: Dict[str, Dict[str, Tuple[str, Dict[str, Any]]]] = {
+    # The acceptance sweep: every row of the table as it stands.
+    "chaos": {name: (name, {}) for name in CASES},
+    # Live range handover under fire (the ``spider-reshard`` row).
+    "reshard": {
+        "spider-reshard": ("spider-reshard", {}),
+        # Two sequential handovers: the second move starts only after the
+        # first committed, so the routing table bumps through epochs 1 and
+        # 2 while the same fault windows stay aimed at the first transfer.
+        "spider-reshard-double": (
+            "spider-reshard",
+            {"moves": ((2, 3, "sa", "sb", 1), (6, 7, "sa", "sb", 2))},
+        ),
+    },
+}
+
+
+def suite_scenarios(suite: str, names: Optional[Sequence[str]] = None) -> List[str]:
+    """The sorted scenario names of ``suite`` (all, or the ``names`` subset).
+
+    An unknown suite or scenario raises
+    :class:`~repro.errors.ConfigurationError` listing the known ones.
+    """
+    if suite not in SUITES:
+        raise ConfigurationError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
+    known = sorted(SUITES[suite])
+    if names is None:
+        return known
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"suite {suite!r} has no scenario {', '.join(map(repr, unknown))}; "
+            f"known: {known}"
+        )
+    return sorted(set(names))
+
+
+def run_cells(
+    suite: str,
+    scenarios: Optional[Sequence[str]] = None,
+    seeds: Sequence[int] = SEEDS,
+) -> List[Dict[str, Any]]:
+    """Run the ``(scenario, seed)`` cells of ``suite``, one record each.
+
+    A cell is ``chaos_case(name, **overrides).run(seed)``.  Cells run in
+    sorted ``(scenario, seed)`` order whatever order the arguments give.
+    A record names the scenario, seed, case and overrides, and holds what
+    the golden record and the suite report read; a cell that raises is
+    recorded with its ``error`` (and ``ok`` false) and the others still run.
+    """
+    cells = []
+    for scenario in suite_scenarios(suite, scenarios):
+        config, overrides = SUITES[suite][scenario]
+        for seed in sorted(set(seeds)):
+            cell: Dict[str, Any] = dict(
+                scenario=scenario, seed=seed, config=config, overrides=dict(overrides)
+            )
+            try:
+                case = chaos_case(config, **overrides)
+                result = case.run(seed)
+                cell.update(
+                    invariants=list(case.invariants),
+                    ok=result.ok,
+                    violations=list(result.violations),
+                    schedule=[dict(vars(action)) for action in result.actions],
+                    n_actions=len(result.actions),
+                    campaign_fingerprint=result.fingerprint(),
+                    events=result.stats.get("events"),
+                )
+            except Exception as error:  # noqa: BLE001 - cell isolation is the point
+                cell.update(
+                    ok=False,
+                    error=f"scenario {scenario!r} seed {seed}: "
+                    f"{type(error).__name__}: {error}",
+                )
+            cells.append(cell)
+    return cells

@@ -22,15 +22,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.chaos.actions import FaultAction
+from repro.chaos.actions import FaultAction, slot_kind
 
-__all__ = [
-    "ChaosProfile",
-    "generate_schedule",
-    "format_schedule",
-    "overlapping_windows",
-    "slot_kind",
-]
+__all__ = ["ChaosProfile", "generate_schedule", "format_schedule"]
 
 
 @dataclass
@@ -66,51 +60,6 @@ _DEFAULT_PARAMS: Dict[str, Tuple[float, float]] = {
     # Probability that any one proposal is equivocated on.
     "equivocate": (0.5, 1.0),
 }
-
-
-def slot_kind(kind: str) -> str:
-    """The occupancy slot a fault kind holds on its target.
-
-    One fault window per occupancy slot at a time: overlapping identical
-    windows would make undo ambiguous (e.g. recover() while another crash
-    window still runs).  Link-level kinds share one slot per link — the
-    network holds a single mod/block per link, so a second overlapping
-    window would clobber the first and its undo would cut the survivor
-    short.  ``wipe`` shares the crash slot (both fail-stop the node and
-    undo via recover()), and ``skew`` has its own slot (a node has one
-    clock).
-    """
-    if kind in ("block_link", "link_delay", "link_flaky"):
-        return "link"
-    if kind == "wipe":
-        return "crash"
-    return kind
-
-
-def overlapping_windows(actions: Sequence[FaultAction]) -> List[str]:
-    """Describe every per-(slot, target) window overlap in ``actions``.
-
-    The validation mirror of the occupancy check inside
-    :func:`generate_schedule`: an explicit schedule in a scenario spec
-    must obey the same one-window-per-slot rule a generated one does, or
-    its undo semantics would be ambiguous at replay time.  Returns
-    human-readable descriptions (empty = no overlaps).
-    """
-    problems: List[str] = []
-    occupied: Dict[Tuple[str, str], List[Tuple[float, float, FaultAction]]] = {}
-    for action in actions:
-        start, end = action.start_ms, action.end_ms
-        slots = occupied.setdefault((slot_kind(action.kind), action.target), [])
-        for other_start, other_end, other in slots:
-            if not (end <= other_start or start >= other_end):
-                problems.append(
-                    f"overlapping {slot_kind(action.kind)!r} windows on "
-                    f"{action.target!r}: {other.kind} "
-                    f"[{other_start}, {other_end}) ms and {action.kind} "
-                    f"[{start}, {end}) ms"
-                )
-        slots.append((start, end, action))
-    return problems
 
 
 def generate_schedule(name: str, seed: int, profile: ChaosProfile) -> List[FaultAction]:

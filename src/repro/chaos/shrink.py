@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.chaos.actions import FaultAction
-from repro.chaos.cases import CampaignResult, ChaosCase, chaos_case
+from repro.chaos.cases import CASES, KNOBS, CampaignResult, ChaosCase, chaos_case
 from repro.chaos.schedule import format_schedule
 
 __all__ = ["shrink_schedule", "failure_record", "repro_snippet"]
@@ -50,28 +50,40 @@ def shrink_schedule(
     return current
 
 
-def failure_record(config: str, cell: Any) -> Dict[str, Any]:
-    """The failure-artifact entry of one violating suite cell of ``config``
-    (a :class:`~repro.scenarios.CellResult`): what ran, what broke, the
-    shrunk schedule and its paste-able regression."""
-    case = chaos_case(config)
-    actions = [FaultAction(**action) for action in cell.stats["schedule"]]
-    minimal = shrink_schedule(case, cell.seed, actions=actions)
+def failure_record(cell: Dict[str, Any]) -> Dict[str, Any]:
+    """The failure-artifact entry of one failing cell record of
+    :func:`~repro.chaos.run_cells`: what ran (its case and overrides),
+    what broke, the shrunk schedule and its paste-able regression.  A
+    cell that raised has nothing to shrink and keeps only its error."""
+    if "error" in cell:
+        return {"config": cell["config"], "seed": cell["seed"], "error": cell["error"]}
+    case = chaos_case(cell["config"], **cell["overrides"])
+    actions = [FaultAction(**action) for action in cell["schedule"]]
+    minimal = shrink_schedule(case, cell["seed"], actions=actions)
     return {
-        "config": config,
-        "seed": cell.seed,
-        "fingerprint": cell.fingerprint,
-        "violations": cell.stats["violations"],
-        "schedule": cell.stats["schedule"],
+        "config": cell["config"],
+        "overrides": cell["overrides"],
+        "seed": cell["seed"],
+        "fingerprint": cell["campaign_fingerprint"],
+        "violations": cell["violations"],
+        "schedule": cell["schedule"],
         "minimized": [dict(vars(action)) for action in minimal],
-        "snippet": repro_snippet(case, cell.seed, minimal),
+        "snippet": repro_snippet(case, cell["seed"], minimal),
     }
 
 
 def repro_snippet(case: ChaosCase, seed: int, actions: Sequence[FaultAction]) -> str:
-    """A regression-test body replaying the minimized schedule."""
+    """A regression-test body replaying the minimized schedule on ``case``
+    as it ran: the knobs in which it differs from its :data:`CASES` row
+    are spelled out as overrides."""
     result: CampaignResult = case.run(seed, actions=list(actions))
     status = "FAILS" if result.violations else "passes"
+    row = CASES[case.name]
+    overrides = "".join(
+        f", {knob}={getattr(case, knob)!r}"
+        for knob in KNOBS
+        if getattr(case, knob) != getattr(row, knob)
+    )
     lines = [
         f"# chaos repro: config={case.name!r} seed={seed} ({status} at generation time)",
         "from repro.chaos import FaultAction, chaos_case",
@@ -79,7 +91,7 @@ def repro_snippet(case: ChaosCase, seed: int, actions: Sequence[FaultAction]) ->
         f"ACTIONS = {format_schedule(actions)}",
         "",
         "def test_minimized_chaos_repro():",
-        f"    result = chaos_case({case.name!r}).run({seed}, actions=ACTIONS)",
+        f"    result = chaos_case({case.name!r}{overrides}).run({seed}, actions=ACTIONS)",
         "    assert result.violations == []",
     ]
     return "\n".join(lines)

@@ -39,7 +39,7 @@ __all__ = [
     "HftSpec",
 ]
 
-#: application factories a declarative (suite-file) spec may name.
+#: application factories a spec built from plain data may name.
 APP_FACTORIES: dict = {"kvstore": KVStore}
 
 
@@ -215,7 +215,7 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     @staticmethod
     def from_dict(data: Mapping) -> "ClusterSpec":
-        """Build a :class:`ClusterSpec` from suite-file data.
+        """Build a :class:`ClusterSpec` from plain data (dicts, lists, scalars).
 
         Two shapes are accepted:
 
@@ -227,7 +227,7 @@ class ClusterSpec:
         field overrides; ``app_factory`` a registry name from
         :data:`APP_FACTORIES`; ``middleware`` a list of
         ``{"name", "options"}`` entries.  All scalar data — no callables
-        needed — so a suite file fully describes the topology.
+        needed — so plain data fully describes the topology.
         """
         known = {
             "regions", "shards", "agreement_region", "agreement_zones",
@@ -278,12 +278,6 @@ class ClusterSpec:
             middleware=middleware,
             **common,
         )
-
-    def fingerprint(self) -> str:
-        """Canonical structural fingerprint (the scenario cache identity)."""
-        from repro.scenarios.fingerprint import structural_fingerprint
-
-        return structural_fingerprint(self)
 
     # ------------------------------------------------------------------
     def validate(self) -> None:

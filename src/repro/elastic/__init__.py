@@ -13,7 +13,7 @@ placement a first-class, *movable* fact:
 * :mod:`repro.elastic.book` — per-replica sealed/dropped-range
   bookkeeping, replicated via the commit stream and checkpoints;
 * :mod:`repro.elastic.plan` — ``split_moves`` (the ``SplitShard``
-  planner) and ``validate_moves`` (declarative suite-knob validation).
+  planner) and ``validate_moves`` (validation of a declared ``moves`` plan).
 
 The moving parts thread through :mod:`repro.deploy` (``Cluster.move_range``
 / ``split_shard``, session parking + redirects) and the core replicas

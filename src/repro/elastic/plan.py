@@ -4,10 +4,10 @@
 the current routing table and a newcomer shard id, it names the slot
 ranges whose handover brings the newcomer from zero to an equal share of
 the keyspace.  :func:`validate_moves` is the declarative face of the
-same arithmetic — scenario stacks replay a suite file's ``moves`` knob
-through it so malformed plans (overlapping ranges, unknown shards,
-epoch regressions) die at ``ScenarioSpec.validate()`` time, before any
-node exists.
+same arithmetic — :func:`repro.chaos.chaos_case` replays a case's
+``moves`` knob through it so malformed plans (overlapping ranges,
+unknown shards, epoch regressions) die at lookup time, before any node
+exists.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def split_moves(range_map: RangeMap, new_shard: str) -> List[Tuple[int, int, str
 def validate_moves(shard_ids, moves, slots_per_shard=None) -> RangeMap:
     """Replay a declarative move list against the epoch-0 table.
 
-    ``moves`` is a sequence of ``(lo, hi, src, dst, epoch)`` tuples as a
-    suite file declares them.  Each is checked against the table the
+    ``moves`` is a sequence of ``(lo, hi, src, dst, epoch)`` tuples, the
+    ``moves`` knob of a chaos case.  Each is checked against the table the
     previous moves produced: the range must be wholly owned by ``src``
     (catching overlap and not-owned declarations in one stroke), ``src``
     and ``dst`` must be known shards, and ``epoch`` must be exactly the

@@ -5,20 +5,20 @@ Usage::
     python -m repro.experiments <experiment> [--quick] [--seed N]
     python -m repro.experiments chaos --configs spider-cp-crash,pbft
     python -m repro.experiments all [--quick]
-    python -m repro.experiments suite suites/chaos.yaml
-    python -m repro.experiments suite examples/suite.yaml \
-        --seeds 1,2 --scenarios pbft,raft --out report.json
+    python -m repro.experiments suite chaos
+    python -m repro.experiments suite reshard \
+        --seeds 1,2 --scenarios spider-reshard --out report.json
 
 Experiments: fig7, fig8, fig9_modularity, fig9_irmc, fig10, fig11, chaos.
 ``--configs`` narrows the chaos campaign to a comma-separated subset of
 its stack configurations (see ``repro.chaos.CASES``).
 
-``suite`` runs a declarative scenario suite (``.yaml``/``.json``; see
-``docs/experiments.md``): the file is validated before any node exists,
-every ``scenario x seed`` cell runs through one fingerprint-cached
-runner, and the full report — per-cell stats, fingerprints, cache
-reuse counters — is printed (or written with ``--out``) as JSON.
-Exits non-zero if any cell fails.
+``suite`` runs the pinned ``chaos`` or ``reshard`` suite
+(``repro.chaos.SUITES``; see ``docs/experiments.md``): every ``scenario
+x seed`` cell runs through :func:`repro.chaos.run_cells`, and the
+per-cell records are printed (or written with ``--out``) as JSON.
+Exits non-zero if any cell fails.  An unknown configuration or scenario
+name is a usage error (exit 2) that lists the known ones.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import pathlib
 import sys
 import time
 
+from repro.chaos import SEEDS, SUITES, run_cells, suite_scenarios
+from repro.errors import ConfigurationError
 from repro.experiments import chaos
 from repro.experiments.figures import FIGURES
 
@@ -40,45 +42,48 @@ def _split_csv(text):
     return [item for item in text.split(",") if item]
 
 
+def _scenarios(parser, suite, text):
+    """The named subset of ``suite`` (all when ``text`` is None); an
+    unknown name is a usage error listing the known ones."""
+    try:
+        return suite_scenarios(suite, None if text is None else _split_csv(text))
+    except ConfigurationError as error:
+        parser.error(str(error))
+
+
 def run_suite_command(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments suite",
-        description="run a declarative scenario suite",
+        description="run the cells of a pinned chaos suite",
     )
-    parser.add_argument("path", help="suite file (.yaml/.yml/.json)")
+    parser.add_argument("suite", choices=sorted(SUITES))
     parser.add_argument(
         "--seeds", default=None,
-        help="comma-separated seed list overriding the suite's seeds",
+        help="comma-separated seed list (default: 1-12)",
     )
     parser.add_argument(
         "--scenarios", default=None,
-        help="comma-separated subset of scenario names to run",
+        help="comma-separated subset of the suite's scenarios to run",
     )
     parser.add_argument(
         "--out", default=None, help="write the JSON report to this path"
     )
     args = parser.parse_args(argv)
-
-    from repro.scenarios import load_suite, run_suite
-
-    suite = load_suite(args.path)
-    seeds = [int(s) for s in _split_csv(args.seeds)] if args.seeds else None
-    scenarios = _split_csv(args.scenarios) if args.scenarios else None
-    result = run_suite(suite, seeds=seeds, scenarios=scenarios)
-    report = json.dumps(result.to_dict(), indent=2, sort_keys=True, default=repr)
+    scenarios = _scenarios(parser, args.suite, args.scenarios)
+    seeds = [int(s) for s in _split_csv(args.seeds)] if args.seeds else SEEDS
+    cells = run_cells(args.suite, scenarios, seeds)
+    failed = [cell for cell in cells if not cell["ok"]]
+    report = json.dumps(
+        {"suite": args.suite, "ok": not failed, "cells": cells},
+        indent=2, sort_keys=True, default=repr,
+    )
     if args.out:
         pathlib.Path(args.out).write_text(report + "\n")
     print(report)
-    cache = result.cache_stats
-    print(
-        f"suite {result.suite!r}: {len(result.cells)} cells, "
-        f"{len(result.failures())} failed; build cache "
-        f"{cache['hits']} hits / {cache['misses']} misses",
-        file=sys.stderr,
-    )
-    for cell in result.failures():
-        print(f"FAILED: {cell.error or cell.stats}", file=sys.stderr)
-    return 0 if result.ok else 1
+    print(f"suite {args.suite!r}: {len(cells)} cells, {len(failed)} failed", file=sys.stderr)
+    for cell in failed:
+        print(f"FAILED: {cell.get('error') or cell}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -108,7 +113,7 @@ def main(argv=None) -> int:
         if args.configs is not None:
             if name != "chaos":
                 parser.error("--configs only applies to the chaos experiment")
-            kwargs["configs"] = _split_csv(args.configs)
+            kwargs["configs"] = _scenarios(parser, "chaos", args.configs)
         result = EXPERIMENTS[name](**kwargs)
         # lint: allow[D102] -- same wall-time progress report as above
         elapsed = time.time() - started

@@ -23,18 +23,17 @@ reported as a paste-able regression snippet; failures are also written to
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 from typing import List, Optional, Sequence
 
-from repro.chaos import FaultAction, failure_record
+from repro.chaos import FaultAction, failure_record, run_cells
 from repro.chaos.schedule import format_schedule
 from repro.experiments.common import ExperimentResult
-from repro.scenarios import BuildCache, load_suite, run_matrix
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 FAILURES_PATH = _REPO_ROOT / "benchmarks" / "CHAOS_failures.json"
-SUITE_PATH = _REPO_ROOT / "suites" / "chaos.yaml"
 
 #: seeds per configuration (full / --quick)
 SEEDS_FULL = 16
@@ -47,44 +46,29 @@ def run(
     configs: Optional[Sequence[str]] = None,
     failures_path: Optional[pathlib.Path] = None,
 ) -> ExperimentResult:
-    """Sweep the declarative chaos suite; tabulate green/failing seeds.
+    """Sweep the chaos suite (``repro.chaos.SUITES["chaos"]``); tabulate
+    green/failing seeds.
 
-    The scenario definitions come from ``suites/chaos.yaml``; this CLI
-    only picks the seed window (``--seed`` shifts it, ``--quick``
-    shrinks it) and the ``--configs`` subset.
+    This CLI only picks the seed window (``--seed`` shifts it,
+    ``--quick`` shrinks it) and the ``--configs`` subset.
     """
     per_config = SEEDS_QUICK if quick else SEEDS_FULL
-    suite = load_suite(SUITE_PATH)
-    configs = list(configs or sorted(spec.name for spec in suite.scenarios))
     result = ExperimentResult(
         title=f"Chaos campaign ({per_config} seeds per configuration)",
         columns=["config", "seeds", "actions", "failures", "failing seeds"],
     )
-    cache = BuildCache()
+    cells = run_cells("chaos", configs, seeds=range(seed, seed + per_config))
     all_failures: List[dict] = []
-    for config in configs:
-        seeds = list(range(seed, seed + per_config))
-        spec = suite.scenario(config)
-        action_total = 0
-        failing: List[int] = []
-        for cell in run_matrix([spec], seeds, cache):
-            if cell.error is not None:
-                failing.append(cell.seed)
-                all_failures.append(
-                    {"config": config, "seed": cell.seed, "error": cell.error}
-                )
-                continue
-            action_total += cell.stats["n_actions"]
-            if cell.ok:
-                continue
-            failing.append(cell.seed)
-            all_failures.append(failure_record(config, cell))
+    for config, group in itertools.groupby(cells, key=lambda cell: cell["scenario"]):
+        group = list(group)
+        failing = [cell for cell in group if not cell["ok"]]
+        all_failures.extend(failure_record(cell) for cell in failing)
         result.add_row(
             config=config,
             seeds=per_config,
-            actions=action_total,
+            actions=sum(cell.get("n_actions", 0) for cell in group),
             failures=len(failing),
-            **{"failing seeds": ",".join(map(str, failing)) or "-"},
+            **{"failing seeds": ",".join(str(cell["seed"]) for cell in failing) or "-"},
         )
     path = failures_path if failures_path is not None else FAILURES_PATH
     if all_failures:
@@ -107,9 +91,4 @@ def run(
         if path.exists():
             path.unlink()
         result.notes.append("all invariants held; no failure artifact")
-    stats = cache.stats()
-    result.notes.append(
-        f"build cache: {stats['hits']} hits / {stats['misses']} misses "
-        f"({stats['entries']} entries)"
-    )
     return result

@@ -1,50 +1,24 @@
-"""Declarative scenario suites: pure-data specs, one runner, cached builds.
+"""The overload scenario: a declarative flash-crowd A/B cell.
 
-The scenario layer turns the fault-campaign and traffic experiment
-families — chaos, reshard, the overload A/B — into *data* (the paper's
-figures are tables of deploy specs, :mod:`repro.experiments.figures`):
-a :class:`ScenarioSpec` names a registered stack and carries topology /
-workload / faults / scale fragments.  A :class:`SuiteSpec`
-(usually loaded from YAML or JSON) layers suite defaults under
-per-scenario overrides and validates the whole matrix before any node
-exists.
+A :class:`ScenarioSpec` names the ``overload`` stack and carries a
+cluster topology, a ``flash-plan`` workload and a run scale; :func:`run`
+validates it and replays the plan (``benchmarks/test_overload.py``, the
+``flash_crowd_armed`` spiderbench workload).  The chaos and reshard
+cells are rows of :data:`repro.chaos.SUITES`, and the paper's figures
+are tables of deploy specs (:mod:`repro.experiments.figures`).
 
-Everything expensive to build is cached by the canonical structural
-fingerprint of the fragment that defines it (:func:`structural_
-fingerprint`); the same fingerprints land in result artifacts as the
-run's determinism identity.
+:func:`structural_fingerprint` is the repo's canonical content digest
+of a spec fragment: stable across processes and construction order.
 """
 
-from repro.scenarios.cache import BuildCache
 from repro.scenarios.fingerprint import canonical_repr, structural_fingerprint
-from repro.scenarios.runner import CellResult, SuiteResult, run, run_matrix, run_suite
-from repro.scenarios.spec import (
-    FaultSpec,
-    ScenarioSpec,
-    SuiteSpec,
-    WorkloadSpec,
-    deep_merge,
-    load_suite,
-    suite_from_dict,
-)
-from repro.scenarios.stacks import register_stack, resolve_stack
+from repro.scenarios.runner import run
+from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 
 __all__ = [
-    "BuildCache",
-    "CellResult",
-    "FaultSpec",
     "ScenarioSpec",
-    "SuiteResult",
-    "SuiteSpec",
     "WorkloadSpec",
     "canonical_repr",
-    "deep_merge",
-    "load_suite",
-    "register_stack",
-    "resolve_stack",
     "run",
-    "run_matrix",
-    "run_suite",
     "structural_fingerprint",
-    "suite_from_dict",
 ]

@@ -1,13 +1,14 @@
-"""Canonical structural fingerprints for scenario fragments.
+"""Canonical structural fingerprints for spec fragments.
 
-A fingerprint is the cache identity and the determinism identity of a
-spec fragment: two fragments with the same *structure* — regardless of
-how the dicts/kwargs used to build them were ordered, and regardless of
-which process computes it — must fingerprint identically, and any single
-field change must change it.  The elspeth middleware lifecycle caches
-instances by a ``name:options:context`` fingerprint; this module is the
-repo-wide generalisation of that idiom (the middleware layer's
-``name:options`` JSON fingerprint is its little sibling).
+A fingerprint is the determinism identity of a spec fragment (and the
+key to deduplicate generated scenarios by): two fragments with the same
+*structure* — regardless of how the dicts/kwargs used to build them were
+ordered, and regardless of which process computes it — must fingerprint
+identically, and any single field change must change it.  The elspeth
+middleware lifecycle caches instances by a ``name:options:context``
+fingerprint; this module is the repo-wide generalisation of that idiom
+(the middleware layer's ``name:options`` JSON fingerprint is its little
+sibling).
 
 Canonicalisation rules:
 

@@ -1,180 +1,99 @@
-"""The one scenario runner: scenarios x seeds, fingerprint-cached builds.
+"""The overload scenario's runner: one validated cell.
 
-:func:`run` executes a single validated cell; :func:`run_suite` expands a
-:class:`~repro.scenarios.spec.SuiteSpec` into its full matrix.  All
-expensive constructions — harnesses, workload plans, fault schedules,
-compiled invariant sets — go through one :class:`~repro.scenarios.cache.
-BuildCache` keyed by the canonical structural fingerprint of the owning
-spec fragment, so scenarios that share a fragment share the built object
-and the cache's hit counter *proves* the reuse.
-
-Failure isolation: a failing cell records ``scenario name + seed +
-fingerprint`` in its error and never poisons the cache (a builder that
-raises stores nothing), so the rest of the matrix runs unharmed.
-
-The matrix is sorted by ``(scenario name, seed)`` before execution:
-declaring scenarios or seeds in a different order produces the same
-cells in the same order, which keeps artifacts diffable.
+:func:`run` validates a :class:`~repro.scenarios.spec.ScenarioSpec` and
+replays its precomputed ``flash-plan`` arrival schedule against the
+spec's cluster topology (with or without a middleware chain), returning
+latency, backlog and SLO counters.  The plan is a pure function of the
+workload fragment and the seed, so a baseline and an armed scenario
+sharing a workload see byte-identical offered load — which is what makes
+their comparison an A/B (``benchmarks/test_overload.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict
 
-from repro.scenarios.cache import BuildCache
-from repro.scenarios.spec import ScenarioSpec, SuiteSpec
-from repro.scenarios.stacks import resolve_stack
+from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["CellResult", "SuiteResult", "run", "run_matrix", "run_suite"]
+__all__ = ["run"]
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Outcome of one ``(scenario, seed)`` cell."""
+def run(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
+    """Validate and execute one overload cell, returning its stats dict."""
+    from repro.crypto.costs import CostModel, use_cost_model
+    from repro.deploy import build
+    from repro.experiments.common import fresh_env
+    from repro.metrics import summarize
+    from repro.workload.traffic import flash_plan
 
-    scenario: str
-    seed: int
-    fingerprint: str
-    stats: Dict[str, Any] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None:
-            return False
-        if self.stats.get("ok") is False:
-            return False
-        return not self.stats.get("violations")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "ok": self.ok,
-            "stats": self.stats,
-            "metrics": self.metrics,
-            "error": self.error,
-        }
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    """Outcome of a full suite run plus the cache's reuse accounting."""
-
-    suite: str
-    cells: Tuple[CellResult, ...]
-    cache_stats: Dict[str, int]
-
-    @property
-    def ok(self) -> bool:
-        return all(cell.ok for cell in self.cells)
-
-    def failures(self) -> List[CellResult]:
-        return [cell for cell in self.cells if not cell.ok]
-
-    def cell(self, scenario: str, seed: int) -> CellResult:
-        for candidate in self.cells:
-            if candidate.scenario == scenario and candidate.seed == seed:
-                return candidate
-        raise KeyError(f"no cell ({scenario!r}, {seed})")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "suite": self.suite,
-            "ok": self.ok,
-            "cells": [cell.to_dict() for cell in self.cells],
-            "cache": dict(self.cache_stats),
-        }
-
-
-def run(
-    spec: ScenarioSpec, seed: int, cache: Optional[BuildCache] = None
-) -> Dict[str, Any]:
-    """Validate and execute one cell, returning the stack's stats dict.
-
-    Pass a shared ``cache`` to reuse builds across calls; omitting it
-    still caches within the call (a stack may build several artifacts
-    from one fragment).
-    """
     spec.validate()
-    stack = resolve_stack(spec.stack)
-    return stack.run(spec, seed, cache if cache is not None else BuildCache())
+    options = spec.workload.options_dict()
+    plan = flash_plan(seed, **options)
+    scale = spec.scale_dict()
+    cost_scale = scale.get("cost_scale", 1.0)
+    drain_ms = scale.get("drain_ms", 0.0)
+    probe_ms = scale.get("probe_ms", 50.0)
+    n_sessions = options["sessions"]
+    duration_ms = options["duration_ms"]
 
+    with use_cost_model(CostModel().scaled(cost_scale)):
+        sim, network = fresh_env(seed=seed, jitter=0.0)
+        cluster = build(sim, spec.topology, network=network)
+        sessions = [
+            cluster.session(f"u{index}", "virginia") for index in range(n_sessions)
+        ]
 
-def _project_metrics(spec: ScenarioSpec, stats: Dict[str, Any]) -> Dict[str, Any]:
-    return {name: stats.get(name) for name in spec.metrics}
+        def fire(descriptor):
+            session_index, kind, key = descriptor
+            session = sessions[session_index]
+            if kind == "write":
+                session.write(key, sim.now)
+            else:
+                session.read(key)
 
+        for arrival_ms, descriptor in plan:
+            sim.schedule_at(arrival_ms, fire, descriptor)
 
-def run_matrix(
-    scenarios: Sequence[ScenarioSpec],
-    seeds: Sequence[int],
-    cache: Optional[BuildCache] = None,
-) -> List[CellResult]:
-    """Run every ``(scenario, seed)`` cell, isolating per-cell failures.
+        peak_backlog = [0]
 
-    Cells execute in sorted ``(scenario name, seed)`` order regardless of
-    how the inputs were ordered, so the result list — and every artifact
-    derived from it — is declaration-order independent.
-    """
-    cache = cache if cache is not None else BuildCache()
-    by_name = {spec.name: spec for spec in scenarios}
-    cells: List[CellResult] = []
-    matrix = sorted(
-        (name, seed) for name in by_name for seed in sorted(set(int(s) for s in seeds))
-    )
-    for name, seed in matrix:
-        spec = by_name[name]
-        fingerprint = spec.fingerprint()
-        try:
-            stats = run(spec, seed, cache)
-        except Exception as error:  # noqa: BLE001 - cell isolation is the point
-            cells.append(
-                CellResult(
-                    scenario=name,
-                    seed=seed,
-                    fingerprint=fingerprint,
-                    error=(
-                        f"scenario {name!r} seed {seed} "
-                        f"fingerprint {fingerprint}: "
-                        f"{type(error).__name__}: {error}"
-                    ),
-                )
-            )
-            continue
-        cells.append(
-            CellResult(
-                scenario=name,
-                seed=seed,
-                fingerprint=fingerprint,
-                stats=stats,
-                metrics=_project_metrics(spec, stats),
-            )
+        def probe():
+            backlog = sum(session.pending_ops for session in sessions)
+            if backlog > peak_backlog[0]:
+                peak_backlog[0] = backlog
+            if sim.now < duration_ms:
+                sim.schedule_at(sim.now + probe_ms, probe)
+
+        sim.schedule_at(0.0, probe)
+        sim.run(until=duration_ms + drain_ms)
+
+        samples = [sample for s in sessions for sample in s.completed]
+        writes = [
+            (kind, issued, latency) for kind, _key, issued, latency in samples
+        ]
+        flash = summarize(
+            writes,
+            kind="write",
+            after_ms=options["flash_start_ms"],
+            before_ms=options["flash_end_ms"],
         )
-    return cells
-
-
-def run_suite(
-    suite: SuiteSpec,
-    seeds: Optional[Sequence[int]] = None,
-    scenarios: Optional[Sequence[str]] = None,
-    cache: Optional[BuildCache] = None,
-) -> SuiteResult:
-    """Execute a suite's matrix (optionally restricted) into a SuiteResult.
-
-    ``seeds`` overrides the suite's seed list; ``scenarios`` restricts to
-    the named subset (unknown names raise ``KeyError`` via the suite).
-    """
-    cache = cache if cache is not None else BuildCache()
-    selected = (
-        tuple(suite.scenario(name) for name in scenarios)
-        if scenarios is not None
-        else suite.scenarios
-    )
-    chosen_seeds = tuple(seeds) if seeds is not None else suite.seeds
-    cells = run_matrix(selected, chosen_seeds, cache)
-    return SuiteResult(
-        suite=suite.name, cells=tuple(cells), cache_stats=cache.stats()
-    )
+        overall = summarize(writes, kind="write")
+        result = {
+            "middleware": [entry.name for entry in spec.topology.middleware],
+            "writes_completed": overall.count,
+            "write_p50_ms": round(overall.p50, 1),
+            "write_p99_ms": round(overall.p99, 1),
+            "flash_write_p99_ms": round(flash.p99, 1),
+            "peak_backlog": peak_backlog[0],
+            "events": sim.events_processed,
+            "offered_ops": len(plan),
+        }
+        if cluster.has_middleware:
+            snap = cluster.middleware_instance("slo-metrics").snapshot()
+            result["slo"] = {
+                "offered": snap["offered"],
+                "completed": snap["completed"],
+                "served": snap["served"],
+                "shed": snap["shed"],
+                "max_inflight": snap["max_inflight"],
+            }
+        return result

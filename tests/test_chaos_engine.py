@@ -277,32 +277,25 @@ class TestShrinker:
         exec(snippet, namespace)
         namespace["test_minimized_chaos_repro"]()
 
-    def test_failure_record_of_a_violating_cell(self):
+    def test_failure_record_of_a_violating_cell(self, monkeypatch):
         """One helper builds the failure-artifact entry for the sweep and
-        the CLI alike: the cell as run, the shrunk schedule, the snippet."""
-        from repro.chaos import failure_record
-        from repro.scenarios import ScenarioSpec, run_matrix
+        the CLI alike, from the cell's record: the cell as run, the shrunk
+        schedule, the snippet."""
+        from repro.chaos import ChaosCase, failure_record, run_cells
 
-        wedge = [
-            {"kind": "block_link", "target": f"r{i}->r3", "start_ms": 500.0, "duration_ms": 1e9}
-            for i in range(3)
-        ]
-        innocent = {"kind": "delay", "target": "r1", "start_ms": 600.0, "duration_ms": 200.0, "param": 30.0}
-        spec = ScenarioSpec.of(
-            name="pbft",
-            stack="chaos",
-            params={"config": "pbft"},
-            faults={"actions": wedge + [innocent]},
-        )
-        [cell] = run_matrix([spec], [2])
-        assert cell.error is None and not cell.ok
-        record = failure_record("pbft", cell)
+        wedge = [FaultAction("block_link", f"r{i}->r3", 500.0, 1e9) for i in range(3)]
+        innocent = FaultAction("delay", "r1", 600.0, 200.0, 30.0)
+        monkeypatch.setattr(ChaosCase, "derive_schedule", lambda case, seed: wedge + [innocent])
+        [cell] = run_cells("chaos", ["pbft"], [2])
+        assert "error" not in cell and not cell["ok"]
+        record = failure_record(cell)
         assert sorted(record) == [
-            "config", "fingerprint", "minimized", "schedule", "seed",
+            "config", "fingerprint", "minimized", "overrides", "schedule", "seed",
             "snippet", "violations",
         ]
-        assert record["schedule"] == cell.stats["schedule"]
+        assert record["schedule"] == cell["schedule"]
+        assert record["fingerprint"] == cell["campaign_fingerprint"]
         # The artifact says what was enforced: the table row's obligations.
-        assert cell.stats["invariants"] == list(chaos_case("pbft").invariants)
-        assert innocent not in record["minimized"] and record["minimized"]
+        assert cell["invariants"] == list(chaos_case("pbft").invariants)
+        assert dict(vars(innocent)) not in record["minimized"] and record["minimized"]
         assert "FAILS at generation time" in record["snippet"]

@@ -17,18 +17,16 @@ import sys
 
 import pytest
 
-from tests.chaos_golden import SUITE_PATHS, mismatches, run_cells, suite_spec
+from repro.chaos import SUITES
 
-SCENARIOS = [
-    (suite, spec.name)
-    for suite in sorted(SUITE_PATHS)
-    for spec in suite_spec(suite).scenarios
-]
+from tests.chaos_golden import golden_cells, mismatches
+
+SCENARIOS = [(suite, scenario) for suite in sorted(SUITES) for scenario in sorted(SUITES[suite])]
 
 
 @pytest.mark.parametrize("suite, scenario", SCENARIOS)
 def test_first_seed_matches_golden(suite, scenario):
-    assert mismatches(suite, run_cells(suite, scenario, seeds=[1])) == []
+    assert mismatches(suite, golden_cells(suite, [scenario], seeds=[1])) == []
 
 
 def test_golden_diff_names_the_fields_that_moved(tmp_path):

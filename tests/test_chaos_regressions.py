@@ -669,8 +669,9 @@ class TestIrmcRetireSupersedesStragglerMoves:
 
 
 class TestOverlappingLinkWindows:
-    """Hand-written (or shrunk) schedules may overlap link windows on one
-    link; the earlier window's undo must not cut the later one short."""
+    """Overlapping link windows are refused at install, but two windows may
+    touch: listed later-first, the later one applies at the shared instant
+    before the earlier one's undo runs, which must not cut it short."""
 
     def test_later_link_mod_survives_earlier_windows_undo(self):
         from repro.chaos import ChaosEngine, FaultAction
@@ -680,8 +681,8 @@ class TestOverlappingLinkWindows:
         engine = ChaosEngine(cluster.sim, cluster.network, {"n0": a, "n1": b})
         engine.install(
             [
+                FaultAction(kind="link_flaky", target="n0->n1", start_ms=100.0, duration_ms=100.0, param=0.2),
                 FaultAction(kind="link_delay", target="n0->n1", start_ms=10.0, duration_ms=90.0, param=50.0),
-                FaultAction(kind="link_flaky", target="n0->n1", start_ms=60.0, duration_ms=140.0, param=0.2),
             ]
         )
         mods = cluster.network.fault.link_mods
@@ -793,6 +794,22 @@ class TestKnownRedCells:
         red = RED_CELLS[cell]
         for action in red.pair:
             assert red.run([action]).violations == []
+
+    def test_snippet_reproduces_the_case_that_ran(self):
+        """A regression snippet carries the case's overrides: without them
+        ``spider-4``'s pasted body ran the plain row and passed under a
+        header that says it fails."""
+        from repro.chaos import repro_snippet
+
+        red = RED_CELLS["spider-4"]
+        with use_cost_model(CostModel()):
+            snippet = repro_snippet(chaos_case(red.case, **red.overrides), red.seed, red.pair)
+            assert "FAILS at generation time" in snippet
+            assert "chaos_case('spider', requests_per_client=64, settle_ms=150000.0)" in snippet
+            namespace: dict = {}
+            exec(snippet, namespace)
+            with pytest.raises(AssertionError):
+                namespace["test_minimized_chaos_repro"]()
 
     def test_spider_shard_111_holds_its_invariants(self):
         # Green by timing: its lone view changes count as progress, so a retry outlives the drop.

@@ -5,8 +5,8 @@ its determinism guarantees carry the sharded deployment's byte-parity
 story: the epoch-0 striped table must equal the historical modulo
 placement entry for entry, every key must be owned by exactly one shard
 at every epoch, the canonical fingerprint must be stable under entry
-order and same-owner runs, and every malformed table, move or suite knob
-must die with :class:`~repro.errors.ConfigurationError` while the system
+order and same-owner runs, and every malformed table, move or ``moves``
+knob must die with :class:`~repro.errors.ConfigurationError` while the system
 is still pure data.
 """
 
@@ -16,6 +16,7 @@ import zlib
 
 import pytest
 
+from repro.chaos import SUITES, chaos_case
 from repro.deploy import ClusterSpec, GroupSpec, KeyPartitioner, ShardSpec, build
 from repro.elastic import (
     SLOTS_PER_SHARD,
@@ -28,7 +29,6 @@ from repro.elastic import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.common import fresh_env
-from repro.scenarios import ScenarioSpec
 
 
 # ----------------------------------------------------------------------
@@ -198,24 +198,19 @@ def test_validate_moves_rejects_malformed_plans(moves, message):
 
 
 # ----------------------------------------------------------------------
-# suite knobs: malformed reshard plans die at ScenarioSpec.validate()
+# case knobs: malformed reshard plans die at chaos_case()
 # ----------------------------------------------------------------------
-def _reshard_spec(**scale) -> ScenarioSpec:
+def _reshard_case(**knobs):
     fields = dict(
         move_at_ms=4000.0, movers=1, requests_per_session=2,
         sessions_per_shard=1,
     )
-    fields.update(scale)
-    return ScenarioSpec.of(
-        name="probe",
-        stack="reshard",
-        params={"config": "spider-reshard"},
-        scale=fields,
-    )
+    fields.update(knobs)
+    return chaos_case("spider-reshard", **fields)
 
 
 def test_reshard_spec_accepts_a_valid_plan():
-    _reshard_spec(moves=[[2, 3, "sa", "sb", 1]]).validate()
+    assert _reshard_case(moves=[[2, 3, "sa", "sb", 1]]).moves == ((2, 3, "sa", "sb", 1),)
 
 
 @pytest.mark.parametrize(
@@ -229,19 +224,15 @@ def test_reshard_spec_accepts_a_valid_plan():
 )
 def test_reshard_spec_rejects_malformed_knobs(moves, message):
     with pytest.raises(ConfigurationError, match=message):
-        _reshard_spec(moves=moves).validate()
+        _reshard_case(moves=moves)
 
 
 def test_reshard_suite_file_validates():
-    import pathlib
-
-    from repro.scenarios import load_suite
-
-    suite = load_suite(pathlib.Path(__file__).parent.parent / "suites" / "reshard.yaml")
-    assert sorted(spec.name for spec in suite.scenarios) == [
-        "spider-reshard", "spider-reshard-double",
-    ]
-    assert suite.seeds == tuple(range(1, 13))
+    """Both reshard scenarios resolve through the lookup, plans replayed."""
+    assert sorted(SUITES["reshard"]) == ["spider-reshard", "spider-reshard-double"]
+    for config, overrides in SUITES["reshard"].values():
+        assert config == "spider-reshard"
+        assert chaos_case(config, **overrides).moves
 
 
 # ----------------------------------------------------------------------

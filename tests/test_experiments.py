@@ -112,13 +112,13 @@ class TestQuickRuns:
         still tabulate it and name the error after writing the artifact."""
         import json
 
+        from repro.chaos import ChaosCase
         from repro.experiments import chaos
-        from repro.scenarios import runner
 
-        def explode(spec, seed, cache=None):
+        def explode(case, seed):
             raise RuntimeError("stack blew up")
 
-        monkeypatch.setattr(runner, "run", explode)
+        monkeypatch.setattr(ChaosCase, "run", explode)
         path = tmp_path / "CHAOS_failures.json"
         result = chaos.run(quick=True, configs=["raft"], failures_path=path)
         assert [row["failing seeds"] for row in result.rows] == ["1,2,3,4"]
@@ -128,6 +128,25 @@ class TestQuickRuns:
             for note in result.notes
         )
         assert "stack blew up" in result.format()
+
+
+    @pytest.mark.parametrize(
+        "argv, known",
+        [
+            (["chaos", "--configs", "pbft,nope"], "'pbft-vc-crash'"),
+            (["suite", "reshard", "--scenarios", "nope"], "'spider-reshard-double'"),
+        ],
+    )
+    def test_unknown_name_is_a_usage_error(self, argv, known, capsys):
+        """A misspelt configuration or scenario exits 2 naming what exists,
+        before any cell runs."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "'nope'" in error and known in error
 
 
 class TestUnservedCells:

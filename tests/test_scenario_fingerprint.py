@@ -1,9 +1,8 @@
-"""Structural fingerprints: stability, canonicalisation, cache identity.
+"""Structural fingerprints: stability, canonicalisation, content identity.
 
-The fingerprint is the scenario layer's load-bearing primitive: it is
-the cache key for every expensive construction and the determinism
-identity recorded in artifacts.  These tests pin the properties that
-make it safe to use as either:
+The fingerprint is the determinism identity of a spec, and the key a
+generator of scenarios deduplicates by.  These tests pin the properties
+that make it safe to use as either:
 
 * construction-order independence — dict/list insertion order and set
   ordering never change the fingerprint (sequence order *does*: it is
@@ -11,9 +10,9 @@ make it safe to use as either:
 * process-restart stability — no ``id()``, no hash randomisation: the
   same spec fingerprints identically across interpreter runs with
   different ``PYTHONHASHSEED``;
-* cache identity — identical specs share one cached instance; any
-  single field change produces a distinct fingerprint and a cache miss
-  (table-driven over every ScenarioSpec field).
+* content identity — identical specs fingerprint identically; any
+  single field change produces a distinct fingerprint (table-driven over
+  every ScenarioSpec content field).
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ import sys
 
 import pytest
 
-from repro.scenarios import (
-    BuildCache,
-    ScenarioSpec,
-    canonical_repr,
-    structural_fingerprint,
-)
+from repro.scenarios import ScenarioSpec, canonical_repr, structural_fingerprint
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -76,24 +70,32 @@ def test_default_repr_objects_are_rejected():
 # ----------------------------------------------------------------------
 # spec-level properties
 # ----------------------------------------------------------------------
+_TOPOLOGY = {
+    "shards": [{"shard_id": "s0", "groups": [{"group_id": "g0", "region": "virginia"}]}],
+    "config": {},
+}
+_FLASH = {
+    "kind": "flash-plan", "sessions": 4, "n_keys": 8, "skew": 0.99,
+    "write_fraction": 0.5, "base_rate": 100.0, "flash_rate": 500.0,
+    "flash_start_ms": 200.0, "flash_end_ms": 400.0, "duration_ms": 600.0,
+}
+
+
 def _base_spec(**changes) -> ScenarioSpec:
     fields = dict(
         name="base",
-        stack="chaos",
-        topology=None,
-        params={"config": "pbft"},
-        workload=None,
-        faults={"palette": ["crash", "delay"], "max_actions": 2},
-        scale={"ops": 8, "settle_ms": 22000.0},
-        metrics=["campaign_fingerprint"],
+        stack="overload",
+        topology=_TOPOLOGY,
+        workload=_FLASH,
+        scale={"cost_scale": 10.0, "drain_ms": 1000.0},
     )
     fields.update(changes)
     return ScenarioSpec.of(**fields)
 
 
 def test_spec_fingerprint_ignores_dict_ordering():
-    a = _base_spec(scale={"ops": 8, "settle_ms": 22000.0})
-    b = _base_spec(scale={"settle_ms": 22000.0, "ops": 8})
+    a = _base_spec(scale={"cost_scale": 10.0, "drain_ms": 1000.0})
+    b = _base_spec(scale={"drain_ms": 1000.0, "cost_scale": 10.0})
     assert a.fingerprint() == b.fingerprint()
 
 
@@ -103,18 +105,14 @@ def test_renaming_a_scenario_keeps_its_fingerprint():
 
 
 #: one mutation per ScenarioSpec content field; each must move the
-#: fingerprint (and therefore miss the cache).
+#: fingerprint (and so count as a new scenario to a deduplicating caller).
 MUTATIONS = {
-    "stack": dict(stack="overload"),
+    "stack": dict(stack="chaos"),
     "topology": dict(
         topology={"regions": ["virginia", "oregon", "ireland", "tokyo"]}
     ),
-    "params": dict(params={"config": "raft"}),
-    "workload": dict(workload={"kind": "flash-plan", "sessions": 4}),
-    "faults-palette-order": dict(faults={"palette": ["delay", "crash"], "max_actions": 2}),
-    "faults-budget": dict(faults={"palette": ["crash", "delay"], "max_actions": 3}),
-    "scale": dict(scale={"ops": 9, "settle_ms": 22000.0}),
-    "metrics": dict(metrics=["campaign_fingerprint", "events"]),
+    "workload": dict(workload={**_FLASH, "sessions": 8}),
+    "scale": dict(scale={"cost_scale": 10.0, "drain_ms": 2000.0}),
 }
 
 
@@ -123,25 +121,7 @@ def test_single_field_change_moves_fingerprint_and_misses_cache(field):
     base = _base_spec()
     mutated = _base_spec(**MUTATIONS[field])
     assert base.fingerprint() != mutated.fingerprint(), field
-
-    cache = BuildCache()
-    first = cache.get_or_build("probe", base.fingerprint(), lambda: object())
-    again = cache.get_or_build("probe", base.fingerprint(), lambda: object())
-    other = cache.get_or_build("probe", mutated.fingerprint(), lambda: object())
-    assert first is again, "identical specs must share the cached instance"
-    assert other is not first, "a changed field must be a cache miss"
-    assert cache.stats() == {"hits": 1, "misses": 2, "entries": 2}
-
-
-def test_fragment_fingerprints_isolate_their_fragment():
-    base = _base_spec()
-    rescaled = _base_spec(scale={"ops": 9, "settle_ms": 22000.0})
-    # The workload/faults fragments are untouched...
-    assert base.workload_fingerprint() == rescaled.workload_fingerprint()
-    assert base.faults_fingerprint() == rescaled.faults_fingerprint()
-    # ...while the scale fragment (and the whole spec) moved.
-    assert base.scale_fingerprint() != rescaled.scale_fingerprint()
-    assert base.fingerprint() != rescaled.fingerprint()
+    assert base.fingerprint() == _base_spec().fingerprint(), "a rebuilt spec is the same one"
 
 
 # ----------------------------------------------------------------------
@@ -151,10 +131,9 @@ _RESTART_SCRIPT = """
 from repro.scenarios import ScenarioSpec, structural_fingerprint
 spec = ScenarioSpec.of(
     name="restart-probe",
-    stack="chaos",
-    params={"config": "pbft"},
-    faults={"palette": ["crash", "delay"], "max_actions": 2},
-    scale={"ops": 8, "settle_ms": 22000.0},
+    stack="overload",
+    workload={"kind": "flash-plan", "sessions": 4, "skew": 0.99},
+    scale={"cost_scale": 10.0, "drain_ms": 1000.0},
 )
 print(spec.fingerprint())
 print(structural_fingerprint({"b": [1, 2], "a": {"nested", "set"}}))
@@ -183,9 +162,8 @@ def test_fingerprints_survive_process_restarts():
     # ...and agree with this process too.
     spec = ScenarioSpec.of(
         name="restart-probe",
-        stack="chaos",
-        params={"config": "pbft"},
-        faults={"palette": ["crash", "delay"], "max_actions": 2},
-        scale={"ops": 8, "settle_ms": 22000.0},
+        stack="overload",
+        workload={"kind": "flash-plan", "sessions": 4, "skew": 0.99},
+        scale={"cost_scale": 10.0, "drain_ms": 1000.0},
     )
     assert first[0] == spec.fingerprint()

@@ -1,33 +1,31 @@
 """Golden-parity regressions: migrated surfaces == their hand-wired originals.
 
-Every experiment surface that moved onto a declarative path (scenario
-suites; the figure tables of ``repro.experiments.figures``) must stay
-byte-identical to the code it replaced.  Each test here runs a
+Every experiment surface that moved onto a declarative path (the
+overload scenario; the figure tables of ``repro.experiments.figures``)
+must stay byte-identical to the code it replaced.  Each test here runs a
 (reduced-scale) cell through the runner AND through an inline copy of
 the pre-migration wiring, then compares results exactly — no
 tolerances.  The full-scale equivalents are pinned by committed
-artifacts: ``tests/chaos_golden.json`` (every chaos and reshard suite
-cell, compared by ``tests/test_chaos_golden.py`` and the
-``benchmarks/test_chaos.py`` sweep), ``BENCH_overload.json`` and the
-perf ``sim_fingerprint``s.
+artifacts: ``tests/chaos_golden.json`` (every cell of
+``repro.chaos.SUITES``, compared by ``tests/test_chaos_golden.py`` and
+the ``benchmarks/test_chaos.py`` sweep), ``BENCH_overload.json`` and
+the perf ``sim_fingerprint``s.
 """
 
 from __future__ import annotations
 
-import pathlib
-
-from repro.scenarios import BuildCache, ScenarioSpec, load_suite
+from repro.chaos import CASES, SEEDS, SUITES
+from repro.scenarios import ScenarioSpec
 from repro.scenarios import run as run_scenario
 
-SUITE_PATH = pathlib.Path(__file__).parent.parent / "suites" / "chaos.yaml"
-
 
 # ----------------------------------------------------------------------
-# chaos: suites/chaos.yaml declares the sweep (its cells: the golden file)
+# chaos: SUITES["chaos"] declares the sweep (its cells: the golden file)
 # ----------------------------------------------------------------------
 def test_chaos_suite_declares_the_full_sweep():
-    suite = load_suite(SUITE_PATH)
-    assert sorted(spec.name for spec in suite.scenarios) == sorted(
+    """Every row of the table, as it stands, at seeds 1-12."""
+    assert SUITES["chaos"] == {name: (name, {}) for name in CASES}
+    assert sorted(SUITES["chaos"]) == sorted(
         [
             "pbft", "pbft-vc-crash", "pbft-wipe", "raft", "raft-skew",
             "spider", "spider-cp-crash", "spider-disk", "spider-shard",
@@ -35,7 +33,7 @@ def test_chaos_suite_declares_the_full_sweep():
             "irmc-equivocate",
         ]
     )
-    assert suite.seeds == tuple(range(1, 13))
+    assert SEEDS == tuple(range(1, 13))
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +164,7 @@ def test_fig9_cell_matches_handwired_path():
 
 
 # ----------------------------------------------------------------------
-# overload: scenario A/B == hand-wired plan replay (and shared plan)
+# overload: scenario A/B == hand-wired plan replay (one plan for both)
 # ----------------------------------------------------------------------
 def test_overload_cells_match_handwired_path():
     import random
@@ -192,7 +190,6 @@ def test_overload_cells_match_handwired_path():
         {"name": "admission", "options": {"depth": 8}},
     ]
 
-    cache = BuildCache()
     rows = {}
     for label, middleware in (("baseline", []), ("armed", armed_middleware)):
         spec = ScenarioSpec.of(
@@ -209,10 +206,7 @@ def test_overload_cells_match_handwired_path():
             workload=workload,
             scale={"cost_scale": 10.0, "drain_ms": drain_ms, "probe_ms": 50.0},
         )
-        rows[label] = run_scenario(spec, 11, cache)
-
-    # Both arms replayed ONE cached plan — the A/B contract.
-    assert cache.stats()["hits"] == 1
+        rows[label] = run_scenario(spec, 11)
 
     # Hand-wired reference, exactly the pre-migration wiring.
     rng = random.Random(11)

@@ -1,213 +1,74 @@
-"""Runner semantics: matrix expansion, cache accounting, failure isolation.
+"""The suite cell loop: matrix order, filters, failure isolation.
 
-Uses a toy registered stack so the tests exercise the runner machinery
-itself (expansion order, cache counters, error reporting) without
-simulating anything expensive.
+:func:`repro.chaos.run_cells` runs over a probe suite whose cells return
+a stub result instead of simulating, so these tests exercise the loop
+itself (expansion order, seed collapse, filters, error records); the
+last one holds the overload scenario's :func:`repro.scenarios.run` to
+validating before it builds anything.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.chaos.cases
+from repro.chaos import SUITES, CampaignResult, run_cells
 from repro.errors import ConfigurationError
-from repro.scenarios import (
-    BuildCache,
-    ScenarioSpec,
-    SuiteSpec,
-    deep_merge,
-    register_stack,
-    run,
-    run_matrix,
-    run_suite,
-    suite_from_dict,
-)
+from repro.scenarios import ScenarioSpec, run
 
 
-class ToyStack:
-    """Deterministic micro-stack: stats are a pure function of (spec, seed)."""
+@pytest.fixture(autouse=True)
+def _probe_suite(monkeypatch):
+    """Two scenarios over real rows; a cell returns at once, except
+    ``raft`` at seed 2, which raises."""
 
-    name = "toy-test"
+    def stub(case, seed):
+        if (case.name, seed) == ("raft", 2):
+            raise RuntimeError("stub blew up")
+        return CampaignResult(case.name, seed, [], [], {"events": seed})
 
-    def __init__(self):
-        self.builds = 0
-
-    def validate(self, spec):
-        params = spec.params_dict()
-        unknown = set(params) - {"value", "explode_seed"}
-        if unknown:
-            raise ConfigurationError(f"toy-test: unknown params {sorted(unknown)}")
-
-    def run(self, spec, seed, cache):
-        params = spec.params_dict()
-
-        def build():
-            self.builds += 1
-            return {"value": params.get("value", 0)}
-
-        built = cache.get_or_build("toy", spec.fingerprint(), build)
-        if params.get("explode_seed") == seed:
-            raise RuntimeError("toy blew up")
-        return {"value": built["value"], "seed": seed, "ok": True}
+    monkeypatch.setitem(SUITES, "probe", {"beta": ("raft", {}), "alpha": ("pbft", {"ops": 4})})
+    monkeypatch.setattr(repro.chaos.cases.ChaosCase, "run", stub)
 
 
-TOY = ToyStack()
-register_stack(TOY)
+def _matrix(cells):
+    return [(cell["scenario"], cell["seed"]) for cell in cells]
 
 
-def _toy(name, **params):
-    return ScenarioSpec.of(name=name, stack="toy-test", params=params,
-                           metrics=["value"])
-
-
-# ----------------------------------------------------------------------
-# matrix expansion
-# ----------------------------------------------------------------------
 def test_matrix_is_deterministic_and_order_independent():
-    specs = [_toy("beta", value=2), _toy("alpha", value=1)]
-    forward = run_matrix(specs, [2, 1], BuildCache())
-    backward = run_matrix(list(reversed(specs)), [1, 2], BuildCache())
+    forward = run_cells("probe", ["beta", "alpha"], [3, 1])
+    backward = run_cells("probe", ["alpha", "beta"], [1, 3])
     assert forward == backward
-    assert [(c.scenario, c.seed) for c in forward] == [
-        ("alpha", 1), ("alpha", 2), ("beta", 1), ("beta", 2),
-    ]
+    assert _matrix(forward) == [("alpha", 1), ("alpha", 3), ("beta", 1), ("beta", 3)]
 
 
 def test_duplicate_seeds_collapse():
-    cells = run_matrix([_toy("alpha", value=1)], [3, 3, 1], BuildCache())
-    assert [(c.scenario, c.seed) for c in cells] == [("alpha", 1), ("alpha", 3)]
-
-
-def test_metrics_projection():
-    [cell] = run_matrix([_toy("alpha", value=7)], [1], BuildCache())
-    assert cell.metrics == {"value": 7}
-
-
-# ----------------------------------------------------------------------
-# cache accounting
-# ----------------------------------------------------------------------
-def test_cache_counters_are_exposed_and_reused_across_seeds():
-    cache = BuildCache()
-    before = TOY.builds
-    cells = run_matrix([_toy("alpha", value=1)], [1, 2, 3], cache)
-    assert all(cell.ok for cell in cells)
-    assert TOY.builds == before + 1, "one build serves every seed"
-    assert cache.stats() == {"hits": 2, "misses": 1, "entries": 1}
-
-
-def test_identical_content_shares_cache_across_names():
-    """Two scenarios differing only by display name share one build."""
-    cache = BuildCache()
-    before = TOY.builds
-    run_matrix([_toy("alpha", value=5), _toy("renamed", value=5)], [1], cache)
-    assert TOY.builds == before + 1
-    assert cache.stats()["hits"] == 1
-
-
-# ----------------------------------------------------------------------
-# failure isolation
-# ----------------------------------------------------------------------
-def test_failing_cell_reports_name_seed_fingerprint():
-    spec = _toy("fragile", explode_seed=2)
-    cells = run_matrix([spec], [1, 2, 3], BuildCache())
-    by_seed = {cell.seed: cell for cell in cells}
-    assert by_seed[1].ok and by_seed[3].ok
-    failed = by_seed[2]
-    assert not failed.ok
-    assert "'fragile'" in failed.error
-    assert "seed 2" in failed.error
-    assert spec.fingerprint() in failed.error
-    assert "toy blew up" in failed.error
-
-
-def test_failing_builder_does_not_poison_the_cache():
-    cache = BuildCache()
-    attempts = []
-
-    def flaky():
-        attempts.append(True)
-        if len(attempts) == 1:
-            raise RuntimeError("first build fails")
-        return "built"
-
-    with pytest.raises(RuntimeError, match="first build fails"):
-        cache.get_or_build("kind", "key", flaky)
-    assert cache.stats()["entries"] == 0, "a raising builder must store nothing"
-    assert cache.get_or_build("kind", "key", flaky) == "built"
-    assert cache.get_or_build("kind", "key", flaky) == "built"
-    assert len(attempts) == 2
-    assert cache.stats() == {"hits": 1, "misses": 2, "entries": 1}
+    assert _matrix(run_cells("probe", ["alpha"], [3, 3, 1])) == [("alpha", 1), ("alpha", 3)]
 
 
 def test_failed_cell_does_not_stop_other_scenarios():
-    cells = run_matrix(
-        [_toy("fragile", explode_seed=1), _toy("solid", value=3)], [1], BuildCache()
-    )
-    by_name = {cell.scenario: cell for cell in cells}
-    assert not by_name["fragile"].ok
-    assert by_name["solid"].ok
-
-
-# ----------------------------------------------------------------------
-# suite execution
-# ----------------------------------------------------------------------
-def _suite() -> SuiteSpec:
-    return suite_from_dict(
-        {
-            "name": "toy-suite",
-            "seeds": [1, 2],
-            "defaults": {"stack": "toy-test"},
-            "scenarios": [
-                {"name": "alpha", "params": {"value": 1}},
-                {"name": "beta", "params": {"value": 2}},
-            ],
-            "overrides": {"beta": {"params": {"value": 20}}},
-        }
-    )
-
-
-def test_suite_layering_applies_defaults_and_overrides():
-    suite = _suite()
-    assert suite.scenario("alpha").stack == "toy-test"
-    assert suite.scenario("beta").params_dict() == {"value": 20}
-
-
-def test_run_suite_reports_cells_and_cache():
-    result = run_suite(_suite())
-    assert result.ok
-    assert len(result.cells) == 4
-    assert result.cell("beta", 2).stats["value"] == 20
-    assert result.cache_stats["hits"] >= 2  # each scenario reused across seeds
-    report = result.to_dict()
-    assert report["suite"] == "toy-suite"
-    assert report["ok"] is True
-    assert len(report["cells"]) == 4
-    assert report["cache"] == result.cache_stats
+    """A raising cell is recorded by name and seed; every other cell runs."""
+    cells = {(cell["scenario"], cell["seed"]): cell for cell in run_cells("probe", seeds=[1, 2, 3])}
+    failed = cells.pop(("beta", 2))
+    assert failed["ok"] is False and failed["config"] == "raft"
+    assert failed["error"] == "scenario 'beta' seed 2: RuntimeError: stub blew up"
+    assert len(cells) == 5
+    assert all(cell["ok"] and "error" not in cell for cell in cells.values())
 
 
 def test_run_suite_seed_and_scenario_filters():
-    result = run_suite(_suite(), seeds=[7], scenarios=["beta"])
-    assert [(c.scenario, c.seed) for c in result.cells] == [("beta", 7)]
-    with pytest.raises(KeyError, match="no scenario 'gamma'"):
-        run_suite(_suite(), scenarios=["gamma"])
+    [cell] = run_cells("probe", ["alpha"], [7])
+    assert (cell["scenario"], cell["seed"], cell["config"], cell["overrides"]) == (
+        "alpha", 7, "pbft", {"ops": 4},
+    )
+    with pytest.raises(ConfigurationError, match="no scenario 'gamma'") as err:
+        run_cells("probe", ["gamma"])
+    assert "['alpha', 'beta']" in str(err.value)
+    with pytest.raises(ConfigurationError, match="unknown suite 'prob'"):
+        run_cells("prob")
 
 
 def test_run_validates_before_executing():
-    spec = ScenarioSpec.of(name="bad", stack="toy-test", params={"wrong": 1})
-    with pytest.raises(ConfigurationError, match="unknown params \\['wrong'\\]"):
+    spec = ScenarioSpec.of(name="bad", stack="chaos")
+    with pytest.raises(ConfigurationError, match="unknown stack 'chaos'"):
         run(spec, 1)
-
-
-# ----------------------------------------------------------------------
-# deep_merge
-# ----------------------------------------------------------------------
-def test_deep_merge_recurses_into_mappings():
-    base = {"faults": {"palette": ["crash"], "max_actions": 2}, "scale": {"ops": 8}}
-    override = {"faults": {"max_actions": 4}}
-    merged = deep_merge(base, override)
-    assert merged["faults"] == {"palette": ["crash"], "max_actions": 4}
-    assert merged["scale"] == {"ops": 8}
-
-
-def test_deep_merge_replaces_lists_wholesale():
-    merged = deep_merge({"palette": ["crash", "delay"]}, {"palette": ["drop"]})
-    assert merged["palette"] == ["drop"]

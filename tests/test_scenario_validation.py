@@ -1,9 +1,11 @@
 """Validation-error matrix: every misconfiguration fails before any node.
 
-``ScenarioSpec.validate()`` (and suite loading, which calls it for every
-scenario) must reject bad configuration with an actionable message while
-the system is still pure data — no simulator, no nodes, no network.
-Each test asserts both the rejection and the useful part of the message.
+:func:`~repro.chaos.chaos_case` (the one way to name a chaos cell),
+``ScenarioSpec.validate()`` (the overload scenario) and
+``ChaosEngine.install`` (an explicit fault schedule) must reject bad
+configuration with an actionable message while the system is still pure
+data — no nodes, no network, no scheduled event.  Each test asserts both
+the rejection and the useful part of the message.
 """
 
 from __future__ import annotations
@@ -15,9 +17,18 @@ import pytest
 import repro.chaos.cases
 import repro.chaos.rigs
 import repro.deploy
-from repro.chaos import CASES
+from repro.chaos import (
+    CASES,
+    SUITES,
+    CampaignResult,
+    ChaosEngine,
+    FaultAction,
+    chaos_case,
+    run_cells,
+)
 from repro.errors import ConfigurationError
-from repro.scenarios import ScenarioSpec, load_suite, suite_from_dict
+from repro.scenarios import ScenarioSpec
+from repro.sim import Simulator
 
 
 @pytest.fixture(autouse=True)
@@ -35,16 +46,17 @@ def _no_nodes_may_exist(monkeypatch):
     yield
 
 
-def _chaos_spec(**changes) -> ScenarioSpec:
-    fields = dict(
-        name="probe",
-        stack="chaos",
-        params={"config": "pbft"},
-        faults={"palette": ["crash", "delay"], "max_actions": 2},
-        scale={"ops": 8},
+@pytest.fixture
+def sim():
+    return Simulator(seed=1)
+
+
+def _install(sim, *windows):
+    """Install an explicit schedule, one ``(kind, target, start_ms,
+    duration_ms)`` per window, on an engine over ``sim``."""
+    ChaosEngine(sim, network=None, nodes={}).install(
+        [FaultAction(*window) for window in windows]
     )
-    fields.update(changes)
-    return ScenarioSpec.of(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -59,39 +71,33 @@ def test_unknown_invariant_name():
 
 
 def test_unknown_fault_kind_in_palette():
-    spec = _chaos_spec(faults={"palette": ["crash", "gamma-ray"]})
     with pytest.raises(ConfigurationError, match="unknown fault kind 'gamma-ray'"):
-        spec.validate()
+        chaos_case("pbft", fault_kinds=["crash", "gamma-ray"])
 
 
-def test_unknown_fault_kind_in_explicit_actions():
-    spec = _chaos_spec(
-        faults={"actions": [
-            {"kind": "gamma-ray", "target": "a-1", "start_ms": 100.0, "duration_ms": 10.0},
-        ]},
-    )
+def test_unknown_fault_kind_in_explicit_actions(sim):
+    """Rejected at install, not when its window opens mid-run."""
     with pytest.raises(ConfigurationError, match="unknown fault kind 'gamma-ray'"):
-        spec.validate()
+        _install(sim, ("crash", "a-1", 10.0, 10.0), ("gamma-ray", "a-1", 100.0, 10.0))
+    assert sim.pending_events == 0  # not even the valid window was scheduled
 
 
 def test_unknown_stack_name():
     spec = ScenarioSpec.of(name="probe", stack="warp-drive")
     with pytest.raises(ConfigurationError, match="unknown stack 'warp-drive'") as err:
         spec.validate()
-    assert "chaos" in str(err.value)
+    assert "'overload'" in str(err.value) and "SUITES" in str(err.value)
 
 
 def test_unknown_chaos_config():
-    spec = _chaos_spec(params={"config": "pbbft"})
     with pytest.raises(ConfigurationError, match="unknown chaos config 'pbbft'") as err:
-        spec.validate()
+        chaos_case("pbbft")
     assert "pbft" in str(err.value)
 
 
 def test_unknown_harness_knob_via_scale():
-    spec = _chaos_spec(scale={"opps": 8})
     with pytest.raises(ConfigurationError, match="'opps'") as err:
-        spec.validate()
+        chaos_case("pbft", opps=8)
     assert "ops" in str(err.value)  # the tunable set is listed
 
 
@@ -116,8 +122,8 @@ def test_unknown_middleware_name():
 
 @pytest.mark.parametrize("field", ["request_capacity", "client_retry_ms", "fetch_retry_ms"])
 def test_config_field_that_became_a_constant_is_rejected_by_name(field):
-    """Values nothing ever set are module constants now; a suite file that
-    still names one fails while it is parsed."""
+    """Values nothing ever set are module constants now; topology data
+    that still names one fails while it is parsed."""
     with pytest.raises(ConfigurationError, match=f"topology config: .*{field}"):
         ScenarioSpec.of(
             name="probe",
@@ -137,15 +143,6 @@ _FLASH = {
 # ----------------------------------------------------------------------
 # chaos overrides: only what the case's rig or schedule reads, in range
 # ----------------------------------------------------------------------
-def _case_spec(config: str, **changes) -> ScenarioSpec:
-    return ScenarioSpec.of(
-        name="probe",
-        stack="chaos",
-        params={"config": config},
-        **changes,
-    )
-
-
 _TARGETED = [name for name, case in CASES.items() if case.schedule is not None]
 
 
@@ -153,26 +150,25 @@ _TARGETED = [name for name, case in CASES.items() if case.schedule is not None]
     "config, changes",
     [
         # topology constants are not knobs (used to die mid-run: KeyError)
-        ("spider-shard", {"scale": {"shard_ids": ["sa"]}}),
-        ("spider-shard", {"scale": {"shard_ids": ["sa", "sb", "sc"]}}),
-        ("spider-shard", {"scale": {"exec_groups": {"sa": "x0", "sb": "y0"}}}),
-        ("spider-reshard", {"scale": {"shard_regions": {"sa": "tokyo", "sb": "tokyo"}}}),
-        ("pbft", {"scale": {"n": 7}}),
+        ("spider-shard", {"shard_ids": ["sa"]}),
+        ("spider-shard", {"shard_ids": ["sa", "sb", "sc"]}),
+        ("spider-shard", {"exec_groups": {"sa": "x0", "sb": "y0"}}),
+        ("spider-reshard", {"shard_regions": {"sa": "tokyo", "sb": "tokyo"}}),
+        ("pbft", {"n": 7}),
         # accepted and silently ignored before: the case never reads them
-        ("pbft", {"scale": {"partition_regions": ["mars"]}}),
-        ("raft", {"scale": {"partition_regions": ["mars"]}}),
-        ("pbft-wipe", {"scale": {"fault_links": 2}}),
-        ("raft-skew", {"scale": {"fault_links": 2}}),
-        ("spider-reshard", {"scale": {"latency_budget_ms": 10.0}}),
+        ("pbft", {"partition_regions": ["mars"]}),
+        ("raft", {"partition_regions": ["mars"]}),
+        ("pbft-wipe", {"fault_links": 2}),
+        ("raft-skew", {"fault_links": 2}),
+        ("spider-reshard", {"latency_budget_ms": 10.0}),
     ]
-    + [(name, {"faults": {"palette": ["crash"]}}) for name in _TARGETED]
-    + [(name, {"faults": {"max_actions": 1}}) for name in _TARGETED],
+    + [(name, {"fault_kinds": ["crash"]}) for name in _TARGETED]
+    + [(name, {"max_actions": 1}) for name in _TARGETED],
 )
 def test_override_the_case_never_reads(config, changes):
-    [knob] = [*changes.get("scale", {}), *changes.get("faults", {})]
-    knob = {"palette": "fault_kinds"}.get(knob, knob)
+    [knob] = changes
     with pytest.raises(ConfigurationError, match=f"no tunable knob '{knob}'") as err:
-        _case_spec(config, **changes).validate()
+        chaos_case(config, **changes)
     assert "settle_ms" in str(err.value)  # what *is* tunable is listed
 
 
@@ -196,23 +192,14 @@ def test_six_cases_are_targeted():
 )
 def test_override_out_of_range(config, scale, message):
     with pytest.raises(ConfigurationError, match=message):
-        _case_spec(config, scale=scale).validate()
+        chaos_case(config, **scale)
 
 
 def test_every_declared_knob_accepts_its_own_default():
     """The table is self-consistent: each case validates with every knob
     it declares overridden to the value it already has."""
     for name, case in CASES.items():
-        scale = {knob: getattr(case, knob) for knob in case.knobs()}
-        faults = {
-            key: scale.pop(knob)
-            for key, knob in (
-                ("palette", "fault_kinds"), ("max_actions", "max_actions"),
-                ("min_start_ms", "min_start_ms"), ("horizon_ms", "horizon_ms"),
-            )
-            if knob in scale
-        }
-        _case_spec(name, scale=scale, faults=faults).validate()
+        assert chaos_case(name, **{knob: getattr(case, knob) for knob in case.knobs()}) == case
 
 
 # ----------------------------------------------------------------------
@@ -226,95 +213,55 @@ def test_negative_workload_rate():
 
 
 def test_negative_fault_budget():
-    spec = _chaos_spec(faults={"palette": ["crash"], "max_actions": -1})
-    with pytest.raises(ConfigurationError, match="max_actions budget must be >= 0"):
-        spec.validate()
+    with pytest.raises(ConfigurationError, match="max_actions must be >= 0"):
+        chaos_case("pbft", max_actions=-1)
 
 
 def test_negative_scale_knob():
-    spec = _chaos_spec(scale={"ops": -8})
     with pytest.raises(ConfigurationError, match="ops must be >= 0"):
-        spec.validate()
+        chaos_case("pbft", ops=-8)
 
 
 def test_horizon_before_min_start():
-    spec = _chaos_spec(
-        faults={"palette": ["crash"], "min_start_ms": 5000.0, "horizon_ms": 400.0},
-    )
     with pytest.raises(ConfigurationError, match="horizon_ms 400.0 before"):
-        spec.validate()
+        chaos_case("pbft", min_start_ms=5000.0, horizon_ms=400.0)
 
 
-def test_negative_action_window():
-    spec = _chaos_spec(
-        faults={"actions": [
-            {"kind": "crash", "target": "a-1", "start_ms": 100.0, "duration_ms": -5.0},
-        ]},
-    )
+def test_negative_action_window(sim):
     with pytest.raises(ConfigurationError, match="negative window"):
-        spec.validate()
+        _install(sim, ("crash", "a-1", 100.0, -5.0))
 
 
-def test_overlapping_windows_same_kind_and_target():
-    spec = _chaos_spec(
-        faults={"actions": [
-            {"kind": "crash", "target": "a-1", "start_ms": 100.0, "duration_ms": 500.0},
-            {"kind": "crash", "target": "a-1", "start_ms": 300.0, "duration_ms": 500.0},
-        ]},
-    )
+def test_overlapping_windows_same_kind_and_target(sim):
     with pytest.raises(ConfigurationError, match="one window per \\(kind, target\\) slot"):
-        spec.validate()
+        _install(sim, ("crash", "a-1", 100.0, 500.0), ("crash", "a-1", 300.0, 500.0))
+    assert sim.pending_events == 0
 
 
-def test_overlapping_windows_sharing_a_slot():
+def test_overlapping_windows_sharing_a_slot(sim):
     """wipe and crash share the crash occupancy slot on one target."""
-    spec = _chaos_spec(
-        faults={"actions": [
-            {"kind": "crash", "target": "a-1", "start_ms": 100.0, "duration_ms": 500.0},
-            {"kind": "wipe", "target": "a-1", "start_ms": 300.0, "duration_ms": 500.0},
-        ]},
-    )
     with pytest.raises(ConfigurationError, match="one window per \\(kind, target\\) slot"):
-        spec.validate()
+        _install(sim, ("crash", "a-1", 100.0, 500.0), ("wipe", "a-1", 300.0, 500.0))
 
 
-def test_non_overlapping_windows_are_fine():
-    spec = _chaos_spec(
-        faults={"actions": [
-            {"kind": "crash", "target": "a-1", "start_ms": 100.0, "duration_ms": 100.0},
-            {"kind": "crash", "target": "a-1", "start_ms": 900.0, "duration_ms": 100.0},
-            {"kind": "crash", "target": "a-2", "start_ms": 120.0, "duration_ms": 100.0},
-        ]},
+def test_non_overlapping_windows_are_fine(sim):
+    _install(
+        sim,
+        ("crash", "a-1", 100.0, 100.0),
+        ("crash", "a-1", 900.0, 100.0),
+        ("crash", "a-2", 120.0, 100.0),
     )
-    spec.validate()
-
-
-def test_palette_and_actions_are_mutually_exclusive():
-    spec = _chaos_spec(
-        faults={
-            "palette": ["crash"],
-            "actions": [
-                {"kind": "crash", "target": "a-1", "start_ms": 100.0, "duration_ms": 10.0},
-            ],
-        },
-    )
-    with pytest.raises(ConfigurationError, match="palette .*or an explicit"):
-        spec.validate()
+    assert sim.pending_events == 6  # an apply and an undo per window
 
 
 # ----------------------------------------------------------------------
 # stack contracts
 # ----------------------------------------------------------------------
 def test_restated_invariants_are_rejected_by_name():
-    """The obligations live in the chaos table only; a suite entry that
-    still restates them fails while it is parsed."""
-    with pytest.raises(ConfigurationError, match="unknown keys \\['invariants'\\]"):
-        ScenarioSpec.from_dict(
-            {
-                "name": "probe", "stack": "chaos", "params": {"config": "pbft"},
-                "invariants": ["sequence-agreement", "exactly-once"],
-            }
-        )
+    """The obligations live in the chaos table only; an override that
+    restates them is not a knob."""
+    with pytest.raises(ConfigurationError, match="no tunable knob 'invariants'"):
+        chaos_case("pbft", invariants=["sequence-agreement", "exactly-once"])
 
 
 def test_unknown_workload_kind():
@@ -346,80 +293,24 @@ def test_missing_flash_plan_options_are_listed():
 
 
 def test_unknown_scenario_keys_are_rejected():
-    with pytest.raises(ConfigurationError, match="unknown keys \\['topologi'\\]"):
-        ScenarioSpec.from_dict(
-            {"name": "probe", "stack": "chaos", "topologi": {}}
-        )
+    """The spec has no catch-all: a misspelt field fails where it is written."""
+    with pytest.raises(TypeError, match="'topologi'"):
+        ScenarioSpec.of(name="probe", stack="overload", topologi={})
 
 
 # ----------------------------------------------------------------------
-# suite-level layering errors
+# suite rows
 # ----------------------------------------------------------------------
-def _suite_data(**changes):
-    data = {
-        "name": "probe-suite",
-        "seeds": [1],
-        "defaults": {"stack": "chaos"},
-        "scenarios": [
-            {
-                "name": "pbft-cell",
-                "params": {"config": "pbft"},
-                "faults": {"palette": ["crash"]},
-            },
-        ],
-    }
-    data.update(changes)
-    return data
-
-
-def test_suite_override_for_undefined_scenario():
-    data = _suite_data(overrides={"pbft-cel": {"scale": {"ops": 4}}})
-    with pytest.raises(ConfigurationError, match="reference undefined scenarios") as err:
-        suite_from_dict(data)
-    assert "pbft-cel" in str(err.value) and "pbft-cell" in str(err.value)
-
-
-def test_suite_duplicate_scenario_names():
-    data = _suite_data()
-    data["scenarios"] = data["scenarios"] * 2
-    with pytest.raises(ConfigurationError, match="duplicate scenario names"):
-        suite_from_dict(data)
-
-
-def test_suite_scenario_entry_without_name():
-    data = _suite_data(scenarios=[{"params": {"config": "pbft"}}])
-    with pytest.raises(ConfigurationError, match="entry without a name"):
-        suite_from_dict(data)
-
-
-def test_suite_with_no_scenarios():
-    with pytest.raises(ConfigurationError, match="declares no scenarios"):
-        suite_from_dict({"name": "empty", "scenarios": []})
-
-
-def test_suite_unknown_top_level_key():
-    data = _suite_data(defaualts={})
-    with pytest.raises(ConfigurationError, match="unknown keys \\['defaualts'\\]"):
-        suite_from_dict(data)
-
-
-def test_suite_error_names_the_failing_scenario():
-    """A bad scenario inside a suite is attributed by name at load time."""
-    data = _suite_data()
-    data["scenarios"][0]["scale"] = {"opps": 4}
-    with pytest.raises(ConfigurationError, match="'opps'"):
-        suite_from_dict(data)
-
-
-def test_unsupported_suite_format(tmp_path):
-    path = tmp_path / "suite.toml"
-    path.write_text("[suite]\n")
-    with pytest.raises(ConfigurationError, match="unsupported suite format '.toml'"):
-        load_suite(path)
-
-
-def test_suite_file_must_hold_a_mapping(tmp_path):
-    path = tmp_path / "suite.json"
-    path.write_text("[1, 2]\n")
-    with pytest.raises(ConfigurationError, match="must hold a mapping"):
-        load_suite(path)
+def test_suite_error_names_the_failing_scenario(monkeypatch):
+    """A bad row of a suite is attributed by scenario name, before any
+    node exists, and the suite's other cells still run."""
+    monkeypatch.setitem(
+        SUITES, "probe-suite", {"pbft-cell": ("pbft", {"opps": 4}), "raft-cell": ("raft", {})}
+    )
+    monkeypatch.setattr(
+        repro.chaos.cases.ChaosCase, "run", lambda case, seed: CampaignResult(case.name, seed, [], [])
+    )
+    bad, good = run_cells("probe-suite", seeds=[1])
+    assert bad["error"].startswith("scenario 'pbft-cell' seed 1: ConfigurationError")
+    assert "'opps'" in bad["error"] and bad["ok"] is False
+    assert good["scenario"] == "raft-cell" and good["ok"] is True
