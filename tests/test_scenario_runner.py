@@ -56,6 +56,21 @@ def test_failed_cell_does_not_stop_other_scenarios():
     assert all(cell["ok"] and "error" not in cell for cell in cells.values())
 
 
+def test_failing_cell_reports_name_seed_fingerprint():
+    """A failed record names its scenario, seed and case; the seeds
+    around it still finish with a campaign fingerprint, and it has none."""
+    by_seed = {cell["seed"]: cell for cell in run_cells("probe", ["beta"], [1, 2, 3])}
+    assert by_seed[1]["ok"] and by_seed[3]["ok"]
+    failed = by_seed[2]
+    assert not failed["ok"]
+    assert "'beta'" in failed["error"]
+    assert "seed 2" in failed["error"]
+    assert "stub blew up" in failed["error"]
+    assert (failed["config"], failed["overrides"]) == ("raft", {})
+    assert "campaign_fingerprint" in by_seed[1] and "campaign_fingerprint" in by_seed[3]
+    assert "campaign_fingerprint" not in failed
+
+
 def test_run_suite_seed_and_scenario_filters():
     [cell] = run_cells("probe", ["alpha"], [7])
     assert (cell["scenario"], cell["seed"], cell["config"], cell["overrides"]) == (
