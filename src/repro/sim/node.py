@@ -310,12 +310,12 @@ class Node:
             for dst, message in pending:
                 network.send(self, dst, message)
         else:
-            self.sim.post_at(at_time, self._transmit_batch, pending)
+            self.sim.post_at(at_time, self._transmit_batch, pending, self.crash_count)
 
-    def _transmit_batch(self, pending: List[Tuple["Node", Any]]) -> None:
+    def _transmit_batch(self, pending: List[Tuple["Node", Any]], crash_count: int) -> None:
         network = self.network
-        if self.crashed or network is None:
-            return
+        if self.crash_count != crash_count or network is None:
+            return  # crashed since, even if rebooted: the old NIC queue is gone
         for dst, message in pending:
             network.send(self, dst, message)
 

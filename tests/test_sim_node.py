@@ -217,6 +217,24 @@ class TestNetworkDelivery:
         # message leaves at t=10 and takes ~0.6 ms
         assert b.received[0][0] >= 10.6
 
+    def test_reboot_inside_the_cpu_window_loses_the_tasks_sends(self):
+        """A rebooted machine does not replay an old NIC queue: the sends
+        of a task still waiting out its CPU time die with a crash, even one
+        the node recovers from before that time is up."""
+        sim, network, a, b = make_pair()
+
+        def work():
+            charge(10.0)
+            a.send(b, Ping("doomed"))
+
+        a.run_task(work)
+        sim.run(until=5.0)
+        a.crash()
+        sim.run(until=6.0)
+        a.recover()
+        sim.run()
+        assert b.received == []
+
     def test_partition_blocks_and_heals(self):
         sim = Simulator(seed=1)
         network = Network(sim, Topology(), jitter=0.0)
