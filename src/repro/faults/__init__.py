@@ -13,12 +13,11 @@ Every behaviour is a reversible :class:`Behaviour`:
 ``install(node)`` returns a *handle* whose ``uninstall()`` restores the
 node.  The contract worth knowing before composing them:
 
-* **Stacking** works by chaining the node's ``send``; handles may be
-  uninstalled in *any* order (a mid-chain uninstall deactivates its
-  wrapper, which then forwards untouched until the chain unwinds past
-  it).  ``uninstall()`` is idempotent.
-* **Byzantine flag**: the first install marks ``node.byzantine = True``;
-  removing the last behaviour restores the node's original flag.
+* **Stacking**: installed behaviours sit on ``node.faults``, latest
+  last.  ``node.send`` enters the latest; each passes a message on to
+  the one installed before it, the earliest to ``node.transmit``.
+  Handles may be uninstalled in *any* order: ``uninstall()`` removes the
+  behaviour wherever it sits, and is idempotent.
 * **Randomised behaviours** (:class:`DropBehaviour`,
   :class:`DuplicateBehaviour`) draw from a private
   ``random.Random(f"fault:{seed}:{node}")`` — arming them never perturbs

@@ -1,7 +1,7 @@
 """Concrete Byzantine behaviours applied to live nodes.
 
-All behaviours work by interposing on a node's messaging surface
-(``send`` / ``deliver``) or by corrupting its application, never by
+All behaviours work by interposing on a node's ``send`` path (the
+``node.faults`` stack) or by corrupting its application, never by
 forging other principals' authenticators — mirroring what a compromised
 but key-isolated machine could actually do.
 
@@ -42,13 +42,12 @@ def _fault_rng(node: Node) -> random.Random:
 class Behaviour:
     """A reversible interposer on a node's ``send`` path.
 
-    Subclasses override :meth:`_apply` (the faulty send).  Stacking works
-    by chaining: each install captures the node's current ``send`` (which
-    may itself be another behaviour's wrapper) and forwards to it when
-    passing a message through.  Uninstalling the top of the chain unwinds
-    through any already-deactivated wrappers below it; uninstalling from
-    the middle simply deactivates the wrapper, which then forwards
-    untouched until the chain unwinds past it.
+    Subclasses override :meth:`_apply` (the faulty send) and pass a
+    message on with :meth:`_forward`.  Installed behaviours stack on
+    ``node.faults``, latest last: ``Node.send`` enters the latest, each
+    forwards to the one installed before it, and the earliest to
+    ``Node.transmit``.  :meth:`uninstall` removes a behaviour wherever it
+    sits in the stack.
     """
 
     kind = "behaviour"
@@ -56,20 +55,13 @@ class Behaviour:
     def __init__(self) -> None:
         self.node: Optional[Node] = None
         self.active = False
-        self._original_send: Optional[Callable] = None
 
     # -- lifecycle ------------------------------------------------------
     def install(self, node: Node) -> "Behaviour":
         if self.active:
             raise RuntimeError(f"{self.kind} behaviour already installed")
         self.node = node
-        self._original_send = node.send
-        stack = node.__dict__.setdefault("_fault_behaviours", [])
-        if not stack:
-            node.__dict__["_fault_base_byzantine"] = node.byzantine
-        stack.append(self)
-        node.send = self._send  # type: ignore[method-assign]
-        node.byzantine = True
+        node.faults.append(self)
         self.active = True
         self._on_install()
         return self
@@ -80,46 +72,27 @@ class Behaviour:
             return
         self.active = False
         self._on_uninstall()
-        node = self.node
-        if getattr(node.send, "__self__", None) is self:
-            # We are the top of the chain: unwind through any wrappers
-            # below us that were deactivated out of order.
-            send = self._original_send
-            while True:
-                owner = getattr(send, "__self__", None)
-                if isinstance(owner, Behaviour) and not owner.active:
-                    send = owner._original_send
-                else:
-                    break
-            if getattr(send, "__self__", None) is node and getattr(
-                send, "__func__", None
-            ) is type(node).send:
-                # Fully unwound: restore the plain bound method by deleting
-                # the instance attribute shadowing the class method.
-                node.__dict__.pop("send", None)
-            else:
-                node.send = send  # type: ignore[method-assign]
-        stack = node.__dict__.get("_fault_behaviours", [])
-        if self in stack:
-            stack.remove(self)
-        if not stack:
-            node.byzantine = node.__dict__.get("_fault_base_byzantine", False)
+        self.node.faults.remove(self)
 
     # -- hooks ----------------------------------------------------------
     def _on_install(self) -> None:
-        """Subclass hook run after the send chain is wired."""
+        """Subclass hook run after the behaviour joined the stack."""
 
     def _on_uninstall(self) -> None:
-        """Subclass hook run before the send chain is unwound."""
-
-    def _send(self, dst, message) -> None:
-        if not self.active:
-            self._original_send(dst, message)
-            return
-        self._apply(dst, message)
+        """Subclass hook run before the behaviour leaves the stack."""
 
     def _apply(self, dst, message) -> None:
-        self._original_send(dst, message)
+        self._forward(dst, message)
+
+    def _forward(self, dst, message) -> None:
+        """Pass ``message`` to the behaviour installed before this one, or
+        to ``Node.transmit`` when there is none."""
+        faults = self.node.faults
+        below = faults.index(self)
+        if below:
+            faults[below - 1]._apply(dst, message)
+        else:
+            self.node.transmit(dst, message)
 
 
 class SilenceBehaviour(Behaviour):
@@ -138,7 +111,7 @@ class SilenceBehaviour(Behaviour):
     def _apply(self, dst, message) -> None:
         if self.to is None or self.to(dst):
             return  # swallow
-        self._original_send(dst, message)
+        self._forward(dst, message)
 
 
 class DelayBehaviour(Behaviour):
@@ -156,31 +129,25 @@ class DelayBehaviour(Behaviour):
         self.delay_ms = delay_ms
         self._pending: Dict[int, Any] = {}
         self._next_token = 0
-        self._crash_count_at_schedule: Dict[int, int] = {}
 
     def _apply(self, dst, message) -> None:
         token = self._next_token
         self._next_token += 1
-        self._crash_count_at_schedule[token] = self.node.crash_count
-        self._pending[token] = self.node.sim.schedule(
-            self.delay_ms, self._emit, token, dst, message
+        node = self.node
+        self._pending[token] = node.sim.schedule(
+            self.delay_ms, self._emit, token, node.crash_count, dst, message
         )
 
-    def _emit(self, token: int, dst, message) -> None:
+    def _emit(self, token: int, crash_count: int, dst, message) -> None:
         self._pending.pop(token, None)
-        scheduled_epoch = self._crash_count_at_schedule.pop(token, None)
-        node = self.node
-        if not self.active or node.crashed:
-            return
-        if scheduled_epoch is not None and node.crash_count != scheduled_epoch:
-            return  # node crashed (and maybe recovered) since: message is lost
-        self._original_send(dst, message)
+        # A node that crashed (and maybe recovered) since loses the message.
+        if self.active and self.node.crash_count == crash_count:
+            self._forward(dst, message)
 
     def _on_uninstall(self) -> None:
         for handle in self._pending.values():
             handle.cancel()
         self._pending.clear()
-        self._crash_count_at_schedule.clear()
 
 
 class DropBehaviour(Behaviour):
@@ -202,7 +169,7 @@ class DropBehaviour(Behaviour):
         if self.rng.random() < self.drop_fraction:
             self.dropped += 1
             return
-        self._original_send(dst, message)
+        self._forward(dst, message)
 
 
 class DuplicateBehaviour(Behaviour):
@@ -221,10 +188,10 @@ class DuplicateBehaviour(Behaviour):
             self.rng = _fault_rng(self.node)
 
     def _apply(self, dst, message) -> None:
-        self._original_send(dst, message)
+        self._forward(dst, message)
         if self.rng.random() < self.dup_fraction:
             self.duplicated += 1
-            self._original_send(dst, message)
+            self._forward(dst, message)
 
 
 class EquivocateBehaviour(Behaviour):
@@ -294,10 +261,10 @@ class EquivocateBehaviour(Behaviour):
     def _apply(self, dst, message) -> None:
         variant = self._variant_for(dst, message)
         if variant is None:
-            self._original_send(dst, message)
+            self._forward(dst, message)
         else:
             self.equivocated += 1
-            self._original_send(dst, variant)
+            self._forward(dst, variant)
 
     def _variant_for(self, dst, message) -> Optional[Any]:
         node = self.node

@@ -1,7 +1,8 @@
 """Structured message tracing for debugging and teaching.
 
-A :class:`MessageTrace` hooks a :class:`~repro.net.network.Network` and
-records every transmission as a structured event.  Filters keep traces
+A :class:`MessageTrace` is a tap on a :class:`~repro.net.network.Network`
+(an entry of ``Network.taps``) and records every transmission as a
+structured event.  Filters keep traces
 focused (by message type, node, or time window); :meth:`render` produces a
 human-readable timeline, which the protocol documentation uses to show
 e.g. a write request's full path through Spider.
@@ -54,7 +55,6 @@ class MessageTrace:
         self.events: List[TraceEvent] = []
         self.dropped = 0
         self._network = None
-        self._original_send = None
 
     # ------------------------------------------------------------------
     # Attachment
@@ -63,22 +63,16 @@ class MessageTrace:
         if self._network is not None:
             raise RuntimeError("trace already attached")
         self._network = network
-        self._original_send = network.send
-
-        def traced_send(src, dst, message):
-            self._record(network, src, dst, message)
-            self._original_send(src, dst, message)
-
-        network.send = traced_send
+        network.taps.append(self._record)
         return self
 
     def detach(self) -> None:
         if self._network is not None:
-            self._network.send = self._original_send
+            self._network.taps.remove(self._record)
             self._network = None
-            self._original_send = None
 
-    def _record(self, network, src, dst, message) -> None:
+    def _record(self, src, dst, message) -> None:
+        network = self._network
         size = message.size_bytes() if hasattr(message, "size_bytes") else 0
         wan = (
             src.site is not None

@@ -6,7 +6,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digestible, cached_size_bytes, structural_digest
 from repro.errors import SimulationError
@@ -100,9 +100,7 @@ class _FaultState:
     """Mutable fault-injection configuration."""
 
     partitions: Set[frozenset] = field(default_factory=set)
-    drop_rate: float = 0.0
     crashed_links: Set[Tuple[str, str]] = field(default_factory=set)
-    filter: Optional[Callable[[Node, Node, Any], bool]] = None
     #: (src name, dst name) -> LinkMod; empty (the overwhelmingly common
     #: case) costs one falsy dict check on the send fast path.
     link_mods: Dict[Tuple[str, str], LinkMod] = field(default_factory=dict)
@@ -120,9 +118,11 @@ class Network:
     Fault-injection hooks (all usable mid-simulation):
 
     * :meth:`partition` / :meth:`heal` — cut traffic between region groups.
-    * :meth:`set_drop_rate` — i.i.d. message loss.
     * :meth:`block_link` / :meth:`unblock_link` — cut one node pair.
-    * ``fault.filter`` — arbitrary predicate, dropped when it returns False.
+    * :meth:`set_link_mod` — delay, duplication and loss on one link.
+
+    ``taps`` holds ``(src, dst, message)`` observers: :meth:`send` calls
+    each on every message first, before any check can drop it.
     """
 
     def __init__(self, sim: Simulator, topology: Topology, jitter: float = 0.05):
@@ -134,6 +134,7 @@ class Network:
         self.lan = LinkStats()
         self.per_region_pair: Dict[frozenset, LinkStats] = {}
         self.fault = _FaultState()
+        self.taps: List[Callable[[Node, Node, Any], None]] = []
         self.dropped = 0
         self.duplicated = 0
         #: message type -> sizing mode (0: no ``size_bytes``, fall back to
@@ -177,21 +178,18 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: Node, dst: Node, message: Any) -> None:
         """Deliver ``message`` from ``src`` to ``dst`` (maybe dropped)."""
+        for tap in self.taps:
+            tap(src, dst, message)
         if dst.name not in self.nodes:
             return  # destination left the system (e.g. removed group)
         site_a, site_b = src.site, dst.site
         if site_a is None or site_b is None:
             raise SimulationError("network sends require nodes with sites")
-        # Fast path: skip all per-send fault checks while no partition, drop
-        # rate, crashed link or filter is armed (the overwhelmingly common
-        # case); ``_is_blocked`` keeps the detailed semantics.
+        # Fast path: skip all per-send fault checks while no partition or
+        # crashed link is armed (the overwhelmingly common case);
+        # ``_is_blocked`` keeps the detailed semantics.
         fault = self.fault
-        if (
-            fault.partitions
-            or fault.drop_rate
-            or fault.crashed_links
-            or fault.filter is not None
-        ) and self._is_blocked(src, dst, message):
+        if (fault.partitions or fault.crashed_links) and self._is_blocked(src, dst):
             self.dropped += 1
             return
         mod = None
@@ -273,7 +271,7 @@ class Network:
         sim._seq += 1
         heappush(sim._queue, (now + (nic + link), sim._seq, deliver, deliver_args))
 
-    def _is_blocked(self, src: Node, dst: Node, message: Any) -> bool:
+    def _is_blocked(self, src: Node, dst: Node) -> bool:
         fault = self.fault
         if (src.name, dst.name) in fault.crashed_links:
             return True
@@ -283,10 +281,6 @@ class Network:
                 dst_in = dst.site.region in partition
                 if src_in != dst_in:
                     return True
-        if fault.drop_rate and self.sim.rng.random() < fault.drop_rate:
-            return True
-        if fault.filter is not None and not fault.filter(src, dst, message):
-            return True
         return False
 
     # ------------------------------------------------------------------
@@ -307,11 +301,6 @@ class Network:
         undo themselves without clobbering overlapping partitions.
         """
         self.fault.partitions.discard(frozenset(regions))
-
-    def set_drop_rate(self, rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise SimulationError(f"drop rate must be in [0, 1), got {rate}")
-        self.fault.drop_rate = rate
 
     def block_link(self, src: Node, dst: Node) -> None:
         self.fault.crashed_links.add((src.name, dst.name))

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Op
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # runtime import would be circular: net imports sim
+    from repro.faults.behaviours import Behaviour
     from repro.net.network import Network
     from repro.net.topology import Site
     from repro.sim.core import Simulator
@@ -139,7 +140,10 @@ class Node:
         #: fault behaviours holding delayed messages) detect that a crash
         #: happened even if the node has since recovered.
         self.crash_count = 0
-        self.byzantine = False
+        #: the installed fault behaviours, latest last: :meth:`send` enters
+        #: the latest, each forwards to the one before, the earliest to
+        #: :meth:`transmit` (``Behaviour.install`` / ``uninstall`` edit it).
+        self.faults: List["Behaviour"] = []
         self.busy_until: float = 0.0
         self.busy_ms: float = 0.0
         #: NIC egress model: outgoing messages serialise through the NIC at
@@ -281,6 +285,15 @@ class Node:
     # Messaging
     # ------------------------------------------------------------------
     def send(self, dst: "Node", message: Any) -> None:
+        """Send ``message`` to ``dst``: through the latest installed fault
+        behaviour, if any, else straight to :meth:`transmit`."""
+        faults = self.faults
+        if faults:
+            faults[-1]._apply(dst, message)
+        else:
+            self.transmit(dst, message)
+
+    def transmit(self, dst: "Node", message: Any) -> None:
         """Transmit ``message`` to ``dst`` over the network.
 
         When called from within a CPU task, the transmission is deferred

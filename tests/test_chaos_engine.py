@@ -34,12 +34,10 @@ def _ping_setup():
 class TestBehaviourReversibility:
     def test_uninstall_restores_plain_send(self):
         cluster, a, b, inbox = _ping_setup()
-        original = a.send
         handle = SilenceBehaviour().install(a)
-        assert a.byzantine and a.send != original
+        assert a.faults == [handle]
         handle.uninstall()
-        assert not a.byzantine
-        assert "send" not in a.__dict__  # back to the class method
+        assert a.faults == []  # send goes straight to transmit again
         a.send(b, Payload(10, "hello"))
         cluster.run(until=100.0)
         assert len(inbox) == 1
@@ -53,8 +51,9 @@ class TestBehaviourReversibility:
         a.send(b, Payload(10, "swallowed"))
         cluster.run(until=50.0)
         assert inbox == []  # silence still active
+        assert a.faults == [upper]
         upper.uninstall()
-        assert "send" not in a.__dict__  # inactive lower wrapper unwound too
+        assert a.faults == []
         a.send(b, Payload(10, "clear"))
         cluster.run(until=100.0)
         assert len(inbox) == 1
@@ -64,16 +63,17 @@ class TestBehaviourReversibility:
         handle = SilenceBehaviour().install(a)
         handle.uninstall()
         handle.uninstall()
-        assert "send" not in a.__dict__
+        assert a.faults == []
 
-    def test_byzantine_flag_restored_only_when_stack_empties(self):
+    def test_stack_empties_only_with_the_last_uninstall(self):
         cluster, a, b, _ = _ping_setup()
         first = SilenceBehaviour().install(a)
         second = DelayBehaviour(5.0).install(a)
+        assert a.faults == [first, second]  # latest last
         first.uninstall()
-        assert a.byzantine  # second behaviour still active
+        assert a.faults == [second]  # second behaviour still active
         second.uninstall()
-        assert not a.byzantine
+        assert a.faults == []
 
 
 class TestDelayBehaviourLifecycle:
@@ -96,6 +96,16 @@ class TestDelayBehaviourLifecycle:
         assert cluster.sim.pending_events == baseline - 1  # event truly dead
         cluster.run(until=500.0)
         assert inbox == []
+
+    def test_parked_send_skips_a_behaviour_uninstalled_below(self):
+        cluster, a, b, inbox = _ping_setup()
+        silence = SilenceBehaviour().install(a)
+        delay = DelayBehaviour(50.0).install(a)
+        a.send(b, Payload(10, "parked"))
+        silence.uninstall()
+        assert a.faults == [delay]
+        cluster.run(until=500.0)  # the delay forwards straight to transmit
+        assert [(message.label, at >= 50.0) for at, message in inbox] == [("parked", True)]
 
     def test_active_delayer_delays(self):
         cluster, a, b, inbox = _ping_setup()
@@ -218,9 +228,9 @@ class TestChaosEngine:
         engine = ChaosEngine(cluster.sim, cluster.network, {"n0": a, "n1": b})
         engine.install([FaultAction(kind="silence", target="n0", start_ms=5.0, duration_ms=1e9)])
         cluster.run(until=10.0)
-        assert a.byzantine
+        assert [fault.kind for fault in a.faults] == ["silence"]
         engine.undo_all()
-        assert not a.byzantine
+        assert a.faults == []
 
     def test_link_mod_window(self):
         cluster, a, b, inbox = _ping_setup()

@@ -20,6 +20,7 @@ from repro.chaos import (
 )
 from repro.consensus.pbft.messages import PrePrepare
 from repro.crypto.primitives import attach_auth, make_mac_vector
+from repro.faults import Behaviour
 
 from tests.conftest import Cluster
 from tests.test_pbft import PbftHarness
@@ -114,24 +115,24 @@ class TestSafetyMutation:
             for replica in harness.replicas:
                 replica.quorum = 2  # "forged quorum": safety rule disabled
         split = {"r1"}  # r1 sees payload A, r2/r3 see payload B
-        original_send = leader.node.send
 
-        def two_faced_send(dst, message):
-            if isinstance(message, PrePrepare) and dst.name not in split:
-                body = PrePrepare(
-                    tag=message.tag,
-                    view=message.view,
-                    seq=message.seq,
-                    payload=("EVIL", message.seq),
-                    sender=message.sender,
-                )
-                message = attach_auth(
-                    body,
-                    auth=make_mac_vector(leader.name, leader.peer_names, body),
-                )
-            original_send(dst, message)
+        class TwoFaced(Behaviour):
+            def _apply(self, dst, message):
+                if isinstance(message, PrePrepare) and dst.name not in split:
+                    body = PrePrepare(
+                        tag=message.tag,
+                        view=message.view,
+                        seq=message.seq,
+                        payload=("EVIL", message.seq),
+                        sender=message.sender,
+                    )
+                    message = attach_auth(
+                        body,
+                        auth=make_mac_vector(leader.name, leader.peer_names, body),
+                    )
+                self._forward(dst, message)
 
-        leader.node.send = two_faced_send
+        TwoFaced().install(leader.node)
         leader.order(("honest", 1))
         cluster.run(until=5_000.0)
         delivered = {

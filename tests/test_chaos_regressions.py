@@ -304,14 +304,12 @@ class TestEquivocatorForgesBundles:
         senders, receivers = make_channel("rc", "ch", s_nodes, r_nodes, config)
         liar = EquivocateBehaviour(fraction=1.0).install(s_nodes[0])
         seen = {}
-        original = cluster.network.send
 
-        def recording_send(src, dst, message):
+        def tap(src, dst, message):
             if src is s_nodes[0]:
                 seen.setdefault(dst.name, []).append(message)
-            original(src, dst, message)
 
-        cluster.network.send = recording_send
+        cluster.network.taps.append(tap)
         s_nodes[0].run_task(lambda: None)  # older work: the three sends cork
         for position in (1, 2, 3):
             s_nodes[0].run_task(senders["s0"].send, "c1", position, ("m", position))
@@ -354,14 +352,12 @@ class TestEquivocatorForgesBundles:
         channels = [make_channel("rc", tag, s_nodes, r_nodes, config) for tag in ("ch-a", "ch-b")]
         liar = EquivocateBehaviour(fraction=1.0).install(s_nodes[0])
         seen = []
-        original = cluster.network.send
 
-        def recording_send(src, dst, message):
+        def tap(src, dst, message):
             if src is s_nodes[0]:
                 seen.append((dst.name, message))
-            original(src, dst, message)
 
-        cluster.network.send = recording_send
+        cluster.network.taps.append(tap)
         s_nodes[0].run_task(
             lambda: [senders["s0"].send("c1", 1, ("m", 1)) for senders, _receivers in channels]
         )

@@ -16,17 +16,14 @@ def record_sends(cluster, timed=False):
     """Log ``(src name, message)`` for everything put on the network
     (``timed``: ``(src name, instant, message)``)."""
     log = []
-    network = cluster.network
-    original = network.send
 
-    def recording_send(src, dst, message):
+    def tap(src, dst, message):
         if timed:
             log.append((src.name, cluster.sim.now, message))
         else:
             log.append((src.name, message))
-        original(src, dst, message)
 
-    network.send = recording_send
+    cluster.network.taps.append(tap)
     return log
 
 

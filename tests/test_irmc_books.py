@@ -29,11 +29,7 @@ def used_channel(kind):
     fx = ChannelFixture(kind, capacity=2)
     log = []
     network = fx.cluster.network
-    original = network.send
-    network.send = lambda src, dst, message: (
-        log.append((src, dst, message)),
-        original(src, dst, message),
-    )
+    network.taps.append(lambda src, dst, message: log.append((src, dst, message)))
     everyone = ["s0", "s1", "s2"]
     for endpoint in fx.receivers.values():
         endpoint.node.run_task(endpoint.receive, "alice", 1)

@@ -7,9 +7,16 @@ import pytest
 from repro.consensus import Batch, batch_items, is_batch
 from repro.consensus.pbft import NOOP, PbftConfig, PbftReplica, is_noop, quorum_weight
 from repro.errors import ConfigurationError
+from repro.faults import DropBehaviour
 from repro.sim import Process
 
 from tests.conftest import Cluster
+
+
+def lose_everywhere(cluster, fraction):
+    """Every node loses ``fraction`` of its sends until the returned
+    handles are uninstalled."""
+    return [DropBehaviour(fraction).install(node) for node in cluster.network.nodes.values()]
 
 
 class PbftHarness:
@@ -461,11 +468,12 @@ class TestBatching:
             fetch_delay_ms=100.0,
             batch_size=4,
         )
-        cluster.network.set_drop_rate(0.05)
+        droppers = lose_everywhere(cluster, 0.05)
         for index in range(8):
             harness.order_everywhere(("op", index))
         cluster.run(until=10_000.0)
-        cluster.network.set_drop_rate(0.0)
+        for dropper in droppers:
+            dropper.uninstall()
         cluster.run(until=40_000.0)
         # As in the unbatched loss test, a straggler may stall on a gap; but
         # a quorum must deliver everything, exactly once, and every replica
@@ -518,11 +526,12 @@ class TestSafetyUnderEquivocation:
     def test_delivery_matches_across_replicas_with_losses(self):
         cluster = Cluster()
         harness = PbftHarness(cluster, view_timeout_ms=500.0, fetch_delay_ms=100.0)
-        cluster.network.set_drop_rate(0.05)
+        droppers = lose_everywhere(cluster, 0.05)
         for index in range(5):
             harness.order_everywhere(("op", index))
         cluster.run(until=20000.0)
-        cluster.network.set_drop_rate(0.0)
+        for dropper in droppers:
+            dropper.uninstall()
         cluster.run(until=40000.0)
         reference = harness.flat_payloads("r0")
         assert len(reference) == 5

@@ -7,8 +7,9 @@ pin that contract:
 
 * an end-to-end Spider run produces bit-identical reply traces, journals
   and timings with the digest cache enabled vs disabled;
-* fault-injected runs (partitions + drops, which flip the network between
-  fast and slow paths mid-simulation) stay bit-identical too;
+* fault-injected runs (a partition, which flips the network between fast
+  and slow paths mid-simulation, then lossy senders) stay bit-identical
+  too;
 * the event queue's O(1) bookkeeping and lazy compaction never change
   firing order.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.primitives import set_digest_cache_enabled
+from repro.faults import DropBehaviour
 from repro.irmc import IrmcConfig, make_channel
 from repro.metrics import sim_equivalent
 from repro.net import Network, Payload, Site, Topology
@@ -60,14 +62,22 @@ def _spider_trace(seed: int, use_reads: bool = True) -> tuple:
     )
 
 
-def _faulty_trace(seed: int) -> tuple:
-    """A run that arms and disarms network faults mid-simulation."""
-    sim, system = build_system(seed=seed)
+def _arm_faults(sim, system) -> None:
+    """Tokyo partitioned from 0.5 s to 2.5 s, then every replica losing
+    5 % of its sends from 3 s to 5 s."""
     network = system.network
     sim.schedule(500.0, network.partition, ["tokyo"])
     sim.schedule(2_500.0, network.heal)
-    sim.schedule(3_000.0, network.set_drop_rate, 0.05)
-    sim.schedule(5_000.0, network.set_drop_rate, 0.0)
+    for node in system.all_nodes:
+        dropper = DropBehaviour(0.05)
+        sim.schedule(3_000.0, dropper.install, node)
+        sim.schedule(5_000.0, dropper.uninstall)
+
+
+def _faulty_trace(seed: int) -> tuple:
+    """A run that arms and disarms faults mid-simulation."""
+    sim, system = build_system(seed=seed)
+    _arm_faults(sim, system)
     clients, replies = run_workload(
         sim, system, n_clients=2, n_requests=3, use_reads=False
     )
@@ -93,11 +103,7 @@ def _two_event_deliver(self, src, message):
 def _spider_observation(seed: int, faults: bool = False) -> dict:
     sim, system = build_system(seed=seed)
     if faults:
-        network = system.network
-        sim.schedule(500.0, network.partition, ["tokyo"])
-        sim.schedule(2_500.0, network.heal)
-        sim.schedule(3_000.0, network.set_drop_rate, 0.05)
-        sim.schedule(5_000.0, network.set_drop_rate, 0.0)
+        _arm_faults(sim, system)
     clients, replies = run_workload(
         sim, system, n_clients=3, n_requests=4, use_reads=not faults
     )
@@ -194,8 +200,9 @@ class TestDigestCacheParity:
             assert with_cache == _spider_trace(seed, use_reads=False)
 
     def test_parity_under_fault_injection(self):
-        """Partitions/drop-rates flip the network's armed-fault fast path on
-        and off mid-run; results must still be bit-identical."""
+        """A partition flips the network's armed-fault fast path on and off
+        mid-run, and lossy senders follow; results must still be
+        bit-identical."""
         with_cache = _faulty_trace(seed=42)
         set_digest_cache_enabled(False)
         assert with_cache == _faulty_trace(seed=42)
@@ -279,18 +286,15 @@ class TestNetworkFastPath:
         assert received == ["hello", "world"]
         assert network.dropped == 1
 
-    def test_block_link_and_filter_bypass_fast_path(self):
+    def test_block_link_bypasses_fast_path(self):
         sim, network, a, b, received = self._pair()
         network.block_link(a, b)
         network.send(a, b, "nope")
         network.unblock_link(a, b)
-        network.fault.filter = lambda src, dst, message: message != "filtered"
-        network.send(a, b, "filtered")
-        network.fault.filter = None
         network.send(a, b, "ok")
         sim.run()
         assert received == ["ok"]
-        assert network.dropped == 2
+        assert network.dropped == 1
 
     def test_invalidate_cache_propagates_to_network(self):
         """Mid-run latency-table edits must reach in-flight link caches."""

@@ -81,6 +81,7 @@ class TestIrmcAgreementProperty:
         """Under random message loss, any two receivers that deliver a
         message for the same (subchannel, position) deliver the same one
         (the f_s+1 vouching rule)."""
+        from repro.faults import DropBehaviour
         from repro.irmc import IrmcConfig, make_channel
         from repro.net import Network, Site, Topology
         from repro.sim import Process
@@ -88,7 +89,6 @@ class TestIrmcAgreementProperty:
 
         sim = Simulator(seed=seed)
         network = Network(sim, Topology(), jitter=0.1)
-        network.set_drop_rate(0.15)
         senders = [
             network.register(RoutedNode(sim, f"s{i}", Site("virginia", i + 1)))
             for i in range(3)
@@ -97,6 +97,8 @@ class TestIrmcAgreementProperty:
             network.register(RoutedNode(sim, f"r{i}", Site("oregon", i + 1)))
             for i in range(4)
         ]
+        for node in senders + receivers:
+            DropBehaviour(0.15).install(node)
         tx, rx = make_channel(kind, "ch", senders, receivers, IrmcConfig(capacity=32))
 
         # Two senders send one value, the third a conflicting one.

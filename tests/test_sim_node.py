@@ -1,5 +1,6 @@
 """Tests for the serial-CPU node model and its interaction with the network."""
 
+from repro.faults import DropBehaviour
 from repro.net import Network, Site, Topology
 from repro.sim import Node, Simulator, Timer, charge
 
@@ -285,12 +286,25 @@ class TestNetworkDelivery:
 
     def test_drop_rate_loses_messages(self):
         sim, network, a, b = make_pair()
-        network.set_drop_rate(0.5)
+        dropper = DropBehaviour(0.5).install(a)
         for index in range(100):
             a.send(b, Ping(index))
         sim.run()
         assert 20 < len(b.received) < 80
-        assert network.dropped == 100 - len(b.received)
+        assert dropper.dropped == 100 - len(b.received)
+
+    def test_a_tap_sees_a_send_the_partition_then_drops(self):
+        sim = Simulator(seed=1)
+        network = Network(sim, Topology(), jitter=0.0)
+        a = network.register(Recorder(sim, "a", Site("virginia", 1)))
+        b = network.register(Recorder(sim, "b", Site("tokyo", 1)))
+        seen = []
+        network.taps.append(lambda src, dst, message: seen.append((src.name, dst.name, message.tag)))
+        network.partition({"tokyo"})
+        a.send(b, Ping(1))
+        sim.run()
+        assert seen == [("a", "b", 1)]
+        assert b.received == [] and network.dropped == 1
 
 
 class Echo(Recorder):

@@ -71,6 +71,17 @@ class TestMessageTrace:
         sim.run(until=3000.0)
         assert trace.events == []
 
+    def test_detaching_one_trace_leaves_another_recording(self):
+        sim, system = build_system()
+        first = MessageTrace().attach(system.network)
+        second = MessageTrace().attach(system.network)
+        first.detach()
+        client = system.make_client("c1", "virginia", group_id="g0")
+        client.write(("put", "k", "v"))
+        sim.run(until=3000.0)
+        assert first.events == []
+        assert second.events == traced_write().events
+
     def test_limit_caps_memory(self):
         sim, system = build_system()
         trace = MessageTrace(limit=5).attach(system.network)
