@@ -31,6 +31,9 @@ campaign (PR 3) flushed out dynamically:
   (in-place tampering with frozen ``Digestible`` messages).
 * ``P203`` — handler methods reaching into the sending node's attributes
   instead of communicating through ``Network.send``.
+* ``P204`` — assignment to a ``send`` or ``deliver`` attribute: the
+  message path is observed through ``Network.taps`` and faulted through
+  an installed ``Behaviour``, never rebound.
 
 Suppression is explicit and audited: a ``# lint: allow[RULE] -- why``
 pragma (same line or the line above; ``allow-file`` for a whole module)

@@ -83,6 +83,12 @@ RULES: Dict[str, Rule] = {
             "through Network.send",
             "read only src.name / src.site; exchange state via messages",
         ),
+        Rule(
+            "P204",
+            "assignment to a send or deliver attribute (rebinding the message "
+            "path of a live object)",
+            "add a Network.taps entry or install a Behaviour",
+        ),
     ]
 }
 
@@ -175,6 +181,10 @@ _HANDLER_PREFIXES = ("on_", "_on_", "handle_", "_handle_")
 #: The only attributes a handler may read off the sending node: identity and
 #: placement.  Anything else is cross-node aliasing.
 _ALLOWED_SRC_ATTRS = frozenset({"name", "site"})
+
+#: P204: the message path, observed through ``Network.taps`` and faulted
+#: through ``Node.faults``, never rebound.
+_MESSAGE_PATH_ATTRS = frozenset({"send", "deliver"})
 
 
 @dataclass
@@ -395,7 +405,23 @@ class RuleChecker(ast.NodeVisitor):
                     self._local_sets[-1].add(target.id)
                 else:
                     self._local_sets[-1].discard(target.id)
+        self._check_message_path(node.targets)
         self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_message_path([node.target])
+        self.generic_visit(node)
+
+    def _check_message_path(self, targets: List[ast.expr]) -> None:
+        # P204: rebinding send / deliver (tuple targets included).
+        for target in targets:
+            for child in ast.walk(target):
+                if (
+                    isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)
+                    and child.attr in _MESSAGE_PATH_ATTRS
+                ):
+                    self._emit("P204", child, f"assignment rebinds .{child.attr}")
 
     # -- rules ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:

@@ -315,6 +315,31 @@ class TestP203CrossNodeReach:
         assert "P203" not in fired
 
 
+class TestP204MessagePathRebinding:
+    def test_fires_on_send_and_deliver_assignment_everywhere(self):
+        source = """
+            def spy(network, node, log):
+                original = network.send
+                network.send = lambda src, dst, message: original(src, dst, message)
+                node.deliver = log.append
+                node.nic.send, spare = log.append, None
+                node.send: object = log.append
+            """
+        for path in ("src/repro/metrics/trace.py", "tests/test_irmc.py"):
+            assert rules_fired(source, path=path).count("P204") == 4
+
+    def test_near_miss_local_name_and_on_message(self):
+        assert "P204" not in rules_fired(
+            """
+            def wire(network, node, inbox):
+                send = network.send
+                send(node, node, "ping")
+                node.on_message = lambda src, message: inbox.append(message)
+                network.taps.append(lambda src, dst, message: inbox.append(message))
+            """
+        )
+
+
 # ----------------------------------------------------------------------
 # Pragmas, baseline, CLI
 # ----------------------------------------------------------------------
