@@ -2,10 +2,10 @@
 
 A :class:`MessageTrace` is a tap on a :class:`~repro.net.network.Network`
 (an entry of ``Network.taps``) and records every transmission as a
-structured event.  Filters keep traces
-focused (by message type, node, or time window); :meth:`render` produces a
-human-readable timeline, which the protocol documentation uses to show
-e.g. a write request's full path through Spider.
+structured event.  Filters keep traces focused (by message type, node, or
+time window); :meth:`render` produces a human-readable timeline, which the
+protocol documentation uses to show e.g. a write request's full path
+through Spider.
 """
 
 from __future__ import annotations
