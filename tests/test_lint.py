@@ -319,14 +319,15 @@ class TestP204MessagePathRebinding:
     def test_fires_on_send_and_deliver_assignment_everywhere(self):
         source = """
             def spy(network, node, log):
-                original = network.send
-                network.send = lambda src, dst, message: original(src, dst, message)
-                node.deliver = log.append
-                node.nic.send, spare = log.append, None
-                node.send: object = log.append
+                original = network.{attr}
+                network.{attr} = lambda *args: (log.append(args), original(*args))
+                node.nic.{attr}, spare = log.append, None
+                node.{attr}: object = log.append
             """
-        for path in ("src/repro/metrics/trace.py", "tests/test_irmc.py"):
-            assert rules_fired(source, path=path).count("P204") == 4
+        for attr in ("send", "deliver"):
+            for path in ("src/repro/metrics/trace.py", "tests/test_irmc.py"):
+                fired = rules_fired(source.format(attr=attr), path=path)
+                assert fired.count("P204") == 3
 
     def test_near_miss_local_name_and_on_message(self):
         assert "P204" not in rules_fired(
