@@ -227,11 +227,12 @@ class Cluster:
     # ------------------------------------------------------------------
     # Retirement bookkeeping (agreed RetireClient commands)
     # ------------------------------------------------------------------
-    def _expect_retirements(self, session_name: str, shard_ids) -> None:
-        """A closing session's clients await agreed retirement."""
-        for shard_id in shard_ids:
-            self._pending_retirement[f"{session_name}@{shard_id}"] = session_name
-        self._retire_remaining[session_name] = len(list(shard_ids))
+    def _expect_retirements(self, session_name: str, lanes) -> None:
+        """A closing session's clients (one per opened lane, named
+        ``{session}@{lane}``) await agreed retirement."""
+        for lane in lanes:
+            self._pending_retirement[f"{session_name}@{lane}"] = session_name
+        self._retire_remaining[session_name] = len(lanes)
 
     def _note_client_retired(self, client_name: str) -> None:
         """An agreement replica applied an agreed RetireClient command."""

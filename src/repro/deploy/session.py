@@ -3,18 +3,23 @@
 A :class:`Session` is the key-value face of a multi-shard cluster: every
 operation names a *key*, the cluster's deterministic
 :class:`~repro.deploy.cluster.KeyPartitioner` maps the key to its owning
-shard, and the session multiplexes one underlying
-:class:`~repro.core.client.SpiderClient` per shard it touches (created
-lazily, named ``{session}@{shard_id}``).
+shard, and the session orders through up to :data:`LANES_PER_SHARD`
+protocol clients (:class:`~repro.core.client.SpiderClient`, "lanes")
+per shard it touches, each created lazily: lane 0 is
+``{session}@{shard_id}``, lane 1 ``{session}@{shard_id}#1``.
 
 Semantics:
 
-* **Writes** and **strong reads** are ordered operations; the underlying
-  protocol client allows one in flight at a time, so the session queues
-  them *per shard* — per-key FIFO follows (a key always maps to the same
-  shard), while operations on keys owned by different shards proceed in
-  parallel.  That independence is the scale-out axis: N shards give a
-  session up to N concurrently ordered operations.
+* **Writes** and **strong reads** are ordered operations; each protocol
+  client allows one in flight at a time, so the session queues them *per
+  lane*.  An op whose key still has an unresolved op joins that op's
+  lane (per-key FIFO); otherwise it takes an idle lane of the owning
+  shard, lane 0 first, or else queues on the lane with the shorter
+  backlog (a tie goes to lane 0).  Ordered ops on different keys of one
+  shard therefore run up to two at a time instead of queueing behind
+  each other, and a session whose ordered ops never overlap on a shard
+  never opens lane 1.  Keys owned by different shards proceed in
+  parallel as well — the scale-out axis.
 * **Weak reads** (:attr:`Consistency.WEAK`, the :meth:`Session.read`
   default) go straight to the owning shard's nearest execution group and
   may be served concurrently with ordered traffic, exactly like
@@ -28,10 +33,10 @@ Semantics:
   these paths entirely and runs byte-identical to the pre-middleware
   session.
 * :meth:`Session.close` sheds ordered operations still *queued* behind a
-  shard backlog — their futures resolve with ``Rejected(CLOSED)``
+  lane's backlog — their futures resolve with ``Rejected(CLOSED)``
   immediately rather than executing after the caller said stop (or, in
   the pre-fix race, hanging forever) — lets in-flight operations finish,
-  and then retires the session's per-client request-channel subchannels
+  and then retires every lane's per-client request-channel subchannel
   (Fig. 14's channels are per-client: without retirement every replica's
   window books grow one entry per client *forever*).  A closed session
   rejects new operations; session names are single-use (the channel
@@ -49,7 +54,20 @@ from repro.elastic.messages import Migrating, WrongShard
 from repro.elastic.rangemap import RangeMap
 from repro.sim.futures import SimFuture
 
-__all__ = ["Consistency", "Session"]
+__all__ = ["Consistency", "LANES_PER_SHARD", "Session"]
+
+#: Protocol clients a session may order through per shard.  Each is a
+#: plain paper client with one request outstanding; a second lane lets
+#: an ordered op on one key proceed while the session's op on another
+#: key of the same shard is still in flight.  Two keep most of the tail
+#: gain of unbounded lanes for a fraction of the client state
+#: (docs/experiments.md, "Failover").
+LANES_PER_SHARD = 2
+
+
+def _lane_id(shard_id: str, index: int) -> str:
+    """Lane ``index`` of a shard; lane 0 is the shard id itself."""
+    return shard_id if index == 0 else f"{shard_id}#{index}"
 
 
 class Consistency(enum.Enum):
@@ -78,7 +96,10 @@ class Session:
         self.closed = False
         #: completed operations: (kind, key, issued_at, latency_ms)
         self.completed: list = []
+        #: protocol clients, queues and busy flags by lane id (see
+        #: ``_lane_id``); ``_lane_shard`` maps each opened lane to its shard.
         self._clients: Dict[str, Any] = {}
+        self._lane_shard: Dict[str, str] = {}
         #: queued ordered ops: (kind, operation, future, middleware Op|None)
         self._queues: Dict[str, Deque[Tuple[str, Tuple, SimFuture, Any]]] = {}
         self._busy: Dict[str, bool] = {}
@@ -87,18 +108,17 @@ class Session:
         #: declares a chain (the empty-chain fast path allocates nothing).
         self._contexts: Dict[str, OpContext] = {}
         # --- elastic-keyspace routing state (repro.elastic) -----------
-        #: unresolved ordered ops per key, and the shard each key's
-        #: unresolved ops are pinned to.  Per-key FIFO across a range
-        #: handover follows from the *follow-the-previous-op* rule: while
-        #: any op for a key is unresolved, new ops for it route to the
-        #: same shard the first one went to (redirects there happen in
-        #: submission order), and only once the count drains to zero does
-        #: the key route by the current table again.  Single-epoch
-        #: deployments see identical routing — the pinned shard always
-        #: equals the table's owner.
+        #: unresolved ordered ops per key, and the lane each key's
+        #: unresolved ops are pinned to (a lane implies its shard).
+        #: Per-key FIFO — on one shard and across a range handover —
+        #: follows from the *follow-the-previous-op* rule: while any op
+        #: for a key is unresolved, new ops for it join the lane the first
+        #: one went to (one op in flight per lane, redirects from there
+        #: happen in submission order), and only once the count drains to
+        #: zero does the key pick a lane of its current owner again.
         self._key_pending: Dict[str, int] = {}
-        self._key_target: Dict[str, str] = {}
-        #: key of the op currently on the wire per shard (None when idle)
+        self._key_lane: Dict[str, str] = {}
+        #: key of the op currently on the wire per lane (None when idle)
         #: — a flip cannot re-route a key whose redirect stream is still
         #: in motion at the old owner.
         self._inflight: Dict[str, Optional[str]] = {}
@@ -154,10 +174,10 @@ class Session:
         their futures resolve with ``Rejected(CLOSED)`` — executing them
         after the caller said stop would be wrong, and leaving them
         queued would hang their futures forever, since ``_pump`` switches
-        to retirement once the session is closed.  The per-shard
-        in-flight operation (if any) completes normally, after which
-        ``_pump`` retires that shard's request subchannel so the channel
-        endpoints drop this client's window books.  When every underlying
+        to retirement once the session is closed.  Each lane's in-flight
+        operation (if any) completes normally, after which ``_pump``
+        retires that lane's request subchannel so the channel endpoints
+        drop its window books.  When every underlying
         client finishes its close, the session releases the client
         objects (network registration, builder dictionaries) and itself;
         the name is released once the agreement group agrees the
@@ -172,7 +192,7 @@ class Session:
                 if op is not None:
                     # Complete against the shard the chain was begun on
                     # (``op.shard_id``) — after a redirect an op can sit
-                    # in another shard's queue, and the begin/complete
+                    # in another shard's lane, and the begin/complete
                     # pair must hit the same per-shard context.
                     chain = self._chain(op.shard_id)
                     if chain is not None:
@@ -199,10 +219,10 @@ class Session:
             self.cluster._forget_session_name(self.name)
             return
         self.cluster._expect_retirements(self.name, list(self._clients))
-        for shard_id in list(self._clients):
+        for lane in list(self._clients):
             # _pump owns the finish-then-retire rule: it retires idle
-            # shards now and busy shards at their in-flight completion.
-            self._pump(shard_id)
+            # lanes now and busy lanes at their in-flight completion.
+            self._pump(lane)
 
     @property
     def pending_ops(self) -> int:
@@ -220,36 +240,50 @@ class Session:
         if self.closed:
             raise RuntimeError(f"session {self.name!r} is closed")
 
-    def _client(self, shard_id: str):
-        client = self._clients.get(shard_id)
+    def _client(self, shard_id: str, lane: Optional[str] = None):
+        """The protocol client of ``lane`` (default: lane 0) of
+        ``shard_id``, created on first use."""
+        lane = lane or shard_id
+        client = self._clients.get(lane)
         if client is None:
             client = self.cluster.make_client(
-                f"{self.name}@{shard_id}",
+                f"{self.name}@{lane}",
                 self.region,
                 zone=self.zone,
                 shard_id=shard_id,
             )
             client.on_closed = (
-                lambda closed, shard_id=shard_id: self._release_client(shard_id, closed)
+                lambda closed, lane=lane: self._release_client(lane, closed)
             )
-            self._clients[shard_id] = client
-            self._queues[shard_id] = deque()
-            self._busy[shard_id] = False
+            self._clients[lane] = client
+            self._lane_shard[lane] = shard_id
+            self._queues[lane] = deque()
+            self._busy[lane] = False
         return client
 
-    def _release_client(self, shard_id: str, client) -> None:
+    def _release_client(self, lane: str, client) -> None:
         """The client's close fully completed: drop every reference that
         would otherwise grow one entry per churned session forever."""
-        shard = self.cluster.shard(shard_id)
+        shard = self.cluster.shard(self._lane_shard[lane])
         shard.clients.pop(client.name, None)
         self.cluster.network.unregister(client)
-        self._released.add(shard_id)
+        self._released.add(lane)
         if self._released >= set(self._clients):
             self._clients.clear()
+            self._lane_shard.clear()
             self._queues.clear()
             self._busy.clear()
             self._released.clear()
             self.cluster._release_session(self)
+
+    def _pick_lane(self, shard_id: str) -> str:
+        """An idle lane of the shard, lane 0 first (an unopened lane is
+        idle); else the lane with the shorter backlog, a tie to lane 0."""
+        lanes = [_lane_id(shard_id, index) for index in range(LANES_PER_SHARD)]
+        for lane in lanes:
+            if not self._busy.get(lane) and not self._queues.get(lane):
+                return lane
+        return min(lanes, key=lambda lane: len(self._queues[lane]))
 
     def _chain(self, shard_id: str):
         if not self.cluster.has_middleware:
@@ -264,11 +298,16 @@ class Session:
 
     def _submit_ordered(self, kind: str, key: str, operation: Tuple) -> SimFuture:
         self._check_open()
-        # Follow-the-previous-op: a key with unresolved ordered ops keeps
-        # routing to their shard even if the table flipped underneath —
-        # the old owner redirects them in order, preserving per-key FIFO
-        # across a range handover (see the field docs above).
-        shard_id = self._key_target.get(key) or self.cluster.partitioner.owner(key)
+        # Follow-the-previous-op: a key with unresolved ordered ops joins
+        # their lane even if the table flipped underneath — the old owner
+        # redirects them in order, preserving per-key FIFO across a range
+        # handover (see the field docs above).
+        lane = self._key_lane.get(key)
+        if lane is None:
+            shard_id = self.cluster.partitioner.owner(key)
+            lane = self._pick_lane(shard_id)
+        else:
+            shard_id = self._lane_shard[lane]
         chain = self._chain(shard_id)
         op: Optional[Op] = None
         if chain is not None:
@@ -286,36 +325,36 @@ class Session:
                 future.resolve(outcome.value)
                 return future
             op = outcome
-        self._client(shard_id)  # ensure queue exists
+        self._client(shard_id, lane)  # ensure the lane exists
         future = SimFuture(name=f"{self.name}.{kind}:{key}")
         self._track(future, kind, key)
-        self._note_issued(key, shard_id, future)
-        self._queues[shard_id].append((kind, operation, future, op))
-        self._pump(shard_id)
+        self._note_issued(key, lane, future)
+        self._queues[lane].append((kind, operation, future, op))
+        self._pump(lane)
         return future
 
-    def _pump(self, shard_id: str) -> None:
-        if self._busy[shard_id]:
+    def _pump(self, lane: str) -> None:
+        if self._busy[lane]:
             return
-        queue = self._queues[shard_id]
+        queue = self._queues[lane]
         if not queue:
             if self.closed:
-                self._clients[shard_id].close_session()
+                self._clients[lane].close_session()
             return
         kind, operation, outer, op = queue.popleft()
-        self._busy[shard_id] = True
-        self._inflight[shard_id] = operation[1]
-        client = self._clients[shard_id]
+        self._busy[lane] = True
+        self._inflight[lane] = operation[1]
+        client = self._clients[lane]
         if kind == "write":
             inner = client.write(operation)
         else:
             inner = client.strong_read(operation)
         inner.add_callback(
-            lambda result: self._on_done(shard_id, outer, result, op, kind, operation)
+            lambda result: self._on_done(lane, outer, result, op, kind, operation)
         )
 
     def _on_done(
-        self, shard_id: str, outer: SimFuture, result: Any,
+        self, lane: str, outer: SimFuture, result: Any,
         op=None, kind=None, operation=None,
     ) -> None:
         if (
@@ -326,7 +365,7 @@ class Session:
             # The old owner ordered the op but shed it mid-handover: the
             # op never executed there, so resubmitting it (to the new
             # owner, possibly after parking for the epoch bump) keeps
-            # exactly-once intact.  The shard stays busy and the key
+            # exactly-once intact.  The lane stays busy and the key
             # stays in ``_inflight`` until the redirect is enqueued: a
             # ``WrongShard`` reply may be this session's first sight of
             # the new table, and the ``_adopt_map`` inside ``_redirect``
@@ -334,12 +373,12 @@ class Session:
             # this key as frozen, or it would splice the key's *younger*
             # queued ops to the new owner ahead of this older op.
             self._redirect(outer, result, op, kind, operation)
-            self._busy[shard_id] = False
-            self._inflight[shard_id] = None
-            self._pump(shard_id)
+            self._busy[lane] = False
+            self._inflight[lane] = None
+            self._pump(lane)
             return
-        self._busy[shard_id] = False
-        self._inflight[shard_id] = None
+        self._busy[lane] = False
+        self._inflight[lane] = None
         if isinstance(result, (Migrating, WrongShard)) and operation is not None:
             # A closed session cannot open new shard clients — shed like
             # a queued op at close instead.
@@ -352,7 +391,7 @@ class Session:
             if chain is not None:
                 chain.complete(self._context(op.shard_id), op, result)
         outer.try_resolve(result)
-        self._pump(shard_id)
+        self._pump(lane)
 
     # ------------------------------------------------------------------
     # Elastic-keyspace internals (redirects, parking, key pinning)
@@ -379,10 +418,12 @@ class Session:
         self, shard_id: str, kind: str, key: str, operation: Tuple,
         future: SimFuture, op,
     ) -> None:
-        # Deliberately does NOT touch _key_target: earlier ops for the
-        # key may still be queued at the old owner, and new submissions
-        # must keep lining up behind them there (they get redirected in
-        # order; jumping ahead to the new owner would reorder the key).
+        # Deliberately does NOT touch _key_lane: earlier ops for the key
+        # may still be queued at the old owner, and new submissions must
+        # keep lining up behind them there (they get redirected in order;
+        # jumping ahead to the new owner would reorder the key).  Every
+        # redirect takes the new owner's lane 0, so a key's redirect
+        # stream stays one FIFO whichever lane it left.
         self._client(shard_id)
         self._queues[shard_id].append((kind, operation, future, op))
         self._pump(shard_id)
@@ -410,41 +451,42 @@ class Session:
         an ordering round at the old owner just to be shed and chased to
         the new one — the new shard only ever sees second-hand traffic.
         After a flip, any key whose unresolved ops are *all* plain queue
-        entries in one mis-routed queue (none on the wire, none parked —
+        entries in one mis-routed lane (none on the wire, none parked —
         those redirect streams are still in motion and must stay ahead)
-        can move en bloc: the entries splice onto the owning shard's
-        queue in submission order, and the pin flips so new submissions
-        line up behind them there.  Per-key FIFO holds by construction —
-        every earlier unresolved op of the key either moves inside the
-        block or already sits in the destination queue.
+        can move en bloc: the entries splice onto a lane of the owning
+        shard (picked as for a new op) in submission order, and the pin
+        flips so new submissions line up behind them there.  Per-key FIFO
+        holds by construction — every unresolved op of the key moves
+        inside the block.
         """
         partitioner = self.cluster.partitioner
         frozen = {key for key in self._inflight.values() if key is not None}
         frozen |= {entry[2] for entry in self._parked}
         homes: Dict[str, set] = {}
-        for shard_id, queue in self._queues.items():
+        for lane, queue in self._queues.items():
             for entry in queue:
-                homes.setdefault(entry[1][1], set()).add(shard_id)
+                homes.setdefault(entry[1][1], set()).add(lane)
         for key in sorted(homes):
             if key in frozen or len(homes[key]) != 1:
                 continue
             (current,) = homes[key]
             owner = partitioner.owner(key)
-            if owner == current:
+            if owner == self._lane_shard[current]:
                 continue
             queue = self._queues[current]
             moving = [entry for entry in queue if entry[1][1] == key]
             self._queues[current] = deque(
                 entry for entry in queue if entry[1][1] != key
             )
-            self._client(owner)
-            self._queues[owner].extend(moving)
-            self._key_target[key] = owner
-            self._pump(owner)
+            lane = self._pick_lane(owner)
+            self._client(owner, lane)
+            self._queues[lane].extend(moving)
+            self._key_lane[key] = lane
+            self._pump(lane)
 
-    def _note_issued(self, key: str, shard_id: str, future: SimFuture) -> None:
+    def _note_issued(self, key: str, lane: str, future: SimFuture) -> None:
         self._key_pending[key] = self._key_pending.get(key, 0) + 1
-        self._key_target.setdefault(key, shard_id)
+        self._key_lane.setdefault(key, lane)
         future.add_callback(lambda _result: self._note_settled(key))
 
     def _note_settled(self, key: str) -> None:
@@ -455,7 +497,7 @@ class Session:
             # Last unresolved op for the key: unpin — the next submission
             # routes by the then-current table.
             self._key_pending.pop(key, None)
-            self._key_target.pop(key, None)
+            self._key_lane.pop(key, None)
 
     def _track(self, future: SimFuture, kind: str, key: str) -> None:
         issued_at = self.cluster.sim.now

@@ -379,5 +379,5 @@ def test_move_range_preserves_versions_and_rebalances_routing():
     assert [result for result in results] == [("ok", v) for v in range(1, 7)]
     # The pin followed the key: new submissions route straight to sb.
     session.write(key, "epilogue")
-    assert session._key_target[key] == "sb"
+    assert session._key_lane[key] == "sb"
     sim.run(until=120_000)

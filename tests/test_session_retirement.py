@@ -35,20 +35,26 @@ def build_cluster(seed=3, irmc_kind="rc"):
 
 
 def churn(sim, cluster, n_sessions, writes_each=2, close=True, spacing_ms=400.0):
-    """Short-lived sessions: open, write, (optionally) close, repeat."""
-    sessions = []
+    """Short-lived sessions: open, write, (optionally) close, repeat.
+
+    Returns the sessions and the protocol clients they opened: the writes
+    go out together on keys of one shard, so each session orders them
+    through two lanes (``u3@s0`` and ``u3@s0#1``)."""
+    sessions, clients = [], []
 
     def one(index):
         session = cluster.session(f"u{index}", "virginia")
         sessions.append(session)
         futures = [session.write(f"k-{index}-{j}", j) for j in range(writes_each)]
+        clients.extend(client.name for client in session._clients.values())
         if close:
+            # The other lane may still be busy: close lets it finish.
             futures[-1].add_callback(lambda _result: session.close())
 
     for index in range(n_sessions):
         sim.schedule_at(200.0 + index * spacing_ms, one, index)
     sim.run(until=200.0 + n_sessions * spacing_ms + 30_000.0)
-    return sessions
+    return sessions, clients
 
 
 def request_channel_book_sizes(shard):
@@ -75,8 +81,9 @@ class TestChurningClients:
         """30 churned sessions, all closed: every per-client book on both
         channel ends drains to zero once the churn settles."""
         sim, cluster = build_cluster(irmc_kind=irmc_kind)
-        sessions = churn(sim, cluster, n_sessions=30, close=True)
+        sessions, clients = churn(sim, cluster, n_sessions=30, close=True)
         assert all(len(s.completed) == 2 for s in sessions)
+        assert len(clients) == 2 * 30  # both lanes of every session retire
         sizes = request_channel_book_sizes(cluster.system)
         assert sizes == {key: 0 for key in sizes}, sizes
         # The client side drains too: closed sessions release their
@@ -89,13 +96,15 @@ class TestChurningClients:
         """Control: the same churn *without* close leaves one entry per
         ever-seen client in every book — the leak retirement fixes."""
         sim, cluster = build_cluster()
-        sessions = churn(sim, cluster, n_sessions=10, close=False)
-        assert all(len(s.completed) == 2 for s in sessions)
+        # Two writes on each of a session's two lanes, so windows move.
+        sessions, clients = churn(sim, cluster, n_sessions=10, writes_each=4, close=False)
+        assert all(len(s.completed) == 4 for s in sessions)
+        assert len(clients) == 2 * 10
         sizes = request_channel_book_sizes(cluster.system)
-        assert sizes["request_rx._known_subchannels"] == 10
-        assert sizes["client_loops"] == 10
-        assert sizes["request_rx.window_start"] == 10
-        assert sizes["request_tx.window_start"] == 10
+        assert sizes["request_rx._known_subchannels"] == len(clients)
+        assert sizes["client_loops"] == len(clients)
+        assert sizes["request_rx.window_start"] == len(clients)
+        assert sizes["request_tx.window_start"] == len(clients)
 
     def test_live_sessions_unaffected_by_neighbour_retirement(self):
         """A long-lived session keeps working while neighbours churn, and
@@ -113,11 +122,14 @@ class TestChurningClients:
             )
 
         sim.schedule_at(100.0, long_lived)
-        churn(sim, cluster, n_sessions=8, close=True, spacing_ms=1_000.0)
+        _sessions, clients = churn(sim, cluster, n_sessions=8, close=True, spacing_ms=1_000.0)
         assert len(results) == 8
+        assert len(clients) == 2 * 8  # the neighbours retire two lanes each
+        # One write at a time never opens a second lane.
+        assert [client.name for client in survivor._clients.values()] == ["survivor@s0"]
         shard = cluster.system
         sizes = request_channel_book_sizes(shard)
-        # Only the survivor's subchannel (one per shard client) remains.
+        # Only the survivor's subchannel (its one lane) remains.
         assert sizes["request_rx._known_subchannels"] <= 1
         assert sizes["client_loops"] <= 1
         assert sizes["request_rx.window_start"] <= 1
@@ -190,21 +202,23 @@ class TestChurningClients:
         assert sizes == {key: 0 for key in sizes}, sizes
 
     def test_session_close_sheds_queued_ops_and_finishes_inflight(self):
-        """close() with ordered ops still queued: the in-flight op
-        completes, the queued ones resolve with ``Rejected(CLOSED)``
-        immediately (never hang their futures), and retirement follows
-        the in-flight completion."""
+        """close() with ordered ops still queued: the in-flight ops (one
+        per lane) complete, the queued ones resolve with
+        ``Rejected(CLOSED)`` immediately (never hang their futures), and
+        retirement of both lanes follows the in-flight completions."""
         sim, cluster = build_cluster()
         session = cluster.session("u0", "virginia")
-        futures = [session.write(f"k{j}", j) for j in range(3)]
-        session.close()  # first op in flight, the rest still queued
+        futures = [session.write(f"k{j}", j) for j in range(4)]
+        assert sorted(session._clients) == ["s0", "s0#1"]
+        session.close()  # k0 and k1 in flight, k2 and k3 still queued
         # The queued ops are shed synchronously at close time.
-        for future in futures[1:]:
+        for future in futures[2:]:
             assert future.done
             assert isinstance(future.value, Rejected)
             assert future.value.reason == CLOSED
+        assert not any(future.done for future in futures[:2])
         sim.run(until=30_000.0)
-        assert futures[0].value == ("ok", 1)
+        assert [future.value for future in futures[:2]] == [("ok", 1), ("ok", 1)]
         sizes = request_channel_book_sizes(cluster.system)
         assert sizes["request_rx._known_subchannels"] == 0
         assert sizes["client_loops"] == 0
@@ -218,7 +232,8 @@ class TestCrashWindowHealing:
         sim, cluster = build_cluster(seed=13)
         shard = cluster.system
         session = cluster.session("u0", "virginia")
-        futures = [session.write(f"k{j}", j) for j in range(2)]
+        # Two writes on each of the two lanes, so both windows moved.
+        futures = [session.write(f"k{j}", j) for j in range(4)]
         sim.run(until=10_000.0)
         assert all(f.done for f in futures)
 
@@ -226,8 +241,8 @@ class TestCrashWindowHealing:
         victim.crash()
         session.close()  # first announcement lands while the victim is down
         sim.run(until=12_000.0)
-        client_name = "u0@s0"
-        assert client_name in victim.request_tx.window_start  # missed it
+        for client_name in ("u0@s0", "u0@s0#1"):
+            assert client_name in victim.request_tx.window_start  # missed it
         victim.recover()
         # The client's retry_ms defaults to 4000: run past the remaining
         # announcements; the recovered replica retires on the next one.
@@ -247,7 +262,8 @@ class TestCrashWindowHealing:
         sim, cluster = build_cluster(seed=21)
         shard = cluster.system
         session = cluster.session("u0", "virginia")
-        futures = [session.write(f"k{j}", j) for j in range(2)]
+        # Two writes on each of the two lanes, so both windows moved.
+        futures = [session.write(f"k{j}", j) for j in range(4)]
         sim.run(until=10_000.0)
         assert all(f.done for f in futures)
 
@@ -257,19 +273,21 @@ class TestCrashWindowHealing:
         # retry_ms defaults to 4000 and CLOSE_ANNOUNCEMENTS to 3: by 30s
         # every announcement has long fired, all while the victim is down.
         sim.run(until=30_000.0)
-        client_name = "u0@s0"
-        assert client_name in victim.request_tx.window_start  # missed all
-        assert client_name in victim.t  # forwarded-counter book leaked too
+        client_names = ("u0@s0", "u0@s0#1")
         healthy = shard.groups["virginia"].replicas[0]
-        assert client_name not in healthy.request_tx.window_start
+        for client_name in client_names:
+            assert client_name in victim.request_tx.window_start  # missed all
+            assert client_name in victim.t  # forwarded-counter book leaked too
+            assert client_name not in healthy.request_tx.window_start
 
         victim.recover()
         # The recovered replica's Move heartbeat (500ms cadence) offers
-        # the dead subchannel to the agreement receivers; their echoes
-        # retire it.  No CloseSession is in flight anymore.
+        # the dead subchannels to the agreement receivers; their echoes
+        # retire them.  No CloseSession is in flight anymore.
         sim.run(until=40_000.0)
-        assert victim.request_tx.is_retired(client_name)
-        assert client_name not in victim.t
+        for client_name in client_names:
+            assert victim.request_tx.is_retired(client_name)
+            assert client_name not in victim.t
         sizes = request_channel_book_sizes(shard)
         assert sizes == {key: 0 for key in sizes}, sizes
 
@@ -589,6 +607,8 @@ class TestWipedRestartRetirement:
         shard = cluster.system
         session = cluster.session("u0", "virginia")
         futures = [session.write(f"k{j}", j) for j in range(2)]
+        client_names = ("u0@s0", "u0@s0#1")  # one write per lane
+        assert [client.name for client in session._clients.values()] == list(client_names)
         sim.run(until=10_000.0)
         assert all(f.done for f in futures)
         session.close()
@@ -601,15 +621,17 @@ class TestWipedRestartRetirement:
         sim.run(until=42_000.0)
         victim.recover()
         # The wipe took the tombstone ring with everything else...
-        assert not victim.request_tx.is_retired("u0@s0")
+        for client_name in client_names:
+            assert not victim.request_tx.is_retired(client_name)
         sim.run(until=70_000.0)
-        # ... yet nothing resurrects the retired client: the rebooted
+        # ... yet nothing resurrects the retired clients: the rebooted
         # replica rebuilds from the group checkpoint, which simply has no
-        # per-client state left for it.
+        # per-client state left for them.
         sizes = request_channel_book_sizes(shard)
         assert sizes == {key: 0 for key in sizes}, sizes
-        assert "u0@s0" not in victim.t
-        assert "u0@s0" not in victim.u
+        for client_name in client_names:
+            assert client_name not in victim.t
+            assert client_name not in victim.u
         # A fresh session on the healed group still completes and retires.
         session2 = cluster.session("u1", "virginia")
         f2 = session2.write("k-new", 1)
