@@ -346,7 +346,11 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
 # ----------------------------------------------------------------------
 # live handover: versions continue 1..n across the ownership change
 # ----------------------------------------------------------------------
-def test_move_range_preserves_versions_and_rebalances_routing():
+def _handover_keeps_per_key_fifo(n_keys: int):
+    """Three writes per key of slot 2 before ``move_range(2, 3, sa, sb)``
+    and three after; every key's versions must run 1..6 in issue order.
+    Returns the session's in-flight keys by lane when the seal was
+    submitted."""
     sim, network = fresh_env(seed=3, jitter=0.0)
     spec = ClusterSpec(
         shards=(
@@ -356,28 +360,45 @@ def test_move_range_preserves_versions_and_rebalances_routing():
     )
     cluster = build(sim, spec, network=network)
     session = cluster.session("u1", "virginia")
-    [key] = [
+    keys = [
         key for key in (f"m{index}" for index in range(200))
         if cluster.partitioner.range_map.slot_of(key) == 2
-    ][:1]
-    assert cluster.partitioner.owner(key) == "sa"  # striping: even -> sa
+    ][:n_keys]
+    assert all(cluster.partitioner.owner(key) == "sa" for key in keys)  # even -> sa
 
-    results = []
+    results = {key: [] for key in keys}
     for index in range(3):
-        session.write(key, f"pre-{index}").add_callback(results.append)
+        for key in keys:
+            session.write(key, f"pre-{index}").add_callback(results[key].append)
+    at_seal = dict(session._inflight)
     moved = {}
     cluster.move_range(2, 3, "sa", "sb").add_callback(
         lambda table: moved.update(epoch=table.epoch)
     )
     for index in range(3):
-        session.write(key, f"post-{index}").add_callback(results.append)
+        for key in keys:
+            session.write(key, f"post-{index}").add_callback(results[key].append)
     sim.run(until=60_000)
 
     assert moved == {"epoch": 1}
-    assert cluster.partitioner.owner(key) == "sb"
-    # Exactly once, in order, across the cut: versions are 1..6.
-    assert [result for result in results] == [("ok", v) for v in range(1, 7)]
+    for key in keys:
+        assert cluster.partitioner.owner(key) == "sb"
+        # Exactly once, in order, across the cut: versions are 1..6.
+        assert results[key] == [("ok", v) for v in range(1, 7)]
     # The pin followed the key: new submissions route straight to sb.
-    session.write(key, "epilogue")
-    assert session._key_lane[key] == "sb"
+    session.write(keys[0], "epilogue")
+    assert session._key_lane[keys[0]] == "sb"
     sim.run(until=120_000)
+    return at_seal
+
+
+def test_move_range_preserves_versions_and_rebalances_routing():
+    _handover_keeps_per_key_fifo(n_keys=1)
+
+
+def test_move_range_keeps_per_key_fifo_with_two_lanes_in_flight():
+    """Two keys of the moving range in flight on the shard's two lanes
+    when the seal is ordered, each with a backlog behind it."""
+    at_seal = _handover_keeps_per_key_fifo(n_keys=2)
+    assert sorted(at_seal) == ["sa", "sa#1"]
+    assert len(set(at_seal.values())) == 2
