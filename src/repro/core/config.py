@@ -23,12 +23,14 @@ REQUEST_CAPACITY = 2
 #: zones, so it is sized to those links, not to the WAN (the BFT
 #: baselines, which run PBFT across regions, keep 4000 ms).  Measured as
 #: how long a view timer had run when a delivery reset it: at most 2.7 ms
-#: on ``geo_write_closed`` and 7.9 ms on the CPU-saturated
+#: on ``geo_write_closed`` and 8.4 ms on the CPU-saturated
 #: ``flash_crowd_armed`` (seed 11, variants 0-2); on ``leader_crash_open``
-#: a recovered replica catching up waits up to 168 ms (seeds 1-12).  So
-#: 200 ms is 25x the fault-free maximum and still clears catch-up, which
-#: 100 ms would not.  Going lower buys nothing measurable anyway: the rest
-#: of the failover tail is sessions queueing behind their one op in flight.
+#: a recovered replica catching up waits up to 169 ms (seeds 1-12).  So
+#: 200 ms is 24x the fault-free maximum and still clears catch-up, which
+#: 100 ms would not.  Going lower bought nothing measurable: most of what
+#: was left of the failover tail was sessions queueing behind their own
+#: op on another key, which two lanes per session shard
+#: (``repro.deploy.session``) removed (p99 583 -> 282 ms at seed 11).
 AGREEMENT_VIEW_TIMEOUT_MS = 200.0
 
 
