@@ -6,13 +6,11 @@ whose key still has an unresolved op joins that op's lane; otherwise it
 takes an idle lane (lane 0 first) or queues on the shorter backlog.  So
 ordered ops on different keys of one shard stop queueing behind each
 other, ops on one key stay FIFO, and a session whose ops never overlap
-opens exactly the one client per shard it always did.
+opens exactly one client per shard.
 """
 
-from repro.core import SpiderConfig
 from repro.core.messages import ClientRequest
 from repro.deploy import CLOSED, ClusterSpec, GroupSpec, Rejected, ShardSpec, build
-from repro.deploy.session import LANES_PER_SHARD
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
@@ -26,8 +24,7 @@ def build_cluster(seed=3, shards=("s0",)):
         shards=tuple(
             ShardSpec(shard_id, groups=(GroupSpec(f"g-{shard_id}", "virginia"),))
             for shard_id in shards
-        ),
-        config=SpiderConfig(),
+        )
     )
     return sim, build(sim, spec, network=network)
 
@@ -42,10 +39,6 @@ def record_requests(cluster):
 
     cluster.network.taps.append(tap)
     return sent
-
-
-def test_two_lanes_per_shard():
-    assert LANES_PER_SHARD == 2
 
 
 def test_second_key_does_not_wait_for_the_first():
