@@ -5,8 +5,8 @@ Three pillars:
 * **Spec round-tripping / validation** — malformed specs fail loudly
   before any node exists, with the offending id in the message.
 * **Byte-parity** — a 1-shard spec builds a system whose full run (reply
-  traces, journals, event count, simulated clock) is byte-identical to
-  the historical hand-wired ``Shard`` path.
+  traces, journals, event count, simulated clock) reproduces the record
+  of the hand-wired ``Shard`` path it replaced.
 * **Multi-shard routing invariants** — per-key FIFO, exactly-once across
   shards, single-owner placement, and cross-shard parallelism of the
   session surface.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.app.kvstore import KVStore
 from repro.chaos.invariants import check_client_fifo, check_exactly_once
-from repro.core import Shard, SpiderConfig
+from repro.core import SpiderConfig
 from repro.deploy import (
     BftSpec,
     ClusterSpec,
@@ -28,6 +28,7 @@ from repro.deploy import (
     build,
 )
 from repro.errors import ConfigurationError
+from repro.metrics import sim_fingerprint
 from repro.net import Network, Site, Topology
 from repro.sim import Simulator
 
@@ -252,46 +253,41 @@ def full_trace(sim, clients, replies, groups):
     )
 
 
+#: ``(events_processed, now, sim_fingerprint(full_trace))`` of the
+#: reference workload on the hand-wired ``Shard`` path this spec path
+#: replaced, recorded per seed under the suite's scaled crypto cost model
+#: before the hand-wired constructor was deleted.  (Zero jitter leaves
+#: nothing for the seed to move.)
+HAND_WIRED_RECORD = {
+    1: (25665, 120000.0, 335616911),
+    7: (25665, 120000.0, 335616911),
+    23: (25665, 120000.0, 335616911),
+}
+
+
 class TestSpecParity:
-    @pytest.mark.parametrize("seed", [1, 7, 23])
+    @pytest.mark.parametrize("seed", sorted(HAND_WIRED_RECORD))
     def test_one_shard_spec_is_byte_identical_to_hand_wired(self, seed):
-        """The acceptance bar: spec-built 1-shard == hand-wired Shard
-        on reply traces, journals, and simulator stats — byte for byte."""
-        traces = []
-        for mode in ("hand", "spec"):
-            sim = Simulator(seed=seed)
-            network = Network(sim, Topology(), jitter=0.0)
-            if mode == "hand":
-                system = Shard(
-                    sim,
-                    config=SpiderConfig(),
-                    network=network,
-                    app_factory=RecordingKVStore,
-                )
-                system.add_execution_group("g0", "virginia")
-                system.add_execution_group("g1", "tokyo")
-                make_client = system.make_client
-                groups = system.groups
-            else:
-                spec = ClusterSpec(
-                    shards=(
-                        ShardSpec(
-                            "s0",
-                            groups=(
-                                GroupSpec("g0", "virginia"),
-                                GroupSpec("g1", "tokyo"),
-                            ),
-                        ),
-                    ),
-                    config=SpiderConfig(),
-                    app_factory=RecordingKVStore,
-                )
-                cluster = build(sim, spec, network=network)
-                make_client = cluster.make_client
-                groups = cluster.system.groups
-            clients, replies = run_reference_workload(sim, make_client)
-            traces.append(full_trace(sim, clients, replies, groups))
-        assert traces[0] == traces[1]
+        """The acceptance bar: a spec-built 1-shard run reproduces the
+        recorded hand-wired run on reply traces, journals and simulator
+        stats — byte for byte."""
+        sim = Simulator(seed=seed)
+        spec = ClusterSpec(
+            shards=(
+                ShardSpec(
+                    "s0",
+                    groups=(GroupSpec("g0", "virginia"), GroupSpec("g1", "tokyo")),
+                ),
+            ),
+            config=SpiderConfig(),
+            app_factory=RecordingKVStore,
+        )
+        cluster = build(sim, spec, network=Network(sim, Topology(), jitter=0.0))
+        clients, replies = run_reference_workload(sim, cluster.make_client)
+        trace = full_trace(sim, clients, replies, cluster.system.groups)
+        assert (sim.events_processed, sim.now, sim_fingerprint(trace)) == (
+            HAND_WIRED_RECORD[seed]
+        )
 
     def test_single_shard_names_match_legacy(self):
         sim = Simulator(seed=1)
