@@ -12,16 +12,16 @@ Run with::
     python examples/dynamic_reconfiguration.py
 """
 
-from repro.core import Shard
-from repro.net import Network, Topology
+from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.sim import Simulator
 
 
 def main() -> None:
     sim = Simulator(seed=5)
-    network = Network(sim, Topology())
-    system = Shard(sim, network=network, agreement_region="virginia")
-    system.add_execution_group("us", "virginia")
+    spec = ClusterSpec(shards=(ShardSpec(
+        "s0", agreement_region="virginia", groups=(GroupSpec("us", "virginia"),)
+    ),))
+    system = build(sim, spec).system
 
     # Seed some state through a Virginia client.
     writer = system.make_client("bob", "virginia", group_id="us")

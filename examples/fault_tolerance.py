@@ -14,8 +14,7 @@ Run with::
     python examples/fault_tolerance.py
 """
 
-from repro.core import Shard
-from repro.net import Network, Topology
+from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.sim import Simulator
 
 
@@ -26,10 +25,13 @@ def headline(text: str) -> None:
 
 def main() -> None:
     sim = Simulator(seed=11)
-    network = Network(sim, Topology())
-    system = Shard(sim, network=network, agreement_region="virginia")
-    system.add_execution_group("us", "virginia")
-    system.add_execution_group("jp", "tokyo")
+    spec = ClusterSpec(shards=(ShardSpec(
+        "s0",
+        agreement_region="virginia",
+        groups=(GroupSpec("us", "virginia"), GroupSpec("jp", "tokyo")),
+    ),))
+    system = build(sim, spec).system
+    network = system.network
     client = system.make_client("alice", "tokyo", group_id="jp")
 
     headline("normal operation")

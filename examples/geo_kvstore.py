@@ -10,33 +10,25 @@ Run with::
     python examples/geo_kvstore.py
 """
 
-from repro.app import KVStore
-from repro.baselines import BftSystem, HftSystem
-from repro.core import Shard
+from repro.deploy import BftSpec, ClusterSpec, HftSpec, build
 from repro.metrics import summarize
-from repro.net import Network, Topology
 from repro.sim import Simulator
 from repro.workload import ClosedLoopDriver, OperationMix
 
-REGIONS = ["virginia", "oregon", "ireland", "tokyo"]
+REGIONS = ("virginia", "oregon", "ireland", "tokyo")
 DURATION_MS = 10_000.0
 
-
-def build(name: str, sim: Simulator, network: Network):
-    if name == "SPIDER":
-        system = Shard(sim, network=network, agreement_region="virginia")
-        for region in REGIONS:
-            system.add_execution_group(region, region)
-        return system
-    if name == "BFT":
-        return BftSystem(sim, REGIONS, KVStore, network=network)
-    return HftSystem(sim, REGIONS, KVStore, network=network)
+#: one spec per architecture; Spider gets one execution group per region.
+SPECS = {
+    "SPIDER": ClusterSpec.single(regions=REGIONS, agreement_region="virginia"),
+    "BFT": BftSpec(regions=REGIONS),
+    "HFT": HftSpec(regions=REGIONS),
+}
 
 
 def run_one(name: str) -> None:
     sim = Simulator(seed=7)
-    network = Network(sim, Topology())
-    system = build(name, sim, network)
+    system = build(sim, SPECS[name])
     clients = {}
     for region in REGIONS:
         writer = system.make_client(f"w-{region}", region)

@@ -9,23 +9,23 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.core import Shard
-from repro.net import Network, Topology
+from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.sim import Simulator
 
 
 def main() -> None:
     sim = Simulator(seed=42)
-    network = Network(sim, Topology())
-    system = Shard(sim, network=network, agreement_region="virginia")
+    # The agreement group (3 fa + 1 = 4 replicas) runs in Virginia, plus
+    # one execution group per client region (2 fe + 1 = 3 replicas each,
+    # spread over availability zones).
+    spec = ClusterSpec(shards=(ShardSpec(
+        "s0",
+        agreement_region="virginia",
+        groups=(GroupSpec("us", "virginia"), GroupSpec("jp", "tokyo")),
+    ),))
+    cluster = build(sim, spec)
 
-    # One execution group per client region (2 fe + 1 = 3 replicas each,
-    # spread over availability zones); the agreement group (3 fa + 1 = 4
-    # replicas) already runs in Virginia.
-    system.add_execution_group("us", "virginia")
-    system.add_execution_group("jp", "tokyo")
-
-    client = system.make_client("alice", "tokyo", group_id="jp")
+    client = cluster.make_client("alice", "tokyo", group_id="jp")
 
     future = client.write(("put", "greeting", "hello from tokyo"))
     sim.run(until=5_000.0)

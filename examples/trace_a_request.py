@@ -12,21 +12,22 @@ Run with::
     python examples/trace_a_request.py
 """
 
-from repro.core import Shard
+from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.metrics import MessageTrace
-from repro.net import Network, Topology
 from repro.sim import Simulator
 
 
 def main() -> None:
     sim = Simulator(seed=21)
-    network = Network(sim, Topology())
-    system = Shard(sim, network=network, agreement_region="virginia")
-    system.add_execution_group("us", "virginia")
-    system.add_execution_group("jp", "tokyo")
-    client = system.make_client("alice", "tokyo", group_id="jp")
+    spec = ClusterSpec(shards=(ShardSpec(
+        "s0",
+        agreement_region="virginia",
+        groups=(GroupSpec("us", "virginia"), GroupSpec("jp", "tokyo")),
+    ),))
+    cluster = build(sim, spec)
+    client = cluster.make_client("alice", "tokyo", group_id="jp")
 
-    trace = MessageTrace().attach(network)
+    trace = MessageTrace().attach(cluster.network)
     future = client.write(("put", "k", "v"))
     sim.run(until=2_000.0)
     trace.detach()

@@ -5,11 +5,11 @@ evaluated against, all running on a deterministic discrete-event simulator.
 
 Quick tour
 ----------
->>> from repro import Shard, Simulator
+>>> from repro import ClusterSpec, GroupSpec, ShardSpec, Simulator, build
 >>> sim = Simulator(seed=1)
->>> shard = Shard(sim)
->>> _ = shard.add_execution_group("us", "virginia")
->>> client = shard.make_client("alice", "virginia", group_id="us")
+>>> spec = ClusterSpec(shards=(ShardSpec("s0", groups=(GroupSpec("us", "virginia"),)),))
+>>> cluster = build(sim, spec)
+>>> client = cluster.make_client("alice", "virginia", group_id="us")
 >>> future = client.write(("put", "k", "v"))
 >>> sim.run(until=1_000.0)
 >>> future.value

@@ -13,7 +13,7 @@ vote weight instead of count.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.app.statemachine import StateMachine
 from repro.checkpoints import CheckpointComponent
@@ -22,10 +22,12 @@ from repro.consensus.pbft import PbftConfig, PbftReplica
 from repro.core.answering import ClientFacing
 from repro.core.client import SpiderClient
 from repro.core.messages import ClientRequest, RequestWrapper, WeakRead
-from repro.errors import ConfigurationError
-from repro.net import Network, Site, Topology
+from repro.net import Network, Site
 from repro.sim import Process, Simulator
 from repro.sim.routing import RoutedNode
+
+if TYPE_CHECKING:
+    from repro.deploy.spec import BftSpec
 
 
 class BftReplica(ClientFacing, RoutedNode):
@@ -98,52 +100,37 @@ class BftReplica(ClientFacing, RoutedNode):
 
 
 class BftSystem:
-    """Builder for the BFT / BFT-WV baselines.
+    """The BFT / BFT-WV baseline built from its :class:`~repro.deploy.BftSpec`.
 
-    Parameters
-    ----------
-    regions:
-        One replica is placed in each listed region, in order; the first
-        region hosts the initial leader.  Rotate the list to move the
-        leader (the paper's "Leader in V/O/I/T" configurations).
-    weights:
-        Optional region -> vote weight map; enables weighted voting.
+    One replica is placed in each spec'd region, the leader's region
+    first (the paper's "Leader in V/O/I/T" configurations); the spec's
+    ``weights`` enable weighted voting.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        regions: List[str],
-        app_factory,
-        f: int = 1,
-        network: Optional[Network] = None,
-        weights: Optional[Dict[str, float]] = None,
-        view_timeout_ms: float = 4000.0,
-        checkpoint_interval: int = 16,
-    ):
-        if len(regions) < 3 * f + 1:
-            raise ConfigurationError(f"BFT with f={f} needs >= {3 * f + 1} regions")
+    def __init__(self, sim: Simulator, network: Network, spec: BftSpec):
         self.sim = sim
-        self.network = network or Network(sim, Topology())
+        self.network = network
         self.replicas: List[BftReplica] = []
-        self.f = f
-        for index, region in enumerate(regions):
+        self.f = spec.f
+        for region in spec.ordered_regions():
             replica = BftReplica(
                 sim,
                 f"bft-{region}",
                 Site(region, 1),
-                app_factory(),
-                f=f,
-                checkpoint_interval=checkpoint_interval,
+                spec.app_factory(),
+                f=spec.f,
+                checkpoint_interval=spec.checkpoint_interval,
             )
-            self.network.register(replica)
+            network.register(replica)
             self.replicas.append(replica)
         name_weights = (
-            {f"bft-{region}": weight for region, weight in weights.items()}
-            if weights
+            {f"bft-{region}": weight for region, weight in spec.weights}
+            if spec.weights
             else None
         )
-        config = PbftConfig(f=f, view_timeout_ms=view_timeout_ms, weights=name_weights)
+        config = PbftConfig(
+            f=spec.f, view_timeout_ms=spec.view_timeout_ms, weights=name_weights
+        )
         for replica in self.replicas:
             replica.setup(self.replicas, config)
         self.clients: Dict[str, SpiderClient] = {}

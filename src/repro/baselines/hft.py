@@ -28,7 +28,7 @@ are out of scope: the paper's evaluation exercises the normal case only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.app.statemachine import StateMachine
 from repro.consensus.interface import BatchAccumulator, batch_items
@@ -43,11 +43,13 @@ from repro.crypto.threshold import (
     sign_share,
     verify_threshold,
 )
-from repro.errors import ConfigurationError
-from repro.net import Network, Site, Topology
+from repro.net import Network, Site
 from repro.net.message import Message
 from repro.sim import Simulator
 from repro.sim.routing import RoutedNode
+
+if TYPE_CHECKING:
+    from repro.deploy.spec import HftSpec
 
 PROPOSAL = "proposal"
 ACCEPT = "accept"
@@ -432,34 +434,23 @@ class HftReplica(ClientFacing, RoutedNode):
 
 
 class HftSystem:
-    """Builder for the HFT baseline: one 3f+1 cluster per region.
-
-    The first region in ``regions`` is the leader site (rotate the list to
-    change it, matching the paper's "Leader site in V/O/I/T" runs).
+    """The HFT baseline built from its :class:`~repro.deploy.HftSpec`:
+    one 3f+1 cluster per spec'd region, the leader site's first (the
+    paper's "Leader site in V/O/I/T" runs).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        regions: List[str],
-        app_factory,
-        f: int = 1,
-        network: Optional[Network] = None,
-        site_layout: Optional[Dict[str, List[Site]]] = None,
-    ):
-        if len(regions) < 2:
-            raise ConfigurationError("HFT needs at least two sites")
+    def __init__(self, sim: Simulator, network: Network, spec: HftSpec):
         self.sim = sim
-        self.network = network or Network(sim, Topology())
+        self.network = network
+        regions = spec.ordered_regions()
         self.leader_site = regions[0]
         self.sites: Dict[str, List[HftReplica]] = {}
-        self.f = f
+        self.f = spec.f
+        site_layout = dict(spec.site_layout or ())
         for region in regions:
             cluster = []
-            placement = (site_layout or {}).get(region)
-            if placement is not None and len(placement) < 3 * f + 1:
-                raise ConfigurationError(f"site layout for {region} too small")
-            for index in range(3 * f + 1):
+            placement = site_layout.get(region)
+            for index in range(3 * spec.f + 1):
                 where = placement[index] if placement else Site(region, index + 1)
                 replica = HftReplica(
                     sim,
@@ -467,10 +458,10 @@ class HftSystem:
                     where,
                     region,
                     index,
-                    app_factory(),
-                    f=f,
+                    spec.app_factory(),
+                    f=spec.f,
                 )
-                self.network.register(replica)
+                network.register(replica)
                 cluster.append(replica)
             self.sites[region] = cluster
         for cluster in self.sites.values():

@@ -2,33 +2,28 @@
 
 :class:`Shard` owns the node graph of one agreement domain: the agreement
 group in one region (one replica per availability zone), execution groups
-near clients, and the clients themselves.  It supports both static
-bootstrap (groups wired before the simulation starts) and dynamic
-reconfiguration through the :class:`~repro.core.client.AdminClient`
-(Section 3.6).
-
-Deployments are normally *described* rather than hand-wired: the
-:mod:`repro.deploy` subsystem turns a declarative
-:class:`~repro.deploy.ClusterSpec` into one :class:`Shard` per spec'd
-shard via :func:`repro.deploy.build`.  (The historical ``SpiderSystem``
-hand-wiring alias served its one-release deprecation grace and is gone;
-``Shard`` is the same class under its real name.)
+near clients, and the clients themselves.  It is built from its
+:class:`~repro.deploy.ShardSpec` by :func:`repro.deploy.build` and
+reconfigured at runtime through the
+:class:`~repro.core.client.AdminClient` (Section 3.6).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.app.kvstore import KVStore
 from repro.consensus.pbft.replica import PbftReplica
 from repro.core.agreement import AgreementReplica
 from repro.core.client import AdminClient, SpiderClient
-from repro.core.config import DEFAULT_AGREEMENT_ZONES, SpiderConfig
+from repro.core.config import DEFAULT_AGREEMENT_ZONES
 from repro.core.execution import ExecutionReplica
 from repro.errors import ConfigurationError
-from repro.net import Network, Site, Topology
+from repro.net import Network, Site
 from repro.sim import Simulator
+
+if TYPE_CHECKING:
+    from repro.deploy.spec import ClusterSpec, ShardSpec
 
 
 @dataclass
@@ -47,81 +42,64 @@ class ExecutionGroup:
 class Shard:
     """Builds and manages one agreement domain of a Spider deployment.
 
-    A shard is one agreement group plus the execution groups it feeds —
-    the unit :func:`repro.deploy.build` instantiates per
-    :class:`~repro.deploy.ShardSpec`.  ``name_prefix`` keeps node names
-    (``ag0`` .. ``ag{n}``, ``admin``) unique when several shards share one
-    network; single-shard deployments use the empty prefix, which keeps
-    their node graph byte-identical to the historical hand-wired one.
+    A shard is one agreement group plus the execution groups it feeds,
+    built from ``shard_spec`` within the (validated) cluster ``spec``.
+    In a multi-shard spec, agreement and admin names carry a
+    ``{shard_id}-`` prefix so they stay unique on the shared network, and
+    each shard gets its own admin principal; a single-shard spec uses
+    the bare names (``ag0`` .. ``ag{n}``, ``admin``).  A ``None``
+    ``spec.agreement_factory`` means PBFT.
 
     Example
     -------
     ::
 
         sim = Simulator(seed=1)
-        shard = Shard(sim, agreement_region="virginia")
-        shard.add_execution_group("va", "virginia")
-        shard.add_execution_group("jp", "tokyo")
-        client = shard.make_client("c1", "tokyo", group_id="jp")
+        cluster = build(sim, ClusterSpec(shards=(ShardSpec("s0", groups=(
+            GroupSpec("va", "virginia"), GroupSpec("jp", "tokyo"))),)))
+        client = cluster.system.make_client("c1", "tokyo", group_id="jp")
         future = client.write(("put", "k", "v"))
         sim.run(until=1000)
         assert future.done
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        config: Optional[SpiderConfig] = None,
-        network: Optional[Network] = None,
-        agreement_region: str = "virginia",
-        app_factory: Callable = KVStore,
-        agreement_factory: Optional[Callable] = None,
-        execute_locally: bool = False,
-        agreement_zones: Optional[List[int]] = None,
-        agreement_sites: Optional[List[Site]] = None,
-        name_prefix: str = "",
+        self, sim: Simulator, network: Network, spec: ClusterSpec, shard_spec: ShardSpec
     ):
+        prefix = f"{shard_spec.shard_id}-" if len(spec.shards) > 1 else ""
         self.sim = sim
-        self.config = config or SpiderConfig()
-        self.config.validate()
-        self.network = network or Network(sim, Topology())
-        self.agreement_region = agreement_region
-        self.app_factory = app_factory
-        self.execute_locally = execute_locally
-        self.name_prefix = name_prefix
+        self.network = network
+        self.shard_id = shard_spec.shard_id
+        self.config = spec.config
+        if prefix:
+            self.config = replace(spec.config, admins=(f"{prefix}admin",))
+        self.app_factory = spec.app_factory
+        self.execute_locally = spec.execute_locally
         self.groups: Dict[str, ExecutionGroup] = {}
         self.clients: Dict[str, SpiderClient] = {}
-        self._group_counter = 0
 
+        agreement_factory = spec.agreement_factory
         if agreement_factory is None:
             pbft_config = self.config.pbft_config()
             agreement_factory = lambda node, peers: PbftReplica(  # noqa: E731
                 node, "pbft-ag", peers, pbft_config
             )
-
-        size = self.config.agreement_size
-        if agreement_sites is not None:
-            if len(agreement_sites) < size:
-                raise ConfigurationError("not enough agreement sites provided")
-            sites = list(agreement_sites)
-        else:
-            zones = agreement_zones or list(DEFAULT_AGREEMENT_ZONES)
-            if len(zones) < size:
-                raise ConfigurationError(
-                    "not enough availability zones for agreement group"
-                )
-            sites = [Site(agreement_region, zone) for zone in zones]
+        region = shard_spec.agreement_region
+        sites = shard_spec.agreement_sites or [
+            Site(region, zone)
+            for zone in shard_spec.agreement_zones or DEFAULT_AGREEMENT_ZONES
+        ]
         self.agreement_replicas: List[AgreementReplica] = []
-        for index in range(size):
+        for index in range(self.config.agreement_size):
             replica = AgreementReplica(
                 sim,
-                f"{name_prefix}ag{index}",
+                f"{prefix}ag{index}",
                 sites[index],
                 self.config,
-                execute_locally=execute_locally,
-                app=app_factory() if execute_locally else None,
+                execute_locally=self.execute_locally,
+                app=self.app_factory() if self.execute_locally else None,
             )
-            self.network.register(replica)
+            network.register(replica)
             self.agreement_replicas.append(replica)
         for replica in self.agreement_replicas:
             replica.resolve_nodes = self._resolve_nodes
@@ -130,18 +108,27 @@ class Shard:
 
         self.admin = AdminClient(
             sim,
-            f"{name_prefix}admin",
-            Site(agreement_region, 1),
+            f"{prefix}admin",
+            Site(region, 1),
             self.agreement_replicas,
             fa=self.config.fa,
         )
-        self.network.register(self.admin)
+        network.register(self.admin)
+
+        # Static bootstrap: each group is wired before traffic flows.
+        for group_spec in shard_spec.groups:
+            group = self.create_group_replicas(
+                group_spec.group_id, group_spec.region, sites=group_spec.sites
+            )
+            for replica in self.agreement_replicas:
+                replica.connect_group(group.group_id, group.replicas)
+        self._refresh_checkpoint_providers()
 
     # ------------------------------------------------------------------
     # Execution groups
     # ------------------------------------------------------------------
     def create_group_replicas(
-        self, group_id: str, region: str, sites: Optional[List[Site]] = None
+        self, group_id: str, region: str, sites: Optional[Sequence[Site]] = None
     ) -> ExecutionGroup:
         """Start the replica processes of a new group (not yet connected).
 
@@ -151,11 +138,8 @@ class Shard:
         """
         if group_id in self.groups:
             raise ConfigurationError(f"group {group_id!r} already exists")
-        size = self.config.execution_size
-        if sites is not None and len(sites) < size:
-            raise ConfigurationError("not enough sites for the execution group")
         group = ExecutionGroup(group_id=group_id, region=region)
-        for index in range(size):
+        for index in range(self.config.execution_size):
             site = sites[index] if sites is not None else Site(region, index + 1)
             replica = ExecutionReplica(
                 self.sim,
@@ -170,16 +154,6 @@ class Shard:
         for replica in group.replicas:
             replica.setup(group.replicas, self.agreement_replicas)
         self.groups[group_id] = group
-        return group
-
-    def add_execution_group(
-        self, group_id: str, region: str, sites: Optional[List[Site]] = None
-    ) -> ExecutionGroup:
-        """Statically bootstrap a group (wired before traffic flows)."""
-        group = self.create_group_replicas(group_id, region, sites=sites)
-        for replica in self.agreement_replicas:
-            replica.connect_group(group_id, group.replicas)
-        self._refresh_checkpoint_providers()
         return group
 
     def add_execution_group_dynamically(self, group_id: str, region: str) -> ExecutionGroup:

@@ -1,15 +1,10 @@
 """Spec-to-system builder and the multi-shard cluster runtime.
 
 :func:`build` is the single constructor for every architecture in the
-repo: it turns a :class:`~repro.deploy.spec.ClusterSpec` into a
-:class:`Cluster` (one :class:`~repro.core.Shard` per spec'd shard on a
-shared network), and the baseline specs into their respective systems.
-
-A single-shard spec builds the exact node graph the historical
-hand-wired :class:`~repro.core.Shard` would have built — same
-node names, same construction order, same event stream — so a 1-shard
-run is byte-identical to the pre-spec path (regression-tested in
-``tests/test_deploy.py``).
+repo: it validates a spec and hands it to its system class — a
+:class:`~repro.deploy.spec.ClusterSpec` becomes a :class:`Cluster` (one
+:class:`~repro.core.Shard` per spec'd shard on a shared network), the
+baseline specs become their respective systems.
 """
 
 from __future__ import annotations
@@ -104,11 +99,13 @@ class Cluster:
     #: matching the channel layer's bounded retirement tombstones).
     RETIRED_NAME_CAP = 256
 
-    def __init__(self, sim, network, spec: ClusterSpec, shards: Dict[str, Shard]):
+    def __init__(self, sim, network, spec: ClusterSpec):
         self.sim = sim
         self.network = network
         self.spec = spec
-        self.shards: Dict[str, Shard] = dict(shards)
+        self.shards: Dict[str, Shard] = {}
+        for shard_spec in spec.shards:
+            self._attach(Shard(sim, network, spec, shard_spec))
         self.partitioner = KeyPartitioner(self.shards.keys())
         #: live sessions only — fully closed ones are released.  A closed
         #: session's name stays in ``_session_names`` until the agreement
@@ -124,9 +121,6 @@ class Cluster:
         #: awaiting agreed retirement; plus a per-session countdown.
         self._pending_retirement: Dict[str, str] = {}
         self._retire_remaining: Dict[str, int] = {}
-        for shard in self.shards.values():
-            for replica in getattr(shard, "agreement_replicas", []):
-                replica.on_client_retired = self._note_client_retired
         #: middleware instances cached by ``name:options`` fingerprint,
         #: and the per-shard assembled chains (None = empty chain).
         self._middleware_instances: Dict[str, Any] = {}
@@ -138,6 +132,11 @@ class Cluster:
     # ------------------------------------------------------------------
     # Shard access
     # ------------------------------------------------------------------
+    def _attach(self, shard: Shard) -> None:
+        self.shards[shard.shard_id] = shard
+        for replica in shard.agreement_replicas:
+            replica.on_client_retired = self._note_client_retired
+
     def shard(self, shard_id: str) -> Shard:
         try:
             return self.shards[shard_id]
@@ -351,14 +350,8 @@ class Cluster:
         new_spec = replace(self.spec, shards=self.spec.shards + (shard_spec,))
         new_spec.validate()
         self.spec = new_spec
-        prefix = f"{shard_spec.shard_id}-"
-        shard = _materialise_shard(
-            self.sim, self.network, new_spec, shard_spec,
-            _agreement_factory(new_spec), prefix,
-        )
-        self.shards[shard_spec.shard_id] = shard
-        for replica in getattr(shard, "agreement_replicas", []):
-            replica.on_client_retired = self._note_client_retired
+        shard = Shard(self.sim, self.network, new_spec, shard_spec)
+        self._attach(shard)
         self.partitioner.register_shard(shard_spec.shard_id)
         return shard
 
@@ -405,114 +398,19 @@ def build(sim, spec, network: Optional[Network] = None):
     """Materialise a spec: ``ClusterSpec -> Cluster``,
     ``BftSpec -> BftSystem``, ``HftSpec -> HftSystem``.
 
-    ``network`` defaults to a fresh :class:`~repro.net.Network` over the
-    standard topology; pass one to share jitter settings with a caller's
-    environment (the experiment harnesses do).
+    The spec is validated before any node exists.  ``network`` defaults
+    to a fresh :class:`~repro.net.Network` over the standard topology;
+    pass one to share jitter settings with a caller's environment (the
+    experiment harnesses do).
     """
     if isinstance(spec, ClusterSpec):
-        return _build_cluster(sim, spec, network)
-    if isinstance(spec, BftSpec):
-        return _build_bft(sim, spec, network)
-    if isinstance(spec, HftSpec):
-        return _build_hft(sim, spec, network)
-    raise ConfigurationError(f"unknown spec type {type(spec).__name__}")
+        system_class = Cluster
+    elif isinstance(spec, (BftSpec, HftSpec)):
+        # The baselines load on first use, not with every Spider deployment.
+        from repro.baselines import BftSystem, HftSystem
 
-
-def _agreement_factory(spec: ClusterSpec):
-    if spec.agreement_factory is not None:
-        return spec.agreement_factory
-    if spec.consensus == "raft":
-        from repro.consensus.raft import RaftConfig, RaftReplica
-
-        raft_config = RaftConfig()
-        return lambda node, peers: RaftReplica(node, "raft-ag", peers, raft_config)
-    # "pbft": None lets the Shard install its default PBFT factory — the
-    # byte-identical historical path.
-    return None
-
-
-def _materialise_shard(
-    sim, network, spec: ClusterSpec, shard_spec: ShardSpec, factory, prefix: str
-) -> Shard:
-    """Build one shard's node graph (shared by the builder and the live
-    ``Cluster.add_shard`` path, so both produce identical shards)."""
-    config = spec.config
-    if prefix:
-        # Each shard gets its own admin principal; everything else is
-        # shared.
-        config = replace(spec.config, admins=(f"{prefix}admin",))
-    shard = Shard(
-        sim,
-        config=config,
-        network=network,
-        agreement_region=shard_spec.agreement_region,
-        app_factory=spec.app_factory,
-        agreement_factory=factory,
-        execute_locally=spec.execute_locally,
-        agreement_zones=(
-            list(shard_spec.agreement_zones)
-            if shard_spec.agreement_zones is not None
-            else None
-        ),
-        agreement_sites=(
-            list(shard_spec.agreement_sites)
-            if shard_spec.agreement_sites is not None
-            else None
-        ),
-        name_prefix=prefix,
-    )
-    for group in shard_spec.groups:
-        shard.add_execution_group(
-            group.group_id,
-            group.region,
-            sites=list(group.sites) if group.sites is not None else None,
-        )
-    return shard
-
-
-def _build_cluster(sim, spec: ClusterSpec, network: Optional[Network]) -> Cluster:
+        system_class = BftSystem if isinstance(spec, BftSpec) else HftSystem
+    else:
+        raise ConfigurationError(f"unknown spec type {type(spec).__name__}")
     spec.validate()
-    network = network or Network(sim, Topology())
-    multi = len(spec.shards) > 1
-    factory = _agreement_factory(spec)
-    shards: Dict[str, Shard] = {}
-    for shard_spec in spec.shards:
-        prefix = f"{shard_spec.shard_id}-" if multi else ""
-        shards[shard_spec.shard_id] = _materialise_shard(
-            sim, network, spec, shard_spec, factory, prefix
-        )
-    return Cluster(sim, network, spec, shards)
-
-
-def _build_bft(sim, spec: BftSpec, network: Optional[Network]):
-    from repro.baselines import BftSystem
-
-    spec.validate()
-    return BftSystem(
-        sim,
-        list(spec.ordered_regions()),
-        spec.app_factory,
-        f=spec.f,
-        network=network,
-        weights=dict(spec.weights) if spec.weights else None,
-        view_timeout_ms=spec.view_timeout_ms,
-        checkpoint_interval=spec.checkpoint_interval,
-    )
-
-
-def _build_hft(sim, spec: HftSpec, network: Optional[Network]):
-    from repro.baselines import HftSystem
-
-    spec.validate()
-    return HftSystem(
-        sim,
-        list(spec.ordered_regions()),
-        spec.app_factory,
-        f=spec.f,
-        network=network,
-        site_layout=(
-            {region: list(sites) for region, sites in spec.site_layout}
-            if spec.site_layout
-            else None
-        ),
-    )
+    return system_class(sim, network or Network(sim, Topology()), spec)

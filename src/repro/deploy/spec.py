@@ -6,7 +6,7 @@ A deployment is *described* as pure data and materialised by
 * :class:`ClusterSpec` — one or more :class:`ShardSpec`\\ s (each an
   agreement group plus its execution groups, i.e. one complete "paper
   deployment"), the shared :class:`~repro.core.config.SpiderConfig`, the
-  application factory and the consensus backend.  Multiple shards are the
+  application factory and the agreement factory.  Multiple shards are the
   repo's first scale-out axis: independent agreement groups own disjoint
   key ranges (see :class:`~repro.deploy.cluster.KeyPartitioner`).
 * :class:`BftSpec` / :class:`HftSpec` — the comparison baselines, in the
@@ -128,11 +128,10 @@ class GroupSpec:
 class ShardSpec:
     """One agreement domain: an agreement group plus its execution groups.
 
-    Node names inside a shard follow the historical scheme (``ag0``...,
-    ``{group_id}-e0``..., ``admin``); multi-shard clusters prefix the
-    agreement/admin names with ``{shard_id}-`` to keep them unique, while
-    a single-shard cluster keeps the bare names — and therefore a node
-    graph byte-identical to the hand-wired :class:`~repro.core.Shard`.
+    Node names inside a shard are ``ag0``..., ``{group_id}-e0``...,
+    ``admin``; multi-shard clusters prefix the agreement/admin names with
+    ``{shard_id}-`` to keep them unique, while a single-shard cluster
+    keeps the bare names.
     """
 
     shard_id: str
@@ -166,12 +165,11 @@ class ShardSpec:
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """A complete deployment: shards + config + app + consensus backend.
+    """A complete deployment: shards + config + app + agreement backend.
 
-    ``consensus`` selects the agreement black-box (``"pbft"`` or
-    ``"raft"``); ``agreement_factory`` is the escape hatch for custom
-    backends (a callable ``(node, peers) -> Agreement``, overriding
-    ``consensus``).  ``execute_locally`` builds the paper's Spider-0E
+    ``agreement_factory`` selects the agreement black-box: a callable
+    ``(node, peers) -> Agreement``, or ``None`` for PBFT configured from
+    ``config``.  ``execute_locally`` builds the paper's Spider-0E
     variant (application hosted on the agreement replicas, no IRMCs) and
     is restricted to single-shard specs.
     """
@@ -179,7 +177,6 @@ class ClusterSpec:
     shards: Tuple[ShardSpec, ...]
     config: SpiderConfig = field(default_factory=SpiderConfig)
     app_factory: Callable = KVStore
-    consensus: str = "pbft"
     agreement_factory: Optional[Callable] = None
     execute_locally: bool = False
     #: session middleware chain applied to every shard (declared order =
@@ -231,7 +228,7 @@ class ClusterSpec:
         """
         known = {
             "regions", "shards", "agreement_region", "agreement_zones",
-            "config", "app_factory", "consensus", "execute_locally",
+            "config", "app_factory", "execute_locally",
             "middleware", "shard_id",
         }
         unknown = set(data) - known
@@ -266,14 +263,12 @@ class ClusterSpec:
                 agreement_region=data.get("agreement_region", "virginia"),
                 agreement_zones=tuple(zones) if zones is not None else None,
                 shard_id=data.get("shard_id", "s0"),
-                consensus=data.get("consensus", "pbft"),
                 execute_locally=bool(data.get("execute_locally", False)),
                 middleware=middleware,
                 **common,
             )
         return ClusterSpec(
             shards=tuple(ShardSpec.from_dict(s) for s in data.get("shards", ())),
-            consensus=data.get("consensus", "pbft"),
             execute_locally=bool(data.get("execute_locally", False)),
             middleware=middleware,
             **common,
@@ -284,11 +279,6 @@ class ClusterSpec:
         if not self.shards:
             raise ConfigurationError("ClusterSpec needs at least one shard")
         self.config.validate()
-        if self.consensus not in ("pbft", "raft") and self.agreement_factory is None:
-            raise ConfigurationError(
-                f"unknown consensus backend {self.consensus!r} "
-                "(expected 'pbft' or 'raft', or pass agreement_factory)"
-            )
         if self.execute_locally and len(self.shards) > 1:
             raise ConfigurationError(
                 "execute_locally (Spider-0E) supports single-shard specs only"

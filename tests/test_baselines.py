@@ -2,26 +2,26 @@
 
 import pytest
 
-from repro.app import KVStore
-from repro.baselines import BftSystem, HftSystem
+from repro.deploy import BftSpec, HftSpec, build
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
 REGIONS = ["virginia", "oregon", "ireland", "tokyo"]
 
 
-def make_bft(regions=None, seed=1, **kwargs):
+def _build(spec, seed):
     sim = Simulator(seed=seed)
-    network = Network(sim, Topology(), jitter=0.0)
-    system = BftSystem(sim, regions or list(REGIONS), KVStore, network=network, **kwargs)
-    return sim, system
+    return sim, build(sim, spec, network=Network(sim, Topology(), jitter=0.0))
 
 
-def make_hft(regions=None, seed=1, **kwargs):
-    sim = Simulator(seed=seed)
-    network = Network(sim, Topology(), jitter=0.0)
-    system = HftSystem(sim, regions or list(REGIONS), KVStore, network=network, **kwargs)
-    return sim, system
+def make_bft(regions=None, seed=1, **spec_kwargs):
+    """BFT over ``regions`` (the first one leads)."""
+    return _build(BftSpec(regions=tuple(regions or REGIONS), **spec_kwargs), seed)
+
+
+def make_hft(regions=None, seed=1, **spec_kwargs):
+    """HFT over ``regions`` (the first one is the leader site)."""
+    return _build(HftSpec(regions=tuple(regions or REGIONS), **spec_kwargs), seed)
 
 
 class TestBft:
@@ -79,7 +79,7 @@ class TestBft:
     def test_weighted_voting_five_replicas(self):
         regions = ["virginia", "oregon", "ireland", "tokyo", "saopaulo"]
         sim, system = make_bft(
-            regions=regions, weights={"virginia": 2.0, "oregon": 2.0}
+            regions=regions, weights=(("virginia", 2.0), ("oregon", 2.0))
         )
         client = system.make_client("c1", "virginia")
         future = client.write(("put", "k", "v"))

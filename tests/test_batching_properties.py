@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.app.kvstore import KVStore
 from repro.consensus.raft import RaftConfig, RaftReplica
-from repro.core import Shard, SpiderConfig
+from repro.core import SpiderConfig
 from repro.metrics import sim_equivalent, sim_fingerprint
-from repro.net import Network, Topology
-from repro.sim import Simulator
+
+from tests.test_spider_basic import build_system as build_shard
 
 #: the caps the safety matrix runs at: unbatched, small, the default
 CAPS = (1, 4, SpiderConfig().batch_size)
@@ -41,23 +41,18 @@ class RecordingKVStore(KVStore):
 def build_system(
     seed, regions=("virginia", "tokyo"), raft=False, jitter=0.0, **config_kwargs
 ):
-    sim = Simulator(seed=seed)
-    network = Network(sim, Topology(), jitter=jitter)
-    config = SpiderConfig(**config_kwargs)
     factory = None
     if raft:
-        raft_config = RaftConfig(batch_size=config.batch_size)
+        raft_config = RaftConfig(batch_size=SpiderConfig(**config_kwargs).batch_size)
         factory = lambda node, peers: RaftReplica(node, "raft-ag", peers, raft_config)
-    system = Shard(
-        sim,
-        config=config,
-        network=network,
+    return build_shard(
+        regions,
+        seed,
+        jitter=jitter,
         app_factory=RecordingKVStore,
         agreement_factory=factory,
+        **config_kwargs,
     )
-    for index, region in enumerate(regions):
-        system.add_execution_group(f"g{index}", region)
-    return sim, system
 
 
 def run_workload(sim, system, n_clients, n_requests, use_reads):
@@ -282,16 +277,9 @@ class TestCheckpointCadence:
         generates checkpoints on the same ke-crossing grid.  (Stability
         needs fe+1 matching votes at the *same* seq: off-grid cadences
         would starve checkpoint stability and stall the commit windows.)"""
-        from repro.net import Network, Topology
-
-        sim = Simulator(seed=1)
-        network = Network(sim, Topology(), jitter=3.0)
-        config = SpiderConfig(batch_size=batch_size, ke=4, ka=4, ag_window=8)
-        system = Shard(
-            sim, config=config, network=network, app_factory=RecordingKVStore
+        sim, system = build_system(
+            seed=1, jitter=3.0, batch_size=batch_size, ke=4, ka=4, ag_window=8
         )
-        system.add_execution_group("g0", "virginia")
-        system.add_execution_group("g1", "tokyo")
         gen_log = {}
         for group in system.groups.values():
             for replica in group.replicas:

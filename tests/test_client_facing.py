@@ -11,11 +11,8 @@ second time, and a weak read may not write.
 
 import pytest
 
-from repro.core import Shard
 from repro.core.messages import ClientRequest, Reply, RequestBody
 from repro.crypto.primitives import make_mac_vector, sign
-from repro.net import Network, Topology
-from repro.sim import Simulator
 
 from tests.test_baselines import make_bft, make_hft
 from tests.test_spider_basic import build_system
@@ -27,8 +24,7 @@ def _spider():
 
 
 def _spider_0e():
-    sim = Simulator(seed=1)
-    system = Shard(sim, network=Network(sim, Topology(), jitter=0.0), execute_locally=True)
+    sim, system = build_system(regions=(), execute_locally=True)
     return sim, system.make_client, system.agreement_replicas
 
 

@@ -12,8 +12,11 @@ Three pillars:
   session surface.
 """
 
+import doctest
+
 import pytest
 
+import repro
 from repro.app.kvstore import KVStore
 from repro.chaos.invariants import check_client_fifo, check_exactly_once
 from repro.core import SpiderConfig
@@ -134,13 +137,10 @@ class TestSpecValidation:
         # ... unless it is the Spider-0E variant.
         ClusterSpec(shards=(ShardSpec("s0"),), execute_locally=True).validate()
 
-    def test_unknown_consensus(self):
-        spec = ClusterSpec(
-            shards=(ShardSpec("s0", groups=(GroupSpec("g0", "virginia"),)),),
-            consensus="zab",
-        )
-        with pytest.raises(ConfigurationError, match="unknown consensus"):
-            spec.validate()
+    @pytest.mark.parametrize("key", ["consensus", "regoins"])
+    def test_from_dict_rejects_unknown_topology_keys(self, key):
+        with pytest.raises(ConfigurationError, match=f"unknown keys \\['{key}'\\]"):
+            ClusterSpec.from_dict({"shards": [], key: "raft"})
 
     def test_multi_shard_0e_rejected(self):
         spec = ClusterSpec(
@@ -206,6 +206,12 @@ class TestSpecValidation:
                 assert partitioner.owner(key) == shard_id
         with pytest.raises(ConfigurationError, match="no shard 'sz'"):
             partitioner.keys_for("sz", 1)  # would otherwise spin forever
+
+
+def test_package_quick_tour_runs():
+    """The quick tour in the package docstring builds through ``build``."""
+    result = doctest.testmod(repro)
+    assert result.attempted > 0 and result.failed == 0
 
 
 # ======================================================================

@@ -275,28 +275,17 @@ class TestBatching:
         """The Raft baseline exposes the same batching interface, so
         batching ablations compare PBFT and Raft on equal footing."""
         from repro.consensus.raft import RaftConfig, RaftReplica
-        from repro.core import Shard, SpiderConfig
-        from repro.net import Network, Topology
-        from repro.sim import Simulator
+        from tests.test_spider_basic import build_system
 
-        sim = Simulator(seed=9)
-        network = Network(sim, Topology(), jitter=0.0)
-        config = SpiderConfig(batch_size=4)
-        system = Shard(
-            sim,
-            config=config,
-            network=network,
+        sim, system = build_system(
+            seed=9,
             agreement_factory=lambda node, peers: RaftReplica(
-                node,
-                "raft-ag",
-                peers,
-                RaftConfig(batch_size=config.batch_size),
+                node, "raft-ag", peers, RaftConfig(batch_size=4)
             ),
+            batch_size=4,
         )
-        system.add_execution_group("us", "virginia")
-        system.add_execution_group("jp", "tokyo")
         clients = [
-            system.make_client(f"c{i}", "virginia", group_id="us") for i in range(4)
+            system.make_client(f"c{i}", "virginia", group_id="g0") for i in range(4)
         ]
         futures = [
             client.write(("put", f"k-{client.name}", client.name))
@@ -316,25 +305,17 @@ class TestSpiderOverRaft:
         """The modularity payoff: Spider's execution groups and IRMCs run
         unchanged over a crash-tolerant agreement group."""
         from repro.consensus.raft import RaftConfig, RaftReplica
-        from repro.core import Shard, SpiderConfig
-        from repro.net import Network, Topology
-        from repro.sim import Simulator
+        from tests.test_spider_basic import build_system
 
-        sim = Simulator(seed=9)
-        network = Network(sim, Topology(), jitter=0.0)
-        system = Shard(
-            sim,
-            config=SpiderConfig(),
-            network=network,
+        sim, system = build_system(
+            seed=9,
             agreement_factory=lambda node, peers: RaftReplica(
                 node, "raft-ag", peers, RaftConfig()
             ),
         )
-        system.add_execution_group("us", "virginia")
-        system.add_execution_group("jp", "tokyo")
-        client = system.make_client("c1", "tokyo", group_id="jp")
+        client = system.make_client("c1", "tokyo", group_id="g1")
         future = client.write(("put", "k", "v"))
         sim.run(until=20_000.0)
         assert future.done and future.value == ("ok", 1)
-        for replica in system.groups["us"].replicas:
+        for replica in system.groups["g0"].replicas:
             assert replica.app.apply(("get", "k")) == ("value", "v")

@@ -40,8 +40,7 @@ def test_chaos_suite_declares_the_full_sweep():
 # fig7: one table cell == the wiring the table replaced, spelled out
 # ----------------------------------------------------------------------
 def test_fig7_cell_matches_handwired_path():
-    from repro.app import KVStore
-    from repro.baselines import BftSystem
+    from repro.deploy import BftSpec, build
     from repro.experiments.common import RunScale
     from repro.experiments.figures import FIG7, run_cell
     from repro.metrics import summarize
@@ -56,11 +55,11 @@ def test_fig7_cell_matches_handwired_path():
     cell = next(c for c in FIG7.cells if c.labels == ("BFT", "T"))
     row = run_cell(cell, scale, seed=3)
 
-    # Hand-wired reference: flat BFT led from Tokyo, one writer per region.
+    # Reference, spelled out: flat BFT led from Tokyo, one writer per region.
     sim = Simulator(seed=3)
     network = Network(sim, Topology(), jitter=0.05)
-    system = BftSystem(
-        sim, ["tokyo", "virginia", "oregon", "ireland"], KVStore, network=network
+    system = build(
+        sim, BftSpec(regions=("tokyo", "virginia", "oregon", "ireland")), network=network
     )
     clients = {}
     for region in ("virginia", "oregon", "ireland", "tokyo"):

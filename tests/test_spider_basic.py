@@ -2,19 +2,34 @@
 
 import pytest
 
-from repro.core import Shard, SpiderConfig
+from repro.app import KVStore
+from repro.core import SpiderConfig
+from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
 
-def build_system(regions=("virginia", "tokyo"), seed=1, **config_kwargs):
+def build_system(
+    regions=("virginia", "tokyo"),
+    seed=1,
+    *,
+    jitter=0.0,
+    app_factory=KVStore,
+    agreement_factory=None,
+    execute_locally=False,
+    **config_kwargs,
+):
+    """One shard with a group ``g{i}`` per region; returns ``(sim, shard)``."""
     sim = Simulator(seed=seed)
-    network = Network(sim, Topology(), jitter=0.0)
-    config = SpiderConfig(**config_kwargs)
-    system = Shard(sim, config=config, network=network)
-    for index, region in enumerate(regions):
-        system.add_execution_group(f"g{index}", region)
-    return sim, system
+    groups = tuple(GroupSpec(f"g{i}", region) for i, region in enumerate(regions))
+    spec = ClusterSpec(
+        shards=(ShardSpec("s0", groups=groups),),
+        config=SpiderConfig(**config_kwargs),
+        app_factory=app_factory,
+        agreement_factory=agreement_factory,
+        execute_locally=execute_locally,
+    )
+    return sim, build(sim, spec, network=Network(sim, Topology(), jitter=jitter)).system
 
 
 class TestWrites:

@@ -1,9 +1,6 @@
 """Tests for Spider's runtime adaptability (Section 3.6) and modularity."""
 
 from repro.consensus import SingleSequencer
-from repro.core import Shard, SpiderConfig
-from repro.net import Network, Topology
-from repro.sim import Simulator
 
 from tests.test_spider_basic import build_system
 
@@ -95,21 +92,13 @@ class TestAgreementModularity:
     def test_spider_runs_over_single_sequencer(self):
         """Execution groups and IRMCs work unchanged over a trivial
         (non-BFT, fa=0) agreement implementation - the modularity claim."""
-        sim = Simulator(seed=3)
-        network = Network(sim, Topology(), jitter=0.0)
-        config = SpiderConfig(fa=0)
-        system = Shard(
-            sim,
-            config=config,
-            network=network,
-            agreement_factory=lambda node, peers: SingleSequencer(),
+        sim, system = build_system(
+            seed=3, agreement_factory=lambda node, peers: SingleSequencer(), fa=0
         )
         assert len(system.agreement_replicas) == 1
-        system.add_execution_group("va", "virginia")
-        system.add_execution_group("jp", "tokyo")
-        client = system.make_client("c1", "virginia", group_id="va")
+        client = system.make_client("c1", "virginia", group_id="g0")
         future = client.write(("put", "k", "v"))
         sim.run(until=5000.0)
         assert future.done and future.value == ("ok", 1)
-        for replica in system.groups["jp"].replicas:
+        for replica in system.groups["g1"].replicas:
             assert replica.app.apply(("get", "k")) == ("value", "v")
