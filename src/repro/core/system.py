@@ -219,6 +219,11 @@ class Shard:
         else:
             if group_id is None:
                 group_id = self._nearest_group(region)
+            elif group_id not in self.groups:
+                raise ConfigurationError(
+                    f"shard {self.shard_id!r} hosts no group {group_id!r}; "
+                    f"its groups: {sorted(self.groups)}"
+                )
             replicas, faults = self.groups[group_id].replicas, self.config.fe
         client = SpiderClient(
             self.sim,

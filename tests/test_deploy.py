@@ -142,6 +142,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match=f"unknown keys \\['{key}'\\]"):
             ClusterSpec.from_dict({"shards": [], key: "raft"})
 
+    def test_make_client_for_a_group_the_shard_does_not_host(self):
+        """Both surfaces used to raise a bare ``KeyError: 'b0'``."""
+        cluster = build(Simulator(seed=1), two_shard_spec())
+        message = r"shard 'sa' hosts no group 'b0'; its groups: \['a0'\]"
+        with pytest.raises(ConfigurationError, match=message):
+            cluster.make_client("c1", "virginia", group_id="b0", shard_id="sa")
+        with pytest.raises(ConfigurationError, match=message):
+            cluster.shard("sa").make_client("c2", "virginia", group_id="b0")
+
     def test_multi_shard_0e_rejected(self):
         spec = ClusterSpec(
             shards=(ShardSpec("s0"), ShardSpec("s1")), execute_locally=True
