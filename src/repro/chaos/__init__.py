@@ -76,6 +76,7 @@ from repro.chaos.invariants import (
     check_recovered_frontier,
     check_reshard_handover,
     check_sequence_agreement,
+    check_views_converged,
     resolve_invariants,
 )
 from repro.chaos.schedule import ChaosProfile, format_schedule, generate_schedule
@@ -109,5 +110,6 @@ __all__ = [
     "check_client_fifo",
     "check_completion",
     "check_recovered_frontier",
+    "check_views_converged",
     "check_reshard_handover",
 ]

@@ -437,7 +437,7 @@ _CONSENSUS_OWES = (
 _IRMC_OWES = ("exactly-once", "completion")
 _SPIDER_OWES = (
     "journal-agreement", "exactly-once", "journal-subsequence", "completion",
-    "state-completion", "client-fifo", "recovered-frontier",
+    "state-completion", "client-fifo", "recovered-frontier", "views-converged",
 )
 
 _PBFT_NODES = PROTOCOLS["pbft"].nodes
@@ -447,7 +447,7 @@ _G0 = tuple(f"g0-e{i}" for i in range(3))
 
 # Per stack: what every case on it shares.  The cases add their fault plan.
 _PBFT = dict(
-    stack="consensus", protocol="pbft", invariants=_CONSENSUS_OWES,
+    stack="consensus", protocol="pbft", invariants=_CONSENSUS_OWES + ("views-converged",),
     ops=18, op_interval_ms=250.0, min_start_ms=400.0, horizon_ms=8_000.0,
 )
 _RAFT = dict(

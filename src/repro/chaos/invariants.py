@@ -40,6 +40,10 @@ it.  The pair below expresses the symmetric crash/recovery contract:
   the fault budget obliges to recover must stand at the group's delivery
   frontier (the strongest recovery claim: full checkpoint install plus
   suffix replay actually *finished*, not merely resumed).
+* :func:`check_views_converged` — once faults healed, every up replica
+  of a view-based agreement group sits in the group's view and is not in
+  a view change (a replica alone in a view change casts no votes, so the
+  group silently runs without its fault margin).
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "check_completion",
     "check_state_completion",
     "check_recovered_frontier",
+    "check_views_converged",
     "check_reshard_handover",
     "INVARIANTS",
     "resolve_invariants",
@@ -247,6 +252,37 @@ def check_recovered_frontier(
     return violations
 
 
+def check_views_converged(
+    views: Dict[str, Tuple[int, bool]],
+    where: str = "replica",
+) -> List[str]:
+    """Every up replica ends in its group's view, not in a view change.
+
+    ``views`` maps each replica that is up at the end of the run to its
+    ``(view, in_view_change)``.  The group's view is the one more than
+    half of them hold; without such a view every replica is reported.
+    Called after every fault window healed plus a settle allowance: by
+    then a view change that was going to complete has completed, and a
+    replica left ahead of the group (or still changing views) never
+    votes again, which takes the group's fault margin without a trace.
+    """
+    violations: List[str] = []
+    counts: Dict[int, int] = {}
+    for view, _ in views.values():
+        counts[view] = counts.get(view, 0) + 1
+    majority = [view for view, count in counts.items() if 2 * count > len(views)]
+    group_view = majority[0] if majority else None
+    for name in sorted(views):
+        view, changing = views[name]
+        if view != group_view or changing:
+            shown = "no majority view" if group_view is None else f"group view {group_view}"
+            state = ", in a view change" if changing else ""
+            violations.append(
+                f"views/converged: {where} {name} ends in view {view}{state} ({shown})"
+            )
+    return violations
+
+
 def check_state_completion(
     expected: Dict[Any, Any],
     states: Dict[str, Dict[Any, Any]],
@@ -339,6 +375,7 @@ INVARIANTS: Dict[str, Callable[..., List[str]]] = {
     "completion": check_completion,
     "state-completion": check_state_completion,
     "recovered-frontier": check_recovered_frontier,
+    "views-converged": check_views_converged,
     "reshard-handover": check_reshard_handover,
 }
 

@@ -46,6 +46,7 @@ from repro.chaos.invariants import (
     check_reshard_handover,
     check_sequence_agreement,
     check_state_completion,
+    check_views_converged,
 )
 from repro.consensus.interface import batch_items
 from repro.consensus.pbft import PbftConfig, PbftReplica, is_noop
@@ -251,6 +252,8 @@ def consensus(case, sim, network) -> Rig:
             obligated=crashed_ever,
             where=f"{case.protocol} replica",
         )
+        if "views-converged" in case.invariants:
+            violations += _check_views(replicas, f"{case.protocol} replica")
         stats = {
             "delivered": {name: delivered[name] for name in names},
             protocol.epoch_key: max(protocol.epoch(r) for r in replicas),
@@ -480,15 +483,27 @@ def _check_group_invariants(
     return violations
 
 
+def _check_views(replicas, where: str) -> List[str]:
+    """views/converged over the PBFT replicas that are up."""
+    return check_views_converged(
+        {r.name: (r.view, r.in_view_change) for r in replicas if not r.node.crashed},
+        where=where,
+    )
+
+
 def _check_agreement_frontier(agreement_replicas, label: str = "") -> List[str]:
     """After heal + settle every agreement replica of one shard must sit
     at the same consensus frontier (state transfer + gap fetch + cp-ag
-    adoption close any hole a crash, wipe or partition opened).  The
-    Spider form of the general frontier invariant, with *every* replica
-    obligated — "all equal" and "all at the max" coincide."""
-    return check_recovered_frontier(
+    adoption close any hole a crash, wipe or partition opened) and in the
+    group's view.  The Spider form of the general frontier invariant,
+    with *every* replica obligated — "all equal" and "all at the max"
+    coincide."""
+    violations = check_recovered_frontier(
         {replica.name: replica.ag.delivered_seq for replica in agreement_replicas},
         where=f"agreement replica{label}",
+    )
+    return violations + _check_views(
+        [replica.ag for replica in agreement_replicas], f"agreement replica{label}"
     )
 
 

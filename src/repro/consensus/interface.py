@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.crypto.primitives import Digestible
 from repro.net.message import Message
@@ -153,11 +153,14 @@ class Agreement(ABC):
         """
 
     @abstractmethod
-    def gc(self, before_seq: int) -> None:
+    def gc(self, before_seq: int, settled: Optional[Callable[[Any], bool]] = None) -> None:
         """Forget everything with sequence number < ``before_seq``.
 
         After this call no sequence number below ``before_seq`` may be
-        delivered.
+        delivered.  ``settled`` tells which ordered messages the state
+        below ``before_seq`` already covers (a checkpoint's client
+        counters): the replica stops waiting for those, including ones
+        whose sequence numbers it skipped without ever seeing them.
         """
 
     def reset_delivery(self) -> None:
@@ -235,7 +238,7 @@ class SingleSequencer(Agreement):
     def next_delivery(self) -> SimFuture:
         return self._queue.pull()
 
-    def gc(self, before_seq: int) -> None:
+    def gc(self, before_seq: int, settled: Optional[Callable[[Any], bool]] = None) -> None:
         self._low_water = max(self._low_water, before_seq)
         self._queue.drop_below(self._low_water)
 

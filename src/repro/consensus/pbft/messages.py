@@ -104,6 +104,25 @@ class PreparedProof(Message, Digestible):
 
 
 @dataclass(frozen=True)
+class Suspect(Message, Digestible):
+    """The sender suspects the leader of ``new_view - 1`` and asks for
+    ``new_view``, without leaving its view yet: it keeps voting until
+    2f+1 replicas suspect, so a suspicion nobody shares costs nothing.
+    Carries no protocol state, hence a MAC vector, not a signature."""
+
+    tag: str
+    new_view: int
+    sender: str
+    auth: Optional[MacVector] = None
+
+    def signed_content(self) -> Tuple:
+        return ("pbft-s", self.tag, self.new_view, self.sender)
+
+    def payload_size(self) -> int:
+        return 16 + (self.auth.size_bytes() if self.auth else 0)
+
+
+@dataclass(frozen=True)
 class ViewChange(Message, Digestible):
     tag: str
     new_view: int

@@ -20,7 +20,10 @@ once instead of once per peer; ``transfer_summary_bytes`` /
 ``transfer_payload_bytes`` account for the split.  Everything is
 verified through the ordinary handlers — no trusted-summary shortcut
 exists, so a Byzantine responder can only withhold, never mislead.  The
-request is retried until a whole retry period brings no progress.
+request is retried every period that brings progress, and the view timer
+stays quiet meanwhile: a replica still replaying what it missed does not
+suspect its leader.  Once a period goes quiet the replica suspects again
+and retries after 1, 2, 4, 8 and 16 quiet periods, then stops.
 
 A ``crash(wipe=True)`` additionally destroys the durable log: the wipe
 hook reboots the replica protocol-empty (view 0, empty log) and the same
@@ -40,6 +43,12 @@ Fidelity notes
   one-instance-per-message ordering through the same path.
 * Normal-case messages carry MAC vectors, view-change messages signatures,
   matching the prototype's HMAC-SHA-256 / RSA-1024 split.
+* A view timeout does not leave the view at once: the replica broadcasts
+  a state-free ``Suspect`` and keeps voting, joins a suspicion f+1
+  replicas share, and sends its ``ViewChange`` once 2f+1 suspect (the
+  STOP phase of BFT-SMaRt's leader change).  Castro-Liskov replicas
+  leave on their own timeout, so one cut off from its leader strands
+  itself in a view change the rest of the group never joins.
 * The new-view message re-proposes prepared instances and fills gaps with
   no-ops; proof compaction is simplified: a ``PreparedProof`` names the
   prepared ``(view, seq, payload)`` and is sized as if it carried the
@@ -50,7 +59,7 @@ Fidelity notes
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.interface import Agreement, Batch, BatchAccumulator, DeliveryQueue
 from repro.consensus.pbft.config import PbftConfig
@@ -66,6 +75,7 @@ from repro.consensus.pbft.messages import (
     Prepare,
     PreparedProof,
     StateTransfer,
+    Suspect,
     ViewChange,
 )
 from repro.crypto.primitives import (
@@ -84,9 +94,12 @@ from repro.sim.routing import Component, RoutedNode
 
 
 #: Cadence of the post-crash state-transfer retry (ms): after recovery the
-#: replica re-requests ``StateTransfer`` from its peers until a whole
-#: period passes without view or delivery progress.
+#: replica re-requests ``StateTransfer`` from its peers every period that
+#: brings view or delivery progress, then after 1, 2, 4, ... quiet periods.
 RECOVERY_RETRY_MS = 500.0
+
+#: The last retry goes out after this many quiet periods in a row.
+RECOVERY_QUIET_LIMIT = 16
 
 
 def _key(payload: Any) -> str:
@@ -133,9 +146,10 @@ class PbftReplica(Component, Agreement):
         self._boot()
         self._view_timer = Timer(node, self._on_view_timeout)
         self._fetch_timer = Timer(node, self._fetch_missing)
-        #: post-crash state-transfer retry, until a period brings no progress
+        #: post-crash state-transfer retry, backing off once periods go quiet
         self._recovery_timer = Timer(node, self._on_recovery_retry, RECOVERY_RETRY_MS)
-        self._recovery_progress: Optional[tuple] = None
+        #: ((view, delivered_seq) at the last retry, quiet periods since)
+        self._recovery_progress: Tuple[Optional[tuple], int] = (None, 0)
         self.state_transfers_requested = 0
         #: digest-first transfer accounting: bytes of digest-only slot
         #: evidence served vs bytes of full payloads served on miss, plus
@@ -176,6 +190,8 @@ class PbftReplica(Component, Agreement):
         #: the buffer empties (cut or flush)
         self._batch_keys: set = set()
         self.in_view_change = False
+        #: new view -> replicas that asked for it (:class:`Suspect`)
+        self.suspects: Dict[int, set] = {}
         self.vc_store: Dict[int, Dict[str, ViewChange]] = {}
         #: the latest accepted NewView, kept as transferable (signed)
         #: evidence for replicas rejoining after a crash: replaying it
@@ -243,10 +259,17 @@ class PbftReplica(Component, Agreement):
     def reset_delivery(self) -> None:
         self.queue.cancel_pull()
 
-    def gc(self, before_seq: int) -> None:
+    def gc(self, before_seq: int, settled: Optional[Callable[[Any], bool]] = None) -> None:
         if before_seq <= self.low_water:
             return
         self.low_water = before_seq
+        if settled is not None:
+            # Skipped slots we never saw delivered what the host's
+            # checkpoint covers: stop watching it, or its view timer
+            # would suspect a leader that did its job.
+            self.pending = {
+                key: payload for key, payload in self.pending.items() if not settled(payload)
+            }
         self.log.drop_below(before_seq)
         self.queue.drop_below(before_seq)
         self.delivered_seq = max(self.delivered_seq, before_seq - 1)
@@ -337,6 +360,8 @@ class PbftReplica(Component, Agreement):
             self._on_commit(message)
         elif isinstance(message, Forward):
             self._on_forward(message)
+        elif isinstance(message, Suspect):
+            self._on_suspect(message)
         elif isinstance(message, ViewChange):
             self._on_view_change(message)
         elif isinstance(message, NewView):
@@ -389,10 +414,11 @@ class PbftReplica(Component, Agreement):
     def _adopt_stale_view_proposal(self, message: PrePrepare) -> None:
         """Adopt an old-view proposal as *data only* — no prepare vote.
 
-        Our view raced ahead (e.g. lone timeouts while partitioned) but
-        the system is still deciding in an older view; storing the payload
-        lets a commit certificate (2f+1 matching commits, valid in any
-        view by quorum intersection) deliver the slot and rejoin us.
+        Our view moved ahead (e.g. we left for a view change the rest of
+        the group has not completed yet) but the system is still deciding
+        in an older view; storing the payload lets a commit certificate
+        (2f+1 matching commits, valid in any view by quorum intersection)
+        deliver the slot and rejoin us.
 
         If an equivocating old-view leader got a *different* payload to us
         first, the stored data-only payload may conflict with the digest
@@ -655,21 +681,29 @@ class PbftReplica(Component, Agreement):
         self._view_timer.cancel()
         self._fetch_timer.cancel()
         self._flush_batch_buffer()
-        self._arm_view_timer()
         self._maybe_schedule_fetch()
         self.request_state_transfer()
 
     def request_state_transfer(self) -> None:
         """Ask all peers for the current view and the log suffix we miss.
 
-        Retries every ``RECOVERY_RETRY_MS`` until one whole period
-        passes without view or delivery progress — at that point we are
-        either caught up or partitioned, and the always-armed gap fetch
-        plus commit-certificate adoption remain as the backstop.
+        Retries every ``RECOVERY_RETRY_MS`` while a period brings view or
+        delivery progress; the view timer stays unarmed meanwhile, so a
+        replica catching up never suspects a leader whose decisions it
+        simply has not replayed yet (it still joins a view change f+1
+        peers demand).  The first quiet period ends that: the replica is
+        either caught up or cut off, cannot tell which, and so suspects
+        again and keeps asking after 1, 2, 4, 8 and 16 quiet periods — a
+        transfer whose replies were lost to a window that has healed
+        since still completes.
         """
-        self._recovery_progress = None
+        self._recovery_progress = (None, 0)
         self._send_state_transfer()
         self._recovery_timer.start()
+
+    def _catching_up(self) -> bool:
+        """State transfer is running and its last period brought progress."""
+        return self._recovery_timer.armed and self._recovery_progress[1] == 0
 
     def _send_state_transfer(self) -> None:
         self.state_transfers_requested += 1
@@ -685,12 +719,20 @@ class PbftReplica(Component, Agreement):
 
     def _on_recovery_retry(self) -> None:
         progress = (self.view, self.delivered_seq)
-        if self._recovery_progress == progress:
-            # No progress for a whole period: converged or blocked.
-            self._recovery_timer.cancel()
-            return
-        self._recovery_progress = progress
+        last, quiet = self._recovery_progress
+        if progress != last:
+            self._recovery_progress = (progress, 0)
+            self._send_state_transfer()
+            return  # next period at the base cadence
+        # Quiet for ``quiet`` periods now: converged or blocked.
+        quiet = quiet * 2 or 1
+        self._recovery_progress = (progress, quiet)
         self._send_state_transfer()
+        if quiet < RECOVERY_QUIET_LIMIT:
+            self._recovery_timer.start(RECOVERY_RETRY_MS * quiet)
+        else:
+            self._recovery_timer.cancel()
+        self._arm_view_timer()  # suspect again
 
     def _on_state_transfer(self, src, message: StateTransfer) -> None:
         if message.sender not in self.peer_names or src is self.node:
@@ -734,7 +776,7 @@ class PbftReplica(Component, Agreement):
     # View changes
     # ------------------------------------------------------------------
     def _arm_view_timer(self) -> None:
-        if not self._view_timer.armed and self.pending:
+        if not self._view_timer.armed and self.pending and not self._catching_up():
             self._view_timer.start(self.config.view_timeout_ms * self._timeout_factor)
 
     def _reset_view_timer(self) -> None:
@@ -743,7 +785,42 @@ class PbftReplica(Component, Agreement):
 
     def _on_view_timeout(self) -> None:
         if self.pending:
-            self._start_view_change(self.view + 1)
+            self._suspect(self.view + 1)
+
+    def _suspect(self, new_view: int) -> None:
+        """Ask for ``new_view`` without leaving the current view.
+
+        A suspicion nobody shares is repeated at doubling intervals but
+        never acted on alone, so a replica cut off from its leader for a
+        while keeps voting in the group's view instead of stranding
+        itself in a view change nobody else joins."""
+        if self.name in self.suspects.get(new_view, ()):
+            self._timeout_factor *= 2
+        self._reset_view_timer()
+        self.broadcast(
+            self.peers,
+            self._mac_attach(Suspect(tag=self.tag, new_view=new_view, sender=self.name)),
+        )
+        self._record_suspect(new_view, self.name)
+
+    def _on_suspect(self, message: Suspect) -> None:
+        if message.sender not in self.peer_names or message.new_view <= self.view:
+            return
+        if not verify_mac_vector(message.auth, message, message.sender, self.name):
+            return
+        self._record_suspect(message.new_view, message.sender)
+
+    def _record_suspect(self, new_view: int, sender: str) -> None:
+        if new_view <= self.view:
+            return
+        senders = self.suspects.setdefault(new_view, set())
+        senders.add(sender)
+        if len(senders) >= 2 * self.f + 1:
+            # At least f+1 correct replicas suspect, so every correct one
+            # will see f+1 and join: leaving the view cannot strand us.
+            self._start_view_change(new_view)
+        elif len(senders) >= self.f + 1 and self.name not in senders:
+            self._suspect(new_view)  # f+1 include a correct replica's
 
     def _start_view_change(self, new_view: int) -> None:
         if new_view <= self.view and self.in_view_change:
@@ -752,9 +829,9 @@ class PbftReplica(Component, Agreement):
         self._flush_batch_buffer()
         # Restart the fetch timer: the old event (possibly already fired
         # and queued behind this view change on the CPU) is void, but gap
-        # retransmission itself must keep running — a replica whose lone
-        # view change never completes (e.g. its view raced ahead while
-        # partitioned) recovers *only* through fetches.
+        # retransmission itself must keep running — a replica whose view
+        # change never completes here (e.g. the NewView was lost) recovers
+        # *only* through fetches.
         self._fetch_timer.cancel()
         self._maybe_schedule_fetch()
         # Drop window-parked proposals too: they live on in ``pending`` and
@@ -856,6 +933,7 @@ class PbftReplica(Component, Agreement):
         self.last_new_view = message
         self.view = message.new_view
         self.in_view_change = False
+        self.suspects = {view: senders for view, senders in self.suspects.items() if view > self.view}
         self.view_changes_completed += 1
         max_seq = self.low_water - 1
         for pre_prepare in message.pre_prepares:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.consensus.interface import (
     Agreement,
@@ -258,7 +258,7 @@ class RaftReplica(Component, Agreement):
         self._accumulator.flush()  # buffered payloads died with the disk
         self._wiped_rejoin = True
 
-    def gc(self, before_seq: int) -> None:
+    def gc(self, before_seq: int, settled: Optional[Callable[[Any], bool]] = None) -> None:
         if before_seq <= self.low_water:
             return
         self.low_water = before_seq
@@ -277,6 +277,10 @@ class RaftReplica(Component, Agreement):
                     self.pending.pop(repr(item), None)
             self.log = self.log[drop:]
             self.offset += drop
+        if settled is not None:
+            self.pending = {
+                key: payload for key, payload in self.pending.items() if not settled(payload)
+            }
         self._accumulator.release()  # the skip may have settled our entry
 
     # ------------------------------------------------------------------

@@ -552,7 +552,14 @@ class AgreementReplica(ClientFacing, RoutedNode):
         window_start = max(1, seq - len(hist_items) + 1)
         for channels in self.groups.values():
             channels.commit_tx.move_window(0, window_start)
-        self.ag.gc(seq + 1)
+        # A request the checkpoint's counters cover was delivered, even if
+        # this replica skips its sequence number: stop waiting for it.
+        counters = dict(t_items)
+        self.ag.gc(
+            seq + 1,
+            settled=lambda item: isinstance(item, RequestWrapper)
+            and item.body.counter <= counters.get(item.body.client, 0),
+        )
         if seq > self.sn:
             old_sn = self.sn
             self.sn = seq

@@ -24,14 +24,14 @@ REQUEST_CAPACITY = 2
 #: baselines, which run PBFT across regions, keep 4000 ms).  Measured as
 #: how long a view timer had run when a delivery reset it: at most 2.7 ms
 #: on ``geo_write_closed`` and 8.4 ms on the CPU-saturated
-#: ``flash_crowd_armed`` (seed 11, variants 0-2); on ``leader_crash_open``
-#: a recovered replica catching up waits up to 169 ms (seeds 1-12).  So
-#: 200 ms is 24x the fault-free maximum and still clears catch-up, which
-#: 100 ms would not.  Going lower bought nothing measurable: most of what
-#: was left of the failover tail was sessions queueing behind their own
-#: op on another key, which two lanes per session shard
-#: (``repro.deploy.session``) removed (p99 583 -> 282 ms at seed 11).
-AGREEMENT_VIEW_TIMEOUT_MS = 200.0
+#: ``flash_crowd_armed`` (seed 11, variants 0-2), so 100 ms is 12x the
+#: fault-free maximum.  A recovered replica catching up used to wait up
+#: to 169 ms here; it no longer arms its view timer while its state
+#: transfer makes progress (``repro.consensus.pbft.replica``), so
+#: catch-up does not bound this value any more.  ``leader_crash_open``
+#: ordered p99 at seed 11, median over variants 0-2, at 200 / 100 / 50
+#: ms: 278.9 / 239.6 / 235.0 ms (``docs/experiments.md``, "Failover").
+AGREEMENT_VIEW_TIMEOUT_MS = 100.0
 
 
 @dataclass

@@ -16,6 +16,7 @@ from repro.chaos import (
     check_exactly_once,
     check_journal_agreement,
     check_sequence_agreement,
+    check_views_converged,
     chaos_case,
 )
 from repro.consensus.pbft.messages import PrePrepare
@@ -63,6 +64,22 @@ class TestCheckerUnits:
     def test_completion_flags_missing_items(self):
         violations = check_completion(["a", "b"], {"r0": ["a"]})
         assert violations and "missing 1" in violations[0]
+
+    def test_views_converged_flags_a_lone_view_change(self):
+        views = {"r0": (1, False), "r1": (1, False), "r2": (1, False), "r3": (4, True)}
+        assert check_views_converged(views) == [
+            "views/converged: replica r3 ends in view 4, in a view change (group view 1)"
+        ]
+        # in the group's view but still changing views: flagged too
+        views["r3"] = (1, True)
+        assert len(check_views_converged(views)) == 1
+        views["r3"] = (1, False)
+        assert check_views_converged(views) == []
+
+    def test_views_converged_without_a_majority_flags_everyone(self):
+        views = {"r0": (1, False), "r1": (1, False), "r2": (2, False), "r3": (2, False)}
+        violations = check_views_converged(views)
+        assert len(violations) == 4 and "no majority view" in violations[0]
 
 
 class TestLivenessMutations:

@@ -86,7 +86,9 @@ class TestPbftViewTimerRace:
         assert _live_cancellable_events(cluster.sim) == 1
 
     def test_view_timer_still_fires_when_progress_stalls(self):
-        """The epoch guard must not suppress genuine timeouts."""
+        """The epoch guard must not suppress genuine timeouts.  Only this
+        follower waits for anything, so its suspicion stays its own: it
+        is broadcast, but does not take the follower out of view 0."""
         cluster = Cluster()
         harness = PbftHarness(cluster, view_timeout_ms=100.0)
         follower = harness.replicas[1]
@@ -95,7 +97,9 @@ class TestPbftViewTimerRace:
         # the leader: just crash it so nothing progresses.
         harness.nodes[0].crash()
         cluster.run(until=5_000.0)
-        assert follower.view_changes_completed >= 1 or follower.view > 0
+        assert follower.suspects == {1: {follower.name}}
+        assert harness.replicas[2].suspects == {1: {follower.name}}
+        assert follower.view == 0 and not follower.in_view_change
 
 
 class TestPbftFetchTimerHygiene:
@@ -694,7 +698,7 @@ _INTO_THE_WINDOW = "recovers into a window that eats its one state-transfer retr
 
 class RedCell(NamedTuple):
     """A minimal two-action schedule of ``case`` at ``seed`` and why it is
-    red; ``overrides`` are knobs of the case (:func:`chaos_case`)."""
+    (or was) red; ``overrides`` are knobs of the case (:func:`chaos_case`)."""
 
     case: str
     seed: int
@@ -727,15 +731,6 @@ RED_CELLS = {
         ],
         _INTO_THE_WINDOW,
     ),
-    "spider-shard-64": RedCell(
-        "spider-shard",
-        64,
-        [
-            FaultAction("crash", "sa-ag0", 1177.332, 6078.85),
-            FaultAction("silence", "sa-ag0", 3670.599, 6479.081),
-        ],
-        _INTO_THE_WINDOW,
-    ),
     "irmc-sc-111": RedCell(
         "irmc-sc",
         111,
@@ -745,8 +740,15 @@ RED_CELLS = {
         ],
         "a Progress lost to the partition is suppressed as no-news forever",
     ),
-    # ROADMAP item 7(a): ag1 recovers into a lone view change it never
-    # leaves, so ag2's later crash takes the group's last fault margin.
+}
+
+#: case-seed -> a cell that was red until its fix landed; now a plain
+#: regression
+FIXED_CELLS = {
+    # ROADMAP item 7: ag1 suspected its leader while it was still catching
+    # up and stayed in a lone view change, so ag2's later crash took the
+    # group's last fault margin.  A replica whose state transfer makes
+    # progress no longer arms its view timer.
     "spider-4": RedCell(
         "spider",
         4,
@@ -757,17 +759,39 @@ RED_CELLS = {
         "a recovered follower stays in a lone view change; a second crash then stalls the group",
         {"requests_per_client": 64, "settle_ms": 150_000.0},
     ),
+    # No crash at all.  Cut off from r2 and r3, the view-1 follower r0
+    # suspected its leader alone and, once the links healed, caught up by
+    # commit certificates but never left its view change.  A suspicion
+    # now moves a replica only once 2f+1 share it.
+    "pbft-101": RedCell(
+        "pbft",
+        101,
+        [
+            FaultAction("block_link", "r2->r0", 3557.079, 2602.492),
+            FaultAction("block_link", "r3->r0", 4009.2, 2676.054),
+        ],
+        "a replica cut off from f+1 peers suspects alone and never leaves its lone view change",
+    ),
+    # ROADMAP item 1: sa-ag0 asked three times, all into its own silence,
+    # then stopped.  It now asks again after 4, 8 and 16 quiet periods.
+    "spider-shard-64": RedCell(
+        "spider-shard",
+        64,
+        [
+            FaultAction("crash", "sa-ag0", 1177.332, 6078.85),
+            FaultAction("silence", "sa-ag0", 3670.599, 6479.081),
+        ],
+        _INTO_THE_WINDOW,
+    ),
 }
 
 
 class TestKnownRedCells:
-    """Open bugs, visible to CI until someone fixes them (ROADMAP items 1a
-    and 7a).
+    """Open bugs, visible to CI until someone fixes them (ROADMAP item 1a).
 
-    Seeds 100-129 of the nine IRMC / Spider chaos cases (the golden record
-    pins 1-12 only) hold four cells that violate a liveness invariant under
-    the default cost model; the fifth is ``spider``/4's crash followed by
-    a second, longer one.  Each
+    Seeds 100-131 of the IRMC / Spider chaos cases (the golden record
+    pins 1-12 only) hold three cells that violate a liveness invariant
+    under the default cost model.  Each
     is pinned by its shrunk schedule, not by the seed that found it, so a
     change to the schedule generator cannot hide it; ``strict`` turns a
     fix into a failure that asks for this table to shrink.
@@ -793,25 +817,44 @@ class TestKnownRedCells:
 
     def test_snippet_reproduces_the_case_that_ran(self):
         """A regression snippet carries the case's overrides: without them
-        ``spider-4``'s pasted body ran the plain row and passed under a
-        header that says it fails."""
+        the pasted body of a red cell found under overrides (``spider-4``
+        before its fix) ran the plain row and passed under a header that
+        says it fails."""
         from repro.chaos import repro_snippet
 
-        red = RED_CELLS["spider-4"]
+        red = RED_CELLS["spider-118"]
         with use_cost_model(CostModel()):
-            snippet = repro_snippet(chaos_case(red.case, **red.overrides), red.seed, red.pair)
+            case = chaos_case(red.case, settle_ms=80_000.0)
+            snippet = repro_snippet(case, red.seed, red.pair)
             assert "FAILS at generation time" in snippet
-            assert "chaos_case('spider', requests_per_client=64, settle_ms=150000.0)" in snippet
+            assert "chaos_case('spider', settle_ms=80000.0)" in snippet
             namespace: dict = {}
             exec(snippet, namespace)
             with pytest.raises(AssertionError):
                 namespace["test_minimized_chaos_repro"]()
 
     def test_spider_shard_111_holds_its_invariants(self):
-        # Green by timing: its lone view changes count as progress, so a retry outlives the drop.
+        # Green by construction: the recovering replica keeps asking after
+        # 1, 2, 4, 8 and 16 quiet periods, so a retry outlives the drop.
         pair = [
             FaultAction("crash", "sa-ag3", 3122.14, 7005.194),
             FaultAction("drop", "sa-ag3", 4146.28, 6904.148, param=0.3557),
         ]
         with use_cost_model(CostModel()):
             assert chaos_case("spider-shard").run(111, actions=pair).violations == []
+
+
+class TestFixedRedCells:
+    """Cells that were red until their fix landed: the pair and each of
+    its actions alone are green."""
+
+    @pytest.mark.parametrize("cell", FIXED_CELLS)
+    def test_pair_holds_its_invariants(self, cell):
+        fixed = FIXED_CELLS[cell]
+        assert fixed.run(fixed.pair).violations == []
+
+    @pytest.mark.parametrize("cell", FIXED_CELLS)
+    def test_each_action_alone_is_green(self, cell):
+        fixed = FIXED_CELLS[cell]
+        for action in fixed.pair:
+            assert fixed.run([action]).violations == []

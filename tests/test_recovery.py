@@ -111,9 +111,11 @@ class TestPbftStateTransfer:
         """The headline scenario: r3 sleeps through a view change and
         must rejoin via state transfer — current view adopted from the
         transferred NewView, history replayed from slot evidence — rather
-        than lingering on commit-certificate adoption alone."""
+        than lingering on commit-certificate adoption alone.  Seven
+        replicas (f = 2), so that the five left with r3 down and the
+        leader silent are the 2f+1 a view change needs."""
         cluster = Cluster()
-        harness = PbftHarness(cluster)
+        harness = PbftHarness(cluster, n=7, f=2)
         harness.order_everywhere(("op", 0))
         cluster.run(until=300.0)
         victim = harness.nodes[3]
@@ -208,6 +210,101 @@ class TestPbftStateTransfer:
         outsider.run_task(outsider.send, nodes[0], request)
         cluster.run(until=500.0)
         assert replicas[0].state_transfers_requested == 0
+
+
+class TestPbftCatchUp:
+    """A recovering replica is quiet while its state transfer makes
+    progress, suspects again once a retry period goes quiet, and keeps
+    asking after 1, 2, 4, 8 and 16 quiet periods."""
+
+    @staticmethod
+    def _transfer_times(cluster, sender):
+        """Simulated instants at which ``sender`` broadcast a StateTransfer."""
+        from repro.consensus.pbft.messages import StateTransfer
+
+        times = []
+
+        def tap(src, dst, message):
+            if isinstance(message, StateTransfer) and src.name == sender:
+                if not times or times[-1] != cluster.sim.now:
+                    times.append(cluster.sim.now)
+
+        cluster.network.taps.append(tap)
+        return times
+
+    def test_catching_up_replica_never_starts_a_view_change(self):
+        """r3 sleeps through 40 orders, so it recovers holding 40 pending
+        requests.  Its peers answer the StateTransfer with digests at
+        once, the payloads follow by FetchPayload one fetch period later,
+        and a new instance commits every 150 ms after that.  Every retry
+        period brings progress, so r3 stays quiet although its requests
+        stay pending for more than twice the view timeout."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=100.0)
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=300.0)
+        victim_node, victim = harness.nodes[3], harness.replicas[3]
+        victim_node.crash()
+        for index in range(1, 41):
+            cluster.sim.schedule_at(300.0 + index * 20.0, harness.order_everywhere, ("op", index))
+        cluster.run(until=1_500.0)
+        victim_node.recover()
+        for index in range(20):
+            cluster.sim.schedule_at(1_500.0 + index * 150.0, harness.order_everywhere, ("late", index))
+        cluster.run(until=1_750.0)  # 2.5 view timeouts after recovery
+        assert victim.pending and victim.delivered_seq == 1
+        cluster.run(until=5_000.0)
+        assert not any(victim.name in senders for senders in victim.suspects.values())
+        assert not any(victim.name in store for store in victim.vc_store.values())
+        assert victim.view == 0 and not victim.in_view_change
+        assert victim.delivered_seq == harness.replicas[0].delivered_seq
+        assert harness.flat_payloads("r3") == harness.flat_payloads("r0")
+
+    def test_joins_a_view_change_f_plus_1_peers_demand(self):
+        """After r3 caught up and a period went quiet, the leader goes
+        silent.  r3 must take part in the view change, because without its
+        vote the group has no 2f+1 for view 1."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=100.0)
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=300.0)
+        victim_node, victim = harness.nodes[3], harness.replicas[3]
+        victim_node.crash()
+        harness.order_everywhere(("op", 1))
+        cluster.run(until=1_000.0)
+        victim_node.recover()
+        cluster.run(until=2_500.0)  # caught up; the second retry went quiet
+        assert victim.delivered_seq == harness.replicas[0].delivered_seq
+        assert victim._recovery_progress[1] >= 1
+        SilenceBehaviour().install(harness.nodes[0])
+        harness.order_everywhere(("stuck",))
+        cluster.run(until=4_000.0)
+        for replica in harness.replicas[1:]:
+            assert replica.view == 1 and not replica.in_view_change
+        assert ("stuck",) in harness.flat_payloads("r3")
+        assert ("stuck",) in harness.flat_payloads("r1")
+
+    def test_retries_after_1_2_4_8_and_16_quiet_periods_then_stops(self):
+        """Nothing to catch up: the first retry (one period after the
+        request) still counts as progress, as it always did; the periods
+        after it are quiet, and the retries back off, then stop."""
+        from repro.consensus.pbft.replica import RECOVERY_RETRY_MS
+
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=300.0)
+        victim_node, victim = harness.nodes[3], harness.replicas[3]
+        times = self._transfer_times(cluster, "r3")
+        victim_node.crash()
+        cluster.run(until=1_000.0)
+        victim_node.recover()
+        cluster.run(until=30_000.0)
+        offsets = [round((at - times[0]) / RECOVERY_RETRY_MS) for at in times]
+        # request, the progress retry, then quiet periods 1, 2, 4, 8, 16
+        assert offsets == [0, 1, 2, 3, 5, 9, 17]
+        assert victim.state_transfers_requested == 7
+        assert not victim._recovery_timer.armed
 
 
 class TestRaftRecovery:
