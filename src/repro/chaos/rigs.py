@@ -252,8 +252,7 @@ def consensus(case, sim, network) -> Rig:
             obligated=crashed_ever,
             where=f"{case.protocol} replica",
         )
-        if "views-converged" in case.invariants:
-            violations += _check_views(replicas, f"{case.protocol} replica")
+        violations += _check_views(case, replicas, f"{case.protocol} replica")
         stats = {
             "delivered": {name: delivered[name] for name in names},
             protocol.epoch_key: max(protocol.epoch(r) for r in replicas),
@@ -483,8 +482,11 @@ def _check_group_invariants(
     return violations
 
 
-def _check_views(replicas, where: str) -> List[str]:
-    """views/converged over the PBFT replicas that are up."""
+def _check_views(case, replicas, where: str) -> List[str]:
+    """views/converged over the PBFT replicas that are up, if the case
+    owes it."""
+    if "views-converged" not in case.invariants:
+        return []
     return check_views_converged(
         {r.name: (r.view, r.in_view_change) for r in replicas if not r.node.crashed},
         where=where,
@@ -494,16 +496,12 @@ def _check_views(replicas, where: str) -> List[str]:
 def _check_agreement_frontier(agreement_replicas, label: str = "") -> List[str]:
     """After heal + settle every agreement replica of one shard must sit
     at the same consensus frontier (state transfer + gap fetch + cp-ag
-    adoption close any hole a crash, wipe or partition opened) and in the
-    group's view.  The Spider form of the general frontier invariant,
-    with *every* replica obligated — "all equal" and "all at the max"
-    coincide."""
-    violations = check_recovered_frontier(
+    adoption close any hole a crash, wipe or partition opened).  The
+    Spider form of the general frontier invariant, with *every* replica
+    obligated — "all equal" and "all at the max" coincide."""
+    return check_recovered_frontier(
         {replica.name: replica.ag.delivered_seq for replica in agreement_replicas},
         where=f"agreement replica{label}",
-    )
-    return violations + _check_views(
-        [replica.ag for replica in agreement_replicas], f"agreement replica{label}"
     )
 
 
@@ -587,6 +585,9 @@ def spider(case, sim, network) -> Rig:
         violations += check_client_fifo(completions)
         # Recovered agreement replicas owe full liveness too.
         violations += _check_agreement_frontier(system.agreement_replicas)
+        violations += _check_views(
+            case, [replica.ag for replica in system.agreement_replicas], "agreement replica"
+        )
         for client in clients:
             done = len(completions[client.name])
             if done < case.requests_per_client:
@@ -669,10 +670,10 @@ def _issued(case, keys, sessions):
     return writes, {key: value for _, key, value in writes}
 
 
-def _check_shards(cluster, crashed_ever, expected) -> List[str]:
+def _check_shards(case, cluster, crashed_ever, expected) -> List[str]:
     """Completion-after-heal **per shard**: ``expected[shard_id]`` is the
     ``(writes, state)`` that shard owes — crash/recovered replicas and
-    all — plus its agreement frontier."""
+    all — plus its agreement frontier and views."""
     violations: List[str] = []
     for shard_id in SHARD_IDS:
         shard = cluster.shard(shard_id)
@@ -682,6 +683,11 @@ def _check_shards(cluster, crashed_ever, expected) -> List[str]:
         )
         violations += _check_agreement_frontier(
             shard.agreement_replicas, label=f"[{shard_id}]"
+        )
+        violations += _check_views(
+            case,
+            [replica.ag for replica in shard.agreement_replicas],
+            f"agreement replica[{shard_id}]",
         )
     return violations
 
@@ -723,6 +729,7 @@ def _isolation(case, sim, cluster):
 
     def evaluate(crashed_ever):
         violations = _check_shards(
+            case,
             cluster,
             crashed_ever,
             {shard_id: _issued(case, keys, by_shard[shard_id]) for shard_id in SHARD_IDS},
@@ -824,7 +831,7 @@ def _handover(case, sim, cluster):
         expected[dst_shard][1].update(
             {keys[s.name][last]: f"{s.name}:{last}" for s in movers}
         )
-        violations = _check_shards(cluster, crashed_ever, expected)
+        violations = _check_shards(case, cluster, crashed_ever, expected)
         # The cross-cut audit: per migrated key, source-journal prefix +
         # destination-journal suffix == the issued sequence, and the
         # source replicas dropped the range.

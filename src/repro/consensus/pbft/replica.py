@@ -21,9 +21,10 @@ once instead of once per peer; ``transfer_summary_bytes`` /
 verified through the ordinary handlers — no trusted-summary shortcut
 exists, so a Byzantine responder can only withhold, never mislead.  The
 request is retried every period that brings progress, and the view timer
-stays quiet meanwhile: a replica still replaying what it missed does not
-suspect its leader.  Once a period goes quiet the replica suspects again
-and retries after 1, 2, 4, 8 and 16 quiet periods, then stops.
+stays quiet while the log still shows slots to replay: a replica
+catching up does not suspect its leader.  Once nothing is left the
+retries stop; once a period goes quiet the replica suspects again and
+retries after 1, 2, 4, 8 and 16 quiet periods, then stops.
 
 A ``crash(wipe=True)`` additionally destroys the durable log: the wipe
 hook reboots the replica protocol-empty (view 0, empty log) and the same
@@ -48,7 +49,11 @@ Fidelity notes
   replicas share, and sends its ``ViewChange`` once 2f+1 suspect (the
   STOP phase of BFT-SMaRt's leader change).  Castro-Liskov replicas
   leave on their own timeout, so one cut off from its leader strands
-  itself in a view change the rest of the group never joins.
+  itself in a view change the rest of the group never joins.  A
+  suspicion (or ``ViewChange``) of a view counts toward every view
+  before it, and a replica already past a suspected view answers with
+  its own ``ViewChange`` or ``NewView``, so one whose messages were lost
+  while it moved ahead still pulls the others along.
 * The new-view message re-proposes prepared instances and fills gaps with
   no-ops; proof compaction is simplified: a ``PreparedProof`` names the
   prepared ``(view, seq, payload)`` and is sized as if it carried the
@@ -148,7 +153,7 @@ class PbftReplica(Component, Agreement):
         self._fetch_timer = Timer(node, self._fetch_missing)
         #: post-crash state-transfer retry, backing off once periods go quiet
         self._recovery_timer = Timer(node, self._on_recovery_retry, RECOVERY_RETRY_MS)
-        #: ((view, delivered_seq) at the last retry, quiet periods since)
+        #: (:meth:`_transfer_progress` at the last retry, quiet periods since)
         self._recovery_progress: Tuple[Optional[tuple], int] = (None, 0)
         self.state_transfers_requested = 0
         #: digest-first transfer accounting: bytes of digest-only slot
@@ -361,7 +366,7 @@ class PbftReplica(Component, Agreement):
         elif isinstance(message, Forward):
             self._on_forward(message)
         elif isinstance(message, Suspect):
-            self._on_suspect(message)
+            self._on_suspect(src, message)
         elif isinstance(message, ViewChange):
             self._on_view_change(message)
         elif isinstance(message, NewView):
@@ -548,10 +553,13 @@ class PbftReplica(Component, Agreement):
     # Gap retransmission
     # ------------------------------------------------------------------
     def _maybe_schedule_fetch(self) -> None:
-        if self._fetch_timer.armed:
-            return
+        if not self._fetch_timer.armed and self._gap_exists():
+            self._fetch_timer.start(self.config.fetch_delay_ms)
+
+    def _gap_exists(self) -> bool:
+        """The log holds decided slots above the delivery frontier."""
         frontier = self.delivered_seq
-        gap_exists = any(
+        return any(
             (slot.committed and slot.seq > frontier + 1)
             or (
                 slot.pre_prepare is None
@@ -560,8 +568,6 @@ class PbftReplica(Component, Agreement):
             )
             for slot in self.log.slots.values()
         )
-        if gap_exists:
-            self._fetch_timer.start(self.config.fetch_delay_ms)
 
     def _has_commit_support(self, slot: Slot) -> bool:
         """f+1 matching commit votes: at least one honest replica committed
@@ -687,23 +693,37 @@ class PbftReplica(Component, Agreement):
     def request_state_transfer(self) -> None:
         """Ask all peers for the current view and the log suffix we miss.
 
-        Retries every ``RECOVERY_RETRY_MS`` while a period brings view or
-        delivery progress; the view timer stays unarmed meanwhile, so a
-        replica catching up never suspects a leader whose decisions it
-        simply has not replayed yet (it still joins a view change f+1
-        peers demand).  The first quiet period ends that: the replica is
-        either caught up or cut off, cannot tell which, and so suspects
-        again and keeps asking after 1, 2, 4, 8 and 16 quiet periods — a
-        transfer whose replies were lost to a window that has healed
-        since still completes.
+        Retries every ``RECOVERY_RETRY_MS`` while a period brings
+        progress and the log still shows decided slots we have not
+        delivered; the view timer stays unarmed meanwhile, so a replica
+        catching up never suspects a leader whose decisions it simply has
+        not replayed yet (it still joins a view change f+1 peers demand).
+        Once the log shows nothing left, the replica is caught up: the
+        retries stop and the timer arms as usual.  A quiet period ends
+        catch-up too: the replica is either caught up or cut off, cannot
+        tell which, and so suspects again and keeps asking after 1, 2, 4,
+        8 and 16 quiet periods — a transfer whose replies were lost to a
+        window that has healed since still completes.
         """
-        self._recovery_progress = (None, 0)
+        self._recovery_progress = (self._transfer_progress(), 0)
         self._send_state_transfer()
         self._recovery_timer.start()
 
+    def _transfer_progress(self) -> tuple:
+        """What a retry period can change: the view, the delivery
+        frontier, and whether the log shows slots above it (the first
+        replies bring that before any payload arrives)."""
+        return (self.view, self.delivered_seq, self._gap_exists())
+
     def _catching_up(self) -> bool:
-        """State transfer is running and its last period brought progress."""
-        return self._recovery_timer.armed and self._recovery_progress[1] == 0
+        """State transfer is running, its last period brought progress,
+        and there is more to replay: the log shows undelivered slots, or
+        nothing has arrived since the last retry yet."""
+        if not self._recovery_timer.armed:
+            return False
+        last, quiet = self._recovery_progress
+        progress = self._transfer_progress()
+        return quiet == 0 and (progress[2] or progress == last)
 
     def _send_state_transfer(self) -> None:
         self.state_transfers_requested += 1
@@ -718,9 +738,13 @@ class PbftReplica(Component, Agreement):
                 self.send(peer, request)
 
     def _on_recovery_retry(self) -> None:
-        progress = (self.view, self.delivered_seq)
+        progress = self._transfer_progress()
         last, quiet = self._recovery_progress
         if progress != last:
+            if not progress[2]:
+                self._recovery_timer.cancel()  # caught up: stop asking
+                self._arm_view_timer()
+                return
             self._recovery_progress = (progress, 0)
             self._send_state_transfer()
             return  # next period at the base cadence
@@ -803,24 +827,52 @@ class PbftReplica(Component, Agreement):
         )
         self._record_suspect(new_view, self.name)
 
-    def _on_suspect(self, message: Suspect) -> None:
-        if message.sender not in self.peer_names or message.new_view <= self.view:
+    def _on_suspect(self, src, message: Suspect) -> None:
+        if message.sender not in self.peer_names:
             return
         if not verify_mac_vector(message.auth, message, message.sender, self.name):
             return
+        if message.new_view <= self.view:
+            self._answer_stale_suspect(src, message.new_view)
+            return
         self._record_suspect(message.new_view, message.sender)
+
+    def _answer_stale_suspect(self, src, new_view: int) -> None:
+        """A peer asks for a view we already reached: show it where we are.
+
+        Our own ``ViewChange`` (or the ``NewView`` that completed our
+        view) may have been lost on its way, and we never repeat it
+        otherwise — so a replica left behind would keep suspecting a view
+        we no longer count."""
+        if self.in_view_change:
+            mine = self.vc_store.get(self.view, {}).get(self.name)
+            if mine is not None:
+                self.send(src, mine)
+        elif self.last_new_view is not None and self.last_new_view.new_view >= new_view:
+            self.send(src, self.last_new_view)
 
     def _record_suspect(self, new_view: int, sender: str) -> None:
         if new_view <= self.view:
             return
-        senders = self.suspects.setdefault(new_view, set())
-        senders.add(sender)
-        if len(senders) >= 2 * self.f + 1:
-            # At least f+1 correct replicas suspect, so every correct one
-            # will see f+1 and join: leaving the view cannot strand us.
-            self._start_view_change(new_view)
-        elif len(senders) >= self.f + 1 and self.name not in senders:
-            self._suspect(new_view)  # f+1 include a correct replica's
+        self.suspects.setdefault(new_view, set()).add(sender)
+        # Asking for a view gives up on every view before it, so a
+        # suspicion counts toward each view up to the one it names.
+        # Act on the highest view enough replicas have given up before.
+        senders: set = set()
+        join = None
+        for view in sorted(self.suspects, reverse=True):
+            if view <= self.view:
+                break
+            senders |= self.suspects[view]
+            if len(senders) >= 2 * self.f + 1:
+                # At least f+1 correct replicas suspect, so every correct
+                # one will see f+1 and join: leaving cannot strand us.
+                self._start_view_change(view)
+                return
+            if join is None and len(senders) >= self.f + 1 and self.name not in senders:
+                join = view  # f+1 include a correct replica's
+        if join is not None:
+            self._suspect(join)
 
     def _start_view_change(self, new_view: int) -> None:
         if new_view <= self.view and self.in_view_change:
@@ -865,6 +917,7 @@ class PbftReplica(Component, Agreement):
         if not verify(message.signature, message, signer=message.sender):
             return
         self._record_view_change(message)
+        self._record_suspect(message.new_view, message.sender)  # it gave up too
 
     def _record_view_change(self, message: ViewChange) -> None:
         store = self.vc_store.setdefault(message.new_view, {})

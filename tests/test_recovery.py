@@ -111,11 +111,9 @@ class TestPbftStateTransfer:
         """The headline scenario: r3 sleeps through a view change and
         must rejoin via state transfer — current view adopted from the
         transferred NewView, history replayed from slot evidence — rather
-        than lingering on commit-certificate adoption alone.  Seven
-        replicas (f = 2), so that the five left with r3 down and the
-        leader silent are the 2f+1 a view change needs."""
+        than lingering on commit-certificate adoption alone."""
         cluster = Cluster()
-        harness = PbftHarness(cluster, n=7, f=2)
+        harness = PbftHarness(cluster)
         harness.order_everywhere(("op", 0))
         cluster.run(until=300.0)
         victim = harness.nodes[3]
@@ -128,9 +126,9 @@ class TestPbftStateTransfer:
         harness.order_everywhere(("op", 2))
         cluster.run(until=3_500.0)
         silencer.uninstall()
-        assert harness.replicas[1].view >= 1  # the view change happened
         victim.recover()
         cluster.run(until=8_000.0)
+        assert harness.replicas[1].view >= 1  # the view change happened
         rejoined = harness.replicas[3]
         assert rejoined.view == max(r.view for r in harness.replicas)
         assert rejoined.state_transfers_requested >= 1
@@ -139,6 +137,31 @@ class TestPbftStateTransfer:
         harness.order_everywhere(("op", 3))
         cluster.run(until=9_000.0)
         assert harness.flat_payloads("r3")[-1] == ("op", 3)
+
+    def test_survivors_converge_while_the_crashed_replica_stays_down(self):
+        """r3 down and the leader r0 silent: r1 and r2 suspect view 1, and
+        r0, still hearing them, counts itself as the third suspicion and
+        enters view change 1 — but its messages are lost.  Once r0 speaks
+        again, the three correct replicas must settle on one view with r3
+        still down (one fault, within f), and order new requests there."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=300.0)
+        harness.nodes[3].crash()
+        silencer = SilenceBehaviour().install(harness.nodes[0])
+        harness.order_everywhere(("op", 1))
+        cluster.run(until=1_300.0)
+        assert harness.replicas[0].in_view_change and harness.replicas[1].view == 0
+        silencer.uninstall()
+        cluster.run(until=6_000.0)
+        survivors = harness.replicas[:3]
+        assert len({replica.view for replica in survivors}) == 1
+        assert not any(replica.in_view_change for replica in survivors)
+        harness.order_everywhere(("op", 2))
+        cluster.run(until=7_000.0)
+        for replica in survivors:
+            assert harness.flat_payloads(replica.name) == [("op", 0), ("op", 1), ("op", 2)]
 
     def test_crash_mid_view_change_rejoins_same_view(self):
         """Regression: a replica that crashed *after* bumping its view for
@@ -261,9 +284,9 @@ class TestPbftCatchUp:
         assert harness.flat_payloads("r3") == harness.flat_payloads("r0")
 
     def test_joins_a_view_change_f_plus_1_peers_demand(self):
-        """After r3 caught up and a period went quiet, the leader goes
-        silent.  r3 must take part in the view change, because without its
-        vote the group has no 2f+1 for view 1."""
+        """After r3 caught up and stopped asking, the leader goes silent.
+        r3 must take part in the view change, because without its vote
+        the group has no 2f+1 for view 1."""
         cluster = Cluster()
         harness = PbftHarness(cluster, view_timeout_ms=100.0)
         harness.order_everywhere(("op", 0))
@@ -273,9 +296,9 @@ class TestPbftCatchUp:
         harness.order_everywhere(("op", 1))
         cluster.run(until=1_000.0)
         victim_node.recover()
-        cluster.run(until=2_500.0)  # caught up; the second retry went quiet
+        cluster.run(until=2_500.0)
         assert victim.delivered_seq == harness.replicas[0].delivered_seq
-        assert victim._recovery_progress[1] >= 1
+        assert not victim._catching_up() and not victim._recovery_timer.armed
         SilenceBehaviour().install(harness.nodes[0])
         harness.order_everywhere(("stuck",))
         cluster.run(until=4_000.0)
@@ -284,10 +307,34 @@ class TestPbftCatchUp:
         assert ("stuck",) in harness.flat_payloads("r3")
         assert ("stuck",) in harness.flat_payloads("r1")
 
+    def test_caught_up_replicas_detect_a_leader_crash_at_once(self):
+        """Under steady load a caught-up replica delivers something every
+        retry period, so a transfer that kept going while periods brought
+        progress would leave it quiet for good.  r3 and then r2 crash and
+        recover; once both caught up, the leader crashes.  The three
+        survivors, two of them recovered, must all suspect within about
+        one view timeout, not one retry period later."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=100.0)
+        for index in range(200):
+            cluster.sim.schedule_at(300.0 + index * 20.0, harness.order_everywhere, ("op", index))
+        for victim in (harness.nodes[3], harness.nodes[2]):
+            victim.crash()
+            cluster.run(until=cluster.sim.now + 700.0)
+            victim.recover()
+            cluster.run(until=cluster.sim.now + 1_000.0)
+        survivors = harness.replicas[1:]
+        assert len({replica.delivered_seq for replica in harness.replicas}) == 1
+        crashed_at = cluster.sim.now
+        harness.nodes[0].crash()
+        cluster.run(until=crashed_at + 300.0)
+        for replica in survivors:
+            assert replica.view == 1 and not replica.in_view_change
+
     def test_retries_after_1_2_4_8_and_16_quiet_periods_then_stops(self):
-        """Nothing to catch up: the first retry (one period after the
-        request) still counts as progress, as it always did; the periods
-        after it are quiet, and the retries back off, then stop."""
+        """Nothing to catch up: no retry period brings progress, so the
+        retries go out 1, 2, 4, 8 and 16 periods after the request, then
+        stop."""
         from repro.consensus.pbft.replica import RECOVERY_RETRY_MS
 
         cluster = Cluster()
@@ -301,9 +348,8 @@ class TestPbftCatchUp:
         victim_node.recover()
         cluster.run(until=30_000.0)
         offsets = [round((at - times[0]) / RECOVERY_RETRY_MS) for at in times]
-        # request, the progress retry, then quiet periods 1, 2, 4, 8, 16
-        assert offsets == [0, 1, 2, 3, 5, 9, 17]
-        assert victim.state_transfers_requested == 7
+        assert offsets == [0, 1, 2, 4, 8, 16]
+        assert victim.state_transfers_requested == 6
         assert not victim._recovery_timer.armed
 
 
