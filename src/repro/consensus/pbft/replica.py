@@ -719,11 +719,11 @@ class PbftReplica(Component, Agreement):
         """State transfer is running, its last period brought progress,
         and there is more to replay: the log shows undelivered slots, or
         nothing has arrived since the last retry yet."""
-        if not self._recovery_timer.armed:
-            return False
         last, quiet = self._recovery_progress
+        if not self._recovery_timer.armed or quiet:
+            return False
         progress = self._transfer_progress()
-        return quiet == 0 and (progress[2] or progress == last)
+        return progress[2] or progress == last
 
     def _send_state_transfer(self) -> None:
         self.state_transfers_requested += 1
