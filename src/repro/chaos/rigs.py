@@ -215,8 +215,8 @@ def consensus(case, sim, network) -> Rig:
 
     def probe(actions):
         # Probe traffic after every fault window: commits past the last
-        # faulted slot are what trigger gap retransmission (PBFT) and
-        # post-heal replication (Raft) on laggards.
+        # faulted slot are what show a laggard its gap (PBFT's catch-up
+        # loop) and trigger post-heal replication (Raft).
         probe_at = (
             max([case.horizon_ms] + [a.end_ms for a in actions])
             + protocol.probe_gap_ms
@@ -495,7 +495,7 @@ def _check_views(case, replicas, where: str) -> List[str]:
 
 def _check_agreement_frontier(agreement_replicas, label: str = "") -> List[str]:
     """After heal + settle every agreement replica of one shard must sit
-    at the same consensus frontier (state transfer + gap fetch + cp-ag
+    at the same consensus frontier (PBFT's catch-up loop and cp-ag
     adoption close any hole a crash, wipe or partition opened).  The
     Spider form of the general frontier invariant, with *every* replica
     obligated — "all equal" and "all at the max" coincide."""

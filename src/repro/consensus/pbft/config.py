@@ -37,9 +37,6 @@ class PbftConfig:
     weights:
         Optional per-replica vote weights keyed by node name (WHEAT-style
         weighted voting); defaults to 1 for every replica.
-    fetch_delay_ms:
-        How long a delivery gap may persist before the replica asks a peer
-        to retransmit the missing instance.
     batch_size:
         Cap on the number of ordered messages the leader packs into one
         consensus instance.  Batching is self-clocked — the leader
@@ -53,7 +50,6 @@ class PbftConfig:
     view_timeout_ms: float = 2000.0
     window: int = 1024
     weights: Optional[Dict[str, float]] = None
-    fetch_delay_ms: float = 500.0
     batch_size: int = 64
 
     def validate(self, replica_names: Sequence[str]) -> None:

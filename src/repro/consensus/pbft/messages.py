@@ -167,33 +167,25 @@ class NewView(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class FetchSlot(Message, Digestible):
-    """Ask a peer to retransmit its messages for one consensus instance."""
-
-    tag: str
-    seq: int
-    sender: str
-
-    def payload_size(self) -> int:
-        return 16
-
-
-@dataclass(frozen=True)
 class StateTransfer(Message, Digestible):
-    """A rejoining replica asks a peer for everything it slept through.
+    """A replica that is behind asks a peer for what it missed: a
+    rejoiner for everything it slept through, a replica with a gap in its
+    log for the instances above its delivery frontier.
 
-    ``view`` and ``low_water`` describe the requester's state: peers
-    answer with their stored (signed, hence transferable) ``NewView`` when
-    the requester's view is stale, plus **digest-first** per-slot evidence
+    ``view`` is the first view whose ``NewView`` the requester has not
+    seen (its own view while in a view change, the next one otherwise)
+    and ``low_water`` its first undelivered instance: peers answer with
+    their stored (signed, hence transferable) ``NewView`` when it is for
+    ``view`` or later, plus **digest-first** per-slot evidence
     — the peer's own ``Prepare``/``Commit``, which carry only payload
     digests — for every live instance at or above ``low_water``.  Full
     payloads are *not* retransmitted by every peer: once the requester
-    holds a quorum of matching commit digests for a slot it is missing the
+    holds f+1 matching commit digests for a slot it is missing the
     payload of, it pulls the original ``PrePrepare`` from a single peer
     via :class:`FetchPayload` (payload-on-miss).  All replies are ordinary
     protocol messages verified through the normal handlers, so a
     Byzantine responder can at worst withhold information (the requester
-    asks every peer and retries until it stops making progress).
+    asks every peer, and asks again).
     """
 
     tag: str

@@ -1,35 +1,40 @@
 """The PBFT replica component.
 
 Implements the normal-case three-phase protocol, leader-relay of incoming
-messages, weighted quorums, gap retransmission, view changes, and
-crash-recovery state transfer, behind the pull-based
+messages, weighted quorums, view changes, and one catch-up loop for
+delivery gaps and crash recovery, behind the pull-based
 :class:`~repro.consensus.interface.Agreement` interface.
 
-Recovery
---------
-A replica whose node crash/recovered missed arbitrary protocol history —
-possibly including view changes.  On recovery (a node recovery hook) it
-resets its timer chains, then broadcasts a ``StateTransfer`` request;
-peers answer with their stored signed ``NewView`` (moving the rejoiner
-into the current view) and **digest-first** per-slot evidence — their own
-Prepare/Commit votes, which carry only payload digests.  Once the
-rejoiner holds f+1 matching commit digests for a slot it has no payload
-for, it pulls the original PrePrepare from a *single* rotating peer via
-``FetchPayload`` (payload-on-miss), so full payloads cross the network
-once instead of once per peer; ``transfer_summary_bytes`` /
-``transfer_payload_bytes`` account for the split.  Everything is
-verified through the ordinary handlers — no trusted-summary shortcut
-exists, so a Byzantine responder can only withhold, never mislead.  The
-request is retried every period that brings progress, and the view timer
-stays quiet while the log still shows slots to replay: a replica
-catching up does not suspect its leader.  Once nothing is left the
-retries stop; once a period goes quiet the replica suspects again and
-retries after 1, 2, 4, 8 and 16 quiet periods, then stops.
+Catching up
+-----------
+A replica that is behind — messages lost, or a crash/recovery that
+missed arbitrary protocol history, view changes included — pulls what
+it misses through one loop with two requests.  ``StateTransfer`` goes
+to every peer; peers answer with their stored signed ``NewView`` when
+the requester has not seen it (moving it into the current view) and
+**digest-first** per-slot evidence — their own Prepare/Commit votes,
+which carry only payload digests.  For slots with f+1 matching commit
+digests and no payload (or a stale one) the replica pulls the original
+PrePrepare from a *single* rotating peer via ``FetchPayload``
+(payload-on-miss), so full payloads cross the network once instead of
+once per peer; ``transfer_summary_bytes`` / ``transfer_payload_bytes``
+account for the split.  Everything is verified through the ordinary handlers — no
+trusted-summary shortcut exists, so a Byzantine responder can only
+withhold, never mislead.
+
+Two things start the loop.  A gap in the log (decided slots above the
+delivery frontier) starts it one period later, and it asks every period
+until the gap closes.  A node recovery asks at once, then every period
+that brings progress, and the view timer stays quiet while the log still
+shows slots to replay: a replica catching up does not suspect its
+leader.  Once nothing is left the recovery ends; once a period goes
+quiet the replica suspects again and asks after 1, 2, 4, 8 and 16 quiet
+periods, then stops.  A gap alone never quiets the view timer.
 
 A ``crash(wipe=True)`` additionally destroys the durable log: the wipe
 hook reboots the replica protocol-empty (view 0, empty log) and the same
-state-transfer machinery then rebuilds it from scratch — checkpointing
-stacks cover the garbage-collected prefix via checkpoint install first.
+loop then rebuilds it from scratch — checkpointing stacks cover the
+garbage-collected prefix via checkpoint install first.
 
 Fidelity notes
 --------------
@@ -73,7 +78,6 @@ from repro.consensus.pbft.messages import (
     NOOP,
     Commit,
     FetchPayload,
-    FetchSlot,
     Forward,
     NewView,
     PrePrepare,
@@ -98,13 +102,13 @@ from repro.sim.node import Timer
 from repro.sim.routing import Component, RoutedNode
 
 
-#: Cadence of the post-crash state-transfer retry (ms): after recovery the
-#: replica re-requests ``StateTransfer`` from its peers every period that
-#: brings view or delivery progress, then after 1, 2, 4, ... quiet periods.
-RECOVERY_RETRY_MS = 500.0
+#: Period of the catch-up loop (ms): a replica asks its peers every period
+#: while its log shows a gap or its recovery makes progress, and after a
+#: recovery goes quiet after 1, 2, 4, ... quiet periods.
+CATCH_UP_PERIOD_MS = 500.0
 
-#: The last retry goes out after this many quiet periods in a row.
-RECOVERY_QUIET_LIMIT = 16
+#: A recovery's last ask goes out after this many quiet periods in a row.
+CATCH_UP_QUIET_LIMIT = 16
 
 
 def _key(payload: Any) -> str:
@@ -150,10 +154,10 @@ class PbftReplica(Component, Agreement):
 
         self._boot()
         self._view_timer = Timer(node, self._on_view_timeout)
-        self._fetch_timer = Timer(node, self._fetch_missing)
-        #: post-crash state-transfer retry, backing off once periods go quiet
-        self._recovery_timer = Timer(node, self._on_recovery_retry, RECOVERY_RETRY_MS)
-        #: (:meth:`_transfer_progress` at the last retry, quiet periods since)
+        #: the one catch-up loop, for delivery gaps and crash recovery alike
+        self._catch_up_timer = Timer(node, self._on_catch_up_tick, CATCH_UP_PERIOD_MS)
+        #: a recovery's (:meth:`_transfer_progress` at its last ask, quiet
+        #: periods since); ``(None, 0)`` while no recovery is under way
         self._recovery_progress: Tuple[Optional[tuple], int] = (None, 0)
         self.state_transfers_requested = 0
         #: digest-first transfer accounting: bytes of digest-only slot
@@ -224,6 +228,12 @@ class PbftReplica(Component, Agreement):
 
     def _weight_of(self, sender: str) -> float:
         return self.config.weight_of(sender)
+
+    def _sent_by_member(self, src, message) -> bool:
+        """The group member ``message`` names sent it.  ``Forward`` and the
+        catch-up requests carry no authenticator, so the network sender
+        is the only evidence."""
+        return src.name == message.sender and message.sender in self.peer_names
 
     def _mac_attach(self, body):
         """Attach a MAC vector over ``body``'s signed content (auth excluded)."""
@@ -364,22 +374,20 @@ class PbftReplica(Component, Agreement):
         elif isinstance(message, Commit):
             self._on_commit(message)
         elif isinstance(message, Forward):
-            self._on_forward(message)
+            self._on_forward(src, message)
         elif isinstance(message, Suspect):
             self._on_suspect(src, message)
         elif isinstance(message, ViewChange):
             self._on_view_change(message)
         elif isinstance(message, NewView):
             self._on_new_view(message)
-        elif isinstance(message, FetchSlot):
-            self._on_fetch(src, message)
         elif isinstance(message, FetchPayload):
             self._on_fetch_payload(src, message)
         elif isinstance(message, StateTransfer):
             self._on_state_transfer(src, message)
 
-    def _on_forward(self, message: Forward) -> None:
-        if message.sender not in self.peer_names:
+    def _on_forward(self, src, message: Forward) -> None:
+        if not self._sent_by_member(src, message):
             return
         key = _key(message.payload)
         if key in self.live_keys:
@@ -496,13 +504,13 @@ class PbftReplica(Component, Agreement):
         slot = self.log.slot(message.seq)
         slot.add_commit(message.sender, message.payload_digest)
         self._check_committed(slot)
-        if slot.pre_prepare is None:
+        if slot.payload_digest != message.payload_digest:
             # Digest-first state transfer: commit evidence can accumulate
-            # for a slot whose payload we never stored (e.g. after a wiped
-            # restart).  Such a slot can never commit locally, so delivery
-            # never re-arms the gap fetch for it — do it here, where the
-            # payload gap becomes observable.
-            self._maybe_schedule_fetch()
+            # for a payload we never stored (e.g. after a wiped restart)
+            # or hold a stale rival of.  Such a slot can never commit
+            # locally, so delivery never watches it — do it here, where
+            # the payload gap becomes observable.
+            self._watch_gap()
 
     def _check_committed(self, slot: Slot) -> None:
         """Commit on quorum commit weight.
@@ -547,120 +555,49 @@ class PbftReplica(Component, Agreement):
         # Our proposal in flight delivered (or gc skipped it): propose
         # what queued up behind it.
         self._accumulator.release()
-        self._maybe_schedule_fetch()
+        self._watch_gap()
 
     # ------------------------------------------------------------------
-    # Gap retransmission
+    # Catching up: one loop for delivery gaps and crash recovery
     # ------------------------------------------------------------------
-    def _maybe_schedule_fetch(self) -> None:
-        if not self._fetch_timer.armed and self._gap_exists():
-            self._fetch_timer.start(self.config.fetch_delay_ms)
+    def _watch_gap(self) -> None:
+        """A visible gap gets the catch-up loop asking within one period."""
+        timer = self._catch_up_timer
+        if timer.armed and timer.deadline <= self.sim.now + CATCH_UP_PERIOD_MS:
+            return
+        if self._gap_exists():
+            timer.start()
 
     def _gap_exists(self) -> bool:
         """The log holds decided slots above the delivery frontier."""
         frontier = self.delivered_seq
         return any(
             (slot.committed and slot.seq > frontier + 1)
-            or (
-                slot.pre_prepare is None
-                and slot.seq > frontier
-                and self._has_commit_support(slot)
-            )
+            or (slot.seq > frontier and self._misses_payload(slot))
             for slot in self.log.slots.values()
         )
 
-    def _has_commit_support(self, slot: Slot) -> bool:
-        """f+1 matching commit votes: at least one honest replica committed
-        this payload, so honest replicas hold it — safe to fetch."""
+    def _misses_payload(self, slot: Slot) -> bool:
+        """f+1 matching commit votes vouch for a payload the slot does not
+        hold: none, or a stale one the group decided against (a recovered
+        leader's own unsent proposal).  At least one honest replica
+        committed it, so honest replicas hold it — safe to fetch."""
         counts: Dict[int, int] = {}
         for voted in slot.commit_votes.values():
             count = counts.get(voted, 0) + 1
             if count >= self.f + 1:
-                return True
+                return voted != slot.payload_digest
             counts[voted] = count
         return False
 
     def _payload_gap_seqs(self) -> List[int]:
-        """Undelivered slots with digest evidence but no stored payload."""
+        """Undelivered slots with digest evidence for a payload we lack."""
         return sorted(
             seq
             for seq, slot in self.log.slots.items()
-            if seq > self.delivered_seq
-            and slot.pre_prepare is None
-            and self._has_commit_support(slot)
+            if seq > self.delivered_seq and self._misses_payload(slot)
         )
 
-    def _fetch_missing(self) -> None:
-        gaps = self._payload_gap_seqs()
-        if gaps:
-            self._request_payloads(gaps)
-        missing = self.delivered_seq + 1
-        slot = self.log.get(missing)
-        if slot is not None and slot.committed:
-            if gaps:
-                self._maybe_schedule_fetch()  # keep pulling withheld payloads
-            return
-        higher_committed = [s for s in self.log.slots.values() if s.committed and s.seq > missing]
-        if not higher_committed:
-            if gaps:
-                self._maybe_schedule_fetch()
-            return
-        request = FetchSlot(tag=self.tag, seq=missing, sender=self.name)
-        for peer in self.peers:
-            if peer is not self.node:
-                self.send(peer, request)
-        self._maybe_schedule_fetch()
-
-    def _request_payloads(self, seqs: Sequence[int]) -> None:
-        """Payload-on-miss: pull full PrePrepares from a single peer.
-
-        The peer rotates per request, so a crashed or withholding
-        responder only costs one fetch period — and the payload travels
-        the network once instead of once per group member.
-        """
-        others = [peer for peer in self.peers if peer is not self.node]
-        if not others:
-            return
-        peer = others[self._payload_fetch_round % len(others)]
-        self._payload_fetch_round += 1
-        self.payload_fetches_sent += 1
-        self.send(peer, FetchPayload(tag=self.tag, seqs=tuple(seqs), sender=self.name))
-
-    def _on_fetch_payload(self, src, message: FetchPayload) -> None:
-        if message.sender not in self.peer_names or src is self.node:
-            return
-        for seq in message.seqs:
-            slot = self.log.get(seq)
-            if slot is not None and slot.pre_prepare is not None:
-                self.payloads_served += 1
-                self.transfer_payload_bytes += cached_size_bytes(slot.pre_prepare)
-                self.send(src, slot.pre_prepare)
-
-    def _on_fetch(self, src, message: FetchSlot) -> None:
-        slot = self.log.get(message.seq)
-        if slot is None or src is self.node:
-            return
-        self._send_slot_evidence(src, slot)
-
-    def _send_slot_evidence(self, src, slot: Slot) -> None:
-        """Retransmit one instance: stored PrePrepare + own votes.
-
-        The PrePrepare carries the original leader's MAC vector (one entry
-        per group member), so relaying it verifies at the receiver; the
-        Prepare/Commit are freshly authenticated by this replica.  The
-        receiver accumulates such evidence from many peers through the
-        normal handlers until its own quorum rules are satisfied.
-        """
-        if slot.pre_prepare is not None:
-            self.send(src, slot.pre_prepare)
-        if slot.sent_prepare and slot.payload_digest is not None:
-            self.send(src, self._vote(Prepare, slot))
-        if slot.sent_commit and slot.payload_digest is not None:
-            self.send(src, self._vote(Commit, slot))
-
-    # ------------------------------------------------------------------
-    # Crash recovery: state transfer
-    # ------------------------------------------------------------------
     def _on_node_wipe(self) -> None:
         """Durable-state loss: the crash also destroyed the log on disk.
 
@@ -679,87 +616,116 @@ class PbftReplica(Component, Agreement):
         """Re-enter the protocol after the hosting node recovered.
 
         Timer callbacks that fired while the node was crashed were dropped
-        with the CPU queue, leaving timers armed that would block
-        re-arming forever; reset every timer, abandon any half-built
-        batch (its messages stay in ``pending``), then actively pull the
-        protocol state we slept through from our peers.
+        with the CPU queue; cancel the view timer, abandon any half-built
+        batch (its messages stay in ``pending``), ask every peer for the
+        view and the log suffix we slept through, and start the catch-up
+        loop.  While its periods bring progress and the log shows slots to
+        replay, the view timer stays unarmed (:meth:`_catching_up`): a
+        replica never suspects a leader whose decisions it simply has not
+        replayed yet, though it still joins a view change f+1 peers
+        demand.  A quiet period ends the silence: caught up or cut off,
+        the replica cannot tell which, so it suspects again and keeps
+        asking after 1, 2, 4, 8 and 16 quiet periods — a transfer whose
+        replies were lost to a window that has healed since still
+        completes.
         """
         self._view_timer.cancel()
-        self._fetch_timer.cancel()
         self._flush_batch_buffer()
-        self._maybe_schedule_fetch()
-        self.request_state_transfer()
-
-    def request_state_transfer(self) -> None:
-        """Ask all peers for the current view and the log suffix we miss.
-
-        Retries every ``RECOVERY_RETRY_MS`` while a period brings
-        progress and the log still shows decided slots we have not
-        delivered; the view timer stays unarmed meanwhile, so a replica
-        catching up never suspects a leader whose decisions it simply has
-        not replayed yet (it still joins a view change f+1 peers demand).
-        Once the log shows nothing left, the replica is caught up: the
-        retries stop and the timer arms as usual.  A quiet period ends
-        catch-up too: the replica is either caught up or cut off, cannot
-        tell which, and so suspects again and keeps asking after 1, 2, 4,
-        8 and 16 quiet periods — a transfer whose replies were lost to a
-        window that has healed since still completes.
-        """
         self._recovery_progress = (self._transfer_progress(), 0)
         self._send_state_transfer()
-        self._recovery_timer.start()
+        self._catch_up_timer.start()
 
     def _transfer_progress(self) -> tuple:
-        """What a retry period can change: the view, the delivery
+        """What a catch-up period can change: the view, the delivery
         frontier, and whether the log shows slots above it (the first
         replies bring that before any payload arrives)."""
         return (self.view, self.delivered_seq, self._gap_exists())
 
     def _catching_up(self) -> bool:
-        """State transfer is running, its last period brought progress,
-        and there is more to replay: the log shows undelivered slots, or
-        nothing has arrived since the last retry yet."""
+        """A recovery is under way, its last period brought progress, and
+        there is more to replay: the log shows undelivered slots, or
+        nothing has arrived since the last ask yet."""
         last, quiet = self._recovery_progress
-        if not self._recovery_timer.armed or quiet:
+        if last is None or quiet:
             return False
         progress = self._transfer_progress()
         return progress[2] or progress == last
 
+    def _on_catch_up_tick(self) -> None:
+        progress = self._transfer_progress()
+        gap = progress[2]
+        last, quiet = self._recovery_progress
+        if last is None or progress != last:
+            if not gap:
+                # The gap closed, or the recovery caught up: stop asking.
+                self._catch_up_timer.cancel()
+                if last is not None:
+                    self._recovery_progress = (None, 0)
+                    self._arm_view_timer()
+                return
+            if last is not None:
+                self._recovery_progress = (progress, 0)
+            self._ask_peers()
+            return  # next period at the base cadence
+        # A recovery quiet for ``quiet`` periods now: converged or blocked.
+        # Ask and suspect again; with no gap showing, wait twice as long.
+        quiet = min(quiet * 2 or 1, CATCH_UP_QUIET_LIMIT)
+        self._recovery_progress = (progress, quiet)
+        self._ask_peers()
+        if not gap and quiet < CATCH_UP_QUIET_LIMIT:
+            self._catch_up_timer.start(CATCH_UP_PERIOD_MS * quiet)
+        elif not gap:
+            self._catch_up_timer.cancel()
+            self._recovery_progress = (None, 0)
+        self._arm_view_timer()
+
+    def _ask_peers(self) -> None:
+        """One round of catch-up: the log suffix from every peer, and the
+        payloads of digest-vouched slots from one."""
+        self._send_state_transfer()
+        gaps = self._payload_gap_seqs()
+        if gaps:
+            self._request_payloads(gaps)
+
     def _send_state_transfer(self) -> None:
+        # Outside a view change we hold our view's NewView (view 0 has
+        # none), so a peer need only send a later one.
         self.state_transfers_requested += 1
         request = StateTransfer(
             tag=self.tag,
-            view=self.view,
+            view=self.view if self.in_view_change else self.view + 1,
             low_water=self.delivered_seq + 1,
             sender=self.name,
         )
-        for peer in self.peers:
-            if peer is not self.node:
-                self.send(peer, request)
+        self.broadcast(self.peers, request)
 
-    def _on_recovery_retry(self) -> None:
-        progress = self._transfer_progress()
-        last, quiet = self._recovery_progress
-        if progress != last:
-            if not progress[2]:
-                self._recovery_timer.cancel()  # caught up: stop asking
-                self._arm_view_timer()
-                return
-            self._recovery_progress = (progress, 0)
-            self._send_state_transfer()
-            return  # next period at the base cadence
-        # Quiet for ``quiet`` periods now: converged or blocked.
-        quiet = quiet * 2 or 1
-        self._recovery_progress = (progress, quiet)
-        self._send_state_transfer()
-        if quiet < RECOVERY_QUIET_LIMIT:
-            self._recovery_timer.start(RECOVERY_RETRY_MS * quiet)
-        else:
-            self._recovery_timer.cancel()
-        self._arm_view_timer()  # suspect again
+    def _request_payloads(self, seqs: Sequence[int]) -> None:
+        """Payload-on-miss: pull full PrePrepares from a single peer.
+
+        The peer rotates per request, so a crashed or withholding
+        responder only costs one catch-up period — and the payload
+        travels the network once instead of once per group member.
+        """
+        others = [peer for peer in self.peers if peer is not self.node]
+        if not others:
+            return
+        peer = others[self._payload_fetch_round % len(others)]
+        self._payload_fetch_round += 1
+        self.payload_fetches_sent += 1
+        self.send(peer, FetchPayload(tag=self.tag, seqs=tuple(seqs), sender=self.name))
+
+    def _on_fetch_payload(self, src, message: FetchPayload) -> None:
+        if src is self.node or not self._sent_by_member(src, message):
+            return
+        for seq in message.seqs:
+            slot = self.log.get(seq)
+            if slot is not None and slot.pre_prepare is not None:
+                self.payloads_served += 1
+                self.transfer_payload_bytes += cached_size_bytes(slot.pre_prepare)
+                self.send(src, slot.pre_prepare)
 
     def _on_state_transfer(self, src, message: StateTransfer) -> None:
-        if message.sender not in self.peer_names or src is self.node:
+        if src is self.node or not self._sent_by_member(src, message):
             return
         # Bring the requester into the current view first: the NewView is
         # signed by its leader, hence transferable evidence (the requester
@@ -767,7 +733,8 @@ class PbftReplica(Component, Agreement):
         # ``>``: a replica that crashed *mid*-view-change already bumped
         # its view to the one the group then completed, but never saw the
         # NewView — without the equal-view replay it would stay wedged in
-        # ``in_view_change`` forever, contributing no commit votes.
+        # ``in_view_change`` forever, contributing no commit votes.  One
+        # outside a view change asks with the view after its own.
         if self.last_new_view is not None and self.last_new_view.new_view >= message.view:
             self.send(src, self.last_new_view)
         for seq in sorted(self.log.slots):
@@ -879,13 +846,9 @@ class PbftReplica(Component, Agreement):
             return
         self.in_view_change = True
         self._flush_batch_buffer()
-        # Restart the fetch timer: the old event (possibly already fired
-        # and queued behind this view change on the CPU) is void, but gap
-        # retransmission itself must keep running — a replica whose view
-        # change never completes here (e.g. the NewView was lost) recovers
-        # *only* through fetches.
-        self._fetch_timer.cancel()
-        self._maybe_schedule_fetch()
+        # The catch-up loop keeps running: a replica whose view change
+        # never completes here (its NewView lost) catches up only through
+        # it.
         # Drop window-parked proposals too: they live on in ``pending`` and
         # are re-introduced after the new view, whereas a stale backlog
         # would re-propose them a second time if leadership ever rotated
@@ -978,10 +941,10 @@ class PbftReplica(Component, Agreement):
             and self.last_new_view is not None
             and self.last_new_view.new_view == message.new_view
         ):
-            # A state-transfer replay of the view change we already
-            # completed: reprocessing would be idempotent but would skew
-            # the completion counter (and burn CPU); the per-slot evidence
-            # arrives separately.
+            # A replay of the view change we already completed (a catch-up
+            # or stale-suspect answer that raced the leader's own NewView):
+            # reprocessing would be idempotent but would skew the
+            # completion counter.
             return
         self.last_new_view = message
         self.view = message.new_view
@@ -1022,6 +985,3 @@ class PbftReplica(Component, Agreement):
                 )
         self._reset_view_timer()
         self._drain_backlog()
-        # A committed-but-undeliverable gap may have survived the view
-        # change (the fetch timer was cancelled on entry); re-arm it.
-        self._maybe_schedule_fetch()

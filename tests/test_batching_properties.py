@@ -493,6 +493,14 @@ class TestBatchConfigValidation:
         spec = ClusterSpec.from_dict({"regions": ["virginia"], "config": {"batch_size": 8}})
         assert spec.config.batch_size == 8
 
+    def test_fetch_delay_ms_is_an_unknown_field(self):
+        """Gap retransmission runs on the catch-up loop's fixed period, so
+        its own knob is gone."""
+        from repro.consensus.pbft.config import PbftConfig
+
+        with pytest.raises(TypeError, match="fetch_delay_ms"):
+            PbftConfig(fetch_delay_ms=500.0)
+
 
 class TestReconfigurationUnderBatching:
     def test_dynamic_add_group_is_never_batched_with_requests(self):

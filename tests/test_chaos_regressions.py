@@ -102,68 +102,79 @@ class TestPbftViewTimerRace:
         assert follower.view == 0 and not follower.in_view_change
 
 
-class TestPbftFetchTimerHygiene:
-    def test_fetch_timer_cancelled_on_view_change_entry(self):
-        cluster = Cluster()
-        harness = PbftHarness(cluster, view_timeout_ms=200.0, fetch_delay_ms=500.0)
-        replica = harness.replicas[1]
+class TestPbftCatchUpTimer:
+    """The one catch-up loop carries gap retransmission, so view-change
+    entry must not stop it, and a tick that fired but was cancelled
+    before it ran must send nothing."""
 
-        # Manufacture a committed gap: seq 2 committed, seq 1 missing.
-        slot = replica.log.slot(2)
+    @staticmethod
+    def _committed_gap(replica):
+        """Seq 2 committed, seq 1 missing, and the loop armed for it."""
         from repro.consensus.pbft.messages import PrePrepare
         from repro.crypto.primitives import digest
 
+        slot = replica.log.slot(2)
         pre = PrePrepare(tag="pbft", view=0, seq=2, payload=("gap", 2), sender="r0")
         slot.accept_pre_prepare(pre, digest(("gap", 2)))
         slot.prepared = True
         slot.committed = True
-        replica._maybe_schedule_fetch()
-        assert replica._fetch_timer.armed
-        first_deadline = replica._fetch_timer.deadline
+        replica._watch_gap()
+
+    def test_survives_view_change_entry(self):
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=200.0)
+        replica = harness.replicas[1]
+        self._committed_gap(replica)
+        assert replica._catch_up_timer.armed
+        deadline = replica._catch_up_timer.deadline
         live = _live_cancellable_events(cluster.sim)
 
         cluster.run(until=10.0)
         replica._start_view_change(1)
-        # The old timer event is dead (not leaked), and a *fresh* one is
-        # armed because the committed gap still exists — gap fetch is the
-        # only recovery path when the view change never completes.
-        assert replica._fetch_timer.armed
-        assert replica._fetch_timer.deadline > first_deadline
+        # Still armed, on the same event (none leaked): a replica whose
+        # view change never completes catches up only through this loop.
+        assert replica._catch_up_timer.armed
+        assert replica._catch_up_timer.deadline == deadline
         assert _live_cancellable_events(cluster.sim) == live
+        # ... and the tick asks for the view it has not seen completed.
+        from repro.consensus.pbft.messages import StateTransfer
 
-    def test_stale_fetch_callback_is_ignored_after_reset(self):
+        asked = []
+
+        def tap(src, dst, message):
+            if isinstance(message, StateTransfer):
+                asked.append(message.view)
+
+        cluster.network.taps.append(tap)
+        cluster.run(until=deadline + 1.0)
+        assert replica.state_transfers_requested == 1
+        assert asked == [1, 1, 1]
+
+    def test_stale_tick_is_void_after_cancel(self):
         cluster = Cluster()
-        harness = PbftHarness(cluster, view_timeout_ms=10_000.0, fetch_delay_ms=50.0)
+        harness = PbftHarness(cluster, view_timeout_ms=10_000.0)
         replica = harness.replicas[1]
         node = replica.node
-
-        from repro.consensus.pbft.messages import PrePrepare
-        from repro.crypto.primitives import digest
-
-        slot = replica.log.slot(2)
-        pre = PrePrepare(tag="pbft", view=0, seq=2, payload=("gap", 2), sender="r0")
-        slot.accept_pre_prepare(pre, digest(("gap", 2)))
-        slot.prepared = True
-        slot.committed = True
-        replica._maybe_schedule_fetch()
-        fire_at = replica._fetch_timer.deadline
+        self._committed_gap(replica)
+        fire_at = replica._catch_up_timer.deadline
 
         def hog():
             from repro.sim.node import charge
 
             charge(20.0)
 
-        # The fetch timer fires while the CPU is busy; a cancel lands before
-        # the stale callback runs on the CPU.
+        # The tick fires while the CPU is busy; a cancel lands before the
+        # stale callback runs on the CPU.
         cluster.sim.schedule_at(fire_at - 5.0, node.run_task, hog)
-        cluster.sim.schedule_at(fire_at - 1.0, node.run_task, replica._fetch_timer.cancel)
+        cluster.sim.schedule_at(fire_at - 1.0, node.run_task, replica._catch_up_timer.cancel)
         sent_before = cluster.network.lan.messages + cluster.network.wan.messages
         cluster.run(until=fire_at + 30.0)
         sent_after = cluster.network.lan.messages + cluster.network.wan.messages
 
-        # The stale callback must not have sent FetchSlot requests.
+        # The stale callback must not have sent a StateTransfer.
         assert sent_after == sent_before
-        assert not replica._fetch_timer.armed
+        assert replica.state_transfers_requested == 0
+        assert not replica._catch_up_timer.armed
 
 
 class TestIrmcRcFloodBookkeeping:

@@ -465,7 +465,6 @@ class TestBatching:
         harness = PbftHarness(
             cluster,
             view_timeout_ms=300.0,
-            fetch_delay_ms=100.0,
             batch_size=4,
         )
         droppers = lose_everywhere(cluster, 0.05)
@@ -525,7 +524,7 @@ class TestSafetyUnderEquivocation:
 
     def test_delivery_matches_across_replicas_with_losses(self):
         cluster = Cluster()
-        harness = PbftHarness(cluster, view_timeout_ms=500.0, fetch_delay_ms=100.0)
+        harness = PbftHarness(cluster, view_timeout_ms=500.0)
         droppers = lose_everywhere(cluster, 0.05)
         for index in range(5):
             harness.order_everywhere(("op", index))

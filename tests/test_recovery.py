@@ -20,7 +20,8 @@ import pytest
 from repro.consensus.interface import DeliveryQueue
 from repro.consensus.pbft import PbftConfig, PbftReplica
 from repro.consensus.raft import RaftConfig, RaftReplica
-from repro.faults import SilenceBehaviour
+from repro.consensus.pbft.messages import PrePrepare
+from repro.faults import Behaviour, SilenceBehaviour
 from repro.sim import Process
 from repro.sim.futures import SimFuture
 
@@ -223,37 +224,178 @@ class TestPbftStateTransfer:
         assert harness.replicas[2].view >= 1
         assert ("stuck",) in harness.flat_payloads("r2")
 
-    def test_state_transfer_responder_ignores_strangers(self, cluster):
-        from repro.consensus.pbft.messages import StateTransfer
+    def test_state_transfer_responder_ignores_strangers(self):
+        """Catch-up requests carry no authenticator.  A node outside the
+        group gets nothing back from a 20-slot log, under its own name or
+        a member's."""
+        from repro.consensus.pbft.messages import FetchPayload, StateTransfer
 
-        nodes = cluster.add_group("r", 4)
-        replicas = [PbftReplica(node, "pbft", nodes, PbftConfig()) for node in nodes]
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        for index in range(20):
+            cluster.sim.schedule_at(index * 20.0, harness.order_everywhere, ("op", index))
+        cluster.run(until=1_000.0)
+        responder = harness.replicas[0]
+        assert responder.delivered_seq == 20
         outsider = cluster.add_node("mallory")
-        request = StateTransfer(tag="pbft", view=0, low_water=1, sender="mallory")
-        outsider.run_task(outsider.send, nodes[0], request)
-        cluster.run(until=500.0)
-        assert replicas[0].state_transfers_requested == 0
+        answers = []
+
+        def tap(src, dst, message):
+            if dst is outsider:
+                answers.append(message)
+
+        cluster.network.taps.append(tap)
+        seqs = tuple(range(1, 21))
+        for request in (
+            StateTransfer(tag="pbft", view=0, low_water=1, sender="mallory"),
+            StateTransfer(tag="pbft", view=0, low_water=1, sender="r1"),
+            FetchPayload(tag="pbft", seqs=seqs, sender="r1"),
+        ):
+            outsider.run_task(outsider.send, harness.nodes[0], request)
+            cluster.run(until=cluster.sim.now + 200.0)
+            assert answers == [], request
+        assert responder.transfer_summary_bytes == 0 and responder.payloads_served == 0
+
+
+def _transfer_times(cluster, sender):
+    """Simulated instants at which ``sender`` broadcast a StateTransfer."""
+    from repro.consensus.pbft.messages import StateTransfer
+
+    times = []
+
+    def tap(src, dst, message):
+        if isinstance(message, StateTransfer) and src.name == sender:
+            if not times or times[-1] != cluster.sim.now:
+                times.append(cluster.sim.now)
+
+    cluster.network.taps.append(tap)
+    return times
+
+
+class _Withhold(Behaviour):
+    """The node drops what it sends to ``victim`` when ``match`` says so."""
+
+    kind = "withhold"
+
+    def __init__(self, victim: str, match):
+        super().__init__()
+        self.victim = victim
+        self.match = match
+
+    def _apply(self, dst, message) -> None:
+        if dst.name == self.victim and self.match(message):
+            return
+        self._forward(dst, message)
+
+
+def _about_seq_1(message) -> bool:
+    return getattr(message, "seq", None) == 1
+
+
+class TestPbftGapCatchUp:
+    """No crash: a gap in the log starts the catch-up loop one period
+    later, it asks every period until the gap closes, and the gap never
+    quiets the view timer."""
+
+    def test_gap_without_evidence_closes_through_state_transfer(self):
+        """r3 hears nothing at all about slot 1, then commits slot 2.  The
+        first StateTransfer brings slot 1's votes, the next tick its
+        payload (FetchPayload), then the loop stops."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        laggard = harness.replicas[3]
+        withheld = [_Withhold("r3", _about_seq_1).install(node) for node in harness.nodes[:3]]
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=200.0)
+        for behaviour in withheld:
+            behaviour.uninstall()
+        assert laggard.log.get(1) is None
+        harness.order_everywhere(("op", 1))
+        cluster.run(until=300.0)
+        assert laggard.log.get(2).committed and laggard.delivered_seq == 0
+        assert laggard._catch_up_timer.armed
+        cluster.run(until=5_000.0)
+        assert harness.flat_payloads("r3") == [("op", 0), ("op", 1)]
+        assert laggard.state_transfers_requested == 2
+        assert laggard.payload_fetches_sent == 1
+        assert not laggard._catch_up_timer.armed
+
+    def test_gap_with_votes_but_no_payload_is_filled_by_fetch_payload(self):
+        """r3 misses only slot 1's PrePrepare: the commits it does get are
+        the gap, and the first tick's FetchPayload fills it."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        laggard = harness.replicas[3]
+        withheld = _Withhold(
+            "r3", lambda message: isinstance(message, PrePrepare) and message.seq == 1
+        ).install(harness.nodes[0])
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=200.0)
+        withheld.uninstall()
+        slot = laggard.log.get(1)
+        assert slot.pre_prepare is None and laggard._misses_payload(slot)
+        assert laggard._catch_up_timer.armed
+        cluster.run(until=5_000.0)
+        assert harness.flat_payloads("r3") == [("op", 0)]
+        assert laggard.state_transfers_requested == 1
+        assert laggard.payload_fetches_sent == 1
+        assert not laggard._catch_up_timer.armed
+
+    def test_stale_payload_is_replaced_by_fetch_payload(self):
+        """The view-0 leader r0 proposes slot 1 and crashes before anyone
+        hears of it; view 1 decides another payload there.  Recovered, r0
+        holds its own stale proposal against f+1 commits for the decided
+        one, and FetchPayload replaces it."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=100.0)
+        leader = harness.replicas[0]
+        unsent = [
+            _Withhold(peer, lambda message: isinstance(message, PrePrepare)).install(
+                harness.nodes[0]
+            )
+            for peer in ("r1", "r2", "r3")
+        ]
+        leader.order(("lost",))
+        cluster.run(until=1.0)
+        harness.nodes[0].crash()
+        for behaviour in unsent:
+            behaviour.uninstall()
+        for replica in harness.replicas[1:]:
+            replica.order(("op", 1))
+        cluster.run(until=1_000.0)
+        assert harness.flat_payloads("r1") == [("op", 1)]
+        harness.nodes[0].recover()
+        cluster.run(until=5_000.0)
+        assert leader.payload_fetches_sent >= 1
+        assert harness.flat_payloads("r0")[0] == ("op", 1)
+        assert harness.flat_payloads("r0") == harness.flat_payloads("r1")
+
+    def test_open_gap_asks_every_period_and_never_quiets_the_view_timer(self):
+        """Slot 1 stays withheld from r3 for good: the loop asks every
+        period, and r3, whose requests stay pending, still suspects."""
+        from repro.consensus.pbft.replica import CATCH_UP_PERIOD_MS
+
+        cluster = Cluster()
+        harness = PbftHarness(cluster)
+        laggard = harness.replicas[3]
+        for node in harness.nodes[:3]:
+            _Withhold("r3", _about_seq_1).install(node)
+        times = _transfer_times(cluster, "r3")
+        harness.order_everywhere(("op", 0))
+        cluster.run(until=200.0)
+        harness.order_everywhere(("op", 1))
+        cluster.run(until=3_000.0)
+        offsets = [round((at - times[0]) / CATCH_UP_PERIOD_MS) for at in times]
+        assert offsets == list(range(len(offsets))) and len(offsets) >= 4
+        assert laggard.delivered_seq == 0 and laggard.pending
+        assert not laggard._catching_up() and laggard._view_timer.armed
+        assert laggard.name in laggard.suspects.get(1, ())
 
 
 class TestPbftCatchUp:
     """A recovering replica is quiet while its state transfer makes
     progress, suspects again once a retry period goes quiet, and keeps
     asking after 1, 2, 4, 8 and 16 quiet periods."""
-
-    @staticmethod
-    def _transfer_times(cluster, sender):
-        """Simulated instants at which ``sender`` broadcast a StateTransfer."""
-        from repro.consensus.pbft.messages import StateTransfer
-
-        times = []
-
-        def tap(src, dst, message):
-            if isinstance(message, StateTransfer) and src.name == sender:
-                if not times or times[-1] != cluster.sim.now:
-                    times.append(cluster.sim.now)
-
-        cluster.network.taps.append(tap)
-        return times
 
     def test_catching_up_replica_never_starts_a_view_change(self):
         """r3 sleeps through 40 orders, so it recovers holding 40 pending
@@ -298,7 +440,7 @@ class TestPbftCatchUp:
         victim_node.recover()
         cluster.run(until=2_500.0)
         assert victim.delivered_seq == harness.replicas[0].delivered_seq
-        assert not victim._catching_up() and not victim._recovery_timer.armed
+        assert not victim._catching_up() and not victim._catch_up_timer.armed
         SilenceBehaviour().install(harness.nodes[0])
         harness.order_everywhere(("stuck",))
         cluster.run(until=4_000.0)
@@ -335,22 +477,22 @@ class TestPbftCatchUp:
         """Nothing to catch up: no retry period brings progress, so the
         retries go out 1, 2, 4, 8 and 16 periods after the request, then
         stop."""
-        from repro.consensus.pbft.replica import RECOVERY_RETRY_MS
+        from repro.consensus.pbft.replica import CATCH_UP_PERIOD_MS
 
         cluster = Cluster()
         harness = PbftHarness(cluster)
         harness.order_everywhere(("op", 0))
         cluster.run(until=300.0)
         victim_node, victim = harness.nodes[3], harness.replicas[3]
-        times = self._transfer_times(cluster, "r3")
+        times = _transfer_times(cluster, "r3")
         victim_node.crash()
         cluster.run(until=1_000.0)
         victim_node.recover()
         cluster.run(until=30_000.0)
-        offsets = [round((at - times[0]) / RECOVERY_RETRY_MS) for at in times]
+        offsets = [round((at - times[0]) / CATCH_UP_PERIOD_MS) for at in times]
         assert offsets == [0, 1, 2, 4, 8, 16]
         assert victim.state_transfers_requested == 6
-        assert not victim._recovery_timer.armed
+        assert not victim._catch_up_timer.armed
 
 
 class TestRaftRecovery:

@@ -186,3 +186,35 @@ class TestByzantineClients:
         sim.run(until=5000.0)
         for replica in group:
             assert replica.app.apply(("get", "forged")) == ("missing",)
+
+
+class TestForgedForward:
+    def test_outsider_cannot_order_a_write_in_a_members_name(self):
+        """A PBFT ``Forward`` names the member relaying it but carries no
+        authenticator.  A node outside the agreement group that writes
+        ``ag1`` into one must not get its unsigned request ordered."""
+        from repro.consensus.pbft.messages import Forward
+        from repro.core.messages import RequestWrapper
+        from repro.deploy import build
+        from repro.experiments.common import fresh_env, spider_spec
+        from repro.net.topology import Site
+        from repro.sim.routing import RoutedNode
+
+        sim, network = fresh_env(seed=1)
+        system = build(sim, spider_spec(), network=network).system
+        leader = system.agreement_replicas[0]
+        mallory = RoutedNode(sim, "mallory", Site("virginia", 1))
+        network.register(mallory)
+        forged = RequestWrapper(
+            body=RequestBody(("put", "owned", "by-mallory"), "victim", 1),
+            signature=None,
+            group="virginia",
+        )
+        forward = Forward(tag=leader.ag.tag, payload=forged, sender="ag1")
+        sim.schedule_at(100.0, mallory.run_task, mallory.send, leader, forward)
+        sim.run(until=3_000.0)
+        for replica in system.agreement_replicas:
+            assert "victim" not in replica.t
+        for group in system.groups.values():
+            for replica in group.replicas:
+                assert replica.app.apply(("get", "owned")) != ("value", "by-mallory")
