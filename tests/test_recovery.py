@@ -3,8 +3,9 @@
 Covers the recovery subsystem end to end:
 
 * node-level recovery hooks (the substrate everything else builds on),
-* the PBFT ``StateTransfer`` path — a replica crashed across a view
-  change rejoins the current view and delivers the complete history,
+* the PBFT catch-up loop — a replica crashed across a view change
+  rejoins the current view and delivers the complete history, and a gap
+  in a live replica's log closes through the same two requests,
 * Raft timer re-arm after recovery,
 * Spider driver-process restart with checkpoint-fetch-on-boot,
   including the edge cases: recovery with no stable checkpoint yet,
@@ -19,8 +20,9 @@ import pytest
 
 from repro.consensus.interface import DeliveryQueue
 from repro.consensus.pbft import PbftConfig, PbftReplica
+from repro.consensus.pbft.messages import FetchPayload, PrePrepare, StateTransfer
+from repro.consensus.pbft.replica import CATCH_UP_PERIOD_MS
 from repro.consensus.raft import RaftConfig, RaftReplica
-from repro.consensus.pbft.messages import PrePrepare
 from repro.faults import Behaviour, SilenceBehaviour
 from repro.sim import Process
 from repro.sim.futures import SimFuture
@@ -228,8 +230,6 @@ class TestPbftStateTransfer:
         """Catch-up requests carry no authenticator.  A node outside the
         group gets nothing back from a 20-slot log, under its own name or
         a member's."""
-        from repro.consensus.pbft.messages import FetchPayload, StateTransfer
-
         cluster = Cluster()
         harness = PbftHarness(cluster)
         for index in range(20):
@@ -259,8 +259,6 @@ class TestPbftStateTransfer:
 
 def _transfer_times(cluster, sender):
     """Simulated instants at which ``sender`` broadcast a StateTransfer."""
-    from repro.consensus.pbft.messages import StateTransfer
-
     times = []
 
     def tap(src, dst, message):
@@ -373,8 +371,6 @@ class TestPbftGapCatchUp:
     def test_open_gap_asks_every_period_and_never_quiets_the_view_timer(self):
         """Slot 1 stays withheld from r3 for good: the loop asks every
         period, and r3, whose requests stay pending, still suspects."""
-        from repro.consensus.pbft.replica import CATCH_UP_PERIOD_MS
-
         cluster = Cluster()
         harness = PbftHarness(cluster)
         laggard = harness.replicas[3]
@@ -477,8 +473,6 @@ class TestPbftCatchUp:
         """Nothing to catch up: no retry period brings progress, so the
         retries go out 1, 2, 4, 8 and 16 periods after the request, then
         stop."""
-        from repro.consensus.pbft.replica import CATCH_UP_PERIOD_MS
-
         cluster = Cluster()
         harness = PbftHarness(cluster)
         harness.order_everywhere(("op", 0))
