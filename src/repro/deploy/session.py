@@ -3,23 +3,23 @@
 A :class:`Session` is the key-value face of a multi-shard cluster: every
 operation names a *key*, the cluster's deterministic
 :class:`~repro.deploy.cluster.KeyPartitioner` maps the key to its owning
-shard, and the session orders through up to :data:`LANES_PER_SHARD`
-protocol clients (:class:`~repro.core.client.SpiderClient`, "lanes")
-per shard it touches, each created lazily: lane 0 is
-``{session}@{shard_id}``, lane 1 ``{session}@{shard_id}#1``.
+shard, and the session orders through protocol clients
+(:class:`~repro.core.client.SpiderClient`, "lanes") opened on demand per
+shard it touches: lane 0 is ``{session}@{shard_id}``, lane ``k``
+``{session}@{shard_id}#k``.
 
 Semantics:
 
 * **Writes** and **strong reads** are ordered operations; each protocol
   client allows one in flight at a time, so the session queues them *per
   lane*.  An op whose key still has an unresolved op joins that op's
-  lane (per-key FIFO); otherwise it takes an idle lane of the owning
-  shard, lane 0 first, or else queues on the lane with the shorter
-  backlog (a tie goes to lane 0).  Ordered ops on different keys of one
-  shard therefore run up to two at a time instead of queueing behind
-  each other, and a session whose ordered ops never overlap on a shard
-  never opens lane 1.  Keys owned by different shards proceed in
-  parallel as well — the scale-out axis.
+  lane (per-key FIFO); otherwise it takes the lowest-index idle lane of
+  the owning shard, or else opens the next lane.  An ordered op
+  therefore queues only behind ops on its own key, a shard's lane count
+  is bounded by the session's distinct keys with an unresolved op there,
+  and a session whose ordered ops never overlap on a shard never opens
+  lane 1.  Keys owned by different shards proceed in parallel as well —
+  the scale-out axis.
 * **Weak reads** (:attr:`Consistency.WEAK`, the :meth:`Session.read`
   default) go straight to the owning shard's nearest execution group and
   may be served concurrently with ordered traffic, exactly like
@@ -54,15 +54,7 @@ from repro.elastic.messages import Migrating, WrongShard
 from repro.elastic.rangemap import RangeMap
 from repro.sim.futures import SimFuture
 
-__all__ = ["Consistency", "LANES_PER_SHARD", "Session"]
-
-#: Protocol clients a session may order through per shard.  Each is a
-#: plain paper client with one request outstanding; a second lane lets
-#: an ordered op on one key proceed while the session's op on another
-#: key of the same shard is still in flight.  Two keep most of the tail
-#: gain of unbounded lanes for a fraction of the client state
-#: (docs/experiments.md, "Failover").
-LANES_PER_SHARD = 2
+__all__ = ["Consistency", "Session"]
 
 
 def _lane_id(shard_id: str, index: int) -> str:
@@ -97,9 +89,11 @@ class Session:
         #: completed operations: (kind, key, issued_at, latency_ms)
         self.completed: list = []
         #: protocol clients, queues and busy flags by lane id (see
-        #: ``_lane_id``); ``_lane_shard`` maps each opened lane to its shard.
+        #: ``_lane_id``); ``_lane_shard`` maps each opened lane to its
+        #: shard, ``_shard_lanes`` a shard to its opened lanes by index.
         self._clients: Dict[str, Any] = {}
         self._lane_shard: Dict[str, str] = {}
+        self._shard_lanes: Dict[str, list] = {}
         #: queued ordered ops: (kind, operation, future, middleware Op|None)
         self._queues: Dict[str, Deque[Tuple[str, Tuple, SimFuture, Any]]] = {}
         self._busy: Dict[str, bool] = {}
@@ -257,6 +251,7 @@ class Session:
             )
             self._clients[lane] = client
             self._lane_shard[lane] = shard_id
+            self._shard_lanes.setdefault(shard_id, []).append(lane)
             self._queues[lane] = deque()
             self._busy[lane] = False
         return client
@@ -271,19 +266,21 @@ class Session:
         if self._released >= set(self._clients):
             self._clients.clear()
             self._lane_shard.clear()
+            self._shard_lanes.clear()
             self._queues.clear()
             self._busy.clear()
             self._released.clear()
             self.cluster._release_session(self)
 
     def _pick_lane(self, shard_id: str) -> str:
-        """An idle lane of the shard, lane 0 first (an unopened lane is
-        idle); else the lane with the shorter backlog, a tie to lane 0."""
-        lanes = [_lane_id(shard_id, index) for index in range(LANES_PER_SHARD)]
+        """The shard's lowest-index idle lane; else the next lane, which
+        the caller opens.  Lanes open in index order, so the pick scans
+        only the lanes already open."""
+        lanes = self._shard_lanes.get(shard_id, ())
         for lane in lanes:
-            if not self._busy.get(lane) and not self._queues.get(lane):
+            if not self._busy[lane] and not self._queues[lane]:
                 return lane
-        return min(lanes, key=lambda lane: len(self._queues[lane]))
+        return _lane_id(shard_id, len(lanes))
 
     def _chain(self, shard_id: str):
         if not self.cluster.has_middleware:
