@@ -402,3 +402,11 @@ def test_move_range_keeps_per_key_fifo_with_two_lanes_in_flight():
     at_seal = _handover_keeps_per_key_fifo(n_keys=2)
     assert sorted(at_seal) == ["sa", "sa#1"]
     assert len(set(at_seal.values())) == 2
+
+
+def test_move_range_keeps_per_key_fifo_with_a_lane_per_key():
+    """Three keys of the moving range in flight on three lanes (one per
+    key, opened on demand) when the seal is ordered."""
+    at_seal = _handover_keeps_per_key_fifo(n_keys=3)
+    assert sorted(at_seal) == ["sa", "sa#1", "sa#2"]
+    assert len(set(at_seal.values())) == 3

@@ -410,7 +410,8 @@ class TestEndToEnd:
         overload benchmark asserts depends on it."""
         sim, cluster = build_cluster(middleware=(MiddlewareSpec.of("slo-metrics"),))
         session = cluster.session("alice", "virginia")
-        futures = [session.write(f"k{index}", index) for index in range(5)]
+        # Two keys: each key's later writes queue behind its first.
+        futures = [session.write(f"k{index % 2}", index) for index in range(5)]
         session.close()
         sim.run(until=30_000.0)
         # k0 and k1 were in flight, one on each lane.

@@ -1,13 +1,15 @@
-"""A session orders through up to ``LANES_PER_SHARD`` protocol clients
-per shard ("lanes").
+"""A session orders through protocol clients ("lanes") opened on demand
+per shard.
 
 Each lane is a plain paper client with one request outstanding.  An op
 whose key still has an unresolved op joins that op's lane; otherwise it
-takes an idle lane (lane 0 first) or queues on the shorter backlog.  So
-ordered ops on different keys of one shard stop queueing behind each
-other, ops on one key stay FIFO, and a session whose ops never overlap
-opens exactly one client per shard.
+takes the shard's lowest-index idle lane, or else opens the next one.  So
+an ordered op queues only behind ops on its own key, ops on one key stay
+FIFO, and a session whose ops never overlap opens exactly one client per
+shard.
 """
+
+import random
 
 from repro.core.messages import ClientRequest
 from repro.deploy import CLOSED, ClusterSpec, GroupSpec, Rejected, ShardSpec, build
@@ -117,7 +119,7 @@ def test_same_key_writes_never_overlap_and_complete_in_issue_order():
 def test_non_overlapping_session_opens_one_client_per_shard():
     """The parity anchor: a session whose ordered ops never overlap on a
     shard opens exactly one client per shard, named ``{session}@{shard}``
-    — while the same ops submitted together open a second lane."""
+    — while the same ops submitted together open one lane per key."""
     sim, cluster = build_cluster(shards=("sa", "sb"))
     keys = {shard: cluster.partitioner.keys_for(shard, 3) for shard in ("sa", "sb")}
     serial = cluster.session("serial", "virginia")
@@ -142,7 +144,7 @@ def test_non_overlapping_session_opens_one_client_per_shard():
         burst.write(key, index)
     sim.run(until=60_000.0)
     assert sorted(client.name for client in burst._clients.values()) == [
-        "burst@sa", "burst@sa#1", "burst@sb", "burst@sb#1",
+        "burst@sa", "burst@sa#1", "burst@sa#2", "burst@sb", "burst@sb#1", "burst@sb#2",
     ]
 
 
@@ -153,10 +155,11 @@ def test_close_with_both_lanes_busy_sheds_queue_and_retires_both_lanes():
     sim, cluster = build_cluster()
     shard = cluster.shard("s0")
     session = cluster.session("u", "virginia")
-    futures = [session.write(f"k{index}", index) for index in range(5)]
+    # Two keys: each key's later writes queue behind its first.
+    futures = [session.write(f"k{index % 2}", index) for index in range(5)]
     assert session._inflight == {"s0": "k0", "s0#1": "k1"}
-    assert [entry[1][1] for entry in session._queues["s0"]] == ["k2", "k4"]
-    assert [entry[1][1] for entry in session._queues["s0#1"]] == ["k3"]
+    assert [entry[1][2] for entry in session._queues["s0"]] == [2, 4]
+    assert [entry[1][2] for entry in session._queues["s0#1"]] == [3]
     session.close()
     for future in futures[2:]:
         assert future.done and isinstance(future.value, Rejected)
@@ -176,3 +179,94 @@ def test_close_with_both_lanes_busy_sheds_queue_and_retires_both_lanes():
         for replica in shard.agreement_replicas
         for channels in replica.groups.values()
     ) == 0
+
+
+def test_k_keys_submitted_together_open_k_lanes_and_none_waits():
+    """k writes to distinct keys of one shard, submitted together, open
+    lanes ``@s0``, ``@s0#1`` … ``@s0#(k-1)``; no op queues, so each op's
+    session latency is the latency its protocol client recorded."""
+    k = 5
+    sim, cluster = build_cluster()
+    session = cluster.session("u", "virginia")
+    for index in range(k):
+        session.write(f"k{index}", index)
+    assert [client.name for client in session._clients.values()] == [
+        "u@s0", *(f"u@s0#{index}" for index in range(1, k))
+    ]
+    sim.run(until=10_000.0)
+    assert len(session.completed) == k
+    for lane, key in zip(session._clients, (f"k{index}" for index in range(k))):
+        [(_kind, _start, client_latency)] = session._clients[lane].completed
+        [(_kind, _key, _issued, session_latency)] = [
+            record for record in session.completed if record[1] == key
+        ]
+        assert session_latency <= 1.2 * client_latency
+
+
+def test_later_burst_reuses_idle_lanes_lowest_index_first():
+    """Once a burst resolves its lanes are idle: a narrower burst takes
+    the lowest-index ones and opens none, a wider one opens only the
+    lanes beyond those already open."""
+    sim, cluster = build_cluster()
+    session = cluster.session("u", "virginia")
+
+    def burst(tag, width):
+        for index in range(width):
+            session.write(f"{tag}{index}", index)
+        in_flight = {lane: key for lane, key in session._inflight.items() if key}
+        sim.run(until=sim.now + 10_000.0)
+        return in_flight
+
+    assert burst("a", 3) == {"s0": "a0", "s0#1": "a1", "s0#2": "a2"}
+    assert burst("b", 2) == {"s0": "b0", "s0#1": "b1"}
+    assert list(session._clients) == ["s0", "s0#1", "s0#2"]
+    assert burst("c", 4) == {"s0": "c0", "s0#1": "c1", "s0#2": "c2", "s0#3": "c3"}
+    assert list(session._clients) == ["s0", "s0#1", "s0#2", "s0#3"]
+
+
+def run_random_ops(seed, n_ops=120, n_keys=6):
+    """``n_ops`` ordered ops on ``n_keys`` keys of one shard at random
+    instants, some issued from completions; after each submission,
+    (distinct keys with an unresolved op, lanes open)."""
+    sim, cluster = build_cluster(seed=seed)
+    session = cluster.session("u", "virginia")
+    rng = random.Random(f"session-lanes:{seed}:ops")
+    samples = []
+
+    def submit(index):
+        key = f"k{rng.randrange(n_keys)}"
+        if rng.random() < 0.25:
+            future = session.strong_read(key)
+        else:
+            future = session.write(key, index)
+        samples.append((len(session._key_pending), len(session._clients)))
+        if rng.random() < 0.3:
+            future.add_callback(lambda _result: submit(-index))
+
+    for index in range(n_ops):
+        sim.schedule_at(rng.uniform(0.0, 3_000.0), submit, index)
+    sim.run(until=60_000.0)
+    return session, samples
+
+
+def test_lane_count_never_exceeds_peak_distinct_unresolved_keys():
+    """A lane opens only when every open lane holds another key's op, so
+    the lanes open never outnumber the peak of distinct unresolved keys."""
+    for seed in (1, 2, 3):
+        _session, samples = run_random_ops(seed)
+        peak = 0
+        for unresolved, lanes in samples:
+            peak = max(peak, unresolved)
+            assert lanes <= peak
+        assert samples[-1][1] >= 2  # the run did overlap keys
+
+
+def test_key_books_and_lane_queues_drain_once_all_ops_resolve():
+    """Every op resolved: no key stays pinned or counted, and every lane
+    is idle with an empty queue."""
+    session, samples = run_random_ops(seed=4)
+    assert len(session.completed) == len(samples)
+    assert session._key_pending == {} and session._key_lane == {}
+    assert all(not queue for queue in session._queues.values())
+    assert not any(session._busy.values()) and not any(session._inflight.values())
+    assert session.pending_ops == 0

@@ -38,14 +38,14 @@ def churn(sim, cluster, n_sessions, writes_each=2, close=True, spacing_ms=400.0)
     """Short-lived sessions: open, write, (optionally) close, repeat.
 
     Returns the sessions and the protocol clients they opened: the writes
-    go out together on keys of one shard, so each session orders them
-    through two lanes (``u3@s0`` and ``u3@s0#1``)."""
+    go out together on two keys of one shard, so each session orders them
+    through two lanes (``u3@s0`` and ``u3@s0#1``), one per key."""
     sessions, clients = [], []
 
     def one(index):
         session = cluster.session(f"u{index}", "virginia")
         sessions.append(session)
-        futures = [session.write(f"k-{index}-{j}", j) for j in range(writes_each)]
+        futures = [session.write(f"k-{index}-{j % 2}", j) for j in range(writes_each)]
         clients.extend(client.name for client in session._clients.values())
         if close:
             # The other lane may still be busy: close lets it finish.
@@ -208,9 +208,11 @@ class TestChurningClients:
         retirement of both lanes follows the in-flight completions."""
         sim, cluster = build_cluster()
         session = cluster.session("u0", "virginia")
-        futures = [session.write(f"k{j}", j) for j in range(4)]
+        # Two keys, two writes each: the second write of a key queues
+        # behind its first on that key's lane.
+        futures = [session.write(f"k{j % 2}", j) for j in range(4)]
         assert sorted(session._clients) == ["s0", "s0#1"]
-        session.close()  # k0 and k1 in flight, k2 and k3 still queued
+        session.close()  # k0 and k1 in flight, their second writes queued
         # The queued ops are shed synchronously at close time.
         for future in futures[2:]:
             assert future.done
@@ -233,7 +235,7 @@ class TestCrashWindowHealing:
         shard = cluster.system
         session = cluster.session("u0", "virginia")
         # Two writes on each of the two lanes, so both windows moved.
-        futures = [session.write(f"k{j}", j) for j in range(4)]
+        futures = [session.write(f"k{j % 2}", j) for j in range(4)]
         sim.run(until=10_000.0)
         assert all(f.done for f in futures)
 
@@ -263,7 +265,7 @@ class TestCrashWindowHealing:
         shard = cluster.system
         session = cluster.session("u0", "virginia")
         # Two writes on each of the two lanes, so both windows moved.
-        futures = [session.write(f"k{j}", j) for j in range(4)]
+        futures = [session.write(f"k{j % 2}", j) for j in range(4)]
         sim.run(until=10_000.0)
         assert all(f.done for f in futures)
 
