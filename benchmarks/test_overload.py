@@ -28,14 +28,15 @@ Results go to ``benchmarks/BENCH_overload.json`` (uploaded by the
 perf-smoke CI job).  Recorded results (seed 11, flash window 2.0-3.5 s
 at 4000 ops/s offered, ~6900 ops total):
 
-    baseline: flash-window write p99 ~1680 ms, peak backlog ~1480 ops
-    armed:    flash-window write p99   ~87 ms, peak backlog    63 ops
-              (<= 2 shards x admission depth 32), ~1100 ops shed as
-              ``Rejected(overload)``, ~1250 hot reads served from the
+    baseline: flash-window write p99 ~1770 ms, peak backlog ~1320 ops
+    armed:    flash-window write p99   ~83 ms, peak backlog    61 ops
+              (<= 2 shards x admission depth 32), ~1110 ops shed as
+              ``Rejected(overload)``, ~1220 hot reads served from the
               cache, and offered == completed + served + shed exactly
 
-(~1950 / ~1450 and ~156 / 63, ~1330 shed while a session ordered through
-one protocol client per shard; ~2270 / ~1580 and ~170 / 64, ~1420 shed
+(~1680 / ~1480 and ~87 / 63, ~1100 shed while a session ordered through
+at most two protocol clients per shard; ~1950 / ~1450 and ~156 / 63,
+~1330 shed with one; ~2270 / ~1580 and ~170 / 64, ~1420 shed
 before a node signed once per CPU task; ~7000 / ~2400 and ~325 / 64,
 ~2220 shed with one RSA signature per forwarded request, before IRMC
 Sends were bundled)

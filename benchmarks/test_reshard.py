@@ -25,15 +25,16 @@ Recorded results (seed 9, 16 sessions, 48 keys, costs x10, 12 s run,
 split at 5 s; the split plan walks five slot ranges over in five
 epoch bumps):
 
-    before:  ~767 writes/s
-    during:  ~785 writes/s   (handover window, traffic still flowing)
+    before:  ~768 writes/s
+    during:  ~790 writes/s   (handover window, traffic still flowing)
     after:   ~782 writes/s
-    handover: ~224 ms, epoch 0 -> 5, zero lost/duplicated/reordered
+    handover: ~219 ms, epoch 0 -> 5, zero lost/duplicated/reordered
 
-(~754 / ~827 / ~789, ~231 ms while a session ordered through one
-protocol client per shard: with two, more writes are on the wire at
-the old owner when a range seals, and 33 instead of 18 are shed and
-redirected, each paying an extra ordering round inside the window.)
+(~767 / ~785 / ~782, ~224 ms while a session ordered through at most two
+protocol clients per shard; ~754 / ~827 / ~789, ~231 ms with one: with
+two, more writes are on the wire at the old owner when a range seals,
+and 33 instead of 18 are shed and redirected, each paying an extra
+ordering round inside the window.)
 
 The ramp was sized against a ~500 writes/s 2-shard plateau (one RSA
 signature per forwarded request: ~565 / ~664 / ~722, handover ~485 ms).
