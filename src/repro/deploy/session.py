@@ -16,10 +16,10 @@ Semantics:
   lane (per-key FIFO); otherwise it takes the lowest-index idle lane of
   the owning shard, or else opens the next lane.  An ordered op
   therefore queues only behind ops on its own key, a shard's lane count
-  is bounded by the session's distinct keys with an unresolved op there,
-  and a session whose ordered ops never overlap on a shard never opens
-  lane 1.  Keys owned by different shards proceed in parallel as well —
-  the scale-out axis.
+  never exceeds the most keys the session had unresolved ops for there
+  at once, and a session whose ordered ops never overlap on a shard
+  never opens lane 1.  Keys owned by different shards proceed in
+  parallel as well — the scale-out axis.
 * **Weak reads** (:attr:`Consistency.WEAK`, the :meth:`Session.read`
   default) go straight to the owning shard's nearest execution group and
   may be served concurrently with ordered traffic, exactly like
