@@ -384,11 +384,7 @@ class Cluster:
         release every live session's ops parked behind the epoch bump."""
         if self.partitioner.advance(range_map):
             for session in list(self.sessions.values()):
-                # Parked ops first (they are the oldest unresolved ops of
-                # their keys), then splice mis-routed queue backlogs over
-                # to their new owners and re-pin.
                 session._release_parked()
-                session._rebalance_queues()
 
 
 # ----------------------------------------------------------------------

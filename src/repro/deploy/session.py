@@ -14,12 +14,15 @@ Semantics:
   client allows one in flight at a time, so the session queues them *per
   lane*.  An op whose key still has an unresolved op joins that op's
   lane (per-key FIFO); otherwise it takes the lowest-index idle lane of
-  the owning shard, or else opens the next lane.  An ordered op
-  therefore queues only behind ops on its own key, a shard's lane count
-  never exceeds the most keys the session had unresolved ops for there
-  at once, and a session whose ordered ops never overlap on a shard
-  never opens lane 1.  Keys owned by different shards proceed in
-  parallel as well — the scale-out axis.
+  the owning shard, or else opens the next lane.  On a fixed routing
+  table an ordered op therefore queues only behind ops on its own key, a
+  shard's lane count never exceeds the most keys the session had
+  unresolved ops for there at once, and a session whose ordered ops
+  never overlap on a shard never opens lane 1.  Across a table flip a
+  key's op can wait on another key's: redirected ops queue on the new
+  owner's lane 0, and a key's pinned lane may have been taken by another
+  key while the key's redirected op was elsewhere.  Keys owned by
+  different shards proceed in parallel as well — the scale-out axis.
 * **Weak reads** (:attr:`Consistency.WEAK`, the :meth:`Session.read`
   default) go straight to the owning shard's nearest execution group and
   may be served concurrently with ordered traffic, exactly like
@@ -112,10 +115,6 @@ class Session:
         #: zero does the key pick a lane of its current owner again.
         self._key_pending: Dict[str, int] = {}
         self._key_lane: Dict[str, str] = {}
-        #: key of the op currently on the wire per lane (None when idle)
-        #: — a flip cannot re-route a key whose redirect stream is still
-        #: in motion at the old owner.
-        self._inflight: Dict[str, Optional[str]] = {}
         #: ordered ops rejected with ``Migrating`` mid-handover, parked
         #: until the routing epoch reaches the handover's: released (in
         #: arrival order) by ``Cluster._adopt_map`` at the commit flip.
@@ -134,26 +133,13 @@ class Session:
             return self._submit_ordered("strong-read", key, ("get", key))
         self._check_open()
         shard_id = self.cluster.partitioner.owner(key)
-        chain = self._chain(shard_id)
-        if chain is not None:
-            ctx = self._context(shard_id)
-            op = Op("weak-read", key, ("get", key), shard_id, self.cluster.sim.now)
-            outcome = chain.admit(ctx, op)
-            if isinstance(outcome, Rejected):
-                future = SimFuture(name=f"{self.name}.weak-read:{key}")
-                future.resolve(outcome)
-                return future
-            if isinstance(outcome, Served):
-                future = SimFuture(name=f"{self.name}.weak-read:{key}")
-                self._track(future, "weak-read", key)
-                future.resolve(outcome.value)
-                return future
-            op = outcome
-            future = self._client(shard_id).weak_read(("get", key))
-            future.add_callback(lambda result: chain.complete(ctx, op, result))
-            self._track(future, "weak-read", key)
-            return future
+        op, answered = self._admit("weak-read", key, ("get", key), shard_id)
+        if answered is not None:
+            return answered
         future = self._client(shard_id).weak_read(("get", key))
+        if op is not None:
+            chain, ctx = self._chain(shard_id), self._context(shard_id)
+            future.add_callback(lambda result: chain.complete(ctx, op, result))
         self._track(future, "weak-read", key)
         return future
 
@@ -182,26 +168,12 @@ class Session:
         for queue in self._queues.values():
             while queue:
                 _kind, _operation, future, op = queue.popleft()
-                rejected = Rejected(CLOSED, by="session")
-                if op is not None:
-                    # Complete against the shard the chain was begun on
-                    # (``op.shard_id``) — after a redirect an op can sit
-                    # in another shard's lane, and the begin/complete
-                    # pair must hit the same per-shard context.
-                    chain = self._chain(op.shard_id)
-                    if chain is not None:
-                        chain.complete(self._context(op.shard_id), op, rejected)
-                future.try_resolve(rejected)
+                self._finish(future, op, Rejected(CLOSED, by="session"))
         while self._parked:
             # Ops parked behind an in-flight handover are queued ops too:
             # shed them the same way rather than hanging their futures.
             _epoch, _kind, _key, _operation, future, op = self._parked.popleft()
-            rejected = Rejected(CLOSED, by="session")
-            if op is not None:
-                chain = self._chain(op.shard_id)
-                if chain is not None:
-                    chain.complete(self._context(op.shard_id), op, rejected)
-            future.try_resolve(rejected)
+            self._finish(future, op, Rejected(CLOSED, by="session"))
         for shard_id in list(self._contexts):
             chain = self._chain(shard_id)
             if chain is not None:
@@ -293,6 +265,41 @@ class Session:
             ctx = self._contexts[shard_id] = OpContext(self, shard_id)
         return ctx
 
+    def _admit(
+        self, kind: str, key: str, operation: Tuple, shard_id: str
+    ) -> Tuple[Optional[Op], Optional[SimFuture]]:
+        """Pass an op through ``shard_id``'s middleware chain.
+
+        Returns ``(op, None)`` when the op goes on — ``op`` is the
+        chain's :class:`Op`, or None without a chain (the empty-chain
+        fast path allocates nothing) — and ``(None, future)`` when the
+        chain answered it: shed before queuing (``Rejected``, never on
+        the wire and not a completed operation) or served locally."""
+        chain = self._chain(shard_id)
+        if chain is None:
+            return None, None
+        op = Op(kind, key, operation, shard_id, self.cluster.sim.now)
+        outcome = chain.admit(self._context(shard_id), op)
+        if not isinstance(outcome, (Rejected, Served)):
+            return outcome, None
+        future = SimFuture(name=f"{self.name}.{kind}:{key}")
+        if isinstance(outcome, Served):
+            self._track(future, kind, key)
+            outcome = outcome.value
+        future.resolve(outcome)
+        return None, future
+
+    def _finish(self, future: SimFuture, op: Optional[Op], result: Any) -> None:
+        """Complete ``op``'s middleware chain, then resolve ``future``.
+
+        The chain completes on the shard it was begun on
+        (``op.shard_id``): after a redirect an op finishes on another
+        shard's lane, and the begin/complete pair must hit the same
+        per-shard context."""
+        if op is not None:
+            self._chain(op.shard_id).complete(self._context(op.shard_id), op, result)
+        future.try_resolve(result)
+
     def _submit_ordered(self, kind: str, key: str, operation: Tuple) -> SimFuture:
         self._check_open()
         # Follow-the-previous-op: a key with unresolved ordered ops joins
@@ -305,23 +312,9 @@ class Session:
             lane = self._pick_lane(shard_id)
         else:
             shard_id = self._lane_shard[lane]
-        chain = self._chain(shard_id)
-        op: Optional[Op] = None
-        if chain is not None:
-            op = Op(kind, key, operation, shard_id, self.cluster.sim.now)
-            outcome = chain.admit(self._context(shard_id), op)
-            if isinstance(outcome, Rejected):
-                # Shed before queuing: the op never touches the wire and
-                # does not count as a completed operation.
-                future = SimFuture(name=f"{self.name}.{kind}:{key}")
-                future.resolve(outcome)
-                return future
-            if isinstance(outcome, Served):
-                future = SimFuture(name=f"{self.name}.{kind}:{key}")
-                self._track(future, kind, key)
-                future.resolve(outcome.value)
-                return future
-            op = outcome
+        op, answered = self._admit(kind, key, operation, shard_id)
+        if answered is not None:
+            return answered
         self._client(shard_id, lane)  # ensure the lane exists
         future = SimFuture(name=f"{self.name}.{kind}:{key}")
         self._track(future, kind, key)
@@ -340,7 +333,6 @@ class Session:
             return
         kind, operation, outer, op = queue.popleft()
         self._busy[lane] = True
-        self._inflight[lane] = operation[1]
         client = self._clients[lane]
         if kind == "write":
             inner = client.write(operation)
@@ -352,42 +344,28 @@ class Session:
 
     def _on_done(
         self, lane: str, outer: SimFuture, result: Any,
-        op=None, kind=None, operation=None,
+        op: Optional[Op], kind: str, operation: Tuple,
     ) -> None:
-        if (
-            isinstance(result, (Migrating, WrongShard))
-            and operation is not None
-            and not self.closed
-        ):
+        redirected = isinstance(result, (Migrating, WrongShard))
+        if redirected and not self.closed:
             # The old owner ordered the op but shed it mid-handover: the
             # op never executed there, so resubmitting it (to the new
             # owner, possibly after parking for the epoch bump) keeps
-            # exactly-once intact.  The lane stays busy and the key
-            # stays in ``_inflight`` until the redirect is enqueued: a
-            # ``WrongShard`` reply may be this session's first sight of
-            # the new table, and the ``_adopt_map`` inside ``_redirect``
-            # then runs ``_rebalance_queues`` — which must keep treating
-            # this key as frozen, or it would splice the key's *younger*
-            # queued ops to the new owner ahead of this older op.
+            # exactly-once intact.  The lane stays busy until the
+            # redirect is enqueued: the op sits in a book (busy, queued
+            # or parked) at every instant, and a pump the redirect sets
+            # off — parked ops released by a table it adopts, or this
+            # very lane when the key's owner is this lane's shard
+            # again — leaves this lane's next op to the ``_pump`` below.
             self._redirect(outer, result, op, kind, operation)
             self._busy[lane] = False
-            self._inflight[lane] = None
-            self._pump(lane)
-            return
-        self._busy[lane] = False
-        self._inflight[lane] = None
-        if isinstance(result, (Migrating, WrongShard)) and operation is not None:
-            # A closed session cannot open new shard clients — shed like
-            # a queued op at close instead.
-            result = Rejected(CLOSED, by="session")
-        if op is not None:
-            # Complete against the shard the chain was *begun* on: after
-            # a redirect the op finishes at a different shard, and the
-            # begin/complete pair must hit the same per-shard context.
-            chain = self._chain(op.shard_id)
-            if chain is not None:
-                chain.complete(self._context(op.shard_id), op, result)
-        outer.try_resolve(result)
+        else:
+            if redirected:
+                # A closed session cannot open new shard clients — shed
+                # like a queued op at close instead.
+                result = Rejected(CLOSED, by="session")
+            self._busy[lane] = False
+            self._finish(outer, op, result)
         self._pump(lane)
 
     # ------------------------------------------------------------------
@@ -439,47 +417,6 @@ class Session:
             self._enqueue_redirect(
                 self.cluster.partitioner.owner(key), kind, key, operation, future, op
             )
-
-    def _rebalance_queues(self) -> None:
-        """Re-route queued ops stranded behind a table flip.
-
-        Without this, a key with a standing backlog never unpins: its
-        pending count never drains to zero, so every subsequent op pays
-        an ordering round at the old owner just to be shed and chased to
-        the new one — the new shard only ever sees second-hand traffic.
-        After a flip, any key whose unresolved ops are *all* plain queue
-        entries in one mis-routed lane (none on the wire, none parked —
-        those redirect streams are still in motion and must stay ahead)
-        can move en bloc: the entries splice onto a lane of the owning
-        shard (picked as for a new op) in submission order, and the pin
-        flips so new submissions line up behind them there.  Per-key FIFO
-        holds by construction — every unresolved op of the key moves
-        inside the block.
-        """
-        partitioner = self.cluster.partitioner
-        frozen = {key for key in self._inflight.values() if key is not None}
-        frozen |= {entry[2] for entry in self._parked}
-        homes: Dict[str, set] = {}
-        for lane, queue in self._queues.items():
-            for entry in queue:
-                homes.setdefault(entry[1][1], set()).add(lane)
-        for key in sorted(homes):
-            if key in frozen or len(homes[key]) != 1:
-                continue
-            (current,) = homes[key]
-            owner = partitioner.owner(key)
-            if owner == self._lane_shard[current]:
-                continue
-            queue = self._queues[current]
-            moving = [entry for entry in queue if entry[1][1] == key]
-            self._queues[current] = deque(
-                entry for entry in queue if entry[1][1] != key
-            )
-            lane = self._pick_lane(owner)
-            self._client(owner, lane)
-            self._queues[lane].extend(moving)
-            self._key_lane[key] = lane
-            self._pump(lane)
 
     def _note_issued(self, key: str, lane: str, future: SimFuture) -> None:
         self._key_pending[key] = self._key_pending.get(key, 0) + 1

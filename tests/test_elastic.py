@@ -238,11 +238,23 @@ def test_reshard_suite_file_validates():
 # ----------------------------------------------------------------------
 # the elastic book stops shedding when a range is installed back
 # ----------------------------------------------------------------------
+def _keys_in_slot(slot: int, slots: int, count: int) -> list:
+    keys = (f"m{index}" for index in range(10_000))
+    return [key for key in keys if slot_of(key, slots) == slot][:count]
+
+
 def _key_in_slot(slot: int, slots: int) -> str:
-    return next(
-        key for key in (f"m{index}" for index in range(10_000))
-        if slot_of(key, slots) == slot
-    )
+    return _keys_in_slot(slot, slots, 1)[0]
+
+
+def _keys_on_the_wire(session) -> dict:
+    """Each busy lane's key, read from the op its protocol client has on
+    the wire."""
+    return {
+        lane: client._pending["operation"][1]
+        for lane, client in session._clients.items()
+        if session._busy[lane]
+    }
 
 
 def test_elastic_book_uncover_narrows_overlapping_cover():
@@ -262,10 +274,14 @@ def test_elastic_book_uncover_narrows_overlapping_cover():
     assert not book.dropped and not book.sealed
 
 
-def test_move_range_there_and_back_executes_on_return():
+@pytest.mark.parametrize("n_keys", [1, 3])
+def test_move_range_there_and_back_executes_on_return(n_keys):
     """A range returned to a shard that once dropped it must execute
     again — a stale ``dropped`` record would shed every ordered op with
-    an old-epoch ``WrongShard``, redirect-looping the key forever."""
+    an old-epoch ``WrongShard``, redirect-looping the key forever.  With
+    several keys of the range, one write each before, between and after
+    the two flips, every key stays exactly-once and in order, and the
+    session's routing books drain once every op resolved."""
     sim, network = fresh_env(seed=3, jitter=0.0)
     spec = ClusterSpec(
         shards=(
@@ -275,30 +291,41 @@ def test_move_range_there_and_back_executes_on_return():
     )
     cluster = build(sim, spec, network=network)
     session = cluster.session("u1", "virginia")
-    key = _key_in_slot(2, cluster.partitioner.range_map.slots)
+    keys = _keys_in_slot(2, cluster.partitioner.range_map.slots, n_keys)
+    assert len(keys) == n_keys
 
-    results = []
-    session.write(key, "home").add_callback(results.append)
+    results = {key: [] for key in keys}
+
+    def write_all(value):
+        for key in keys:
+            session.write(key, value).add_callback(results[key].append)
+
+    write_all("home")
     cluster.move_range(2, 3, "sa", "sb")
     sim.run(until=60_000)
-    session.write(key, "away").add_callback(results.append)
+    write_all("away")
     cluster.move_range(2, 3, "sb", "sa")
     sim.run(until=120_000)
     assert cluster.partitioner.epoch == 2
-    assert cluster.partitioner.owner(key) == "sa"
-    session.write(key, "back").add_callback(results.append)
+    assert all(cluster.partitioner.owner(key) == "sa" for key in keys)
+    write_all("back")
     sim.run(until=180_000)
-    # Exactly once, in order, across both cuts — and the key is live
-    # again at its original owner rather than stuck in a redirect loop.
-    assert results == [("ok", 1), ("ok", 2), ("ok", 3)]
+    # Exactly once, in order, across both cuts — and the keys are live
+    # again at their original owner rather than stuck in a redirect loop.
+    for key in keys:
+        assert results[key] == [("ok", 1), ("ok", 2), ("ok", 3)]
+    assert session._key_pending == {} and session._key_lane == {}
+    assert not session._parked
+    assert not any(session._busy.values())
+    assert all(not queue for queue in session._queues.values())
+    assert session.pending_ops == 0
 
 
 def test_wrongshard_adoption_keeps_redirected_key_frozen():
     """A ``WrongShard`` reply that is the session's *first* sight of the
-    new table adopts it mid-redirect.  The rebalance that adoption
-    triggers must treat the redirected op's key as frozen: splicing the
-    key's younger queued ops to the new owner ahead of the older op
-    being redirected would break per-key FIFO at the new owner."""
+    new table adopts it mid-redirect.  The key's younger queued ops must
+    stay behind the older op being redirected: reaching the new owner
+    ahead of it would break per-key FIFO there."""
     sim, network = fresh_env(seed=3, jitter=0.0)
     spec = ClusterSpec(
         shards=(
@@ -313,7 +340,7 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
     f1 = session.write(key, "v1")  # goes on the wire at sa immediately
     session.write(key, "v2")       # queued behind it
     session.write(key, "v3")
-    assert session._inflight["sa"] == key
+    assert _keys_on_the_wire(session) == {"sa": key}
     assert [entry[1][2] for entry in session._queues["sa"]] == ["v2", "v3"]
 
     # sa sheds v1 with the epoch-1 table the session has never seen
@@ -332,12 +359,13 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
 
     assert cluster.partitioner.epoch == new_map.epoch  # table adopted
     # The redirected (oldest) op went to sb *first*: it is on the wire
-    # there, and the younger ops were NOT spliced ahead of it — they
+    # there, and the younger ops were NOT sent ahead of it — they
     # drain behind it through sa's redirect stream in submission order.
-    assert session._inflight["sb"] == key
+    on_the_wire = _keys_on_the_wire(session)
+    assert on_the_wire["sb"] == key
     assert [entry[1][2] for entry in session._queues["sb"]] == []
     queued = [entry[1][2] for entry in session._queues["sa"]]
-    in_flight_at_sa = session._inflight.get("sa")
+    in_flight_at_sa = on_the_wire.get("sa")
     assert (in_flight_at_sa == key and queued == ["v3"]) or (
         in_flight_at_sa is None and queued == ["v2", "v3"]
     )
@@ -360,17 +388,14 @@ def _handover_keeps_per_key_fifo(n_keys: int):
     )
     cluster = build(sim, spec, network=network)
     session = cluster.session("u1", "virginia")
-    keys = [
-        key for key in (f"m{index}" for index in range(200))
-        if cluster.partitioner.range_map.slot_of(key) == 2
-    ][:n_keys]
+    keys = _keys_in_slot(2, cluster.partitioner.range_map.slots, n_keys)
     assert all(cluster.partitioner.owner(key) == "sa" for key in keys)  # even -> sa
 
     results = {key: [] for key in keys}
     for index in range(3):
         for key in keys:
             session.write(key, f"pre-{index}").add_callback(results[key].append)
-    at_seal = dict(session._inflight)
+    at_seal = _keys_on_the_wire(session)
     moved = {}
     cluster.move_range(2, 3, "sa", "sb").add_callback(
         lambda table: moved.update(epoch=table.epoch)

@@ -31,6 +31,27 @@ def build_cluster(seed=3, shards=("s0",)):
     return sim, build(sim, spec, network=network)
 
 
+def keys_on_the_wire(session):
+    """Each busy lane's key, read from the op its protocol client has on
+    the wire."""
+    return {
+        lane: client._pending["operation"][1]
+        for lane, client in session._clients.items()
+        if session._busy[lane]
+    }
+
+
+def keys_per_lane(session):
+    """Per lane, the keys of its queued ops and of the op on its wire.  A
+    lane seen from inside its own completion callback is already idle
+    and may still hold a queue."""
+    wire = keys_on_the_wire(session)
+    return {
+        lane: {entry[1][1] for entry in queue} | ({wire[lane]} if lane in wire else set())
+        for lane, queue in session._queues.items()
+    }
+
+
 def record_requests(cluster):
     """(sent_at, client name, key) of every request copy a client sends."""
     sent = []
@@ -157,7 +178,7 @@ def test_close_with_both_lanes_busy_sheds_queue_and_retires_both_lanes():
     session = cluster.session("u", "virginia")
     # Two keys: each key's later writes queue behind its first.
     futures = [session.write(f"k{index % 2}", index) for index in range(5)]
-    assert session._inflight == {"s0": "k0", "s0#1": "k1"}
+    assert keys_on_the_wire(session) == {"s0": "k0", "s0#1": "k1"}
     assert [entry[1][2] for entry in session._queues["s0"]] == [2, 4]
     assert [entry[1][2] for entry in session._queues["s0#1"]] == [3]
     session.close()
@@ -213,7 +234,7 @@ def test_later_burst_reuses_idle_lanes_lowest_index_first():
     def burst(tag, width):
         for index in range(width):
             session.write(f"{tag}{index}", index)
-        in_flight = {lane: key for lane, key in session._inflight.items() if key}
+        in_flight = keys_on_the_wire(session)
         sim.run(until=sim.now + 10_000.0)
         return in_flight
 
@@ -227,7 +248,8 @@ def test_later_burst_reuses_idle_lanes_lowest_index_first():
 def run_random_ops(seed, n_ops=120, n_keys=6):
     """``n_ops`` ordered ops on ``n_keys`` keys of one shard at random
     instants, some issued from completions; after each submission,
-    (distinct keys with an unresolved op, lanes open)."""
+    (distinct keys with an unresolved op, lanes open, most keys one lane
+    holds)."""
     sim, cluster = build_cluster(seed=seed)
     session = cluster.session("u", "virginia")
     rng = random.Random(f"session-lanes:{seed}:ops")
@@ -239,7 +261,11 @@ def run_random_ops(seed, n_ops=120, n_keys=6):
             future = session.strong_read(key)
         else:
             future = session.write(key, index)
-        samples.append((len(session._key_pending), len(session._clients)))
+        samples.append((
+            len(session._key_pending),
+            len(session._clients),
+            max(len(keys) for keys in keys_per_lane(session).values()),
+        ))
         if rng.random() < 0.3:
             future.add_callback(lambda _result: submit(-index))
 
@@ -251,13 +277,16 @@ def run_random_ops(seed, n_ops=120, n_keys=6):
 
 def test_lane_count_never_exceeds_peak_distinct_unresolved_keys():
     """A lane opens only when every open lane holds another key's op, so
-    the lanes open never outnumber the peak of distinct unresolved keys."""
+    the lanes open never outnumber the peak of distinct unresolved keys.
+    On this fixed table a lane's queued ops share the key on its wire:
+    no lane ever holds two keys."""
     for seed in (1, 2, 3):
         _session, samples = run_random_ops(seed)
         peak = 0
-        for unresolved, lanes in samples:
+        for unresolved, lanes, keys_on_one_lane in samples:
             peak = max(peak, unresolved)
             assert lanes <= peak
+            assert keys_on_one_lane <= 1
         assert samples[-1][1] >= 2  # the run did overlap keys
 
 
@@ -268,5 +297,6 @@ def test_key_books_and_lane_queues_drain_once_all_ops_resolve():
     assert len(session.completed) == len(samples)
     assert session._key_pending == {} and session._key_lane == {}
     assert all(not queue for queue in session._queues.values())
-    assert not any(session._busy.values()) and not any(session._inflight.values())
+    assert not any(session._busy.values())
+    assert all(client._pending is None for client in session._clients.values())
     assert session.pending_ops == 0
