@@ -4,12 +4,19 @@ Operations are plain tuples ``(opcode, *args)`` so they have deterministic
 reprs (required by the structural crypto) and trivial size estimates.
 Opcode conventions: read-only operations start with ``"get"`` or are listed
 in :data:`READ_ONLY_OPCODES`.
+
+A *compound* ``("multi", key, ops)`` is a session lane's queued run of
+same-key operations sent as one request (:mod:`repro.deploy.session`).
+Every application executes it the same way: each member runs through
+:meth:`StateMachine.apply` in order, charged one by one, and the results
+come back as a tuple in member order.  ``operation[1]`` is still the
+key, so range handover sheds a compound whole.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.crypto.costs import active_cost_model
 from repro.sim.node import charge
@@ -18,9 +25,30 @@ Operation = Tuple  # (opcode, *args)
 
 READ_ONLY_OPCODES = frozenset({"get", "read", "scan", "size", "noop-read"})
 
+#: opcode of a compound ``("multi", key, ops)`` (see module docs)
+MULTI = "multi"
+
+
+def compound_members(operation: Operation) -> Optional[Tuple]:
+    """The member operations of a compound, or ``None`` for any other
+    operation (a malformed compound included: it executes as an unknown
+    opcode)."""
+    if (
+        operation
+        and operation[0] == MULTI
+        and len(operation) == 3
+        and isinstance(operation[2], tuple)
+    ):
+        return operation[2]
+    return None
+
 
 def is_read_only(operation: Operation) -> bool:
-    """Whether ``operation`` can never modify application state."""
+    """Whether ``operation`` can never modify application state; a
+    compound only if every member is read-only."""
+    members = compound_members(operation)
+    if members is not None:
+        return all(is_read_only(member) for member in members)
     return bool(operation) and operation[0] in READ_ONLY_OPCODES
 
 
@@ -33,8 +61,19 @@ class StateMachine(ABC):
     """
 
     def execute(self, operation: Operation) -> Any:
-        """Apply ``operation`` and return its result (charges CPU cost)."""
-        charge(active_cost_model().execute_request)
+        """Apply ``operation`` and return its result (charges CPU cost).
+
+        A compound charges and applies its members one by one and returns
+        their results as a tuple."""
+        cost = active_cost_model().execute_request
+        members = compound_members(operation)
+        if members is not None:
+            results = []
+            for member in members:
+                charge(cost)
+                results.append(self.apply(member))
+            return tuple(results)
+        charge(cost)
         return self.apply(operation)
 
     @abstractmethod

@@ -23,6 +23,16 @@ Semantics:
   owner's lane 0, and a key's pinned lane may have been taken by another
   key while the key's redirected op was elsewhere.  Keys owned by
   different shards proceed in parallel as well — the scale-out axis.
+* A lane still has one request in flight, but that request carries the
+  lane's queued *run*: when the lane frees, every op of the head's kind
+  on the head's key at the head of its queue leaves as one compound
+  ``("multi", key, ops)`` (:mod:`repro.app.statemachine` executes its
+  members in order), and the reply is split back into one result per
+  op.  A run stops at a change of kind or key, so a strong read ends a
+  write run.  No cap and no timer: a run is whatever queued while the
+  lane was busy, and admission control already bounds the queue.  A
+  compound shed with a redirect executed nothing, and all its members
+  are redirected in order.
 * **Weak reads** (:attr:`Consistency.WEAK`, the :meth:`Session.read`
   default) go straight to the owning shard's nearest execution group and
   may be served concurrently with ordered traffic, exactly like
@@ -52,6 +62,7 @@ import enum
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
+from repro.app.statemachine import MULTI
 from repro.deploy.middleware import CLOSED, Op, OpContext, Rejected, Served
 from repro.elastic.messages import Migrating, WrongShard
 from repro.elastic.rangemap import RangeMap
@@ -91,7 +102,7 @@ class Session:
         self.closed = False
         #: completed operations: (kind, key, issued_at, latency_ms)
         self.completed: list = []
-        #: protocol clients, queues and busy flags by lane id (see
+        #: protocol clients, queues and in-flight op counts by lane id (see
         #: ``_lane_id``); ``_lane_shard`` maps each opened lane to its
         #: shard, ``_shard_lanes`` a shard to its opened lanes by index.
         self._clients: Dict[str, Any] = {}
@@ -99,7 +110,7 @@ class Session:
         self._shard_lanes: Dict[str, list] = {}
         #: queued ordered ops: (kind, operation, future, middleware Op|None)
         self._queues: Dict[str, Deque[Tuple[str, Tuple, SimFuture, Any]]] = {}
-        self._busy: Dict[str, bool] = {}
+        self._busy: Dict[str, int] = {}
         self._released: set = set()
         #: per-shard middleware contexts, only populated when the spec
         #: declares a chain (the empty-chain fast path allocates nothing).
@@ -110,15 +121,16 @@ class Session:
         #: Per-key FIFO — on one shard and across a range handover —
         #: follows from the *follow-the-previous-op* rule: while any op
         #: for a key is unresolved, new ops for it join the lane the first
-        #: one went to (one op in flight per lane, redirects from there
+        #: one went to (one request in flight per lane, redirects from there
         #: happen in submission order), and only once the count drains to
         #: zero does the key pick a lane of its current owner again.
         self._key_pending: Dict[str, int] = {}
         self._key_lane: Dict[str, str] = {}
-        #: ordered ops rejected with ``Migrating`` mid-handover, parked
-        #: until the routing epoch reaches the handover's: released (in
-        #: arrival order) by ``Cluster._adopt_map`` at the commit flip.
-        self._parked: Deque[Tuple[int, str, str, Tuple, SimFuture, Any]] = deque()
+        #: runs of ordered ops rejected with ``Migrating`` mid-handover,
+        #: as ``(epoch, queue entries)``, parked until the routing epoch
+        #: reaches the handover's: released (in arrival order) by
+        #: ``Cluster._adopt_map`` at the commit flip.
+        self._parked: Deque[Tuple[int, list]] = deque()
 
     # ------------------------------------------------------------------
     # Public API
@@ -172,8 +184,9 @@ class Session:
         while self._parked:
             # Ops parked behind an in-flight handover are queued ops too:
             # shed them the same way rather than hanging their futures.
-            _epoch, _kind, _key, _operation, future, op = self._parked.popleft()
-            self._finish(future, op, Rejected(CLOSED, by="session"))
+            _epoch, run = self._parked.popleft()
+            for _kind, _operation, future, op in run:
+                self._finish(future, op, Rejected(CLOSED, by="session"))
         for shard_id in list(self._contexts):
             chain = self._chain(shard_id)
             if chain is not None:
@@ -192,11 +205,12 @@ class Session:
 
     @property
     def pending_ops(self) -> int:
-        """Ordered operations queued, parked, or in flight."""
+        """Ordered operations queued, parked, or in flight (every op of
+        an in-flight compound counts)."""
         return (
             sum(len(q) for q in self._queues.values())
-            + len(self._parked)
-            + sum(1 for busy in self._busy.values() if busy)
+            + sum(len(run) for _epoch, run in self._parked)
+            + sum(self._busy.values())
         )
 
     # ------------------------------------------------------------------
@@ -225,7 +239,7 @@ class Session:
             self._lane_shard[lane] = shard_id
             self._shard_lanes.setdefault(shard_id, []).append(lane)
             self._queues[lane] = deque()
-            self._busy[lane] = False
+            self._busy[lane] = 0
         return client
 
     def _release_client(self, lane: str, client) -> None:
@@ -324,6 +338,9 @@ class Session:
         return future
 
     def _pump(self, lane: str) -> None:
+        """Send the run at the head of an idle lane's queue: every op of
+        the head's kind on the head's key, as one request (a compound
+        ``("multi", key, ops)`` when the run holds more than one op)."""
         if self._busy[lane]:
             return
         queue = self._queues[lane]
@@ -331,68 +348,69 @@ class Session:
             if self.closed:
                 self._clients[lane].close_session()
             return
-        kind, operation, outer, op = queue.popleft()
-        self._busy[lane] = True
+        run = [queue.popleft()]
+        kind, operation, _outer, _op = run[0]
+        key = operation[1]
+        while queue and queue[0][0] == kind and queue[0][1][1] == key:
+            run.append(queue.popleft())
+        if len(run) > 1:
+            operation = (MULTI, key, tuple(entry[1] for entry in run))
+        self._busy[lane] = len(run)
         client = self._clients[lane]
         if kind == "write":
             inner = client.write(operation)
         else:
             inner = client.strong_read(operation)
-        inner.add_callback(
-            lambda result: self._on_done(lane, outer, result, op, kind, operation)
-        )
+        inner.add_callback(lambda result: self._on_done(lane, run, result))
 
-    def _on_done(
-        self, lane: str, outer: SimFuture, result: Any,
-        op: Optional[Op], kind: str, operation: Tuple,
-    ) -> None:
+    def _on_done(self, lane: str, run: list, result: Any) -> None:
         redirected = isinstance(result, (Migrating, WrongShard))
         if redirected and not self.closed:
-            # The old owner ordered the op but shed it mid-handover: the
-            # op never executed there, so resubmitting it (to the new
-            # owner, possibly after parking for the epoch bump) keeps
+            # The old owner ordered the run but shed it mid-handover: it
+            # never executed there, so resubmitting it (to the new owner,
+            # possibly after parking for the epoch bump) keeps
             # exactly-once intact.  The lane stays busy until the
-            # redirect is enqueued: the op sits in a book (busy, queued
+            # redirect is enqueued: the ops sit in a book (busy, queued
             # or parked) at every instant, and a pump the redirect sets
             # off — parked ops released by a table it adopts, or this
             # very lane when the key's owner is this lane's shard
             # again — leaves this lane's next op to the ``_pump`` below.
-            self._redirect(outer, result, op, kind, operation)
-            self._busy[lane] = False
+            self._redirect(run, result)
+            self._busy[lane] = 0
         else:
             if redirected:
                 # A closed session cannot open new shard clients — shed
                 # like a queued op at close instead.
-                result = Rejected(CLOSED, by="session")
-            self._busy[lane] = False
-            self._finish(outer, op, result)
+                results = [Rejected(CLOSED, by="session")] * len(run)
+            else:
+                results = result if len(run) > 1 else (result,)
+            self._busy[lane] = 0
+            for (_kind, _operation, outer, op), member in zip(run, results):
+                self._finish(outer, op, member)
         self._pump(lane)
 
     # ------------------------------------------------------------------
     # Elastic-keyspace internals (redirects, parking, key pinning)
     # ------------------------------------------------------------------
-    def _redirect(self, outer: SimFuture, result, op, kind: str, operation: Tuple) -> None:
-        key = operation[1]
+    def _redirect(self, run: list, result) -> None:
+        key = run[0][1][1]
         partitioner = self.cluster.partitioner
         if isinstance(result, WrongShard):
             # The redirect carries the authoritative table: adopt it (a
             # no-op if we already have a newer one — that also releases
             # any ops parked behind this very epoch, keeping them ahead
-            # of the op being redirected now), then chase the new owner.
+            # of the run being redirected now), then chase the new owner.
             self.cluster._adopt_map(RangeMap.from_wire(result.range_map))
-            self._enqueue_redirect(partitioner.owner(key), kind, key, operation, outer, op)
-        elif partitioner.epoch >= result.new_epoch:
-            # Migrating, but the flip already happened here: resubmit.
-            self._enqueue_redirect(partitioner.owner(key), kind, key, operation, outer, op)
-        else:
+        elif partitioner.epoch < result.new_epoch:
             # Migrating and the handover is still in flight: park until
             # Cluster._adopt_map flips the table at commit.
-            self._parked.append((result.new_epoch, kind, key, operation, outer, op))
+            self._parked.append((result.new_epoch, run))
+            return
+        # WrongShard, or Migrating whose flip this session already
+        # adopted: resubmit to the key's current owner.
+        self._enqueue_redirect(partitioner.owner(key), run)
 
-    def _enqueue_redirect(
-        self, shard_id: str, kind: str, key: str, operation: Tuple,
-        future: SimFuture, op,
-    ) -> None:
+    def _enqueue_redirect(self, shard_id: str, run: list) -> None:
         # Deliberately does NOT touch _key_lane: earlier ops for the key
         # may still be queued at the old owner, and new submissions must
         # keep lining up behind them there (they get redirected in order;
@@ -400,11 +418,11 @@ class Session:
         # redirect takes the new owner's lane 0, so a key's redirect
         # stream stays one FIFO whichever lane it left.
         self._client(shard_id)
-        self._queues[shard_id].append((kind, operation, future, op))
+        self._queues[shard_id].extend(run)
         self._pump(shard_id)
 
     def _release_parked(self) -> None:
-        """Resubmit parked ops whose epoch arrived (in arrival order)."""
+        """Resubmit parked runs whose epoch arrived (in arrival order)."""
         if not self._parked:
             return
         epoch = self.cluster.partitioner.epoch
@@ -413,10 +431,8 @@ class Session:
         for entry in self._parked:
             (ready if entry[0] <= epoch else keep).append(entry)
         self._parked = keep
-        for _epoch, kind, key, operation, future, op in ready:
-            self._enqueue_redirect(
-                self.cluster.partitioner.owner(key), kind, key, operation, future, op
-            )
+        for _epoch, run in ready:
+            self._enqueue_redirect(self.cluster.partitioner.owner(run[0][1][1]), run)
 
     def _note_issued(self, key: str, lane: str, future: SimFuture) -> None:
         self._key_pending[key] = self._key_pending.get(key, 0) + 1

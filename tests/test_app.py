@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app import CounterApp, KVStore, is_read_only
+from repro.app import statemachine
+from repro.crypto.costs import active_cost_model
 
 
 class TestKVStore:
@@ -116,3 +118,44 @@ class TestReadOnlyClassification:
         assert not is_read_only(("put", "k", "v"))
         assert not is_read_only(("incr", "k", 1))
         assert not is_read_only(())
+
+    def test_compound_is_read_only_only_if_every_member_is(self):
+        assert is_read_only(("multi", "k", (("get", "k"), ("get", "k"))))
+        assert not is_read_only(("multi", "k", (("get", "k"), ("put", "k", "v"))))
+        assert not is_read_only(("multi", "k", (("put", "k", "v"),)))
+
+
+class TestCompound:
+    """``("multi", key, ops)``: a session lane's queued same-key run."""
+
+    def test_members_are_charged_and_applied_one_by_one(self, monkeypatch):
+        events = []
+
+        class Recording(KVStore):
+            def apply(self, operation):
+                events.append(("apply", operation))
+                return super().apply(operation)
+
+        monkeypatch.setattr(statemachine, "charge", lambda cost: events.append(("charge", cost)))
+        members = (("put", "k", "a"), ("get", "k"), ("put", "k", "b"))
+        assert Recording().execute(("multi", "k", members)) == (
+            ("ok", 1), ("value", "a"), ("ok", 2),
+        )
+        cost = active_cost_model().execute_request
+        assert events == [
+            event for member in members for event in (("charge", cost), ("apply", member))
+        ]
+
+    def test_results_come_back_in_member_order_for_every_app(self):
+        store = KVStore()
+        puts = tuple(("put", "k", value) for value in "abc")
+        assert store.execute(("multi", "k", puts)) == (("ok", 1), ("ok", 2), ("ok", 3))
+        assert store.execute(("get", "k")) == ("value", "c")
+        counter = CounterApp()
+        assert counter.execute(("multi", "n", (("add", 2), ("read",), ("add", 3)))) == (2, 2, 5)
+
+    def test_malformed_compound_is_an_unknown_opcode(self):
+        store = KVStore()
+        for operation in (("multi",), ("multi", "k"), ("multi", "k", "put")):
+            assert not is_read_only(operation)
+            assert store.execute(operation) == ("error", "unknown opcode 'multi'")

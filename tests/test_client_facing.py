@@ -6,7 +6,7 @@ HFT baselines; the paper's comparison is fair only because one client
 drives them all.  Whatever the host, a request that is not the client's
 own, not authenticated or not signed changes nothing, a retry of the
 request answered last gets the cached reply again without being ordered a
-second time, and a weak read may not write.
+second time, and a weak read may not write, not even inside a compound.
 """
 
 import pytest
@@ -91,8 +91,12 @@ def test_client_facing_contract(host):
     )
     assert all(isinstance(r, Reply) and (r.result, r.counter) == (("ok", 1), 1) for r in replies)
 
-    # A weak read reads — and may not write.
+    # A weak read reads — and may not write, not even as one member of a
+    # compound of reads.
     refused, read = client.weak_read(evil), client.weak_read(("get", "k"))
+    hidden = client.weak_read(("multi", "evil", (("get", "evil"), evil)))
+    reads = client.weak_read(("multi", "k", (("get", "k"), ("get", "k"))))
     assert settle() == executed
     assert not refused.done and read.value == ("value", "v")
+    assert not hidden.done and reads.value == (("value", "v"),) * 2
     assert all(replica.app.apply(("get", "evil")) == ("missing",) for replica in replicas)

@@ -17,10 +17,12 @@ import zlib
 import pytest
 
 from repro.chaos import SUITES, chaos_case
+from repro.core.messages import ClientRequest, Reply
 from repro.deploy import ClusterSpec, GroupSpec, KeyPartitioner, ShardSpec, build
 from repro.elastic import (
     SLOTS_PER_SHARD,
     ElasticBook,
+    Migrating,
     RangeMap,
     WrongShard,
     slot_of,
@@ -325,7 +327,9 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
     """A ``WrongShard`` reply that is the session's *first* sight of the
     new table adopts it mid-redirect.  The key's younger queued ops must
     stay behind the older op being redirected: reaching the new owner
-    ahead of it would break per-key FIFO there."""
+    ahead of it would break per-key FIFO there.  Freed by the redirect,
+    the old lane may send the younger ops on as one compound — to the
+    old owner, which redirects them in order behind the first."""
     sim, network = fresh_env(seed=3, jitter=0.0)
     spec = ClusterSpec(
         shards=(
@@ -353,32 +357,54 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
     client._pending = None
     new_map = cluster.partitioner.range_map.move(2, 3, "sa", "sb")
     session._on_done(
-        "sa", f1, WrongShard(epoch=new_map.epoch, range_map=new_map.to_wire()),
-        op=None, kind="write", operation=("put", key, "v1"),
+        "sa", [("write", ("put", key, "v1"), f1, None)],
+        WrongShard(epoch=new_map.epoch, range_map=new_map.to_wire()),
     )
 
     assert cluster.partitioner.epoch == new_map.epoch  # table adopted
     # The redirected (oldest) op went to sb *first*: it is on the wire
-    # there, and the younger ops were NOT sent ahead of it — they
-    # drain behind it through sa's redirect stream in submission order.
+    # there, alone, and the younger ops were NOT sent ahead of it —
+    # they drain behind it through sa's redirect stream in submission
+    # order, as one compound or still queued.
     on_the_wire = _keys_on_the_wire(session)
     assert on_the_wire["sb"] == key
+    assert session._clients["sb"]._pending["operation"] == ("put", key, "v1")
     assert [entry[1][2] for entry in session._queues["sb"]] == []
     queued = [entry[1][2] for entry in session._queues["sa"]]
-    in_flight_at_sa = on_the_wire.get("sa")
-    assert (in_flight_at_sa == key and queued == ["v3"]) or (
-        in_flight_at_sa is None and queued == ["v2", "v3"]
-    )
+    at_sa = session._clients["sa"]._pending
+    assert (
+        at_sa is not None
+        and at_sa["operation"] == ("multi", key, (("put", key, "v2"), ("put", key, "v3")))
+        and queued == []
+    ) or (at_sa is None and queued == ["v2", "v3"])
 
 
 # ----------------------------------------------------------------------
 # live handover: versions continue 1..n across the ownership change
 # ----------------------------------------------------------------------
+def _record_shed_operations(cluster) -> list:
+    """Every operation a replica answered with a redirect, once per
+    (client, counter)."""
+    operations, shed = {}, {}
+
+    def tap(src, dst, message):
+        if isinstance(message, ClientRequest):
+            operations[(src.name, message.body.counter)] = message.body.operation
+        elif isinstance(message, Reply) and isinstance(message.result, (Migrating, WrongShard)):
+            request = (dst.name, message.counter)
+            shed.setdefault(request, operations[request])
+
+    cluster.network.taps.append(tap)
+    return shed
+
+
 def _handover_keeps_per_key_fifo(n_keys: int):
     """Three writes per key of slot 2 before ``move_range(2, 3, sa, sb)``
     and three after; every key's versions must run 1..6 in issue order.
-    Returns the session's in-flight keys by lane when the seal was
-    submitted."""
+    The writes queued behind a key's first leave as one compound, which
+    the old owner sheds whole: each of its members executes exactly
+    once, in order, at the new owner.  Returns the session's in-flight
+    keys by lane when the seal was submitted."""
     sim, network = fresh_env(seed=3, jitter=0.0)
     spec = ClusterSpec(
         shards=(
@@ -387,6 +413,7 @@ def _handover_keeps_per_key_fifo(n_keys: int):
         )
     )
     cluster = build(sim, spec, network=network)
+    shed = _record_shed_operations(cluster)
     session = cluster.session("u1", "virginia")
     keys = _keys_in_slot(2, cluster.partitioner.range_map.slots, n_keys)
     assert all(cluster.partitioner.owner(key) == "sa" for key in keys)  # even -> sa
@@ -410,6 +437,11 @@ def _handover_keeps_per_key_fifo(n_keys: int):
         assert cluster.partitioner.owner(key) == "sb"
         # Exactly once, in order, across the cut: versions are 1..6.
         assert results[key] == [("ok", v) for v in range(1, 7)]
+        # Among them a shed compound of the key's queued writes.
+        assert any(
+            operation[:2] == ("multi", key) and len(operation[2]) > 1
+            for operation in shed.values()
+        )
     # The pin followed the key: new submissions route straight to sb.
     session.write(keys[0], "epilogue")
     assert session._key_lane[keys[0]] == "sb"

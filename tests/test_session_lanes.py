@@ -6,27 +6,37 @@ whose key still has an unresolved op joins that op's lane; otherwise it
 takes the shard's lowest-index idle lane, or else opens the next one.  So
 an ordered op queues only behind ops on its own key, ops on one key stay
 FIFO, and a session whose ops never overlap opens exactly one client per
-shard.
+shard.  When a lane frees, the run of same-kind ops on one key at the
+head of its queue leaves as one compound request.
 """
 
 import random
 
 from repro.core.messages import ClientRequest
-from repro.deploy import CLOSED, ClusterSpec, GroupSpec, Rejected, ShardSpec, build
+from repro.deploy import (
+    CLOSED,
+    ClusterSpec,
+    GroupSpec,
+    MiddlewareSpec,
+    Rejected,
+    ShardSpec,
+    build,
+)
 from repro.net import Network, Topology
 from repro.sim import Simulator
 
 from tests.conftest import irmc_book_sizes
 
 
-def build_cluster(seed=3, shards=("s0",)):
+def build_cluster(seed=3, shards=("s0",), middleware=()):
     sim = Simulator(seed=seed)
     network = Network(sim, Topology(), jitter=0.0)
     spec = ClusterSpec(
         shards=tuple(
             ShardSpec(shard_id, groups=(GroupSpec(f"g-{shard_id}", "virginia"),))
             for shard_id in shards
-        )
+        ),
+        middleware=middleware,
     )
     return sim, build(sim, spec, network=network)
 
@@ -64,6 +74,20 @@ def record_requests(cluster):
     return sent
 
 
+def record_operations(cluster):
+    """Per client, the operation of each request it sent, in counter
+    order (retransmissions counted once)."""
+    operations = {}
+
+    def tap(src, _dst, message):
+        if isinstance(message, ClientRequest):
+            body = message.body
+            operations.setdefault(src.name, {})[body.counter] = body.operation
+
+    cluster.network.taps.append(tap)
+    return operations
+
+
 def test_second_key_does_not_wait_for_the_first():
     """Two writes to different keys of one shard, submitted together: the
     second one's session latency is the latency its protocol client
@@ -92,8 +116,10 @@ def test_second_key_does_not_wait_for_the_first():
 def test_same_key_writes_never_overlap_and_complete_in_issue_order():
     """Five writes to ``k`` interleaved with writes to other keys, all
     submitted at once and more from completion callbacks: ``k``'s writes
-    apply in issue order, each goes on the wire only after the previous
-    one completed, all on one lane — while other keys overlap them."""
+    apply in issue order, all on one lane, each request going on the
+    wire only after the previous one completed — while other keys
+    overlap them.  The writes queued behind an in-flight one leave
+    together as one compound request: five writes, three requests."""
     sim, cluster = build_cluster(seed=7)
     sent = record_requests(cluster)
     session = cluster.session("u", "virginia")
@@ -121,14 +147,18 @@ def test_same_key_writes_never_overlap_and_complete_in_issue_order():
     assert finished == sorted(finished)
     k_sends = sorted({(at, client) for at, client, key in sent if key == "k"})
     assert len({client for _at, client in k_sends}) == 1  # one lane
-    # Each k write left after the previous k write completed.
+    # k's requests: k0 alone, then k1 + k2 (queued behind it), then k3 +
+    # k4 (submitted together while k1 + k2 were in flight).  Each left
+    # after the previous request completed.
     starts = sorted({at for at, _client in k_sends})
-    assert len(starts) == 5
-    for start, previous_done in zip(starts[1:], finished):
+    assert len(starts) == 3
+    request_done = sorted(set(finished))
+    assert len(request_done) == 3
+    for start, previous_done in zip(starts[1:], request_done):
         assert start >= previous_done
     # Different keys did overlap: some other key's request went out
-    # while a k write was in flight (one client cannot do that).
-    k_windows = list(zip(starts, finished))
+    # while a k request was in flight (one client cannot do that).
+    k_windows = list(zip(starts, request_done))
     assert any(
         begin <= at < end
         for at, _client, key in sent
@@ -300,3 +330,123 @@ def test_key_books_and_lane_queues_drain_once_all_ops_resolve():
     assert not any(session._busy.values())
     assert all(client._pending is None for client in session._clients.values())
     assert session.pending_ops == 0
+
+
+# ----------------------------------------------------------------------
+# Compound requests: a lane's queued same-key run leaves as one request
+# ----------------------------------------------------------------------
+def test_queued_same_key_writes_leave_as_one_request():
+    """k writes to one key queued behind an in-flight write leave as one
+    request when the lane frees: the lane client's counter advances by
+    one for all of them, and their futures resolve to the versions they
+    were issued in."""
+    k = 4
+    sim, cluster = build_cluster()
+    operations = record_operations(cluster)
+    session = cluster.session("u", "virginia")
+    futures = [session.write("hot", 0)]
+    client = session._clients["s0"]
+    assert client.counter == 1
+    futures += [session.write("hot", index) for index in range(1, k + 1)]
+    assert session.pending_ops == k + 1
+    sim.run(until=10_000.0)
+    assert client.counter == 2
+    assert [future.value for future in futures] == [("ok", v) for v in range(1, k + 2)]
+    assert operations["u@s0"] == {
+        1: ("put", "hot", 0),
+        2: ("multi", "hot", tuple(("put", "hot", index) for index in range(1, k + 1))),
+    }
+    assert [record[1] for record in session.completed] == ["hot"] * (k + 1)
+    assert session.pending_ops == 0
+
+
+def test_strong_read_ends_a_write_run():
+    """A run is the ops of one kind on one key: a strong read queued
+    between writes ends the write run before it and starts its own, and
+    the read sees exactly the writes issued before it."""
+    sim, cluster = build_cluster()
+    operations = record_operations(cluster)
+    session = cluster.session("u", "virginia")
+    first = session.write("k", "a")
+    writes = [session.write("k", value) for value in ("b", "c")]
+    reads = [session.strong_read("k") for _ in range(2)]
+    last = session.write("k", "d")
+    sim.run(until=20_000.0)
+    put, get = ("put", "k"), ("get", "k")
+    assert operations["u@s0"] == {
+        1: (*put, "a"),
+        2: ("multi", "k", ((*put, "b"), (*put, "c"))),
+        3: ("multi", "k", (get, get)),
+        4: (*put, "d"),
+    }
+    assert [first.value, *(w.value for w in writes), last.value] == [
+        ("ok", version) for version in range(1, 5)
+    ]
+    assert [read.value for read in reads] == [("value", "c")] * 2
+
+
+def test_close_with_a_compound_in_flight_finishes_it_and_sheds_the_queue():
+    """close() while a compound is on the wire and more ops queue behind
+    it: the queued ops are shed at once, every member of the compound
+    completes normally, and the lane then retires."""
+    sim, cluster = build_cluster()
+    shard = cluster.shard("s0")
+    session = cluster.session("u", "virginia")
+    futures = [session.write("k", index) for index in range(3)]
+    seen = {}
+
+    def close_behind_the_compound():
+        seen["wire"] = session._clients["s0"]._pending["operation"]
+        futures.extend(session.write("k", index) for index in (3, 4))
+        session.close()
+        seen["pending"] = session.pending_ops
+        seen["shed"] = [future.value for future in futures[3:]]
+
+    # k0's completion frees the lane, which sends k1 + k2 right after.
+    futures[0].add_callback(
+        lambda _result: sim.schedule_at(sim.now, close_behind_the_compound)
+    )
+    sim.run(until=40_000.0)
+    assert seen["wire"] == ("multi", "k", (("put", "k", 1), ("put", "k", 2)))
+    assert seen["pending"] == 2  # both members of the in-flight compound
+    assert all(
+        isinstance(value, Rejected) and value.reason == CLOSED for value in seen["shed"]
+    )
+    assert [future.value for future in futures[:3]] == [("ok", v) for v in (1, 2, 3)]
+    assert not cluster.sessions and not shard.clients
+    assert not cluster._pending_retirement and not cluster._retire_remaining
+
+
+def test_armed_chain_books_drain_with_compounds_in_flight():
+    """Behind the armed middleware chain, every member of a compound
+    completes its own admission slot: once all ops resolve, admission's
+    in-flight count and the session's pending ops are back to 0, and the
+    SLO counters reconcile."""
+    sim, cluster = build_cluster(
+        middleware=(
+            MiddlewareSpec.of("slo-metrics"),
+            MiddlewareSpec.of("admission", depth=32),
+            MiddlewareSpec.of("rate-limit", rate=150.0, burst=30.0),
+            MiddlewareSpec.of("read-cache", lease_ms=300.0),
+        )
+    )
+    session = cluster.session("u", "virginia")
+    futures = []
+    for index in range(12):
+        key = f"hot-{index % 2}"
+        futures.append(session.write(key, index))
+        if index % 4 == 3:
+            futures.append(session.strong_read(key))
+    admission = cluster.middleware_instance("admission")
+    assert admission._inflight["s0"] == session.pending_ops == len(futures)
+    sim.run(until=20_000.0)
+    assert all(future.done and not isinstance(future.value, Rejected) for future in futures)
+    # Two keys, two lanes: each sent fewer requests than it had ops.
+    assert sum(client.counter for client in session._clients.values()) < len(futures)
+    assert admission._inflight["s0"] == 0
+    assert session.pending_ops == 0
+    snap = cluster.middleware_instance("slo-metrics").snapshot()
+    offered = sum(snap["offered"].values())
+    assert offered == sum(snap["completed"].values()) + sum(
+        snap.get("served", {}).values()
+    ) + sum(snap.get("shed", {}).values())
