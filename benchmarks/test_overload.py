@@ -8,7 +8,7 @@ cluster's write saturation rate.
 
 * **baseline** — no middleware.  The open-loop backlog has nowhere to
   go: session queues grow without bound for the length of the flash and
-  write latency climbs into the multi-second range.
+  write latency climbs to most of a second.
 * **armed** — slo-metrics + admission + rate-limit + read-cache.  The
   admission gate bounds queued-plus-in-flight work per shard, the token
   bucket clips per-session bursts, and the read cache absorbs the
@@ -28,13 +28,17 @@ Results go to ``benchmarks/BENCH_overload.json`` (uploaded by the
 perf-smoke CI job).  Recorded results (seed 11, flash window 2.0-3.5 s
 at 4000 ops/s offered, ~6900 ops total):
 
-    baseline: flash-window write p99 ~1770 ms, peak backlog ~1320 ops
-    armed:    flash-window write p99   ~83 ms, peak backlog    61 ops
-              (<= 2 shards x admission depth 32), ~1110 ops shed as
-              ``Rejected(overload)``, ~1220 hot reads served from the
+    baseline: flash-window write p99 ~840 ms, peak backlog ~980 ops
+    armed:    flash-window write p99  ~72 ms, peak backlog   60 ops
+              (<= 2 shards x admission depth 32), ~1070 ops shed as
+              ``Rejected(overload)``, ~1230 hot reads served from the
               cache, and offered == completed + served + shed exactly
 
-(~1680 / ~1480 and ~87 / 63, ~1100 shed while a session ordered through
+A session lane sends the same-key writes queued behind its in-flight
+one as one compound request, so a hot key's backlog drains one
+ordering round per run rather than per write.  (~1770 / ~1320 and ~83 /
+61, ~1110 shed when every queued write was its own request; ~1680 /
+~1480 and ~87 / 63, ~1100 shed while a session ordered through
 at most two protocol clients per shard; ~1950 / ~1450 and ~156 / 63,
 ~1330 shed with one; ~2270 / ~1580 and ~170 / 64, ~1420 shed
 before a node signed once per CPU task; ~7000 / ~2400 and ~325 / 64,
@@ -164,7 +168,8 @@ def test_middleware_bounds_overload(benchmark):
 
     # The headline: with the chain armed, admitted writes keep a bounded
     # p99 through the flash window; the unprotected baseline's open-loop
-    # backlog drives p99 several times higher (multi-second queueing).
+    # backlog drives p99 several times higher (queueing for most of a
+    # second).
     assert armed["flash_write_p99_ms"] < 1_500.0
     assert baseline["flash_write_p99_ms"] >= 3.0 * armed["flash_write_p99_ms"]
     # And the queue growth itself is bounded by the admission depth

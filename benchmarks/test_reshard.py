@@ -26,12 +26,16 @@ split at 5 s; the split plan walks five slot ranges over in five
 epoch bumps):
 
     before:  ~768 writes/s
-    during:  ~790 writes/s   (handover window, traffic still flowing)
-    after:   ~782 writes/s
-    handover: ~219 ms, epoch 0 -> 5, zero lost/duplicated/reordered
+    during:  ~834 writes/s   (handover window, traffic still flowing)
+    after:   ~780 writes/s
+    handover: ~217 ms, epoch 0 -> 5, zero lost/duplicated/reordered
 
-(~767 / ~785 / ~782, ~224 ms while a session ordered through at most two
-protocol clients per shard; ~754 / ~827 / ~789, ~231 ms with one: with
+(~768 / ~790 / ~782, ~219 ms when every write queued on a session lane
+was its own request: a lane now sends its queued same-key writes as one
+compound request, so a backlog, such as the one a handover leaves,
+drains several writes per ordering round; ~767 / ~785 / ~782, ~224 ms
+while a session ordered through at most two protocol clients per
+shard; ~754 / ~827 / ~789, ~231 ms with one: with
 two, more writes are on the wire at the old owner when a range seals,
 and 33 instead of 18 are shed and redirected, each paying an extra
 ordering round inside the window.)
