@@ -29,16 +29,11 @@ READ_ONLY_OPCODES = frozenset({"get", "read", "scan", "size", "noop-read"})
 MULTI = "multi"
 
 
-def compound_members(operation: Operation) -> Optional[Tuple]:
-    """The member operations of a compound, or ``None`` for any other
-    operation (a malformed compound included: it executes as an unknown
-    opcode)."""
-    if (
-        operation
-        and operation[0] == MULTI
-        and len(operation) == 3
-        and isinstance(operation[2], tuple)
-    ):
+def _members(operation: Operation) -> Optional[Tuple]:
+    """A compound's member operations, or ``None`` when it is malformed
+    (it then executes as an unknown opcode).  Callers check the opcode
+    first, so every other operation skips this call."""
+    if len(operation) == 3 and isinstance(operation[2], tuple):
         return operation[2]
     return None
 
@@ -46,9 +41,9 @@ def compound_members(operation: Operation) -> Optional[Tuple]:
 def is_read_only(operation: Operation) -> bool:
     """Whether ``operation`` can never modify application state; a
     compound only if every member is read-only."""
-    members = compound_members(operation)
-    if members is not None:
-        return all(is_read_only(member) for member in members)
+    if operation and operation[0] == MULTI:
+        members = _members(operation)
+        return members is not None and all(is_read_only(member) for member in members)
     return bool(operation) and operation[0] in READ_ONLY_OPCODES
 
 
@@ -66,7 +61,7 @@ class StateMachine(ABC):
         A compound charges and applies its members one by one and returns
         their results as a tuple."""
         cost = active_cost_model().execute_request
-        members = compound_members(operation)
+        members = _members(operation) if operation and operation[0] == MULTI else None
         if members is not None:
             results = []
             for member in members:
