@@ -552,6 +552,19 @@ CASES: Dict[str, ChaosCase] = {
             fault_kinds=("wipe", "equivocate"),
             max_actions=5, pools=(("", _PBFT_NODES, 1),),
         ),
+        # Durable-state loss and clock skew against PBFT.  Skew multiplies
+        # the victim's local timer rate by up to 2x in either direction: a
+        # fast clock fires its view timer early, so it suspects a leader
+        # nobody else suspects, and the suspect round (2f+1 suspicions)
+        # must keep that one replica from moving the view; a slow one is
+        # the last to notice a dead leader.  Safety and the exact
+        # recovered frontier are owed once the window heals.
+        ChaosCase(
+            name="pbft-skew", **_PBFT,
+            settle_ms=25_000.0,  # full-history state transfer adds round trips
+            fault_kinds=("wipe", "skew"),
+            max_actions=5, pools=(("", _PBFT_NODES, 1),),
+        ),
         # Three Raft replicas; crash/recover plus lossy links (CFT
         # budget: a minority of 3).
         ChaosCase(

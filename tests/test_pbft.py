@@ -7,7 +7,7 @@ import pytest
 from repro.consensus import Batch, batch_items, is_batch
 from repro.consensus.pbft import NOOP, PbftConfig, PbftReplica, is_noop, quorum_weight
 from repro.errors import ConfigurationError
-from repro.faults import DropBehaviour
+from repro.faults import DelayBehaviour, DropBehaviour
 from repro.sim import Process
 
 from tests.conftest import Cluster
@@ -202,6 +202,25 @@ class TestViewChange:
             replica.order(("x",))
         cluster.run(until=5000.0)
         assert any(r.view_changes_completed >= 1 for r in harness.replicas[1:])
+
+    def test_one_fast_clock_never_moves_the_view(self):
+        """A 2x fast clock fires r1's view timer at half the timeout, so
+        a slow leader looks dead to r1 alone.  Its suspicion is one of
+        the 2f+1 a view change needs: the group stays in view 0."""
+        cluster = Cluster()
+        harness = PbftHarness(cluster, view_timeout_ms=100.0)
+        DelayBehaviour(60.0).install(harness.nodes[0])  # the view-0 leader
+        harness.nodes[1].clock_rate = 2.0
+        for index in range(40):
+            cluster.sim.schedule_at(
+                100.0 * index, harness.order_everywhere, ("op", index)
+            )
+        cluster.run(until=10_000.0)
+        for replica in harness.replicas:
+            assert (replica.view, replica.in_view_change) == (0, False)
+        assert "r1" in harness.replicas[1].suspects.get(1, ())  # it did suspect
+        for node in harness.nodes:
+            assert harness.flat_payloads(node.name) == [("op", i) for i in range(40)]
 
 
 class TestBatching:
