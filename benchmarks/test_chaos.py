@@ -1,14 +1,14 @@
 """Chaos campaign sweep: the pinned suites against every stack.
 
 Acceptance sweep for the chaos subsystem, driven by
-``repro.chaos.SUITES["chaos"]``: >= 50 seeds spread across the fourteen
-stack configurations (full Spider, PBFT-only, Raft-only, IRMC-RC,
-IRMC-SC, the targeted recovery stacks ``pbft-vc-crash`` and
-``spider-cp-crash``, the two-shard isolation stack ``spider-shard``, the
+``repro.chaos.SUITES["chaos"]``: >= 50 seeds spread across the thirteen
+stack configurations (full Spider, PBFT-only, IRMC-RC, IRMC-SC, the
+targeted recovery stacks ``pbft-vc-crash`` and ``spider-cp-crash``, the
+two-shard isolation stack ``spider-shard``, the
 live-resharding stack ``spider-reshard`` (crash/wipe/partition across a
 range handover, audited by the ``reshard-handover`` cross-cut
 invariant), and the adversary-and-environment palette stacks
-``pbft-wipe``, ``raft-skew``, ``spider-disk``, ``irmc-equivocate`` and
+``pbft-wipe``, ``pbft-skew``, ``spider-disk``, ``irmc-equivocate`` and
 ``irmc-sc-wipe`` — durable-state loss, checkpoint corruption, clock
 skew and authenticated equivocation), every safety and liveness
 invariant green — crash/recovered replicas owe completion-after-heal

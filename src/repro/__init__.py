@@ -21,7 +21,7 @@ Sub-packages
 ``repro.net``         cloud topology (regions / availability zones), WAN model
 ``repro.crypto``      structural signatures/MACs with a CPU cost model
 ``repro.app``         replicated applications (key-value store, counter)
-``repro.consensus``   agreement black-boxes: PBFT (+ weighted voting), Raft
+``repro.consensus``   agreement black-boxes: PBFT (+ weighted voting)
 ``repro.checkpoints`` the f+1-certificate checkpoint component
 ``repro.irmc``        inter-regional message channels (RC and SC variants)
 ``repro.core``        Spider itself (clients, execution/agreement groups)

@@ -34,7 +34,7 @@ Public API in one breath
   PBFT state transfer, timer re-arm) — see ``docs/architecture.md``.
 * :class:`ChaosProfile` / :func:`generate_schedule` — what a stack
   tolerates, and the seeded draw of a schedule inside that budget.
-* :data:`CASES` / :func:`chaos_case` — the fourteen configurations as
+* :data:`CASES` / :func:`chaos_case` — the thirteen configurations as
   one table of frozen :class:`ChaosCase` records (a stack rig from
   :mod:`repro.chaos.rigs`, its knobs, its fault plan) and the one lookup
   that names a cell; ``chaos_case(name, **overrides).run(seed)`` is a

@@ -4,7 +4,7 @@ A :class:`ChaosCase` is a frozen record: which stack rig
 (:mod:`repro.chaos.rigs`) the run is wired on, the run-scale knobs that
 rig reads, and the fault plan — either a palette drawn per seed from
 victim pools, or (six *targeted* cases) a plain function shaping specific
-windows with seeded jitter.  :data:`CASES` is the whole table, fourteen
+windows with seeded jitter.  :data:`CASES` is the whole table, thirteen
 entries; :func:`chaos_case` is the only lookup, with overrides checked
 against what the case declares; :meth:`ChaosCase.run` owns the
 simulator and network, the schedule, the engine install/undo, the run
@@ -39,7 +39,7 @@ from repro.chaos.invariants import resolve_invariants
 from repro.chaos.rigs import (
     IRMC_RECEIVERS,
     IRMC_SENDERS,
-    PROTOCOLS,
+    PBFT_NODES,
     RIGS,
     SHARD_IDS,
     SPIDER_CLIENT_HOMES,
@@ -116,8 +116,6 @@ class ChaosCase:
     settle_ms: float
 
     # -- rig constants (never overridable) ------------------------------
-    #: consensus: key into :data:`repro.chaos.rigs.PROTOCOLS`
-    protocol: Optional[str] = None
     #: irmc: channel implementation, ``"rc"`` or ``"sc"``
     channel: Optional[str] = None
     #: spider: ``SpiderConfig`` fields that differ from the defaults
@@ -264,9 +262,8 @@ def _crash_mid_view_change(case: ChaosCase, seed: int) -> List[FaultAction]:
     a recovery claim rather than a masking claim.
     """
     rng = _windows_rng(case, seed)
-    names = PROTOCOLS["pbft"].nodes
-    leader = names[0]  # leader of view 0
-    victim = names[1 + rng.randrange(len(names) - 1)]
+    leader = PBFT_NODES[0]  # leader of view 0
+    victim = PBFT_NODES[1 + rng.randrange(len(PBFT_NODES) - 1)]
     silence_at = round(case.min_start_ms + rng.random() * 1_000.0, 3)
     silence_dur = round(1_200.0 + rng.random() * 1_800.0, 3)
     # The crash window opens right as the view change kicks off.
@@ -440,21 +437,13 @@ _SPIDER_OWES = (
     "state-completion", "client-fifo", "recovered-frontier", "views-converged",
 )
 
-_PBFT_NODES = PROTOCOLS["pbft"].nodes
-_RAFT_NODES = PROTOCOLS["raft"].nodes
 _AGREEMENT = tuple(f"ag{i}" for i in range(4))
 _G0 = tuple(f"g0-e{i}" for i in range(3))
 
 # Per stack: what every case on it shares.  The cases add their fault plan.
 _PBFT = dict(
-    stack="consensus", protocol="pbft", invariants=_CONSENSUS_OWES + ("views-converged",),
+    stack="consensus", invariants=_CONSENSUS_OWES + ("views-converged",),
     ops=18, op_interval_ms=250.0, min_start_ms=400.0, horizon_ms=8_000.0,
-)
-_RAFT = dict(
-    stack="consensus", protocol="raft", invariants=_CONSENSUS_OWES,
-    ops=15, op_interval_ms=300.0,
-    min_start_ms=1_200.0,  # first election settles
-    horizon_ms=8_000.0,
 )
 _IRMC = dict(
     stack="irmc", invariants=_IRMC_OWES, settle_ms=30_000.0,
@@ -525,7 +514,7 @@ CASES: Dict[str, ChaosCase] = {
         ChaosCase(
             name="pbft", **_PBFT, settle_ms=22_000.0,
             fault_kinds=("crash", "silence", "delay", "drop", "duplicate", "mute_half"),
-            max_actions=5, pools=(("", _PBFT_NODES, 1),), fault_links=3,
+            max_actions=5, pools=(("", PBFT_NODES, 1),), fault_links=3,
         ),
         ChaosCase(
             name="pbft-vc-crash", **_PBFT,
@@ -550,7 +539,7 @@ CASES: Dict[str, ChaosCase] = {
             name="pbft-wipe", **_PBFT,
             settle_ms=25_000.0,  # full-history state transfer adds round trips
             fault_kinds=("wipe", "equivocate"),
-            max_actions=5, pools=(("", _PBFT_NODES, 1),),
+            max_actions=5, pools=(("", PBFT_NODES, 1),),
         ),
         # Durable-state loss and clock skew against PBFT.  Skew multiplies
         # the victim's local timer rate by up to 2x in either direction: a
@@ -563,31 +552,7 @@ CASES: Dict[str, ChaosCase] = {
             name="pbft-skew", **_PBFT,
             settle_ms=25_000.0,  # full-history state transfer adds round trips
             fault_kinds=("wipe", "skew"),
-            max_actions=5, pools=(("", _PBFT_NODES, 1),),
-        ),
-        # Three Raft replicas; crash/recover plus lossy links (CFT
-        # budget: a minority of 3).
-        ChaosCase(
-            name="raft", **_RAFT, settle_ms=25_000.0,
-            fault_kinds=("crash", "silence", "delay", "drop", "duplicate"),
-            max_actions=5, pools=(("", _RAFT_NODES, 1),), fault_links=2,
-        ),
-        # Durable-state loss and clock skew against Raft.  A wiped
-        # replica forgets its vote and its log; the post-wipe quarantine
-        # must keep it from voting (it may already have voted in the term
-        # it forgot) or standing for election until a live leader adopts
-        # it, after which AppendEntries walks ``next_index`` back to 1
-        # and replays the whole suffix.  Skew multiplies the victim's
-        # local timer rate by up to 2x in either direction: a fast clock
-        # turns the victim into a serial election agitator (term
-        # inflation the leader must absorb), a slow one makes it the last
-        # to notice a dead leader.  Either way, safety and the exact
-        # recovered frontier are owed once the window heals.
-        ChaosCase(
-            name="raft-skew", **_RAFT,
-            settle_ms=30_000.0,  # skew-driven elections burn extra rounds
-            fault_kinds=("wipe", "skew"),
-            max_actions=5, pools=(("", _RAFT_NODES, 1),),
+            max_actions=5, pools=(("", PBFT_NODES, 1),),
         ),
         ChaosCase(name="irmc-rc", channel="rc", **_IRMC, **_IRMC_PALETTE),
         ChaosCase(name="irmc-sc", channel="sc", **_IRMC, **_IRMC_PALETTE),

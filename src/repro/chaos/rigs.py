@@ -8,8 +8,7 @@ Nothing else lives here — the simulator, the schedule, the engine and
 the result belong to :meth:`repro.chaos.cases.ChaosCase.run`, and every
 number a rig reads comes from the case record it is handed.
 
-* ``consensus`` — one agreement group ordering a broadcast workload;
-  PBFT and Raft behind a :class:`Protocol` adapter.
+* ``consensus`` — one PBFT group ordering a broadcast workload.
 * ``irmc``      — one IRMC channel (RC or SC), 3 senders -> 4 receivers.
 * ``spider``    — the full single-shard deployment with closed-loop
   clients.
@@ -17,22 +16,22 @@ number a rig reads comes from the case record it is handed.
   either statically (shard isolation) or across a live range handover.
 
 Design notes on recovery: crash/recovered replicas owe **full
-liveness**.  PBFT state transfer, Raft timer re-arm and the Spider
-driver-process restart (checkpoint-fetch-on-boot) make crash/recover
-symmetric, so completion-after-heal is asserted for ever-crashed
-replicas too.  The one recovery-aware twist is at the Spider layer,
-where a rejoiner that adopted a checkpoint legitimately skips the
-covered operations — there the obligation becomes *state* completion
-plus journal-subsequence safety instead of journal-prefix equality (see
+liveness**.  PBFT state transfer and the Spider driver-process restart
+(checkpoint-fetch-on-boot) make crash/recover symmetric, so
+completion-after-heal is asserted for ever-crashed replicas too.  The
+one recovery-aware twist is at the Spider layer, where a rejoiner that
+adopted a checkpoint legitimately skips the covered operations — there
+the obligation becomes *state* completion plus journal-subsequence
+safety instead of journal-prefix equality (see
 :mod:`repro.chaos.invariants`).  The rigs' own driver loops (drains,
-IRMC sender/receiver loops) are restartable through node recovery
-hooks, mirroring how the real replicas respawn their driver processes.
+IRMC sender/receiver loops) are restartable through node recovery hooks,
+mirroring how the real replicas respawn their driver processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.app.kvstore import KVStore
 from repro.chaos.actions import FaultAction
@@ -50,7 +49,6 @@ from repro.chaos.invariants import (
 )
 from repro.consensus.interface import batch_items
 from repro.consensus.pbft import PbftConfig, PbftReplica, is_noop
-from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.core import SpiderConfig
 from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.irmc import IrmcConfig, TooOld, make_channel
@@ -61,7 +59,7 @@ from repro.sim.process import sleep
 from repro.sim.routing import RoutedNode
 
 __all__ = [
-    "Rig", "RIGS", "PROTOCOLS", "IRMC_SENDERS", "IRMC_RECEIVERS",
+    "Rig", "RIGS", "PBFT_NODES", "IRMC_SENDERS", "IRMC_RECEIVERS",
     "SPIDER_CLIENT_HOMES", "SHARD_IDS",
 ]
 
@@ -81,35 +79,15 @@ class Rig:
 
 
 # ======================================================================
-# consensus: PBFT or Raft alone
+# consensus: PBFT alone
 # ======================================================================
-@dataclass(frozen=True)
-class Protocol:
-    """What the consensus rig needs to know about one agreement protocol
-    (its :data:`PROTOCOLS` key doubles as the group id)."""
-
-    nodes: Tuple[str, ...]
-    make_replicas: Callable[[Sequence[Any]], List[Any]]
-    #: ``(seq, payload)`` of everything the replica's own log holds as
-    #: delivered, ascending
-    logged: Callable[[Any], Iterable[Tuple[int, Any]]]
-    frontier: Callable[[Any], int]
-    #: stats key and getter of the protocol's epoch counter
-    epoch_key: str
-    epoch: Callable[[Any], int]
-    #: when the workload starts (Raft: after the first election settled)
-    first_op_ms: float
-    #: probe traffic: gap after the last fault window, then spacing
-    probe_gap_ms: float
-    probe_interval_ms: float
+#: the consensus rig's four replicas (f = 1)
+PBFT_NODES = ("r0", "r1", "r2", "r3")
 
 
-def _pbft_replicas(nodes):
-    config = PbftConfig(view_timeout_ms=500.0)
-    return [PbftReplica(node, "pbft", nodes, config) for node in nodes]
-
-
-def _pbft_logged(replica):
+def _logged(replica):
+    """``(seq, payload)`` of everything the replica's own log holds as
+    delivered, ascending."""
     slots = replica.log.slots
     return [
         (seq, slots[seq].pre_prepare.payload)
@@ -118,50 +96,14 @@ def _pbft_logged(replica):
     ]
 
 
-def _raft_logged(replica):
-    first = max(replica.low_water, replica.offset + 1)
-    return [
-        (index, replica.log[index - replica.offset - 1].payload)
-        for index in range(first, replica.delivered_index + 1)
-    ]
-
-
-PROTOCOLS: Dict[str, Protocol] = {
-    "pbft": Protocol(
-        nodes=("r0", "r1", "r2", "r3"),
-        make_replicas=_pbft_replicas,
-        logged=_pbft_logged,
-        frontier=lambda replica: replica.delivered_seq,
-        epoch_key="view",
-        epoch=lambda replica: replica.view,
-        first_op_ms=100.0,
-        probe_gap_ms=500.0,
-        probe_interval_ms=200.0,
-    ),
-    "raft": Protocol(
-        nodes=("n0", "n1", "n2"),
-        make_replicas=lambda nodes: [
-            RaftReplica(node, "raft", nodes, RaftConfig()) for node in nodes
-        ],
-        logged=_raft_logged,
-        frontier=lambda replica: replica.delivered_index,
-        epoch_key="terms",
-        epoch=lambda replica: replica.term,
-        first_op_ms=1_000.0,
-        probe_gap_ms=1_000.0,
-        probe_interval_ms=300.0,
-    ),
-}
-
-
 def consensus(case, sim, network) -> Rig:
-    """One agreement group in one region ordering a broadcast workload."""
-    protocol = PROTOCOLS[case.protocol]
+    """One PBFT group in one region ordering a broadcast workload."""
     nodes = [
         network.register(RoutedNode(sim, name, Site("virginia", index + 1)))
-        for index, name in enumerate(protocol.nodes)
+        for index, name in enumerate(PBFT_NODES)
     ]
-    replicas = protocol.make_replicas(nodes)
+    config = PbftConfig(view_timeout_ms=500.0)
+    replicas = [PbftReplica(node, "pbft", nodes, config) for node in nodes]
     delivered: Dict[str, List[Tuple[int, Any]]] = {n.name: [] for n in nodes}
     drains: Dict[str, Process] = {}
 
@@ -186,7 +128,7 @@ def consensus(case, sim, network) -> Rig:
         replica.reset_delivery()
         have = {seq for seq, _ in delivered[node.name]}
         queued = set(replica.queue.pending_seqs())
-        for seq, payload in protocol.logged(replica):
+        for seq, payload in _logged(replica):
             if seq not in have and seq not in queued:
                 delivered[node.name].append((seq, payload))
         delivered[node.name].sort(key=lambda pair: pair[0])
@@ -200,7 +142,7 @@ def consensus(case, sim, network) -> Rig:
         # The delivery journal models the replica's on-disk applied
         # log: a wipe destroys it, and the rebooted replica must
         # re-earn every entry through checkpoint install + replay or
-        # log replication (exactly-once still holds because the
+        # catch-up (exactly-once still holds because the
         # pre-wipe journal is gone with the disk it lived on).
         node.add_wipe_hook(lambda name=node.name: delivered[name].clear())
 
@@ -210,19 +152,16 @@ def consensus(case, sim, network) -> Rig:
 
     expected = [("op", index) for index in range(case.ops)]
     for index, payload in enumerate(expected):
-        order_everywhere(protocol.first_op_ms + index * case.op_interval_ms, payload)
+        order_everywhere(100.0 + index * case.op_interval_ms, payload)
     probes = [("probe", index) for index in range(3)]
 
     def probe(actions):
         # Probe traffic after every fault window: commits past the last
-        # faulted slot are what show a laggard its gap (PBFT's catch-up
-        # loop) and trigger post-heal replication (Raft).
-        probe_at = (
-            max([case.horizon_ms] + [a.end_ms for a in actions])
-            + protocol.probe_gap_ms
-        )
+        # faulted slot are what show a laggard its gap (the catch-up
+        # loop).
+        probe_at = max([case.horizon_ms] + [a.end_ms for a in actions]) + 500.0
         for index, payload in enumerate(probes):
-            order_everywhere(probe_at + index * protocol.probe_interval_ms, payload)
+            order_everywhere(probe_at + index * 200.0, payload)
 
     def evaluate(crashed_ever):
         names = [n.name for n in nodes]
@@ -238,24 +177,22 @@ def consensus(case, sim, network) -> Rig:
         violations = []
         violations += check_sequence_agreement(delivered, names)
         violations += check_exactly_once(flat, names)
-        # Crash/recovered replicas rejoin via state transfer (PBFT:
-        # NewView replay + log-suffix evidence) or re-arm their timer
-        # chains and resync through AppendEntries (Raft), so *everyone*
-        # owes the complete history once faults healed — no exemption.
+        # Crash/recovered replicas rejoin via state transfer (NewView
+        # replay + log-suffix evidence), so *everyone* owes the complete
+        # history once faults healed — no exemption.
         violations += check_completion(expected + probes, flat)
         # Ever-crashed (including ever-wiped) replicas must additionally
         # stand at the group's exact delivery frontier: checkpoint-free
-        # recovery is only done when the whole suffix replayed (Raft
-        # walks next_index back to 1 for a wiped follower).
+        # recovery is only done when the whole suffix replayed.
         violations += check_recovered_frontier(
-            {r.node.name: protocol.frontier(r) for r in replicas},
+            {r.node.name: r.delivered_seq for r in replicas},
             obligated=crashed_ever,
-            where=f"{case.protocol} replica",
+            where="pbft replica",
         )
-        violations += _check_views(case, replicas, f"{case.protocol} replica")
+        violations += _check_views(case, replicas, "pbft replica")
         stats = {
             "delivered": {name: delivered[name] for name in names},
-            protocol.epoch_key: max(protocol.epoch(r) for r in replicas),
+            "view": max(r.view for r in replicas),
         }
         return violations, stats
 

@@ -19,7 +19,6 @@ from repro.consensus.interface import (
 )
 from repro.consensus.pbft.config import PbftConfig
 from repro.consensus.pbft.replica import PbftReplica
-from repro.consensus.raft import RaftConfig, RaftReplica
 
 __all__ = [
     "Agreement",
@@ -29,6 +28,4 @@ __all__ = [
     "SingleSequencer",
     "PbftConfig",
     "PbftReplica",
-    "RaftConfig",
-    "RaftReplica",
 ]

@@ -33,7 +33,7 @@ from repro.sim.futures import SimFuture
 class Batch(Message, Digestible):
     """Several to-be-ordered messages agreed as one consensus value.
 
-    Leaders of batching-capable implementations (PBFT, Raft) cut whatever
+    Leaders of batching-capable implementations (PBFT) cut whatever
     queued up while their last instance was in flight into one ``Batch``
     (:class:`BatchAccumulator`), amortising one agreement round over all
     contained items.  Hosts must treat a delivered ``Batch`` as its items

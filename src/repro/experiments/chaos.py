@@ -2,7 +2,7 @@
 
 Not a paper figure — this is the repo's systematic answer to the ROADMAP's
 "as many scenarios as you can imagine": for each stack configuration
-(full Spider, PBFT-only, Raft-only, IRMC-RC, IRMC-SC, plus the targeted
+(full Spider, PBFT-only, IRMC-RC, IRMC-SC, plus the targeted
 recovery stacks ``pbft-vc-crash`` — crash inside a view change — and
 ``spider-cp-crash`` — double crash/recover across checkpoint windows) it
 sweeps seeds, each seed deriving a deterministic fault schedule

@@ -14,7 +14,7 @@ on this to compose fault windows with clean undo.
 Randomised behaviours (the dropper, the duplicator) draw from a private
 ``random.Random(f"fault:{seed}:{node.name}")`` rather than the shared
 simulator RNG, so arming a fault never perturbs the RNG stream of
-unrelated simulation components (network jitter, Raft election timeouts):
+unrelated simulation components (network jitter):
 the honest part of a run stays bit-identical with the fault on or off.
 """
 

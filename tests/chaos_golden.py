@@ -1,12 +1,12 @@
 """Golden record of the chaos and reshard suites, cell by cell.
 
 ``tests/chaos_golden.json`` holds, for every ``(suite, scenario, seed)``
-cell of :data:`repro.chaos.SUITES` (``chaos`` 14 x 12, ``reshard``
+cell of :data:`repro.chaos.SUITES` (``chaos`` 13 x 12, ``reshard``
 2 x 12), the five fields that pin a campaign run: the evidence
 fingerprint, the simulator event count, the derived schedule (length and
 content) and the violations.  It was recorded once, under the default
 crypto cost model, and is compared exactly — a refactor of the chaos
-layer is done when all 192 cells still match.
+layer is done when all 180 cells still match.
 
 Re-record (only for a change that moves simulated results by design)::
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.app.kvstore import KVStore
-from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.core import SpiderConfig
 from repro.metrics import sim_equivalent, sim_fingerprint
 
@@ -38,20 +37,9 @@ class RecordingKVStore(KVStore):
         return super().apply(operation)
 
 
-def build_system(
-    seed, regions=("virginia", "tokyo"), raft=False, jitter=0.0, **config_kwargs
-):
-    factory = None
-    if raft:
-        raft_config = RaftConfig(batch_size=SpiderConfig(**config_kwargs).batch_size)
-        factory = lambda node, peers: RaftReplica(node, "raft-ag", peers, raft_config)
+def build_system(seed, regions=("virginia", "tokyo"), jitter=0.0, **config_kwargs):
     return build_shard(
-        regions,
-        seed,
-        jitter=jitter,
-        app_factory=RecordingKVStore,
-        agreement_factory=factory,
-        **config_kwargs,
+        regions, seed, jitter=jitter, app_factory=RecordingKVStore, **config_kwargs
     )
 
 
@@ -189,15 +177,14 @@ class TestUnbatchedReference:
             self.PARENT_FINGERPRINTS[seed]
         )
 
-    @pytest.mark.parametrize("raft", [False, True], ids=["pbft", "raft"])
     @pytest.mark.parametrize("seed", [3, 77])
-    def test_lone_client_never_waits_at_the_default_cap(self, seed, raft):
+    def test_lone_client_never_waits_at_the_default_cap(self, seed):
         """A closed-loop client always finds the leader's pipeline empty,
         so the default cap must propose each of its requests inside the
         task that received it: the run is oracle-equivalent to
         ``batch_size=1``.  Any wait on a clock would move a reply."""
-        default = observe(seed, n_clients=1, n_requests=6, raft=raft)
-        unbatched = observe(seed, n_clients=1, n_requests=6, raft=raft, batch_size=1)
+        default = observe(seed, n_clients=1, n_requests=6)
+        unbatched = observe(seed, n_clients=1, n_requests=6, batch_size=1)
         assert sim_equivalent(unbatched, default) == []
 
 
@@ -483,7 +470,7 @@ class TestBatchConfigValidation:
         from repro.deploy import ClusterSpec
         from repro.errors import ConfigurationError
 
-        for config_class in (SpiderConfig, PbftConfig, RaftConfig):
+        for config_class in (SpiderConfig, PbftConfig):
             with pytest.raises(TypeError, match="batch_timeout_ms"):
                 config_class(batch_timeout_ms=5.0)
         with pytest.raises(ConfigurationError, match="batch_timeout_ms"):

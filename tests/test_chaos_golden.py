@@ -1,8 +1,8 @@
 """Tier-1 slice of the chaos golden comparison: one seed per scenario.
 
-The full 192-cell comparison runs with the ``bench``-marked sweep
+The full 180-cell comparison runs with the ``bench``-marked sweep
 (``benchmarks/test_chaos.py``); this file keeps one cell of each of the
-16 scenarios under the everyday test run, so a change that moves a
+15 scenarios under the everyday test run, so a change that moves a
 campaign is caught without waiting for the sweep.  It also holds
 ``tools/golden_diff.py``, which reads the mismatch file a moved cell
 leaves, to its output.

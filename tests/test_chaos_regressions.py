@@ -387,46 +387,6 @@ class TestEquivocatorForgesBundles:
         assert len(sizes) == 1
 
 
-class TestRaftLostPayloadReintroduction:
-    """A Raft leader that accepts a payload and crashes before replicating
-    it used to lose the payload forever: every replica's ``_seen`` tombstone
-    blocked re-submission.  Pending payloads are now re-introduced when a
-    new leader is observed (the Raft analogue of PBFT's new-view
-    re-introduction)."""
-
-    def test_payload_survives_leader_crash_before_replication(self):
-        from tests.test_raft import RaftHarness
-
-        cluster = Cluster()
-        harness = RaftHarness(cluster)
-        cluster.run(until=3000.0)
-        leader = harness.leader()
-        assert leader is not None
-        # The leader can hear but not speak: the entry it accepts from the
-        # forwarding follower never replicates.
-        for node in harness.nodes:
-            if node is not leader.node:
-                cluster.network.block_link(leader.node, node)
-        follower = next(r for r in harness.replicas if r.role == "follower")
-        follower.order(("precious",))
-        # Short window: the forward reaches the leader (LAN, ~1 ms) but the
-        # followers' election timeouts (>= 400 ms) have not fired yet.
-        cluster.run(until=cluster.sim.now + 200.0)
-        assert repr(("precious",)) in leader._log_keys(), (
-            "precondition: the doomed leader hoarded the payload"
-        )
-        leader.node.crash()
-        for node in harness.nodes:
-            if node is not leader.node:
-                cluster.network.unblock_link(leader.node, node)
-        cluster.run(until=20_000.0)
-        for replica in harness.replicas:
-            if replica is leader:
-                continue
-            delivered = [p for _, p in harness.delivered[replica.node.name]]
-            assert ("precious",) in delivered
-
-
 class TestChaosMinimizedReplays:
     """Shrunk schedules from the first campaign sweeps, replayed verbatim.
 
@@ -470,55 +430,6 @@ class TestChaosMinimizedReplays:
         ]
         result = chaos_case("pbft").run(38, actions=actions)
         assert result.violations == []
-
-
-class TestRaftReofferDeduplication:
-    """Re-offered payloads after a leadership change must dedup against the
-    whole log — including entries the new leader learned only through
-    replication (absent from its ``_seen``) — and checkpoint-covered
-    entries must leave ``pending`` so they are never re-introduced."""
-
-    def test_reoffer_of_replicated_payload_is_not_double_appended(self):
-        from tests.test_raft import RaftHarness
-
-        cluster = Cluster()
-        harness = RaftHarness(cluster)
-        cluster.run(until=3000.0)
-        old_leader = harness.leader()
-        others = [r for r in harness.replicas if r is not old_leader]
-        source, successor = others[0], others[1]
-        # The source replica forwards P but is cut off before it can learn
-        # the outcome; the successor learns P only through replication.
-        cluster.network.block_link(old_leader.node, source.node)
-        source.order(("precious",))
-        cluster.run(until=cluster.sim.now + 300.0)
-        assert repr(("precious",)) in successor._log_keys()
-        assert repr(("precious",)) not in successor._seen
-        old_leader.node.crash()
-        cluster.network.unblock_link(old_leader.node, source.node)
-        # Elections follow; the source re-offers P to whoever wins.
-        cluster.run(until=cluster.sim.now + 20_000.0)
-        for replica in others:
-            payloads = [p for _, p in harness.delivered[replica.node.name]]
-            assert payloads.count(("precious",)) == 1, (
-                replica.node.name,
-                payloads,
-            )
-
-    def test_gc_compaction_clears_pending(self):
-        from tests.test_raft import RaftHarness
-
-        cluster = Cluster()
-        harness = RaftHarness(cluster)
-        cluster.run(until=3000.0)
-        leader = harness.leader()
-        leader.order(("covered",))
-        cluster.run(until=cluster.sim.now + 50.0)
-        assert repr(("covered",)) in leader.pending or not leader.pending
-        # A checkpoint covers everything up to last_index: compaction must
-        # clear the covered payloads from pending, not just the log.
-        leader.gc(leader.last_index + 1)
-        assert repr(("covered",)) not in leader.pending
 
 
 class TestPbftEquivocationPoisonedSlot:
@@ -603,49 +514,6 @@ class TestPbftEquivocationPoisonedSlot:
             )
         )
         assert r3.log.get(1).payload_digest == digest(("X",))
-
-
-class TestRaftWipedRejoinQuarantine:
-    """A wiped Raft replica may already have voted in the term it no
-    longer remembers: granting a vote (or standing for election) before a
-    live leader adopts it could elect two leaders in one term.  The
-    post-wipe quarantine refuses both until a valid AppendEntries lands;
-    the leader then walks ``next_index`` back to 1 and replays the full
-    suffix.  Found while bringing up the ``raft-skew`` chaos config."""
-
-    def test_quarantined_replica_neither_campaigns_nor_votes(self):
-        from tests.test_raft import RaftHarness
-
-        cluster = Cluster()
-        harness = RaftHarness(cluster)
-        cluster.run(until=3000.0)
-        leader = harness.leader()
-        victim = next(r for r in harness.replicas if r is not leader)
-        # Gag the leader so no AppendEntries can lift the quarantine (and
-        # no candidate can collect the leader's vote either).
-        for node in harness.nodes:
-            if node is not leader.node:
-                cluster.network.block_link(leader.node, node)
-        victim.node.crash(wipe=True)
-        victim.node.recover()
-        assert victim._wiped_rejoin and victim.wipes == 1
-        # Election timers fire over and over; the quarantined replica must
-        # neither campaign nor grant anyone a vote — without the guard it
-        # could re-vote a term its lost disk already voted in.
-        cluster.run(until=cluster.sim.now + 5_000.0)
-        assert victim.role == "follower"
-        assert victim.voted_for is None
-        assert victim.elections_won == 0
-        for node in harness.nodes:
-            if node is not leader.node:
-                cluster.network.unblock_link(leader.node, node)
-        # A live leader re-emerges, adopts the wiped replica and replays
-        # the entire log suffix from index 1.
-        cluster.run(until=cluster.sim.now + 20_000.0)
-        assert not victim._wiped_rejoin
-        assert victim.delivered_index == max(
-            r.delivered_index for r in harness.replicas
-        )
 
 
 class TestIrmcRetireSupersedesStragglerMoves:

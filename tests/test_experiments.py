@@ -120,11 +120,11 @@ class TestQuickRuns:
 
         monkeypatch.setattr(ChaosCase, "run", explode)
         path = tmp_path / "CHAOS_failures.json"
-        result = chaos.run(quick=True, configs=["raft"], failures_path=path)
+        result = chaos.run(quick=True, configs=["pbft-skew"], failures_path=path)
         assert [row["failing seeds"] for row in result.rows] == ["1,2,3,4"]
         assert set(json.loads(path.read_text())[0]) == {"config", "seed", "error"}
         assert any(
-            note.startswith("raft seed 1: ") and note.endswith("RuntimeError: stack blew up")
+            note.startswith("pbft-skew seed 1: ") and note.endswith("RuntimeError: stack blew up")
             for note in result.notes
         )
         assert "stack blew up" in result.format()

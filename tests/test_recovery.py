@@ -6,7 +6,6 @@ Covers the recovery subsystem end to end:
 * the PBFT catch-up loop — a replica crashed across a view change
   rejoins the current view and delivers the complete history, and a gap
   in a live replica's log closes through the same two requests,
-* Raft timer re-arm after recovery,
 * Spider driver-process restart with checkpoint-fetch-on-boot,
   including the edge cases: recovery with no stable checkpoint yet,
   recovery landing mid-batch (the checkpoint's residual-request cadence),
@@ -22,14 +21,11 @@ from repro.consensus.interface import DeliveryQueue
 from repro.consensus.pbft import PbftConfig, PbftReplica
 from repro.consensus.pbft.messages import FetchPayload, PrePrepare, StateTransfer
 from repro.consensus.pbft.replica import CATCH_UP_PERIOD_MS
-from repro.consensus.raft import RaftConfig, RaftReplica
 from repro.faults import Behaviour, SilenceBehaviour
-from repro.sim import Process
 from repro.sim.futures import SimFuture
 
 from tests.conftest import Cluster
 from tests.test_pbft import PbftHarness
-from tests.test_raft import RaftHarness
 from tests.test_spider_basic import build_system
 
 
@@ -489,49 +485,6 @@ class TestPbftCatchUp:
         assert not victim._catch_up_timer.armed
 
 
-class TestRaftRecovery:
-    def test_recovered_follower_rejoins_replication(self, cluster):
-        nodes = cluster.add_group("n", 3)
-        replicas = [RaftReplica(node, "raft", nodes, RaftConfig()) for node in nodes]
-        delivered = {node.name: [] for node in nodes}
-
-        def drain(replica):
-            while True:
-                seq, payload = yield replica.next_delivery()
-                delivered[replica.node.name].append((seq, payload))
-
-        for node, replica in zip(nodes, replicas):
-            Process(cluster.sim, drain(replica), node=node, name=f"drain-{node.name}")
-        cluster.run(until=1_500.0)  # first election settles
-        for replica in replicas:
-            replica.order(("op", 0))
-        cluster.run(until=2_500.0)
-        follower = next(r for r in replicas if r.role != "leader")
-        follower.node.crash()
-        for replica in replicas:
-            replica.order(("op", 1))
-        cluster.run(until=4_000.0)
-        follower.node.recover()
-        cluster.run(until=8_000.0)
-        assert follower.delivered_index >= 2  # caught up via AppendEntries
-
-    def test_recovered_leader_steps_down_or_resumes(self, cluster):
-        nodes = cluster.add_group("n", 3)
-        replicas = [RaftReplica(node, "raft", nodes, RaftConfig()) for node in nodes]
-        cluster.run(until=1_500.0)
-        leader = next(r for r in replicas if r.role == "leader")
-        leader.node.crash()
-        cluster.run(until=4_000.0)  # survivors elect a new leader
-        leader.node.recover()
-        cluster.run(until=8_000.0)
-        # Exactly one leader in the highest term; the recovered node either
-        # stepped down on seeing it or (no election happened) resumed.
-        max_term = max(r.term for r in replicas)
-        leaders = [r for r in replicas if r.role == "leader" and r.term == max_term]
-        assert len(leaders) == 1
-        assert leader.term == max_term
-
-
 class TestSpiderCheckpointFetchOnBoot:
     def test_recover_with_no_stable_checkpoint_yet(self):
         """Before the first checkpoint exists the boot fetch finds nothing
@@ -699,11 +652,11 @@ class TestIrmcRecovery:
 # ----------------------------------------------------------------------
 # Durable state is declared once: _boot()
 # ----------------------------------------------------------------------
-def _consensus_replica(harness_cls, used: bool):
+def _pbft_replica(used: bool):
     cluster = Cluster()
-    harness = harness_cls(cluster)
+    harness = PbftHarness(cluster)
     if used:
-        cluster.run(until=3000.0)  # Raft elects first
+        cluster.run(until=3000.0)
         for index in range(5):
             harness.replicas[0].order(("op", index))
         cluster.run(until=6000.0)
@@ -720,8 +673,7 @@ def _spider_replica(pick, used: bool):
 
 
 BOOTED = {
-    "pbft": lambda used: _consensus_replica(PbftHarness, used),
-    "raft": lambda used: _consensus_replica(RaftHarness, used),
+    "pbft": _pbft_replica,
     "agreement": lambda used: _spider_replica(lambda s: s.agreement_replicas[1], used),
     "execution": lambda used: _spider_replica(lambda s: s.groups["g0"].replicas[1], used),
 }

@@ -27,7 +27,7 @@ def test_chaos_suite_declares_the_full_sweep():
     assert SUITES["chaos"] == {name: (name, {}) for name in CASES}
     assert sorted(SUITES["chaos"]) == sorted(
         [
-            "pbft", "pbft-vc-crash", "pbft-skew", "pbft-wipe", "raft", "raft-skew",
+            "pbft", "pbft-vc-crash", "pbft-skew", "pbft-wipe",
             "spider", "spider-cp-crash", "spider-disk", "spider-shard",
             "spider-reshard", "irmc-rc", "irmc-sc", "irmc-sc-wipe",
             "irmc-equivocate",

@@ -20,14 +20,14 @@ from repro.scenarios import ScenarioSpec, run
 @pytest.fixture(autouse=True)
 def _probe_suite(monkeypatch):
     """Two scenarios over real rows; a cell returns at once, except
-    ``raft`` at seed 2, which raises."""
+    ``pbft-skew`` at seed 2, which raises."""
 
     def stub(case, seed):
-        if (case.name, seed) == ("raft", 2):
+        if (case.name, seed) == ("pbft-skew", 2):
             raise RuntimeError("stub blew up")
         return CampaignResult(case.name, seed, [], [], {"events": seed})
 
-    monkeypatch.setitem(SUITES, "probe", {"beta": ("raft", {}), "alpha": ("pbft", {"ops": 4})})
+    monkeypatch.setitem(SUITES, "probe", {"beta": ("pbft-skew", {}), "alpha": ("pbft", {"ops": 4})})
     monkeypatch.setattr(repro.chaos.cases.ChaosCase, "run", stub)
 
 
@@ -50,7 +50,7 @@ def test_failed_cell_does_not_stop_other_scenarios():
     """A raising cell is recorded by name and seed; every other cell runs."""
     cells = {(cell["scenario"], cell["seed"]): cell for cell in run_cells("probe", seeds=[1, 2, 3])}
     failed = cells.pop(("beta", 2))
-    assert failed["ok"] is False and failed["config"] == "raft"
+    assert failed["ok"] is False and failed["config"] == "pbft-skew"
     assert failed["error"] == "scenario 'beta' seed 2: RuntimeError: stub blew up"
     assert len(cells) == 5
     assert all(cell["ok"] and "error" not in cell for cell in cells.values())
@@ -66,7 +66,7 @@ def test_failing_cell_reports_name_seed_fingerprint():
     assert "'beta'" in failed["error"]
     assert "seed 2" in failed["error"]
     assert "stub blew up" in failed["error"]
-    assert (failed["config"], failed["overrides"]) == ("raft", {})
+    assert (failed["config"], failed["overrides"]) == ("pbft-skew", {})
     assert "campaign_fingerprint" in by_seed[1] and "campaign_fingerprint" in by_seed[3]
     assert "campaign_fingerprint" not in failed
 

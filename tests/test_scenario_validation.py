@@ -157,9 +157,9 @@ _TARGETED = [name for name, case in CASES.items() if case.schedule is not None]
         ("pbft", {"n": 7}),
         # accepted and silently ignored before: the case never reads them
         ("pbft", {"partition_regions": ["mars"]}),
-        ("raft", {"partition_regions": ["mars"]}),
+        ("pbft-skew", {"partition_regions": ["mars"]}),
         ("pbft-wipe", {"fault_links": 2}),
-        ("raft-skew", {"fault_links": 2}),
+        ("pbft-skew", {"fault_links": 2}),
         ("spider-reshard", {"latency_budget_ms": 10.0}),
     ]
     + [(name, {"fault_kinds": ["crash"]}) for name in _TARGETED]
@@ -186,7 +186,6 @@ def test_six_cases_are_targeted():
         ("spider", {"clients": 4}, "clients must be an integer in 1..3"),
         ("spider-disk", {"clients": 0}, "clients must be an integer in 1..3"),
         ("pbft", {"fault_links": 13}, "fault_links must be an integer in 0..12"),
-        ("raft", {"fault_links": 7}, "fault_links must be an integer in 0..6"),
         ("spider-reshard", {"moves": []}, "non-empty 'moves'"),
     ],
 )
@@ -305,7 +304,7 @@ def test_suite_error_names_the_failing_scenario(monkeypatch):
     """A bad row of a suite is attributed by scenario name, before any
     node exists, and the suite's other cells still run."""
     monkeypatch.setitem(
-        SUITES, "probe-suite", {"pbft-cell": ("pbft", {"opps": 4}), "raft-cell": ("raft", {})}
+        SUITES, "probe-suite", {"pbft-cell": ("pbft", {"opps": 4}), "skew-cell": ("pbft-skew", {})}
     )
     monkeypatch.setattr(
         repro.chaos.cases.ChaosCase, "run", lambda case, seed: CampaignResult(case.name, seed, [], [])
@@ -313,4 +312,4 @@ def test_suite_error_names_the_failing_scenario(monkeypatch):
     bad, good = run_cells("probe-suite", seeds=[1])
     assert bad["error"].startswith("scenario 'pbft-cell' seed 1: ConfigurationError")
     assert "'opps'" in bad["error"] and bad["ok"] is False
-    assert good["scenario"] == "raft-cell" and good["ok"] is True
+    assert good["scenario"] == "skew-cell" and good["ok"] is True
