@@ -21,9 +21,12 @@ Run directly for the full table::
 
     PYTHONPATH=src python benchmarks/test_perf_wallclock.py
 
-or via pytest (the ``bench`` marker keeps it out of tier-1)::
+or via pytest::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_perf_wallclock.py
+
+It is marked ``bench``: CI's ``-m "not bench"`` jobs skip it, while a
+plain ``python -m pytest`` from the repo root runs it.
 """
 
 # lint: allow-file[D102] -- this harness *measures* wall-clock time;
