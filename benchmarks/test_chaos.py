@@ -25,7 +25,7 @@ Any failure is shrunk to a minimal schedule and written to
 printed snippet is ready to be checked in as a regression test in
 ``tests/test_chaos_regressions.py``.
 
-Run it (``python -m repro.experiments chaos`` prints the sweep table)::
+Run it::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_chaos.py
 """

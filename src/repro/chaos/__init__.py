@@ -11,8 +11,7 @@ seeded pipeline::
         minimal = shrink_schedule(case, 7)
         # -> a FaultAction literal to check in as a regression test
 
-``python -m repro.experiments chaos`` sweeps seeds over every stack
-configuration; ``benchmarks/test_chaos.py`` pins the sweep in CI.
+``benchmarks/test_chaos.py`` pins the sweep in CI.
 
 Public API in one breath
 ------------------------

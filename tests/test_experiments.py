@@ -29,10 +29,10 @@ class TestExperimentResult:
 
 class TestRegistryOfExperiments:
     def test_all_experiments_importable(self):
-        from repro.experiments.__main__ import EXPERIMENTS
-
-        assert set(EXPERIMENTS) == {"chaos", *FIGURES}
-        assert all(callable(run) for run in EXPERIMENTS.values())
+        assert set(FIGURES) == {
+            "fig7", "fig8", "fig9_modularity", "fig9_irmc", "fig10", "fig11",
+        }
+        assert all(callable(run) for run in FIGURES.values())
 
     def test_shared_scaffolding_imports_neither_figures_nor_baselines(self):
         """The benchmark harness imports ``repro.experiments.common`` and
@@ -101,44 +101,76 @@ class TestQuickRuns:
         captured = capsys.readouterr()
         assert "Fig. 9a" in captured.out
 
-    def test_cli_rejects_unknown(self):
+    def test_cli_rejects_unknown(self, capsys):
+        """A usage error exits 2; ``chaos`` is one too, since chaos cells
+        run only through ``suite``."""
         from repro.experiments.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main(["nonsense"])
+        for name in ("nonsense", "chaos"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([name, "--quick"])
+            assert exit_info.value.code == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
-    def test_chaos_reports_a_cell_that_raised(self, monkeypatch, tmp_path):
-        """An error-only failure record has no violations; the sweep must
-        still tabulate it and name the error after writing the artifact."""
+    def test_suite_report_carries_the_failure_record(self, monkeypatch, tmp_path, capsys):
+        """A violating cell's report record is its failure record too: the
+        shrunk schedule and the snippet.  Stderr names the cell, its first
+        violation and the shrunk schedule."""
+        import json
+
+        from repro.chaos import ChaosCase, FaultAction
+        from repro.experiments.__main__ import main
+
+        wedge = [FaultAction("block_link", f"r{i}->r3", 500.0, 1e9) for i in range(3)]
+        innocent = FaultAction("delay", "r1", 600.0, 200.0, 30.0)
+        monkeypatch.setattr(ChaosCase, "derive_schedule", lambda case, seed: wedge + [innocent])
+        out = tmp_path / "report.json"
+        argv = ["suite", "chaos", "--scenarios", "pbft", "--seeds", "2", "--out", str(out)]
+        assert main(argv) == 1
+        report = json.loads(out.read_text())
+        [cell] = report["cells"]
+        assert not report["ok"] and not cell["ok"] and "error" not in cell
+        assert cell["minimized"] and dict(vars(innocent)) not in cell["minimized"]
+        assert "FAILS at generation time" in cell["snippet"]
+        error = capsys.readouterr().err
+        assert f"FAILED: suite 'chaos', scenario 'pbft' seed 2: {cell['violations'][0]}" in error
+        assert "minimized: [\n    FaultAction(kind='block_link'" in error
+
+    def test_chaos_reports_a_cell_that_raised(self, monkeypatch, tmp_path, capsys):
+        """A cell that raised has no violations and nothing to shrink: its
+        report record carries its error and no failure fields, stderr names
+        the error, and the suite exits 1."""
         import json
 
         from repro.chaos import ChaosCase
-        from repro.experiments import chaos
+        from repro.experiments.__main__ import main
 
         def explode(case, seed):
             raise RuntimeError("stack blew up")
 
         monkeypatch.setattr(ChaosCase, "run", explode)
-        path = tmp_path / "CHAOS_failures.json"
-        result = chaos.run(quick=True, configs=["pbft-skew"], failures_path=path)
-        assert [row["failing seeds"] for row in result.rows] == ["1,2,3,4"]
-        assert set(json.loads(path.read_text())[0]) == {"config", "seed", "error"}
-        assert any(
-            note.startswith("pbft-skew seed 1: ") and note.endswith("RuntimeError: stack blew up")
-            for note in result.notes
+        out = tmp_path / "report.json"
+        argv = ["suite", "chaos", "--scenarios", "pbft-skew", "--seeds", "1,2", "--out", str(out)]
+        assert main(argv) == 1
+        cells = json.loads(out.read_text())["cells"]
+        assert [cell["seed"] for cell in cells if not cell["ok"]] == [1, 2]
+        assert set(cells[0]) == {"scenario", "seed", "config", "overrides", "ok", "error"}
+        error = capsys.readouterr().err
+        assert (
+            "FAILED: suite 'chaos', scenario 'pbft-skew' seed 1: RuntimeError: stack blew up"
+            in error
         )
-        assert "stack blew up" in result.format()
-
+        assert "minimized" not in error
 
     @pytest.mark.parametrize(
         "argv, known",
         [
-            (["chaos", "--configs", "pbft,nope"], "'pbft-vc-crash'"),
+            (["suite", "chaos", "--scenarios", "pbft,nope"], "'pbft-vc-crash'"),
             (["suite", "reshard", "--scenarios", "nope"], "'spider-reshard-double'"),
         ],
     )
     def test_unknown_name_is_a_usage_error(self, argv, known, capsys):
-        """A misspelt configuration or scenario exits 2 naming what exists,
+        """A misspelt scenario exits 2 naming what exists,
         before any cell runs."""
         from repro.experiments.__main__ import main
 
