@@ -37,10 +37,9 @@ campaign (PR 3) flushed out dynamically:
 
 Suppression is explicit and audited: a ``# lint: allow[RULE] -- why``
 pragma (same line or the line above; ``allow-file`` for a whole module)
-must carry a justification, and a committed baseline file
-(``lint-baseline.json``) pins any legacy findings so the tree starts and
-stays at zero unsuppressed findings.  ``--strict`` additionally fails on
-justification-free pragmas and baseline drift.
+must carry a justification, and every unsuppressed finding fails, so the
+tree stays at zero unsuppressed findings.  ``--strict`` additionally
+fails on justification-free pragmas.
 
 The static pass is paired with a runtime *mutation-after-send sanitizer*
 (:func:`repro.net.network.set_send_sanitizer`) that catches the aliasing

@@ -1,8 +1,8 @@
 """CLI: ``python -m repro.lint [--strict] src tests benchmarks``.
 
-Exit codes: 0 — clean (every finding fixed, pragma'd, or baselined);
-1 — unsuppressed findings, or in ``--strict`` mode also justification-free
-pragmas / stale baseline entries; 2 — usage or parse errors.
+Exit codes: 0 — clean (every finding fixed or pragma'd); 1 — unsuppressed
+findings, or in ``--strict`` mode also justification-free pragmas;
+2 — usage or parse errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.lint.baseline import apply_baseline, load_baseline, save_baseline
 from repro.lint.engine import (
     Finding,
     PragmaError,
@@ -33,18 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="also fail on justification-free pragmas and baseline drift",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("lint-baseline.json"),
-        help="baseline file (default: ./lint-baseline.json; absent = empty)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current unsuppressed findings",
+        help="also fail on justification-free pragmas",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -83,43 +71,23 @@ def main(argv=None) -> int:
         suppressed_count += sum(1 for f in file_findings if f.suppressed)
         findings.extend(f for f in file_findings if not f.suppressed)
 
-    entries = load_baseline(args.baseline)
-    result = apply_baseline(findings, entries)
-
-    if args.update_baseline:
-        save_baseline(args.baseline, findings)
-        print(
-            f"baseline updated: {len(findings)} finding(s) written to {args.baseline}"
-        )
-        return 0
-
-    for finding in result.new:
+    for finding in findings:
         print(finding.format())
-    if result.new:
+    if findings:
         failed = True
         print(
-            f"\n{len(result.new)} unsuppressed finding(s) "
-            f"({suppressed_count} pragma-suppressed, "
-            f"{len(result.baselined)} baselined)."
+            f"\n{len(findings)} unsuppressed finding(s) "
+            f"({suppressed_count} pragma-suppressed)."
         )
     if args.strict:
         for problem in pragma_problems:
             print(problem)
         if pragma_problems:
             failed = True
-        for entry in result.stale:
-            print(
-                f"{entry['path']}: stale baseline entry "
-                f"[{entry['rule']}] {entry['code']!r} no longer fires "
-                "(remove it or run --update-baseline)"
-            )
-        if result.stale:
-            failed = True
     if not failed:
         print(
             f"repro.lint: clean — 0 unsuppressed findings "
-            f"({suppressed_count} pragma-suppressed, "
-            f"{len(result.baselined)} baselined)."
+            f"({suppressed_count} pragma-suppressed)."
         )
     return 1 if failed else 0
 

@@ -50,7 +50,7 @@ class Pragma:
 
 @dataclass
 class Finding:
-    """A finding after pragma processing, ready to report or baseline."""
+    """A finding after pragma processing, ready to report."""
 
     rule: str
     path: str
@@ -58,9 +58,6 @@ class Finding:
     col: int
     message: str
     hint: str
-    #: the stripped source line, used for line-number-independent baseline
-    #: matching.
-    code: str
     suppressed_by: Optional[Pragma] = None
 
     @property
@@ -72,9 +69,6 @@ class Finding:
             f"{self.path}:{self.line}:{self.col + 1}: {self.rule} "
             f"{self.message} [hint: {self.hint}]"
         )
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.code)
 
 
 class PragmaError(ValueError):
@@ -160,9 +154,6 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
             line_pragmas.setdefault(pragma.line, []).append(pragma)
     findings: List[Finding] = []
     for raw in check_module(tree, path):
-        code = (
-            lines[raw.line - 1].strip() if 0 < raw.line <= len(lines) else ""
-        )
         findings.append(
             Finding(
                 rule=raw.rule,
@@ -171,7 +162,6 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
                 col=raw.col,
                 message=raw.message,
                 hint=RULES[raw.rule].hint,
-                code=code,
                 suppressed_by=_pragma_for(
                     raw.line, raw.rule, line_pragmas, file_pragmas, lines
                 ),

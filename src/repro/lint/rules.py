@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ _MESSAGE_PATH_ATTRS = frozenset({"send", "deliver"})
 
 @dataclass
 class RawFinding:
-    """A rule hit before pragma/baseline filtering."""
+    """A rule hit before pragma filtering."""
 
     rule: str
     line: int

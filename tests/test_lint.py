@@ -1,4 +1,4 @@
-"""The determinism/protocol linter: every rule, pragma and baseline path.
+"""The determinism/protocol linter: every rule, pragma and CLI path.
 
 Each rule gets a *paired* fixture: one snippet that must fire and one
 near-miss that must not.  The near-misses encode the repo idioms the rules
@@ -9,7 +9,6 @@ here before it breaks the tree.
 
 from __future__ import annotations
 
-import json
 import shutil
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import RULES, lint_source
-from repro.lint.baseline import apply_baseline, load_baseline, save_baseline
 from repro.lint.engine import PragmaError, parse_pragmas, unjustified_pragmas
 from repro.lint.__main__ import main as lint_main
 
@@ -342,7 +340,7 @@ class TestP204MessagePathRebinding:
 
 
 # ----------------------------------------------------------------------
-# Pragmas, baseline, CLI
+# Pragmas, CLI
 # ----------------------------------------------------------------------
 class TestPragmas:
     def test_same_line_pragma_suppresses(self):
@@ -392,39 +390,6 @@ class TestPragmas:
         assert len(pragmas) == 1 and pragmas[0].justification is None
 
 
-class TestBaseline(object):
-    def test_baseline_pins_then_drifts(self, tmp_path):
-        source = "import time\nt = time.time()\n"
-        findings = lint_source(source, "mod.py")
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, findings)
-        entries = load_baseline(baseline_path)
-
-        pinned = apply_baseline(findings, entries)
-        assert not pinned.new and len(pinned.baselined) == 1 and not pinned.stale
-
-        # After the finding is fixed the entry is stale (drift).
-        drifted = apply_baseline([], entries)
-        assert drifted.stale == [
-            {"rule": "D102", "path": "mod.py", "code": "t = time.time()"}
-        ]
-
-    def test_entries_consumed_one_to_one(self):
-        source = "import time\na = time.time()\nb = time.time()\n"
-        findings = lint_source(source, "mod.py")
-        assert len(findings) == 2
-        # One entry pins one finding; the second finding stays new.
-        entries = [{"rule": "D102", "path": "mod.py", "code": "a = time.time()"}]
-        result = apply_baseline(findings, entries)
-        assert len(result.new) == 1 and len(result.baselined) == 1
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestCli:
     def _write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -433,12 +398,12 @@ class TestCli:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         self._write(tmp_path, "good.py", 'import random\nrng = random.Random("a:1")\n')
-        assert lint_main([str(tmp_path), "--baseline", str(tmp_path / "b.json")]) == 0
+        assert lint_main([str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_finding_exits_one_with_rule_file_line_and_hint(self, tmp_path, capsys):
         bad = self._write(tmp_path, "bad.py", "import time\nt = time.time()\n")
-        assert lint_main([str(tmp_path), "--baseline", str(tmp_path / "b.json")]) == 1
+        assert lint_main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert f"{bad}:2:5: D102" in out and "[hint:" in out
 
@@ -446,19 +411,9 @@ class TestCli:
         self._write(
             tmp_path, "mod.py", "import time\nt = time.time()  # lint: allow[D102]\n"
         )
-        baseline = str(tmp_path / "b.json")
-        assert lint_main([str(tmp_path), "--baseline", baseline]) == 0
-        assert lint_main(["--strict", str(tmp_path), "--baseline", baseline]) == 1
+        assert lint_main([str(tmp_path)]) == 0
+        assert lint_main(["--strict", str(tmp_path)]) == 1
         assert "has no '-- justification'" in capsys.readouterr().out
-
-    def test_strict_rejects_stale_baseline(self, tmp_path, capsys):
-        self._write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        baseline = tmp_path / "b.json"
-        assert lint_main([str(tmp_path), "--baseline", str(baseline), "--update-baseline"]) == 0
-        assert lint_main(["--strict", str(tmp_path), "--baseline", str(baseline)]) == 0
-        (tmp_path / "mod.py").write_text("t = 4\n")
-        assert lint_main(["--strict", str(tmp_path), "--baseline", str(baseline)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
 
     def test_every_rule_is_documented(self):
         for rule in RULES.values():
