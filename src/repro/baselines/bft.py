@@ -148,7 +148,3 @@ class BftSystem:
         self.network.register(client)
         self.clients[name] = client
         return client
-
-    @property
-    def leader_region(self) -> str:
-        return self.replicas[0].site.region

@@ -248,9 +248,6 @@ class Shard:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def group_of(self, group_id: str) -> ExecutionGroup:
-        return self.groups[group_id]
-
     @property
     def all_nodes(self):
         nodes = list(self.agreement_replicas)

@@ -33,7 +33,6 @@ from repro.deploy.middleware import (
     MiddlewareChain,
     Rejected,
     Served,
-    register_middleware,
 )
 from repro.deploy.session import Consistency, Session
 from repro.deploy.spec import (
@@ -64,5 +63,4 @@ __all__ = [
     "Session",
     "ShardSpec",
     "build",
-    "register_middleware",
 ]

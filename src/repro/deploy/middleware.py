@@ -38,7 +38,7 @@ to a spec without middleware.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -53,7 +53,6 @@ __all__ = [
     "Rejected",
     "Served",
     "middleware_fingerprint",
-    "register_middleware",
     "resolve_middleware",
     "validate_middleware",
 ]
@@ -207,44 +206,6 @@ class MiddlewareChain:
         return None
 
 
-# ----------------------------------------------------------------------
-# Registry (spec entries name middlewares; instances are cached by
-# fingerprint so identical declarations share one instance)
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, type] = {}
-
-
-def register_middleware(cls: type) -> type:
-    """Class decorator: make ``cls`` addressable from specs by its name."""
-    if cls.name in _REGISTRY:
-        raise ConfigurationError(f"duplicate middleware name {cls.name!r}")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def resolve_middleware(name: str) -> type:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown middleware {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def validate_middleware(name: str, options: Dict[str, Any]) -> None:
-    """Spec-validation entry point: name known, options well-formed."""
-    resolve_middleware(name).validate_options(dict(options))
-
-
-def middleware_fingerprint(name: str, options: Dict[str, Any]) -> str:
-    """Canonical ``name:options`` identity for instance caching."""
-    return f"{name}:{json.dumps(dict(options), sort_keys=True, default=repr)}"
-
-
-def build_middleware(name: str, options: Dict[str, Any]) -> Middleware:
-    return resolve_middleware(name)(**dict(options))
-
-
 def _require_positive(name: str, options: Dict[str, Any], key: str, kind=(int, float)):
     value = options[key]
     if not isinstance(value, kind) or isinstance(value, bool) or value <= 0:
@@ -257,7 +218,6 @@ def _require_positive(name: str, options: Dict[str, Any], key: str, kind=(int, f
 # ----------------------------------------------------------------------
 # Production middlewares
 # ----------------------------------------------------------------------
-@register_middleware
 class AdmissionControl(Middleware):
     """Bounded per-shard queue depth with deterministic load shedding.
 
@@ -311,7 +271,6 @@ class AdmissionControl(Middleware):
         }
 
 
-@register_middleware
 class RateLimit(Middleware):
     """Token-bucket per-session rate limiting on simulated time.
 
@@ -367,7 +326,6 @@ class RateLimit(Middleware):
         }
 
 
-@register_middleware
 class ReadCache(Middleware):
     """Client-side read caching with invalidation-on-write leases.
 
@@ -442,7 +400,6 @@ class ReadCache(Middleware):
         }
 
 
-@register_middleware
 class SloMetrics(Middleware):
     """SLO metrics emitter: latency histograms, depth gauge, shed/hit counts.
 
@@ -514,3 +471,39 @@ class SloMetrics(Middleware):
             "p50_ms": {k: self.percentile(v, 0.50) for k, v in self.latencies.items()},
             "p99_ms": {k: self.percentile(v, 0.99) for k, v in self.latencies.items()},
         }
+
+
+# ----------------------------------------------------------------------
+# Registry (spec entries name middlewares; instances are cached by
+# fingerprint so identical declarations share one instance)
+# ----------------------------------------------------------------------
+#: spec name -> middleware class
+_REGISTRY: Dict[str, type] = {
+    "admission": AdmissionControl,
+    "rate-limit": RateLimit,
+    "read-cache": ReadCache,
+    "slo-metrics": SloMetrics,
+}
+
+
+def resolve_middleware(name: str) -> type:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown middleware {name!r}; registered: {sorted(_REGISTRY)}"
+        ) from None
+
+
+def validate_middleware(name: str, options: Dict[str, Any]) -> None:
+    """Spec-validation entry point: name known, options well-formed."""
+    resolve_middleware(name).validate_options(dict(options))
+
+
+def middleware_fingerprint(name: str, options: Dict[str, Any]) -> str:
+    """Canonical ``name:options`` identity for instance caching."""
+    return f"{name}:{json.dumps(dict(options), sort_keys=True, default=repr)}"
+
+
+def build_middleware(name: str, options: Dict[str, Any]) -> Middleware:
+    return resolve_middleware(name)(**dict(options))

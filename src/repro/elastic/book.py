@@ -17,7 +17,7 @@ that make marker re-application a pure ack resend.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.elastic.messages import Migrating, WrongShard
 from repro.elastic.rangemap import slot_of

@@ -17,23 +17,3 @@ class SimulationError(ReproError):
 
 class ConfigurationError(ReproError):
     """A system was configured with inconsistent or unsupported parameters."""
-
-
-class AuthenticationError(ReproError):
-    """A message failed signature or MAC validation."""
-
-
-class ChannelClosedError(ReproError):
-    """An IRMC endpoint was used after the channel had been closed."""
-
-
-class TooOldError(ReproError):
-    """A requested IRMC position lies before the current subchannel window.
-
-    Mirrors the ``<TooOld, p'>`` return of the paper's ``receive()`` call:
-    the ``new_start`` attribute carries the new lower bound of the window.
-    """
-
-    def __init__(self, new_start: int):
-        super().__init__(f"position is below the window start {new_start}")
-        self.new_start = new_start

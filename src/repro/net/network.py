@@ -132,7 +132,6 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.wan = LinkStats()
         self.lan = LinkStats()
-        self.per_region_pair: Dict[frozenset, LinkStats] = {}
         self.fault = _FaultState()
         self.taps: List[Callable[[Node, Node, Any], None]] = []
         self.dropped = 0
@@ -226,20 +225,10 @@ class Network:
         profile = self._node_links.get(pair)
         if profile is None:
             profile = self._node_links[pair] = topology.link_profile(site_a, site_b)
-        one_way, ser_divisor, is_wan, region_key = profile
-        if is_wan:
-            stats = self.wan
-            stats.messages += 1
-            stats.bytes += size
-            stats = self.per_region_pair.get(region_key)
-            if stats is None:
-                stats = self.per_region_pair[region_key] = LinkStats()
-            stats.messages += 1
-            stats.bytes += size
-        else:
-            stats = self.lan
-            stats.messages += 1
-            stats.bytes += size
+        one_way, ser_divisor, is_wan = profile
+        stats = self.wan if is_wan else self.lan
+        stats.messages += 1
+        stats.bytes += size
         # Sum in the same association order as the pre-memoisation code so
         # delivery times stay bit-identical (float addition isn't associative).
         sim = self.sim

@@ -17,8 +17,6 @@ class LinkProfile(NamedTuple):
     #: to the uncached ``serialization_ms`` arithmetic.
     ser_divisor: float
     is_wan: bool
-    #: ``frozenset({region_a, region_b})`` for WAN links, else ``None``.
-    region_key: Optional[FrozenSet[str]]
 
 
 @dataclass(frozen=True, order=True)
@@ -32,9 +30,6 @@ class Site:
 
     region: str
     zone: int = 1
-
-    def same_region(self, other: "Site") -> bool:
-        return self.region == other.region
 
     def __str__(self) -> str:
         return f"{self.region}-{self.zone}"
@@ -86,11 +81,11 @@ class Topology:
         self.cache_version += 1
 
     def link_profile(self, a: Site, b: Site) -> LinkProfile:
-        """Memoised ``(one_way_ms, ser_divisor, is_wan, region_key)``.
+        """Memoised ``(one_way_ms, ser_divisor, is_wan)``.
 
         The hot-path summary of this oracle: propagation latency, the
-        serialization divisor, and WAN accounting keys, computed once per
-        site pair instead of once per message.
+        serialization divisor and the WAN flag, computed once per site pair
+        instead of once per message.
         """
         profile = self._profiles.get((a, b))
         if profile is None:
@@ -100,7 +95,6 @@ class Topology:
                 one_way_ms=self.one_way_ms(a, b),
                 ser_divisor=bandwidth * 1000.0,
                 is_wan=wan,
-                region_key=frozenset((a.region, b.region)) if wan else None,
             )
             self._profiles[(a, b)] = profile
         return profile

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Tuple
+from typing import Any
 
 __all__ = ["canonical_repr", "structural_fingerprint"]
 

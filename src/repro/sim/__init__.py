@@ -19,7 +19,7 @@ from repro.sim.core import Simulator
 from repro.sim.events import EventHandle
 from repro.sim.futures import SimFuture, gather
 from repro.sim.node import Node, Timer, charge, current_node
-from repro.sim.process import Process, Sleep, sleep, spawn
+from repro.sim.process import Process, Sleep, sleep
 
 __all__ = [
     "Simulator",
@@ -33,5 +33,4 @@ __all__ = [
     "Process",
     "Sleep",
     "sleep",
-    "spawn",
 ]

@@ -30,6 +30,10 @@ if TYPE_CHECKING:  # runtime import would be circular: net imports sim
 
 _current: Optional["Node"] = None
 
+#: NIC egress model: outgoing messages serialise through a node's NIC at
+#: this rate, one after another (t3.small-class burst bandwidth).
+EGRESS_MBPS = 500.0
+
 #: a seal hook: the entries it registered -> ``(unsigned body, then)`` pairs
 SealHook = Callable[[List[Any]], Iterable[Tuple[Any, Callable[[Any], None]]]]
 
@@ -146,10 +150,6 @@ class Node:
         self.faults: List["Behaviour"] = []
         self.busy_until: float = 0.0
         self.busy_ms: float = 0.0
-        #: NIC egress model: outgoing messages serialise through the NIC at
-        #: this rate, one after another (t3.small-class burst bandwidth).
-        #: ``None`` disables the model.
-        self.egress_mbps: float = 500.0
         self.nic_busy_until: float = 0.0
         self._pending_cost: float = 0.0
         self._tasks: Deque[Tuple[Callable[..., Any], tuple]] = deque()
@@ -466,22 +466,13 @@ class Node:
         behind each other — this is what caps IRMC throughput for big
         payloads (paper Fig. 9b).
         """
-        if not self.egress_mbps:
-            return 0.0
         now = self.sim.now
         nic_busy = self.nic_busy_until
         departure = (nic_busy if nic_busy > now else now) + (size_bytes * 8.0) / (
-            self.egress_mbps * 1000.0
+            EGRESS_MBPS * 1000.0
         )
         self.nic_busy_until = departure
         return departure - now
-
-    def cpu_utilisation(self, window_start: float, busy_at_start: float) -> float:
-        """Fraction of [window_start, now] this node's CPU spent busy."""
-        elapsed = self.sim.now - window_start
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, (self.busy_ms - busy_at_start) / elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name} site={self.site}>"

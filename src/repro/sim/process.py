@@ -123,13 +123,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"<Process {self.name!r} {state}>"
-
-
-def spawn(
-    sim: "Simulator",
-    generator: Generator,
-    node: Optional["Node"] = None,
-    name: str = "",
-) -> Process:
-    """Convenience wrapper mirroring ``Process(...)`` with keyword ergonomics."""
-    return Process(sim, generator, node=node, name=name)

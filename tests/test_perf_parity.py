@@ -320,4 +320,4 @@ class TestNetworkFastPath:
             a, b, 4096
         )
         lan = topology.link_profile(a, Site("virginia", 2))
-        assert lan.is_wan is False and lan.region_key is None
+        assert lan.is_wan is False
