@@ -6,7 +6,7 @@ with the committed record (``BENCH_figures.json``, see
 ``figures_record.py``) and then asserts the *shape* the paper reports
 (who wins, roughly by how much, where crossovers fall).  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/
 """
 
 import pathlib
@@ -43,12 +43,12 @@ def _fresh_mismatch_artifact():
 
 
 @pytest.fixture
-def experiment(benchmark):
-    """Run figure ``name`` once under pytest-benchmark timing and hold it
-    to the record; the caller asserts the paper's shape on the rows."""
+def experiment():
+    """Run figure ``name`` once and hold it to the record; the caller
+    asserts the paper's shape on the rows."""
 
     def _run(name):
-        result = benchmark.pedantic(lambda: run_figure(name), rounds=1, iterations=1)
+        result = run_figure(name)
         print()
         print(result.format())
         moved = mismatches(name, result.rows)  # leaves its artifact

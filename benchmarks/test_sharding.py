@@ -121,8 +121,8 @@ def run_all(seed: int = SEED) -> dict:
     }
 
 
-def test_write_throughput_scales_with_shard_count(benchmark):
-    report = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_write_throughput_scales_with_shard_count():
+    report = run_all()
     results = {int(n): stats for n, stats in report["results"].items()}
     print()
     for n, stats in sorted(results.items()):

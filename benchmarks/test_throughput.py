@@ -36,14 +36,11 @@ def _run(spec, clients_per_region, seed=5):
 
 
 class TestSystemThroughput:
-    def test_spider_vs_bft_scaling(self, benchmark):
-        def once():
-            results = {}
-            for label, spec in (("SPIDER", SPIDER), ("BFT", BFT)):
-                results[label] = {n: _run(spec, n) for n in (1, 3)}
-            return results
-
-        results = benchmark.pedantic(once, rounds=1, iterations=1)
+    def test_spider_vs_bft_scaling(self):
+        results = {
+            label: {n: _run(spec, n) for n in (1, 3)}
+            for label, spec in (("SPIDER", SPIDER), ("BFT", BFT))
+        }
         print()
         for label, by_population in results.items():
             for n, metrics in by_population.items():

@@ -14,9 +14,10 @@ Figures: fig7, fig8, fig9_modularity, fig9_irmc, fig10, fig11.
 (``repro.chaos.SUITES``; see ``docs/experiments.md``): every ``scenario
 x seed`` cell runs through :func:`repro.chaos.run_cells`, and the
 per-cell records are printed (or written with ``--out``) as JSON.  A
-failing cell also carries its :func:`repro.chaos.failure_record` (the
-minimized schedule and a paste-able regression snippet), and its first
-violation and minimized schedule go to stderr.  Exits 1 if any cell
+violating cell also carries the ``minimized`` schedule and the
+paste-able regression ``snippet`` of its
+:func:`repro.chaos.failure_record`, and its first violation and
+minimized schedule go to stderr.  Exits 1 if any cell
 fails.  An unknown scenario name is a usage error (exit 2) that lists
 the known ones.
 """
@@ -79,7 +80,9 @@ def run_suite_command(argv) -> int:
     cells = run_cells(args.suite, scenarios, seeds)
     failed = [cell for cell in cells if not cell["ok"]]
     for cell in failed:
-        cell.update(failure_record(cell))
+        if "error" not in cell:
+            record = failure_record(cell)
+            cell.update(minimized=record["minimized"], snippet=record["snippet"])
     report = json.dumps(
         {"suite": args.suite, "ok": not failed, "cells": cells},
         indent=2, sort_keys=True, default=repr,

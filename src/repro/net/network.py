@@ -142,10 +142,8 @@ class Network:
         self._sized_types: Dict[type, int] = {}
         #: (src node, dst node) -> LinkProfile.  Keyed by node objects
         #: (identity hash) because hashing ``Site`` dataclasses per send is
-        #: measurable; node sites are fixed for a node's lifetime.  Dropped
-        #: wholesale when ``topology.invalidate_cache()`` bumps its version.
+        #: measurable; node sites and the topology are fixed.
         self._node_links: Dict[Tuple[Node, Node], LinkProfile] = {}
-        self._links_version = topology.cache_version
 
     # ------------------------------------------------------------------
     # Membership
@@ -217,14 +215,10 @@ class Network:
             size = message.size_bytes()
         else:
             size = 256
-        topology = self.topology
-        if self._links_version != topology.cache_version:
-            self._node_links.clear()
-            self._links_version = topology.cache_version
         pair = (src, dst)
         profile = self._node_links.get(pair)
         if profile is None:
-            profile = self._node_links[pair] = topology.link_profile(site_a, site_b)
+            profile = self._node_links[pair] = self.topology.link_profile(site_a, site_b)
         one_way, ser_divisor, is_wan = profile
         stats = self.wan if is_wan else self.lan
         stats.messages += 1

@@ -113,8 +113,9 @@ class TestQuickRuns:
             assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
     def test_suite_report_carries_the_failure_record(self, monkeypatch, tmp_path, capsys):
-        """A violating cell's report record is its failure record too: the
-        shrunk schedule and the snippet.  Stderr names the cell, its first
+        """A violating cell's report record carries the shrunk schedule and
+        the snippet of its failure record, and its CRC once, as
+        ``campaign_fingerprint``.  Stderr names the cell, its first
         violation and the shrunk schedule."""
         import json
 
@@ -130,6 +131,7 @@ class TestQuickRuns:
         report = json.loads(out.read_text())
         [cell] = report["cells"]
         assert not report["ok"] and not cell["ok"] and "error" not in cell
+        assert "campaign_fingerprint" in cell and "fingerprint" not in cell
         assert cell["minimized"] and dict(vars(innocent)) not in cell["minimized"]
         assert "FAILS at generation time" in cell["snippet"]
         error = capsys.readouterr().err

@@ -8,8 +8,8 @@ the pre-migration wiring, then compares results exactly — no
 tolerances.  The full-scale equivalents are pinned by committed
 artifacts: ``tests/chaos_golden.json`` (every cell of
 ``repro.chaos.SUITES``, compared by ``tests/test_chaos_golden.py`` and
-the ``benchmarks/test_chaos.py`` sweep), ``BENCH_overload.json`` and
-the perf ``sim_fingerprint``s.
+the ``benchmarks/test_chaos.py`` sweep), ``BENCH_overload.json``,
+``BENCH_figures.json`` and spiderbench's ``BENCH_parity.json``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def test_fig7_cell_matches_handwired_path():
 # fig9: one IRMC row == two hand-wired pumps (saturating, then paced)
 # ----------------------------------------------------------------------
 def test_fig9_cell_matches_handwired_path():
+    # Not covered by BENCH_figures.json alone: pacing the probe from
+    # ``(position - 1) * interval_ms`` moves its CPU cells by < 1e-6.
     from repro.experiments.figures import irmc_row
     from repro.irmc import IrmcConfig, make_channel
     from repro.net import Network, Payload, Site, Topology
