@@ -1,9 +1,9 @@
 """Benchmark harness configuration.
 
 Each figure benchmark regenerates one of the paper's tables/figures at
-reduced scale (``quick=True``), prints the table, compares it row by row
-with the committed record (``BENCH_figures.json``, see
-``figures_record.py``) and then asserts the *shape* the paper reports
+reduced scale (``quick=True``), prints the table, compares it cell by
+cell with the committed record (``BENCH_figures.json``, see
+``records.py``) and then asserts the *shape* the paper reports
 (who wins, roughly by how much, where crossovers fall).  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/
@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from figures_record import (
+from records import (
     MISMATCH_PATH,
     RERECORD,
     assert_p50s_positive,
@@ -51,9 +51,9 @@ def experiment():
         result = run_figure(name)
         print()
         print(result.format())
-        moved = mismatches(name, result.rows)  # leaves its artifact
+        moved = mismatches(f"figures/figures/{name}", result.rows)  # leaves its artifact
         assert moved == [], (
-            f"rows moved off the record, see {MISMATCH_PATH}; if the move is "
+            f"{moved} moved off the record, see {MISMATCH_PATH}; if the move is "
             f"by design, re-record with `{RERECORD}`"
         )
         assert_p50s_positive(result.rows)

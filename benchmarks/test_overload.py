@@ -24,9 +24,10 @@ function of that fragment and the seed — the A/B comparison sees
 byte-identical offered load *by construction*, and the equal
 ``offered_ops`` of the two arms shows it.
 
-Results go to ``benchmarks/BENCH_overload.json`` (uploaded by the
-perf-smoke CI job).  Recorded results (seed 11, flash window 2.0-3.5 s
-at 4000 ops/s offered, ~6900 ops total):
+The test compares its report with ``benchmarks/BENCH_overload.json``,
+field by field, before it asserts anything else; a moved field lands in
+``benchmarks/BENCH_mismatch.json``.  Recorded results (seed 11, flash
+window 2.0-3.5 s at 4000 ops/s offered, ~6900 ops total):
 
     baseline: flash-window write p99 ~840 ms, peak backlog ~980 ops
     armed:    flash-window write p99  ~72 ms, peak backlog   60 ops
@@ -36,16 +37,10 @@ at 4000 ops/s offered, ~6900 ops total):
 
 A session lane sends the same-key writes queued behind its in-flight
 one as one compound request, so a hot key's backlog drains one
-ordering round per run rather than per write.  (~1770 / ~1320 and ~83 /
-61, ~1110 shed when every queued write was its own request; ~1680 /
-~1480 and ~87 / 63, ~1100 shed while a session ordered through
-at most two protocol clients per shard; ~1950 / ~1450 and ~156 / 63,
-~1330 shed with one; ~2270 / ~1580 and ~170 / 64, ~1420 shed
-before a node signed once per CPU task; ~7000 / ~2400 and ~325 / 64,
-~2220 shed with one RSA signature per forwarded request, before IRMC
-Sends were bundled)
+ordering round per run rather than per write.
 
-Run directly for the table::
+Run directly to re-record (only for a change that moves simulated
+results by design, in its own commit) and print the report::
 
     PYTHONPATH=src python benchmarks/test_overload.py
 """
@@ -53,13 +48,12 @@ Run directly for the table::
 from __future__ import annotations
 
 import json
-import pathlib
 
+import records
 from repro.scenarios import ScenarioSpec
 from repro.scenarios import run as run_scenario
 
 SEED = 11
-OUTPUT_PATH = pathlib.Path(__file__).parent / "BENCH_overload.json"
 
 COST_SCALE = 10.0
 N_SHARDS = 2
@@ -150,7 +144,7 @@ def test_middleware_bounds_overload():
             f"  {label:8s}: flash write p99 {stats['flash_write_p99_ms']:8.1f} ms  "
             f"peak backlog {stats['peak_backlog']:5d}"
         )
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    assert records.mismatches("overload", report) == []
 
     # The accounting identity is exact: every offered op either completed,
     # was served locally (cache), or was shed with a reason.
@@ -179,5 +173,5 @@ def test_middleware_bounds_overload():
 
 if __name__ == "__main__":  # pragma: no cover
     report = run_all()
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    records.PATHS["overload"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -18,8 +18,9 @@ ownership change (a lost transfer would skip a version, a double
 execution would repeat one, a reorder would invert two), regardless of
 which side of the cut executed each write.
 
-Results are written to ``benchmarks/BENCH_reshard.json`` (the perf-smoke
-CI job uploads it).
+The test compares its report with ``benchmarks/BENCH_reshard.json``,
+field by field, before it asserts anything else; a moved field lands in
+``benchmarks/BENCH_mismatch.json``.
 
 Recorded results (seed 9, 16 sessions, 48 keys, costs x10, 12 s run,
 split at 5 s; the split plan walks five slot ranges over in five
@@ -30,23 +31,13 @@ epoch bumps):
     after:   ~780 writes/s
     handover: ~217 ms, epoch 0 -> 5, zero lost/duplicated/reordered
 
-(~768 / ~790 / ~782, ~219 ms when every write queued on a session lane
-was its own request: a lane now sends its queued same-key writes as one
-compound request, so a backlog, such as the one a handover leaves,
-drains several writes per ordering round; ~767 / ~785 / ~782, ~224 ms
-while a session ordered through at most two protocol clients per
-shard; ~754 / ~827 / ~789, ~231 ms with one: with
-two, more writes are on the wire at the old owner when a range seals,
-and 33 instead of 18 are shed and redirected, each paying an extra
-ordering round inside the window.)
-
-The ramp was sized against a ~500 writes/s 2-shard plateau (one RSA
-signature per forwarded request: ~565 / ~664 / ~722, handover ~485 ms).
-Since IRMC Sends are bundled two shards absorb it, so the three rates
+The ramp was sized against a ~500 writes/s 2-shard plateau.  Since
+IRMC Sends are bundled two shards absorb it, so the three rates
 follow the offered curve; the audit and the handover time are what this
 benchmark still pins.
 
-Run directly for the table::
+Run directly to re-record (only for a change that moves simulated
+results by design, in its own commit) and print the report::
 
     PYTHONPATH=src python benchmarks/test_reshard.py
 """
@@ -54,16 +45,15 @@ Run directly for the table::
 from __future__ import annotations
 
 import json
-import pathlib
 import random
 
+import records
 from repro.crypto.costs import CostModel, use_cost_model
 from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.experiments.common import fresh_env
 from repro.workload.traffic import diurnal_ramp, open_loop_plan
 
 SEED = 9
-OUTPUT_PATH = pathlib.Path(__file__).parent / "BENCH_reshard.json"
 
 SESSIONS = 16
 KEYS_TOTAL = 48
@@ -201,7 +191,7 @@ def test_split_shard_under_load():
         f"{rates['during']:7.1f}   after {rates['after']:7.1f}   "
         f"handover {report['handover_ms']:.1f} ms"
     )
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    assert records.mismatches("reshard", report) == []
     # The handover actually happened: three shards, bumped epochs.
     assert report["shards_after"] == 3
     assert report["epoch"] >= 1
@@ -216,5 +206,5 @@ def test_split_shard_under_load():
 
 if __name__ == "__main__":  # pragma: no cover
     report = run_reshard()
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    records.PATHS["reshard"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -15,8 +15,9 @@ benchmark's setup — which makes the shard count the bottleneck under
 test: N independent shards should order roughly N times the writes of
 one.
 
-Results are written to ``benchmarks/BENCH_sharding.json`` (the perf-smoke
-CI job uploads it) to start the sharding perf trajectory.
+The test compares its report with ``benchmarks/BENCH_sharding.json``,
+field by field, before it asserts anything else; a moved field lands in
+``benchmarks/BENCH_mismatch.json``.
 
 Recorded results (seed 9, 32 sessions per shard, costs x10, 6 s runs):
 
@@ -26,13 +27,10 @@ Recorded results (seed 9, 32 sessions per shard, costs x10, 6 s runs):
 
 i.e. aggregate write throughput scales linearly with the shard count at
 an unchanged per-op latency — shards share nothing, so independent
-agreement domains are a clean scale-out axis.  (~897 / ~1792 / ~3592 at
-p50 ~36 ms before a node signed once per CPU task — an execution
-replica's checkpoint vote now shares the RSA operation of the request
-bundle it forwards — and ~285 writes/s per saturated shard with one
-signature per Send, before Sends were bundled.)
+agreement domains are a clean scale-out axis.
 
-Run directly for the table::
+Run directly to re-record (only for a change that moves simulated
+results by design, in its own commit) and print the report::
 
     PYTHONPATH=src python benchmarks/test_sharding.py
 """
@@ -40,15 +38,14 @@ Run directly for the table::
 from __future__ import annotations
 
 import json
-import pathlib
 
+import records
 from repro.crypto.costs import CostModel, use_cost_model
 from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.experiments.common import fresh_env
 from repro.metrics import summarize
 
 SEED = 9
-OUTPUT_PATH = pathlib.Path(__file__).parent / "BENCH_sharding.json"
 
 SHARD_COUNTS = (1, 2, 4)
 SESSIONS_PER_SHARD = 32
@@ -130,7 +127,7 @@ def test_write_throughput_scales_with_shard_count():
             f"  {n} shard(s): {stats['writes_per_s']:7.1f} writes/s  "
             f"p50 {stats['p50_ms']:7.1f} ms"
         )
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    assert records.mismatches("sharding", report) == []
     # The tentpole claim: aggregate write throughput scales with the
     # shard count while one shard is saturated.
     assert results[2]["writes_per_s"] >= 1.5 * results[1]["writes_per_s"]
@@ -143,5 +140,5 @@ def test_write_throughput_scales_with_shard_count():
 
 if __name__ == "__main__":  # pragma: no cover
     report = run_all()
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    records.PATHS["sharding"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -3,7 +3,8 @@
 The full 180-cell comparison runs with the ``bench``-marked sweep
 (``benchmarks/test_chaos.py``); this file keeps one cell of each of the
 15 scenarios under the everyday test run, so a change that moves a
-campaign is caught without waiting for the sweep.  It also holds
+campaign is caught without waiting for the sweep.  It also pins the
+chaos suite's declaration (the golden record's cells), and holds
 ``tools/golden_diff.py``, which reads the mismatch file a moved cell
 leaves, to its output.
 """
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.chaos import SUITES
+from repro.chaos import CASES, SEEDS, SUITES
 
 from tests.chaos_golden import golden_cells, mismatches
 
@@ -27,6 +28,20 @@ SCENARIOS = [(suite, scenario) for suite in sorted(SUITES) for scenario in sorte
 @pytest.mark.parametrize("suite, scenario", SCENARIOS)
 def test_first_seed_matches_golden(suite, scenario):
     assert mismatches(suite, golden_cells(suite, [scenario], seeds=[1])) == []
+
+
+def test_chaos_suite_declares_the_full_sweep():
+    """Every row of the table, as it stands, at seeds 1-12."""
+    assert SUITES["chaos"] == {name: (name, {}) for name in CASES}
+    assert sorted(SUITES["chaos"]) == sorted(
+        [
+            "pbft", "pbft-vc-crash", "pbft-skew", "pbft-wipe",
+            "spider", "spider-cp-crash", "spider-disk", "spider-shard",
+            "spider-reshard", "irmc-rc", "irmc-sc", "irmc-sc-wipe",
+            "irmc-equivocate",
+        ]
+    )
+    assert SEEDS == tuple(range(1, 13))
 
 
 def test_golden_diff_names_the_fields_that_moved(tmp_path):
