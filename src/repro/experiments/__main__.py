@@ -28,7 +28,6 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 from repro.chaos import SEEDS, SUITES, FaultAction, failure_record, run_cells, suite_scenarios
 from repro.chaos.schedule import format_schedule
@@ -110,14 +109,7 @@ def main(argv=None) -> int:
 
     names = sorted(FIGURES) if args.experiment == "all" else [args.experiment]
     for name in names:
-        # lint: allow[D102] -- reports real elapsed wall time of the
-        # experiment CLI; nothing simulated depends on it
-        started = time.time()
-        result = FIGURES[name](quick=args.quick, seed=args.seed)
-        # lint: allow[D102] -- same wall-time progress report as above
-        elapsed = time.time() - started
-        print(result.format())
-        print(f"({name} finished in {elapsed:.1f} s wall time)")
+        print(FIGURES[name](quick=args.quick, seed=args.seed).format())
         print()
     return 0
 
