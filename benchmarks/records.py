@@ -5,9 +5,9 @@ Each benchmark test compares its run with its record
 any shape, so a change that moves a recorded number fails whether or not
 the shape still holds.  Key sets, ints and strings compare exactly,
 floats within the relative :data:`REL_TOL`: Python >= 3.12's compensated
-``sum`` moves three of Fig. 10's bucket means by one ulp (2.2e-16
-relative), and pacing Fig. 9's CPU probe one interval early moves its
-CPU cells by 4.1e-9 to 1.3e-7 relative.
+``sum`` (emulated with ``math.fsum``) moves three of Fig. 10's bucket
+means by one ulp (2.2e-16 relative), and pacing Fig. 9's CPU probe one
+interval early moves its CPU cells by 4.1e-9 to 1.3e-7 relative.
 
 Re-record only for a change that moves simulated results by design, in
 its own commit: ``PYTHONPATH=src python benchmarks/records.py`` for the

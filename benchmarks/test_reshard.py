@@ -32,9 +32,9 @@ epoch bumps):
     handover: ~217 ms, epoch 0 -> 5, zero lost/duplicated/reordered
 
 The ramp was sized against a ~500 writes/s 2-shard plateau.  Since
-IRMC Sends are bundled two shards absorb it, so the three rates
-follow the offered curve; the audit and the handover time are what this
-benchmark still pins.
+IRMC Sends are bundled two shards absorb it, so the three rates follow
+the offered curve and ``after > before`` holds because of the ramp; the
+record, not that assertion, pins the rates.
 
 Run directly to re-record (only for a change that moves simulated
 results by design, in its own commit) and print the report::
