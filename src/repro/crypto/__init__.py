@@ -23,7 +23,6 @@ from repro.crypto.primitives import (
     digest,
     make_mac,
     make_mac_vector,
-    set_digest_cache_enabled,
     sign,
     sign_many,
     verify,
@@ -43,7 +42,6 @@ __all__ = [
     "Digestible",
     "digest",
     "content_digest",
-    "set_digest_cache_enabled",
     "sign",
     "sign_many",
     "verify",

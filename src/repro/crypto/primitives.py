@@ -5,34 +5,31 @@ object; protocol messages are dataclasses with deterministic reprs, so equal
 message contents produce equal digests across nodes, while any Byzantine
 mutation of a field changes the digest and fails verification.
 
-Digest caching
---------------
+Sealed messages
+---------------
 Computing ``repr`` plus two CRC passes dominates the simulator's wall-clock
 on crypto-heavy workloads, and the *same* frozen message is typically
 digested many times (once per receiver, once per retransmission, once per
-quorum check).  Frozen protocol messages therefore opt into memoisation by
-mixing in :class:`Digestible`: their digest is computed once and cached on
-the instance, guarded by the identity of every dataclass field so that any
-in-place field mutation (the only way to "change" a frozen dataclass, via
-``object.__setattr__``) invalidates the cache and re-digests the mutated
-content.  Byzantine behaviours that tamper with messages must either build
-a fresh copy (``dataclasses.replace``) or mutate in place — both observe
-correct, non-stale digests.
+quorum check).  Frozen protocol messages therefore mix in
+:class:`Digestible`: each of their four memos (repr digest, content
+digest, wire size, repr string) is one instance-dict slot, filled on first
+use and never re-checked.  A memo cannot go stale because a sent message
+is sealed: lint P202 rejects ``object.__setattr__`` outside this module,
+the mutation-after-send sanitizer catches a rebind of a message in flight,
+and Byzantine behaviours build tampered copies with
+``dataclasses.replace``, whose copy starts with empty memos.
 
-The cached value is bit-identical to the uncached ``repr``-based digest,
-and the simulated hashing cost is still charged **per call** (using the
-cached encoding length), so simulated time, reply traces and replay are
-unchanged — only wall-clock time drops.  :func:`set_digest_cache_enabled`
-turns the cache off globally, which the determinism regression tests use
-to prove parity.
+A memoised value is bit-identical to the ``repr``-based one, and the
+simulated hashing cost is still charged **per call** (using the stored
+encoding length), so simulated time, reply traces and replay are
+unchanged — only wall-clock time drops.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace as dataclass_replace
-from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto import costs as _costs
 from repro.sim import node as _node
@@ -46,102 +43,29 @@ _HIGH_SALT = 0x9E3779B9
 
 
 class Digestible:
-    """Marker mixin: a frozen dataclass whose digests may be memoised.
+    """Marker mixin: a frozen dataclass whose digests are memoised.
 
-    Opting in promises that the object is immutable after construction
-    (its fields are only ever replaced via ``dataclasses.replace``) and —
-    when it defines ``signed_content()`` — that authenticator fields
+    Opting in promises that the object is sealed once built: a field is
+    never rebound in place, a changed message is a new object
+    (``dataclasses.replace``), and field values are themselves treated as
+    frozen (nothing appends to a list an ``Any``-typed field holds).  When
+    the class defines ``signed_content()``, its authenticator fields
     (``signature`` / ``auth`` / ``mac``) are excluded from that content.
-
-    The staleness guard snapshots field *values*: rebinding a field via
-    ``object.__setattr__`` is detected, but mutating the innards of a
-    mutable field value in place (e.g. appending to a list held by an
-    ``Any``-typed field) is not — field values must themselves be treated
-    as frozen, the same convention the repr-digest scheme has relied on
-    since the seed.
     """
 
     __slots__ = ()
 
 
-#: Instance-dict slots holding ``(field-value guard, digest, kb length)``.
+#: Instance-dict slots holding ``(digest, kb length)``.
 _REPR_SLOT = "_cached_repr_digest"
 _CONTENT_SLOT = "_cached_content_digest"
-#: Instance-dict slots for the non-crypto per-object memos that ride on the
-#: same guard infrastructure (wire size, canonical repr string).
+#: Instance-dict slots holding the wire size and the repr string.
 _SIZE_SLOT = "_cached_size_bytes"
 _REPR_STR_SLOT = "_cached_repr_str"
 
 #: Authenticator fields, excluded from ``signed_content()`` by convention
-#: (attaching one must not invalidate a cached signed-content digest).
+#: (attaching one must not invalidate a memoised signed-content digest).
 _AUTH_FIELDS = frozenset({"signature", "auth", "mac"})
-
-#: type -> field-value snapshot function guarding the full-repr cache.
-_REPR_GUARDS: Dict[type, Callable[[Any], Any]] = {}
-#: type -> (has signed_content, snapshot function) guarding the content cache.
-_CONTENT_GUARDS: Dict[type, Tuple[bool, Callable[[Any], Any]]] = {}
-
-
-def _empty_guard(_obj: Any) -> tuple:
-    return ()
-
-
-def _make_guard(names: Tuple[str, ...]) -> Callable[[Any], tuple]:
-    # ``attrgetter`` snapshots all fields as one C-level call; cache entries
-    # are validated by comparing snapshots element-wise with ``is`` (see
-    # ``_identical``).  Identity — not equality — is required: ``True == 1``
-    # but ``repr(True) != repr(1)``, so an equality guard could serve a
-    # stale digest after cross-type tampering.  Identity misses only force
-    # a recompute, never a stale hit (field values are deep-frozen by the
-    # Digestible contract).  A single-field guard duplicates the name so
-    # ``attrgetter`` still returns a tuple.
-    if not names:
-        return _empty_guard
-    if len(names) == 1:
-        return attrgetter(names[0], names[0])
-    return attrgetter(*names)
-
-
-def _identical(snapshot: tuple, current: tuple) -> bool:
-    for cached_value, live_value in zip(snapshot, current):
-        if cached_value is not live_value:
-            return False
-    return True
-
-_cache_enabled = True
-
-
-def set_digest_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable digest memoisation; returns previous state.
-
-    Cached and uncached digests are bit-identical and charge identical
-    simulated CPU cost; the switch exists so regression tests can prove it.
-    """
-    global _cache_enabled
-    previous = _cache_enabled
-    _cache_enabled = bool(enabled)
-    return previous
-
-
-def _repr_guard(cls: type) -> Callable[[Any], Any]:
-    guard = _REPR_GUARDS.get(cls)
-    if guard is None:
-        guard = _make_guard(tuple(getattr(cls, "__dataclass_fields__", ())))
-        _REPR_GUARDS[cls] = guard
-    return guard
-
-
-def _content_guard(cls: type) -> Tuple[bool, Callable[[Any], Any]]:
-    entry = _CONTENT_GUARDS.get(cls)
-    if entry is None:
-        fields = tuple(
-            name
-            for name in getattr(cls, "__dataclass_fields__", ())
-            if name not in _AUTH_FIELDS
-        )
-        entry = (hasattr(cls, "signed_content"), _make_guard(fields))
-        _CONTENT_GUARDS[cls] = entry
-    return entry
 
 
 def _crc64(data: bytes) -> int:
@@ -149,24 +73,29 @@ def _crc64(data: bytes) -> int:
     return (_crc32(data, _HIGH_SALT) << 32) | _crc32(data)
 
 
+def _memo_digest(obj: Any, slot: str, text: str) -> int:
+    """A digest memo's first use: hash ``text``, store ``(digest, kb)`` in
+    ``slot`` and charge the hashing cost."""
+    data = text.encode("utf-8", errors="replace")
+    value = _crc64(data)
+    kb = len(data) / 1024.0
+    obj.__dict__[slot] = (value, kb)
+    charge(_costs._ACTIVE.hash_per_kb * kb)
+    return value
+
+
 def digest(obj: Any) -> int:
     """Stable digest of ``obj`` (charges hashing cost by object size)."""
-    if _cache_enabled and isinstance(obj, Digestible):
-        snapshot = _repr_guard(obj.__class__)(obj)
+    if isinstance(obj, Digestible):
         entry = obj.__dict__.get(_REPR_SLOT)
-        if entry is not None and _identical(entry[0], snapshot):
-            node = _node._current
-            if node is not None:
-                cost = _costs._ACTIVE.hash_per_kb * entry[2]
-                if cost > 0:
-                    node._pending_cost += cost
-            return entry[1]
-        data = repr(obj).encode("utf-8", errors="replace")
-        value = _crc64(data)
-        kb = len(data) / 1024.0
-        object.__setattr__(obj, _REPR_SLOT, (snapshot, value, kb))
-        charge(_costs._ACTIVE.hash_per_kb * kb)
-        return value
+        if entry is None:
+            return _memo_digest(obj, _REPR_SLOT, repr(obj))
+        node = _node._current
+        if node is not None:
+            cost = _costs._ACTIVE.hash_per_kb * entry[1]
+            if cost > 0:
+                node._pending_cost += cost
+        return entry[0]
     data = repr(obj).encode("utf-8", errors="replace")
     charge(_costs._ACTIVE.hash_per_kb * (len(data) / 1024.0))
     return _crc64(data)
@@ -179,25 +108,18 @@ def content_digest(obj: Any) -> int:
     simulated hashing charge — but avoids rebuilding the content tuple and
     re-hashing it on every authentication of the same message.
     """
-    if _cache_enabled and isinstance(obj, Digestible):
+    if isinstance(obj, Digestible):
         entry = obj.__dict__.get(_CONTENT_SLOT)
-        has_content, guard = _content_guard(obj.__class__)
-        if not has_content:
-            return digest(obj)
-        if entry is not None and _identical(entry[0], guard(obj)):
-            node = _node._current
-            if node is not None:
-                cost = _costs._ACTIVE.hash_per_kb * entry[2]
-                if cost > 0:
-                    node._pending_cost += cost
-            return entry[1]
-        snapshot = guard(obj)
-        data = repr(obj.signed_content()).encode("utf-8", errors="replace")
-        value = _crc64(data)
-        kb = len(data) / 1024.0
-        object.__setattr__(obj, _CONTENT_SLOT, (snapshot, value, kb))
-        charge(_costs._ACTIVE.hash_per_kb * kb)
-        return value
+        if entry is None:
+            if not hasattr(obj, "signed_content"):
+                return digest(obj)
+            return _memo_digest(obj, _CONTENT_SLOT, repr(obj.signed_content()))
+        node = _node._current
+        if node is not None:
+            cost = _costs._ACTIVE.hash_per_kb * entry[1]
+            if cost > 0:
+                node._pending_cost += cost
+        return entry[0]
     content = obj.signed_content() if hasattr(obj, "signed_content") else obj
     data = repr(content).encode("utf-8", errors="replace")
     charge(_costs._ACTIVE.hash_per_kb * (len(data) / 1024.0))
@@ -230,7 +152,7 @@ def structural_digest(obj: Any) -> int:
 
 
 def attach_auth(body: Any, **auth: Any) -> Any:
-    """``dataclasses.replace(body, **auth)`` that keeps the digest cache warm.
+    """``dataclasses.replace(body, **auth)`` that keeps the digest memo warm.
 
     The authenticator fields (``signature`` / ``auth`` / ``mac``) are excluded
     from ``signed_content()``, so the copy's content digest is identical to
@@ -260,37 +182,24 @@ def attach_auth(body: Any, **auth: Any) -> Any:
 
 
 def cached_size_bytes(message: Any) -> int:
-    """``message.size_bytes()`` memoised per frozen message object.
-
-    Wire sizes feed serialization and NIC delays, so they ride on the same
-    all-field guard as the repr digest: any in-place field mutation
-    invalidates the memo and the size is recomputed.
-    """
-    if not _cache_enabled:
-        return message.size_bytes()
-    snapshot = _repr_guard(message.__class__)(message)
-    entry = message.__dict__.get(_SIZE_SLOT)
-    if entry is not None and _identical(entry[0], snapshot):
-        return entry[1]
-    size = message.size_bytes()
-    object.__setattr__(message, _SIZE_SLOT, (snapshot, size))
+    """``message.size_bytes()`` memoised per sealed message object."""
+    size = message.__dict__.get(_SIZE_SLOT)
+    if size is None:
+        size = message.__dict__[_SIZE_SLOT] = message.size_bytes()
     return size
 
 
 def cached_repr(obj: Any) -> str:
-    """``repr(obj)`` memoised per frozen message object (same guard rules).
+    """``repr(obj)`` memoised per sealed message object.
 
-    Protocol components use message reprs as dedup keys; memoising the
-    string mirrors the digest memo and is exactly as stale-safe.
+    Protocol components use message reprs as dedup keys; a non-message
+    object is repr'd afresh on every call.
     """
-    if not (_cache_enabled and isinstance(obj, Digestible)):
+    if not isinstance(obj, Digestible):
         return repr(obj)
-    snapshot = _repr_guard(obj.__class__)(obj)
-    entry = obj.__dict__.get(_REPR_STR_SLOT)
-    if entry is not None and _identical(entry[0], snapshot):
-        return entry[1]
-    value = repr(obj)
-    object.__setattr__(obj, _REPR_STR_SLOT, (snapshot, value))
+    value = obj.__dict__.get(_REPR_STR_SLOT)
+    if value is None:
+        value = obj.__dict__[_REPR_STR_SLOT] = repr(obj)
     return value
 
 

@@ -7,7 +7,7 @@ standalone comment line **directly above** it::
 
     frontier = time.time()  # lint: allow[D102] -- wall-clock progress log
 
-    # lint: allow[P202] -- deliberate tamper to prove the digest guard
+    # lint: allow[P202] -- deliberate rebind the sanitizer must catch
     object.__setattr__(body, "operation", evil)
 
 A module-wide waiver (for e.g. a wall-clock benchmark harness) goes at the

@@ -212,3 +212,26 @@ class TestUnservedCells:
         )
         with pytest.raises(CellError, match="cl-oregon-0 in oregon.*unanswered"):
             measure_latency(sim, system.make_client, REGIONS, scale, kinds=["write"])
+
+
+class TestPopulate:
+    def test_clients_come_out_in_region_index_role_order(self):
+        """Events scheduled for one instant fire in creation order, so the
+        nesting is part of every closed-loop figure's result."""
+        from types import SimpleNamespace
+
+        from repro.experiments.figures import FIG10_ROLES, populate
+        from repro.sim import Simulator
+
+        drivers = populate(
+            Simulator(seed=1),
+            lambda name, region: SimpleNamespace(name=name, region=region),
+            ["virginia", "tokyo"],
+            2,
+            FIG10_ROLES,
+        )
+        assert [driver.client.name for driver in drivers] == [
+            "w-virginia-0", "r-virginia-0", "w-virginia-1", "r-virginia-1",
+            "w-tokyo-0", "r-tokyo-0", "w-tokyo-1", "r-tokyo-1",
+        ]
+        assert [driver.mix for driver in drivers] == [mix for _prefix, mix in FIG10_ROLES] * 4

@@ -1,17 +1,12 @@
 """Wall-clock optimisations must not change simulated results.
 
-This PR's hot-path work (digest memoisation, O(1) event bookkeeping, the
-network fast path) is only admissible because a same-seed run is
-byte-identical with the optimisations exercised or bypassed.  These tests
-pin that contract:
-
-* an end-to-end Spider run produces bit-identical reply traces, journals
-  and timings with the digest cache enabled vs disabled;
-* fault-injected runs (a partition, which flips the network between fast
-  and slow paths mid-simulation, then lossy senders) stay bit-identical
-  too;
-* the event queue's O(1) bookkeeping and lazy compaction never change
-  firing order.
+Hot-path work on the event queue and the network is only admissible
+because a same-seed run is byte-identical with the optimisation exercised
+or bypassed.  These tests pin that contract: the event queue's O(1)
+bookkeeping and lazy compaction never change firing order, and the
+network's fast path still applies every armed fault.  The digest memos'
+parity is held by the records, the chaos golden and the spiderbench
+parity pairs, and unit-tested in ``tests/test_digest_cache.py``.
 
 Event-*eliding* changes cannot be bit-identical (the event count is the
 point), so they are held to the weaker oracle of
@@ -25,7 +20,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.primitives import set_digest_cache_enabled
 from repro.faults import DropBehaviour
 from repro.irmc import IrmcConfig, make_channel
 from repro.metrics import sim_equivalent
@@ -33,33 +27,6 @@ from repro.net import Network, Payload, Site, Topology
 from repro.sim import Node, Process, Simulator
 from repro.sim.routing import RoutedNode
 from tests.test_batching_properties import build_system, observation, run_workload
-
-
-@pytest.fixture(autouse=True)
-def _cache_restored():
-    set_digest_cache_enabled(True)
-    yield
-    set_digest_cache_enabled(True)
-
-
-def _spider_trace(seed: int, use_reads: bool = True) -> tuple:
-    sim, system = build_system(seed=seed)
-    clients, replies = run_workload(
-        sim, system, n_clients=3, n_requests=4, use_reads=use_reads
-    )
-    return (
-        repr([(client.name, client.completed) for client in clients]),
-        repr(replies),
-        repr(
-            [
-                (replica.name, replica.app.journal)
-                for group in system.groups.values()
-                for replica in group.replicas
-            ]
-        ),
-        repr(sim.now),
-        repr(sim.events_processed),
-    )
 
 
 def _arm_faults(sim, system) -> None:
@@ -72,21 +39,6 @@ def _arm_faults(sim, system) -> None:
         dropper = DropBehaviour(0.05)
         sim.schedule(3_000.0, dropper.install, node)
         sim.schedule(5_000.0, dropper.uninstall)
-
-
-def _faulty_trace(seed: int) -> tuple:
-    """A run that arms and disarms faults mid-simulation."""
-    sim, system = build_system(seed=seed)
-    _arm_faults(sim, system)
-    clients, replies = run_workload(
-        sim, system, n_clients=2, n_requests=3, use_reads=False
-    )
-    return (
-        repr([(client.name, client.completed) for client in clients]),
-        repr(replies),
-        repr(sim.now),
-        repr(sim.events_processed),
-    )
 
 
 def _two_event_deliver(self, src, message):
@@ -181,31 +133,6 @@ class TestFusedDeliveryOracle:
             "replies['c0']: entry 0: ('write', 0.0, 5.0) != ('write', 0.0, 5.5)",
             "latencies: entry 0: 5.0 != 5.5",
         ]
-
-
-class TestDigestCacheParity:
-    def test_end_to_end_reply_trace_bit_identical(self):
-        """Same seed, cache on vs off: reply values, reply timings, replica
-        journals, final clock and event count must match byte-for-byte."""
-        with_cache = _spider_trace(seed=1234)
-        set_digest_cache_enabled(False)
-        without_cache = _spider_trace(seed=1234)
-        assert with_cache == without_cache
-
-    def test_parity_across_seeds(self):
-        for seed in (7, 99, 20_001):
-            set_digest_cache_enabled(True)
-            with_cache = _spider_trace(seed, use_reads=False)
-            set_digest_cache_enabled(False)
-            assert with_cache == _spider_trace(seed, use_reads=False)
-
-    def test_parity_under_fault_injection(self):
-        """A partition flips the network's armed-fault fast path on and off
-        mid-run, and lossy senders follow; results must still be
-        bit-identical."""
-        with_cache = _faulty_trace(seed=42)
-        set_digest_cache_enabled(False)
-        assert with_cache == _faulty_trace(seed=42)
 
 
 class TestEventQueueBookkeeping:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.core.messages import RequestBody
+from repro.crypto import digest, sign, verify
+from repro.crypto.primitives import cached_repr
 from repro.errors import SimulationError
 from repro.net import Site, Topology, send_sanitizer_enabled, set_send_sanitizer
 from repro.net.network import Network
@@ -73,9 +75,19 @@ class TestSanitizer:
         assert "tampered" in text  # the offending message is spelled out
         assert "from a to b" in text
 
-    def test_frozen_message_setattr_is_caught(self, net, sanitized):
+    @pytest.mark.parametrize("sealed", [False, True], ids=["fresh", "sealed"])
+    def test_frozen_message_setattr_is_caught(self, net, sanitized, sealed):
+        """Once its memos are filled, a message's digests no longer look at
+        its fields; the sanitizer still sees the rebind, because it repr's
+        the message afresh."""
         sim, network, a, b = net
         body = RequestBody(client="c1", counter=1, operation=("put", "k", "v"))
+        if sealed:
+            assert verify(sign("c1", body), body, signer="c1")
+            digest(body)
+            cached_repr(body)
+            network.send(a, b, body)  # fills the wire-size memo
+            sim.run()
         network.send(a, b, body)
         # lint: allow[P202] -- this test IS the aliasing bug the sanitizer
         # exists to catch: tamper with a frozen message already handed to send
