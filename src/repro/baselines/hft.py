@@ -36,7 +36,6 @@ from repro.consensus.pbft.config import PbftConfig
 from repro.core.answering import ClientFacing
 from repro.core.client import SpiderClient
 from repro.core.messages import ClientRequest, RequestWrapper, WeakRead
-from repro.crypto.primitives import Digestible
 from repro.crypto.threshold import (
     ThresholdSignature,
     combine_shares,
@@ -56,7 +55,7 @@ ACCEPT = "accept"
 
 
 @dataclass(frozen=True)
-class SiteForward(Message, Digestible):
+class SiteForward(Message):
     """A site forwards a validated client request to the leader site."""
 
     request: RequestWrapper
@@ -68,7 +67,7 @@ class SiteForward(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class ShareRequest(Message, Digestible):
+class ShareRequest(Message):
     """The site representative asks peers for a threshold share."""
 
     kind: str  # PROPOSAL or ACCEPT
@@ -85,7 +84,7 @@ class ShareRequest(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Share(Message, Digestible):
+class Share(Message):
     """One replica's threshold share, returned to the representative."""
 
     kind: str
@@ -98,7 +97,7 @@ class Share(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Proposal(Message, Digestible):
+class Proposal(Message):
     """Leader site's threshold-signed global ordering decision."""
 
     seq: int
@@ -112,7 +111,7 @@ class Proposal(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Accept(Message, Digestible):
+class Accept(Message):
     """A site's threshold-signed acknowledgement of a Proposal."""
 
     seq: int

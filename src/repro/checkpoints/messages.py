@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import Digestible, Signature, signature_bytes
+from repro.crypto.primitives import Signature, signature_bytes
 from repro.net.message import Message
 
 
 @dataclass(frozen=True)
-class CheckpointMsg(Message, Digestible):
+class CheckpointMsg(Message):
     """``<Checkpoint, h, s>`` — a signed hash of one replica's snapshot.
 
     Signed (not MACed) because 2f+1-sized execution groups need
@@ -31,7 +31,7 @@ class CheckpointMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class FetchCp(Message, Digestible):
+class FetchCp(Message):
     """Ask a peer for its latest stable checkpoint at or above ``min_seq``."""
 
     tag: str
@@ -43,7 +43,7 @@ class FetchCp(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class CpState(Message, Digestible):
+class CpState(Message):
     """A full checkpoint: snapshot plus the f+1 certificate proving it."""
 
     tag: str

@@ -24,13 +24,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from repro.crypto.primitives import Digestible
 from repro.net.message import Message
 from repro.sim.futures import SimFuture
 
 
 @dataclass(frozen=True)
-class Batch(Message, Digestible):
+class Batch(Message):
     """Several to-be-ordered messages agreed as one consensus value.
 
     Leaders of batching-capable implementations (PBFT) cut whatever

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import Digestible, MacVector, Signature, cached_repr
+from repro.crypto.primitives import MacVector, Signature
 from repro.net.message import Message
 
 #: Payload delivered for sequence numbers filled in by a view change.
@@ -31,7 +31,7 @@ def _payload_size(payload: Any) -> int:
 
 
 @dataclass(frozen=True)
-class PrePrepare(Message, Digestible):
+class PrePrepare(Message):
     tag: str
     view: int
     seq: int
@@ -40,14 +40,14 @@ class PrePrepare(Message, Digestible):
     auth: Optional[MacVector] = None
 
     def signed_content(self) -> Tuple:
-        return ("pbft-pp", self.tag, self.view, self.seq, cached_repr(self.payload), self.sender)
+        return ("pbft-pp", self.tag, self.view, self.seq, repr(self.payload), self.sender)
 
     def payload_size(self) -> int:
         return 16 + _payload_size(self.payload) + (self.auth.size_bytes() if self.auth else 0)
 
 
 @dataclass(frozen=True)
-class Prepare(Message, Digestible):
+class Prepare(Message):
     tag: str
     view: int
     seq: int
@@ -63,7 +63,7 @@ class Prepare(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Commit(Message, Digestible):
+class Commit(Message):
     tag: str
     view: int
     seq: int
@@ -79,7 +79,7 @@ class Commit(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Forward(Message, Digestible):
+class Forward(Message):
     """A replica relays a to-be-ordered message to the current leader."""
 
     tag: str
@@ -91,7 +91,7 @@ class Forward(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class PreparedProof(Message, Digestible):
+class PreparedProof(Message):
     """Evidence carried in a ViewChange that ``payload`` prepared at ``seq``."""
 
     view: int
@@ -104,7 +104,7 @@ class PreparedProof(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Suspect(Message, Digestible):
+class Suspect(Message):
     """The sender suspects the leader of ``new_view - 1`` and asks for
     ``new_view``, without leaving its view yet: it keeps voting until
     2f+1 replicas suspect, so a suspicion nobody shares costs nothing.
@@ -123,7 +123,7 @@ class Suspect(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class ViewChange(Message, Digestible):
+class ViewChange(Message):
     tag: str
     new_view: int
     low_water: int
@@ -146,7 +146,7 @@ class ViewChange(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class NewView(Message, Digestible):
+class NewView(Message):
     tag: str
     new_view: int
     pre_prepares: Tuple[PrePrepare, ...]
@@ -167,7 +167,7 @@ class NewView(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class StateTransfer(Message, Digestible):
+class StateTransfer(Message):
     """A replica that is behind asks a peer for what it missed: a
     rejoiner for everything it slept through, a replica with a gap in its
     log for the instances above its delivery frontier.
@@ -198,7 +198,7 @@ class StateTransfer(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class FetchPayload(Message, Digestible):
+class FetchPayload(Message):
     """Pull the full payloads of digest-vouched slots from one peer.
 
     The payload-on-miss half of digest-first state transfer: ``seqs``

@@ -89,8 +89,6 @@ from repro.consensus.pbft.messages import (
 )
 from repro.crypto.primitives import (
     attach_auth,
-    cached_repr,
-    cached_size_bytes,
     digest,
     make_mac_vector,
     sign,
@@ -111,15 +109,11 @@ CATCH_UP_PERIOD_MS = 500.0
 CATCH_UP_QUIET_LIMIT = 16
 
 
-def _key(payload: Any) -> str:
-    return cached_repr(payload)
-
-
 def _payload_keys(payload: Any) -> List[str]:
     """Dedup keys a proposal occupies: the batch itself plus every item."""
     if isinstance(payload, Batch):
-        return [_key(payload)] + [_key(item) for item in payload.items]
-    return [_key(payload)]
+        return [repr(payload)] + [repr(item) for item in payload.items]
+    return [repr(payload)]
 
 
 class PbftReplica(Component, Agreement):
@@ -256,7 +250,7 @@ class PbftReplica(Component, Agreement):
     # Agreement interface
     # ------------------------------------------------------------------
     def order(self, message: Any) -> None:
-        key = _key(message)
+        key = repr(message)
         if key in self.live_keys or key in self.pending:
             return
         self.pending[key] = message
@@ -304,7 +298,7 @@ class PbftReplica(Component, Agreement):
     def _enqueue(self, payload: Any) -> None:
         """Leader intake: propose now, or accumulate behind the proposal
         in flight (:class:`BatchAccumulator` owns the cut rule)."""
-        key = _key(payload)
+        key = repr(payload)
         if key in self.live_keys or key in self._batch_keys:
             return
         if key in self._backlog_keys:
@@ -389,7 +383,7 @@ class PbftReplica(Component, Agreement):
     def _on_forward(self, src, message: Forward) -> None:
         if not self._sent_by_member(src, message):
             return
-        key = _key(message.payload)
+        key = repr(message.payload)
         if key in self.live_keys:
             return
         if self.is_leader() and not self.in_view_change:
@@ -721,7 +715,7 @@ class PbftReplica(Component, Agreement):
             slot = self.log.get(seq)
             if slot is not None and slot.pre_prepare is not None:
                 self.payloads_served += 1
-                self.transfer_payload_bytes += cached_size_bytes(slot.pre_prepare)
+                self.transfer_payload_bytes += slot.pre_prepare.size_bytes()
                 self.send(src, slot.pre_prepare)
 
     def _on_state_transfer(self, src, message: StateTransfer) -> None:
@@ -756,11 +750,11 @@ class PbftReplica(Component, Agreement):
             return
         if slot.sent_prepare:
             message = self._vote(Prepare, slot)
-            self.transfer_summary_bytes += cached_size_bytes(message)
+            self.transfer_summary_bytes += message.size_bytes()
             self.send(src, message)
         if slot.sent_commit or slot.committed:
             message = self._vote(Commit, slot)
-            self.transfer_summary_bytes += cached_size_bytes(message)
+            self.transfer_summary_bytes += message.size_bytes()
             self.send(src, message)
 
     # ------------------------------------------------------------------
@@ -974,7 +968,7 @@ class PbftReplica(Component, Agreement):
         # (pre-prepare processing registers every item), so in-flight
         # batches survive the view change without duplication.
         for payload in list(self.pending.values()):
-            if _key(payload) in self.live_keys:
+            if repr(payload) in self.live_keys:
                 continue
             if self.is_leader():
                 self._enqueue(payload)

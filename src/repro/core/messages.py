@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import Digestible, Mac, MacVector, Signature, cached_repr
+from repro.crypto.primitives import Mac, MacVector, Signature
 from repro.net.message import Message
 
 #: Request kinds.
@@ -14,7 +14,7 @@ STRONG_READ = "strong-read"
 
 
 @dataclass(frozen=True)
-class RequestBody(Message, Digestible):
+class RequestBody(Message):
     """``<Write, w, c, t_c>`` — the client-signed core of a request.
 
     ``kind`` distinguishes writes from strongly consistent reads; both
@@ -34,7 +34,7 @@ class RequestBody(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class ClientRequest(Message, Digestible):
+class ClientRequest(Message):
     """A request as transmitted from client to execution group:
     ``mac_{c,E}(sign_c(<Write, w, c, t_c>))``."""
 
@@ -52,7 +52,7 @@ class ClientRequest(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RequestWrapper(Message, Digestible):
+class RequestWrapper(Message):
     """``<Request, r, e>`` — a validated request forwarded via the request
     channel by execution group ``group``."""
 
@@ -73,7 +73,7 @@ NOOP_SLOT: Tuple = ("noop",)
 
 
 @dataclass(frozen=True)
-class Execute(Message, Digestible):
+class Execute(Message):
     """``<Execute, r, s>`` — the agreed value at sequence number ``seq``.
 
     An Execute carries one *slot* per agreed item, in agreed order: the
@@ -114,10 +114,9 @@ class Execute(Message, Digestible):
     def __repr__(self) -> str:
         # Reprs feed digests and simulated hashing costs; omit the batch
         # field when unused so batch_size=1 stays byte-identical to the
-        # pre-batching wire format.  The request repr is memoised: Execute
-        # reprs recur in checkpoint snapshots and channel payload digests.
+        # pre-batching wire format.
         base = (
-            f"Execute(seq={self.seq!r}, request={cached_repr(self.request)}, "
+            f"Execute(seq={self.seq!r}, request={self.request!r}, "
             f"placeholder={self.placeholder!r}"
         )
         if self.batch is None:
@@ -132,7 +131,7 @@ class Execute(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class Reply(Message, Digestible):
+class Reply(Message):
     """``<Result, u_c, t_c>`` — one execution replica's reply to a client."""
 
     result: Any
@@ -149,7 +148,7 @@ class Reply(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class WeakRead(Message, Digestible):
+class WeakRead(Message):
     """A weakly consistent read, answered directly by an execution group."""
 
     operation: Tuple
@@ -165,7 +164,7 @@ class WeakRead(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class WeakReadReply(Message, Digestible):
+class WeakReadReply(Message):
     result: Any
     nonce: int
     sender: str
@@ -179,7 +178,7 @@ class WeakReadReply(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class CloseSession(Message, Digestible):
+class CloseSession(Message):
     """A client retires its request subchannel (session close).
 
     Signed by the client and MAC'd towards its execution group; each
@@ -204,7 +203,7 @@ class CloseSession(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RetireClient(Message, Digestible):
+class RetireClient(Message):
     """``<RetireClient, c, t>`` — agree on a closed client's retirement.
 
     Escalated by execution replicas when they process a
@@ -241,7 +240,7 @@ class RetireClient(Message, Digestible):
 # Reconfiguration (Section 3.6) and the execution-replica registry
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class AddGroup(Message, Digestible):
+class AddGroup(Message):
     """``<AddGroup, e, E>`` submitted by a privileged admin client."""
 
     #: never packed into a request batch: the command changes the group set
@@ -262,7 +261,7 @@ class AddGroup(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RemoveGroup(Message, Digestible):
+class RemoveGroup(Message):
     """``<RemoveGroup, e>`` submitted by a privileged admin client."""
 
     BATCHABLE = False  # see AddGroup
@@ -280,7 +279,7 @@ class RemoveGroup(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RegistryQuery(Message, Digestible):
+class RegistryQuery(Message):
     """A client asks the agreement group for the active execution groups."""
 
     client: str
@@ -291,7 +290,7 @@ class RegistryQuery(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RegistryInfo(Message, Digestible):
+class RegistryInfo(Message):
     """One agreement replica's signed view of the registry."""
 
     groups: Tuple[Tuple[str, Tuple[str, ...]], ...]

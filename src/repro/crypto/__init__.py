@@ -15,7 +15,6 @@ throughput effects.
 
 from repro.crypto.costs import CostModel, active_cost_model, set_cost_model, use_cost_model
 from repro.crypto.primitives import (
-    Digestible,
     Mac,
     MacVector,
     Signature,
@@ -39,7 +38,6 @@ __all__ = [
     "Signature",
     "Mac",
     "MacVector",
-    "Digestible",
     "digest",
     "content_digest",
     "sign",

@@ -7,15 +7,18 @@ mutation of a field changes the digest and fails verification.
 
 Sealed messages
 ---------------
-Computing ``repr`` plus two CRC passes dominates the simulator's wall-clock
-on crypto-heavy workloads, and the *same* frozen message is typically
-digested many times (once per receiver, once per retransmission, once per
-quorum check).  Frozen protocol messages therefore mix in
-:class:`Digestible`: each of their four memos (repr digest, content
-digest, wire size, repr string) is one instance-dict slot, filled on first
-use and never re-checked.  A memo cannot go stale because a sent message
-is sealed: lint P202 rejects ``object.__setattr__`` outside this module,
-the mutation-after-send sanitizer catches a rebind of a message in flight,
+A message's ``repr`` is its simulated wire form.  Computing it plus two
+CRC passes dominates the simulator's wall-clock on crypto-heavy
+workloads, and the *same* message is typically digested many times (once
+per receiver, once per retransmission, once per quorum check).  Every
+:class:`Message` is therefore sealed once built: a field is never rebound
+in place, a changed message is a new object (``dataclasses.replace``),
+and field values are treated as frozen too.  Each message memoises its
+repr, its wire size and its two digests (of the repr and of
+``signed_content()``), one instance-dict slot each, filled on first use
+and never re-checked.  A memo cannot go stale because a message is
+sealed: lint P202 rejects ``object.__setattr__`` outside this module, the
+mutation-after-send sanitizer catches a rebind of a message in flight,
 and Byzantine behaviours build tampered copies with
 ``dataclasses.replace``, whose copy starts with empty memos.
 
@@ -28,7 +31,7 @@ unchanged — only wall-clock time drops.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass, fields, replace as dataclass_replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto import costs as _costs
@@ -42,30 +45,72 @@ _crc32 = zlib.crc32
 _HIGH_SALT = 0x9E3779B9
 
 
-class Digestible:
-    """Marker mixin: a frozen dataclass whose digests are memoised.
-
-    Opting in promises that the object is sealed once built: a field is
-    never rebound in place, a changed message is a new object
-    (``dataclasses.replace``), and field values are themselves treated as
-    frozen (nothing appends to a list an ``Any``-typed field holds).  When
-    the class defines ``signed_content()``, its authenticator fields
-    (``signature`` / ``auth`` / ``mac``) are excluded from that content.
-    """
-
-    __slots__ = ()
-
-
 #: Instance-dict slots holding ``(digest, kb length)``.
-_REPR_SLOT = "_cached_repr_digest"
-_CONTENT_SLOT = "_cached_content_digest"
+_REPR_SLOT = "_memo_repr_digest"
+_CONTENT_SLOT = "_memo_content_digest"
 #: Instance-dict slots holding the wire size and the repr string.
-_SIZE_SLOT = "_cached_size_bytes"
-_REPR_STR_SLOT = "_cached_repr_str"
+_SIZE_SLOT = "_memo_size_bytes"
+_REPR_STR_SLOT = "_memo_repr_str"
 
 #: Authenticator fields, excluded from ``signed_content()`` by convention
 #: (attaching one must not invalidate a memoised signed-content digest).
 _AUTH_FIELDS = frozenset({"signature", "auth", "mac"})
+
+
+class Message:
+    """Root of all protocol message classes.
+
+    ``HEADER_BYTES`` approximates transport framing plus type and routing
+    metadata common to every message; subclasses add their fields in
+    :meth:`payload_size`.  A subclass is a frozen dataclass whose repr is
+    the ``dataclasses`` field format, or defines its own ``__repr__``;
+    either way :meth:`__init_subclass__` moves that repr to
+    ``_wire_repr`` and installs the memoised :meth:`__repr__` in its
+    place, so ``@dataclass`` generates none (and with it no recursion
+    guard: a message never contains itself).
+    """
+
+    HEADER_BYTES = 64
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        setattr(cls, "_wire_repr", cls.__dict__.get("__repr__", Message._wire_repr))
+        setattr(cls, "__repr__", Message.__repr__)
+
+    def __repr__(self) -> str:
+        state = self.__dict__
+        text = state.get(_REPR_STR_SLOT)
+        if text is None:
+            text = state[_REPR_STR_SLOT] = self._wire_repr()
+        return text
+
+    def _wire_repr(self) -> str:
+        """The repr ``@dataclass`` would generate, computed afresh."""
+        cls = self.__class__
+        template = cls.__dict__.get("_repr_template")
+        if template is None:
+            # A subclass without its own __repr__ is a dataclass, whose
+            # fields live in the instance dict; one template per class.
+            shown = [f.name for f in fields(self) if f.repr]  # type: ignore[arg-type]
+            body = ", ".join(f"{name}={{{name}!r}}" for name in shown)
+            template = f"{cls.__qualname__}({body})"
+            setattr(cls, "_repr_template", template)
+        return template.format_map(self.__dict__)
+
+    def size_bytes(self) -> int:
+        """Total simulated wire size."""
+        state = self.__dict__
+        size = state.get(_SIZE_SLOT)
+        if size is None:
+            size = state[_SIZE_SLOT] = self.HEADER_BYTES + self.payload_size()
+        return size
+
+    def payload_size(self) -> int:
+        """Size of the message body; subclasses add their fields here."""
+        return 0
+
+    def type_name(self) -> str:
+        return type(self).__name__
 
 
 def _crc64(data: bytes) -> int:
@@ -86,7 +131,7 @@ def _memo_digest(obj: Any, slot: str, text: str) -> int:
 
 def digest(obj: Any) -> int:
     """Stable digest of ``obj`` (charges hashing cost by object size)."""
-    if isinstance(obj, Digestible):
+    if isinstance(obj, Message):
         entry = obj.__dict__.get(_REPR_SLOT)
         if entry is None:
             return _memo_digest(obj, _REPR_SLOT, repr(obj))
@@ -102,40 +147,29 @@ def digest(obj: Any) -> int:
 
 
 def content_digest(obj: Any) -> int:
-    """Digest of ``obj.signed_content()``, memoised for Digestible objects.
+    """Digest of what an authenticator covers, memoised for messages.
 
-    Bit-identical to ``digest(obj.signed_content())`` — same encoding, same
-    simulated hashing charge — but avoids rebuilding the content tuple and
-    re-hashing it on every authentication of the same message.
+    That is ``obj.signed_content()`` when ``obj`` defines it, else ``obj``
+    itself: bit-identical to ``digest(obj.signed_content())`` or
+    ``digest(obj)`` — same encoding, same simulated hashing charge — but
+    avoids rebuilding the content tuple and re-hashing it on every
+    authentication of the same message.
     """
-    if isinstance(obj, Digestible):
-        entry = obj.__dict__.get(_CONTENT_SLOT)
-        if entry is None:
-            if not hasattr(obj, "signed_content"):
-                return digest(obj)
-            return _memo_digest(obj, _CONTENT_SLOT, repr(obj.signed_content()))
-        node = _node._current
-        if node is not None:
-            cost = _costs._ACTIVE.hash_per_kb * entry[1]
-            if cost > 0:
-                node._pending_cost += cost
-        return entry[0]
-    content = obj.signed_content() if hasattr(obj, "signed_content") else obj
-    data = repr(content).encode("utf-8", errors="replace")
-    charge(_costs._ACTIVE.hash_per_kb * (len(data) / 1024.0))
-    return _crc64(data)
-
-
-def _digest_of(obj: Any) -> int:
-    """Digest used by the authentication primitives.
-
-    A :class:`Digestible` message authenticates its ``signed_content()``
-    (memoised); anything else — a raw content tuple, application state —
-    digests by ``repr`` exactly as before.
-    """
-    if isinstance(obj, Digestible):
-        return content_digest(obj)
-    return digest(obj)
+    if not isinstance(obj, Message):
+        data = repr(obj).encode("utf-8", errors="replace")
+        charge(_costs._ACTIVE.hash_per_kb * (len(data) / 1024.0))
+        return _crc64(data)
+    entry = obj.__dict__.get(_CONTENT_SLOT)
+    if entry is None:
+        if not hasattr(obj, "signed_content"):
+            return digest(obj)
+        return _memo_digest(obj, _CONTENT_SLOT, repr(obj.signed_content()))
+    node = _node._current
+    if node is not None:
+        cost = _costs._ACTIVE.hash_per_kb * entry[1]
+        if cost > 0:
+            node._pending_cost += cost
+    return entry[0]
 
 
 def structural_digest(obj: Any) -> int:
@@ -147,8 +181,14 @@ def structural_digest(obj: Any) -> int:
     perturb simulated CPU interleavings on paths that predate the storage
     fault model — this helper keeps such checks byte-invisible.  Never use
     it for anything a remote party must not be able to forge.
+
+    It is the one repr that skips a memo: a message's own repr is computed
+    afresh, so the send sanitizer sees a field rebound after the memos
+    were filled.  Messages nested inside still answer from their memos;
+    rejecting a rebind there is lint P202's job.
     """
-    return _crc64(repr(obj).encode("utf-8", errors="replace"))
+    text = obj._wire_repr() if isinstance(obj, Message) else repr(obj)
+    return _crc64(text.encode("utf-8", errors="replace"))
 
 
 def attach_auth(body: Any, **auth: Any) -> Any:
@@ -169,7 +209,7 @@ def attach_auth(body: Any, **auth: Any) -> Any:
     if not _AUTH_FIELDS.issuperset(auth):
         raise ValueError(f"attach_auth only replaces authenticator fields, got {auth}")
     cls = body.__class__
-    if not (isinstance(body, Digestible) and auth.keys() <= cls.__dataclass_fields__.keys()):
+    if not (isinstance(body, Message) and auth.keys() <= cls.__dataclass_fields__.keys()):
         return dataclass_replace(body, **auth)
     message = object.__new__(cls)
     state = message.__dict__
@@ -179,28 +219,6 @@ def attach_auth(body: Any, **auth: Any) -> Any:
     state.pop(_REPR_STR_SLOT, None)
     state.update(auth)
     return message
-
-
-def cached_size_bytes(message: Any) -> int:
-    """``message.size_bytes()`` memoised per sealed message object."""
-    size = message.__dict__.get(_SIZE_SLOT)
-    if size is None:
-        size = message.__dict__[_SIZE_SLOT] = message.size_bytes()
-    return size
-
-
-def cached_repr(obj: Any) -> str:
-    """``repr(obj)`` memoised per sealed message object.
-
-    Protocol components use message reprs as dedup keys; a non-message
-    object is repr'd afresh on every call.
-    """
-    if not isinstance(obj, Digestible):
-        return repr(obj)
-    value = obj.__dict__.get(_REPR_STR_SLOT)
-    if value is None:
-        value = obj.__dict__[_REPR_STR_SLOT] = repr(obj)
-    return value
 
 
 @dataclass(frozen=True)
@@ -242,13 +260,11 @@ def signature_bytes(signature: Optional[Signature]) -> int:
 def sign(signer: str, obj: Any) -> Signature:
     """Sign ``obj`` as principal ``signer`` (charges RSA signing cost).
 
-    ``obj`` is either a content tuple or a :class:`Digestible` message,
-    in which case its ``signed_content()`` is what gets signed.
+    ``obj`` is either a content tuple or a message, in which case its
+    ``signed_content()`` (if it has one) is what gets signed.
     """
     charge(_costs._ACTIVE.rsa_sign)
-    if isinstance(obj, Digestible):
-        return Signature(signer=signer, object_digest=content_digest(obj))
-    return Signature(signer=signer, object_digest=digest(obj))
+    return Signature(signer=signer, object_digest=content_digest(obj))
 
 
 def sign_many(signer: str, bodies: Sequence[Any]) -> List[Signature]:
@@ -262,7 +278,7 @@ def sign_many(signer: str, bodies: Sequence[Any]) -> List[Signature]:
     """
     if len(bodies) < 2:
         return [sign(signer, body) for body in bodies]
-    digests = [_digest_of(body) for body in bodies]
+    digests = [content_digest(body) for body in bodies]
     covered = sign(signer, tuple(sorted(digests))).object_digest
     return [
         BatchSignature(signer, own, tuple(digests[:index] + digests[index + 1 :]), covered)
@@ -288,8 +304,7 @@ def verify(
         return False
     if group is not None and signature.signer not in group:
         return False
-    expected = content_digest(obj) if isinstance(obj, Digestible) else digest(obj)
-    if signature.object_digest != expected:
+    if signature.object_digest != content_digest(obj):
         return False
     return signature.__class__ is not BatchSignature or signature.intact()
 
@@ -309,7 +324,7 @@ class Mac:
 def make_mac(sender: str, receiver: str, obj: Any) -> Mac:
     """The paper's ``mac_{a,e}(m)``."""
     charge(_costs._ACTIVE.hmac)
-    return Mac(sender=sender, receiver=receiver, object_digest=_digest_of(obj))
+    return Mac(sender=sender, receiver=receiver, object_digest=content_digest(obj))
 
 
 def verify_mac(mac: Optional[Mac], obj: Any, sender: str, receiver: str) -> bool:
@@ -318,9 +333,7 @@ def verify_mac(mac: Optional[Mac], obj: Any, sender: str, receiver: str) -> bool
         return False
     if mac.sender != sender or mac.receiver != receiver:
         return False
-    if isinstance(obj, Digestible):
-        return mac.object_digest == content_digest(obj)
-    return mac.object_digest == digest(obj)
+    return mac.object_digest == content_digest(obj)
 
 
 @dataclass(frozen=True)
@@ -349,7 +362,7 @@ class MacVector:
 def make_mac_vector(sender: str, receivers: Iterable[str], obj: Any) -> MacVector:
     receivers = tuple(receivers)
     charge(_costs._ACTIVE.hmac * max(1, len(receivers)))
-    obj_digest = _digest_of(obj)
+    obj_digest = content_digest(obj)
     return MacVector(
         sender=sender, macs=tuple([(receiver, obj_digest) for receiver in receivers])
     )
@@ -374,7 +387,7 @@ def make_equivocating_mac_vector(
     return MacVector(
         sender=sender,
         macs=tuple(
-            (receiver, _digest_of(obj)) for receiver, obj in variants.items()
+            (receiver, content_digest(obj)) for receiver, obj in variants.items()
         ),
     )
 
@@ -398,6 +411,4 @@ def verify_mac_vector(
         expected = vector.receiver_digests().get(receiver)
     if expected is None:
         return False
-    if isinstance(obj, Digestible):
-        return expected == content_digest(obj)
-    return expected == digest(obj)
+    return expected == content_digest(obj)

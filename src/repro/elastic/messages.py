@@ -26,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.primitives import Digestible, Mac, Signature
+from repro.crypto.primitives import Mac, Signature
 from repro.net.message import Message
 
 __all__ = ["MoveRange", "ElasticAck", "Migrating", "WrongShard"]
 
 
 @dataclass(frozen=True)
-class MoveRange(Message, Digestible):
+class MoveRange(Message):
     """One phase of a range handover, ordered on a shard's agreed stream.
 
     The coordinator (the cluster's deploy layer, via the shard admins)
@@ -107,7 +107,7 @@ class MoveRange(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class ElasticAck(Message, Digestible):
+class ElasticAck(Message):
     """An execution replica's receipt for one applied handover phase.
 
     MAC'd point-to-point to the coordinating admin, who accepts a phase

@@ -5,13 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.crypto.primitives import (
-    Digestible,
-    MacVector,
-    Signature,
-    cached_repr,
-    signature_bytes,
-)
+from repro.crypto.primitives import MacVector, Signature, signature_bytes
 from repro.net.message import Message
 
 
@@ -22,7 +16,7 @@ def _payload_size(payload: Any) -> int:
 
 
 @dataclass(frozen=True)
-class SendMsg(Message, Digestible):
+class SendMsg(Message):
     """IRMC-RC: ``<Send, m, sc, p>`` signed by the sending endpoint.
 
     ``window`` is the sender's latest Move request for the subchannel
@@ -46,7 +40,7 @@ class SendMsg(Message, Digestible):
             self.tag,
             self.subchannel,
             self.position,
-            cached_repr(self.payload),
+            repr(self.payload),
             self.sender,
         )
         return content + (self.window,) if self.window else content
@@ -61,7 +55,7 @@ class SendMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class SendsMsg(Message, Digestible):
+class SendsMsg(Message):
     """IRMC-RC: the Sends of one endpoint that one seal of its node found
     registered, as ``(subchannel, position, payload, window)`` entries
     under one signature; each entry means what a :class:`SendMsg` would."""
@@ -76,7 +70,7 @@ class SendsMsg(Message, Digestible):
             "irmc-sends",
             self.tag,
             tuple(
-                (subchannel, position, cached_repr(payload), window)
+                (subchannel, position, repr(payload), window)
                 for subchannel, position, payload, window in self.entries
             ),
             self.sender,
@@ -90,7 +84,7 @@ class SendsMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class MoveMsg(Message, Digestible):
+class MoveMsg(Message):
     """``<Move, sc, p>`` — a receiver endpoint moved its window to ``p``
     and asks the senders to follow (senders ask with :class:`MovesMsg`;
     so does a receiver when one seal finds several subchannels moved)."""
@@ -118,7 +112,7 @@ class MoveMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class MovesMsg(Message, Digestible):
+class MovesMsg(Message):
     """``<Moves, (sc, p)*>`` — window Moves under one MAC vector.  From a
     sender endpoint: all its requests on the heartbeat (one message per
     receiver however many subchannels), one when no Send can carry it.
@@ -138,7 +132,7 @@ class MovesMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RetireMsg(Message, Digestible):
+class RetireMsg(Message):
     """``<Retire, sc>`` — the subchannel's client session closed for good.
 
     Sent by sender endpoints towards receiver endpoints; a receiver drops
@@ -161,7 +155,7 @@ class RetireMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class RetireEcho(Message, Digestible):
+class RetireEcho(Message):
     """``<RetireEcho, sc>`` — "that subchannel is retired here".
 
     Sent by a *receiver* endpoint that already retired ``subchannel``
@@ -186,7 +180,7 @@ class RetireEcho(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class SigShare(Message, Digestible):
+class SigShare(Message):
     """IRMC-SC: a sender's signature share over a Send content hash;
     ``window`` piggybacks its Move request as on :class:`SendMsg`."""
 
@@ -214,7 +208,7 @@ class SigShare(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class CertificateMsg(Message, Digestible):
+class CertificateMsg(Message):
     """IRMC-SC: message plus ``f_s + 1`` signature shares, sent by a collector.
 
     Signed (not MACed) by the collector, per Section 4: this second
@@ -236,7 +230,7 @@ class CertificateMsg(Message, Digestible):
             self.tag,
             self.subchannel,
             self.position,
-            cached_repr(self.payload),
+            repr(self.payload),
             tuple(share.signed_content() for share in self.shares),
             self.sender,
         )
@@ -251,7 +245,7 @@ class CertificateMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class ProgressMsg(Message, Digestible):
+class ProgressMsg(Message):
     """IRMC-SC: ``<Progress, p⃗>`` — per-subchannel certified positions."""
 
     tag: str
@@ -269,7 +263,7 @@ class ProgressMsg(Message, Digestible):
 
 
 @dataclass(frozen=True)
-class SelectMsg(Message, Digestible):
+class SelectMsg(Message):
     """IRMC-SC: a receiver (re)selects its collector for a subchannel."""
 
     tag: str

@@ -28,7 +28,8 @@ campaign (PR 3) flushed out dynamically:
   ``post`` of a ``run_task`` callback): only ``Timer`` voids a callback
   that fired but still queues on the CPU (the stale-timer wedge).
 * ``P202`` — ``object.__setattr__`` outside ``crypto/primitives.py``
-  (in-place tampering with frozen ``Digestible`` messages).
+  (in-place tampering with a sealed message, whose memoised repr and
+  digests would go stale).
 * ``P203`` — handler methods reaching into the sending node's attributes
   instead of communicating through ``Network.send``.
 * ``P204`` — assignment to a ``send`` or ``deliver`` attribute: the

@@ -73,7 +73,7 @@ RULES: Dict[str, Rule] = {
         Rule(
             "P202",
             "object.__setattr__ outside crypto/primitives.py (in-place tampering "
-            "with frozen Digestible messages)",
+            "with a sealed message, whose memoised repr and digests go stale)",
             "build a fresh copy with dataclasses.replace / attach_auth instead of "
             "mutating a sent message in place",
         ),

@@ -1,32 +1,18 @@
-"""Base class for simulated protocol messages.
+"""Simulated protocol messages.
 
 Messages carry an explicit wire-size estimate so the network can model
 bandwidth effects and so experiments can account WAN/LAN transfer volume
-(paper Fig. 9d).  Subclasses override :meth:`payload_size`.
+(paper Fig. 9d).  Subclasses of :class:`Message` override
+:meth:`~Message.payload_size`.  The base class lives in
+:mod:`repro.crypto.primitives`, because a message's ``repr`` is what the
+crypto layer authenticates and every message is sealed once built.
 """
 
 from __future__ import annotations
 
+from repro.crypto.primitives import Message
 
-class Message:
-    """Root of all protocol message classes.
-
-    ``HEADER_BYTES`` approximates transport framing plus type and routing
-    metadata common to every message.
-    """
-
-    HEADER_BYTES = 64
-
-    def size_bytes(self) -> int:
-        """Total simulated wire size."""
-        return self.HEADER_BYTES + self.payload_size()
-
-    def payload_size(self) -> int:
-        """Size of the message body; subclasses add their fields here."""
-        return 0
-
-    def type_name(self) -> str:
-        return type(self).__name__
+__all__ = ["Message", "Payload"]
 
 
 class Payload(Message):
@@ -39,5 +25,6 @@ class Payload(Message):
     def payload_size(self) -> int:
         return self.size
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
+        # The wire form: IRMC senders sign it on every Send.
         return f"<Payload {self.label} {self.size}B>"

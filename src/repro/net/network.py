@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.crypto.primitives import Digestible, cached_size_bytes, structural_digest
+from repro.crypto.primitives import structural_digest
 from repro.errors import SimulationError
 from repro.net.topology import LinkProfile, Topology
 from repro.sim.core import Simulator
@@ -20,10 +20,11 @@ from repro.sim.node import Node
 #: message and mutates it in flight — the aliasing bug class the static
 #: pass (``repro.lint`` P202) cannot prove absent — raises immediately,
 #: naming the offending message.  The check uses
-#: :func:`repro.crypto.primitives.structural_digest`, which charges no
-#: simulated CPU, and the wrapped delivery keeps the same ``(time, seq)``
-#: heap key, so simulated results are byte-identical with the sanitizer
-#: on or off — only wall-clock time changes.
+#: :func:`repro.crypto.primitives.structural_digest`, which repr's the
+#: message afresh past its memo and charges no simulated CPU, and the
+#: wrapped delivery keeps the same ``(time, seq)`` heap key, so simulated
+#: results are byte-identical with the sanitizer on or off — only
+#: wall-clock time changes.
 _send_sanitizer = bool(os.environ.get("REPRO_SEND_SANITIZER"))
 
 
@@ -136,10 +137,6 @@ class Network:
         self.taps: List[Callable[[Node, Node, Any], None]] = []
         self.dropped = 0
         self.duplicated = 0
-        #: message type -> sizing mode (0: no ``size_bytes``, fall back to
-        #: 256 bytes; 1: call it; 2: frozen message, size memoised per
-        #: object).  Hoists the dispatch out of the per-send path.
-        self._sized_types: Dict[type, int] = {}
         #: (src node, dst node) -> LinkProfile.  Keyed by node objects
         #: (identity hash) because hashing ``Site`` dataclasses per send is
         #: measurable; node sites and the topology are fixed.
@@ -199,22 +196,7 @@ class Network:
             ):
                 self.dropped += 1
                 return
-        cls = message.__class__
-        mode = self._sized_types.get(cls)
-        if mode is None:
-            if not hasattr(cls, "size_bytes"):
-                mode = 0
-            elif issubclass(cls, Digestible):
-                mode = 2
-            else:
-                mode = 1
-            self._sized_types[cls] = mode
-        if mode == 2:
-            size = cached_size_bytes(message)
-        elif mode:
-            size = message.size_bytes()
-        else:
-            size = 256
+        size = message.size_bytes() if hasattr(message, "size_bytes") else 256
         pair = (src, dst)
         profile = self._node_links.get(pair)
         if profile is None:

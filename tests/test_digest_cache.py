@@ -11,16 +11,16 @@ lint P202 and the send sanitizer to reject (``tests/test_lint.py``,
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
+from repro.consensus.pbft.messages import FetchPayload
+from repro.core import SpiderConfig
 from repro.core.messages import Execute, RequestBody, RequestWrapper
 from repro.crypto.costs import FREE, CostModel, use_cost_model
 from repro.crypto.primitives import (
     attach_auth,
-    cached_repr,
-    cached_size_bytes,
     content_digest,
     digest,
     make_mac,
@@ -32,6 +32,9 @@ from repro.crypto.primitives import (
     verify_mac,
     verify_mac_vector,
 )
+from repro.deploy import BftSpec, ClusterSpec, GroupSpec, HftSpec, ShardSpec, build
+from repro.irmc.messages import RetireEcho, SelectMsg
+from repro.net import Message, Network, Payload, Topology
 from repro.sim.core import Simulator
 from repro.sim.node import Node
 
@@ -70,11 +73,11 @@ class TestBitIdentity:
 
     def test_cached_size_and_repr_match_plain(self):
         wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
-        assert cached_size_bytes(wrapper) == wrapper.size_bytes()
-        assert cached_repr(wrapper) == repr(wrapper)
-        # and again, from the memo
-        assert cached_size_bytes(wrapper) == wrapper.size_bytes()
-        assert cached_repr(wrapper) == repr(wrapper)
+        plain_size = wrapper.HEADER_BYTES + wrapper.payload_size()
+        plain_repr = repr(replace(wrapper))  # a fresh copy's first repr
+        for _ in range(2):  # the first call fills each memo, the second reads it
+            assert wrapper.size_bytes() == plain_size
+            assert repr(wrapper) == plain_repr
 
 
 class TestChargeParity:
@@ -204,13 +207,13 @@ class TestByzantineMutation:
 
     def test_in_place_mutation_invalidates_size_and_repr_memos(self):
         wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
-        before_size = cached_size_bytes(wrapper)
-        before_repr = cached_repr(wrapper)
+        before_size = wrapper.size_bytes()
+        before_repr = repr(wrapper)
         bigger = replace(wrapper, body=_body(operation=("put", "k", "v" * 100)))
-        assert cached_size_bytes(bigger) == bigger.size_bytes() != before_size
-        assert cached_repr(bigger) == repr(bigger) != before_repr
-        assert cached_size_bytes(wrapper) == before_size
-        assert cached_repr(wrapper) == before_repr
+        assert bigger.size_bytes() != before_size
+        assert repr(bigger) != before_repr
+        assert wrapper.size_bytes() == before_size
+        assert repr(wrapper) == before_repr
 
 
 class TestAttachAuth:
@@ -241,3 +244,162 @@ class TestAttachAuth:
         wrapper = RequestWrapper(body=_body(), signature=None, group="g0")
         execute = Execute(seq=3, request=wrapper)
         assert digest(execute) == digest(execute) == structural_digest(execute)
+
+
+# ----------------------------------------------------------------------
+# Repr parity: the memoised repr is the wire form every class had before
+# ----------------------------------------------------------------------
+REGIONS = ("virginia", "oregon", "ireland", "tokyo")
+
+
+def _all_message_classes():
+    import repro.baselines.hft  # noqa: F401 - registers the HFT messages
+    import repro.consensus.pbft.messages  # noqa: F401
+    import repro.core.messages  # noqa: F401
+    import repro.elastic.messages  # noqa: F401
+    import repro.irmc.messages  # noqa: F401
+
+    found, pending = set(), [Message]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            found.add(subclass)
+            pending.append(subclass)
+    return found
+
+
+def _dataclass_format(message) -> str:
+    """The repr ``@dataclass`` generates, spelled out field by field."""
+    shown = ", ".join(
+        f"{field.name}={getattr(message, field.name)!r}"
+        for field in fields(message)
+        if field.repr
+    )
+    return f"{type(message).__qualname__}({shown})"
+
+
+def _network(seen, seed=1):
+    """A fresh network whose tap keeps one sample of every message class
+    it carries, nested messages included."""
+
+    def walk(value):
+        if isinstance(value, Message):
+            seen.setdefault(type(value), value)
+            if is_dataclass(value):
+                for field in fields(value):
+                    walk(getattr(value, field.name))
+        elif isinstance(value, tuple):
+            for item in value:
+                walk(item)
+
+    sim = Simulator(seed=seed)
+    network = Network(sim, Topology(), jitter=0.0)
+    network.taps.append(lambda src, dst, message: walk(message))
+    return sim, network
+
+
+def _geo_spider(seen):
+    """Four regions: concurrent writes (batched), one weak and one strong
+    read, a registry query, a group added and removed, a session closed."""
+    sim, network = _network(seen)
+    groups = tuple(GroupSpec(f"g{index}", region) for index, region in enumerate(REGIONS))
+    spec = ClusterSpec(shards=(ShardSpec("s0", groups=groups),))
+    system = build(sim, spec, network=network).system
+    clients = [system.make_client(f"c{index}", "virginia", group_id="g0") for index in range(4)]
+    for index, client in enumerate(clients):
+        client.write(("put", f"k{index}", "v"))
+    sim.run(until=2_000.0)
+    clients[0].weak_read(("get", "k0"))
+    clients[0].strong_read(("get", "k0"))
+    system.admin.query_registry()
+    system.add_execution_group_dynamically("jp", "tokyo")
+    sim.run(until=6_000.0)
+    system.admin.remove_group("jp")
+    clients[1].close_session()
+    sim.run(until=12_000.0)
+
+
+def _two_shards_move_range(seen):
+    """Two shards over IRMC-SC channels, one key range moved between them."""
+    sim, network = _network(seen, seed=3)
+    spec = ClusterSpec(
+        shards=(
+            ShardSpec("sa", groups=(GroupSpec("ga", "virginia"),)),
+            ShardSpec("sb", groups=(GroupSpec("gb", "virginia"),)),
+        ),
+        config=SpiderConfig(irmc_kind="sc"),
+    )
+    cluster = build(sim, spec, network=network)
+    cluster.session("u1", "virginia").write("k", "v")
+    cluster.move_range(2, 3, "sa", "sb")
+    sim.run(until=60_000.0)
+
+
+def _baselines(seen):
+    for spec in (BftSpec(regions=REGIONS), HftSpec(regions=REGIONS)):
+        sim, network = _network(seen)
+        build(sim, spec, network=network).make_client("c1", "virginia").write(("put", "k", "v"))
+        sim.run(until=3_000.0)
+
+
+def _pbft_leader_crash(seen):
+    """The agreement leader and one execution replica crash: a view change,
+    then a checkpoint fetch when the execution replica recovers."""
+    sim, network = _network(seen)
+    groups = (GroupSpec("g0", "virginia"), GroupSpec("g1", "tokyo"))
+    spec = ClusterSpec(
+        shards=(ShardSpec("s0", groups=groups),),
+        config=SpiderConfig(ke=2, ka=8, commit_capacity=2),
+    )
+    system = build(sim, spec, network=network).system
+    client = system.make_client("c1", "virginia", group_id="g0")
+    leader, victim = system.agreement_replicas[0], system.groups["g0"].replicas[0]
+    client.write(("put", "w0", 0))
+    sim.run(until=2_000.0)
+    leader.crash()
+    victim.crash()
+    for index in range(1, 8):
+        client.write(("put", f"w{index}", index))
+        sim.run(until=2_000.0 + index * 1_000.0)
+    victim.recover()
+    leader.recover()
+    sim.run(until=20_000.0)
+
+
+class TestReprParity:
+    """Every message class's memoised repr is the wire form it had as a
+    plain dataclass (or its own ``__repr__``), byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def seen(self):
+        seen = {}
+        for run in (_geo_spider, _two_shards_move_range, _baselines, _pbft_leader_crash):
+            run(seen)
+        return seen
+
+    #: Classes none of the runs above sends: they take a fault those runs
+    #: do not inject (a payload gap, a collector reselection, a Move for a
+    #: retired subchannel), or only the IRMC figure's load generator.
+    UNSENT = {
+        FetchPayload: lambda: FetchPayload(tag="ag", seqs=(3, 4), sender="r1"),
+        RetireEcho: lambda: RetireEcho(tag="req-g0", subchannel="c1", sender="r2"),
+        SelectMsg: lambda: SelectMsg(tag="com-g0", subchannel=0, collector="r1", sender="r2"),
+        Payload: lambda: Payload(1024, label="bench"),
+    }
+
+    def test_the_runs_send_every_other_message_class(self, seen):
+        missing = _all_message_classes() - set(seen) - set(self.UNSENT)
+        assert not missing, sorted(cls.__name__ for cls in missing)
+        assert not set(seen) & set(self.UNSENT)
+
+    def test_repr_equals_a_fresh_copy_and_the_dataclass_format(self, seen):
+        samples = dict(seen)
+        samples.update((cls, build_one()) for cls, build_one in self.UNSENT.items())
+        for cls, message in samples.items():
+            text = repr(message)
+            assert repr(message) is text  # the memo
+            if cls is Payload:
+                assert text == repr(Payload(message.size, message.label)) == "<Payload bench 1024B>"
+                continue
+            assert repr(replace(message)) == text, cls.__name__
+            if cls is not Execute:  # the one class with its own format
+                assert text == _dataclass_format(message), cls.__name__

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.messages import RequestBody
 from repro.crypto import digest, sign, verify
-from repro.crypto.primitives import cached_repr
 from repro.errors import SimulationError
 from repro.net import Site, Topology, send_sanitizer_enabled, set_send_sanitizer
 from repro.net.network import Network
@@ -85,7 +84,7 @@ class TestSanitizer:
         if sealed:
             assert verify(sign("c1", body), body, signer="c1")
             digest(body)
-            cached_repr(body)
+            repr(body)
             network.send(a, b, body)  # fills the wire-size memo
             sim.run()
         network.send(a, b, body)
