@@ -3,11 +3,9 @@
 Each benchmark test compares its run with its record
 (``BENCH_<name>.json`` for each name of :data:`PATHS`) before it asserts
 any shape, so a change that moves a recorded number fails whether or not
-the shape still holds.  Key sets, ints and strings compare exactly,
-floats within the relative :data:`REL_TOL`: Python >= 3.12's compensated
-``sum`` (emulated with ``math.fsum``) moves three of Fig. 10's bucket
-means by one ulp (2.2e-16 relative), and pacing Fig. 9's CPU probe one
-interval early moves its CPU cells by 4.1e-9 to 1.3e-7 relative.
+the shape still holds.  Key sets, ints, strings and floats all compare
+exactly: the means behind the records are summed with ``math.fsum``
+(``repro.metrics.latency``), which is correctly rounded on every CPython.
 
 Re-record only for a change that moves simulated results by design, in
 its own commit: ``PYTHONPATH=src python benchmarks/records.py`` for the
@@ -20,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import pathlib
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -35,7 +32,6 @@ PATHS = {
 #: expected/actual pairs of every entry that moved (CI uploads it)
 MISMATCH_PATH = _HERE / "BENCH_mismatch.json"
 SEED = 1
-REL_TOL = 1e-12
 RERECORD = "PYTHONPATH=src python benchmarks/records.py"
 _ABSENT = object()  #: a key or list item one side does not have
 
@@ -75,11 +71,7 @@ def _moved(expected: Any, actual: Any, path: str) -> Iterator[Tuple[str, Dict[st
         for index, (item, got) in enumerate(pairs):
             yield from _moved(item, got, f"{path}/{index}")
         return
-    if isinstance(expected, float) and isinstance(actual, float):
-        same = math.isclose(expected, actual, rel_tol=REL_TOL, abs_tol=0.0)
-    else:
-        same = type(expected) is type(actual) and expected == actual
-    if not same:
+    if type(expected) is not type(actual) or expected != actual:
         yield path, {
             side: value
             for side, value in (("expected", expected), ("actual", actual))

@@ -60,10 +60,22 @@ def test_record_holds_every_figure():
         assert records.mismatches(f"{FIGURE_ROWS}/{name}", rows) == []
 
 
-def test_a_one_ulp_move_of_every_float_passes():
-    """What Python 3.12's compensated ``sum`` moves must not fail."""
+def _nonzero_floats(value):
+    if isinstance(value, dict):
+        return sum(_nonzero_floats(item) for item in value.values())
+    if isinstance(value, list):
+        return sum(_nonzero_floats(item) for item in value)
+    return int(isinstance(value, float) and value != 0.0)
+
+
+def test_a_one_ulp_move_of_any_float_fails(tmp_path, monkeypatch):
+    """Floats compare exactly, like ints and strings: one ulp on any
+    non-zero float of any record is a moved entry."""
+    monkeypatch.setattr(records, "MISMATCH_PATH", tmp_path / "mismatch.json")
     for name in records.PATHS:
-        assert records.mismatches(name, _one_ulp_up(records.recorded(name))) == []
+        record = records.recorded(name)
+        moved = records.mismatches(name, _one_ulp_up(record))
+        assert len(moved) == _nonzero_floats(record) > 0, name
 
 
 @pytest.mark.parametrize("factor", [0.0, 6.0], ids=["wedged", "six-times-slower"])

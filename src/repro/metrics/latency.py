@@ -2,11 +2,14 @@
 
 Clients record ``(kind, start_ms, latency_ms)`` tuples (see
 :class:`repro.core.client.SpiderClient`); these helpers aggregate them into
-the percentiles and time series the paper's figures report.
+the percentiles and time series the paper's figures report.  Means use
+``math.fsum``, which is correctly rounded on every CPython, so the
+committed records read the same on every supported version.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -76,7 +79,7 @@ def summarize(
         p50=percentile(latencies, 50),
         p90=percentile(latencies, 90),
         p99=percentile(latencies, 99),
-        mean=sum(latencies) / len(latencies),
+        mean=math.fsum(latencies) / len(latencies),
     )
 
 
@@ -100,6 +103,6 @@ def time_series(
         bucket = (start // bucket_ms) * bucket_ms
         buckets.setdefault(bucket, []).append(latency)
     return {
-        bucket: sum(values) / len(values)
+        bucket: math.fsum(values) / len(values)
         for bucket, values in sorted(buckets.items())
     }
