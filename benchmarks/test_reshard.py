@@ -164,7 +164,7 @@ def run_reshard(seed: int = SEED) -> dict:
             },
             "split_at_ms": SPLIT_AT_MS,
             "handover_ms": round(handover["end"] - handover["start"], 3),
-            "epoch": cluster.partitioner.epoch,
+            "epoch": cluster.range_map.epoch,
             "shards_after": len(cluster.spec.shard_ids()),
             "writes_per_s": {
                 "before": window_rate(WARMUP_MS, SPLIT_AT_MS),

@@ -4,7 +4,7 @@ The first scale-out benchmark of the declarative deployment API:
 write-only sessions drive clusters of 1, 2 and 4 shards (each shard a
 complete agreement domain: 4 agreement replicas + one 3-replica
 execution group, all in Virginia).  Keys pin each session to one shard
-via the cluster's deterministic partitioner, and the population grows
+via the cluster's epoch-0 routing table, and the population grows
 with the shard count — 32 closed-loop sessions per shard — so that every
 shard is saturated at every count (a fixed population of 32 stopped
 saturating more than one shard once bundled IRMC Sends tripled a shard's
@@ -75,7 +75,7 @@ def run_shard_count(n_shards: int, seed: int = SEED) -> dict:
             shard_id = shard_ids[index % n_shards]
             session = cluster.session(f"u{index}", "virginia")
             # One dedicated key per session, owned by its designated shard.
-            key = cluster.partitioner.keys_for(
+            key = cluster.range_map.keys_for(
                 shard_id, per_shard[shard_id] + 1, prefix=f"{shard_id}:k"
             )[-1]
             per_shard[shard_id] += 1

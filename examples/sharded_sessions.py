@@ -28,11 +28,12 @@ def main() -> None:
     print(f"built {len(cluster.shards)} shards, {len(cluster.all_nodes)} replicas")
 
     session = cluster.session("alice", "tokyo")
-    # Pick one key per shard so the writes pipeline across shards.
-    key_a = cluster.partitioner.keys_for("s0", 1, prefix="cart:")[0]
-    key_b = cluster.partitioner.keys_for("s1", 1, prefix="cart:")[0]
-    print(f"{key_a!r} owned by {cluster.partitioner.owner(key_a)}, "
-          f"{key_b!r} by {cluster.partitioner.owner(key_b)}")
+    # Pick one key per shard from the cluster's routing table, so the
+    # writes pipeline across shards.
+    key_a = cluster.range_map.keys_for("s0", 1, prefix="cart:")[0]
+    key_b = cluster.range_map.keys_for("s1", 1, prefix="cart:")[0]
+    print(f"{key_a!r} owned by {cluster.range_map.owner(key_a)}, "
+          f"{key_b!r} by {cluster.range_map.owner(key_b)}")
 
     writes = [session.write(key_a, ["milk"]), session.write(key_b, ["tea"])]
     print(f"in flight across shards: {session.pending_ops}")

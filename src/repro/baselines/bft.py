@@ -29,17 +29,21 @@ from repro.sim.routing import RoutedNode
 if TYPE_CHECKING:
     from repro.deploy.spec import BftSpec
 
+#: a replica suspects its leader after this long without progress (ms).
+VIEW_TIMEOUT_MS = 4000.0
+#: every this many sequence numbers a replica takes a checkpoint.
+CHECKPOINT_INTERVAL = 16
+
 
 class BftReplica(ClientFacing, RoutedNode):
     """A geo-distributed PBFT replica hosting the application directly."""
 
     reply_group = "bft"
 
-    def __init__(self, sim, name, site, app: StateMachine, f: int = 1, checkpoint_interval: int = 16):
+    def __init__(self, sim, name, site, app: StateMachine, f: int = 1):
         super().__init__(sim, name, site)
         self.app = app
         self.f = f
-        self.checkpoint_interval = checkpoint_interval
         self.sn = 0
         self.t: Dict[str, int] = {}
         self.u: Dict[str, Tuple[int, Any]] = {}
@@ -81,7 +85,7 @@ class BftReplica(ClientFacing, RoutedNode):
             for item in batch_items(payload):
                 if isinstance(item, RequestWrapper):
                     self._execute_once(item)
-            if seq % self.checkpoint_interval == 0:
+            if seq % CHECKPOINT_INTERVAL == 0:
                 self.cp.gen_cp(seq, self._snapshot())
 
     # ------------------------------------------------------------------
@@ -119,7 +123,6 @@ class BftSystem:
                 Site(region, 1),
                 spec.app_factory(),
                 f=spec.f,
-                checkpoint_interval=spec.checkpoint_interval,
             )
             network.register(replica)
             self.replicas.append(replica)
@@ -129,7 +132,7 @@ class BftSystem:
             else None
         )
         config = PbftConfig(
-            f=spec.f, view_timeout_ms=spec.view_timeout_ms, weights=name_weights
+            f=spec.f, view_timeout_ms=VIEW_TIMEOUT_MS, weights=name_weights
         )
         for replica in self.replicas:
             replica.setup(self.replicas, config)

@@ -656,7 +656,7 @@ def _isolation(case, sim, cluster):
             # Disjoint per-session key pools: the expected state maps
             # each key to exactly one session's write, so the invariant
             # holds regardless of how concurrent sessions interleave.
-            keys[session.name] = cluster.partitioner.keys_for(
+            keys[session.name] = cluster.range_map.keys_for(
                 shard_id,
                 case.requests_per_session,
                 prefix=f"{shard_id}:{index}:k",
@@ -706,7 +706,7 @@ def _handover(case, sim, cluster):
     while mover sessions keep writing keys *inside* the moving range and
     stationary sessions write keys that never move."""
     moves = case.moves
-    initial_map = cluster.partitioner.range_map
+    initial_map = cluster.range_map
     moving_slots = {
         slot for lo, hi, _src, _dst, _epoch in moves for slot in range(lo, hi)
     }
@@ -802,7 +802,7 @@ def _handover(case, sim, cluster):
                 "liveness/reshard: the handover plan did not complete "
                 f"(started at {handover['start']})"
             )
-        final_epoch = cluster.partitioner.epoch
+        final_epoch = cluster.range_map.epoch
         if final_epoch != moves[-1][4]:
             violations.append(
                 f"safety/reshard: routing table sits at epoch {final_epoch}, "

@@ -19,7 +19,7 @@ The profile encodes what a stack can tolerate:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.chaos.actions import FaultAction, slot_kind
@@ -45,11 +45,10 @@ class ChaosProfile:
     links: Tuple[Tuple[str, str], ...] = ()
     #: how many windows one schedule may hold
     max_actions: int = 5
-    #: per-kind parameter ranges (overrides the defaults below)
-    param_ranges: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
 
-_DEFAULT_PARAMS: Dict[str, Tuple[float, float]] = {
+#: per-kind magnitude range a window's ``param`` is drawn from.
+_PARAM_RANGES: Dict[str, Tuple[float, float]] = {
     "delay": (20.0, 400.0),
     "drop": (0.05, 0.5),
     "duplicate": (0.1, 0.5),
@@ -96,15 +95,15 @@ def generate_schedule(name: str, seed: int, profile: ChaosProfile) -> List[Fault
                 target=target,
                 start_ms=round(start, 3),
                 duration_ms=round(end - start, 3),
-                param=_param_for(kind, rng, profile),
+                param=_param_for(kind, rng),
             )
         )
     actions.sort(key=lambda a: (a.start_ms, a.kind, a.target))
     return actions
 
 
-def _param_for(kind: str, rng: random.Random, profile: ChaosProfile) -> float:
-    bounds = profile.param_ranges.get(kind, _DEFAULT_PARAMS.get(kind))
+def _param_for(kind: str, rng: random.Random) -> float:
+    bounds = _PARAM_RANGES.get(kind)
     if bounds is None:
         # Kinds without a magnitude still consume one draw, so adding a
         # parameterised kind later does not reshuffle earlier schedules.

@@ -19,12 +19,14 @@ through sharded sessions::
     session.close()                           # retires request subchannels
 
 Shards are independent agreement domains over disjoint key ranges — the
-deterministic :class:`KeyPartitioner` maps every key to its owner — so a
-cluster scales writes with the shard count.  The baselines use the same
-idiom via :class:`BftSpec` / :class:`HftSpec`.
+cluster's epoch-stamped routing table (``cluster.range_map``) maps every
+key to its owner — so a cluster scales writes with the shard count.  A
+spec's ``middleware`` entries become the cluster's one chain
+(``cluster.chain``), which every shard's operations pass through.  The
+baselines use the same idiom via :class:`BftSpec` / :class:`HftSpec`.
 """
 
-from repro.deploy.cluster import Cluster, KeyPartitioner, build
+from repro.deploy.cluster import Cluster, build
 from repro.deploy.middleware import (
     CLOSED,
     OVERLOAD,
@@ -54,7 +56,6 @@ __all__ = [
     "Consistency",
     "GroupSpec",
     "HftSpec",
-    "KeyPartitioner",
     "Middleware",
     "MiddlewareChain",
     "MiddlewareSpec",

@@ -22,78 +22,12 @@ from repro.errors import ConfigurationError
 from repro.net import Network, Topology
 from repro.sim.futures import SimFuture
 
-__all__ = ["KeyPartitioner", "Cluster", "build"]
-
-
-class KeyPartitioner:
-    """Deterministic key -> shard mapping shared by all sessions.
-
-    Routing is delegated to an epoch-versioned
-    :class:`~repro.elastic.rangemap.RangeMap`; the default table is the
-    striped epoch-0 map, which reproduces the historical
-    ``crc32(str(key)) mod N`` placement bit-for-bit (stable across
-    platforms and interpreter runs, unlike builtin ``hash``), so in a
-    deployment that never moves a range a key's owner remains a pure
-    function of the spec.  Live resharding advances the table through
-    :meth:`advance` (monotone in the epoch — stale tables never win).
-    """
-
-    def __init__(self, shard_ids, range_map: Optional[RangeMap] = None):
-        self.shard_ids = tuple(shard_ids)
-        if not self.shard_ids:
-            raise ConfigurationError("partitioner needs at least one shard")
-        self.range_map = (
-            range_map if range_map is not None else RangeMap.modulo(self.shard_ids)
-        )
-
-    @property
-    def epoch(self) -> int:
-        """The routing epoch of the current table."""
-        return self.range_map.epoch
-
-    def owner(self, key: Any) -> str:
-        """The shard id owning ``key`` in the current epoch."""
-        return self.range_map.owner(key)
-
-    def advance(self, range_map: RangeMap) -> bool:
-        """Adopt a newer routing table; True iff it actually advanced."""
-        if range_map.epoch <= self.range_map.epoch:
-            return False
-        self.range_map = range_map
-        return True
-
-    def register_shard(self, shard_id: str) -> None:
-        """Make a newcomer shard known (it owns no slots until a
-        ``MoveRange`` hands it some — see ``Cluster.add_shard``)."""
-        if shard_id not in self.shard_ids:
-            self.shard_ids = self.shard_ids + (shard_id,)
-
-    def keys_for(self, shard_id: str, count: int, prefix: str = "key-"):
-        """``count`` generated keys owned by ``shard_id`` (workload helper)."""
-        if shard_id not in self.shard_ids:
-            # owner() can never return an unknown id — without this the
-            # search below would spin forever instead of failing fast.
-            raise ConfigurationError(
-                f"no shard {shard_id!r}; known: {sorted(self.shard_ids)}"
-            )
-        if shard_id not in self.range_map.owners():
-            # Known but slotless (a newcomer before its first MoveRange):
-            # the search below could likewise never terminate.
-            raise ConfigurationError(
-                f"shard {shard_id!r} owns no slots in epoch {self.epoch}; "
-                f"owners: {list(self.range_map.owners())}"
-            )
-        found, index = [], 0
-        while len(found) < count:
-            key = f"{prefix}{index}"
-            if self.owner(key) == shard_id:
-                found.append(key)
-            index += 1
-        return found
+__all__ = ["Cluster", "build"]
 
 
 class Cluster:
-    """A built multi-shard deployment: shards + partitioner + sessions."""
+    """A built multi-shard deployment: shards, the routing table, the
+    middleware chain and the sessions over them."""
 
     #: how many retired session names the reuse filter remembers (bounded,
     #: matching the channel layer's bounded retirement tombstones).
@@ -106,7 +40,10 @@ class Cluster:
         self.shards: Dict[str, Shard] = {}
         for shard_spec in spec.shards:
             self._attach(Shard(sim, network, spec, shard_spec))
-        self.partitioner = KeyPartitioner(self.shards.keys())
+        #: the epoch-stamped key -> shard table every session routes by;
+        #: epoch 0 is the striped ``crc32(key) mod shards`` placement, and
+        #: only ``_adopt_map`` replaces it (with a strictly newer epoch).
+        self.range_map = RangeMap.modulo(self.shards)
         #: live sessions only — fully closed ones are released.  A closed
         #: session's name stays in ``_session_names`` until the agreement
         #: group agrees its clients' retirement (RetireClient), then moves
@@ -121,12 +58,15 @@ class Cluster:
         #: awaiting agreed retirement; plus a per-session countdown.
         self._pending_retirement: Dict[str, str] = {}
         self._retire_remaining: Dict[str, int] = {}
-        #: middleware instances cached by ``name:options`` fingerprint,
-        #: and the per-shard assembled chains (None = empty chain).
-        self._middleware_instances: Dict[str, Any] = {}
-        self._chains: Dict[str, Optional[MiddlewareChain]] = {}
-        self.has_middleware = bool(spec.middleware) or any(
-            shard_spec.middleware for shard_spec in spec.shards
+        #: the one session middleware chain, shared by every shard —
+        #: shard-wide books (admission depth) key by ``op.shard_id``,
+        #: per-session books by session name (None = no middleware).
+        self.chain: Optional[MiddlewareChain] = (
+            MiddlewareChain(
+                [build_middleware(e.name, e.options_dict()) for e in spec.middleware]
+            )
+            if spec.middleware
+            else None
         )
 
     # ------------------------------------------------------------------
@@ -156,7 +96,7 @@ class Cluster:
         return next(iter(self.shards.values()))
 
     def shard_for_key(self, key: Any) -> Shard:
-        return self.shards[self.partitioner.owner(key)]
+        return self.shards[self.range_map.owner(key)]
 
     @property
     def all_nodes(self):
@@ -171,7 +111,7 @@ class Cluster:
     def session(self, name: str, region: str, zone: int = 1) -> Session:
         """Open a :class:`~repro.deploy.session.Session` — the sharded
         key-value surface (``write`` / ``read`` / ``strong_read`` routed
-        by the key partitioner).  Names are single-use: close a session
+        by ``range_map``).  Names are single-use: close a session
         rather than re-opening one under the same name."""
         if name in self._session_names or name in self._retired_names:
             raise ConfigurationError(f"session {name!r} already exists")
@@ -183,45 +123,13 @@ class Cluster:
     def _release_session(self, session: Session) -> None:
         self.sessions.pop(session.name, None)
 
-    # ------------------------------------------------------------------
-    # Session middleware (see repro.deploy.middleware)
-    # ------------------------------------------------------------------
-    def middleware_chain(self, shard_id: str) -> Optional[MiddlewareChain]:
-        """The assembled chain for one shard (None when empty).
-
-        Instances are cached by their ``name:options`` fingerprint, so
-        identical declarations — cluster-wide or across shards — share
-        one instance; shard-wide books (admission depth) and per-session
-        books (rate buckets, read leases) live inside the instances.
-        """
-        if shard_id not in self._chains:
-            shard_spec = next(
-                s for s in self.spec.shards if s.shard_id == shard_id
-            )
-            entries = tuple(self.spec.middleware) + tuple(shard_spec.middleware)
-            if entries:
-                self._chains[shard_id] = MiddlewareChain(
-                    [self._middleware_instance(entry) for entry in entries]
-                )
-            else:
-                self._chains[shard_id] = None
-        return self._chains[shard_id]
-
-    def _middleware_instance(self, entry):
-        fingerprint = entry.fingerprint()
-        if fingerprint not in self._middleware_instances:
-            self._middleware_instances[fingerprint] = build_middleware(
-                entry.name, entry.options_dict()
-            )
-        return self._middleware_instances[fingerprint]
-
     def middleware_instance(self, name: str):
-        """The first cached instance registered under ``name`` (metrics
-        surface for benchmarks and tests)."""
-        for instance in self._middleware_instances.values():
-            if instance.name == name:
-                return instance
-        raise ConfigurationError(f"no middleware instance {name!r} built yet")
+        """The chain's first middleware registered under ``name``
+        (metrics surface for benchmarks and tests)."""
+        found = self.chain.find(name) if self.chain is not None else None
+        if found is None:
+            raise ConfigurationError(f"no middleware instance {name!r} in the chain")
+        return found
 
     # ------------------------------------------------------------------
     # Retirement bookkeeping (agreed RetireClient commands)
@@ -306,7 +214,7 @@ class Cluster:
         them); the returned future resolves with the adopted
         :class:`RangeMap`.
         """
-        current = self.partitioner.range_map
+        current = self.range_map
         new_map = current.move(range_start, range_end, src_shard, dst_shard)
         src, dst = self.shard(src_shard), self.shard(dst_shard)
         common = dict(
@@ -344,15 +252,14 @@ class Cluster:
         The spec is validated in the context of the full cluster spec
         before any node exists; the shard is built exactly like
         ``build()`` would have built it (own admin principal, prefixed
-        node names) and registered with the partitioner as slotless —
-        keys route to it only after a ``MoveRange`` hands it a range.
+        node names) and owns no slot of the routing table — keys route
+        to it only after a ``MoveRange`` hands it a range.
         """
         new_spec = replace(self.spec, shards=self.spec.shards + (shard_spec,))
         new_spec.validate()
         self.spec = new_spec
         shard = Shard(self.sim, self.network, new_spec, shard_spec)
         self._attach(shard)
-        self.partitioner.register_shard(shard_spec.shard_id)
         return shard
 
     def split_shard(self, shard_spec: ShardSpec) -> SimFuture:
@@ -364,12 +271,12 @@ class Cluster:
         :class:`RangeMap` once the last handover committed.
         """
         shard = self.add_shard(shard_spec)
-        moves = split_moves(self.partitioner.range_map, shard_spec.shard_id)
+        moves = split_moves(self.range_map, shard_spec.shard_id)
         done = SimFuture(name=f"split:{shard_spec.shard_id}")
 
         def run_next(index: int) -> None:
             if index >= len(moves):
-                done.resolve(self.partitioner.range_map)
+                done.resolve(self.range_map)
                 return
             lo, hi, src = moves[index]
             self.move_range(lo, hi, src, shard_spec.shard_id).add_callback(
@@ -382,9 +289,11 @@ class Cluster:
     def _adopt_map(self, range_map: RangeMap) -> None:
         """Flip routing to a newer table (no-op for stale ones) and
         release every live session's ops parked behind the epoch bump."""
-        if self.partitioner.advance(range_map):
-            for session in list(self.sessions.values()):
-                session._release_parked()
+        if range_map.epoch <= self.range_map.epoch:
+            return
+        self.range_map = range_map
+        for session in list(self.sessions.values()):
+            session._release_parked()
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ The paper positions Spider as a replication *middleware*; this module is
 the client-side half of that story: a chain of interception hooks wrapped
 around :class:`~repro.deploy.session.Session` operations, declared as
 pure data on the :class:`~repro.deploy.spec.ClusterSpec` (see
-``MiddlewareSpec``) and assembled by the cluster builder.
+``MiddlewareSpec``) and assembled once per cluster (``Cluster.chain``).
 
 Protocol
 --------
@@ -26,18 +26,16 @@ close time) complete through the same ``on_reply`` path with
 ``Rejected(CLOSED)``, so the accounting identity *offered = completed +
 served + shed* holds exactly.
 
-Middlewares are shared: the cluster caches instances by the
-``name:options`` fingerprint, so two shards (or the cluster and a shard)
-declaring the same entry share one instance — per-shard and per-session
-state lives *inside* the instance, keyed by the :class:`OpContext`, and
-is dropped by ``on_session_close``.  An empty chain takes none of these
-code paths: the session's fast path is untouched and runs byte-identical
-to a spec without middleware.
+One chain serves every shard of a cluster: per-shard state (admission
+depth) lives *inside* each instance keyed by ``op.shard_id``, and
+per-session state keyed by the :class:`OpContext`'s session, dropped by
+``on_session_close``.  An empty chain takes none of these code paths:
+the session's fast path is untouched and runs byte-identical to a spec
+without middleware.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -52,7 +50,6 @@ __all__ = [
     "OpContext",
     "Rejected",
     "Served",
-    "middleware_fingerprint",
     "resolve_middleware",
     "validate_middleware",
 ]
@@ -166,7 +163,7 @@ class Middleware:
 
 
 class MiddlewareChain:
-    """An ordered list of middleware instances bound to one shard."""
+    """An ordered list of middleware instances (a cluster's one chain)."""
 
     __slots__ = ("middlewares",)
 
@@ -474,8 +471,7 @@ class SloMetrics(Middleware):
 
 
 # ----------------------------------------------------------------------
-# Registry (spec entries name middlewares; instances are cached by
-# fingerprint so identical declarations share one instance)
+# Registry (spec entries name middlewares)
 # ----------------------------------------------------------------------
 #: spec name -> middleware class
 _REGISTRY: Dict[str, type] = {
@@ -498,11 +494,6 @@ def resolve_middleware(name: str) -> type:
 def validate_middleware(name: str, options: Dict[str, Any]) -> None:
     """Spec-validation entry point: name known, options well-formed."""
     resolve_middleware(name).validate_options(dict(options))
-
-
-def middleware_fingerprint(name: str, options: Dict[str, Any]) -> str:
-    """Canonical ``name:options`` identity for instance caching."""
-    return f"{name}:{json.dumps(dict(options), sort_keys=True, default=repr)}"
 
 
 def build_middleware(name: str, options: Dict[str, Any]) -> Middleware:

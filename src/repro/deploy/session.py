@@ -1,12 +1,12 @@
 """The sharded, session-based client surface.
 
 A :class:`Session` is the key-value face of a multi-shard cluster: every
-operation names a *key*, the cluster's deterministic
-:class:`~repro.deploy.cluster.KeyPartitioner` maps the key to its owning
-shard, and the session orders through protocol clients
-(:class:`~repro.core.client.SpiderClient`, "lanes") opened on demand per
-shard it touches: lane 0 is ``{session}@{shard_id}``, lane ``k``
-``{session}@{shard_id}#k``.
+operation names a *key*, the cluster's epoch-stamped
+:class:`~repro.elastic.rangemap.RangeMap` (``Cluster.range_map``) maps
+the key to its owning shard, and the session orders through protocol
+clients (:class:`~repro.core.client.SpiderClient`, "lanes") opened on
+demand per shard it touches: lane 0 is ``{session}@{shard_id}``, lane
+``k`` ``{session}@{shard_id}#k``.
 
 Semantics:
 
@@ -39,7 +39,8 @@ Semantics:
   :meth:`SpiderClient.weak_read`.
 * **Middleware** — when the spec declares a chain
   (:class:`~repro.deploy.spec.MiddlewareSpec`), every operation passes
-  through it before touching a queue and again on completion
+  through the cluster's one chain, in the context of the session and
+  the op's shard, before touching a queue and again on completion
   (:mod:`repro.deploy.middleware`): admission control may shed it with
   ``Rejected(OVERLOAD)``, rate limiting with ``Rejected(RATE_LIMIT)``,
   the read cache may answer it locally.  A spec without middleware skips
@@ -144,13 +145,13 @@ class Session:
         if consistency is Consistency.STRONG:
             return self._submit_ordered("strong-read", key, ("get", key))
         self._check_open()
-        shard_id = self.cluster.partitioner.owner(key)
+        shard_id = self.cluster.range_map.owner(key)
         op, answered = self._admit("weak-read", key, ("get", key), shard_id)
         if answered is not None:
             return answered
         future = self._client(shard_id).weak_read(("get", key))
         if op is not None:
-            chain, ctx = self._chain(shard_id), self._context(shard_id)
+            chain, ctx = self.cluster.chain, self._context(shard_id)
             future.add_callback(lambda result: chain.complete(ctx, op, result))
         self._track(future, "weak-read", key)
         return future
@@ -187,10 +188,8 @@ class Session:
             _epoch, run = self._parked.popleft()
             for _kind, _operation, future, op in run:
                 self._finish(future, op, Rejected(CLOSED, by="session"))
-        for shard_id in list(self._contexts):
-            chain = self._chain(shard_id)
-            if chain is not None:
-                chain.close_session(self._contexts[shard_id])
+        for ctx in self._contexts.values():
+            self.cluster.chain.close_session(ctx)
         if not self._clients:
             self.cluster._release_session(self)
             # No protocol client was ever created, so nothing downstream
@@ -268,11 +267,6 @@ class Session:
                 return lane
         return _lane_id(shard_id, len(lanes))
 
-    def _chain(self, shard_id: str):
-        if not self.cluster.has_middleware:
-            return None
-        return self.cluster.middleware_chain(shard_id)
-
     def _context(self, shard_id: str) -> OpContext:
         ctx = self._contexts.get(shard_id)
         if ctx is None:
@@ -282,14 +276,14 @@ class Session:
     def _admit(
         self, kind: str, key: str, operation: Tuple, shard_id: str
     ) -> Tuple[Optional[Op], Optional[SimFuture]]:
-        """Pass an op through ``shard_id``'s middleware chain.
+        """Pass an op for ``shard_id`` through the cluster's middleware chain.
 
         Returns ``(op, None)`` when the op goes on — ``op`` is the
         chain's :class:`Op`, or None without a chain (the empty-chain
         fast path allocates nothing) — and ``(None, future)`` when the
         chain answered it: shed before queuing (``Rejected``, never on
         the wire and not a completed operation) or served locally."""
-        chain = self._chain(shard_id)
+        chain = self.cluster.chain
         if chain is None:
             return None, None
         op = Op(kind, key, operation, shard_id, self.cluster.sim.now)
@@ -306,12 +300,12 @@ class Session:
     def _finish(self, future: SimFuture, op: Optional[Op], result: Any) -> None:
         """Complete ``op``'s middleware chain, then resolve ``future``.
 
-        The chain completes on the shard it was begun on
+        The chain completes in the context it was begun in
         (``op.shard_id``): after a redirect an op finishes on another
         shard's lane, and the begin/complete pair must hit the same
         per-shard context."""
         if op is not None:
-            self._chain(op.shard_id).complete(self._context(op.shard_id), op, result)
+            self.cluster.chain.complete(self._context(op.shard_id), op, result)
         future.try_resolve(result)
 
     def _submit_ordered(self, kind: str, key: str, operation: Tuple) -> SimFuture:
@@ -322,7 +316,7 @@ class Session:
         # handover (see the field docs above).
         lane = self._key_lane.get(key)
         if lane is None:
-            shard_id = self.cluster.partitioner.owner(key)
+            shard_id = self.cluster.range_map.owner(key)
             lane = self._pick_lane(shard_id)
         else:
             shard_id = self._lane_shard[lane]
@@ -394,21 +388,20 @@ class Session:
     # ------------------------------------------------------------------
     def _redirect(self, run: list, result) -> None:
         key = run[0][1][1]
-        partitioner = self.cluster.partitioner
         if isinstance(result, WrongShard):
             # The redirect carries the authoritative table: adopt it (a
             # no-op if we already have a newer one — that also releases
             # any ops parked behind this very epoch, keeping them ahead
             # of the run being redirected now), then chase the new owner.
             self.cluster._adopt_map(RangeMap.from_wire(result.range_map))
-        elif partitioner.epoch < result.new_epoch:
+        elif self.cluster.range_map.epoch < result.new_epoch:
             # Migrating and the handover is still in flight: park until
             # Cluster._adopt_map flips the table at commit.
             self._parked.append((result.new_epoch, run))
             return
         # WrongShard, or Migrating whose flip this session already
         # adopted: resubmit to the key's current owner.
-        self._enqueue_redirect(partitioner.owner(key), run)
+        self._enqueue_redirect(self.cluster.range_map.owner(key), run)
 
     def _enqueue_redirect(self, shard_id: str, run: list) -> None:
         # Deliberately does NOT touch _key_lane: earlier ops for the key
@@ -425,14 +418,14 @@ class Session:
         """Resubmit parked runs whose epoch arrived (in arrival order)."""
         if not self._parked:
             return
-        epoch = self.cluster.partitioner.epoch
+        epoch = self.cluster.range_map.epoch
         ready: list = []
         keep: Deque = deque()
         for entry in self._parked:
             (ready if entry[0] <= epoch else keep).append(entry)
         self._parked = keep
         for _epoch, run in ready:
-            self._enqueue_redirect(self.cluster.partitioner.owner(run[0][1][1]), run)
+            self._enqueue_redirect(self.cluster.range_map.owner(run[0][1][1]), run)
 
     def _note_issued(self, key: str, lane: str, future: SimFuture) -> None:
         self._key_pending[key] = self._key_pending.get(key, 0) + 1

@@ -6,9 +6,10 @@ A deployment is *described* as pure data and materialised by
 * :class:`ClusterSpec` — one or more :class:`ShardSpec`\\ s (each an
   agreement group plus its execution groups, i.e. one complete "paper
   deployment"), the shared :class:`~repro.core.config.SpiderConfig`, the
-  application factory and the agreement factory.  Multiple shards are the
-  repo's first scale-out axis: independent agreement groups own disjoint
-  key ranges (see :class:`~repro.deploy.cluster.KeyPartitioner`).
+  application factory, the agreement factory and the one session
+  middleware chain.  Multiple shards are the repo's first scale-out axis:
+  independent agreement groups own disjoint key ranges (the built
+  cluster's :class:`~repro.elastic.rangemap.RangeMap`).
 * :class:`BftSpec` / :class:`HftSpec` — the comparison baselines, in the
   same describe-then-build idiom.
 
@@ -25,12 +26,11 @@ from typing import Callable, Mapping, Optional, Tuple
 
 from repro.app.kvstore import KVStore
 from repro.core.config import DEFAULT_AGREEMENT_ZONES, SpiderConfig
-from repro.deploy.middleware import middleware_fingerprint, validate_middleware
+from repro.deploy.middleware import validate_middleware
 from repro.errors import ConfigurationError
 from repro.net import Site
 
 __all__ = [
-    "APP_FACTORIES",
     "GroupSpec",
     "MiddlewareSpec",
     "ShardSpec",
@@ -39,32 +39,14 @@ __all__ = [
     "HftSpec",
 ]
 
-#: application factories a spec built from plain data may name.
-APP_FACTORIES: dict = {"kvstore": KVStore}
-
-
-def _app_factory_from(value) -> Callable:
-    if callable(value):
-        return value
-    try:
-        return APP_FACTORIES[value]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown app factory {value!r}; known: {sorted(APP_FACTORIES)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class MiddlewareSpec:
     """One session-middleware entry, as pure data.
 
     ``options`` is a sorted tuple of ``(key, value)`` pairs so the spec
-    stays hashable; build entries with :meth:`of`.  Entries declared on
-    the :class:`ClusterSpec` apply to every shard, entries on a
-    :class:`ShardSpec` are appended after them (cluster entries
-    outermost).  Identical ``name:options`` fingerprints share one
-    middleware instance cluster-wide (see
-    :mod:`repro.deploy.middleware`).
+    stays hashable; build entries with :meth:`of`.  The entries of
+    ``ClusterSpec.middleware`` form the cluster's one chain, which every
+    shard's operations pass through (see :mod:`repro.deploy.middleware`).
     """
 
     name: str
@@ -90,9 +72,6 @@ class MiddlewareSpec:
 
     def options_dict(self) -> dict:
         return dict(self.options)
-
-    def fingerprint(self) -> str:
-        return middleware_fingerprint(self.name, self.options_dict())
 
     def validate(self) -> None:
         if not self.name:
@@ -139,12 +118,10 @@ class ShardSpec:
     agreement_region: str = "virginia"
     agreement_zones: Optional[Tuple[int, ...]] = None
     agreement_sites: Optional[Tuple[Site, ...]] = None
-    #: shard-local session middleware, appended after the cluster chain.
-    middleware: Tuple[MiddlewareSpec, ...] = ()
 
     @staticmethod
     def from_dict(data: Mapping) -> "ShardSpec":
-        known = {"shard_id", "groups", "agreement_region", "agreement_zones", "middleware"}
+        known = {"shard_id", "groups", "agreement_region", "agreement_zones"}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
@@ -157,9 +134,6 @@ class ShardSpec:
             groups=tuple(GroupSpec.from_dict(g) for g in data.get("groups", ())),
             agreement_region=data.get("agreement_region", "virginia"),
             agreement_zones=tuple(zones) if zones is not None else None,
-            middleware=tuple(
-                MiddlewareSpec.from_dict(m) for m in data.get("middleware", ())
-            ),
         )
 
 
@@ -179,8 +153,8 @@ class ClusterSpec:
     app_factory: Callable = KVStore
     agreement_factory: Optional[Callable] = None
     execute_locally: bool = False
-    #: session middleware chain applied to every shard (declared order =
-    #: outermost first; see :mod:`repro.deploy.middleware`).
+    #: the session middleware chain every shard's operations pass through
+    #: (declared order = outermost first; see :mod:`repro.deploy.middleware`).
     middleware: Tuple[MiddlewareSpec, ...] = ()
 
     # ------------------------------------------------------------------
@@ -214,32 +188,18 @@ class ClusterSpec:
     def from_dict(data: Mapping) -> "ClusterSpec":
         """Build a :class:`ClusterSpec` from plain data (dicts, lists, scalars).
 
-        Two shapes are accepted:
-
-        * ``{"regions": [...], ...}`` — the :meth:`single` convenience
-          (one shard, one group per region);
-        * ``{"shards": [{...}, ...], ...}`` — the general form.
-
-        ``config`` is a mapping of :class:`~repro.core.config.SpiderConfig`
-        field overrides; ``app_factory`` a registry name from
-        :data:`APP_FACTORIES`; ``middleware`` a list of
-        ``{"name", "options"}`` entries.  All scalar data — no callables
-        needed — so plain data fully describes the topology.
+        ``{"shards": [{...}, ...], "config": {...}, "middleware": [...]}``:
+        ``shards`` are :meth:`ShardSpec.from_dict` entries, ``config`` a
+        mapping of :class:`~repro.core.config.SpiderConfig` field
+        overrides and ``middleware`` a list of ``{"name", "options"}``
+        entries.  All scalar data — no callables needed — so plain data
+        fully describes the topology.
         """
-        known = {
-            "regions", "shards", "agreement_region", "agreement_zones",
-            "config", "app_factory", "execute_locally",
-            "middleware", "shard_id",
-        }
+        known = {"shards", "config", "execute_locally", "middleware"}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
                 f"topology: unknown keys {sorted(unknown)} (known: {sorted(known)})"
-            )
-        if "regions" in data and "shards" in data:
-            raise ConfigurationError(
-                "topology: give either 'regions' (single-shard shorthand) "
-                "or 'shards', not both"
             )
         config_data = data.get("config", {})
         if isinstance(config_data, SpiderConfig):
@@ -249,29 +209,13 @@ class ClusterSpec:
                 config = SpiderConfig(**dict(config_data))
             except TypeError as error:
                 raise ConfigurationError(f"topology config: {error}") from None
-        middleware = tuple(
-            MiddlewareSpec.from_dict(m) for m in data.get("middleware", ())
-        )
-        common = dict(
-            config=config,
-            app_factory=_app_factory_from(data.get("app_factory", "kvstore")),
-        )
-        if "regions" in data:
-            zones = data.get("agreement_zones")
-            return ClusterSpec.single(
-                regions=tuple(data["regions"]),
-                agreement_region=data.get("agreement_region", "virginia"),
-                agreement_zones=tuple(zones) if zones is not None else None,
-                shard_id=data.get("shard_id", "s0"),
-                execute_locally=bool(data.get("execute_locally", False)),
-                middleware=middleware,
-                **common,
-            )
         return ClusterSpec(
             shards=tuple(ShardSpec.from_dict(s) for s in data.get("shards", ())),
+            config=config,
             execute_locally=bool(data.get("execute_locally", False)),
-            middleware=middleware,
-            **common,
+            middleware=tuple(
+                MiddlewareSpec.from_dict(m) for m in data.get("middleware", ())
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -297,8 +241,6 @@ class ClusterSpec:
                 raise ConfigurationError(
                     f"shard {shard.shard_id!r}: agreement region must be non-empty"
                 )
-            for entry in shard.middleware:
-                entry.validate()
             size = self.config.agreement_size
             if shard.agreement_sites is not None:
                 if len(shard.agreement_sites) < size:
@@ -358,8 +300,6 @@ class BftSpec:
     leader: Optional[str] = None
     f: int = 1
     weights: Optional[Tuple[Tuple[str, float], ...]] = None
-    view_timeout_ms: float = 4000.0
-    checkpoint_interval: int = 16
     app_factory: Callable = KVStore
 
     def ordered_regions(self) -> Tuple[str, ...]:

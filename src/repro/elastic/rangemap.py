@@ -1,7 +1,8 @@
 """Epoch-versioned routing tables over the hashed keyspace.
 
 A :class:`RangeMap` is the elastic replacement for the frozen
-``crc32 mod N`` partitioner: keys hash into a fixed *slot space* and a
+``crc32 mod N`` placement (a built cluster holds its current one as
+``Cluster.range_map``): keys hash into a fixed *slot space* and a
 sorted table of ``(range_start, shard_id)`` entries assigns every slot —
 and therefore every key — to exactly one shard.  The table is
 epoch-stamped; :meth:`RangeMap.move` derives the successor table of a
@@ -149,6 +150,24 @@ class RangeMap:
     def owners(self) -> Tuple[str, ...]:
         """All shard ids owning at least one slot, sorted."""
         return tuple(sorted(set(self._owners)))
+
+    def keys_for(self, shard_id: str, count: int, prefix: str = "key-") -> List[str]:
+        """``count`` generated keys owned by ``shard_id`` (workload helper)."""
+        if shard_id not in self._owners:
+            # Unknown, or a newcomer before its first MoveRange: owner()
+            # never returns it, so the search below would spin forever.
+            raise ConfigurationError(
+                f"shard {shard_id!r} owns no slots in epoch {self.epoch}; "
+                f"owners: {list(self.owners())}"
+            )
+        found: List[str] = []
+        index = 0
+        while len(found) < count:
+            key = f"{prefix}{index}"
+            if self.owner(key) == shard_id:
+                found.append(key)
+            index += 1
+        return found
 
     def slots_of(self, shard_id: str) -> Tuple[int, ...]:
         """Every slot ``shard_id`` owns, ascending."""

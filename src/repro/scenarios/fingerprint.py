@@ -6,9 +6,7 @@ key to deduplicate generated scenarios by): two fragments with the same
 ordered, and regardless of which process computes it — must fingerprint
 identically, and any single field change must change it.  The elspeth
 middleware lifecycle caches instances by a ``name:options:context``
-fingerprint; this module is the repo-wide generalisation of that idiom
-(the middleware layer's ``name:options`` JSON fingerprint is its little
-sibling).
+fingerprint; this module generalises that idiom to every spec fragment.
 
 Canonicalisation rules:
 

@@ -87,7 +87,7 @@ def run(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
             "events": sim.events_processed,
             "offered_ops": len(plan),
         }
-        if cluster.has_middleware:
+        if cluster.chain is not None:
             snap = cluster.middleware_instance("slo-metrics").snapshot()
             result["slo"] = {
                 "offered": snap["offered"],

@@ -473,11 +473,12 @@ class TestBatchConfigValidation:
         for config_class in (SpiderConfig, PbftConfig):
             with pytest.raises(TypeError, match="batch_timeout_ms"):
                 config_class(batch_timeout_ms=5.0)
+        shards = [{"shard_id": "s0", "groups": [{"group_id": "g0", "region": "virginia"}]}]
         with pytest.raises(ConfigurationError, match="batch_timeout_ms"):
             ClusterSpec.from_dict(
-                {"regions": ["virginia"], "config": {"batch_timeout_ms": 5.0}}
+                {"shards": shards, "config": {"batch_timeout_ms": 5.0}}
             )
-        spec = ClusterSpec.from_dict({"regions": ["virginia"], "config": {"batch_size": 8}})
+        spec = ClusterSpec.from_dict({"shards": shards, "config": {"batch_size": 8}})
         assert spec.config.batch_size == 8
 
     def test_fetch_delay_ms_is_an_unknown_field(self):

@@ -26,10 +26,10 @@ from repro.deploy import (
     Consistency,
     GroupSpec,
     HftSpec,
-    KeyPartitioner,
     ShardSpec,
     build,
 )
+from repro.elastic import RangeMap
 from repro.errors import ConfigurationError
 from repro.metrics import sim_fingerprint
 from repro.net import Network, Site, Topology
@@ -137,8 +137,10 @@ class TestSpecValidation:
         # ... unless it is the Spider-0E variant.
         ClusterSpec(shards=(ShardSpec("s0"),), execute_locally=True).validate()
 
-    @pytest.mark.parametrize("key", ["consensus", "regoins"])
+    @pytest.mark.parametrize("key", ["consensus", "regoins", "regions"])
     def test_from_dict_rejects_unknown_topology_keys(self, key):
+        """``shards`` is the one plain-data form: the old single-shard
+        ``regions`` shorthand is an unknown key like any misspelling."""
         with pytest.raises(ConfigurationError, match=f"unknown keys \\['{key}'\\]"):
             ClusterSpec.from_dict({"shards": [], key: "raft"})
 
@@ -204,17 +206,17 @@ class TestSpecValidation:
             assert not network.nodes
 
     def test_partitioner_is_deterministic_and_total(self):
-        partitioner = KeyPartitioner(("sa", "sb", "sc"))
-        owners = {key: partitioner.owner(key) for key in (f"k{i}" for i in range(64))}
+        table = RangeMap.modulo(("sa", "sb", "sc"))
+        owners = {key: table.owner(key) for key in (f"k{i}" for i in range(64))}
         assert owners == {
-            key: partitioner.owner(key) for key in owners
+            key: table.owner(key) for key in owners
         }  # stable on re-query
         assert set(owners.values()) == {"sa", "sb", "sc"}  # all shards used
         for shard_id in ("sa", "sb", "sc"):
-            for key in partitioner.keys_for(shard_id, 5):
-                assert partitioner.owner(key) == shard_id
-        with pytest.raises(ConfigurationError, match="no shard 'sz'"):
-            partitioner.keys_for("sz", 1)  # would otherwise spin forever
+            for key in table.keys_for(shard_id, 5):
+                assert table.owner(key) == shard_id
+        with pytest.raises(ConfigurationError, match="'sz' owns no slots"):
+            table.keys_for("sz", 1)  # would otherwise spin forever
 
 
 def test_package_quick_tour_runs():
@@ -338,8 +340,8 @@ class TestShardedRouting:
         cluster = build(sim, two_shard_spec(), network=network)
         sessions = [cluster.session(f"u{i}", "virginia") for i in range(n_sessions)]
         # Interleave keys across both shards per session.
-        keys = cluster.partitioner.keys_for("sa", n_keys // 2) + (
-            cluster.partitioner.keys_for("sb", n_keys - n_keys // 2)
+        keys = cluster.range_map.keys_for("sa", n_keys // 2) + (
+            cluster.range_map.keys_for("sb", n_keys - n_keys // 2)
         )
         completions = {s.name: [] for s in sessions}
 
@@ -390,7 +392,7 @@ class TestShardedRouting:
                     ]
         assert not check_exactly_once(journals, journals)
         for key in keys:
-            owner = cluster.partitioner.owner(key)
+            owner = cluster.range_map.owner(key)
             for shard_id in ("sa", "sb"):
                 shard = cluster.shard(shard_id)
                 for group in shard.groups.values():
@@ -428,8 +430,8 @@ class TestShardedRouting:
         sim = Simulator(seed=11)
         cluster = build(sim, two_shard_spec(), network=Network(sim, Topology(), jitter=0.0))
         session = cluster.session("u0", "virginia")
-        key_a = cluster.partitioner.keys_for("sa", 1)[0]
-        key_b = cluster.partitioner.keys_for("sb", 1)[0]
+        key_a = cluster.range_map.keys_for("sa", 1)[0]
+        key_b = cluster.range_map.keys_for("sb", 1)[0]
         fa = session.write(key_a, 1)
         fb = session.write(key_b, 2)
         assert session.pending_ops == 2
@@ -440,7 +442,7 @@ class TestShardedRouting:
         sim = Simulator(seed=6)
         cluster = build(sim, two_shard_spec(), network=Network(sim, Topology(), jitter=0.0))
         session = cluster.session("u0", "virginia")
-        key = cluster.partitioner.keys_for("sb", 1)[0]
+        key = cluster.range_map.keys_for("sb", 1)[0]
         write = session.write(key, "v")
         sim.run(until=20_000.0)
         assert write.value == ("ok", 1)

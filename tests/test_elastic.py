@@ -18,7 +18,7 @@ import pytest
 
 from repro.chaos import SUITES, chaos_case
 from repro.core.messages import ClientRequest, Reply
-from repro.deploy import ClusterSpec, GroupSpec, KeyPartitioner, ShardSpec, build
+from repro.deploy import ClusterSpec, GroupSpec, ShardSpec, build
 from repro.elastic import (
     SLOTS_PER_SHARD,
     ElasticBook,
@@ -138,23 +138,30 @@ def test_move_fail_fast():
 # keys_for fail-fast (the workload helper must never spin)
 # ----------------------------------------------------------------------
 def test_keys_for_unknown_shard_fails_fast():
-    partitioner = KeyPartitioner(("sa", "sb"))
-    with pytest.raises(ConfigurationError, match="no shard 'sz'"):
-        partitioner.keys_for("sz", 4)
+    with pytest.raises(ConfigurationError, match="'sz' owns no slots in epoch 0"):
+        RangeMap.modulo(("sa", "sb")).keys_for("sz", 4)
 
 
 def test_keys_for_slotless_newcomer_fails_fast():
-    partitioner = KeyPartitioner(("sa", "sb"))
-    partitioner.register_shard("sc")  # known, but owns nothing yet
-    with pytest.raises(ConfigurationError, match="owns no slots in epoch 0"):
-        partitioner.keys_for("sc", 4)
+    sim, network = fresh_env(seed=3, jitter=0.0)
+    spec = ClusterSpec(
+        shards=(
+            ShardSpec("sa", groups=(GroupSpec("ga", "virginia"),)),
+            ShardSpec("sb", groups=(GroupSpec("gb", "virginia"),)),
+        )
+    )
+    cluster = build(sim, spec, network=network)
+    cluster.add_shard(ShardSpec("sc", groups=(GroupSpec("gc", "virginia"),)))
+    # Built and known to the cluster, but no MoveRange handed it a slot.
+    with pytest.raises(ConfigurationError, match="'sc' owns no slots in epoch 0"):
+        cluster.range_map.keys_for("sc", 4)
 
 
 def test_keys_for_returns_owned_keys():
-    partitioner = KeyPartitioner(("sa", "sb"))
-    keys = partitioner.keys_for("sb", 5)
+    table = RangeMap.modulo(("sa", "sb"))
+    keys = table.keys_for("sb", 5)
     assert len(keys) == 5
-    assert all(partitioner.owner(key) == "sb" for key in keys)
+    assert all(table.owner(key) == "sb" for key in keys)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +300,7 @@ def test_move_range_there_and_back_executes_on_return(n_keys):
     )
     cluster = build(sim, spec, network=network)
     session = cluster.session("u1", "virginia")
-    keys = _keys_in_slot(2, cluster.partitioner.range_map.slots, n_keys)
+    keys = _keys_in_slot(2, cluster.range_map.slots, n_keys)
     assert len(keys) == n_keys
 
     results = {key: [] for key in keys}
@@ -308,8 +315,8 @@ def test_move_range_there_and_back_executes_on_return(n_keys):
     write_all("away")
     cluster.move_range(2, 3, "sb", "sa")
     sim.run(until=120_000)
-    assert cluster.partitioner.epoch == 2
-    assert all(cluster.partitioner.owner(key) == "sa" for key in keys)
+    assert cluster.range_map.epoch == 2
+    assert all(cluster.range_map.owner(key) == "sa" for key in keys)
     write_all("back")
     sim.run(until=180_000)
     # Exactly once, in order, across both cuts — and the keys are live
@@ -339,7 +346,7 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
     )
     cluster = build(sim, spec, network=network)
     session = cluster.session("u1", "virginia")
-    key = _key_in_slot(2, cluster.partitioner.range_map.slots)
+    key = _key_in_slot(2, cluster.range_map.slots)
 
     f1 = session.write(key, "v1")  # goes on the wire at sa immediately
     session.write(key, "v2")       # queued behind it
@@ -355,13 +362,13 @@ def test_wrongshard_adoption_keeps_redirected_key_frozen():
     if client._pending["retry"] is not None:
         client._pending["retry"].cancel()
     client._pending = None
-    new_map = cluster.partitioner.range_map.move(2, 3, "sa", "sb")
+    new_map = cluster.range_map.move(2, 3, "sa", "sb")
     session._on_done(
         "sa", [("write", ("put", key, "v1"), f1, None)],
         WrongShard(epoch=new_map.epoch, range_map=new_map.to_wire()),
     )
 
-    assert cluster.partitioner.epoch == new_map.epoch  # table adopted
+    assert cluster.range_map.epoch == new_map.epoch  # table adopted
     # The redirected (oldest) op went to sb *first*: it is on the wire
     # there, alone, and the younger ops were NOT sent ahead of it —
     # they drain behind it through sa's redirect stream in submission
@@ -415,8 +422,8 @@ def _handover_keeps_per_key_fifo(n_keys: int):
     cluster = build(sim, spec, network=network)
     shed = _record_shed_operations(cluster)
     session = cluster.session("u1", "virginia")
-    keys = _keys_in_slot(2, cluster.partitioner.range_map.slots, n_keys)
-    assert all(cluster.partitioner.owner(key) == "sa" for key in keys)  # even -> sa
+    keys = _keys_in_slot(2, cluster.range_map.slots, n_keys)
+    assert all(cluster.range_map.owner(key) == "sa" for key in keys)  # even -> sa
 
     results = {key: [] for key in keys}
     for index in range(3):
@@ -434,7 +441,7 @@ def _handover_keeps_per_key_fifo(n_keys: int):
 
     assert moved == {"epoch": 1}
     for key in keys:
-        assert cluster.partitioner.owner(key) == "sb"
+        assert cluster.range_map.owner(key) == "sb"
         # Exactly once, in order, across the cut: versions are 1..6.
         assert results[key] == [("ok", v) for v in range(1, 7)]
         # Among them a shed compound of the key's queued writes.

@@ -1,10 +1,11 @@
 """Tests for the session middleware chain (repro.deploy.middleware).
 
-Covers the chain mechanics (ordering, short-circuit unwinding, instance
-caching), each production middleware in isolation, spec validation, and
-the end-to-end behaviour through a built cluster — including the
-accounting identity ``offered == completed + served + shed`` that the
-overload benchmark relies on.
+Covers the chain mechanics (ordering, short-circuit unwinding), each
+production middleware in isolation, spec validation, and the end-to-end
+behaviour through a built cluster — one chain serving every shard, a
+live-added shard included — and the accounting identity
+``offered == completed + served + shed`` that the overload benchmark
+relies on.
 """
 
 import pytest
@@ -30,7 +31,6 @@ from repro.deploy.middleware import (
     RateLimit,
     ReadCache,
     SloMetrics,
-    middleware_fingerprint,
 )
 from repro.deploy.spec import GroupSpec
 from repro.errors import ConfigurationError
@@ -282,40 +282,33 @@ class TestSpecValidation:
             with pytest.raises(ConfigurationError):
                 ClusterSpec.single(middleware=(entry,)).validate()
 
-    def test_shard_level_entries_validate_too(self):
-        shard = ShardSpec(
-            "s0",
-            groups=(GroupSpec("virginia", "virginia"),),
-            middleware=(MiddlewareSpec.of("admission", depth=-2),),
-        )
-        with pytest.raises(ConfigurationError):
-            ClusterSpec(shards=(shard,)).validate()
-
-    def test_fingerprint_is_order_insensitive(self):
-        a = MiddlewareSpec.of("rate-limit", rate=5.0, burst=2.0)
-        b = MiddlewareSpec.of("rate-limit", burst=2.0, rate=5.0)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() == middleware_fingerprint(
-            "rate-limit", {"burst": 2.0, "rate": 5.0}
-        )
-
 
 # ----------------------------------------------------------------------
 # End-to-end through a built cluster
 # ----------------------------------------------------------------------
-def build_cluster(middleware=(), shard_middleware=(), seed=3):
+def build_cluster(middleware=(), seed=3):
     sim = Simulator(seed=seed)
     network = Network(sim, Topology(), jitter=0.0)
     shard = ShardSpec(
         shard_id="s0",
         groups=(GroupSpec("virginia", "virginia"), GroupSpec("tokyo", "tokyo")),
-        middleware=tuple(shard_middleware),
     )
     spec = ClusterSpec(
         shards=(shard,), config=SpiderConfig(), middleware=tuple(middleware)
     )
     cluster = build(sim, spec, network=network)
     return sim, cluster
+
+
+def build_two_shard_cluster(middleware, seed=3):
+    sim = Simulator(seed=seed)
+    network = Network(sim, Topology(), jitter=0.0)
+    shards = tuple(
+        ShardSpec(f"s{index}", groups=(GroupSpec(f"va{index}", "virginia"),))
+        for index in range(2)
+    )
+    spec = ClusterSpec(shards=shards, middleware=tuple(middleware))
+    return sim, build(sim, spec, network=network)
 
 
 class TestEndToEnd:
@@ -378,26 +371,51 @@ class TestEndToEnd:
         sim.run(until=5_000.0)
         assert first.done and not isinstance(first.value, Rejected)
 
-    def test_identical_entries_share_one_instance(self):
-        sim = Simulator(seed=3)
-        network = Network(sim, Topology(), jitter=0.0)
-        shards = tuple(
-            ShardSpec(
-                shard_id=f"s{index}",
-                groups=(GroupSpec(f"va{index}", "virginia"),),
-                middleware=(MiddlewareSpec.of("admission", depth=16),),
-            )
-            for index in range(2)
+    def test_one_chain_serves_every_shard(self):
+        """Both shards' ops pass through the cluster's one chain: its one
+        admission instance books each op under the op's own shard."""
+        sim, cluster = build_two_shard_cluster(
+            middleware=(MiddlewareSpec.of("admission", depth=16),)
         )
-        cluster = build(sim, ClusterSpec(shards=shards), network=network)
-        chain_a = cluster.middleware_chain("s0")
-        chain_b = cluster.middleware_chain("s1")
-        assert chain_a.find("admission") is chain_b.find("admission")
+        admission = cluster.middleware_instance("admission")
+        assert cluster.chain.middlewares == [admission]
+        session = cluster.session("alice", "virginia")
+        futures = [
+            session.write(cluster.range_map.keys_for(shard_id, 1)[0], "v")
+            for shard_id in ("s0", "s1")
+        ]
+        assert admission._inflight == {"s0": 1, "s1": 1}
+        sim.run(until=5_000.0)
+        assert all(future.value == ("ok", 1) for future in futures)
+        assert admission._inflight == {"s0": 0, "s1": 0}
+
+    def test_split_in_shard_runs_its_ops_through_the_chain(self):
+        """A shard brought in live by ``split_shard`` has no declaration
+        of its own: its ops pass through the cluster's chain, and the
+        books key them by the newcomer's shard id."""
+        sim, cluster = build_two_shard_cluster(
+            middleware=(
+                MiddlewareSpec.of("slo-metrics"),
+                MiddlewareSpec.of("admission", depth=16),
+            )
+        )
+        split = cluster.split_shard(
+            ShardSpec("s2", groups=(GroupSpec("va2", "virginia"),))
+        )
+        sim.run(until=20_000.0)
+        assert split.done and cluster.range_map.epoch > 0
+        session = cluster.session("alice", "virginia")
+        write = session.write(cluster.range_map.keys_for("s2", 1)[0], "v")
+        assert cluster.middleware_instance("admission")._inflight == {"s2": 1}
+        sim.run(until=25_000.0)
+        assert write.value == ("ok", 1)
+        snap = cluster.middleware_instance("slo-metrics").snapshot()
+        assert snap["max_inflight"] == {"s2": 1}
+        assert snap["completed"] == {"write": 1}
 
     def test_empty_chain_builds_no_machinery(self):
         sim, cluster = build_cluster()
-        assert not cluster.has_middleware
-        assert cluster.middleware_chain("s0") is None
+        assert cluster.chain is None
         session = cluster.session("alice", "virginia")
         future = session.write("k", "v")
         sim.run(until=5_000.0)

@@ -109,7 +109,9 @@ def test_renaming_a_scenario_keeps_its_fingerprint():
 MUTATIONS = {
     "stack": dict(stack="chaos"),
     "topology": dict(
-        topology={"regions": ["virginia", "oregon", "ireland", "tokyo"]}
+        topology={**_TOPOLOGY, "shards": [
+            {"shard_id": "s0", "groups": [{"group_id": "g0", "region": "tokyo"}]}
+        ]}
     ),
     "workload": dict(workload={**_FLASH, "sessions": 8}),
     "scale": dict(scale={"cost_scale": 10.0, "drain_ms": 2000.0}),

@@ -128,7 +128,12 @@ def test_config_field_that_became_a_constant_is_rejected_by_name(field):
         ScenarioSpec.of(
             name="probe",
             stack="overload",
-            topology={"regions": ["virginia"], "config": {field: 2}},
+            topology={
+                "shards": [
+                    {"shard_id": "s0", "groups": [{"group_id": "g0", "region": "virginia"}]}
+                ],
+                "config": {field: 2},
+            },
             workload=_FLASH,
         )
 

@@ -172,7 +172,7 @@ def test_non_overlapping_session_opens_one_client_per_shard():
     shard opens exactly one client per shard, named ``{session}@{shard}``
     — while the same ops submitted together open one lane per key."""
     sim, cluster = build_cluster(shards=("sa", "sb"))
-    keys = {shard: cluster.partitioner.keys_for(shard, 3) for shard in ("sa", "sb")}
+    keys = {shard: cluster.range_map.keys_for(shard, 3) for shard in ("sa", "sb")}
     serial = cluster.session("serial", "virginia")
     order = [key for pair in zip(keys["sa"], keys["sb"]) for key in pair]
 
