@@ -1,16 +1,23 @@
 """The committed benchmark records and the one comparison against them.
 
-Each benchmark test compares its run with its record
-(``BENCH_<name>.json`` for each name of :data:`PATHS`) before it asserts
-any shape, so a change that moves a recorded number fails whether or not
-the shape still holds.  Key sets, ints, strings and floats all compare
-exactly: the means behind the records are summed with ``math.fsum``
-(``repro.metrics.latency``), which is correctly rounded on every CPython.
+Each record is ``BENCH_<name>.json`` for a name of :data:`PATHS`: the
+rows of Figs. 7-11 (``figures``), the overload, reshard and sharding
+runs, the five pinned fields of every chaos and reshard suite cell
+(``chaos``, keyed ``<suite>/<scenario>/<seed>``) and spiderbench's five
+fingerprint/event pairs (``parity``).  Each benchmark test, the tier-1
+chaos slice and ``tools/spiderbench_parity.py`` compare their run with
+its record through :func:`mismatches` before they assert anything else,
+so a change that moves a recorded number fails whether or not the shape
+still holds, and every moved entry is named by its leaf path.  Key sets,
+ints, strings and floats all compare exactly: the means behind the
+records are summed with ``math.fsum`` (``repro.metrics.latency``), which
+is correctly rounded on every CPython.
 
 Re-record only for a change that moves simulated results by design, in
 its own commit: ``PYTHONPATH=src python benchmarks/records.py`` for the
 figures (every row of Figs. 7-11 at ``--quick --seed 1``, default crypto
-costs), ``python benchmarks/test_<name>.py`` for the others.
+costs), ``python tools/spiderbench_parity.py --record`` for the pairs,
+``PYTHONPATH=src python benchmarks/test_<name>.py`` for the others.
 """
 
 from __future__ import annotations
@@ -19,20 +26,24 @@ import functools
 import itertools
 import json
 import pathlib
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.chaos import SEEDS as CHAOS_SEEDS
+from repro.chaos import run_cells
 from repro.crypto.costs import CostModel, use_cost_model
 from repro.experiments.figures import FIGURES
 
 _HERE = pathlib.Path(__file__).resolve().parent
 PATHS = {
     name: _HERE / f"BENCH_{name}.json"
-    for name in ("figures", "overload", "reshard", "sharding")
+    for name in ("chaos", "figures", "overload", "parity", "reshard", "sharding")
 }
 #: expected/actual pairs of every entry that moved (CI uploads it)
 MISMATCH_PATH = _HERE / "BENCH_mismatch.json"
 SEED = 1
 RERECORD = "PYTHONPATH=src python benchmarks/records.py"
+#: the fields of a suite cell that ``BENCH_chaos.json`` pins
+CHAOS_FIELDS = ("campaign_fingerprint", "events", "n_actions", "schedule", "violations")
 _ABSENT = object()  #: a key or list item one side does not have
 
 
@@ -40,6 +51,27 @@ def run_figure(name: str):
     """The quick table of ``name`` as recorded: seed 1, default costs."""
     with use_cost_model(CostModel()):
         return FIGURES[name](quick=True, seed=SEED)
+
+
+def chaos_cells(
+    suite: str, scenarios: Optional[Sequence[str]] = None, seeds: Sequence[int] = CHAOS_SEEDS
+) -> List[Dict[str, Any]]:
+    """:func:`repro.chaos.run_cells` as recorded: default costs."""
+    with use_cost_model(CostModel()):
+        return run_cells(suite, scenarios, seeds)
+
+
+def chaos_record(cells: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    """Seed -> the pinned fields of each cell (its error, if it died), as
+    ``BENCH_chaos.json`` keeps one scenario's cells."""
+    return {
+        str(cell["seed"]): (
+            {"error": cell["error"]}
+            if "error" in cell
+            else {name: cell[name] for name in CHAOS_FIELDS}
+        )
+        for cell in cells
+    }
 
 
 @functools.lru_cache(maxsize=None)

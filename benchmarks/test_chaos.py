@@ -16,9 +16,10 @@ and wiped replicas owe the exact recovered frontier — plus the
 byte-parity guarantees that (a) a no-fault campaign run is
 indistinguishable from the same workload without the chaos layer loaded
 and (b) every cell of this suite and of ``SUITES["reshard"]`` equals its
-record in ``tests/chaos_golden.json`` field for field (a moved cell
-leaves its expected/actual pair in
-``benchmarks/CHAOS_golden_mismatch.json``, uploaded by CI as well).
+record in ``benchmarks/BENCH_chaos.json`` field for field (through
+``records.mismatches``: a moved field is named by its path, e.g.
+``chaos/chaos/spider/4/events``, and leaves its expected/actual pair in
+``benchmarks/BENCH_mismatch.json``, uploaded by CI as well).
 
 Any failure is shrunk to a minimal schedule and written to
 ``benchmarks/CHAOS_failures.json`` (CI uploads it as an artifact); the
@@ -28,6 +29,11 @@ printed snippet is ready to be checked in as a regression test in
 Run it::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_chaos.py
+
+Run directly to re-record ``BENCH_chaos.json`` (only for a change that
+moves simulated results by design, in its own commit)::
+
+    PYTHONPATH=src python benchmarks/test_chaos.py
 """
 
 from __future__ import annotations
@@ -37,9 +43,8 @@ import pathlib
 
 import pytest
 
+import records
 from repro.chaos import SEEDS, SUITES, chaos_case, failure_record
-
-from tests.chaos_golden import MISMATCH_PATH, golden_cells, mismatches
 
 FAILURES_PATH = pathlib.Path(__file__).parent / "CHAOS_failures.json"
 CONFIGS = sorted(SUITES["chaos"])
@@ -49,16 +54,16 @@ CONFIGS = sorted(SUITES["chaos"])
 def _fresh_failure_artifact():
     """Drop any stale artifact so a green run leaves no file behind and a
     failing run's report contains only this run's schedules."""
-    for path in (FAILURES_PATH, MISMATCH_PATH):
-        if path.exists():
-            path.unlink()
+    if FAILURES_PATH.exists():
+        FAILURES_PATH.unlink()
     yield
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_campaign_sweep(config):
-    cells = golden_cells("chaos", [config])
-    moved = mismatches("chaos", cells)  # first: leaves its artifact either way
+    cells = records.chaos_cells("chaos", [config])
+    # first: leaves its artifact either way
+    moved = records.mismatches(f"chaos/chaos/{config}", records.chaos_record(cells))
     failures = [failure_record(cell) for cell in cells if not cell["ok"]]
     if failures:
         existing = []
@@ -77,14 +82,15 @@ def test_campaign_sweep(config):
         f"{config}: only {actions_total} fault actions over "
         f"{len(SEEDS)} seeds — campaign is not exercising faults"
     )
-    assert moved == [], f"cells moved off the golden record, see {MISMATCH_PATH}"
+    assert moved == [], f"{moved} moved off the record, see {records.MISMATCH_PATH}"
 
 
 @pytest.mark.parametrize("scenario", sorted(SUITES["reshard"]))
 def test_reshard_suite_matches_golden(scenario):
     """All 12 seeds of each ``SUITES["reshard"]`` scenario, field for field."""
-    moved = mismatches("reshard", golden_cells("reshard", [scenario]))
-    assert moved == [], f"cells moved off the golden record, see {MISMATCH_PATH}"
+    cells = records.chaos_cells("reshard", [scenario])
+    moved = records.mismatches(f"chaos/reshard/{scenario}", records.chaos_record(cells))
+    assert moved == [], f"{moved} moved off the record, see {records.MISMATCH_PATH}"
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -96,3 +102,16 @@ def test_no_fault_campaign_is_byte_identical(config):
     assert wrapped.ok and bare.ok
     assert wrapped.stats == bare.stats
     assert wrapped.fingerprint() == bare.fingerprint()
+
+
+if __name__ == "__main__":  # pragma: no cover - manual re-record
+    golden = {
+        suite: {
+            scenario: records.chaos_record(records.chaos_cells(suite, [scenario]))
+            for scenario in SUITES[suite]
+        }
+        for suite in SUITES
+    }
+    records.PATHS["chaos"].write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    n_cells = sum(len(seeds) for scenarios in golden.values() for seeds in scenarios.values())
+    print(f"recorded {n_cells} cells")

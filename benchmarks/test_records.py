@@ -70,12 +70,14 @@ def _nonzero_floats(value):
 
 def test_a_one_ulp_move_of_any_float_fails(tmp_path, monkeypatch):
     """Floats compare exactly, like ints and strings: one ulp on any
-    non-zero float of any record is a moved entry."""
+    non-zero float of any record is a moved entry (``BENCH_parity.json``
+    holds ints only, so nothing of it moves)."""
     monkeypatch.setattr(records, "MISMATCH_PATH", tmp_path / "mismatch.json")
     for name in records.PATHS:
         record = records.recorded(name)
         moved = records.mismatches(name, _one_ulp_up(record))
-        assert len(moved) == _nonzero_floats(record) > 0, name
+        assert len(moved) == _nonzero_floats(record), name
+        assert moved or name == "parity", name
 
 
 @pytest.mark.parametrize("factor", [0.0, 6.0], ids=["wedged", "six-times-slower"])
@@ -109,6 +111,8 @@ def test_a_moved_cell_fails_and_lands_in_the_artifact(tmp_path, monkeypatch):
         ("overload", add(1, "baseline", "peak_backlog"), "overload/baseline/peak_backlog"),
         ("reshard", add(0.1, "writes_per_s", "after"), "reshard/writes_per_s/after"),
         ("sharding", add(-1, "results", "4", "events"), "sharding/results/4/events"),
+        ("chaos/chaos/pbft/2", add(1, "events"), "chaos/chaos/pbft/2/events"),
+        ("parity/workloads/irmc_rc_1k", add(1, "events"), "parity/workloads/irmc_rc_1k/events"),
         # A missing or extra key, or row, moves too.
         ("reshard", lambda r: r["audit"].pop("lost"), "reshard/audit/lost"),
         ("overload", lambda r: r["armed"]["slo"].update(dropped=0), "overload/armed/slo/dropped"),

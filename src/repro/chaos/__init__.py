@@ -42,7 +42,7 @@ Public API in one breath
 * :data:`SUITES` / :func:`run_cells` — the chaos and reshard suites as
   one more table (scenario -> case name and overrides) and the one loop
   that runs their ``(scenario, seed)`` cells, a raising cell recorded
-  rather than fatal; ``tests/chaos_golden.json`` pins every cell.
+  rather than fatal; ``benchmarks/BENCH_chaos.json`` pins every cell.
 * :func:`check_*` — evidence-level invariant checkers (see
   :mod:`repro.chaos.invariants`); :func:`shrink_schedule` /
   :func:`failure_record` / :func:`repro_snippet` — ddmin minimisation,

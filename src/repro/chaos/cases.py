@@ -645,7 +645,7 @@ SEEDS = tuple(range(1, 13))
 
 #: suite -> scenario -> (case name, overrides).  Every ``(suite,
 #: scenario, seed)`` cell is pinned, field for field, by
-#: ``tests/chaos_golden.json``.
+#: ``benchmarks/BENCH_chaos.json``.
 SUITES: Dict[str, Dict[str, Tuple[str, Dict[str, Any]]]] = {
     # The acceptance sweep: every row of the table as it stands.
     "chaos": {name: (name, {}) for name in CASES},

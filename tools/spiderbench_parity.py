@@ -13,10 +13,10 @@ variant 0.  Both repeat exactly for a seed, so a refactor that claims
 byte parity reproduces all five pairs, and a change that moves simulated
 results by design re-records them in its own commit.  Each child runs
 with ``PYTHONHASHSEED=0``, one at a time (~4 s each); a repetition that
-fails an operation or trips a violation is a mismatch whatever its
-fingerprint.  The pairs that moved are written to
-``benchmarks/BENCH_parity_mismatch.json`` (CI uploads it).  No
-dependencies beyond what spiderbench itself imports.
+fails an operation or trips a violation fails the check whatever its
+fingerprint.  The pairs are compared through ``benchmarks/records.py``:
+a moved one is named by its path (``parity/workloads/<name>/events``)
+and lands in ``benchmarks/BENCH_mismatch.json`` (CI uploads it).
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-RECORD_PATH = ROOT / "benchmarks" / "BENCH_parity.json"
-MISMATCH_PATH = ROOT / "benchmarks" / "BENCH_parity_mismatch.json"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import records  # noqa: E402  (needs the two paths above)
+
 WORKLOADS = (
     "geo_write_closed",
     "geo_mixed_think",
@@ -62,32 +64,27 @@ def run_child(workload: str) -> dict:
 
 def main(argv) -> int:
     record = "--record" in argv
-    expected = {} if record else json.loads(RECORD_PATH.read_text())["workloads"]
-    actual, moved = {}, {}
+    actual, unhealthy = {}, False
     for workload in WORKLOADS:
         rep = run_child(workload)
         actual[workload] = {"fingerprint": rep["fingerprint"], "events": rep["events"]}
-        unhealthy = {
-            key: rep[key] for key in ("failed", "violations") if rep[key]
-        }
-        if unhealthy or (not record and actual[workload] != expected.get(workload)):
-            moved[workload] = {
-                "expected": expected.get(workload), "actual": actual[workload], **unhealthy
-            }
-        print(f"{workload}: {actual[workload]['fingerprint']} / {actual[workload]['events']}"
-              f"{'  MOVED' if workload in moved else ''}")
+        bad = {key: rep[key] for key in ("failed", "violations") if rep[key]}
+        unhealthy = unhealthy or bool(bad)
+        print(f"{workload}: {rep['fingerprint']} / {rep['events']}"
+              f"{f'  UNHEALTHY {bad}' if bad else ''}")
+    moved = [] if record else records.mismatches("parity/workloads", actual)
     if moved:
-        MISMATCH_PATH.write_text(json.dumps(moved, indent=2) + "\n")
-        print(f"{len(moved)} of {len(WORKLOADS)} workloads moved or unhealthy "
-              f"(details: {MISMATCH_PATH.relative_to(ROOT)}).\n"
+        print(f"{moved} moved off the record "
+              f"(details: {records.MISMATCH_PATH.relative_to(ROOT)}).\n"
               f"Re-record only for a change that moves simulated results by design, "
               f"in its own commit: {RERECORD}")
+    if moved or unhealthy:
         return 1
     if record:
-        RECORD_PATH.write_text(
+        records.PATHS["parity"].write_text(
             json.dumps({"seed": SEED, "variant": VARIANT, "workloads": actual}, indent=2) + "\n"
         )
-        print(f"recorded {RECORD_PATH.relative_to(ROOT)}")
+        print(f"recorded {records.PATHS['parity'].relative_to(ROOT)}")
     return 0
 
 
