@@ -15,8 +15,9 @@ invariant green — crash/recovered replicas owe completion-after-heal
 and wiped replicas owe the exact recovered frontier — plus the
 byte-parity guarantees that (a) a no-fault campaign run is
 indistinguishable from the same workload without the chaos layer loaded
-and (b) every cell of this suite and of ``SUITES["reshard"]`` equals its
-record in ``benchmarks/BENCH_chaos.json`` field for field (through
+and (b) all 168 cells — 13 x 12 of this suite and the 12 of
+``SUITES["reshard"]``'s two-handover scenario — equal their records in
+``benchmarks/BENCH_chaos.json`` field for field (through
 ``records.mismatches``: a moved field is named by its path, e.g.
 ``chaos/chaos/spider/4/events``, and leaves its expected/actual pair in
 ``benchmarks/BENCH_mismatch.json``, uploaded by CI as well).

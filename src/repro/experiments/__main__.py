@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments all [--quick]
     python -m repro.experiments suite chaos
     python -m repro.experiments suite reshard \
-        --seeds 1,2 --scenarios spider-reshard --out report.json
+        --seeds 1,2 --scenarios spider-reshard-double --out report.json
 
 Figures: fig7, fig8, fig9_modularity, fig9_irmc, fig10, fig11.
 

@@ -237,8 +237,8 @@ def test_reshard_spec_rejects_malformed_knobs(moves, message):
 
 
 def test_reshard_suite_file_validates():
-    """Both reshard scenarios resolve through the lookup, plans replayed."""
-    assert sorted(SUITES["reshard"]) == ["spider-reshard", "spider-reshard-double"]
+    """The reshard scenario resolves through the lookup, plans replayed."""
+    assert sorted(SUITES["reshard"]) == ["spider-reshard-double"]
     for config, overrides in SUITES["reshard"].values():
         assert config == "spider-reshard"
         assert chaos_case(config, **overrides).moves
