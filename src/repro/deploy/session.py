@@ -188,8 +188,10 @@ class Session:
             _epoch, run = self._parked.popleft()
             for _kind, _operation, future, op in run:
                 self._finish(future, op, Rejected(CLOSED, by="session"))
-        for ctx in self._contexts.values():
-            self.cluster.chain.close_session(ctx)
+        if self._contexts:
+            # Close hooks key their books by session name: run them once
+            # per session, not once per shard context.
+            self.cluster.chain.close_session(next(iter(self._contexts.values())))
         if not self._clients:
             self.cluster._release_session(self)
             # No protocol client was ever created, so nothing downstream

@@ -413,6 +413,28 @@ class TestEndToEnd:
         assert snap["max_inflight"] == {"s2": 1}
         assert snap["completed"] == {"write": 1}
 
+    def test_close_hooks_run_once_per_session(self):
+        """A session that touched two shards holds two contexts; the
+        chain's close hooks, which key their books by session name, still
+        run once."""
+
+        class _CloseCounter(Middleware):
+            name = "close-counter"
+            closed = 0
+
+            def on_session_close(self, ctx):
+                self.closed += 1
+
+        sim, cluster = build_two_shard_cluster(middleware=(MiddlewareSpec.of("slo-metrics"),))
+        counter = _CloseCounter()
+        cluster.chain.middlewares.append(counter)
+        session = cluster.session("alice", "virginia")
+        for shard_id in ("s0", "s1"):
+            session.write(cluster.range_map.keys_for(shard_id, 1)[0], "v")
+        assert sorted(session._contexts) == ["s0", "s1"]
+        session.close()
+        assert counter.closed == 1
+
     def test_empty_chain_builds_no_machinery(self):
         sim, cluster = build_cluster()
         assert cluster.chain is None
