@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.metrics import percentile
 
 __all__ = [
     "CLOSED",
@@ -449,14 +450,6 @@ class SloMetrics(Middleware):
         per_kind = self.histogram.setdefault(op.kind, {})
         per_kind[bucket] = per_kind.get(bucket, 0) + 1
 
-    @staticmethod
-    def percentile(values: List[float], q: float) -> float:
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "offered": dict(self.offered),
@@ -465,8 +458,8 @@ class SloMetrics(Middleware):
             "shed": dict(self.shed),
             "max_inflight": dict(self.max_inflight),
             "histogram_ms_pow2": {k: dict(v) for k, v in self.histogram.items()},
-            "p50_ms": {k: self.percentile(v, 0.50) for k, v in self.latencies.items()},
-            "p99_ms": {k: self.percentile(v, 0.99) for k, v in self.latencies.items()},
+            "p50_ms": {k: percentile(v, 50) for k, v in self.latencies.items()},
+            "p99_ms": {k: percentile(v, 99) for k, v in self.latencies.items()},
         }
 
 

@@ -260,10 +260,6 @@ class TestSloMetrics:
         assert snap["p99_ms"]["write"] == 40.0
         assert snap["max_inflight"]["s0"] == 2  # done + shed overlapped
 
-    def test_percentile_of_empty_is_zero(self):
-        assert SloMetrics.percentile([], 0.99) == 0.0
-        assert SloMetrics.percentile([5.0], 0.5) == 5.0
-
 
 class TestSpecValidation:
     def test_unknown_middleware_name_rejected_at_validate(self):
